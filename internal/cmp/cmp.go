@@ -116,6 +116,7 @@ func (c RunConfig) Label() string {
 // VLWidthBytes returns the low-latency channel width the configuration
 // implies: 3 control bytes plus the compressed payload for VL layouts
 // (paper Section 4.3), 11 bytes for the L-Wire layout, 0 for baseline.
+// It reads the payload size off the Spec and builds no codec.
 func (c RunConfig) VLWidthBytes() (int, error) {
 	switch c.wiring() {
 	case "baseline":
@@ -123,11 +124,11 @@ func (c RunConfig) VLWidthBytes() (int, error) {
 	case "lpw":
 		return noc.ShortMax, nil
 	case "vlb", "vlbpw":
-		codec, err := c.Compression.Build(c.tiles())
+		payload, err := c.Compression.CompressedPayloadBytes()
 		if err != nil {
 			return 0, err
 		}
-		w := noc.ControlBytes + codec.CompressedPayloadBytes()
+		w := noc.ControlBytes + payload
 		if w < 3 || w > 5 {
 			return 0, fmt.Errorf("cmp: %s wiring needs a compressing scheme (VL channels exist at 3-5 bytes, %q implies %d)",
 				c.wiring(), c.Compression.Label(), w)
@@ -268,6 +269,10 @@ func (s *System) takeWarmupSnapshot() {
 	s.warmL1 = s.snapL1()
 }
 
+// buildCodec is the one codec construction per NewSystem; a variable so
+// tests can count the calls.
+var buildCodec = compress.Spec.Build
+
 // NewSystem builds the simulator for a configuration.
 func NewSystem(cfg RunConfig) (*System, error) {
 	if cfg.RefsPerCore <= 0 {
@@ -288,7 +293,7 @@ func NewSystem(cfg RunConfig) (*System, error) {
 			return nil, err
 		}
 	}
-	codec, err := cfg.Compression.Build(tiles)
+	codec, err := buildCodec(cfg.Compression, tiles)
 	if err != nil {
 		return nil, err
 	}

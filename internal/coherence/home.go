@@ -82,6 +82,11 @@ type HomeController struct {
 	// setBusy so busyCount is O(1) — it runs on every drain check and
 	// epoch-series sample, where a directory walk dominated the cost.
 	busyEntries int
+	// drain holds the requests finishTxn is replaying, so entry queues
+	// keep their storage. A replay can finish another transaction and
+	// re-enter finishTxn, which appends its segment past the outer one
+	// and truncates back to its own start when done.
+	drain []homeReq
 
 	// Pending-state queues with prebound dispatch events (DESIGN.md
 	// §16): each queue's pushes all schedule the same constant delay,
@@ -506,13 +511,19 @@ func (h *HomeController) recallAckArrived(block uint64, e *dirEntry) {
 }
 
 // finishTxn clears the busy state and drains queued requests in order.
+// The requests move to the controller's drain buffer first: a replay
+// that finds the entry busy again re-queues on it, and the entry may be
+// released and reused meanwhile.
 func (h *HomeController) finishTxn(block uint64, e *dirEntry) {
 	h.setBusy(e, false)
 	e.kind = txnNone
-	queued := e.queue
-	e.queue = nil
+	start := len(h.drain)
+	h.drain = append(h.drain, e.queue...)
+	end := len(h.drain)
+	e.queue = e.queue[:0]
 	h.release(block, e)
-	for _, r := range queued {
+	for i := start; i < end; i++ {
+		r := h.drain[i]
 		switch noc.Type(r.typ) {
 		case noc.GetS, noc.GetX, noc.Upgrade:
 			h.handleRequest(r)
@@ -522,6 +533,7 @@ func (h *HomeController) finishTxn(block uint64, e *dirEntry) {
 			panic(fmt.Sprintf("coherence: home %d queued %v", h.id, noc.Type(r.typ)))
 		}
 	}
+	h.drain = h.drain[:start]
 }
 
 // ensureData dispatches the grant op once the block's data is available

@@ -44,6 +44,19 @@ func (s Spec) Build(cores int) (Codec, error) {
 	return nil, fmt.Errorf("compress: unknown scheme kind %q", s.Kind)
 }
 
+// CompressedPayloadBytes returns the hit payload size of the codec Build
+// would return, without building it: a DBRC's per-pair state grows with
+// the square of the core count, so the VL width must not cost one.
+func (s Spec) CompressedPayloadBytes() (int, error) {
+	switch s.Kind {
+	case "none":
+		return NewNone().CompressedPayloadBytes(), nil
+	case "perfect", "dbrc", "stride":
+		return s.LowOrderBytes, nil
+	}
+	return 0, fmt.Errorf("compress: unknown scheme kind %q", s.Kind)
+}
+
 // Table1Scheme maps the spec to its hardware-cost row name: a paper
 // Table 1 row for the tabulated points, a name the cacti surrogate can
 // model for untabulated DBRC sizes, or "" when the spec has no hardware

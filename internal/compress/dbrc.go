@@ -23,13 +23,24 @@ import "fmt"
 // On a hit the wire carries only the low-order bytes (plus the entry
 // index in spare header bits), so the compressed payload is loBytes and
 // the whole message fits the 3+loBytes+1 = 4- or 5-byte VL channel.
+//
+// Both ends live in flat, pointer-free arrays (DESIGN.md §16.5): a
+// 1024-tile CMP has two million receiver register files, and one heap
+// object per file made construction and every GC mark phase scale with
+// that count.
 type DBRC struct {
 	entries int
 	loBytes int
 	cores   int
 
-	senders   []dbrcSender   // [core*NumStreams + stream]
-	receivers []dbrcReceiver // [ (dst*cores + src)*NumStreams + stream ]
+	// Sender side, one set of entries ways per (core, stream):
+	// cache[(core*NumStreams+stream)*entries+i], clock[core*NumStreams+stream].
+	cache []dbrcEntry
+	clock []uint64
+	// Receiver side, one register file per (dst, src, stream):
+	// bases/valid[((dst*cores+src)*NumStreams+stream)*entries+i].
+	bases []uint64
+	valid []bool
 }
 
 type dbrcEntry struct {
@@ -37,16 +48,6 @@ type dbrcEntry struct {
 	valid   bool
 	dstMask uint32
 	lastUse uint64
-}
-
-type dbrcSender struct {
-	entries []dbrcEntry
-	clock   uint64
-}
-
-type dbrcReceiver struct {
-	bases []uint64
-	valid []bool
 }
 
 // NewDBRC builds an entries-way DBRC codec with loBytes (1 or 2)
@@ -82,23 +83,12 @@ func (d *DBRC) CompressedPayloadBytes() int { return d.loBytes }
 
 // Reset implements Codec.
 func (d *DBRC) Reset() {
-	d.senders = make([]dbrcSender, d.cores*NumStreams)
-	for i := range d.senders {
-		d.senders[i].entries = make([]dbrcEntry, d.entries)
-	}
-	d.receivers = make([]dbrcReceiver, d.cores*d.cores*NumStreams)
-	for i := range d.receivers {
-		d.receivers[i].bases = make([]uint64, d.entries)
-		d.receivers[i].valid = make([]bool, d.entries)
-	}
-}
-
-func (d *DBRC) sender(src int, stream Stream) *dbrcSender {
-	return &d.senders[src*NumStreams+int(stream)]
-}
-
-func (d *DBRC) receiver(src, dst int, stream Stream) *dbrcReceiver {
-	return &d.receivers[(dst*d.cores+src)*NumStreams+int(stream)]
+	senders := d.cores * NumStreams
+	receivers := d.cores * senders
+	d.cache = make([]dbrcEntry, senders*d.entries)
+	d.clock = make([]uint64, senders)
+	d.bases = make([]uint64, receivers*d.entries)
+	d.valid = make([]bool, receivers*d.entries)
 }
 
 func (d *DBRC) loMask() uint64 { return uint64(1)<<(8*d.loBytes) - 1 }
@@ -106,23 +96,28 @@ func (d *DBRC) loMask() uint64 { return uint64(1)<<(8*d.loBytes) - 1 }
 // Encode implements Codec.
 func (d *DBRC) Encode(src, dst int, stream Stream, addr uint64) Encoded {
 	d.checkPair(src, dst)
-	s := d.sender(src, stream)
-	s.clock++
+	set := src*NumStreams + int(stream)
+	d.clock[set]++
+	clock := d.clock[set]
+	ways := d.cache[set*d.entries : (set+1)*d.entries]
 	base := addr >> (8 * d.loBytes)
+	// Zero for dst >= 32, so those destinations never compress: a known
+	// model limitation (ROADMAP), kept because fixing it changes every
+	// result above 32 tiles.
 	dstBit := uint32(1) << uint(dst)
 
 	// Fully-associative lookup.
 	hit := -1
-	for i := range s.entries {
-		e := &s.entries[i]
+	for i := range ways {
+		e := &ways[i]
 		if e.valid && e.base == base {
 			hit = i
 			break
 		}
 	}
 	if hit >= 0 {
-		e := &s.entries[hit]
-		e.lastUse = s.clock
+		e := &ways[hit]
+		e.lastUse = clock
 		if e.dstMask&dstBit != 0 {
 			// Compressed: low-order bytes on the wire, index in header.
 			return Encoded{
@@ -140,37 +135,37 @@ func (d *DBRC) Encode(src, dst int, stream Stream, addr uint64) Encoded {
 
 	// Miss: evict the LRU entry (or fill an invalid one).
 	victim := 0
-	for i := range s.entries {
-		if !s.entries[i].valid {
+	for i := range ways {
+		if !ways[i].valid {
 			victim = i
 			break
 		}
-		if s.entries[i].lastUse < s.entries[victim].lastUse {
+		if ways[i].lastUse < ways[victim].lastUse {
 			victim = i
 		}
 	}
-	s.entries[victim] = dbrcEntry{base: base, valid: true, dstMask: dstBit, lastUse: s.clock}
+	ways[victim] = dbrcEntry{base: base, valid: true, dstMask: dstBit, lastUse: clock}
 	return Encoded{Compressed: false, PayloadBytes: 8, Payload: addr, InstallIndex: victim}
 }
 
 // Decode implements Codec.
 func (d *DBRC) Decode(src, dst int, stream Stream, e Encoded) uint64 {
 	d.checkPair(src, dst)
-	r := d.receiver(src, dst, stream)
 	if e.InstallIndex < 0 || e.InstallIndex >= d.entries {
 		panic(fmt.Sprintf("compress: DBRC decode with bad index %d", e.InstallIndex))
 	}
+	r := ((dst*d.cores+src)*NumStreams+int(stream))*d.entries + e.InstallIndex
 	if !e.Compressed {
 		addr := e.Payload
-		r.bases[e.InstallIndex] = addr >> (8 * d.loBytes)
-		r.valid[e.InstallIndex] = true
+		d.bases[r] = addr >> (8 * d.loBytes)
+		d.valid[r] = true
 		return addr
 	}
-	if !r.valid[e.InstallIndex] {
+	if !d.valid[r] {
 		panic(fmt.Sprintf("compress: DBRC receiver %d<-%d %v entry %d used before install",
 			dst, src, stream, e.InstallIndex))
 	}
-	return r.bases[e.InstallIndex]<<(8*d.loBytes) | (e.Payload & d.loMask())
+	return d.bases[r]<<(8*d.loBytes) | (e.Payload & d.loMask())
 }
 
 func (d *DBRC) checkPair(src, dst int) {

@@ -258,6 +258,26 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
+// TestNextDoesNotAllocate covers the deferred reference behind compute
+// gaps (Water-nsq) and barriers (FFT): queuing it must not allocate.
+func TestNextDoesNotAllocate(t *testing.T) {
+	for _, name := range []string{"Water-nsq", "FFT"} {
+		a, err := NewNamedApp(name, 16, 1<<30, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// AllocsPerRun truncates to whole allocations per run, so each
+		// run makes many calls.
+		if n := testing.AllocsPerRun(10, func() {
+			for core := 0; core < 16*100; core++ {
+				a.Next(core % 16)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %.0f allocations per 1600 Next calls, want 0", name, n)
+		}
+	}
+}
+
 func BenchmarkGenerate(b *testing.B) {
 	a, _ := NewNamedApp("MP3D", 16, 1<<30, 1)
 	b.ReportAllocs()
