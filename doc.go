@@ -15,7 +15,8 @@
 // Module map (each package's modelling decisions live in the named
 // DESIGN.md section):
 //
-//	internal/sim        deterministic event kernel            DESIGN.md §3
+//	internal/sim        deterministic event kernel and        DESIGN.md §3, §16
+//	                    fixed-delay queues
 //	internal/stats      counters, histograms, tables          DESIGN.md §3
 //	internal/wire       wire RC physics, Table 2/3 catalogs   DESIGN.md §5
 //	internal/cacti      SRAM cost models (Table 1)            DESIGN.md §5
@@ -37,8 +38,8 @@
 //	                    + ledger records
 //	internal/figures    paper table/figure regeneration       DESIGN.md §4
 //	internal/analysis   tilesimvet static-analysis rules      DESIGN.md §8, §17
-//	internal/pooldbg    pooled-object runtime sanitizer       DESIGN.md §17
-//	                    (-tags pooldebug)
+//	internal/pooldbg    double-release sanitizer for the      DESIGN.md §17
+//	                    three freelists (-tags pooldebug)
 //	cmd/tilesim         single-run CLI
 //	cmd/tables          Tables 1-3 (analytic, no simulation)
 //	cmd/figures         Figures 2, 5, 6, 7 + ablations + the

@@ -1,15 +1,15 @@
 package analysis
 
 // poollife is the pooled-object lifetime analysis (tilesimvet v4).
-// PR 9's throughput push made intrusive freelists the dominant hot-path
-// idiom — pooled noc.Message headers, MSHR entries, directory entries,
-// transits — which introduced a bug class the simulator never had
-// before: touching a recycled object. The rule machine-checks the
-// ownership contracts those pools document in comments:
+// Intrusive freelists keep the hot path allocation-free — mesh
+// transits, MSHR entries and coherence directory entries — and bring a
+// bug class the garbage collector otherwise rules out: touching a
+// recycled object. The rule machine-checks the ownership contracts
+// those pools document in comments:
 //
 //	(a) use-after-release: no read or write of a pooled pointer on any
-//	    path after its release point (the Protocol.Deliver-tail
-//	    contract: dispatch first, Put last);
+//	    path after its release point (read what the code needs first,
+//	    release last);
 //	(b) double-release: no path releases the same pointer twice;
 //	(c) retention: a pooled pointer stored into a struct field, slice,
 //	    map, channel, closure, or sim.Event payload must be guarded by

@@ -8,9 +8,3 @@ package cache
 func entryAcquired(e *MSHREntry) {}
 
 func entryReleased(e *MSHREntry) {}
-
-// CheckAlive probes a generation-snapshot guard (see Gen): a retention
-// site records Gen when it stores the entry and probes CheckAlive with
-// that snapshot before dereferencing. Free in the default build; under
-// -tags pooldebug a stale snapshot panics with stack traces.
-func (e *MSHREntry) CheckAlive(gen uint64) {}

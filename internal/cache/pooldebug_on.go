@@ -7,11 +7,6 @@ import "tilesim/internal/pooldbg"
 // Sanitizer builds forward MSHR entry pool transitions to the pooldbg
 // registry.
 
-func entryAcquired(e *MSHREntry) { pooldbg.Acquire(e, e.Gen) }
+func entryAcquired(e *MSHREntry) { pooldbg.Acquire(e) }
 
 func entryReleased(e *MSHREntry) { pooldbg.Release(e, e.Gen) }
-
-// CheckAlive verifies a generation snapshot recorded at a retention
-// site, panicking with both stack traces when the entry was recycled
-// since the snapshot was taken.
-func (e *MSHREntry) CheckAlive(gen uint64) { pooldbg.CheckAlive(e, gen, e.Gen) }

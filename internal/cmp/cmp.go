@@ -278,6 +278,13 @@ func NewSystem(cfg RunConfig) (*System, error) {
 	if cfg.RefsPerCore <= 0 {
 		return nil, fmt.Errorf("cmp: RefsPerCore must be positive")
 	}
+	if cfg.WarmupRefs < 0 || cfg.WarmupRefs >= cfg.RefsPerCore {
+		// A warmup of RefsPerCore or more leaves no reference to measure
+		// (each core reaches the warmup barrier after its last one); a
+		// negative one never reaches the barrier.
+		return nil, fmt.Errorf("cmp: WarmupRefs %d must be in [0, RefsPerCore) with RefsPerCore %d",
+			cfg.WarmupRefs, cfg.RefsPerCore)
+	}
 	if cfg.SeriesInterval < 0 {
 		return nil, fmt.Errorf("cmp: SeriesInterval must be non-negative, got %d", cfg.SeriesInterval)
 	}
@@ -355,7 +362,7 @@ func NewSystem(cfg RunConfig) (*System, error) {
 	cohCfg := coherence.DefaultConfig()
 	cohCfg.Tiles = tiles
 	cohCfg.ReplyPartitioning = cfg.ReplyPartitioning
-	sys.Proto = coherence.New(k, cohCfg, func(m *noc.Message) { sys.Mgr.Send(m) })
+	sys.Proto = coherence.New(k, cohCfg, func(m noc.Message) { sys.Mgr.Send(&m) })
 	sys.Mgr = core.New(k, net, core.Config{Codec: codec, VLWidthBytes: vlWidth}, meter,
 		func(m *noc.Message) { sys.Proto.Deliver(m) })
 

@@ -1,6 +1,8 @@
 package cmp
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"tilesim/internal/compress"
@@ -73,5 +75,47 @@ func TestNewSystemBuildsCodecOnce(t *testing.T) {
 	}
 	if _, err := NewSystem(cfg); err == nil {
 		t.Error("NewSystem accepted VL wiring with an uncompressed scheme")
+	}
+}
+
+// TestNewSystemRejectsEmptyMeasurementWindow pins the warmup bounds. A
+// warmup of RefsPerCore or more leaves nothing to measure: every core
+// reaches the warmup barrier after its last reference, so the window is
+// about one cycle long. A negative warmup never reaches the barrier and
+// would silently measure from cold. Both must fail with an error naming
+// the two values.
+func TestNewSystemRejectsEmptyMeasurementWindow(t *testing.T) {
+	cases := []struct {
+		refs, warmup int
+		ok           bool
+	}{
+		{refs: 100, warmup: 0, ok: true},
+		{refs: 100, warmup: 50, ok: true},
+		{refs: 100, warmup: 99, ok: true},
+		{refs: 100, warmup: 100},
+		{refs: 100, warmup: 101},
+		{refs: 8000, warmup: 8000},
+		{refs: 1000, warmup: 8000},
+		{refs: 100, warmup: -1},
+	}
+	for _, c := range cases {
+		cfg := baselineCfg("FFT", c.refs)
+		cfg.WarmupRefs = c.warmup
+		_, err := NewSystem(cfg)
+		if c.ok {
+			if err != nil {
+				t.Errorf("refs %d warmup %d: %v", c.refs, c.warmup, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("refs %d warmup %d accepted", c.refs, c.warmup)
+			continue
+		}
+		for _, want := range []string{fmt.Sprint(c.refs), fmt.Sprint(c.warmup)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("refs %d warmup %d: error %q does not name %s", c.refs, c.warmup, err, want)
+			}
+		}
 	}
 }

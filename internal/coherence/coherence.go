@@ -39,11 +39,12 @@ import (
 	"tilesim/internal/stats"
 )
 
-// Sender injects a protocol message into the transport. The transport
-// must deliver every message exactly once, but may reorder freely; the
+// Sender injects a protocol message into the transport. The message is
+// passed by value: the transport owns its copy. The transport must
+// deliver every message exactly once, but may reorder freely; the
 // protocol tolerates reordering through MSHR ack counting and home
 // queueing.
-type Sender func(*noc.Message)
+type Sender func(noc.Message)
 
 // Config parameterizes the protocol timing (paper Table 4).
 type Config struct {
@@ -106,62 +107,24 @@ type Protocol struct {
 
 	nextTxn uint64
 
-	// pool recycles message headers: msg draws from it and Deliver
-	// releases each header once its dispatch returns.
-	pool noc.Pool
-	// freeJobs pools deferred-send jobs (sendLater), so delaying a
-	// message costs no allocation in steady state.
-	freeJobs *sendJob
+	// Fixed-delay step queues (dispatch.go), one per step kind for the
+	// whole chip.
+	accessQ    *sim.DelayQueue[l1Access]   // Load/Store -> access, after L1HitCycles
+	retryQ     *sim.DelayQueue[l1Retry]    // MSHR-full miss retry, after 4 cycles
+	fwdQ       *sim.DelayQueue[l1FwdReply] // intervention reply burst, after L1HitCycles
+	tagQ       *sim.DelayQueue[homeReq]    // home request/replacement, after L2TagCycles
+	fillQ      *sim.DelayQueue[homeFill]   // memory fill, after MemCycles
+	fillRetryQ *sim.DelayQueue[homeFill]   // victim-busy fill retry, after 8 cycles
+	// Deferred data grants (sendDataGrant): sendAfterData waits out the
+	// L2 data-array read; sendAfterFill sends later in the cycle in
+	// which a memory fill lands (the fill already paid the latency).
+	sendAfterData *sim.DelayQueue[noc.Message]
+	sendAfterFill *sim.DelayQueue[noc.Message]
 
 	// Observability (obs.go): optional tracer and the chip-wide
 	// MSHR-residency distribution. Reads only; never affects timing.
 	tracer        *obs.Tracer
 	mshrResidency stats.Mean
-}
-
-// sendJob is one pooled deferred send: a prebound kernel event carrying
-// the message to emit. The job returns to the pool before the send runs,
-// so a send that synchronously schedules another deferred send can reuse
-// it immediately.
-type sendJob struct {
-	p *Protocol
-	m *noc.Message
-	// mGen snapshots m's pool generation when the job retains it
-	// (poollife clause (c)); run probes it before the send, so a header
-	// recycled while the job was pending panics under -tags pooldebug.
-	mGen uint64
-	fn   sim.Event
-	next *sendJob
-}
-
-func (j *sendJob) run() {
-	p, m := j.p, j.m
-	m.CheckAlive(j.mGen)
-	j.m = nil
-	jobReleased(j)
-	j.next = p.freeJobs
-	p.freeJobs = j
-	p.send(m)
-}
-
-// sendLater emits m after delay cycles, through a pooled job instead of
-// a per-call closure. Jobs scheduled at equal delays fire in call order
-// (kernel FIFO), matching the closure version bit for bit.
-func (p *Protocol) sendLater(m *noc.Message, delay sim.Time) {
-	j := p.freeJobs
-	if j == nil {
-		//tilesim:allocok pool miss: one deferred-send job, reused for the rest of the run
-		j = &sendJob{p: p}
-		//tilesim:allocok pool miss: the job's prebound event, bound once per pooled job
-		j.fn = j.run
-	} else {
-		p.freeJobs = j.next
-		j.next = nil
-	}
-	jobAcquired(j)
-	j.mGen = m.Generation()
-	j.m = m
-	p.k.Schedule(delay, j.fn)
 }
 
 // New builds the protocol. send is invoked for every outgoing message
@@ -171,6 +134,7 @@ func New(k *sim.Kernel, cfg Config, send Sender) *Protocol {
 		panic(fmt.Sprintf("coherence: tile count %d must be a power of two in 2..%d", cfg.Tiles, MaxTiles))
 	}
 	p := &Protocol{cfg: cfg, k: k, send: send}
+	p.initQueues()
 	p.l1s = make([]*L1Controller, cfg.Tiles)
 	p.homes = make([]*HomeController, cfg.Tiles)
 	for i := 0; i < cfg.Tiles; i++ {
@@ -190,7 +154,8 @@ func (p *Protocol) Home(id int) *HomeController { return p.homes[id] }
 func (p *Protocol) Config() Config { return p.cfg }
 
 // Deliver routes an arriving message to the right controller at its
-// destination tile.
+// destination tile. m is valid only during the call: controllers copy
+// out the fields they keep and never retain the pointer.
 //
 //tilesim:hotpath coherence dispatch, once per delivered message
 func (p *Protocol) Deliver(m *noc.Message) {
@@ -211,10 +176,6 @@ func (p *Protocol) Deliver(m *noc.Message) {
 	default:
 		panic(fmt.Sprintf("coherence: undeliverable message type %v", m.Type))
 	}
-	// Dispatch extracted everything it needs (controllers never retain a
-	// header): the header returns to the pool here, the single release
-	// point of every delivered message.
-	p.pool.Put(m)
 }
 
 func (p *Protocol) txn() uint64 {
@@ -222,14 +183,9 @@ func (p *Protocol) txn() uint64 {
 	return p.nextTxn
 }
 
-// msg builds a protocol message with simulator-tracked address. Headers
-// come from the protocol's pool; Deliver recycles them.
-//
-//tilesim:pool
-func (p *Protocol) msg(t noc.Type, src, dst int, addr uint64, txn uint64) *noc.Message {
-	m := p.pool.Get()
-	m.Type, m.Src, m.Dst, m.Addr, m.Txn = t, src, dst, addr, txn
-	return m
+// msg builds a protocol message with simulator-tracked address.
+func (p *Protocol) msg(t noc.Type, src, dst int, addr uint64, txn uint64) noc.Message {
+	return noc.Message{Type: t, Src: src, Dst: dst, Addr: addr, Txn: txn}
 }
 
 // OutstandingTransactions reports protocol liveness state for drain

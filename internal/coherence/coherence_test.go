@@ -26,10 +26,10 @@ func newTestSystem(delay func(*noc.Message) sim.Time) *testSystem {
 		delay = func(*noc.Message) sim.Time { return 1 }
 	}
 	ts.delay = delay
-	ts.p = New(ts.k, DefaultConfig(), func(m *noc.Message) {
+	ts.p = New(ts.k, DefaultConfig(), func(m noc.Message) {
 		m.SizeBytes = m.UncompressedSize()
 		ts.sent[m.Type]++
-		ts.k.Schedule(ts.delay(m), func() { ts.p.Deliver(m) })
+		ts.k.Schedule(ts.delay(&m), func() { ts.p.Deliver(&m) })
 	})
 	return ts
 }

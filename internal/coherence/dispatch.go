@@ -1,43 +1,45 @@
 package coherence
 
-// This file holds the plumbing of the prebound pending-state machines
-// (DESIGN.md §16): fixed-latency continuations that used to be one
-// closure per reference/transaction are now value records pushed onto a
-// per-controller FIFO, paired with a single prebound kernel event per
-// queue. Because every push on a given queue schedules the same
-// constant delay, kernel fire order equals push order equals pop order,
-// so the restructuring is bit-identical to the closure version while
-// allocating nothing in steady state.
+// This file holds the prebound pending-state machines (DESIGN.md
+// §16.2): each fixed-latency step that used to be one closure per
+// reference or transaction is a value record pushed onto one of the
+// Protocol's sim.DelayQueues. A queue serves the whole chip: every push
+// onto it schedules the same constant delay, so one FIFO dispatches in
+// exactly the order the per-tile closures fired, and the steady state
+// allocates nothing. L1 records carry their tile; home records find
+// their home from the block address.
 
-// fifo is a reusable FIFO of value records: push appends, pop advances
-// a head index, and the backing slice rewinds once drained so a
-// steady-state queue never reallocates.
-type fifo[T any] struct {
-	items []T
-	head  int
+import (
+	"tilesim/internal/noc"
+	"tilesim/internal/sim"
+)
+
+// initQueues builds the Protocol's step queues, each routing its
+// records to the owning controller.
+func (p *Protocol) initQueues() {
+	k, cfg := p.k, p.cfg
+	hit := sim.Time(cfg.L1HitCycles)
+	p.accessQ = sim.NewDelayQueue(k, hit, func(a *l1Access) { p.l1s[a.tile].dispatchAccess(a) })
+	p.retryQ = sim.NewDelayQueue(k, 4, func(r *l1Retry) { p.l1s[r.tile].dispatchRetry(r) })
+	p.fwdQ = sim.NewDelayQueue(k, hit, func(r *l1FwdReply) { p.l1s[r.tile].dispatchFwdReply(r) })
+	p.tagQ = sim.NewDelayQueue(k, sim.Time(cfg.L2TagCycles), func(r *homeReq) { p.homeOf(r.block).dispatchTag(r) })
+	fill := func(f *homeFill) { p.homeOf(f.block).fillL2(f.block) }
+	p.fillQ = sim.NewDelayQueue(k, sim.Time(cfg.MemCycles), fill)
+	p.fillRetryQ = sim.NewDelayQueue(k, 8, fill)
+	send := func(m *noc.Message) { p.send(*m) }
+	p.sendAfterData = sim.NewDelayQueue(k, sim.Time(cfg.L2DataCycles), send)
+	p.sendAfterFill = sim.NewDelayQueue(k, 0, send)
 }
 
-func (q *fifo[T]) push(v T) {
-	q.items = append(q.items, v)
+// homeOf returns the home controller of block.
+func (p *Protocol) homeOf(block uint64) *HomeController {
+	return p.homes[HomeOf(block, p.cfg.Tiles)]
 }
-
-func (q *fifo[T]) pop() T {
-	v := q.items[q.head]
-	var zero T
-	q.items[q.head] = zero // release references for GC
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return v
-}
-
-func (q *fifo[T]) len() int { return len(q.items) - q.head }
 
 // l1Access is one pending core access, dispatched after the L1 hit
 // latency (the old per-reference Load/Store closure).
 type l1Access struct {
+	tile    int
 	addr    uint64
 	isWrite bool
 	done    func()
@@ -46,6 +48,7 @@ type l1Access struct {
 // l1Retry is one MSHR-full miss retry, dispatched after the fixed
 // backoff (the old per-miss retry closure).
 type l1Retry struct {
+	tile  int
 	block uint64
 	req   int // noc.Type, kept opaque to keep the record flat
 	done  func()
@@ -54,6 +57,7 @@ type l1Retry struct {
 // l1FwdReply is one intervention reply burst, dispatched after the L1
 // access latency (the old respond closure of onFwd).
 type l1FwdReply struct {
+	tile    int
 	block   uint64
 	replyTo int
 	txn     uint64
@@ -62,10 +66,10 @@ type l1FwdReply struct {
 }
 
 // homeReq is one home-bound request or replacement: the fields the
-// directory needs from the message, extracted at delivery so the
-// message header itself is never retained (it returns to the pool when
-// Deliver's dispatch ends). Used both for the tag-latency dispatch
-// queue and for requests parked behind a busy directory entry.
+// directory needs from the message, extracted at delivery (the
+// delivered *noc.Message is valid only during Deliver). Used both for
+// the tag-latency dispatch queue and for requests parked behind a busy
+// directory entry.
 type homeReq struct {
 	typ   int // noc.Type, kept opaque to keep the record flat
 	src   int

@@ -88,16 +88,6 @@ type HomeController struct {
 	// and truncates back to its own start when done.
 	drain []homeReq
 
-	// Pending-state queues with prebound dispatch events (DESIGN.md
-	// §16): each queue's pushes all schedule the same constant delay,
-	// so pop order equals push order equals the old closure fire order.
-	tagQ        fifo[homeReq]  // request/replacement, after L2TagCycles
-	fillQ       fifo[homeFill] // memory fill, after MemCycles
-	fillRetryQ  fifo[homeFill] // victim-busy fill retry, after 8 cycles
-	tagFn       sim.Event
-	fillFn      sim.Event
-	fillRetryFn sim.Event
-
 	// Statistics.
 	Requests     stats.Counter
 	L2Misses     stats.Counter
@@ -120,9 +110,6 @@ func newHomeController(p *Protocol, id int) *HomeController {
 		l2:  cache.New(l2cfg),
 		dir: make(map[uint64]*dirEntry),
 	}
-	h.tagFn = h.dispatchTag
-	h.fillFn = h.dispatchFill
-	h.fillRetryFn = h.dispatchFillRetry
 	return h
 }
 
@@ -207,7 +194,7 @@ func (h *HomeController) wantsInvAck(block uint64) bool {
 
 // deliver handles a message addressed to this home. Requests and
 // replacements extract their fields into a homeReq and queue behind the
-// directory/tag latency; the header itself is never retained.
+// directory/tag latency; the message itself is never retained.
 func (h *HomeController) deliver(m *noc.Message) {
 	block := m.Addr &^ uint64(noc.LineBytes-1)
 	if HomeOf(block, h.p.cfg.Tiles) != h.id {
@@ -220,11 +207,9 @@ func (h *HomeController) deliver(m *noc.Message) {
 		// Charge the directory/tag lookup. One queue serves requests and
 		// replacements: both charge the same latency, so a single FIFO
 		// preserves their relative arrival order.
-		h.tagQ.push(homeReq{typ: int(m.Type), src: m.Src, txn: m.Txn, block: block})
-		h.p.k.Schedule(sim.Time(h.p.cfg.L2TagCycles), h.tagFn)
+		h.p.tagQ.Push(homeReq{typ: int(m.Type), src: m.Src, txn: m.Txn, block: block})
 	case noc.WriteBack, noc.ReplacementHint:
-		h.tagQ.push(homeReq{typ: int(m.Type), src: m.Src, txn: m.Txn, block: block})
-		h.p.k.Schedule(sim.Time(h.p.cfg.L2TagCycles), h.tagFn)
+		h.p.tagQ.Push(homeReq{typ: int(m.Type), src: m.Src, txn: m.Txn, block: block})
 	case noc.Revision:
 		h.handleRevision(m, block)
 	case noc.OwnAck:
@@ -236,15 +221,14 @@ func (h *HomeController) deliver(m *noc.Message) {
 	}
 }
 
-// dispatchTag pops one queued request or replacement after the tag
+// dispatchTag runs one queued request or replacement after the tag
 // latency.
-func (h *HomeController) dispatchTag() {
-	r := h.tagQ.pop()
+func (h *HomeController) dispatchTag(r *homeReq) {
 	switch noc.Type(r.typ) {
 	case noc.GetS, noc.GetX, noc.Upgrade:
-		h.handleRequest(r)
+		h.handleRequest(*r)
 	case noc.WriteBack, noc.ReplacementHint:
-		h.handleReplacement(r)
+		h.handleReplacement(*r)
 	default:
 		panic(fmt.Sprintf("coherence: home %d tag dispatch got %v", h.id, noc.Type(r.typ)))
 	}
@@ -288,9 +272,9 @@ func (h *HomeController) handleGetS(r homeReq, e *dirEntry) {
 }
 
 // grantS applies a read grant at its serialization point: the directory
-// mutates now; only the grant message waits for the data array (delay).
-func (h *HomeController) grantS(block uint64, e *dirEntry, src int, txn uint64, delay sim.Time) {
-	var grant *noc.Message
+// mutates now; only the grant message waits, on send queue q.
+func (h *HomeController) grantS(block uint64, e *dirEntry, src int, txn uint64, q *sim.DelayQueue[noc.Message]) {
+	var grant noc.Message
 	if e.sharers.Empty() {
 		// Sole copy: grant E. Unlike write-ownership transfers, E
 		// grants need no completion ack: a racing recall resolves
@@ -304,20 +288,21 @@ func (h *HomeController) grantS(block uint64, e *dirEntry, src int, txn uint64, 
 		e.sharers.Add(src)
 	}
 	grant.DataBytes = noc.LineBytes
-	h.sendDataGrant(grant, delay)
+	h.sendDataGrant(grant, q)
 }
 
-// sendDataGrant emits a data-carrying grant. Under Reply Partitioning
+// sendDataGrant queues a data-carrying grant on send queue q (the
+// Protocol's sendAfterData or sendAfterFill). Under Reply Partitioning
 // the critical word leaves first as a PartialReply and the full line
 // follows off the critical path.
-func (h *HomeController) sendDataGrant(grant *noc.Message, delay sim.Time) {
+func (h *HomeController) sendDataGrant(grant noc.Message, q *sim.DelayQueue[noc.Message]) {
 	if h.p.cfg.ReplyPartitioning && grant.DataBytes > 0 {
 		pr := h.p.msg(noc.PartialReply, grant.Src, grant.Dst, grant.Addr, grant.Txn)
 		pr.AckCount = grant.AckCount
 		grant.Relaxed = true
-		h.p.sendLater(pr, delay)
+		q.Push(pr)
 	}
-	h.p.sendLater(grant, delay)
+	q.Push(grant)
 }
 
 // handleGetX covers true GetX and Upgrade requests demoted to GetX by a
@@ -344,7 +329,7 @@ func (h *HomeController) handleGetX(r homeReq, e *dirEntry) {
 // the other sharers, transfer ownership, and stay busy until the
 // requestor confirms completion (OwnAck), so recalls and interventions
 // can never race an in-flight grant.
-func (h *HomeController) grantX(block uint64, e *dirEntry, src int, txn uint64, delay sim.Time) {
+func (h *HomeController) grantX(block uint64, e *dirEntry, src int, txn uint64, q *sim.DelayQueue[noc.Message]) {
 	others := e.sharers.Without(src)
 	h.invalidateSharers(others, block, src, txn)
 	grant := h.p.msg(noc.Data, h.id, src, block, txn)
@@ -354,7 +339,7 @@ func (h *HomeController) grantX(block uint64, e *dirEntry, src int, txn uint64, 
 	e.owner = src
 	h.setBusy(e, true)
 	e.kind, e.pendingCloses = txnGrant, 1
-	h.sendDataGrant(grant, delay)
+	h.sendDataGrant(grant, q)
 }
 
 func (h *HomeController) handleUpgrade(r homeReq, e *dirEntry) {
@@ -425,8 +410,7 @@ func (h *HomeController) handleReplacement(r homeReq) {
 		}
 	}
 	// Stale replacements (ownership already moved) are acked silently.
-	ack := h.p.msg(noc.WBAck, h.id, r.src, r.block, r.txn)
-	h.p.send(ack)
+	h.p.send(h.p.msg(noc.WBAck, h.id, r.src, r.block, r.txn))
 	h.release(r.block, e)
 }
 
@@ -539,13 +523,13 @@ func (h *HomeController) finishTxn(block uint64, e *dirEntry) {
 // ensureData dispatches the grant op once the block's data is available
 // in the L2 slice, fetching from memory (and recalling an L2 victim) if
 // needed. The grant runs at the transaction's serialization point and
-// applies its directory mutations synchronously; the latency of the L2
-// data array is the delay applied to outgoing data messages. The tag
-// lookup is already charged by the caller.
+// applies its directory mutations synchronously; outgoing data messages
+// wait out the L2 data array on the Protocol's sendAfterData queue. The
+// tag lookup is already charged by the caller.
 func (h *HomeController) ensureData(block uint64, e *dirEntry, op uint8, src int, txn uint64) {
 	if h.l2.Probe(block) != nil {
 		h.l2.Access(block) // LRU touch + hit accounting
-		h.dispatchGrant(block, e, op, src, txn, sim.Time(h.p.cfg.L2DataCycles))
+		h.dispatchGrant(block, e, op, src, txn, h.p.sendAfterData)
 		return
 	}
 	h.l2.Access(block) // records the miss
@@ -557,30 +541,20 @@ func (h *HomeController) ensureData(block uint64, e *dirEntry, op uint8, src int
 	h.setBusy(e, true)
 	e.kind = txnFill
 	e.pendOp, e.pendSrc, e.pendTxn = op, src, txn
-	h.fillQ.push(homeFill{block: block})
-	h.p.k.Schedule(sim.Time(h.p.cfg.MemCycles), h.fillFn)
+	h.p.fillQ.Push(homeFill{block: block})
 }
 
-// dispatchGrant resumes a pending grant operation.
-func (h *HomeController) dispatchGrant(block uint64, e *dirEntry, op uint8, src int, txn uint64, delay sim.Time) {
+// dispatchGrant resumes a pending grant operation, its grant messages
+// queued on q.
+func (h *HomeController) dispatchGrant(block uint64, e *dirEntry, op uint8, src int, txn uint64, q *sim.DelayQueue[noc.Message]) {
 	switch op {
 	case opGrantS:
-		h.grantS(block, e, src, txn, delay)
+		h.grantS(block, e, src, txn, q)
 	case opGrantX:
-		h.grantX(block, e, src, txn, delay)
+		h.grantX(block, e, src, txn, q)
 	default:
 		panic(fmt.Sprintf("coherence: home %d grant dispatch op %d for %#x", h.id, op, block))
 	}
-}
-
-func (h *HomeController) dispatchFill() {
-	f := h.fillQ.pop()
-	h.fillL2(f.block)
-}
-
-func (h *HomeController) dispatchFillRetry() {
-	f := h.fillRetryQ.pop()
-	h.fillL2(f.block)
 }
 
 // fillL2 inserts a memory-fetched block, recalling the victim first when
@@ -593,8 +567,7 @@ func (h *HomeController) fillL2(block uint64) {
 	victim := h.pickL2Victim(block)
 	if victim == nil {
 		// Every way's block is mid-transaction; retry shortly.
-		h.fillRetryQ.push(homeFill{block: block})
-		h.p.k.Schedule(8, h.fillRetryFn)
+		h.p.fillRetryQ.Push(homeFill{block: block})
 		return
 	}
 	if !victim.Valid() {
@@ -638,7 +611,7 @@ func (h *HomeController) finishFill(block uint64, e *dirEntry) {
 	e.kind = txnNone
 	op, src, txn := e.pendOp, e.pendSrc, e.pendTxn
 	e.pendOp = opNone
-	h.dispatchGrant(block, e, op, src, txn, 0)
+	h.dispatchGrant(block, e, op, src, txn, h.p.sendAfterFill)
 	if !e.busy {
 		h.finishTxn(block, e)
 	}

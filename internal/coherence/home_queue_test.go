@@ -33,11 +33,11 @@ func TestHomeBurstDrainsInArrivalOrder(t *testing.T) {
 	var (
 		holding bool
 		victim  uint64
-		held    []*noc.Message
+		held    []noc.Message
 		order   []int // hotBlock requestors, in the order the home serves them
 		nested  bool
 	)
-	ts.p = New(ts.k, DefaultConfig(), func(m *noc.Message) {
+	ts.p = New(ts.k, DefaultConfig(), func(m noc.Message) {
 		m.SizeBytes = m.UncompressedSize()
 		ts.sent[m.Type]++
 		block := m.Addr &^ uint64(noc.LineBytes-1)
@@ -61,11 +61,11 @@ func TestHomeBurstDrainsInArrivalOrder(t *testing.T) {
 		if m.Type == noc.FwdGetS && block == hotBlock && m.ReplyTo == 10 && len(held) > 0 {
 			nested = true
 			for _, ack := range held {
-				ts.p.Deliver(ack)
+				ts.p.Deliver(&ack)
 			}
 			held = nil
 		}
-		ts.k.Schedule(ts.delay(m), func() { ts.p.Deliver(m) })
+		ts.k.Schedule(ts.delay(&m), func() { ts.p.Deliver(&m) })
 	})
 	home := ts.p.Home(homeID)
 

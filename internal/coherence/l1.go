@@ -14,8 +14,8 @@ import (
 // messages (deliver).
 //
 // Continuations are prebound (DESIGN.md §16): each fixed-latency step
-// pushes a value record on a FIFO and schedules the queue's single
-// prebound event, and completions parked on MSHR entries are typed
+// pushes a value record on one of the Protocol's step queues
+// (dispatch.go), and completions parked on MSHR entries are typed
 // cache.Waiter records interpreted by runWaiter — so the steady-state
 // access path allocates neither closures nor MSHR entries (the entry
 // file is pooled).
@@ -25,15 +25,6 @@ type L1Controller struct {
 
 	cache *cache.Cache
 	mshr  *cache.MSHR
-
-	// Pending-state queues, each paired with a prebound dispatch event
-	// scheduled at that queue's constant delay.
-	accessQ  fifo[l1Access]   // Load/Store -> access, after L1HitCycles
-	retryQ   fifo[l1Retry]    // MSHR-full miss retry, after 4 cycles
-	fwdQ     fifo[l1FwdReply] // intervention reply burst, after L1HitCycles
-	accessFn sim.Event
-	retryFn  sim.Event
-	fwdFn    sim.Event
 
 	// scratch receives a freed entry's waiters so they run after the
 	// entry is recycled; draining guards against reentrant drains (the
@@ -62,10 +53,6 @@ func newL1Controller(p *Protocol, id int) *L1Controller {
 		cache: cache.New(cache.L1Config()),
 		mshr:  cache.NewMSHR(p.cfg.MSHRs),
 	}
-	// One prebound event per queue, allocated once per controller.
-	l.accessFn = l.dispatchAccess
-	l.retryFn = l.dispatchRetry
-	l.fwdFn = l.dispatchFwdReply
 	return l
 }
 
@@ -78,8 +65,7 @@ func (l *L1Controller) Cache() *cache.Cache { return l.cache }
 //tilesim:hotpath L1 read entry, once per load reference
 func (l *L1Controller) Load(addr uint64, done func()) {
 	l.Loads.Inc()
-	l.accessQ.push(l1Access{addr: addr, done: done})
-	l.p.k.Schedule(sim.Time(l.p.cfg.L1HitCycles), l.accessFn)
+	l.p.accessQ.Push(l1Access{tile: l.id, addr: addr, done: done})
 }
 
 // Store performs a write; done runs when ownership is obtained.
@@ -87,15 +73,13 @@ func (l *L1Controller) Load(addr uint64, done func()) {
 //tilesim:hotpath L1 write entry, once per store reference
 func (l *L1Controller) Store(addr uint64, done func()) {
 	l.Stores.Inc()
-	l.accessQ.push(l1Access{addr: addr, isWrite: true, done: done})
-	l.p.k.Schedule(sim.Time(l.p.cfg.L1HitCycles), l.accessFn)
+	l.p.accessQ.Push(l1Access{tile: l.id, addr: addr, isWrite: true, done: done})
 }
 
-// dispatchAccess pops one queued core access after the L1 hit latency.
+// dispatchAccess runs one queued core access after the L1 hit latency.
 //
 //tilesim:hotpath access dispatch, once per reference
-func (l *L1Controller) dispatchAccess() {
-	a := l.accessQ.pop()
+func (l *L1Controller) dispatchAccess(a *l1Access) {
 	l.access(a.addr, a.isWrite, a.done)
 }
 
@@ -141,8 +125,7 @@ func (l *L1Controller) access(addr uint64, isWrite bool, done func()) {
 func (l *L1Controller) startMiss(block uint64, req noc.Type, done func()) {
 	if l.mshr.Full() {
 		// All registers busy (writeback bursts): retry shortly.
-		l.retryQ.push(l1Retry{block: block, req: int(req), done: done})
-		l.p.k.Schedule(4, l.retryFn)
+		l.p.retryQ.Push(l1Retry{tile: l.id, block: block, req: int(req), done: done})
 		return
 	}
 	e := l.mshr.Allocate(block)
@@ -168,14 +151,12 @@ func (l *L1Controller) startMiss(block uint64, req noc.Type, done func()) {
 		e.Waiters = append(e.Waiters, doneW, finish)
 	}
 	home := HomeOf(block, l.p.cfg.Tiles)
-	m := l.p.msg(req, l.id, home, block, l.p.txn())
-	l.p.send(m)
+	l.p.send(l.p.msg(req, l.id, home, block, l.p.txn()))
 }
 
 // dispatchRetry re-attempts one MSHR-full miss after the backoff: if a
 // transaction took the block meanwhile, park behind it; else start over.
-func (l *L1Controller) dispatchRetry() {
-	r := l.retryQ.pop()
+func (l *L1Controller) dispatchRetry(r *l1Retry) {
 	req := noc.Type(r.req)
 	if e := l.mshr.Lookup(r.block); e != nil {
 		e.Waiters = append(e.Waiters, cache.Waiter{Kind: cache.WaiterRetry, Addr: r.block, IsWrite: req != noc.GetS, Done: r.done})
@@ -400,7 +381,7 @@ func (l *L1Controller) evictLine(v *cache.Line) {
 	e.AllocAt = uint64(l.p.k.Now())
 	e.Dirty = st == cache.Modified
 	home := HomeOf(block, l.p.cfg.Tiles)
-	var m *noc.Message
+	var m noc.Message
 	if st == cache.Modified {
 		l.Writebacks.Inc()
 		m = l.p.msg(noc.WriteBack, l.id, home, block, l.p.txn())
@@ -446,8 +427,7 @@ func (l *L1Controller) onInv(m *noc.Message) {
 			// goes out now, keeping the ack dependency graph acyclic.
 			e.InvalidatedInFlight = true
 		}
-		ack := l.p.msg(noc.InvAck, l.id, m.ReplyTo, block, m.Txn)
-		l.p.send(ack)
+		l.p.send(l.p.msg(noc.InvAck, l.id, m.ReplyTo, block, m.Txn))
 	default:
 		// Recall of an M/E owner: return the line to the home.
 		rev := l.p.msg(noc.Revision, l.id, HomeOf(block, l.p.cfg.Tiles), block, m.Txn)
@@ -462,7 +442,7 @@ func (l *L1Controller) onInv(m *noc.Message) {
 
 // onFwd handles interventions: the home has named us owner. The
 // message's fields are extracted here; deferred service (WaiterFwd)
-// replays them without retaining the header.
+// replays them without retaining the message.
 func (l *L1Controller) onFwd(m *noc.Message, exclusive bool) {
 	l.serviceFwd(l.cache.BlockOf(m.Addr), m.ReplyTo, m.Txn, exclusive)
 }
@@ -501,18 +481,15 @@ func (l *L1Controller) serviceFwd(block uint64, replyTo int, txn uint64, exclusi
 // access latency: the line to the requestor (split under Reply
 // Partitioning) plus the Revision leg back to the home.
 func (l *L1Controller) queueFwdReply(block uint64, replyTo int, txn uint64, dirty, fromBuffer, exclusive bool) {
-	l.fwdQ.push(l1FwdReply{block: block, replyTo: replyTo, txn: txn, dirty: dirty, noCopy: exclusive || fromBuffer})
-	l.p.k.Schedule(sim.Time(l.p.cfg.L1HitCycles), l.fwdFn)
+	l.p.fwdQ.Push(l1FwdReply{tile: l.id, block: block, replyTo: replyTo, txn: txn, dirty: dirty, noCopy: exclusive || fromBuffer})
 }
 
-func (l *L1Controller) dispatchFwdReply() {
-	r := l.fwdQ.pop()
+func (l *L1Controller) dispatchFwdReply(r *l1FwdReply) {
 	home := HomeOf(r.block, l.p.cfg.Tiles)
 	data := l.p.msg(noc.Data, l.id, r.replyTo, r.block, r.txn)
 	data.DataBytes = noc.LineBytes
 	if l.p.cfg.ReplyPartitioning {
-		pr := l.p.msg(noc.PartialReply, l.id, r.replyTo, r.block, r.txn)
-		l.p.send(pr)
+		l.p.send(l.p.msg(noc.PartialReply, l.id, r.replyTo, r.block, r.txn))
 		data.Relaxed = true
 	}
 	l.p.send(data)

@@ -5,10 +5,6 @@ package coherence
 // The pooldebug sanitizer hooks compile to nothing in the default
 // build; see internal/pooldbg.
 
-func jobAcquired(j *sendJob) {}
-
-func jobReleased(j *sendJob) {}
-
 func dirEntryAcquired(e *dirEntry) {}
 
 func dirEntryReleased(e *dirEntry) {}

@@ -4,16 +4,9 @@ package coherence
 
 import "tilesim/internal/pooldbg"
 
-// Sanitizer builds forward the coherence freelist transitions (deferred
-// send jobs, directory entries) to the pooldbg registry. Neither pool
-// carries a generation counter — the registry's state machine alone
-// catches double releases; staleness checks ride on the pooled
-// noc.Message generations these records point at.
+// Sanitizer builds forward the directory-entry freelist transitions to
+// the pooldbg registry, whose state machine catches double releases.
 
-func jobAcquired(j *sendJob) { pooldbg.Acquire(j, 0) }
-
-func jobReleased(j *sendJob) { pooldbg.Release(j, 0) }
-
-func dirEntryAcquired(e *dirEntry) { pooldbg.Acquire(e, 0) }
+func dirEntryAcquired(e *dirEntry) { pooldbg.Acquire(e) }
 
 func dirEntryReleased(e *dirEntry) { pooldbg.Release(e, 0) }

@@ -22,10 +22,10 @@ func newRPSystem(lineDelay sim.Time) *testSystem {
 	}
 	cfg := DefaultConfig()
 	cfg.ReplyPartitioning = true
-	ts.p = New(ts.k, cfg, func(m *noc.Message) {
+	ts.p = New(ts.k, cfg, func(m noc.Message) {
 		m.SizeBytes = m.UncompressedSize()
 		ts.sent[m.Type]++
-		ts.k.Schedule(ts.delay(m), func() { ts.p.Deliver(m) })
+		ts.k.Schedule(ts.delay(&m), func() { ts.p.Deliver(&m) })
 	})
 	return ts
 }
@@ -73,10 +73,10 @@ func TestOrdinaryReplyOvertakingPartialIsHandled(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.ReplyPartitioning = true
-	ts.p = New(ts.k, cfg, func(m *noc.Message) {
+	ts.p = New(ts.k, cfg, func(m noc.Message) {
 		m.SizeBytes = m.UncompressedSize()
 		ts.sent[m.Type]++
-		ts.k.Schedule(ts.delay(m), func() { ts.p.Deliver(m) })
+		ts.k.Schedule(ts.delay(&m), func() { ts.p.Deliver(&m) })
 	})
 	addr := uint64(0xA_0000)
 	done := false
@@ -161,10 +161,10 @@ func TestReplyPartitioningStress(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.ReplyPartitioning = true
-		ts.p = New(ts.k, cfg, func(m *noc.Message) {
+		ts.p = New(ts.k, cfg, func(m noc.Message) {
 			m.SizeBytes = m.UncompressedSize()
 			ts.sent[m.Type]++
-			ts.k.Schedule(ts.delay(m), func() { ts.p.Deliver(m) })
+			ts.k.Schedule(ts.delay(&m), func() { ts.p.Deliver(&m) })
 		})
 		blocks := make([]uint64, 16)
 		for i := range blocks {

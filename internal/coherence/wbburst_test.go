@@ -17,10 +17,10 @@ func newTestSystemMSHRs(mshrs int, delay func(*noc.Message) sim.Time) *testSyste
 	ts.delay = delay
 	cfg := DefaultConfig()
 	cfg.MSHRs = mshrs
-	ts.p = New(ts.k, cfg, func(m *noc.Message) {
+	ts.p = New(ts.k, cfg, func(m noc.Message) {
 		m.SizeBytes = m.UncompressedSize()
 		ts.sent[m.Type]++
-		ts.k.Schedule(ts.delay(m), func() { ts.p.Deliver(m) })
+		ts.k.Schedule(ts.delay(&m), func() { ts.p.Deliver(&m) })
 	})
 	return ts
 }

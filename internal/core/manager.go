@@ -48,22 +48,22 @@ type Config struct {
 	// VLWidthBytes is the VL-Wire channel width (3, 4 or 5); 0 means no
 	// VL plane (baseline interconnect).
 	VLWidthBytes int
-	// LocalDelay is the latency of a tile-internal L1<->L2 hop.
-	LocalDelay sim.Time
 }
+
+// LocalCycles is the latency of a tile-internal L1<->L2 hop.
+const LocalCycles sim.Time = 1
 
 // Manager is the per-chip message management unit.
 type Manager struct {
-	k     *sim.Kernel
 	net   *mesh.Network
 	cfg   Config
 	meter *energy.Meter // may be nil
 	// deliver hands arrived messages to the protocol.
 	deliver func(*noc.Message)
 
-	// freeJobs pools tile-local delivery jobs, so the local shortcut
-	// allocates nothing in steady state.
-	freeJobs *localJob
+	// localQ carries tile-local messages past the network, LocalCycles
+	// after their send.
+	localQ *sim.DelayQueue[noc.Message]
 
 	verifyDecode bool // off for the Perfect oracle codec
 
@@ -100,49 +100,23 @@ func New(k *sim.Kernel, net *mesh.Network, cfg Config, meter *energy.Meter, deli
 			panic(fmt.Sprintf("core: VL channel %dB cannot carry compressed messages of %dB", cfg.VLWidthBytes, want))
 		}
 	}
-	if cfg.LocalDelay == 0 {
-		cfg.LocalDelay = 1
-	}
 	_, isPerfect := cfg.Codec.(*compress.Perfect)
 	m := &Manager{
-		k:            k,
 		net:          net,
 		cfg:          cfg,
 		meter:        meter,
 		deliver:      deliver,
 		verifyDecode: !isPerfect,
 	}
+	m.localQ = sim.NewDelayQueue(k, LocalCycles, m.deliverLocal)
 	for tile := 0; tile < net.Topology().Tiles(); tile++ {
 		net.SetHandler(tile, func(_ *sim.Kernel, msg *noc.Message) { m.deliver(msg) })
 	}
 	return m
 }
 
-// localJob is one pooled tile-local delivery: a prebound kernel event
-// carrying the message past the network. The job returns to the pool
-// before the delivery runs, so a delivery that synchronously sends
-// another local message can reuse it immediately.
-type localJob struct {
-	mgr *Manager
-	msg *noc.Message
-	// msgGen snapshots msg's pool generation when the job retains it
-	// (poollife clause (c)); run probes it before the delivery, so a
-	// header recycled while the job was pending panics under
-	// -tags pooldebug.
-	msgGen uint64
-	fn     sim.Event
-	next   *localJob
-}
-
-func (j *localJob) run() {
-	mgr, msg := j.mgr, j.msg
-	msg.CheckAlive(j.msgGen)
-	j.msg = nil
-	ljobReleased(j)
-	j.next = mgr.freeJobs
-	mgr.freeJobs = j
-	mgr.deliver(msg)
-}
+// deliverLocal hands a tile-local message to the protocol.
+func (m *Manager) deliverLocal(msg *noc.Message) { m.deliver(msg) }
 
 // streamOf maps a compressible message type to its hardware stream.
 func streamOf(t noc.Type) compress.Stream {
@@ -156,8 +130,9 @@ func streamOf(t noc.Type) compress.Stream {
 	}
 }
 
-// Send sizes, compresses and routes one protocol message. It is the
-// Sender the coherence protocol is constructed with.
+// Send sizes, compresses and routes one protocol message, writing the
+// wire fields (SizeBytes, Compressed, VL, PW) into msg; the network and
+// the local path carry their own copy, so msg is not retained.
 //
 //tilesim:hotpath message sizing/compression/routing, once per protocol message
 func (m *Manager) Send(msg *noc.Message) {
@@ -167,22 +142,7 @@ func (m *Manager) Send(msg *noc.Message) {
 		// that travel on the interconnect).
 		msg.SizeBytes = msg.UncompressedSize()
 		m.LocalMsgs.Inc()
-		j := m.freeJobs
-		if j == nil {
-			//tilesim:allocok pool miss: one local-delivery job, reused for the rest of the run
-			j = &localJob{mgr: m}
-			//tilesim:allocok pool miss: the job's prebound event, bound once per pooled job
-			j.fn = j.run
-		} else {
-			m.freeJobs = j.next
-			j.next = nil
-		}
-		ljobAcquired(j)
-		j.msgGen = msg.Generation()
-		j.msg = msg
-		// LocalDelay is constant, so jobs fire in schedule order and the
-		// pooled path is bit-identical to the per-message closure.
-		m.k.Schedule(m.cfg.LocalDelay, j.fn)
+		m.localQ.Push(*msg)
 		return
 	}
 	msg.SizeBytes = msg.UncompressedSize()

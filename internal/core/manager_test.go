@@ -10,12 +10,13 @@ import (
 )
 
 // harness builds a manager over a heterogeneous or baseline mesh with a
-// recording deliver function.
+// recording deliver function. A delivered message is valid only during
+// the delivery, so the harness records copies.
 type harness struct {
 	k         *sim.Kernel
 	net       *mesh.Network
 	mgr       *Manager
-	delivered []*noc.Message
+	delivered []noc.Message
 }
 
 func newHarness(t *testing.T, codec compress.Codec, vlWidth int) *harness {
@@ -33,17 +34,20 @@ func newHarness(t *testing.T, codec compress.Codec, vlWidth int) *harness {
 	}
 	h.net = mesh.New(h.k, cfg, nil)
 	h.mgr = New(h.k, h.net, Config{Codec: codec, VLWidthBytes: vlWidth}, nil,
-		func(m *noc.Message) { h.delivered = append(h.delivered, m) })
+		func(m *noc.Message) { h.delivered = append(h.delivered, *m) })
 	return h
 }
 
-func (h *harness) send(t *testing.T, m *noc.Message) *noc.Message {
+func (h *harness) send(t *testing.T, m *noc.Message) noc.Message {
 	t.Helper()
 	n := len(h.delivered)
 	h.mgr.Send(m)
 	h.k.Run(nil)
 	if len(h.delivered) != n+1 {
 		t.Fatalf("message not delivered: %+v", m)
+	}
+	if h.delivered[n] != *m {
+		t.Fatalf("delivered %+v, sent %+v", h.delivered[n], *m)
 	}
 	return h.delivered[n]
 }
@@ -119,12 +123,17 @@ func TestUncompressedRequestFallsToB(t *testing.T) {
 
 func TestLocalMessagesSkipNetwork(t *testing.T) {
 	h := newHarness(t, compress.NewDBRC(4, 2, 16), 5)
-	var got *noc.Message
-	h.mgr.deliver = func(m *noc.Message) { got = m }
-	h.mgr.Send(&noc.Message{Type: noc.GetS, Src: 3, Dst: 3, Addr: 0x7000})
+	sent := noc.Message{Type: noc.GetS, Src: 3, Dst: 3, Addr: 0x7000}
+	var got []noc.Message
+	var at sim.Time
+	h.mgr.deliver = func(m *noc.Message) { got, at = append(got, *m), h.k.Now() }
+	h.mgr.Send(&sent)
 	h.k.Run(nil)
-	if got == nil {
-		t.Fatal("local message not delivered")
+	if len(got) != 1 || got[0] != sent {
+		t.Fatalf("local delivery %+v, sent %+v", got, sent)
+	}
+	if at != LocalCycles {
+		t.Fatalf("local message delivered at cycle %d, want %d", at, LocalCycles)
 	}
 	if h.mgr.LocalMsgs.Value() != 1 {
 		t.Fatal("local message not counted")

@@ -71,3 +71,17 @@ func TestScaleRefsHoldsTotalWorkConstant(t *testing.T) {
 		t.Errorf("1024 tiles must floor at minScaleRefs, got %+v", got)
 	}
 }
+
+// TestScaleCellsKeepAMeasurementWindow checks that scaling the figure
+// scales to every study cell keeps the warmup inside the run, which
+// cmp.NewSystem requires.
+func TestScaleCellsKeepAMeasurementWindow(t *testing.T) {
+	for _, s := range []Scale{Quick(), Default()} {
+		for _, tiles := range append([]int{16}, ScaleTiles...) {
+			got := scaleRefs(s, tiles)
+			if got.WarmupRefs < 0 || got.WarmupRefs >= got.RefsPerCore {
+				t.Errorf("%+v at %d tiles scales to warmup %d of %d refs", s, tiles, got.WarmupRefs, got.RefsPerCore)
+			}
+		}
+	}
+}

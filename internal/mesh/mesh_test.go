@@ -84,8 +84,8 @@ func deliverOne(t *testing.T, cfg Config, m *noc.Message) sim.Time {
 	var done sim.Time
 	for i := 0; i < n.Topology().Tiles(); i++ {
 		n.SetHandler(i, func(k *sim.Kernel, got *noc.Message) {
-			if got != m {
-				t.Fatal("wrong message delivered")
+			if *got != *m {
+				t.Fatalf("delivered %+v, sent %+v", *got, *m)
 			}
 			done = k.Now()
 		})

@@ -167,7 +167,9 @@ type channel struct {
 	busy     stats.Counter // cycles occupied, for utilization
 }
 
-// Handler consumes messages delivered at a tile.
+// Handler consumes messages delivered at a tile. The *noc.Message points
+// into the network's in-flight state and is valid only during the call:
+// a handler that keeps the message must copy the value.
 type Handler func(*sim.Kernel, *noc.Message)
 
 // Network is the switched interconnect over a Topology.
@@ -209,9 +211,11 @@ type Network struct {
 	// free is the transit freelist: delivered and dropped messages
 	// return their in-flight state here and Send reuses it, so steady
 	// state allocates no transit structs (and none of the prebound
-	// continuation closures they carry). BENCH_obs.json measured the
-	// per-message transit at +5.7% of the run's allocations before
-	// pooling.
+	// continuation closures they carry). A transit's lifetime is the
+	// message's flight time, which varies with route, contention and
+	// retries, so no fixed-delay queue can hold it. BENCH_obs.json
+	// measured the per-message transit at +5.7% of the run's
+	// allocations before pooling.
 	free *transit
 	// routes caches the topology's route per (src,dst) router pair,
 	// computed on first use: routes are pure functions of the topology,
@@ -351,10 +355,10 @@ func (n *Network) FaultError() error { return n.faultErr }
 // PlaneWidth returns the channel width of a plane in bytes (0 if absent).
 func (n *Network) PlaneWidth(p Plane) int { return n.cfg.Channels[p].WidthBytes }
 
-// Send injects a message. The message must have SizeBytes set and, if
-// m.VL, the VL plane must exist and the message must fit policy-wise
-// (the message manager guarantees this; the mesh enforces only that the
-// plane exists).
+// Send injects a copy of *m; the caller keeps m. The message must have
+// SizeBytes set and, if m.VL, the VL plane must exist and the message
+// must fit policy-wise (the message manager guarantees this; the mesh
+// enforces only that the plane exists).
 //
 //tilesim:hotpath mesh injection, once per message
 func (n *Network) Send(m *noc.Message) {
@@ -415,12 +419,8 @@ var localRoute = []int{}
 // so hops may mutate it in place. at/route hold router (node) ids, not
 // tile ids — they coincide except on a concentrated mesh.
 type transit struct {
-	m *noc.Message
-	// mGen snapshots m's pool generation when the transit retains it
-	// (poollife clause (c)); delivery and drop probe it before
-	// dereferencing, so a header recycled mid-flight panics under
-	// -tags pooldebug.
-	mGen     uint64
+	// m is the network's own copy of the message.
+	m        noc.Message
 	route    []int
 	injected sim.Time
 	// waited accumulates output-channel queueing across hops so
@@ -459,10 +459,8 @@ type transit struct {
 }
 
 // newTransit takes a transit from the freelist (or allocates the pool's
-// next entry) and initializes every in-flight field. srcNode is the
-// router the message enters at. The retained message is guarded by a
-// generation snapshot (mGen): delivery and drop probe it before
-// dereferencing.
+// next entry) and initializes every in-flight field, copying *m. srcNode
+// is the router the message enters at.
 //
 //tilesim:pool
 func (n *Network) newTransit(m *noc.Message, route []int, srcNode int, injected sim.Time, flits noc.FlitCount, plane Plane, traceID uint64) *transit {
@@ -483,8 +481,7 @@ func (n *Network) newTransit(m *noc.Message, route []int, srcNode int, injected 
 		t.next = nil
 	}
 	transitAcquired(t)
-	t.mGen = m.Generation()
-	t.m, t.route, t.injected, t.waited = m, route, injected, 0
+	t.m, t.route, t.injected, t.waited = *m, route, injected, 0
 	t.at, t.idx, t.flits, t.plane = srcNode, 0, flits, plane
 	t.traceID, t.attempts, t.retryCycles = traceID, 0, 0
 	return t
@@ -496,7 +493,7 @@ func (n *Network) newTransit(m *noc.Message, route []int, srcNode int, injected 
 //tilesim:release
 func (n *Network) recycle(t *transit) {
 	transitReleased(t)
-	t.m, t.route = nil, nil
+	t.route = nil
 	t.next = n.free
 	n.free = t
 }
@@ -566,7 +563,7 @@ func (n *Network) hop(t *transit) {
 		n.obs.LinkTraversal(ch.cfg.Kind, n.cfg.LinkLengthM, t.m.SizeBytes, t.flits)
 	}
 	if n.tracer != nil && t.traceID != 0 {
-		n.traceLinkOccupancy(t.m, t.plane, t.at, next, start, t.flits)
+		n.traceLinkOccupancy(&t.m, t.plane, t.at, next, start, t.flits)
 	}
 	headArrives := start + sim.Time(ch.cycles)
 	if n.inj != nil && n.inj.CorruptTraversal(link, int(t.plane), t.m.SizeBytes*8) {
@@ -635,7 +632,6 @@ func (n *Network) retryHop(t *transit, ch *channel, next int, entered, headArriv
 // drop removes a message whose retry budget is exhausted and records
 // the run-fatal fault error (first drop wins; later drops only count).
 func (n *Network) drop(t *transit, from, to int) {
-	t.m.CheckAlive(t.mGen)
 	n.inFlight--
 	n.dropped.Inc()
 	if n.faultErr == nil {
@@ -653,8 +649,7 @@ func (n *Network) drop(t *transit, from, to int) {
 }
 
 func (n *Network) deliver(t *transit) {
-	m := t.m
-	m.CheckAlive(t.mGen)
+	m := &t.m
 	n.inFlight--
 	class := noc.ClassOf(m.Type)
 	lat := float64(n.k.Now() - t.injected)
@@ -667,11 +662,10 @@ func (n *Network) deliver(t *transit) {
 	if h == nil {
 		panic(fmt.Sprintf("mesh: no handler at tile %d for %v", m.Dst, m.Type))
 	}
-	// The transit is done before the handler runs: recycling first lets
-	// a handler that immediately Sends (directory forwards, NACK
-	// turnarounds) reuse this very struct.
-	n.recycle(t)
+	// The handler reads the message in place, so the transit recycles
+	// only once it returns.
 	h(n.k, m)
+	n.recycle(t)
 }
 
 // Summary aggregates network statistics.

@@ -5,9 +5,8 @@ package mesh
 import "tilesim/internal/pooldbg"
 
 // Sanitizer builds forward transit freelist transitions to the pooldbg
-// registry; double releases panic with both stacks. Staleness of the
-// retained message rides on the noc.Message generation snapshot (mGen).
+// registry; double releases panic with both stacks.
 
-func transitAcquired(t *transit) { pooldbg.Acquire(t, 0) }
+func transitAcquired(t *transit) { pooldbg.Acquire(t) }
 
 func transitReleased(t *transit) { pooldbg.Release(t, 0) }

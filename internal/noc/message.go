@@ -180,7 +180,9 @@ func Compressible(t Type) bool {
 	}
 }
 
-// Message is one in-flight protocol message.
+// Message is one protocol message. It is a plain value: the protocol
+// builds it, the message manager sizes and routes it, and the mesh
+// carries its own copy, so no layer shares a message with another.
 type Message struct {
 	Type Type
 	// Src and Dst are tile ids.
@@ -225,56 +227,6 @@ type Message struct {
 	// PW reports whether the message rides the power-optimized plane
 	// (Reply Partitioning layouts only). VL and PW are exclusive.
 	PW bool
-
-	// next links the Pool freelist.
-	next *Message
-	// gen counts this header's trips through the Pool; see Generation.
-	gen uint64
-}
-
-// Generation returns the header's pool generation. It increments every
-// time the header is recycled (Pool.Put), so a reference that outlives
-// its message is "poisoned": comparing Generation against the value
-// recorded when the message was obtained detects aliasing.
-func (m *Message) Generation() uint64 { return m.gen }
-
-// Pool recycles Message headers. Get returns a zeroed header (allocating
-// one only when the freelist is empty) and Put resets and recycles it,
-// bumping its generation. The protocol releases every header at the
-// single point its delivery dispatch returns, so steady state sends
-// allocate no headers; messages a faulty network drops simply fall out
-// of the pool (the GC reclaims them).
-type Pool struct {
-	free *Message
-}
-
-// Get returns a header with every field zeroed (except the pool
-// generation, which survives recycling by design).
-//
-//tilesim:pool
-func (p *Pool) Get() *Message {
-	m := p.free
-	if m == nil {
-		//tilesim:allocok pool miss: one message header, reused for the rest of the run
-		m = &Message{}
-	} else {
-		p.free = m.next
-		m.next = nil
-	}
-	poolAcquired(m)
-	return m
-}
-
-// Put resets m and pushes it on the freelist. The caller must not touch
-// m afterwards.
-//
-//tilesim:release
-func (p *Pool) Put(m *Message) {
-	poolReleased(m)
-	gen := m.gen
-	*m = Message{gen: gen + 1}
-	m.next = p.free
-	p.free = m
 }
 
 // UncompressedSize returns the on-wire size in bytes before any

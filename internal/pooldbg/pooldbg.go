@@ -1,36 +1,26 @@
 // Package pooldbg is the runtime half of tilesimvet's pooled-object
-// lifetime discipline: a build-tag-gated sanitizer for the intrusive
-// freelists on the hot path (noc.Message headers, MSHR entries,
-// coherence directory entries and send jobs, mesh transits, core
-// local-delivery jobs).
+// lifetime discipline: a build-tag-gated sanitizer for the three
+// intrusive freelists left on the hot path (mesh transits, MSHR
+// entries, coherence directory entries).
 //
 // The package itself is always compiled, but nothing references it
 // unless the build carries `-tags pooldebug`: each pooled package
 // declares tiny hook functions in a pair of build-tagged files, empty
 // in the default build (they inline to nothing — the allocation gate
 // proves zero added cost) and forwarding here under the tag. Under the
-// tag every pool records the acquire and release site of every object,
-// and the simulator panics — with both stack traces — the moment an
-// ownership contract is broken:
-//
-//   - Release of an object the pool already released (double-Put):
-//     the panic carries the first release's stack and the current one.
-//   - CheckAlive probe with a stale generation snapshot (the object
-//     was recycled since the reference was retained): the panic
-//     carries the acquire and release stacks of the current lifetime.
-//
-// The probes are exactly the generation-snapshot guards tilesimvet's
-// poollife rule requires at retention sites (clause (c)), so the
-// static rule and the sanitizer verify the same contract from two
-// sides: the analyzer proves every retention is guarded, the sanitizer
-// proves every guard holds at run time.
+// tag every pool records each object's acquires and the site of its
+// last release, and the simulator panics the moment an object is
+// released twice (double-Put): the panic carries the first release's
+// stack and the current one.
 //
 // Call sites are captured as raw program counters (runtime.Callers)
 // and symbolized only when a panic needs the text, so sanitizer builds
 // stay fast enough to run the full suite under -race. The registry is
-// keyed by the object pointer itself; boxing a pointer into the `any`
-// key does not allocate. A mutex serializes the bookkeeping —
-// sanitizer builds trade speed for fidelity, exactly like `-race`.
+// a sync.Map keyed by the object pointer itself (boxing a pointer into
+// the `any` key does not allocate). Parallel sweep workers run one
+// simulation each, so a record is only ever touched by the goroutine
+// that owns its object and needs no lock of its own; a global mutex
+// would serialize every sweep worker on every pool transition.
 package pooldbg
 
 import (
@@ -38,13 +28,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-)
-
-type state int
-
-const (
-	live state = iota
-	released
 )
 
 // site is one captured call stack, symbolized lazily.
@@ -73,85 +56,42 @@ func (s *site) String() string {
 	return b.String()
 }
 
-// record is one pooled object's current lifetime.
+// record is one pooled object's current lifetime: whether it sits in
+// its pool, and where it was last released.
 type record struct {
-	state      state
-	gen        uint64
-	acquiredAt site
+	released   bool
 	releasedAt site
-	hasAcquire bool
-	hasRelease bool
 }
 
-var (
-	mu sync.Mutex
-	// objects maps each pooled object to its lifetime record. Never
-	// iterated, only point-queried, so map order cannot leak into
-	// behavior.
-	objects = make(map[any]*record)
-)
+// objects maps each pooled object to its *record. Only Reset iterates
+// it, so map order cannot leak into behavior.
+var objects sync.Map
 
 func recordFor(obj any) *record {
-	r := objects[obj]
-	if r == nil {
-		r = &record{}
-		objects[obj] = r
+	if r, ok := objects.Load(obj); ok {
+		return r.(*record)
 	}
-	return r
+	r, _ := objects.LoadOrStore(obj, &record{})
+	return r.(*record)
 }
 
-// Acquire records obj leaving its pool at generation gen.
-func Acquire(obj any, gen uint64) {
-	mu.Lock()
-	defer mu.Unlock()
-	r := recordFor(obj)
-	r.state = live
-	r.gen = gen
-	capture(&r.acquiredAt)
-	r.hasAcquire = true
-	r.hasRelease = false
+// Acquire records obj leaving its pool.
+func Acquire(obj any) {
+	recordFor(obj).released = false
 }
 
-// Release records obj returning to its pool, panicking with both stack
-// traces if the pool already released it (double-Put).
+// Release records obj returning to its pool at generation gen (0 for
+// pools without one), panicking with both stack traces if the pool
+// already released it (double-Put).
 func Release(obj any, gen uint64) {
-	mu.Lock()
-	defer mu.Unlock()
 	r := recordFor(obj)
-	if r.hasRelease && r.state == released {
+	if r.released {
 		panic(fmt.Sprintf(
 			"pooldbg: double release of %T (generation %d)\n\n--- first release ---\n%s\n--- this release ---\n%s",
 			obj, gen, r.releasedAt.String(), currentStack()))
 	}
-	r.state = released
-	r.gen = gen
+	r.released = true
 	capture(&r.releasedAt)
-	r.hasRelease = true
-}
-
-// CheckAlive verifies a generation-snapshot guard: snapshot is the
-// generation recorded when the reference was retained, current the
-// object's generation now. A mismatch means the object was recycled
-// while the reference was held — the panic carries the acquire and
-// release stacks of the lifetime that invalidated it.
-func CheckAlive(obj any, snapshot, current uint64) {
-	if snapshot == current {
-		return
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	acquireStack, releaseStack := "(not recorded)", "(not recorded)"
-	if r := objects[obj]; r != nil {
-		if r.hasAcquire {
-			acquireStack = r.acquiredAt.String()
-		}
-		if r.hasRelease {
-			releaseStack = r.releasedAt.String()
-		}
-	}
-	panic(fmt.Sprintf(
-		"pooldbg: stale pooled reference to %T: retained at generation %d, object now at %d\n\n--- lifetime acquire ---\n%s\n--- lifetime release ---\n%s",
-		obj, snapshot, current, acquireStack, releaseStack))
 }
 
 func currentStack() string {
@@ -163,7 +103,8 @@ func currentStack() string {
 // Reset drops all lifetime records. Tests use it to isolate scenarios;
 // the simulator never calls it.
 func Reset() {
-	mu.Lock()
-	defer mu.Unlock()
-	objects = make(map[any]*record)
+	objects.Range(func(obj, _ any) bool {
+		objects.Delete(obj)
+		return true
+	})
 }

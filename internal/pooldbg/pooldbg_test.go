@@ -16,8 +16,7 @@ func TestLifecycleIsSilentWhenClean(t *testing.T) {
 	Reset()
 	obj := &thing{}
 	for gen := uint64(0); gen < 3; gen++ {
-		Acquire(obj, gen)
-		CheckAlive(obj, gen, gen)
+		Acquire(obj)
 		Release(obj, gen)
 	}
 }
@@ -25,7 +24,7 @@ func TestLifecycleIsSilentWhenClean(t *testing.T) {
 func TestDoubleReleasePanicsWithBothStacks(t *testing.T) {
 	Reset()
 	obj := &thing{}
-	Acquire(obj, 7)
+	Acquire(obj)
 	Release(obj, 7)
 	defer func() {
 		r := recover()
@@ -50,48 +49,19 @@ func TestDoubleReleasePanicsWithBothStacks(t *testing.T) {
 	Release(obj, 7)
 }
 
-func TestStaleCheckAlivePanicsWithLifetimeStacks(t *testing.T) {
-	Reset()
-	obj := &thing{}
-	Acquire(obj, 1)
-	Release(obj, 1)
-	Acquire(obj, 2) // recycled: a snapshot taken at gen 1 is now stale
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("stale CheckAlive did not panic")
-		}
-		msg, ok := r.(string)
-		if !ok {
-			t.Fatalf("panic value is %T, want string", r)
-		}
-		for _, want := range []string{
-			"pooldbg: stale pooled reference",
-			"retained at generation 1, object now at 2",
-			"--- lifetime acquire ---",
-			"--- lifetime release ---",
-		} {
-			if !strings.Contains(msg, want) {
-				t.Errorf("stale-reference panic missing %q:\n%s", want, msg)
-			}
-		}
-	}()
-	CheckAlive(obj, 1, 2)
-}
-
 func TestReacquireAfterReleaseIsClean(t *testing.T) {
 	Reset()
 	obj := &thing{}
-	Acquire(obj, 1)
+	Acquire(obj)
 	Release(obj, 1)
-	Acquire(obj, 2)
+	Acquire(obj)
 	Release(obj, 2) // a release per lifetime is not a double release
 }
 
 func TestResetForgetsHistory(t *testing.T) {
 	Reset()
 	obj := &thing{}
-	Acquire(obj, 1)
+	Acquire(obj)
 	Release(obj, 1)
 	Reset()
 	Release(obj, 1) // no recorded first release left to conflict with
