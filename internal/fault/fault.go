@@ -221,7 +221,6 @@ func NewStream(seed int64, salts ...uint64) *Stream {
 	for _, s := range salts {
 		state = mix64(state ^ (s + 0x9e3779b97f4a7c15))
 	}
-	//tilesim:allocok stream derivation: one per link/router stream, cached by the caller
 	return &Stream{state: state}
 }
 
@@ -245,7 +244,10 @@ const (
 // Injector is the per-run fault source. It is attached to the mesh
 // (mesh.Network.SetInjector) before the first message and consulted
 // from the single-threaded simulation loop; it is not safe for
-// concurrent use, matching the kernel's execution model.
+// concurrent use, matching the kernel's execution model. The injector
+// itself is immutable: each fault domain's Stream lives with the
+// domain (a link's wire plane, a router) in the mesh, which derives it
+// once with FlitStream or StallStream and passes it back on every draw.
 type Injector struct {
 	cfg  Config
 	seed int64
@@ -260,11 +262,6 @@ type Injector struct {
 
 	stallCycles uint64
 	retryLimit  int
-
-	// Lazily created per-domain streams. Map access (never iteration)
-	// keyed by structural ids, so creation order cannot perturb draws.
-	flit  map[int]*Stream
-	stall map[int]*Stream
 }
 
 // NewInjector builds the injector for a validated configuration and
@@ -277,8 +274,6 @@ func NewInjector(cfg Config, seed int64) (*Injector, error) {
 		cfg:         cfg,
 		seed:        seed,
 		outagePlane: -1,
-		flit:        make(map[int]*Stream),
-		stall:       make(map[int]*Stream),
 	}
 	for p := 0; p < NumPlanes; p++ {
 		ber := cfg.BER
@@ -312,29 +307,26 @@ func NewInjector(cfg Config, seed int64) (*Injector, error) {
 // RetryLimit returns the per-message retransmission budget.
 func (in *Injector) RetryLimit() int { return in.retryLimit }
 
-// CorruptTraversal draws whether a message traversal of bits payload
-// bits on (link, plane) suffers an undetected-at-send, CRC-detected-
-// at-receive transient error. Each directed link's plane owns an
-// independent stream, so adding faults to one link never perturbs the
-// draw sequence of another.
-func (in *Injector) CorruptTraversal(link, plane, bits int) bool {
+// FlitStream derives the transient-error stream of one directed link's
+// wire plane; link is the link's structural id. Each (link, plane)
+// owns an independent stream, so adding faults to one link never
+// perturbs the draw sequence of another.
+func (in *Injector) FlitStream(link, plane int) *Stream {
+	return NewStream(in.seed, saltFlit, uint64(link*NumPlanes+plane))
+}
+
+// Corrupt draws from s, the stream of the traversed link's plane,
+// whether a message traversal of bits payload bits on that plane
+// suffers an undetected-at-send, CRC-detected-at-receive transient
+// error. A plane with zero BER never draws.
+func (in *Injector) Corrupt(s *Stream, plane, bits int) bool {
 	l := in.log1mBER[plane]
 	if l == 0 || bits <= 0 {
 		return false
 	}
 	// P(>=1 bit error) = 1 - (1-BER)^bits = -expm1(bits * log1p(-BER)).
 	p := -math.Expm1(float64(bits) * l)
-	return in.flitStream(link, plane).Float64() < p
-}
-
-func (in *Injector) flitStream(link, plane int) *Stream {
-	k := link*NumPlanes + plane
-	s := in.flit[k]
-	if s == nil {
-		s = NewStream(in.seed, saltFlit, uint64(k))
-		in.flit[k] = s
-	}
-	return s
+	return s.Float64() < p
 }
 
 // PlaneDown reports whether plane is inside its outage window at the
@@ -348,17 +340,18 @@ func (in *Injector) PlaneDown(plane int, now uint64) bool {
 // outage may start then.
 func (in *Injector) OutageEnd() uint64 { return in.outageEnd }
 
-// StallCyclesAt draws a router-stall injection for a hop through
-// tile's router: 0 most of the time, the configured stall length with
-// probability StallProb. Each router owns an independent stream.
-func (in *Injector) StallCyclesAt(tile int) uint64 {
+// StallStream derives the stall stream of one router. Each router owns
+// an independent stream.
+func (in *Injector) StallStream(router int) *Stream {
+	return NewStream(in.seed, saltStall, uint64(router))
+}
+
+// Stall draws a router-stall injection for one hop through the router
+// whose stream is s: 0 most of the time, the configured stall length
+// with probability StallProb. Without stalls configured it never draws.
+func (in *Injector) Stall(s *Stream) uint64 {
 	if in.cfg.StallProb == 0 {
 		return 0
-	}
-	s := in.stall[tile]
-	if s == nil {
-		s = NewStream(in.seed, saltStall, uint64(tile))
-		in.stall[tile] = s
 	}
 	if s.Float64() < in.cfg.StallProb {
 		return in.stallCycles

@@ -53,12 +53,13 @@ func TestCorruptTraversalRateTracksBER(t *testing.T) {
 	}
 	const draws = 200000
 	const bits = 536 // a 67-byte data message
+	sB, sVL := in.FlitStream(0, PlaneB), in.FlitStream(0, PlaneVL)
 	countB, countVL := 0, 0
 	for i := 0; i < draws; i++ {
-		if in.CorruptTraversal(0, PlaneB, bits) {
+		if in.Corrupt(sB, PlaneB, bits) {
 			countB++
 		}
-		if in.CorruptTraversal(0, PlaneVL, bits) {
+		if in.Corrupt(sVL, PlaneVL, bits) {
 			countVL++
 		}
 	}
@@ -77,8 +78,9 @@ func TestCorruptTraversalZeroBERNeverFires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := in.FlitStream(3, PlaneB)
 	for i := 0; i < 1000; i++ {
-		if in.CorruptTraversal(3, PlaneB, 600) {
+		if in.Corrupt(s, PlaneB, 600) {
 			t.Fatal("corruption drawn with zero BER")
 		}
 	}
@@ -91,9 +93,20 @@ func TestInjectorSameSeedIdenticalDraws(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// One stream per (link, plane) and per router, derived on first
+		// use, as the mesh keeps them.
+		var flit [7][NumPlanes]*Stream
+		var stall [16]*Stream
 		for i := 0; i < 500; i++ {
-			flips = append(flips, in.CorruptTraversal(i%7, i%NumPlanes, 88))
-			stalls = append(stalls, in.StallCyclesAt(i%16))
+			link, plane, router := i%7, i%NumPlanes, i%16
+			if flit[link][plane] == nil {
+				flit[link][plane] = in.FlitStream(link, plane)
+			}
+			if stall[router] == nil {
+				stall[router] = in.StallStream(router)
+			}
+			flips = append(flips, in.Corrupt(flit[link][plane], plane, 88))
+			stalls = append(stalls, in.Stall(stall[router]))
 		}
 		return
 	}

@@ -2,6 +2,9 @@ package mesh
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -29,7 +32,7 @@ func TestRouteXYIsMinimalAndDimensionOrdered(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			route := topo.Route(src, dst)
+			route := topo.AppendRoute(nil, src, dst)
 			if len(route) != topo.Hops(src, dst) {
 				t.Fatalf("%d->%d: route length %d, hops %d", src, dst, len(route), topo.Hops(src, dst))
 			}
@@ -420,4 +423,111 @@ func TestBothPlanesRequestedPanics(t *testing.T) {
 		}
 	}()
 	n.Send(&noc.Message{Type: noc.GetS, Src: 0, Dst: 1, SizeBytes: 11, VL: true, PW: true})
+}
+
+// checkCachedRoute checks the network's cached route from src to dst
+// against the topology: its link ids, read as (From, To) in the
+// canonical links, walk exactly the routers AppendRoute names, and a
+// second lookup hits the cache.
+func checkCachedRoute(t *testing.T, n *Network, links []Link, src, dst int) {
+	t.Helper()
+	topo := n.Topology()
+	want := topo.AppendRoute(nil, src, dst)
+	route, hops := n.routeOf(src, dst)
+	if hops != len(want) {
+		t.Fatalf("%s: %d->%d cached %d hops, topology routes %d", topo.Label(), src, dst, hops, len(want))
+	}
+	at := src
+	for i, next := range want {
+		id := n.routeArena[route+i]
+		if l := links[id]; l.From != at || l.To != next {
+			t.Fatalf("%s: %d->%d hop %d is link %d (%d->%d), want %d->%d",
+				topo.Label(), src, dst, i, id, l.From, l.To, at, next)
+		}
+		at = next
+	}
+	if again, _ := n.routeOf(src, dst); again != route {
+		t.Fatalf("%s: %d->%d cached twice, at %d then %d", topo.Label(), src, dst, route, again)
+	}
+}
+
+// TestLinkRoutesMatchTopology checks the dense link table and the
+// link-id route cache against the topology: every pair at 16 and 64
+// tiles and seeded pairs at 1024.
+func TestLinkRoutesMatchTopology(t *testing.T) {
+	full := []Topology{NewMesh(4, 4), NewCMesh(2, 2, 4), NewTorus(4, 4), NewSlim(4, 4)}
+	full = append(full, topologies64()...)
+	sampled := []Topology{NewTorus(32, 32), NewSlim(32, 32)}
+	rng := rand.New(rand.NewSource(1))
+	for _, topo := range append(full, sampled...) {
+		cfg := DefaultBaseline()
+		cfg.Topo = topo
+		n := New(sim.NewKernel(), cfg, nil)
+		links := topo.Links()
+		if len(n.links) != len(links) {
+			t.Fatalf("%s: %d dense links, topology has %d", topo.Label(), len(n.links), len(links))
+		}
+		for id, l := range n.links {
+			if l.from != links[id].From || l.to != links[id].To || l.id != l.from*topo.Nodes()+l.to {
+				t.Fatalf("%s: dense link %d is %d->%d (id %d), canonical link is %+v",
+					topo.Label(), id, l.from, l.to, l.id, links[id])
+			}
+		}
+		nodes := topo.Nodes()
+		if slices.Contains(sampled, topo) {
+			for i := 0; i < 4000; i++ {
+				if src, dst := rng.Intn(nodes), rng.Intn(nodes); src != dst {
+					checkCachedRoute(t, n, links, src, dst)
+				}
+			}
+		} else {
+			for src := 0; src < nodes; src++ {
+				for dst := 0; dst < nodes; dst++ {
+					if src != dst {
+						checkCachedRoute(t, n, links, src, dst)
+					}
+				}
+			}
+		}
+		// Router 0 and the last router are never adjacent here.
+		if topo.Hops(0, nodes-1) < 2 {
+			t.Fatalf("%s: routers 0 and %d are adjacent", topo.Label(), nodes-1)
+		}
+		if msg := mustPanic(t, func() { n.linkID(0, nodes-1) }); !strings.Contains(msg, "mesh: no link") {
+			t.Errorf("%s: non-adjacent lookup panicked with %q", topo.Label(), msg)
+		}
+	}
+}
+
+// TestRouteCacheDoesNotAllocatePerPair builds every route from 32
+// sources on a 1024-tile torus and bounds the allocations to the
+// arena's geometric growth: logarithmic in its final size, not one per
+// router pair.
+func TestRouteCacheDoesNotAllocatePerPair(t *testing.T) {
+	cfg := DefaultBaseline()
+	cfg.Topo = NewTorus(32, 32)
+	const sources, nodes = 32, 1024
+	setup := testing.AllocsPerRun(1, func() { New(sim.NewKernel(), cfg, nil) })
+	var n *Network
+	total := testing.AllocsPerRun(1, func() {
+		n = New(sim.NewKernel(), cfg, nil)
+		for src := 0; src < sources; src++ {
+			for dst := 0; dst < nodes; dst++ {
+				if src != dst {
+					n.routeOf(src, dst)
+				}
+			}
+		}
+	})
+	// append grows a large slice by at least 1.25x, and each growth
+	// makes at most two allocations (the race detector materializes
+	// slices.Grow's temporary); a few more for the route scratch buffer.
+	bound := 2*math.Log(float64(cap(n.routeArena)))/math.Log(1.25) + 8
+	routes := total - setup
+	t.Logf("%d routes, %d arena entries: %.0f allocations (bound %.0f)",
+		sources*(nodes-1), len(n.routeArena), routes, bound)
+	if routes > bound {
+		t.Fatalf("building %d routes made %.0f allocations, want at most %.0f",
+			sources*(nodes-1), routes, bound)
+	}
 }

@@ -3,6 +3,7 @@ package mesh
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tilesim/internal/fault"
 	"tilesim/internal/noc"
@@ -158,13 +159,24 @@ type Observer interface {
 	RouterHop(msgBytes int, flits noc.FlitCount)
 }
 
-// channel is one wire plane of one directed link.
+// channel is the mutable state of one wire plane of one directed link.
+// The plane's constants (wire kind, width, traversal cycles) are the
+// same on every link, so the Network keeps them once.
 type channel struct {
-	cfg      ChannelConfig
-	cycles   int      // head traversal latency
-	nextFree sim.Time // first cycle a new head flit may enter
-	flits    stats.Counter
-	busy     stats.Counter // cycles occupied, for utilization
+	nextFree sim.Time      // first cycle a new head flit may enter
+	flits    stats.Counter // flit-cycles carried: traffic and utilization
+	// flit is the plane's transient-error stream (fault injection only).
+	flit fault.Stream
+}
+
+// link is one directed link between adjacent routers. id is its
+// structural id from*nodes+to, kept only as the key of its fault
+// streams and trace tracks; the link's index in Network.links is its
+// dense id, the one routes store.
+type link struct {
+	from, to int
+	id       int
+	ch       [numPlanes]channel
 }
 
 // Handler consumes messages delivered at a tile. The *noc.Message points
@@ -182,13 +194,17 @@ type Network struct {
 	obs      Observer
 	handlers []Handler
 
-	// channels holds the directed links in a dense slice indexed by
-	// linkIndex(from, to) over router ids; nil for router pairs that
-	// are not adjacent. A slice (not a map) so every iteration is in
+	// links holds every directed link in the topology's canonical
+	// Links() order. A slice (not a map) so every iteration is in
 	// deterministic link order — map iteration order would vary run to
-	// run.
-	channels []*[numPlanes]*channel
-	nLinks   int
+	// run. Links leaving one router are contiguous: they are
+	// links[firstLink[r]:firstLink[r+1]], sorted by destination.
+	links     []link
+	firstLink []int32
+	// wireCycles is each plane's head traversal latency.
+	wireCycles [numPlanes]sim.Time
+	// stalls holds each router's stall stream (fault injection only).
+	stalls []fault.Stream
 
 	inFlight int
 
@@ -217,10 +233,15 @@ type Network struct {
 	// measured the per-message transit at +5.7% of the run's
 	// allocations before pooling.
 	free *transit
-	// routes caches the topology's route per (src,dst) router pair,
-	// computed on first use: routes are pure functions of the topology,
-	// and one slice per message was the mesh's last per-send allocation.
-	routes [][]int
+	// Routes are pure functions of the topology, so each (src,dst)
+	// router pair's route is computed on first use and kept as link ids
+	// in one append-only arena: the route's hop count, then its links.
+	// routeAt[src*nodes+dst] is the route's arena offset, 0 until it is
+	// computed; routeArena[0] is a placeholder, so no route starts at 0.
+	// routeBuf is AppendRoute's reusable scratch.
+	routeAt    []int32
+	routeArena []int32
+	routeBuf   []int
 
 	// inj, when non-nil, is the fault-injection source (DESIGN.md §11).
 	// Fault accounting below stays zero without an injector.
@@ -259,38 +280,41 @@ func New(k *sim.Kernel, cfg Config, obs Observer) *Network {
 		topo = NewMesh(cfg.Width, cfg.Height)
 	}
 	nodes := topo.Nodes()
+	links := topo.Links()
 	n := &Network{
-		k:        k,
-		topo:     topo,
-		nodes:    nodes,
-		cfg:      cfg,
-		obs:      obs,
-		handlers: make([]Handler, topo.Tiles()),
-		channels: make([]*[numPlanes]*channel, nodes*nodes),
-		routes:   make([][]int, nodes*nodes),
+		k:          k,
+		topo:       topo,
+		nodes:      nodes,
+		cfg:        cfg,
+		obs:        obs,
+		handlers:   make([]Handler, topo.Tiles()),
+		links:      make([]link, len(links)),
+		firstLink:  make([]int32, nodes+1),
+		routeAt:    make([]int32, nodes*nodes),
+		routeArena: make([]int32, 1),
 	}
 	for c := range n.latHist {
 		// 2-cycle buckets up to 512 cycles; congested tails overflow
 		// into the exact-max tracking.
 		n.latHist[c] = stats.NewHistogram(256, 2)
 	}
-	// Create directed channels in the topology's canonical link order.
-	for _, l := range topo.Links() {
-		var planes [numPlanes]*channel
-		for p := Plane(0); p < numPlanes; p++ {
-			if cfg.Channels[p].WidthBytes > 0 {
-				cycles := wire.LatencyCycles(cfg.Channels[p].Kind)
-				if cfg.LinkCyclesScale > 0 {
-					cycles = scaledCycles(cycles, cfg.LinkCyclesScale)
-				}
-				planes[p] = &channel{
-					cfg:    cfg.Channels[p],
-					cycles: cycles,
-				}
+	for p := Plane(0); p < numPlanes; p++ {
+		if cfg.Channels[p].WidthBytes > 0 {
+			cycles := wire.LatencyCycles(cfg.Channels[p].Kind)
+			if cfg.LinkCyclesScale > 0 {
+				cycles = scaledCycles(cycles, cfg.LinkCyclesScale)
 			}
+			n.wireCycles[p] = sim.Time(cycles)
 		}
-		n.channels[n.linkIndex(l.From, l.To)] = &planes
-		n.nLinks++
+	}
+	// Canonical order sorts links by source router, so counting each
+	// router's links and summing the counts gives firstLink.
+	for id, l := range links {
+		n.links[id] = link{from: l.From, to: l.To, id: l.From*nodes + l.To}
+		n.firstLink[l.From+1]++
+	}
+	for r := 0; r < nodes; r++ {
+		n.firstLink[r+1] += n.firstLink[r]
 	}
 	return n
 }
@@ -310,8 +334,6 @@ func scaledCycles(cycles int, scale float64) int {
 	return scaled
 }
 
-func (n *Network) linkIndex(from, to int) int { return from*n.nodes + to }
-
 // Topology returns the network's topology.
 func (n *Network) Topology() Topology { return n.topo }
 
@@ -326,11 +348,29 @@ func (n *Network) InFlight() int { return n.inFlight }
 // HasPlane reports whether the configuration includes the plane.
 func (n *Network) HasPlane(p Plane) bool { return n.cfg.Channels[p].WidthBytes > 0 }
 
-// SetInjector attaches a fault injector. Must be called before the
-// first Send; a nil injector (the default) keeps every fault hook a
-// single pointer check and the simulation bit-identical to a build
-// without the fault subsystem.
-func (n *Network) SetInjector(in *fault.Injector) { n.inj = in }
+// SetInjector attaches a fault injector and derives the fault streams
+// the links and routers own. Must be called before the first Send; a
+// nil injector (the default) keeps every fault hook a single pointer
+// check and the simulation bit-identical to a build without the fault
+// subsystem.
+func (n *Network) SetInjector(in *fault.Injector) {
+	n.inj = in
+	if in == nil {
+		return
+	}
+	n.stalls = make([]fault.Stream, n.nodes)
+	for r := range n.stalls {
+		n.stalls[r] = *in.StallStream(r)
+	}
+	for i := range n.links {
+		l := &n.links[i]
+		for p := Plane(0); p < numPlanes; p++ {
+			if n.HasPlane(p) {
+				l.ch[p].flit = *in.FlitStream(l.id, int(p))
+			}
+		}
+	}
+}
 
 // FaultsEnabled reports whether a fault injector is attached.
 func (n *Network) FaultsEnabled() bool { return n.inj != nil }
@@ -396,38 +436,33 @@ func (n *Network) Send(m *noc.Message) {
 		// serialization — with no link, no wire flight, and no channel
 		// contention. The empty route makes the latency breakdown exact
 		// (hops = 0, Wire = 0).
-		t := n.newTransit(m, localRoute, srcNode, injected, flits, plane, traceID)
+		t := n.newTransit(m, 0, 0, injected, flits, plane, traceID)
 		if n.obs != nil {
 			n.obs.RouterHop(m.SizeBytes, flits)
 		}
 		n.k.ScheduleAt(injected+sim.Time(n.cfg.RouterLatency)+sim.Time(flits-1), t.deliverFn)
 		return
 	}
-	route := n.routeOf(srcNode, dstNode)
-	n.hop(n.newTransit(m, route, srcNode, injected, flits, plane, traceID))
+	route, hops := n.routeOf(srcNode, dstNode)
+	n.hop(n.newTransit(m, route, hops, injected, flits, plane, traceID))
 }
-
-// localRoute is the shared empty route of same-router (crossbar)
-// deliveries; non-nil so a transit carrying it is distinguishable from
-// a recycled one.
-var localRoute = []int{}
 
 // transit is one message's in-flight state, taken from the Network's
 // freelist at Send so the per-hop event closures capture a single
 // pointer instead of the whole argument list (the hop path dominates
 // the simulator's allocation volume). The kernel is single-threaded,
-// so hops may mutate it in place. at/route hold router (node) ids, not
-// tile ids — they coincide except on a concentrated mesh.
+// so hops may mutate it in place.
 type transit struct {
 	// m is the network's own copy of the message.
-	m        noc.Message
-	route    []int
-	injected sim.Time
+	m noc.Message
+	// route is the arena index of the route's first link id, hops its
+	// length, and idx the hop in progress: the link being crossed is
+	// links[routeArena[route+idx]].
+	route, hops, idx int
+	injected         sim.Time
 	// waited accumulates output-channel queueing across hops so
 	// delivery can decompose the end-to-end latency exactly.
 	waited sim.Time
-	at     int
-	idx    int
 	flits  noc.FlitCount
 	plane  Plane
 	// traceID is the sampled lifecycle span id (0 when untraced or
@@ -451,19 +486,17 @@ type transit struct {
 	deliverFn sim.Event // tail serialized at the destination
 	hopFn     sim.Event // retransmission entry (fault injection)
 	dropFn    sim.Event // retry-budget exhaustion (fault injection)
-	// dropFrom/dropTo park the failing link's endpoints for dropFn
-	// (set by retryHop; nothing touches a doomed transit in between).
-	dropFrom, dropTo int
 	// next links the freelist.
 	next *transit
 }
 
 // newTransit takes a transit from the freelist (or allocates the pool's
-// next entry) and initializes every in-flight field, copying *m. srcNode
-// is the router the message enters at.
+// next entry) and initializes every in-flight field, copying *m. route
+// and hops locate the message's route in the arena (both 0 for a
+// same-router delivery).
 //
 //tilesim:pool
-func (n *Network) newTransit(m *noc.Message, route []int, srcNode int, injected sim.Time, flits noc.FlitCount, plane Plane, traceID uint64) *transit {
+func (n *Network) newTransit(m *noc.Message, route, hops int, injected sim.Time, flits noc.FlitCount, plane Plane, traceID uint64) *transit {
 	t := n.free
 	if t == nil {
 		//tilesim:allocok pool miss: one transit + its four continuation closures, reused for the rest of the run
@@ -475,14 +508,14 @@ func (n *Network) newTransit(m *noc.Message, route []int, srcNode int, injected 
 		//tilesim:allocok pool miss: closure allocated once per pooled transit, reused for the rest of the run
 		t.hopFn = func() { n.hop(t) }
 		//tilesim:allocok pool miss: closure allocated once per pooled transit, reused for the rest of the run
-		t.dropFn = func() { n.drop(t, t.dropFrom, t.dropTo) }
+		t.dropFn = func() { n.drop(t) }
 	} else {
 		n.free = t.next
 		t.next = nil
 	}
 	transitAcquired(t)
-	t.m, t.route, t.injected, t.waited = *m, route, injected, 0
-	t.at, t.idx, t.flits, t.plane = srcNode, 0, flits, plane
+	t.m, t.route, t.hops, t.idx = *m, route, hops, 0
+	t.injected, t.waited, t.flits, t.plane = injected, 0, flits, plane
 	t.traceID, t.attempts, t.retryCycles = traceID, 0, 0
 	return t
 }
@@ -493,50 +526,75 @@ func (n *Network) newTransit(m *noc.Message, route []int, srcNode int, injected 
 //tilesim:release
 func (n *Network) recycle(t *transit) {
 	transitReleased(t)
-	t.route = nil
 	t.next = n.free
 	n.free = t
 }
 
-// routeOf returns the topology's route between two distinct routers,
-// from the per-(src,dst) cache. An empty route for distinct routers
-// means the topology's Route contract is broken — always a bug, never
-// recoverable. Cached routes are read-only: transits index into them
+// routeOf returns the arena index of the first link id of the route
+// between two distinct routers, and its hop count, computing the route
+// on first use. Cached routes are read-only: transits index into them
 // but never mutate.
-func (n *Network) routeOf(srcNode, dstNode int) []int {
-	idx := n.linkIndex(srcNode, dstNode)
-	if route := n.routes[idx]; route != nil {
-		return route
+func (n *Network) routeOf(srcNode, dstNode int) (route, hops int) {
+	key := srcNode*n.nodes + dstNode
+	off := int(n.routeAt[key])
+	if off == 0 {
+		off = n.cacheRoute(srcNode, dstNode)
+		n.routeAt[key] = int32(off)
 	}
-	route := n.topo.Route(srcNode, dstNode)
-	if len(route) == 0 {
-		panic("mesh: zero-length route")
-	}
-	n.routes[idx] = route
-	return route
+	return off + 1, int(n.routeArena[off])
 }
 
-// hop models the head flit leaving router t.at toward t.route[t.idx].
-// Under fault injection the traversal may be corrupted (caught by the
-// link CRC at the receiving router and NACKed back — see retryHop) or
+// cacheRoute appends the route between two distinct routers to the
+// arena and returns its offset; the arena grows once per route. An
+// empty route for distinct routers means the topology's AppendRoute
+// contract is broken — always a bug, never recoverable.
+func (n *Network) cacheRoute(srcNode, dstNode int) int {
+	n.routeBuf = n.topo.AppendRoute(n.routeBuf[:0], srcNode, dstNode)
+	hops := len(n.routeBuf)
+	if hops == 0 {
+		panic("mesh: zero-length route")
+	}
+	off := len(n.routeArena)
+	if off+1+hops > math.MaxInt32 {
+		panic("mesh: route arena outgrows int32 offsets")
+	}
+	n.routeArena = slices.Grow(n.routeArena, 1+hops)[:off+1+hops]
+	n.routeArena[off] = int32(hops)
+	at := srcNode
+	for i, next := range n.routeBuf {
+		n.routeArena[off+1+i] = int32(n.linkID(at, next))
+		at = next
+	}
+	return off
+}
+
+// linkID returns the dense id of the link between two adjacent
+// routers.
+func (n *Network) linkID(from, to int) int {
+	for id := n.firstLink[from]; id < n.firstLink[from+1]; id++ {
+		if n.links[id].to == to {
+			return int(id)
+		}
+	}
+	panic(fmt.Sprintf("mesh: no link %d->%d", from, to))
+}
+
+// hop models the head flit crossing the route's current link. Under
+// fault injection the traversal may be corrupted (caught by the link
+// CRC at the receiving router and NACKed back — see retryHop) or
 // delayed by an injected router stall or plane outage.
 //
 //tilesim:hotpath per-hop transit, the simulator's innermost loop
 func (n *Network) hop(t *transit) {
 	entered := n.k.Now()
-	next := t.route[t.idx]
-	link := n.linkIndex(t.at, next)
-	planes := n.channels[link]
-	if planes == nil {
-		panic(fmt.Sprintf("mesh: no link %d->%d", t.at, next))
-	}
-	ch := planes[t.plane]
+	l := &n.links[n.routeArena[t.route+t.idx]]
+	ch := &l.ch[t.plane]
 	// Router pipeline (plus any injected stall), then wait for the
 	// output channel and for any plane outage to lift: an out plane
 	// accepts no new transmissions until its window ends.
 	var stall sim.Time
 	if n.inj != nil {
-		stall = sim.Time(n.inj.StallCyclesAt(t.at))
+		stall = sim.Time(n.inj.Stall(&n.stalls[l.from]))
 		if stall > 0 {
 			n.stallInj.Add(uint64(stall))
 		}
@@ -556,18 +614,17 @@ func (n *Network) hop(t *transit) {
 	n.hopWait.Observe(float64(wait))
 	ch.nextFree = start + sim.Time(t.flits)
 	ch.flits.Add(uint64(t.flits))
-	ch.busy.Add(uint64(t.flits))
 	n.planeFlits[t.plane].Add(uint64(t.flits))
 	if n.obs != nil {
 		n.obs.RouterHop(t.m.SizeBytes, t.flits)
-		n.obs.LinkTraversal(ch.cfg.Kind, n.cfg.LinkLengthM, t.m.SizeBytes, t.flits)
+		n.obs.LinkTraversal(n.cfg.Channels[t.plane].Kind, n.cfg.LinkLengthM, t.m.SizeBytes, t.flits)
 	}
 	if n.tracer != nil && t.traceID != 0 {
-		n.traceLinkOccupancy(&t.m, t.plane, t.at, next, start, t.flits)
+		n.traceLinkOccupancy(&t.m, t.plane, l, start, t.flits)
 	}
-	headArrives := start + sim.Time(ch.cycles)
-	if n.inj != nil && n.inj.CorruptTraversal(link, int(t.plane), t.m.SizeBytes*8) {
-		n.retryHop(t, ch, next, entered, headArrives)
+	headArrives := start + n.wireCycles[t.plane]
+	if n.inj != nil && n.inj.Corrupt(&ch.flit, int(t.plane), t.m.SizeBytes*8) {
+		n.retryHop(t, l, entered, headArrives)
 		return
 	}
 	// Clean traversal: stalls and channel/outage waits count as
@@ -576,19 +633,18 @@ func (n *Network) hop(t *transit) {
 	n.k.ScheduleAt(headArrives, t.arriveFn)
 }
 
-// arrive fires when the head flit reaches the router at t.route[t.idx]:
-// either the final tail-serialization delay before delivery, or the
-// next hop. Nothing mutates the transit between the schedule in hop and
-// this callback, so recomputing the next router here is exact.
+// arrive fires when the head flit reaches the far end of the route's
+// current link: either the final tail-serialization delay before
+// delivery, or the next hop. Nothing mutates the transit between the
+// schedule in hop and this callback.
 func (n *Network) arrive(t *transit) {
-	next := t.route[t.idx]
-	if t.idx == len(t.route)-1 {
+	if t.idx == t.hops-1 {
 		// Final router pipeline plus tail serialization.
 		deliver := n.k.Now() + sim.Time(n.cfg.RouterLatency) + sim.Time(t.flits-1)
 		n.k.ScheduleAt(deliver, t.deliverFn)
 		return
 	}
-	t.at, t.idx = next, t.idx+1
+	t.idx++
 	n.hop(t)
 }
 
@@ -603,41 +659,41 @@ func (n *Network) arrive(t *transit) {
 // The whole failed attempt — from hop entry through NACK and backoff
 // — is charged to the transit's retryCycles, keeping the delivered
 // latency decomposition exact (LatencyBreakdown.Retry).
-func (n *Network) retryHop(t *transit, ch *channel, next int, entered, headArrives sim.Time) {
+func (n *Network) retryHop(t *transit, l *link, entered, headArrives sim.Time) {
 	n.crcErrors.Inc()
 	n.retryFlits.Add(uint64(t.flits))
 	// The CRC verdict lands when the tail arrives at the receiver.
 	tail := headArrives + sim.Time(t.flits-1)
 	t.attempts++
 	if n.tracer != nil && t.traceID != 0 {
-		tid := n.linkIndex(t.at, next)*int(numPlanes) + int(t.plane)
+		tid := l.id*int(numPlanes) + int(t.plane)
 		//tilesim:allocok sampled-span label on the fault path
 		n.tracer.Instant(obs.PidLinks, tid, "crc-nack:"+t.m.Type.String(), "fault", uint64(tail))
 	}
 	if t.attempts > n.inj.RetryLimit() {
-		// The prebound drop continuation reads the failing link's
-		// endpoints from the transit; nothing touches a doomed transit
+		// The prebound drop continuation finds the failing link at the
+		// transit's current hop; nothing touches a doomed transit
 		// between here and the scheduled drop.
-		t.dropFrom, t.dropTo = t.at, next
 		n.k.ScheduleAt(tail, t.dropFn)
 		return
 	}
 	n.retries.Inc()
 	// NACK round trip over the reverse channel, then back off.
-	retryAt := tail + sim.Time(ch.cycles) + sim.Time(fault.Backoff(t.attempts))
+	retryAt := tail + n.wireCycles[t.plane] + sim.Time(fault.Backoff(t.attempts))
 	t.retryCycles += retryAt - entered
 	n.k.ScheduleAt(retryAt, t.hopFn)
 }
 
 // drop removes a message whose retry budget is exhausted and records
 // the run-fatal fault error (first drop wins; later drops only count).
-func (n *Network) drop(t *transit, from, to int) {
+func (n *Network) drop(t *transit) {
 	n.inFlight--
 	n.dropped.Inc()
 	if n.faultErr == nil {
+		l := &n.links[n.routeArena[t.route+t.idx]]
 		//tilesim:allocok terminal fault path: the first drop composes the run-fatal error
 		n.faultErr = fmt.Errorf("mesh: %v %d->%d dropped on link %d->%d at cycle %d: retry budget (%d) exhausted",
-			t.m.Type, t.m.Src, t.m.Dst, from, to, n.k.Now(), n.inj.RetryLimit())
+			t.m.Type, t.m.Src, t.m.Dst, l.from, l.to, n.k.Now(), n.inj.RetryLimit())
 	}
 	if n.tracer != nil && t.traceID != 0 {
 		n.tracer.End(obs.PidMessages, t.traceID, t.m.Type.String(),
@@ -703,14 +759,9 @@ func (n *Network) Summary() Summary {
 	s.Retries = n.retries.Value()
 	s.RetryFlits = n.retryFlits.Value()
 	s.Dropped = n.dropped.Value()
-	for _, planes := range n.channels {
-		if planes == nil {
-			continue
-		}
-		for _, ch := range planes {
-			if ch != nil {
-				s.TotalFlits += ch.flits.Value()
-			}
+	for i := range n.links {
+		for p := range n.links[i].ch {
+			s.TotalFlits += n.links[i].ch[p].flits.Value()
 		}
 	}
 	return s
@@ -762,7 +813,7 @@ type StaticWireStats struct {
 
 // StaticWires returns the standing wire inventory per plane.
 func (n *Network) StaticWires() []StaticWireStats {
-	nLinks := n.nLinks
+	nLinks := len(n.links)
 	var out []StaticWireStats
 	for p := Plane(0); p < numPlanes; p++ {
 		cfg := n.cfg.Channels[p]
@@ -779,4 +830,4 @@ func (n *Network) StaticWires() []StaticWireStats {
 }
 
 // Links returns the number of directed links in the mesh.
-func (n *Network) Links() int { return n.nLinks }
+func (n *Network) Links() int { return len(n.links) }

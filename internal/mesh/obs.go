@@ -78,7 +78,7 @@ func classSlug(c noc.Class) string {
 // hops x channel-traversal cycles and guarantees the components always
 // sum exactly to Total.
 func (n *Network) recordBreakdown(t *transit, class noc.Class) {
-	hops := len(t.route)
+	hops := t.hops
 	total := uint64(n.k.Now() - t.injected)
 	router := uint64(hops+1) * uint64(n.cfg.RouterLatency)
 	serialize := uint64(t.flits - 1)
@@ -120,11 +120,11 @@ func (n *Network) recordBreakdown(t *transit, class noc.Class) {
 // traceLinkOccupancy emits one complete-span event on the link's track
 // covering the cycles the message's flits occupy the channel. Only
 // called for sampled messages with a tracer attached (hop guards).
-func (n *Network) traceLinkOccupancy(m *noc.Message, plane Plane, from, to int, start sim.Time, flits noc.FlitCount) {
-	tid := n.linkIndex(from, to)*int(numPlanes) + int(plane)
+func (n *Network) traceLinkOccupancy(m *noc.Message, plane Plane, l *link, start sim.Time, flits noc.FlitCount) {
+	tid := l.id*int(numPlanes) + int(plane)
 	n.tracer.SetTrackName(obs.PidLinks, tid,
 		//tilesim:allocok sampled-span emission: guarded by tracer and trace id
-		fmt.Sprintf("%02d->%02d.%s", from, to, plane))
+		fmt.Sprintf("%02d->%02d.%s", l.from, l.to, plane))
 	n.tracer.Complete(obs.PidLinks, tid, m.Type.String(), "link",
 		//tilesim:allocok sampled-span emission: guarded by tracer and trace id
 		uint64(start), uint64(flits), []obs.Arg{
@@ -189,23 +189,22 @@ func (n *Network) RegisterMetrics(r *obs.Registry) {
 	// links (a 1024-tile slim topology has 63k) the per-link family is
 	// skipped: snapshots would balloon to hundreds of thousands of keys
 	// while the plane/class aggregates keep carrying the signal.
-	links := n.topo.Links()
-	if len(links) > perLinkMetricLinksCap {
+	if len(n.links) > perLinkMetricLinksCap {
 		return
 	}
-	for _, l := range links {
-		planes := n.channels[n.linkIndex(l.From, l.To)]
+	for i := range n.links {
+		l := &n.links[i]
 		for p := Plane(0); p < numPlanes; p++ {
-			ch := planes[p]
-			if ch == nil {
+			if !n.HasPlane(p) {
 				continue
 			}
-			name := fmt.Sprintf("net.link.%02d->%02d.%s", l.From, l.To, p)
+			ch := &l.ch[p]
+			name := fmt.Sprintf("net.link.%02d->%02d.%s", l.from, l.to, p)
 			r.Counter(name+".flits", ch.flits.Value)
 			// Utilization: fraction of elapsed cycles the channel
 			// carried flits, read against the clock at snapshot time.
 			r.Gauge(name+".util", func() float64 {
-				return stats.Ratio(float64(ch.busy.Value()), float64(n.k.Now()))
+				return stats.Ratio(float64(ch.flits.Value()), float64(n.k.Now()))
 			})
 		}
 	}
@@ -249,20 +248,19 @@ func (n *Network) RegisterSeries(s *obs.Series) {
 		s.Delta("net.plane."+p.String()+".flits", n.planeFlits[p].Value)
 	}
 	s.Level("net.inflight", func() float64 { return float64(n.inFlight) })
-	links := n.topo.Links()
-	if len(links) > perLinkMetricLinksCap {
+	if len(n.links) > perLinkMetricLinksCap {
 		return
 	}
-	for _, l := range links {
-		planes := n.channels[n.linkIndex(l.From, l.To)]
+	for i := range n.links {
+		l := &n.links[i]
 		for p := Plane(0); p < numPlanes; p++ {
-			ch := planes[p]
-			if ch == nil {
+			if !n.HasPlane(p) {
 				continue
 			}
-			name := fmt.Sprintf("net.link.%02d->%02d.%s", l.From, l.To, p)
+			ch := &l.ch[p]
+			name := fmt.Sprintf("net.link.%02d->%02d.%s", l.from, l.to, p)
 			s.Delta(name+".flits", ch.flits.Value)
-			s.Utilization(name+".util", ch.busy.Value)
+			s.Utilization(name+".util", ch.flits.Value)
 		}
 	}
 }

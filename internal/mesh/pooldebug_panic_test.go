@@ -20,7 +20,8 @@ func TestDoubleRecyclePanicsUnderPooldebug(t *testing.T) {
 	pooldbg.Reset()
 	n := New(sim.NewKernel(), DefaultBaseline(), nil)
 	m := noc.Message{Type: noc.GetS, Src: 0, Dst: 1, SizeBytes: 11}
-	tr := n.newTransit(&m, n.routeOf(0, 1), 0, 0, 1, PlaneB, 0)
+	route, hops := n.routeOf(0, 1)
+	tr := n.newTransit(&m, route, hops, 0, 1, PlaneB, 0)
 	n.recycle(tr)
 	defer func() {
 		r := recover()

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -67,9 +68,9 @@ func TestTopologyHopsSymmetry(t *testing.T) {
 }
 
 // TestTopologyRoutesAreMinimal checks the triangle equality on minimal
-// routes: every step of Route(src,dst) crosses exactly one link and
-// decreases the remaining hop count by exactly one, so
-// len(Route(src,dst)) == Hops(src,dst) with no detours.
+// routes: every step of AppendRoute(src,dst) crosses exactly one link
+// and decreases the remaining hop count by exactly one, so the route's
+// length equals Hops(src,dst) with no detours.
 func TestTopologyRoutesAreMinimal(t *testing.T) {
 	for _, topo := range topologies64() {
 		links := make(map[Link]bool, len(topo.Links()))
@@ -78,7 +79,7 @@ func TestTopologyRoutesAreMinimal(t *testing.T) {
 		}
 		for src := 0; src < topo.Nodes(); src++ {
 			for dst := 0; dst < topo.Nodes(); dst++ {
-				route := topo.Route(src, dst)
+				route := topo.AppendRoute(nil, src, dst)
 				if len(route) != topo.Hops(src, dst) {
 					t.Fatalf("%s: %d->%d route length %d != hops %d",
 						topo.Name(), src, dst, len(route), topo.Hops(src, dst))
@@ -105,15 +106,25 @@ func TestTopologyRoutesAreMinimal(t *testing.T) {
 	}
 }
 
+// TestTopologyRouteDeterminism also checks that AppendRoute into a
+// buffer with capacity reuses it: the same route, and no allocation.
 func TestTopologyRouteDeterminism(t *testing.T) {
 	for _, topo := range topologies64() {
+		buf := make([]int, 0, topo.Nodes())
 		for src := 0; src < topo.Nodes(); src++ {
 			for dst := 0; dst < topo.Nodes(); dst++ {
-				a, b := topo.Route(src, dst), topo.Route(src, dst)
+				a, b := topo.AppendRoute(nil, src, dst), topo.AppendRoute(nil, src, dst)
 				if !reflect.DeepEqual(a, b) {
 					t.Fatalf("%s: %d->%d routed %v then %v", topo.Name(), src, dst, a, b)
 				}
+				if buf = topo.AppendRoute(buf[:0], src, dst); !slices.Equal(buf, a) {
+					t.Fatalf("%s: %d->%d appended %v into capacity, %v into nil", topo.Name(), src, dst, buf, a)
+				}
 			}
+		}
+		far := topo.Nodes() - 1
+		if allocs := testing.AllocsPerRun(10, func() { buf = topo.AppendRoute(buf[:0], 0, far) }); allocs != 0 {
+			t.Errorf("%s: AppendRoute into capacity made %.0f allocations, want 0", topo.Name(), allocs)
 		}
 	}
 }
@@ -184,7 +195,7 @@ func TestTorusTieBreakIsPositive(t *testing.T) {
 	// 0 -> 4 on the top row: both directions are 4 hops; the tie must
 	// deterministically resolve to the positive direction 1,2,3,4.
 	want := []int{1, 2, 3, 4}
-	if got := tor.Route(0, 4); !reflect.DeepEqual(got, want) {
+	if got := tor.AppendRoute(nil, 0, 4); !reflect.DeepEqual(got, want) {
 		t.Fatalf("torus tie-broken route %v, want %v", got, want)
 	}
 }
@@ -252,7 +263,7 @@ func TestMeshAsymmetricRowIsLegal(t *testing.T) {
 	if m.Tiles() != 4 {
 		t.Fatalf("1x4 mesh tiles = %d", m.Tiles())
 	}
-	if got := m.Route(0, 3); len(got) != 3 {
+	if got := m.AppendRoute(nil, 0, 3); len(got) != 3 {
 		t.Fatalf("1x4 mesh route 0->3 = %v", got)
 	}
 }
