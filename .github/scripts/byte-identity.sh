@@ -3,7 +3,11 @@
 # builds cmd/tilesim from each, runs FFT at 64 tiles on all four
 # topologies (fault-free, at BER 1e-5 with a 4x noisier VL plane, and
 # with router stalls plus a VL-plane outage) and once on the 1024-tile
-# torus, then compares the metrics JSON with cmp and stdout with diff.
+# torus, then every application at 16 tiles, and compares the metrics
+# JSON with cmp and stdout with diff. The per-application runs cover the
+# workload generator's paths FFT alone does not: long compute gaps
+# (Water-nsq, LU), no gaps at all (MP3D, Unstructured) and each address
+# pattern.
 #
 #   bash .github/scripts/byte-identity.sh BASE_SRC HEAD_SRC [WORKDIR]
 #
@@ -60,5 +64,11 @@ for topo in mesh cmesh torus slim; do
   compare "$topo-stall-outage" "${fft[@]}" "${t64[@]}" "${stall[@]}"
 done
 compare torus1024 "${fft[@]}" -refs 40 -warmup 10 -topo torus -tiles 1024
+
+apps=(Barnes-Hut EM3D FFT LU-cont LU-noncont MP3D Ocean-cont Ocean-noncont
+  Radix Raytrace Unstructured Water-nsq Water-spa)
+for app in "${apps[@]}"; do
+  compare "app-$app" -app "$app" -het -scheme dbrc -refs 2000 -warmup 500
+done
 
 exit "$failed"

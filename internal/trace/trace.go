@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"strings"
 
+	"tilesim/internal/coherence"
 	"tilesim/internal/workload"
 )
 
@@ -121,7 +122,9 @@ func (t *Trace) Encode(w io.Writer) error {
 }
 
 // Decode parses the text format. The core count is the highest core id
-// seen plus one, unless cores > 0 forces it.
+// seen plus one, unless cores > 0 forces it. Core ids must be below
+// coherence.MaxTiles, the largest system the simulator builds, so a
+// hostile id cannot size the per-core slices.
 func Decode(r io.Reader, cores int) (*Trace, error) {
 	type parsedOp struct {
 		core int
@@ -145,6 +148,9 @@ func Decode(r io.Reader, cores int) (*Trace, error) {
 		core, err := strconv.Atoi(fields[0])
 		if err != nil || core < 0 {
 			return nil, fmt.Errorf("trace: line %d: bad core %q", lineNo, fields[0])
+		}
+		if core >= coherence.MaxTiles {
+			return nil, fmt.Errorf("trace: line %d: core %d exceeds the %d-tile limit", lineNo, core, coherence.MaxTiles)
 		}
 		if core > maxCore {
 			maxCore = core
@@ -174,6 +180,9 @@ func Decode(r io.Reader, cores int) (*Trace, error) {
 			}
 			op = workload.Op{Kind: kind, Addr: a}
 		case "B":
+			if len(fields) != 2 {
+				return nil, fmt.Errorf("trace: line %d: barrier takes no operand", lineNo)
+			}
 			op = workload.Op{Kind: workload.OpBarrier}
 		default:
 			return nil, fmt.Errorf("trace: line %d: unknown op %q", lineNo, fields[1])
@@ -181,7 +190,8 @@ func Decode(r io.Reader, cores int) (*Trace, error) {
 		parsed = append(parsed, parsedOp{core: core, op: op})
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		// The scanner stops on the line after the last one it returned.
+		return nil, fmt.Errorf("trace: line %d: %w", lineNo+1, err)
 	}
 	if cores <= 0 {
 		cores = maxCore + 1

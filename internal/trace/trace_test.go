@@ -220,18 +220,30 @@ func TestRecordWriteParseReplay(t *testing.T) {
 
 func TestDecodeErrors(t *testing.T) {
 	cases := []string{
-		"x L 40", // bad core
-		"0 L",    // missing addr
-		"0 L zz", // bad addr
-		"0 C",    // missing cycles
-		"0 C -1", // negative cycles
-		"0 Q",    // unknown op
-		"0",      // short line
+		"x L 40",          // bad core
+		"0 L",             // missing addr
+		"0 L zz",          // bad addr
+		"0 C",             // missing cycles
+		"0 C -1",          // negative cycles
+		"0 Q",             // unknown op
+		"0",               // short line
+		"0 B junk",        // barrier with an operand
+		"1099511627776 B", // core id that would size 2^40 streams
+		"1024 L 40",       // first core id past the largest system
 	}
 	for _, c := range cases {
 		if _, err := Decode(strings.NewReader(c), 0); err == nil {
 			t.Errorf("line %q accepted", c)
 		}
+	}
+	// The largest core id is accepted.
+	if tr, err := Decode(strings.NewReader("1023 B\n"), 0); err != nil || tr.Cores() != 1024 {
+		t.Errorf("core 1023: %v", err)
+	}
+	// A line longer than the scanner's buffer names its line.
+	long := "0 B\n0 L " + strings.Repeat("4", 1<<20) + "\n"
+	if _, err := Decode(strings.NewReader(long), 0); err == nil || !strings.HasPrefix(err.Error(), "trace: line 2: ") {
+		t.Errorf("over-long line: error %v, want one naming line 2", err)
 	}
 	// Forced core count below the max seen.
 	if _, err := Decode(strings.NewReader("5 B\n"), 2); err == nil {

@@ -22,7 +22,7 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
 )
 
 // OpKind discriminates the operations a core executes.
@@ -137,6 +137,13 @@ func (p Params) Validate() error {
 	if p.HotFraction > 0 && p.HotBytes < 64 {
 		return fmt.Errorf("workload %s: HotBytes must hold a block", p.Name)
 	}
+	// Random and hot-set draws pick a block with stream.Intn, which
+	// implements math/rand's 31-bit path only.
+	for _, size := range []int{p.PrivateBytes, p.SharedBytes, p.HotBytes} {
+		if size/64 > math.MaxInt32 {
+			return fmt.Errorf("workload %s: regions must hold at most %d blocks", p.Name, math.MaxInt32)
+		}
+	}
 	return nil
 }
 
@@ -157,10 +164,13 @@ const (
 type App struct {
 	p     Params
 	cores []coreState
+	// gapX0 is gapThreshold(p.ComputeMean): a compute-gap trial
+	// succeeds on a 63-bit draw below it.
+	gapX0 uint64
 }
 
 type coreState struct {
-	rng        *rand.Rand
+	rng        stream
 	issued     int
 	pending    Op   // the reference deferred behind a barrier or compute gap
 	hasPending bool // Next emits pending before generating more
@@ -177,6 +187,9 @@ func NewApp(p Params) (*App, error) {
 		return nil, err
 	}
 	a := &App{p: p}
+	if p.ComputeMean > 0 {
+		a.gapX0 = gapThreshold(p.ComputeMean)
+	}
 	a.Reset()
 	return a, nil
 }
@@ -191,10 +204,9 @@ func (a *App) Params() Params { return a.p }
 func (a *App) Reset() {
 	a.cores = make([]coreState, a.p.Cores)
 	for i := range a.cores {
-		a.cores[i] = coreState{
-			rng:      rand.New(rand.NewSource(a.p.Seed + int64(i)*7919)),
-			chaseMul: 2862933555777941757,
-		}
+		c := &a.cores[i]
+		c.rng.seed(a.p.Seed + int64(i)*7919)
+		c.chaseMul = 2862933555777941757
 	}
 }
 
@@ -218,7 +230,7 @@ func (a *App) Next(core int) (Op, bool) {
 
 	// Compute gap, then the reference.
 	if a.p.ComputeMean > 0 {
-		gap := geometric(c.rng, a.p.ComputeMean)
+		gap := c.rng.geometric(a.gapX0, a.p.ComputeMean*10)
 		if gap > 0 {
 			c.pending, c.hasPending = a.genRef(core, c), true
 			return Op{Kind: OpCompute, Cycles: gap}, true
@@ -289,17 +301,4 @@ func (a *App) walk(c *coreState, pos *uint64, base uint64, size int, pat Pattern
 		*pos = (*pos*c.chaseMul + 0x9E3779B97F4A7C15) % blocks
 	}
 	return base + *pos*64
-}
-
-// geometric samples a geometric distribution with the given mean.
-func geometric(rng *rand.Rand, mean int) int {
-	if mean <= 0 {
-		return 0
-	}
-	p := 1.0 / float64(mean)
-	n := 0
-	for rng.Float64() >= p && n < mean*10 {
-		n++
-	}
-	return n
 }

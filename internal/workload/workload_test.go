@@ -256,6 +256,24 @@ func TestParamsValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("single core accepted")
 	}
+	// stream.Intn serves 31-bit bounds only, so no region may hold
+	// more than 2^31-1 blocks.
+	big := good
+	big.SharedBytes = (1<<31 - 1) * 64
+	if err := big.Validate(); err != nil {
+		t.Errorf("2^31-1 shared blocks rejected: %v", err)
+	}
+	for _, set := range []func(*Params){
+		func(p *Params) { p.PrivateBytes = 1 << 37 },
+		func(p *Params) { p.SharedBytes = 1 << 37 },
+		func(p *Params) { p.HotFraction, p.HotBytes = 0.1, 1<<37 },
+	} {
+		bad = good
+		set(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("region of 2^31 blocks accepted: %+v", bad)
+		}
+	}
 }
 
 // TestNextDoesNotAllocate covers the deferred reference behind compute
@@ -278,12 +296,23 @@ func TestNextDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerate times Next on three stream shapes: MP3D has no
+// compute gaps, Water-nsq draws a mean-26 gap before most references,
+// and FFT adds barriers.
 func BenchmarkGenerate(b *testing.B) {
-	a, _ := NewNamedApp("MP3D", 16, 1<<30, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, ok := a.Next(i % 16); !ok {
-			b.Fatal("stream ended")
-		}
+	for _, name := range []string{"MP3D", "Water-nsq", "FFT"} {
+		b.Run(name, func(b *testing.B) {
+			a, err := NewNamedApp(name, 16, 1<<30, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := a.Next(i % 16); !ok {
+					b.Fatal("stream ended")
+				}
+			}
+		})
 	}
 }
