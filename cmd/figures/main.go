@@ -40,6 +40,7 @@ import (
 	"strings"
 	"time"
 
+	"tilesim/internal/cmp"
 	"tilesim/internal/figures"
 	"tilesim/internal/obs"
 	"tilesim/internal/stats"
@@ -67,7 +68,6 @@ func main() {
 
 		seriesInterval = flag.Int("series-interval", 0, "sample an epoch time series every N cycles in every cell (0 = off)")
 		seriesDir      = flag.String("series-dir", "", "write per-figure series sidecar JSON files into this directory (needs -series-interval)")
-		ledgerPath     = flag.String("ledger", "", "append one run-ledger JSONL record per simulated cell to this file")
 		pprofDir       = flag.String("pprof-dir", "", "capture cpu.pprof and heap.pprof profiles of the run into this directory")
 	)
 	flag.Parse()
@@ -106,17 +106,6 @@ func main() {
 	}
 	runner := &sweep.Runner{Jobs: *jobs, Cache: cache, Progress: progressPrinter()}
 
-	if *ledgerPath != "" {
-		l, lf, err := obs.OpenLedger(*ledgerPath)
-		if err != nil {
-			fail(err)
-		}
-		defer lf.Close()
-		runner.Ledger = l
-		procStart := time.Now()
-		runner.WallClock = func() float64 { return time.Since(procStart).Seconds() }
-	}
-
 	if *pprofDir != "" {
 		stop, err := startProfiles(*pprofDir)
 		if err != nil {
@@ -125,34 +114,28 @@ func main() {
 		defer stop()
 	}
 
-	var hooks []func(sweep.JobResult)
-	var sidecars *metricsSidecar
-	if *metricsDir != "" {
-		if err := os.MkdirAll(*metricsDir, 0o755); err != nil {
-			fail(err)
-		}
-		sidecars = &metricsSidecar{dir: *metricsDir, runs: make(map[string]obs.Snapshot)}
-		hooks = append(hooks, sidecars.collect)
+	metricsSC, err := newSidecar(*metricsDir, "metrics", "run snapshots", func(r cmp.Result) (obs.Snapshot, bool) {
+		return r.Metrics, len(r.Metrics) > 0
+	})
+	if err != nil {
+		fail(err)
 	}
-	var seriesSC *seriesSidecar
-	if *seriesDir != "" {
-		if err := os.MkdirAll(*seriesDir, 0o755); err != nil {
-			fail(err)
-		}
-		seriesSC = &seriesSidecar{dir: *seriesDir, runs: make(map[string]*obs.SeriesData)}
-		hooks = append(hooks, seriesSC.collect)
+	seriesSC, err := newSidecar(*seriesDir, "series", "run series", func(r cmp.Result) (*obs.SeriesData, bool) {
+		return r.Series, r.Series != nil
+	})
+	if err != nil {
+		fail(err)
 	}
-	if len(hooks) > 0 {
+	if metricsSC != nil || seriesSC != nil {
 		runner.OnResult = func(jr sweep.JobResult) {
-			for _, h := range hooks {
-				h(jr)
-			}
+			metricsSC.collect(jr)
+			seriesSC.collect(jr)
 		}
 	}
 	// flush writes both sidecar families for the figure just completed;
 	// nil receivers are inert.
 	flush := func(name string) error {
-		if err := sidecars.flush(name); err != nil {
+		if err := metricsSC.flush(name); err != nil {
 			return err
 		}
 		return seriesSC.flush(name)
@@ -171,11 +154,6 @@ func main() {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	trailer := func(what string, start time.Time) {
-		// Ledger appends never fail jobs mid-sweep; surface the first
-		// failure here instead of silently dropping records.
-		if runner.LedgerErr != nil {
-			fail(fmt.Errorf("ledger: %w", runner.LedgerErr))
-		}
 		if *csv {
 			return
 		}
@@ -306,29 +284,53 @@ func strList(s string) []string {
 	return out
 }
 
-// metricsSidecar harvests per-run metrics snapshots from the sweep
-// (Runner.OnResult) and writes one JSON sidecar per figure: an object
-// mapping "app/config-label" to that run's full metrics snapshot.
-// A nil *metricsSidecar is inert, so call sites need no guards.
-type metricsSidecar struct {
-	dir  string
-	runs map[string]obs.Snapshot
+// sidecar harvests one per-run artifact T from the sweep
+// (Runner.OnResult) and writes one JSON file per figure,
+// <dir>/<name>.<ext>.json: an object mapping each run's canonical
+// configuration (cmp.RunConfig.Canonical) to its artifact. A nil
+// *sidecar is inert, so call sites need no guards.
+type sidecar[T any] struct {
+	dir, ext, what string
+	get            func(cmp.Result) (T, bool)
+	runs           map[string]T
 }
 
-// collect is the Runner.OnResult hook. Duplicate configurations across
-// figures overwrite with an identical snapshot (results are
-// deterministic), so the last write wins harmlessly.
-func (s *metricsSidecar) collect(jr sweep.JobResult) {
-	if jr.Err != nil || len(jr.Result.Metrics) == 0 {
+// newSidecar returns a sidecar writing into dir, creating it, or nil
+// when dir is empty. get extracts a run's artifact and reports whether
+// it has one; what names the entries in the progress line.
+func newSidecar[T any](dir, ext, what string, get func(cmp.Result) (T, bool)) (*sidecar[T], error) {
+	if dir == "" {
+		return nil, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	return &sidecar[T]{dir: dir, ext: ext, what: what, get: get, runs: make(map[string]T)}, nil
+}
+
+// collect is a Runner.OnResult hook. Keys are canonical encodings, so
+// distinct configurations never share an entry; a configuration that
+// repeats across figures overwrites with an identical artifact
+// (results are deterministic).
+func (s *sidecar[T]) collect(jr sweep.JobResult) {
+	if s == nil || jr.Err != nil {
 		return
 	}
-	s.runs[jr.Config.App+"/"+jr.Config.Label()] = jr.Result.Metrics
+	v, ok := s.get(jr.Result)
+	if !ok {
+		return
+	}
+	key, err := jr.Config.Canonical()
+	if err != nil {
+		return // only generator-driven runs lack one, and no figure sweep makes them
+	}
+	s.runs[key] = v
 }
 
-// flush writes the snapshots collected since the previous flush to
-// <dir>/<name>.metrics.json and resets the collection. encoding/json
+// flush writes the artifacts collected since the previous flush to
+// <dir>/<name>.<ext>.json and resets the collection. encoding/json
 // sorts map keys, so the sidecar is deterministic for a fixed sweep.
-func (s *metricsSidecar) flush(name string) error {
+func (s *sidecar[T]) flush(name string) error {
 	if s == nil || len(s.runs) == 0 {
 		return nil
 	}
@@ -336,49 +338,12 @@ func (s *metricsSidecar) flush(name string) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(s.dir, name+".metrics.json")
+	path := filepath.Join(s.dir, name+"."+s.ext+".json")
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "figures: wrote %d run snapshots to %s\n", len(s.runs), path)
-	s.runs = make(map[string]obs.Snapshot)
-	return nil
-}
-
-// seriesSidecar harvests per-run epoch series from the sweep and
-// writes one JSON sidecar per figure: an object mapping
-// "app/config-label" to that run's series. A nil *seriesSidecar is
-// inert, mirroring metricsSidecar.
-type seriesSidecar struct {
-	dir  string
-	runs map[string]*obs.SeriesData
-}
-
-// collect is a Runner.OnResult hook; duplicate configurations
-// overwrite with an identical series (deterministic results).
-func (s *seriesSidecar) collect(jr sweep.JobResult) {
-	if jr.Err != nil || jr.Result.Series == nil {
-		return
-	}
-	s.runs[jr.Config.App+"/"+jr.Config.Label()] = jr.Result.Series
-}
-
-// flush writes the series collected since the previous flush to
-// <dir>/<name>.series.json and resets the collection.
-func (s *seriesSidecar) flush(name string) error {
-	if s == nil || len(s.runs) == 0 {
-		return nil
-	}
-	data, err := json.MarshalIndent(s.runs, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(s.dir, name+".series.json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "figures: wrote %d run series to %s\n", len(s.runs), path)
-	s.runs = make(map[string]*obs.SeriesData)
+	fmt.Fprintf(os.Stderr, "figures: wrote %d %s to %s\n", len(s.runs), s.what, path)
+	s.runs = make(map[string]T)
 	return nil
 }
 

@@ -27,6 +27,19 @@
 //
 // All fault randomness is keyed by -seed: same-seed runs stay
 // byte-identical at any BER.
+//
+// Trace replay (internal/trace; capture traces with cmd/tracegen):
+//
+//	tilesim -replay mp3d.trace -warmup 0 -het -scheme stride
+//	tilesim -replay mp3d.trace -warmup 0 -metrics-out m.json -trace-out t.json
+//
+// -replay drives the -tiles cores from a captured trace's per-core op
+// streams instead of a synthetic application, so one workload can be
+// re-simulated under any configuration with every sink above. -app and
+// -refs do not apply, -seed keys only the fault streams, and -warmup
+// counts references of the trace. A trace that could never finish (a
+// core short of the warmup, unequal barrier counts, or warmup points in
+// different barrier phases) is rejected before the run.
 package main
 
 import (
@@ -34,7 +47,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"tilesim/internal/cmp"
 	"tilesim/internal/compress"
@@ -43,22 +55,39 @@ import (
 	"tilesim/internal/mesh"
 	"tilesim/internal/noc"
 	"tilesim/internal/obs"
-	"tilesim/internal/sweep"
+	"tilesim/internal/trace"
 	"tilesim/internal/workload"
 )
 
-// appendLedger opens (or creates) the JSONL run ledger at path and
-// appends one record.
-func appendLedger(path string, rec obs.Record) error {
-	l, f, err := obs.OpenLedger(path)
+// useReplay points cfg at the trace in path, decoded for cfg's tile
+// count: the trace becomes the Generator, App names the file, and
+// RefsPerCore, which only NewSystem's warmup check reads under a
+// Generator, is the mean references per core, rounded up.
+func useReplay(cfg *cmp.RunConfig, path string) error {
+	topo, err := cfg.BuildTopology()
 	if err != nil {
 		return err
 	}
-	if err := l.Append(rec); err != nil {
-		f.Close()
+	f, err := os.Open(path)
+	if err != nil {
 		return err
 	}
-	return f.Close()
+	tr, err := trace.Decode(f, topo.Tiles())
+	f.Close()
+	if err != nil {
+		return err
+	}
+	s := tr.Summarize()
+	if s.Loads+s.Stores == 0 {
+		return fmt.Errorf("trace %s has no memory references", path)
+	}
+	if err := tr.CheckReplay(cfg.WarmupRefs); err != nil {
+		return fmt.Errorf("replay %s: %w", path, err)
+	}
+	cfg.App = "replay:" + path
+	cfg.Generator = tr
+	cfg.RefsPerCore = (s.Loads + s.Stores + s.Cores - 1) / s.Cores
+	return nil
 }
 
 // writeSeries writes the epoch series as CSV or JSON, chosen by the
@@ -83,6 +112,7 @@ func writeSeries(path string, s *obs.SeriesData) error {
 func main() {
 	var (
 		app     = flag.String("app", "FFT", "application: "+strings.Join(workload.AppNames(), ", "))
+		replay  = flag.String("replay", "", "drive the cores from this captured trace instead of -app")
 		scheme  = flag.String("scheme", "none", "compression scheme: none, dbrc, stride, perfect")
 		entries = flag.Int("entries", 4, "DBRC compression-cache entries (4, 16, 64)")
 		lo      = flag.Int("lo", 2, "low-order bytes (1 or 2); delta bytes for stride")
@@ -99,7 +129,6 @@ func main() {
 
 		seriesOut      = flag.String("series-out", "", "write the epoch time series to this file (.csv or .json by extension)")
 		seriesInterval = flag.Int("series-interval", 1024, "epoch series sampling interval in cycles (with -series-out)")
-		ledgerPath     = flag.String("ledger", "", "append a run-ledger JSONL record to this file")
 
 		faultBER          = flag.Float64("fault-ber", 0, "per-wire bit-error rate (0 disables bit errors)")
 		faultVLScale      = flag.Float64("fault-vl-ber-scale", 0, "VL-plane BER multiplier (0 or 1 = same as B)")
@@ -139,6 +168,12 @@ func main() {
 		}
 		cfg.SeriesInterval = *seriesInterval
 	}
+	if *replay != "" {
+		if err := useReplay(&cfg, *replay); err != nil {
+			fmt.Fprintln(os.Stderr, "tilesim:", err)
+			os.Exit(1)
+		}
+	}
 	sys, err := cmp.NewSystem(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tilesim:", err)
@@ -155,22 +190,10 @@ func main() {
 		tracer = obs.NewTracer(traceFile, *traceSample)
 		sys.SetTracer(tracer)
 	}
-	wallStart := time.Now()
-	hostStart := obs.ReadHostStats()
 	r, err := sys.Run()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tilesim:", err)
 		os.Exit(1)
-	}
-	if *ledgerPath != "" {
-		jr := sweep.JobResult{Config: cfg, Result: r}
-		jr.Host = obs.ReadHostStats().Sub(hostStart)
-		jr.Host.WallSeconds = time.Since(wallStart).Seconds()
-		key, _ := sweep.Key(cfg) // "" for uncacheable configs
-		if err := appendLedger(*ledgerPath, sweep.LedgerRecord(jr, key)); err != nil {
-			fmt.Fprintln(os.Stderr, "tilesim: ledger:", err)
-			os.Exit(1)
-		}
 	}
 	if tracer != nil {
 		if err := tracer.Close(); err != nil {

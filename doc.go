@@ -32,22 +32,21 @@
 //	internal/workload   13 SPLASH-2-class synthetic apps      DESIGN.md §5
 //	internal/core       the proposal: compress + plane map    DESIGN.md §1
 //	internal/obs        metrics registry, tracer, epoch       DESIGN.md §10, §15
-//	                    series, run ledger, host stats
-//	internal/trace      workload record/replay                DESIGN.md §7
-//	internal/sweep      parallel sweep engine + result cache  DESIGN.md §9, §15
-//	                    + ledger records
+//	                    series, shared pollers
+//	internal/trace      workload record/replay and replay     DESIGN.md §7
+//	                    validation
+//	internal/sweep      parallel sweep engine + result cache  DESIGN.md §9
+//	                    + result digests
 //	internal/figures    paper table/figure regeneration       DESIGN.md §4
 //	internal/analysis   tilesimvet static-analysis rules      DESIGN.md §8, §17
 //	internal/pooldbg    double-release sanitizer for the      DESIGN.md §17
 //	                    three freelists (-tags pooldebug)
-//	cmd/tilesim         single-run CLI
+//	cmd/tilesim         single-run CLI, also trace replay
 //	cmd/tables          Tables 1-3 (analytic, no simulation)
 //	cmd/figures         Figures 2, 5, 6, 7 + ablations + the
 //	                    topology scale study (-scale) via the
 //	                    sweep engine
 //	cmd/tracegen        trace capture and summary
-//	cmd/benchdiff       run-ledger diff: determinism and      DESIGN.md §15
-//	                    perf-regression gate
 //	cmd/tilesimvet      the static analyzer CLI
 //
 // The benchmarks in bench_test.go regenerate each table and figure at a

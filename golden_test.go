@@ -20,6 +20,7 @@ import (
 	"tilesim/internal/cmp"
 	"tilesim/internal/compress"
 	"tilesim/internal/fault"
+	"tilesim/internal/sweep"
 )
 
 // goldenConfig is the configuration the goldens were captured at:
@@ -76,6 +77,29 @@ func TestGoldenMetricsUnchanged(t *testing.T) {
 					len(got), len(want))
 			}
 		})
+	}
+}
+
+// TestGoldenResultDigest pins sweep.Digest of the golden configuration,
+// fault-free and at high BER. The digest covers every cmp.Result field,
+// where the metrics golden covers only the snapshot. The fault-free
+// digest has held since SimVersion v4.
+func TestGoldenResultDigest(t *testing.T) {
+	for _, c := range []struct {
+		faults bool
+		want   string
+	}{
+		{false, "ff547f82976cf32e7d63bf07ef851afb62e2f8b8156460bb623c11de50c817ae"},
+		{true, "4d5796cd9954d2711d2e419eaf621572f116160245645a76c258669971a69816"},
+	} {
+		r, err := cmp.Run(goldenConfig(c.faults))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sweep.Digest(r); got != c.want {
+			t.Errorf("faults=%t: result digest %s, want %s; if the change is deliberate, "+
+				"update the digest and bump cmp.SimVersion", c.faults, got, c.want)
+		}
 	}
 }
 

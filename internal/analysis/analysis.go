@@ -62,7 +62,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
@@ -105,19 +104,6 @@ const (
 	// on the stack; `tilesimvet -escapes` fails when the compiler's
 	// escape analysis disagrees (see Escapes).
 	NoEscapeAnnotation = "tilesim:noescape"
-	// HostOnlyAnnotation marks a function-typed struct field as a
-	// host-side observability conduit (mandatory reason):
-	//
-	//	//tilesim:hostonly wall-clock profiling; never feeds results
-	//	WallClock func() float64
-	//
-	// The taint rule stops at the annotated field instead of following
-	// function values stored into it, so cmd/ front-ends may inject
-	// wall-clock readers for the run ledger (DESIGN.md §15) without
-	// tainting every internal/ caller. The contract the reason must
-	// defend: values read through the field never influence simulated
-	// behavior or results.
-	HostOnlyAnnotation = "tilesim:hostonly"
 	// PoolAnnotation marks a function declaration as a pool acquire
 	// point: calling it yields a pooled object (the function's
 	// pointer-to-named result type). The poollife rule tracks the
@@ -182,7 +168,6 @@ type pass struct {
 	// finding).
 	allocok  map[*ast.File]map[int]string
 	sharedok map[*ast.File]map[int]string
-	hostonly map[*ast.File]map[int]string
 	// poolacq and poolrel map file -> line -> annotation tail for the
 	// //tilesim:pool and //tilesim:release pool-API annotations (the
 	// tail of a release names the pooled type for by-key releases);
@@ -256,20 +241,6 @@ type module struct {
 	// "declared in the analyzed module" is decidable for types that
 	// reach a pass through export data.
 	targets map[string]*Package
-}
-
-// passFor returns the pass analyzing pkg's source, or nil when pkg is
-// only visible through export data (or nil itself).
-func (m *module) passFor(pkg *types.Package) *pass {
-	if pkg == nil {
-		return nil
-	}
-	for _, p := range m.passes {
-		if p.pkg.Path == pkg.Path() {
-			return p
-		}
-	}
-	return nil
 }
 
 // rule binds a registered analyzer name to its implementation: pkg
@@ -392,7 +363,6 @@ func RunRules(dir string, patterns []string, selection []string) ([]Diagnostic, 
 			hotpath:    collectAnnotations(fset, pkg, HotPathAnnotation),
 			allocok:    collectReasonAnnotations(fset, pkg, AllocOKAnnotation),
 			sharedok:   collectReasonAnnotations(fset, pkg, SharedOKAnnotation),
-			hostonly:   collectReasonAnnotations(fset, pkg, HostOnlyAnnotation),
 			poolacq:    collectReasonAnnotations(fset, pkg, PoolAnnotation),
 			poolrel:    collectReasonAnnotations(fset, pkg, ReleaseAnnotation),
 			retainok:   collectReasonAnnotations(fset, pkg, RetainOKAnnotation),

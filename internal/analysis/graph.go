@@ -21,7 +21,6 @@ import (
 // "field:pkgpath.Type.name" and funclits "funclit:<position>".
 type graph struct {
 	nodes map[string]*graphNode
-	m     *module
 	// goRoots are the IDs of functions and funclits launched via a go
 	// statement anywhere in the module — the entry points of the
 	// sharedstate analysis. Sorted and deduplicated by buildGraph.
@@ -47,11 +46,6 @@ type graphNode struct {
 	// by call or by value use, so stored function values propagate —
 	// sorted and deduplicated.
 	refs []string
-	// hostonly marks a field-conduit node whose declaration carries a
-	// //tilesim:hostonly waiver: the taint rule does not follow values
-	// stored into it. hostonlyReason is the waiver's mandatory reason.
-	hostonly       bool
-	hostonlyReason string
 	// poolAcquire and poolRelease mark //tilesim:pool and
 	// //tilesim:release function declarations (the poollife rule's pool
 	// API). poolType is the pooled type key ("pkgpath.TypeName"): the
@@ -96,7 +90,7 @@ func (n *graphNode) body() *ast.BlockStmt {
 //   - a funclit launched directly by a go statement gets its own node
 //     and is recorded in goRoots.
 func buildGraph(m *module) *graph {
-	g := &graph{nodes: make(map[string]*graphNode), m: m}
+	g := &graph{nodes: make(map[string]*graphNode)}
 	// First sweep: declare the nodes, so the reference sweep can tell
 	// module declarations from foreign ones.
 	for _, p := range m.passes {
@@ -335,29 +329,17 @@ func (g *graph) fieldConduit(p *pass, sel *ast.SelectorExpr) (string, bool) {
 	return g.ensureField(p, named, v), true
 }
 
-// ensureField interns the conduit node for one named type's field,
-// resolving any //tilesim:hostonly waiver on the field's declaration
-// (visible only when the declaring package is loaded from source).
+// ensureField interns the conduit node for one named type's field.
 func (g *graph) ensureField(p *pass, named *types.Named, field *types.Var) string {
 	obj := named.Obj()
 	id := "field:" + obj.Pkg().Path() + "." + obj.Name() + "." + field.Name()
 	if g.nodes[id] == nil {
-		node := &graphNode{
+		g.nodes[id] = &graphNode{
 			id:   id,
 			name: obj.Name() + "." + field.Name(),
 			pos:  field.Pos(),
 			p:    p,
 		}
-		if dp := g.m.passFor(field.Pkg()); dp != nil {
-			if f := dp.fileOf(field.Pos()); f != nil {
-				if reason, _, ok := waiverAt(dp, dp.hostonly, f, field.Pos()); ok {
-					node.hostonly = true
-					node.hostonlyReason = reason
-					node.p = dp
-				}
-			}
-		}
-		g.nodes[id] = node
 	}
 	return id
 }

@@ -24,13 +24,6 @@ import "strings"
 // Functions that reference a forbidden source directly are skipped
 // here: the determinism analyzer already flags the exact callsite, and
 // repeating it per caller would bury the primary finding.
-//
-// One sanctioned escape: a function-typed struct field annotated
-// //tilesim:hostonly (see HostOnlyAnnotation) is a host-side
-// observability conduit — taint stops at it instead of following the
-// stored values, so cmd/ front-ends can inject wall-clock readers for
-// the run ledger without tainting internal/ callers. The waiver's
-// reason is mandatory.
 func checkTaint(m *module, g *graph) {
 	// reach memoizes, per node ID, the chain of display names leading
 	// to a forbidden source (nil when none is reachable).
@@ -47,10 +40,6 @@ func checkTaint(m *module, g *graph) {
 		visiting[id] = true
 		defer delete(visiting, id)
 		node := g.nodes[id]
-		if node.hostonly {
-			reach[id] = nil
-			return nil
-		}
 		var chain []string
 		if len(node.sources) > 0 {
 			chain = []string{node.name, node.sources[0]}
@@ -68,9 +57,6 @@ func checkTaint(m *module, g *graph) {
 
 	for _, id := range g.sortedNodeIDs() {
 		node := g.nodes[id]
-		if node.hostonly && node.hostonlyReason == "" {
-			node.p.reportf("taint", node.pos, "//%s waiver needs a reason", HostOnlyAnnotation)
-		}
 		if node.decl == nil || !node.p.inInternal() || node.p.inCmd() {
 			continue
 		}

@@ -381,13 +381,20 @@ func (s *System) Run() (Result, error) {
 	for _, c := range s.cores {
 		c.start()
 	}
+	// The trace's counter poller and the series sampler share one
+	// poller set, so neither mistakes the other's ticks for work. A
+	// run with neither sink builds no set.
+	var polls *obs.Pollers
+	if s.tracer != nil || s.cfg.SeriesInterval > 0 {
+		polls = obs.NewPollers(s.K)
+	}
 	if s.tracer != nil {
-		s.startCounterPoller()
+		s.startCounterPoller(polls)
 	}
 	var series *obs.Series
 	var seriesData *obs.SeriesData
 	if s.cfg.SeriesInterval > 0 {
-		series, seriesData = s.startSeries()
+		series, seriesData = s.startSeries(polls)
 	}
 	s.K.Run(nil)
 

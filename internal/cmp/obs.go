@@ -39,28 +39,29 @@ func (s *System) SetTracer(t *obs.Tracer) {
 }
 
 // startSeries assembles the epoch series over every component's
-// time-resolved probes (DESIGN.md §15) and schedules it on the
-// kernel. Called from Run when SeriesInterval is positive; the sampler
-// stops itself when the event queue drains, and — like every obs hook
-// — only reads state, so attaching it never changes a simulated
-// outcome. Run calls Finish on the returned Series once the execution
-// window is known, flushing the final partial epoch.
-func (s *System) startSeries() (*obs.Series, *obs.SeriesData) {
+// time-resolved probes (DESIGN.md §15) and schedules it as one of the
+// run's pollers. Called from Run when SeriesInterval is positive; the
+// sampler stops itself when the event queue drains, and — like every
+// obs hook — only reads state, so attaching it never changes a
+// simulated outcome. Run calls Finish on the returned Series once the
+// execution window is known, flushing the final partial epoch.
+func (s *System) startSeries(polls *obs.Pollers) (*obs.Series, *obs.SeriesData) {
 	se := obs.NewSeries(sim.Time(s.cfg.SeriesInterval))
 	se.Delta("sim.events", s.K.Processed)
 	s.Net.RegisterSeries(se)
 	s.Proto.RegisterSeries(se)
 	s.Mgr.RegisterSeries(se)
-	return se, se.Start(s.K)
+	return se, se.Start(polls)
 }
 
 // startCounterPoller samples the occupancy time series into the trace
-// while the simulation runs. Called from Run when a tracer is
-// attached; the poller stops itself when the event queue drains.
-func (s *System) startCounterPoller() {
+// while the simulation runs, as one of the run's pollers. Called from
+// Run when a tracer is attached; the poller stops itself when the
+// event queue drains.
+func (s *System) startCounterPoller(polls *obs.Pollers) {
 	planes := []mesh.Plane{mesh.PlaneB, mesh.PlaneVL, mesh.PlanePW}
 	var lastFlits [3]uint64
-	obs.PollCounters(s.K, traceCounterInterval, func(now sim.Time) {
+	polls.Poll(traceCounterInterval, func(now sim.Time) {
 		var series []obs.Arg
 		for i, p := range planes {
 			if !s.Net.HasPlane(p) {

@@ -3,6 +3,8 @@ package cmp
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -197,4 +199,88 @@ func TestRequestPercentilesBracketMean(t *testing.T) {
 	if hist, ok := r.Metrics["net.lat.requests.hist"]; !ok || hist.P50 != r.RequestLatencyP50 {
 		t.Errorf("snapshot p50 %v disagrees with Result %v", hist.P50, r.RequestLatencyP50)
 	}
+}
+
+// TestTraceAndSeriesTogether attaches both time-resolved sinks, whose
+// pollers share one kernel. The run must finish, its trace must equal
+// the trace-only run's byte for byte, and its series must equal the
+// series-only run's in every column but sim.events, which counts the
+// trace poller's ticks too (the bookkeeping exception of DESIGN.md
+// §15.2).
+func TestTraceAndSeriesTogether(t *testing.T) {
+	cfg := obsCfg()
+	cfg.SeriesInterval = 512
+	traceOnly := cfg
+	traceOnly.SeriesInterval = 0
+	wantTrace, _ := tracedRun(t, traceOnly, 0)
+	seriesOnly, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	gotTrace, both := tracedRun(t, cfg, 2*len(wantTrace))
+	if !bytes.Equal(gotTrace, wantTrace) {
+		t.Errorf("trace with a series attached differs from the trace-only run (%d vs %d bytes)",
+			len(gotTrace), len(wantTrace))
+	}
+	got, want := both.Series, seriesOnly.Series
+	if !slices.Equal(got.Columns, want.Columns) || !slices.Equal(got.Times, want.Times) {
+		t.Fatalf("series shape differs: %d columns x %d rows, want %d x %d",
+			len(got.Columns), got.Rows(), len(want.Columns), want.Rows())
+	}
+	for i := 0; i < want.Rows(); i++ {
+		for j, col := range want.Columns {
+			if col != "sim.events" && got.Row(i)[j] != want.Row(i)[j] {
+				t.Errorf("row %d (cycle %d) column %s = %g, want %g",
+					i, want.Times[i], col, got.Row(i)[j], want.Row(i)[j])
+			}
+		}
+	}
+}
+
+// tracedRun runs cfg with a tracer sampling every 8th message and
+// returns the trace and the result. A positive limit bounds the trace
+// in bytes: a run whose pollers never stop then fails instead of
+// growing its trace until memory runs out.
+func tracedRun(t *testing.T, cfg RunConfig, limit int) ([]byte, Result) {
+	t.Helper()
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &limitWriter{limit: limit}
+	tr := obs.NewTracer(w, 8)
+	sys.SetTracer(tr)
+	defer func() {
+		if p := recover(); p != nil {
+			if p != errTraceLimit {
+				panic(p)
+			}
+			t.Fatalf("the trace outgrew %d bytes, twice the trace-only run: the run's pollers never stopped", limit)
+		}
+	}()
+	r, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return w.buf.Bytes(), r
+}
+
+var errTraceLimit = errors.New("trace limit exceeded")
+
+// limitWriter buffers a trace and panics with errTraceLimit once a
+// write would take it past limit bytes (no limit when limit is 0).
+type limitWriter struct {
+	buf   bytes.Buffer
+	limit int
+}
+
+func (w *limitWriter) Write(p []byte) (int, error) {
+	if w.limit > 0 && w.buf.Len()+len(p) > w.limit {
+		panic(errTraceLimit)
+	}
+	return w.buf.Write(p)
 }

@@ -229,9 +229,9 @@ type Network struct {
 	// state allocates no transit structs (and none of the prebound
 	// continuation closures they carry). A transit's lifetime is the
 	// message's flight time, which varies with route, contention and
-	// retries, so no fixed-delay queue can hold it. BENCH_obs.json
-	// measured the per-message transit at +5.7% of the run's
-	// allocations before pooling.
+	// retries, so no fixed-delay queue can hold it. Before pooling, the
+	// per-message transit was +5.7% of the run's allocations
+	// (BenchmarkObsOverhead/disabled, 2026-08).
 	free *transit
 	// Routes are pure functions of the topology, so each (src,dst)
 	// router pair's route is computed on first use and kept as link ids

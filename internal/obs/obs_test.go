@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -239,7 +240,7 @@ func TestPollCounters(t *testing.T) {
 	k.Schedule(0, chain)
 
 	var samples []sim.Time
-	PollCounters(k, 25, func(now sim.Time) {
+	NewPollers(k).Poll(25, func(now sim.Time) {
 		samples = append(samples, now)
 	})
 
@@ -269,7 +270,7 @@ func TestPollCountersZeroIntervalClamps(t *testing.T) {
 	k := sim.NewKernel()
 	k.Schedule(2, func() {})
 	n := 0
-	PollCounters(k, 0, func(sim.Time) { n++ })
+	NewPollers(k).Poll(0, func(sim.Time) { n++ })
 	k.Run(nil)
 	if n == 0 {
 		t.Fatal("poller with interval 0 never fired")
@@ -285,7 +286,7 @@ func TestPollCountersInitialSample(t *testing.T) {
 	k := sim.NewKernel()
 	k.Schedule(7, func() {}) // one real event inside the first window
 	var samples []sim.Time
-	PollCounters(k, 25, func(now sim.Time) { samples = append(samples, now) })
+	NewPollers(k).Poll(25, func(now sim.Time) { samples = append(samples, now) })
 	if len(samples) != 1 || samples[0] != 0 {
 		t.Fatalf("samples before Run = %v, want the t=0 baseline", samples)
 	}
@@ -305,7 +306,7 @@ func TestPollCountersKernelDrain(t *testing.T) {
 	k := sim.NewKernel()
 	k.Schedule(60, func() {}) // last real event at cycle 60, inside (50, 75]
 	var samples []sim.Time
-	PollCounters(k, 25, func(now sim.Time) { samples = append(samples, now) })
+	NewPollers(k).Poll(25, func(now sim.Time) { samples = append(samples, now) })
 	end := k.Run(nil)
 	if end != 75 {
 		t.Fatalf("run ended at %d, want 75 (one trailing interval past the last event)", end)
@@ -321,5 +322,30 @@ func TestPollCountersKernelDrain(t *testing.T) {
 	}
 	if k.Pending() != 0 {
 		t.Fatalf("poller left %d events queued after drain", k.Pending())
+	}
+}
+
+// TestPollersDoNotKeepEachOtherAlive runs two pollers of one set on
+// different grids: each must stop within one of its own intervals of
+// the last real event, exactly as it would alone, instead of mistaking
+// the other's queued tick for simulation work.
+func TestPollersDoNotKeepEachOtherAlive(t *testing.T) {
+	k := sim.NewKernel()
+	k.Schedule(60, func() {}) // last real event at cycle 60
+	p := NewPollers(k)
+	var a, b []sim.Time
+	p.Poll(25, func(now sim.Time) { a = append(a, now) })
+	p.Poll(40, func(now sim.Time) { b = append(b, now) })
+	steps := 0
+	end := k.Run(func() bool { steps++; return steps > 100 })
+	if steps > 100 {
+		t.Fatalf("kernel still busy after 100 events (clock %d): the pollers keep each other alive", end)
+	}
+	wantA, wantB := []sim.Time{0, 25, 50, 75}, []sim.Time{0, 40, 80}
+	if !slices.Equal(a, wantA) || !slices.Equal(b, wantB) {
+		t.Fatalf("samples = %v and %v, want %v and %v", a, b, wantA, wantB)
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("pollers left %d events queued after drain", k.Pending())
 	}
 }

@@ -13,9 +13,10 @@ import (
 // Series samples registered probes on a fixed simulated-time grid and
 // accumulates one row per epoch (DESIGN.md §15). Registration is
 // cold-path, like Registry: components hand the series closures over
-// counters they maintain anyway, and the sampler reads them out every
-// interval via PollCounters. Columns are sorted by name at Start so
-// output is byte-deterministic regardless of registration order.
+// counters they maintain anyway, and the sampler, one of the system's
+// Pollers, reads them out every interval. Columns are sorted by name
+// at Start so output is byte-deterministic regardless of registration
+// order.
 //
 // Probe kinds:
 //
@@ -78,7 +79,7 @@ type SeriesData struct {
 }
 
 // NewSeries returns an empty series sampling every interval cycles
-// (clamped to 1, like PollCounters).
+// (clamped to 1, like Pollers.Poll).
 func NewSeries(interval sim.Time) *Series {
 	if interval == 0 {
 		interval = 1
@@ -137,10 +138,10 @@ func (s *Series) DeltaRatio(name string, num, den func() uint64) {
 func (s *Series) Len() int { return len(s.columns) }
 
 // Start freezes the column set (sorted by name), preallocates the
-// sample state, and schedules the sampler on the kernel. The t=0
-// baseline row is taken synchronously (PollCounters semantics), so
+// sample state, and schedules the sampler as one of p's pollers. The
+// t=0 baseline row is taken synchronously (Pollers.Poll semantics), so
 // the first real window has a baseline to delta against.
-func (s *Series) Start(k *sim.Kernel) *SeriesData {
+func (s *Series) Start(p *Pollers) *SeriesData {
 	if s.started {
 		panic("obs: series started twice")
 	}
@@ -157,7 +158,7 @@ func (s *Series) Start(k *sim.Kernel) *SeriesData {
 		Columns:        names,
 	}
 	s.last = make([]uint64, 2*len(s.columns)) // slot pairs: ctr, den
-	PollCounters(k, s.interval, s.sample)
+	p.Poll(s.interval, s.sample)
 	return s.data
 }
 

@@ -34,7 +34,7 @@ func driveSeries(t *testing.T) *SeriesData {
 	s.Level("coh.mshr_live", func() float64 { return float64(live) })
 	s.Utilization("net.link_util", flits.Value)
 	s.DeltaRatio("compress.ratio", flits.Value, func() uint64 { return flits.Value() * 2 })
-	data := s.Start(k)
+	data := s.Start(NewPollers(k))
 	k.Run(nil)
 	return data
 }
@@ -229,14 +229,14 @@ func TestSeriesRegistrationPanics(t *testing.T) {
 		k := sim.NewKernel()
 		s := NewSeries(10)
 		s.Delta("x", func() uint64 { return 0 })
-		s.Start(k)
+		s.Start(NewPollers(k))
 		s.Delta("y", func() uint64 { return 0 })
 	})
 	expectPanic("double start", "started twice", func() {
 		k := sim.NewKernel()
 		s := NewSeries(10)
-		s.Start(k)
-		s.Start(k)
+		s.Start(NewPollers(k))
+		s.Start(NewPollers(k))
 	})
 }
 
@@ -273,7 +273,7 @@ func finishSeries(t *testing.T, trailingEvent sim.Time) (*sim.Kernel, *Series, *
 	s.Level("coh.mshr_live", func() float64 { return float64(live) })
 	s.Utilization("net.link_util", flits.Value)
 	s.DeltaRatio("compress.ratio", flits.Value, func() uint64 { return flits.Value() * 2 })
-	data := s.Start(k)
+	data := s.Start(NewPollers(k))
 	k.Run(nil)
 	return k, s, data
 }

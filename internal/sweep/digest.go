@@ -9,13 +9,13 @@ import (
 	"tilesim/internal/cmp"
 )
 
-// Digest returns the canonical result digest for run-ledger records:
-// SHA-256 over the encoding/json serialization of the Result.
-// encoding/json sorts map keys and renders floats in shortest
-// round-trip form, so two bit-identical Results digest identically —
-// a digest mismatch between same-key ledger entries is a determinism
-// failure, which cmd/benchdiff reports as such (never as a
-// performance regression).
+// Digest returns the canonical result digest: SHA-256 over the
+// encoding/json serialization of the Result. encoding/json sorts map
+// keys and renders floats in shortest round-trip form, so two
+// bit-identical Results digest identically, and a digest covers every
+// Result field. The golden tests and the bench/ harness pin results by
+// it; a changed digest for an unchanged configuration is a
+// determinism failure.
 func Digest(res cmp.Result) string {
 	b, err := json.Marshal(res)
 	if err != nil {

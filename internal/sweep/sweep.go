@@ -22,7 +22,6 @@ import (
 	"sync"
 
 	"tilesim/internal/cmp"
-	"tilesim/internal/obs"
 )
 
 // JobResult pairs one submitted configuration with its outcome. A
@@ -39,17 +38,6 @@ type JobResult struct {
 	// Cached reports that Result came from the cache or from an
 	// identical job in the same batch rather than a fresh simulation.
 	Cached bool
-	// WallSeconds is the host wall time the job's simulation took (0
-	// for cache hits, duplicates, and when the Runner has no
-	// WallClock). Host-side only: never feeds into results or cache
-	// keys.
-	WallSeconds float64
-	// Host are the host-side runtime counter deltas across the job's
-	// simulation (allocations, GC work; zero without a Ledger or
-	// WallClock). The counters are process-global, so under parallel
-	// workers a job's deltas include concurrently running jobs'
-	// activity — exact when Jobs is 1, indicative otherwise.
-	Host obs.HostStats
 }
 
 // Runner executes batches of independent simulations. The zero value
@@ -70,23 +58,6 @@ type Runner struct {
 	// carries its metrics snapshot) without re-walking the batch. It
 	// must not call back into the Runner.
 	OnResult func(JobResult)
-	// Ledger, when non-nil, receives one record per successful job
-	// after the batch completes, in submission order (DESIGN.md §15):
-	// the job's deterministic identity (config hash, SimVersion, seed,
-	// result digest) plus its host-side measurements. Ledger I/O is
-	// best-effort — a failed append never fails a job; the first
-	// failure lands in LedgerErr.
-	Ledger *obs.Ledger
-	// WallClock, when non-nil, returns monotonic wall-clock seconds;
-	// it is injected by the cmd/ front-ends because simulator-core
-	// packages are wall-clock-free by the determinism rules
-	// (DESIGN.md §8). nil disables per-job wall/host measurement.
-	//
-	//tilesim:hostonly ledger wall-time profiling; read only into JobResult host stats, never into simulation state or results
-	WallClock func() float64
-	// LedgerErr is set by Run to the first ledger-append failure of
-	// the most recent batch (nil when every append succeeded).
-	LedgerErr error
 
 	// runFn is the simulation entry point; tests substitute it to
 	// count or fake simulate calls. nil means cmp.Run.
@@ -160,21 +131,7 @@ func (r *Runner) Run(cfgs []cmp.RunConfig) []JobResult {
 						continue
 					}
 				}
-				var wallStart float64
-				var hostStart obs.HostStats
-				if r.WallClock != nil {
-					wallStart = r.WallClock()
-					hostStart = obs.ReadHostStats()
-				}
 				res, err := run(cfgs[i])
-				if r.WallClock != nil {
-					//tilesim:sharedok disjoint per-job slots; each index is owned by exactly one worker, joined by wg.Wait
-					out[i].Host = obs.ReadHostStats().Sub(hostStart)
-					//tilesim:sharedok disjoint per-job slots; each index is owned by exactly one worker, joined by wg.Wait
-					out[i].Host.WallSeconds = r.WallClock() - wallStart
-					//tilesim:sharedok disjoint per-job slots; each index is owned by exactly one worker, joined by wg.Wait
-					out[i].WallSeconds = out[i].Host.WallSeconds
-				}
 				//tilesim:sharedok disjoint per-job slots; each index is owned by exactly one worker, joined by wg.Wait
 				out[i].Result, out[i].Err = res, err
 				if err == nil && r.Cache != nil && keys[i] != "" {
@@ -197,40 +154,12 @@ func (r *Runner) Run(cfgs []cmp.RunConfig) []JobResult {
 			out[i].Result, out[i].Err, out[i].Cached = out[p].Result, out[p].Err, true
 		}
 	}
-	if r.Ledger != nil {
-		r.LedgerErr = nil
-		for i := range out {
-			if out[i].Err != nil {
-				continue
-			}
-			if err := r.Ledger.Append(LedgerRecord(out[i], keys[i])); err != nil && r.LedgerErr == nil {
-				r.LedgerErr = err
-			}
-		}
-	}
 	if r.OnResult != nil {
 		for i := range out {
 			r.OnResult(out[i])
 		}
 	}
 	return out
-}
-
-// LedgerRecord builds the run-ledger entry for one completed job
-// (DESIGN.md §15): deterministic identity on top, host-side
-// measurements below. key is the job's content-addressed cache key
-// ("" for uncacheable generator-driven configs).
-func LedgerRecord(jr JobResult, key string) obs.Record {
-	host := jr.Host
-	host.CacheHit = jr.Cached
-	return obs.Record{
-		Label:      jr.Config.App + "/" + jr.Config.Label(),
-		ConfigHash: key,
-		SimVersion: cmp.SimVersion,
-		Seed:       uint64(jr.Config.Seed),
-		Digest:     Digest(jr.Result),
-		Host:       host,
-	}
 }
 
 // Err merges a batch's failures into one error (nil when every job

@@ -209,6 +209,58 @@ func Decode(r io.Reader, cores int) (*Trace, error) {
 	return t, nil
 }
 
+// CheckReplay reports why a replay of the trace with warmup references
+// per core could never finish, or returns nil. The simulator runs each
+// core to the end of its stream and holds the cores at two kinds of
+// barrier: the trace's own, and (when warmup > 0) the warmup barrier,
+// which a core reaches right after its warmup-th reference. A replay
+// deadlocks when
+//
+//   - a core has fewer references than warmup, so it never reaches the
+//     warmup barrier;
+//   - the cores have different barrier counts, so the last barrier
+//     waits for a core that has finished;
+//   - the cores reach their warmup points in different barrier phases,
+//     so a core at the warmup barrier waits for one held at a trace
+//     barrier, which waits for it in turn.
+func (t *Trace) CheckReplay(warmup int) error {
+	refs := make([]int, t.cores)
+	barriers := make([]int, t.cores)
+	phase := make([]int, t.cores) // barriers before the warmup-th reference
+	for core, stream := range t.ops {
+		for _, op := range stream {
+			switch op.Kind {
+			case workload.OpLoad, workload.OpStore:
+				refs[core]++
+				if refs[core] == warmup {
+					phase[core] = barriers[core]
+				}
+			case workload.OpBarrier:
+				barriers[core]++
+			case workload.OpCompute:
+				// takes time, synchronizes nothing
+			}
+		}
+		if refs[core] < warmup {
+			return fmt.Errorf("trace: core %d has %d references, fewer than the warmup of %d",
+				core, refs[core], warmup)
+		}
+	}
+	for core := 1; core < t.cores; core++ {
+		if barriers[core] != barriers[0] {
+			return fmt.Errorf("trace: core %d has %d barriers, core 0 has %d",
+				core, barriers[core], barriers[0])
+		}
+	}
+	for core := 1; core < t.cores && warmup > 0; core++ {
+		if phase[core] != phase[0] {
+			return fmt.Errorf("trace: core %d reaches its warmup reference %d after %d barriers, core 0 after %d",
+				core, warmup, phase[core], phase[0])
+		}
+	}
+	return nil
+}
+
 // Summary describes a trace for reporting.
 type Summary struct {
 	Cores     int

@@ -265,3 +265,71 @@ func TestCommentsAndBlankLines(t *testing.T) {
 		t.Fatalf("decoded %d ops / %d cores", tr.Len(), tr.Cores())
 	}
 }
+
+// capture records a 16-core synthetic application.
+func capture(t *testing.T, app string, refs int) *Trace {
+	t.Helper()
+	gen, err := workload.NewNamedApp(app, 16, refs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Capture(gen, 16)
+}
+
+// withoutOp returns stream minus its first op of the given kind.
+func withoutOp(stream []workload.Op, kind workload.OpKind) []workload.Op {
+	for i, op := range stream {
+		if op.Kind == kind {
+			return append(stream[:i:i], stream[i+1:]...)
+		}
+	}
+	return stream
+}
+
+func TestCheckReplayAcceptsCaptures(t *testing.T) {
+	for _, c := range []struct {
+		app          string
+		refs, warmup int
+	}{
+		{"FFT", 200, 0},
+		{"FFT", 200, 100},
+		{"MP3D", 100, 50},
+	} {
+		if err := capture(t, c.app, c.refs).CheckReplay(c.warmup); err != nil {
+			t.Errorf("%s at warmup %d: %v", c.app, c.warmup, err)
+		}
+	}
+}
+
+// Each case breaks one rule of CheckReplay. Replayed unchecked, each
+// trace deadlocks: the run ends in "core 0 did not finish (deadlock?)".
+func TestCheckReplayRejectsDeadlocks(t *testing.T) {
+	cutRefs := capture(t, "MP3D", 100)
+	cutRefs.ops[15] = cutRefs.ops[15][:5]
+
+	dropBarrier := capture(t, "FFT", 200)
+	dropBarrier.ops[3] = withoutOp(dropBarrier.ops[3], workload.OpBarrier)
+
+	// FFT cores pass a barrier after every 50 references. Core 3's
+	// first barrier moves to the end of its stream: the barrier count
+	// stays, but core 3 reaches reference 60 a phase before the others.
+	earlyWarmup := capture(t, "FFT", 200)
+	earlyWarmup.ops[3] = append(withoutOp(earlyWarmup.ops[3], workload.OpBarrier),
+		workload.Op{Kind: workload.OpBarrier})
+
+	for _, c := range []struct {
+		name   string
+		tr     *Trace
+		warmup int
+		want   string
+	}{
+		{"too few references", cutRefs, 50, "core 15 has 5 references, fewer than the warmup of 50"},
+		{"barrier counts differ", dropBarrier, 0, "core 3 has 3 barriers, core 0 has 4"},
+		{"warmup phases differ", earlyWarmup, 60, "core 3 reaches its warmup reference 60 after 0 barriers, core 0 after 1"},
+	} {
+		err := c.tr.CheckReplay(c.warmup)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: CheckReplay(%d) = %v, want an error containing %q", c.name, c.warmup, err, c.want)
+		}
+	}
+}
