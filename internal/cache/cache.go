@@ -41,8 +41,13 @@ func (s State) String() string {
 
 // Line is one cache line's bookkeeping.
 type Line struct {
-	Block   uint64 // block address (addr &^ (lineBytes-1))
-	State   State
+	Block uint64 // block address (addr &^ (lineBytes-1))
+	State State
+	// Aux is a word the cache's owner controls: the cache never reads
+	// it, and Insert and Invalidate zero it. It fills padding after
+	// State, so a line stays 24 bytes. A home L2 slice keeps the
+	// block's directory-entry reference here.
+	Aux     uint32
 	lastUse uint64
 }
 
@@ -150,14 +155,30 @@ func (c *Cache) Probe(addr uint64) *Line {
 // Access looks up addr, updating LRU and hit/miss statistics. It returns
 // the line on a hit, nil on a miss.
 func (c *Cache) Access(addr uint64) *Line {
-	c.clock++
-	if l := c.Probe(addr); l != nil {
-		l.lastUse = c.clock
-		c.hits.Inc()
-		return l
+	l := c.Probe(addr)
+	if l != nil {
+		c.AccessHit(l)
+	} else {
+		c.AccessMiss()
 	}
+	return l
+}
+
+// AccessHit records an Access hit on l, a line the caller already
+// holds from Probe: the LRU clock, l's recency and the hit count move
+// exactly as Access would move them.
+func (c *Cache) AccessHit(l *Line) {
+	c.clock++
+	l.lastUse = c.clock
+	c.hits.Inc()
+}
+
+// AccessMiss records an Access miss for a block the caller already
+// probed: the LRU clock and the miss count move exactly as Access
+// would move them.
+func (c *Cache) AccessMiss() {
+	c.clock++
 	c.misses.Inc()
-	return nil
 }
 
 // Set returns the cache set that addr maps to, in way order, without
@@ -168,19 +189,6 @@ func (c *Cache) Access(addr uint64) *Line {
 //tilesim:noescape the returned slice aliases the line array; victim scans rely on Set never allocating
 func (c *Cache) Set(addr uint64) []Line {
 	return c.setOf(c.BlockOf(addr))
-}
-
-// SetLines returns pointers to every line (valid or not) of the set that
-// addr maps to, in way order. Callers may mutate states but must not
-// change Block of a valid line. Hot paths should use Set, which does
-// not allocate.
-func (c *Cache) SetLines(addr uint64) []*Line {
-	set := c.setOf(c.BlockOf(addr))
-	out := make([]*Line, len(set))
-	for i := range set {
-		out[i] = &set[i]
-	}
-	return out
 }
 
 // Victim returns the line that would be evicted to make room for addr's

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestGeometry(t *testing.T) {
@@ -200,6 +201,34 @@ func TestMSHRCapacity(t *testing.T) {
 	m.Allocate(0x80)
 }
 
+// TestMSHRFreeKeepsOtherEntries frees entries from the middle, the end
+// and the front of the live slice, and past capacity through
+// AllocateOver, and checks that every other block still finds its own
+// entry.
+func TestMSHRFreeKeepsOtherEntries(t *testing.T) {
+	m := NewMSHR(4)
+	live := map[uint64]*MSHREntry{}
+	for _, b := range []uint64{0x40, 0x80, 0xc0, 0x100} {
+		live[b] = m.Allocate(b)
+	}
+	live[0x140] = m.AllocateOver(0x140)
+	for _, b := range []uint64{0x80, 0x140, 0x40, 0x100, 0xc0} {
+		m.Free(b, nil)
+		delete(live, b)
+		if m.Lookup(b) != nil {
+			t.Fatalf("freed block %#x still found", b)
+		}
+		if m.Len() != len(live) {
+			t.Fatalf("Len() = %d after freeing %#x, want %d", m.Len(), b, len(live))
+		}
+		for other, e := range live {
+			if got := m.Lookup(other); got != e || got.Block != other {
+				t.Fatalf("after freeing %#x, Lookup(%#x) = %p, want %p", b, other, got, e)
+			}
+		}
+	}
+}
+
 func TestMSHRDuplicatePanics(t *testing.T) {
 	m := NewMSHR(4)
 	m.Allocate(0x40)
@@ -238,26 +267,67 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
-func TestSetLines(t *testing.T) {
-	c := New(Config{CapacityBytes: 256, Ways: 2, LineBytes: 64})
-	lines := c.SetLines(0x0000)
-	if len(lines) != 2 {
-		t.Fatalf("set has %d ways", len(lines))
+// TestLineStaysTwentyFourBytes pins that Aux lives in the padding after
+// State: a home slice keeps its directory references in the tags
+// without growing the line array.
+func TestLineStaysTwentyFourBytes(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(Line{}) = %d, want 24", got)
 	}
-	c.Insert(0x0000, Shared)
-	found := false
-	for _, l := range c.SetLines(0x0000) {
-		if l.Valid() && l.Block == 0 {
-			found = true
-			// Mutating through the pointer is the supported use.
-			l.State = Modified
+}
+
+// TestAccessHitMissMatchAccess drives two caches with the same
+// references, one through Access and one through Probe plus
+// AccessHit/AccessMiss, and checks that they choose the same victims
+// and count the same hits and misses.
+func TestAccessHitMissMatchAccess(t *testing.T) {
+	cfg := Config{CapacityBytes: 512, Ways: 4, LineBytes: 64}
+	a, b := New(cfg), New(cfg)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		addr := uint64(rng.Intn(32)) * 64
+		hitA := a.Access(addr) != nil
+		l := b.Probe(addr)
+		if l != nil {
+			b.AccessHit(l)
+		} else {
+			b.AccessMiss()
+		}
+		if hitA != (l != nil) {
+			t.Fatalf("ref %d: Access hit=%v, Probe hit=%v", i, hitA, l != nil)
+		}
+		if !hitA {
+			oldA, oldB := a.Insert(addr, Shared), b.Insert(addr, Shared)
+			if oldA != oldB {
+				t.Fatalf("ref %d: Access evicted %+v, AccessHit/AccessMiss %+v", i, oldA, oldB)
+			}
 		}
 	}
-	if !found {
-		t.Fatal("inserted line not visible through SetLines")
+	ha, ma, ea := a.Stats()
+	hb, mb, eb := b.Stats()
+	if ha != hb || ma != mb || ea != eb {
+		t.Fatalf("stats differ: Access (%d,%d,%d), AccessHit/AccessMiss (%d,%d,%d)", ha, ma, ea, hb, mb, eb)
 	}
-	if c.Probe(0x0000).State != Modified {
-		t.Fatal("mutation through SetLines pointer lost")
+}
+
+// TestAuxClearedByInsertAndInvalidate checks that the cache zeroes the
+// owner's word whenever a way changes blocks, and hands the evicted
+// value back in Insert's result.
+func TestAuxClearedByInsertAndInvalidate(t *testing.T) {
+	c := New(Config{CapacityBytes: 128, Ways: 1, LineBytes: 64})
+	c.Insert(0x00, Shared)
+	c.Probe(0x00).Aux = 7
+	if old := c.Insert(0x80, Shared); old.Aux != 7 {
+		t.Fatalf("evicted line's Aux = %d, want 7", old.Aux)
+	}
+	l := c.Probe(0x80)
+	if l.Aux != 0 {
+		t.Fatalf("inserted line's Aux = %d, want 0", l.Aux)
+	}
+	l.Aux = 9
+	c.Invalidate(0x80)
+	if l.Aux != 0 || l.Valid() {
+		t.Fatalf("invalidated way kept %+v", *l)
 	}
 }
 

@@ -54,15 +54,19 @@ type Waiter struct {
 // same-block requests, and the writeback path uses it to keep evicted
 // dirty lines addressable until the home acknowledges them.
 //
+// Like the hardware's register file, the live entries sit in a small
+// slice that Lookup scans; it holds the demand registers plus whatever
+// writeback overflow AllocateOver admits.
+//
 // Entries are pooled: Free recycles them onto a freelist and Allocate
 // reuses them, so steady state allocates nothing per miss. Every trip
 // through the pool bumps the entry's generation (Gen), so a stale
 // pointer held across a Free is detectable: its Gen no longer matches
 // the value the holder recorded at allocation.
 type MSHR struct {
-	cap     int
-	entries map[uint64]*MSHREntry
-	free    *MSHREntry // freelist of recycled entries
+	cap  int
+	live []*MSHREntry // live entries, in no particular order
+	free *MSHREntry   // freelist of recycled entries
 }
 
 // MSHREntry tracks one outstanding transaction on a block.
@@ -125,17 +129,32 @@ func NewMSHR(capacity int) *MSHR {
 	if capacity <= 0 {
 		panic("cache: MSHR capacity must be positive")
 	}
-	return &MSHR{cap: capacity, entries: make(map[uint64]*MSHREntry)}
+	return &MSHR{cap: capacity, live: make([]*MSHREntry, 0, capacity)}
 }
 
 // Full reports whether no further entries can be allocated.
-func (m *MSHR) Full() bool { return len(m.entries) >= m.cap }
+func (m *MSHR) Full() bool { return len(m.live) >= m.cap }
 
 // Len returns the number of live entries.
-func (m *MSHR) Len() int { return len(m.entries) }
+func (m *MSHR) Len() int { return len(m.live) }
 
 // Lookup returns the entry for block, or nil.
-func (m *MSHR) Lookup(block uint64) *MSHREntry { return m.entries[block] }
+func (m *MSHR) Lookup(block uint64) *MSHREntry {
+	if i := m.index(block); i >= 0 {
+		return m.live[i]
+	}
+	return nil
+}
+
+// index returns the live slot holding block's entry, or -1.
+func (m *MSHR) index(block uint64) int {
+	for i, e := range m.live {
+		if e.Block == block {
+			return i
+		}
+	}
+	return -1
+}
 
 // take pops a pooled entry (or allocates the pool's next one) and
 // resets every transaction field. The waiter slices keep their backing
@@ -167,12 +186,7 @@ func (m *MSHR) Allocate(block uint64) *MSHREntry {
 	if m.Full() {
 		panic("cache: MSHR overflow")
 	}
-	if m.entries[block] != nil {
-		panic(fmt.Sprintf("cache: duplicate MSHR entry for block %#x", block))
-	}
-	e := m.take(block)
-	m.entries[block] = e
-	return e
+	return m.AllocateOver(block)
 }
 
 // AllocateOver creates an entry for block even when the file is at
@@ -182,11 +196,11 @@ func (m *MSHR) Allocate(block uint64) *MSHREntry {
 //
 //tilesim:pool
 func (m *MSHR) AllocateOver(block uint64) *MSHREntry {
-	if m.entries[block] != nil {
+	if m.index(block) >= 0 {
 		panic(fmt.Sprintf("cache: duplicate MSHR entry for block %#x", block))
 	}
 	e := m.take(block)
-	m.entries[block] = e
+	m.live = append(m.live, e)
 	return e
 }
 
@@ -199,11 +213,15 @@ func (m *MSHR) AllocateOver(block uint64) *MSHREntry {
 //
 //tilesim:release MSHREntry
 func (m *MSHR) Free(block uint64, scratch []Waiter) []Waiter {
-	e := m.entries[block]
-	if e == nil {
+	i := m.index(block)
+	if i < 0 {
 		panic(fmt.Sprintf("cache: freeing absent MSHR entry %#x", block))
 	}
-	delete(m.entries, block)
+	e := m.live[i]
+	last := len(m.live) - 1
+	m.live[i] = m.live[last]
+	m.live[last] = nil
+	m.live = m.live[:last]
 	scratch = append(scratch, e.Waiters...)
 	clear(e.Waiters)
 	e.Waiters = e.Waiters[:0]

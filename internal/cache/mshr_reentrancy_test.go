@@ -4,7 +4,7 @@ import "testing"
 
 // TestMSHRFreeDuringDrainReentrancy pins the reason Free returns its
 // waiters instead of running them: by the time the caller drains the
-// returned slice, the entry is already unlinked from the block map and
+// returned slice, the entry is already unlinked from the live slice and
 // poisoned (Gen bumped, transaction fields cleared). A waiter that
 // re-enters the MSHR mid-drain — allocating the *same block* and
 // freeing it again, the shape of a retry that immediately coalesces —

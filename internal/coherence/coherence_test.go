@@ -484,21 +484,26 @@ func TestLocalHomeAccess(t *testing.T) {
 }
 
 // TestBusyCountMatchesWalk cross-checks the incrementally maintained
-// busy-entry count (setBusy/busyCount) against a full directory walk
-// after every kernel event of a conflict-heavy random workload, then
-// again after the drain. A drift here means some transaction path
-// flips dirEntry.busy without going through setBusy.
+// busy-entry count (setBusy/busyCount) against a directory walk over
+// every block the workload touches, after every kernel event of a
+// conflict-heavy random workload, then again after the drain. A drift
+// here means some transaction path flips dirEntry.busy without going
+// through setBusy.
 func TestBusyCountMatchesWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	delayRng := rand.New(rand.NewSource(42 * 77))
 	ts := newTestSystem(func(*noc.Message) sim.Time {
 		return sim.Time(1 + delayRng.Intn(40))
 	})
+	blocks := make([]uint64, 8)
+	for i := range blocks {
+		blocks[i] = uint64(0x700000 + i*64)
+	}
 	check := func() {
 		for _, h := range ts.p.homes {
 			walked := 0
-			for _, e := range h.dir {
-				if e.busy {
+			for _, b := range blocks {
+				if e, _ := h.lookup(b); e != nil && e.busy {
 					walked++
 				}
 			}
@@ -506,10 +511,6 @@ func TestBusyCountMatchesWalk(t *testing.T) {
 				t.Fatalf("home %d: busyCount() = %d, directory walk = %d", h.id, got, walked)
 			}
 		}
-	}
-	blocks := make([]uint64, 8)
-	for i := range blocks {
-		blocks[i] = uint64(0x700000 + i*64)
 	}
 	const opsPerTile = 25
 	doneCount := 0

@@ -13,7 +13,7 @@ import (
 
 // txnKind is the in-flight transaction context of a busy directory
 // entry.
-type txnKind int
+type txnKind uint8
 
 const (
 	txnNone   txnKind = iota
@@ -33,12 +33,16 @@ const (
 	opGrantX
 )
 
-// dirEntry is the directory state of one block at its home. Entries are
+// dirEntry is the directory state of one block at its home. Entries
+// live in the home's chunks, entryChunk to an allocation, and are
 // pooled on the controller's freelist: release recycles empty ones and
-// entry reuses them, so steady state allocates none.
+// entry reuses them, so steady state allocates none. A block's entry is
+// named by its L2 line's Aux when the block is in L2, else by the
+// home's side list (DESIGN.md §16.8).
 type dirEntry struct {
-	sharers SharerSet // tiles with S copies (may be a superset)
+	sharers SharerSet // tiles with S copies (may be a superset); the entry's own words
 	owner   int       // tile with the M/E copy, or -1
+	block   uint64    // the tracked block
 
 	busy  bool
 	kind  txnKind
@@ -60,13 +64,25 @@ type dirEntry struct {
 	// the fill resumes once the last recall ack arrives.
 	fillFor uint64
 
-	// next links the controller's entry freelist.
-	next *dirEntry
+	// ref is the entry's fixed reference, its index in the home's
+	// chunks plus one: the value a line's Aux or the side list holds (0
+	// names nothing). next links the freelist by reference.
+	ref, next uint32
 }
 
 func (e *dirEntry) empty() bool {
-	return e.sharers.Empty() && e.owner < 0 && !e.busy && len(e.queue) == 0
+	return e.owner < 0 && !e.busy && len(e.queue) == 0 && e.sharers.Empty()
 }
+
+// entryChunk is the number of directory entries, with their sharer
+// words, that one pool growth allocates (DESIGN.md §16.8 has the
+// measurements behind the size).
+const entryChunk = 8
+
+// dirChunk is one pool growth's entries. Entries are addressed by
+// reference through their chunk (HomeController.at), so no entry
+// pointer is ever stored.
+type dirChunk [entryChunk]dirEntry
 
 // HomeController is one tile's L2 slice plus the directory for the
 // address partition it is home to.
@@ -74,10 +90,14 @@ type HomeController struct {
 	p  *Protocol
 	id int
 
-	l2  *cache.Cache
-	dir map[uint64]*dirEntry
-	// freeEntries pools released directory entries.
-	freeEntries *dirEntry
+	l2 *cache.Cache
+	// chunks holds every directory entry; side references the entries
+	// of blocks without an L2 line (waiting for a memory fill, or
+	// recalled victims still draining their queues); free heads the
+	// freelist of released entries (0 when empty).
+	chunks []*dirChunk
+	side   []uint32
+	free   uint32
 	// busyEntries counts dir entries with busy set, maintained by
 	// setBusy so busyCount is O(1) — it runs on every drain check and
 	// epoch-series sample, where a directory walk dominated the cost.
@@ -105,10 +125,9 @@ func newHomeController(p *Protocol, id int) *HomeController {
 	l2cfg.IndexSkipLo = HomePageShift
 	l2cfg.IndexSkipBits = bits.TrailingZeros(uint(p.cfg.Tiles))
 	h := &HomeController{
-		p:   p,
-		id:  id,
-		l2:  cache.New(l2cfg),
-		dir: make(map[uint64]*dirEntry),
+		p:  p,
+		id: id,
+		l2: cache.New(l2cfg),
 	}
 	return h
 }
@@ -116,51 +135,112 @@ func newHomeController(p *Protocol, id int) *HomeController {
 // L2 exposes the slice array (stats, tests).
 func (h *HomeController) L2() *cache.Cache { return h.l2 }
 
-// entry returns block's directory entry, taking a pooled one (and
-// registering it) when the block is untracked.
+// at returns the entry that ref names.
+func (h *HomeController) at(ref uint32) *dirEntry {
+	i := ref - 1
+	return &h.chunks[i/entryChunk][i%entryChunk]
+}
+
+// lookup returns block's directory entry (nil when the block is
+// untracked) and its L2 line (nil when the block has none), probing
+// the L2 set once: a line's Aux names its block's entry, and only a
+// block without a line is searched for on the side list.
+func (h *HomeController) lookup(block uint64) (*dirEntry, *cache.Line) {
+	if line := h.l2.Probe(block); line != nil {
+		if line.Aux == 0 {
+			return nil, line
+		}
+		return h.at(line.Aux), line
+	}
+	for _, ref := range h.side {
+		if e := h.at(ref); e.block == block {
+			return e, nil
+		}
+	}
+	return nil, nil
+}
+
+// entry is lookup that takes a pooled entry, and names it on the line
+// or the side list, when the block is untracked.
 //
 //tilesim:pool
-func (h *HomeController) entry(block uint64) *dirEntry {
-	if e, ok := h.dir[block]; ok {
-		return e
+func (h *HomeController) entry(block uint64) (*dirEntry, *cache.Line) {
+	e, line := h.lookup(block)
+	if e != nil {
+		return e, line
 	}
-	e := h.freeEntries
-	if e == nil {
-		//tilesim:allocok pool miss: one directory entry, reused for the rest of the run
-		e = &dirEntry{}
-	} else {
-		h.freeEntries = e.next
+	if h.free == 0 {
+		h.grow()
 	}
-	q := e.queue[:0]
-	*e = dirEntry{owner: -1, queue: q}
+	e = h.at(h.free)
+	h.free = e.next
+	*e = dirEntry{sharers: e.sharers, owner: -1, block: block, queue: e.queue[:0], ref: e.ref}
 	dirEntryAcquired(e)
-	h.dir[block] = e
-	return e
+	if line != nil {
+		line.Aux = e.ref
+	} else {
+		h.side = append(h.side, e.ref)
+	}
+	return e, line
+}
+
+// grow adds a chunk of entryChunk entries to the freelist, lowest
+// reference first. The chunk's sharer words are one more allocation,
+// entryChunk sets of sharerWords words each.
+func (h *HomeController) grow() {
+	w := sharerWords(h.p.cfg.Tiles)
+	//tilesim:allocok pool growth: entryChunk directory entries and their sharer words, reused for the rest of the run
+	c, words := new(dirChunk), make([]uint64, entryChunk*w)
+	h.chunks = append(h.chunks, c)
+	base := uint32(len(h.chunks)-1) * entryChunk
+	for i := entryChunk - 1; i >= 0; i-- {
+		c[i].sharers = words[i*w : (i+1)*w : (i+1)*w]
+		c[i].ref = base + uint32(i) + 1
+		c[i].next = h.free
+		h.free = c[i].ref
+	}
 }
 
 // release recycles block's entry once it holds no state — the single
-// release point of the directory-entry pool.
+// release point of the directory-entry pool — dropping the reference
+// that names it.
 //
 //tilesim:release
 func (h *HomeController) release(block uint64, e *dirEntry) {
-	if e.empty() {
-		delete(h.dir, block)
-		dirEntryReleased(e)
-		e.next = h.freeEntries
-		h.freeEntries = e
+	if !e.empty() {
+		return
 	}
+	if line := h.l2.Probe(block); line != nil {
+		if line.Aux != e.ref {
+			panic(fmt.Sprintf("coherence: home %d releasing entry %d of %#x, but its L2 line names %d", h.id, e.ref, block, line.Aux))
+		}
+		line.Aux = 0
+	} else {
+		h.unside(e.ref)
+	}
+	dirEntryReleased(e)
+	e.next = h.free
+	h.free = e.ref
 }
 
-// sortedBlocks returns the tracked block addresses in ascending order,
-// so every walk of the directory is deterministic regardless of map
-// iteration order.
-func (h *HomeController) sortedBlocks() []uint64 {
-	blocks := make([]uint64, 0, len(h.dir))
-	for b := range h.dir { //tilesim:ordered — keys are sorted below
-		blocks = append(blocks, b)
+// unside drops ref from the side list.
+func (h *HomeController) unside(ref uint32) {
+	i := slices.Index(h.side, ref)
+	if i < 0 {
+		panic(fmt.Sprintf("coherence: home %d entry %d is on no line and not on the side list", h.id, ref))
 	}
-	slices.Sort(blocks)
-	return blocks
+	last := len(h.side) - 1
+	h.side[i] = h.side[last]
+	h.side = h.side[:last]
+}
+
+// invalidateL2 drops a valid L2 line; the entry it named, if any, moves
+// to the side list.
+func (h *HomeController) invalidateL2(line *cache.Line) {
+	if line.Aux != 0 {
+		h.side = append(h.side, line.Aux)
+	}
+	h.l2.Invalidate(line.Block)
 }
 
 // setBusy transitions an entry's busy flag while maintaining the
@@ -188,8 +268,8 @@ func (h *HomeController) busyCount() int { return h.busyEntries }
 // wantsInvAck reports whether an InvAck for block belongs to a recall in
 // progress at this home (as opposed to a requestor L1's transaction).
 func (h *HomeController) wantsInvAck(block uint64) bool {
-	e, ok := h.dir[block]
-	return ok && e.busy && e.kind == txnRecall
+	e, _ := h.lookup(block)
+	return e != nil && e.busy && e.kind == txnRecall
 }
 
 // deliver handles a message addressed to this home. Requests and
@@ -235,7 +315,7 @@ func (h *HomeController) dispatchTag(r *homeReq) {
 }
 
 func (h *HomeController) handleRequest(r homeReq) {
-	e := h.entry(r.block)
+	e, line := h.entry(r.block)
 	if e.busy {
 		h.QueuedAtHome.Inc()
 		e.queue = append(e.queue, r)
@@ -243,17 +323,20 @@ func (h *HomeController) handleRequest(r homeReq) {
 	}
 	switch noc.Type(r.typ) {
 	case noc.GetS:
-		h.handleGetS(r, e)
+		h.handleGetS(r, e, line)
 	case noc.GetX:
-		h.handleGetX(r, e)
+		h.handleGetX(r, e, line)
 	case noc.Upgrade:
-		h.handleUpgrade(r, e)
+		h.handleUpgrade(r, e, line)
 	default:
 		panic(fmt.Sprintf("coherence: home %d request dispatch got %v", h.id, noc.Type(r.typ)))
 	}
 }
 
-func (h *HomeController) handleGetS(r homeReq, e *dirEntry) {
+// handleGetS, handleGetX and handleUpgrade serve a request for a block
+// whose directory entry is e and whose L2 line is line (nil when the
+// block is not in L2).
+func (h *HomeController) handleGetS(r homeReq, e *dirEntry, line *cache.Line) {
 	if e.owner == r.src {
 		panic(fmt.Sprintf("coherence: home %d GetS from current owner %d for %#x", h.id, r.src, r.block))
 	}
@@ -268,7 +351,7 @@ func (h *HomeController) handleGetS(r homeReq, e *dirEntry) {
 		h.p.send(fwd)
 		return
 	}
-	h.ensureData(r.block, e, opGrantS, r.src, r.txn)
+	h.ensureData(r.block, e, line, opGrantS, r.src, r.txn)
 }
 
 // grantS applies a read grant at its serialization point: the directory
@@ -308,7 +391,7 @@ func (h *HomeController) sendDataGrant(grant noc.Message, q *sim.DelayQueue[noc.
 // handleGetX covers true GetX and Upgrade requests demoted to GetX by a
 // race (the upgrader's copy was invalidated before its request reached
 // the home).
-func (h *HomeController) handleGetX(r homeReq, e *dirEntry) {
+func (h *HomeController) handleGetX(r homeReq, e *dirEntry, line *cache.Line) {
 	if e.owner == r.src {
 		panic(fmt.Sprintf("coherence: home %d GetX from current owner %d for %#x", h.id, r.src, r.block))
 	}
@@ -322,7 +405,7 @@ func (h *HomeController) handleGetX(r homeReq, e *dirEntry) {
 		h.p.send(fwd)
 		return
 	}
-	h.ensureData(r.block, e, opGrantX, r.src, r.txn)
+	h.ensureData(r.block, e, line, opGrantX, r.src, r.txn)
 }
 
 // grantX applies a write grant at its serialization point: invalidate
@@ -330,11 +413,10 @@ func (h *HomeController) handleGetX(r homeReq, e *dirEntry) {
 // requestor confirms completion (OwnAck), so recalls and interventions
 // can never race an in-flight grant.
 func (h *HomeController) grantX(block uint64, e *dirEntry, src int, txn uint64, q *sim.DelayQueue[noc.Message]) {
-	others := e.sharers.Without(src)
-	h.invalidateSharers(others, block, src, txn)
+	acks := h.invalidateSharers(e.sharers, block, src, txn)
 	grant := h.p.msg(noc.Data, h.id, src, block, txn)
 	grant.DataBytes = noc.LineBytes
-	grant.AckCount = others.Count()
+	grant.AckCount = acks
 	e.sharers.Clear()
 	e.owner = src
 	h.setBusy(e, true)
@@ -342,18 +424,17 @@ func (h *HomeController) grantX(block uint64, e *dirEntry, src int, txn uint64, 
 	h.sendDataGrant(grant, q)
 }
 
-func (h *HomeController) handleUpgrade(r homeReq, e *dirEntry) {
+func (h *HomeController) handleUpgrade(r homeReq, e *dirEntry, line *cache.Line) {
 	if e.owner >= 0 {
 		// The requestor lost its copy to a racing write: full GetX path.
-		h.handleGetX(r, e)
+		h.handleGetX(r, e, line)
 		return
 	}
 	if e.sharers.Has(r.src) {
 		// Upgrade in place: invalidate the others, no data needed.
-		others := e.sharers.Without(r.src)
-		h.invalidateSharers(others, r.block, r.src, r.txn)
+		acks := h.invalidateSharers(e.sharers, r.block, r.src, r.txn)
 		grant := h.p.msg(noc.AckNoData, h.id, r.src, r.block, r.txn)
-		grant.AckCount = others.Count()
+		grant.AckCount = acks
 		e.sharers.Clear()
 		e.owner = r.src
 		h.setBusy(e, true)
@@ -362,27 +443,31 @@ func (h *HomeController) handleUpgrade(r homeReq, e *dirEntry) {
 		return
 	}
 	// The requestor's copy vanished (recall): needs data again.
-	h.handleGetX(r, e)
+	h.handleGetX(r, e, line)
 }
 
-func (h *HomeController) invalidateSharers(mask SharerSet, block uint64, replyTo int, txn uint64) {
-	for t := 0; t < h.p.cfg.Tiles; t++ {
-		if !mask.Has(t) {
+// invalidateSharers sends an invalidation for block, acked to the
+// requestor, to every sharer but the requestor itself, in ascending
+// tile order, and returns how many it sent.
+func (h *HomeController) invalidateSharers(s SharerSet, block uint64, requestor int, txn uint64) int {
+	n := 0
+	for t := s.Next(0); t >= 0; t = s.Next(t + 1) {
+		if t == requestor {
 			continue
 		}
+		n++
 		h.InvsSent.Inc()
 		inv := h.p.msg(noc.Inv, h.id, t, block, txn)
-		inv.ReplyTo = replyTo
+		inv.ReplyTo = requestor
 		h.p.send(inv)
 	}
+	return n
 }
 
-// recallSharers sends recall-flavoured invalidations acked to the home.
-func (h *HomeController) recallSharers(mask SharerSet, block uint64, txn uint64) {
-	for t := 0; t < h.p.cfg.Tiles; t++ {
-		if !mask.Has(t) {
-			continue
-		}
+// recallSharers sends recall-flavoured invalidations acked to the home,
+// in ascending tile order.
+func (h *HomeController) recallSharers(s SharerSet, block uint64, txn uint64) {
+	for t := s.Next(0); t >= 0; t = s.Next(t + 1) {
 		h.InvsSent.Inc()
 		inv := h.p.msg(noc.Inv, h.id, t, block, txn)
 		inv.ReplyTo = h.id
@@ -392,7 +477,7 @@ func (h *HomeController) recallSharers(mask SharerSet, block uint64, txn uint64)
 }
 
 func (h *HomeController) handleReplacement(r homeReq) {
-	e := h.entry(r.block)
+	e, line := h.entry(r.block)
 	if e.busy {
 		h.QueuedAtHome.Inc()
 		e.queue = append(e.queue, r)
@@ -402,7 +487,7 @@ func (h *HomeController) handleReplacement(r homeReq) {
 		e.owner = -1
 		if noc.Type(r.typ) == noc.WriteBack {
 			// The line's dirty data lands in the L2 slice.
-			if line := h.l2.Probe(r.block); line != nil {
+			if line != nil {
 				line.State = cache.Modified
 			} else {
 				panic(fmt.Sprintf("coherence: home %d writeback for L2-absent block %#x (inclusion broken)", h.id, r.block))
@@ -415,14 +500,14 @@ func (h *HomeController) handleReplacement(r homeReq) {
 }
 
 func (h *HomeController) handleRevision(m *noc.Message, block uint64) {
-	e, ok := h.dir[block]
-	if !ok || !e.busy {
+	e, line := h.lookup(block)
+	if e == nil || !e.busy {
 		panic(fmt.Sprintf("coherence: home %d revision for idle block %#x", h.id, block))
 	}
 	switch e.kind {
 	case txnFwdS:
 		if m.DataBytes > 0 {
-			if line := h.l2.Probe(block); line != nil {
+			if line != nil {
 				line.State = cache.Modified
 			} else {
 				panic(fmt.Sprintf("coherence: home %d revision data for L2-absent block %#x", h.id, block))
@@ -444,15 +529,15 @@ func (h *HomeController) handleRevision(m *noc.Message, block uint64) {
 			// Dirty recall data returns; the line is leaving L2 anyway,
 			// so it flows to memory (counted, not stored).
 		}
-		h.recallAckArrived(block, e)
+		h.recallAckArrived(block, e, line)
 	default:
 		panic(fmt.Sprintf("coherence: home %d revision during %d txn for %#x", h.id, e.kind, block))
 	}
 }
 
 func (h *HomeController) handleOwnAck(m *noc.Message, block uint64) {
-	e, ok := h.dir[block]
-	if !ok || !e.busy || (e.kind != txnGrant && e.kind != txnFwdX) {
+	e, _ := h.lookup(block)
+	if e == nil || !e.busy || (e.kind != txnGrant && e.kind != txnFwdX) {
 		panic(fmt.Sprintf("coherence: home %d OwnAck for non-grant block %#x", h.id, block))
 	}
 	h.closeOne(block, e)
@@ -467,14 +552,17 @@ func (h *HomeController) closeOne(block uint64, e *dirEntry) {
 }
 
 func (h *HomeController) handleRecallAck(m *noc.Message, block uint64) {
-	e, ok := h.dir[block]
-	if !ok || !e.busy || e.kind != txnRecall {
+	e, line := h.lookup(block)
+	if e == nil || !e.busy || e.kind != txnRecall {
 		panic(fmt.Sprintf("coherence: home %d recall ack for non-recall block %#x", h.id, block))
 	}
-	h.recallAckArrived(block, e)
+	h.recallAckArrived(block, e, line)
 }
 
-func (h *HomeController) recallAckArrived(block uint64, e *dirEntry) {
+// recallAckArrived counts one recall ack (an InvAck or the owner's
+// Revision) for a victim block whose directory entry is e and whose
+// L2 line is line.
+func (h *HomeController) recallAckArrived(block uint64, e *dirEntry, line *cache.Line) {
 	e.recallAcks--
 	if e.recallAcks > 0 {
 		return
@@ -485,8 +573,12 @@ func (h *HomeController) recallAckArrived(block uint64, e *dirEntry) {
 	e.fillFor = 0
 	// Complete the eviction (L2 invalidate + fill) before draining the
 	// victim's queued requests, so they observe the post-recall state.
-	h.l2.Invalidate(block)
-	fe := h.dir[fillFor]
+	// The victim's entry moves to the side list with its line gone.
+	if line == nil {
+		panic(fmt.Sprintf("coherence: home %d recalled %#x, which has no L2 line", h.id, block))
+	}
+	h.invalidateL2(line)
+	fe, _ := h.lookup(fillFor)
 	if fe == nil || !fe.busy || fe.kind != txnFill {
 		panic(fmt.Sprintf("coherence: home %d recall for %#x finished without a pending fill for %#x", h.id, block, fillFor))
 	}
@@ -525,14 +617,15 @@ func (h *HomeController) finishTxn(block uint64, e *dirEntry) {
 // needed. The grant runs at the transaction's serialization point and
 // applies its directory mutations synchronously; outgoing data messages
 // wait out the L2 data array on the Protocol's sendAfterData queue. The
-// tag lookup is already charged by the caller.
-func (h *HomeController) ensureData(block uint64, e *dirEntry, op uint8, src int, txn uint64) {
-	if h.l2.Probe(block) != nil {
-		h.l2.Access(block) // LRU touch + hit accounting
+// tag lookup is already charged by the caller, whose probe found line
+// (nil on an L2 miss).
+func (h *HomeController) ensureData(block uint64, e *dirEntry, line *cache.Line, op uint8, src int, txn uint64) {
+	if line != nil {
+		h.l2.AccessHit(line) // LRU touch + hit accounting
 		h.dispatchGrant(block, e, op, src, txn, h.p.sendAfterData)
 		return
 	}
-	h.l2.Access(block) // records the miss
+	h.l2.AccessMiss()
 	if !e.sharers.Empty() || e.owner >= 0 {
 		panic(fmt.Sprintf("coherence: home %d block %#x has L1 copies but no L2 line (inclusion broken)", h.id, block))
 	}
@@ -560,7 +653,7 @@ func (h *HomeController) dispatchGrant(block uint64, e *dirEntry, op uint8, src 
 // fillL2 inserts a memory-fetched block, recalling the victim first when
 // inclusion demands it.
 func (h *HomeController) fillL2(block uint64) {
-	e := h.dir[block]
+	e, _ := h.lookup(block)
 	if e == nil || !e.busy || e.kind != txnFill {
 		panic(fmt.Sprintf("coherence: home %d fill for %#x without a fill transaction", h.id, block))
 	}
@@ -575,10 +668,13 @@ func (h *HomeController) fillL2(block uint64) {
 		return
 	}
 	vblock := victim.Block
-	ve, hasDir := h.dir[vblock]
-	if !hasDir || (ve.sharers.Empty() && ve.owner < 0) {
+	var ve *dirEntry
+	if victim.Aux != 0 {
+		ve = h.at(victim.Aux)
+	}
+	if ve == nil || (ve.sharers.Empty() && ve.owner < 0) {
 		// No L1 copies: plain L2 eviction (dirty data flows to memory).
-		h.l2.Invalidate(vblock)
+		h.invalidateL2(victim)
 		h.finishFill(block, e)
 		return
 	}
@@ -600,10 +696,15 @@ func (h *HomeController) fillL2(block uint64) {
 	}
 }
 
-// finishFill completes a memory fill: the line lands in L2 and the
-// pending grant dispatches with no further data-array delay.
+// finishFill completes a memory fill: the line lands in L2, the entry
+// moves from the side list to it, and the pending grant dispatches
+// with no further data-array delay.
 func (h *HomeController) finishFill(block uint64, e *dirEntry) {
-	h.l2.Insert(block, cache.Shared) // clean w.r.t. memory
+	if old := h.l2.Insert(block, cache.Shared); old.Aux != 0 { // clean w.r.t. memory
+		panic(fmt.Sprintf("coherence: home %d fill of %#x displaced %#x, whose L2 line names entry %d", h.id, block, old.Block, old.Aux))
+	}
+	h.unside(e.ref)
+	h.l2.Probe(block).Aux = e.ref
 	// The fill transaction ends here; the grant may immediately open an
 	// ownership-grant transaction on the same entry, in which case the
 	// queued requests keep waiting for its OwnAck.
@@ -632,7 +733,7 @@ func (h *HomeController) pickL2Victim(block uint64) *cache.Line {
 		if !cand.Valid() {
 			return cand
 		}
-		if e, ok := h.dir[cand.Block]; ok && e.busy {
+		if cand.Aux != 0 && h.at(cand.Aux).busy {
 			continue
 		}
 		if best == nil {
@@ -643,23 +744,12 @@ func (h *HomeController) pickL2Victim(block uint64) *cache.Line {
 }
 
 // DirInfo returns the directory view of one block for invariant checks:
-// the sharer mask, the owner (-1 if none), whether a transaction is in
-// flight, and whether the block is tracked at all.
+// a copy of the sharer mask, the owner (-1 if none), whether a
+// transaction is in flight, and whether the block is tracked at all.
 func (h *HomeController) DirInfo(block uint64) (sharers SharerSet, owner int, busy bool, tracked bool) {
-	e, ok := h.dir[block]
-	if !ok {
-		return SharerSet{}, -1, false, false
+	e, _ := h.lookup(block)
+	if e == nil {
+		return make(SharerSet, sharerWords(h.p.cfg.Tiles)), -1, false, false
 	}
-	return e.sharers, e.owner, e.busy, true
-}
-
-// DirSummary describes directory occupancy for tests and reporting.
-type DirSummary struct {
-	TrackedBlocks int
-	BusyBlocks    int
-}
-
-// Summary returns the directory occupancy.
-func (h *HomeController) Summary() DirSummary {
-	return DirSummary{TrackedBlocks: len(h.dir), BusyBlocks: h.busyCount()}
+	return slices.Clone(e.sharers), e.owner, e.busy, true
 }

@@ -91,7 +91,7 @@ func TestHomeBurstDrainsInArrivalOrder(t *testing.T) {
 		load(tile, fillBlock)
 	}
 	ts.k.Run(func() bool {
-		e := home.dir[victim]
+		e, _ := home.lookup(victim)
 		return victim != 0 && e != nil && len(held) > 0 && len(held) == e.recallAcks
 	})
 	if len(held) == 0 {
@@ -163,7 +163,7 @@ func TestHomeQueueStorageIsReused(t *testing.T) {
 	}
 
 	warm := burst()
-	e := home.dir[block]
+	e, _ := home.lookup(block)
 	if e == nil || cap(e.queue) == 0 || cap(home.drain) == 0 {
 		t.Fatal("the warm-up burst queued nothing at the home")
 	}
@@ -173,7 +173,7 @@ func TestHomeQueueStorageIsReused(t *testing.T) {
 	if again := burst(); again != warm {
 		t.Fatalf("second burst queued %d requests, the first %d", again, warm)
 	}
-	if home.dir[block] != e {
+	if again, _ := home.lookup(block); again != e {
 		t.Fatal("the block's directory entry changed between bursts")
 	}
 	if unsafe.SliceData(e.queue) != queue || cap(e.queue) != queueCap {

@@ -2,30 +2,30 @@ package coherence
 
 import "math/bits"
 
-// MaxTiles bounds the directory's sharer tracking. The scale study tops
-// out at 1024 tiles; the fixed-size set below keeps directory entries
-// allocation-free at any supported size.
+// MaxTiles bounds the tile count the simulator builds: the scale study
+// tops out at 1024 tiles.
 const MaxTiles = 1024
 
-// SharerSet is the directory's sharer bitmask, a fixed-size bitset
-// sized for MaxTiles. It replaced the original uint32 mask when the
-// topology refactor lifted the 32-tile ceiling. The zero value is the
-// empty set, and the array is a value type: assignment and Without
-// copy, so callers can snapshot a mask before mutating the entry —
-// exactly the idiom the old integer mask supported.
-type SharerSet [MaxTiles / 64]uint64
+// SharerSet is the directory's sharer bitmask: one bit per tile, in
+// sharerWords(tiles) words, so a 16-tile chip keeps one word per block.
+// A home allocates each entry's words together with the entry (a chunk
+// at a time), and the set is a view of them: the methods read and write
+// the entry's own words, and the zero value is an empty set of no
+// words.
+type SharerSet []uint64
+
+// sharerWords returns the word count of a sharer set on a chip of the
+// given tile count.
+func sharerWords(tiles int) int { return (tiles + 63) / 64 }
 
 // Add inserts tile t.
-func (s *SharerSet) Add(t int) { s[t>>6] |= 1 << uint(t&63) }
-
-// Remove deletes tile t.
-func (s *SharerSet) Remove(t int) { s[t>>6] &^= 1 << uint(t&63) }
+func (s SharerSet) Add(t int) { s[t>>6] |= 1 << uint(t&63) }
 
 // Has reports whether tile t is in the set.
-func (s *SharerSet) Has(t int) bool { return s[t>>6]&(1<<uint(t&63)) != 0 }
+func (s SharerSet) Has(t int) bool { return s[t>>6]&(1<<uint(t&63)) != 0 }
 
 // Empty reports whether no tile is in the set.
-func (s *SharerSet) Empty() bool {
+func (s SharerSet) Empty() bool {
 	for _, w := range s {
 		if w != 0 {
 			return false
@@ -35,7 +35,7 @@ func (s *SharerSet) Empty() bool {
 }
 
 // Count returns the number of tiles in the set.
-func (s *SharerSet) Count() int {
+func (s SharerSet) Count() int {
 	n := 0
 	for _, w := range s {
 		n += bits.OnesCount64(w)
@@ -43,12 +43,24 @@ func (s *SharerSet) Count() int {
 	return n
 }
 
-// Without returns a copy of the set with tile t removed; the receiver
-// is unchanged.
-func (s SharerSet) Without(t int) SharerSet {
-	s.Remove(t)
-	return s
+// Next returns the smallest tile in the set that is at least t, or -1,
+// so `for t := s.Next(0); t >= 0; t = s.Next(t + 1)` visits the set in
+// ascending tile order.
+func (s SharerSet) Next(t int) int {
+	i := t >> 6
+	if i >= len(s) {
+		return -1
+	}
+	w := s[i] &^ (1<<uint(t&63) - 1)
+	for w == 0 {
+		i++
+		if i == len(s) {
+			return -1
+		}
+		w = s[i]
+	}
+	return i<<6 + bits.TrailingZeros64(w)
 }
 
 // Clear empties the set.
-func (s *SharerSet) Clear() { *s = SharerSet{} }
+func (s SharerSet) Clear() { clear(s) }

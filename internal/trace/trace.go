@@ -209,6 +209,11 @@ func Decode(r io.Reader, cores int) (*Trace, error) {
 	return t, nil
 }
 
+// maxReplayCompute bounds one core's total compute cycles in a replay.
+// The simulator's cycle clock is 64 bits wide; 2^62 leaves it room for
+// every memory latency a run adds on top.
+const maxReplayCompute = 1 << 62
+
 // CheckReplay reports why a replay of the trace with warmup references
 // per core could never finish, or returns nil. The simulator runs each
 // core to the end of its stream and holds the cores at two kinds of
@@ -223,11 +228,15 @@ func Decode(r io.Reader, cores int) (*Trace, error) {
 //   - the cores reach their warmup points in different barrier phases,
 //     so a core at the warmup barrier waits for one held at a trace
 //     barrier, which waits for it in turn.
+//
+// A core whose compute cycles add up to more than maxReplayCompute is
+// rejected too: its replay would overflow the cycle clock.
 func (t *Trace) CheckReplay(warmup int) error {
 	refs := make([]int, t.cores)
 	barriers := make([]int, t.cores)
 	phase := make([]int, t.cores) // barriers before the warmup-th reference
 	for core, stream := range t.ops {
+		var compute uint64
 		for _, op := range stream {
 			switch op.Kind {
 			case workload.OpLoad, workload.OpStore:
@@ -238,7 +247,13 @@ func (t *Trace) CheckReplay(warmup int) error {
 			case workload.OpBarrier:
 				barriers[core]++
 			case workload.OpCompute:
-				// takes time, synchronizes nothing
+				// Takes time, synchronizes nothing. Cycles is below
+				// 2^63, so the sum cannot wrap before it is caught.
+				compute += uint64(op.Cycles)
+				if compute > maxReplayCompute {
+					return fmt.Errorf("trace: core %d computes for at least %d cycles, more than the %d a replay can schedule",
+						core, compute, uint64(maxReplayCompute))
+				}
 			}
 		}
 		if refs[core] < warmup {

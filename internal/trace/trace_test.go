@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -298,6 +299,34 @@ func TestCheckReplayAcceptsCaptures(t *testing.T) {
 		if err := capture(t, c.app, c.refs).CheckReplay(c.warmup); err != nil {
 			t.Errorf("%s at warmup %d: %v", c.app, c.warmup, err)
 		}
+	}
+}
+
+// A core's compute cycles past maxReplayCompute would overflow the
+// replay's cycle clock. Replayed unchecked, the three-line trace panics
+// with an event scheduled in the past, and the one-line trace "runs"
+// for 9.2e18 cycles.
+func TestCheckReplayRejectsClockOverflow(t *testing.T) {
+	loads := "0 L 40\n1 L 80\n2 L c0\n3 L 100\n"
+	huge := "0 C 9223372036854775807\n"
+	for _, text := range []string{strings.Repeat(huge, 3) + loads, huge + loads} {
+		tr, err := Decode(strings.NewReader(text), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "core 0 computes for at least 9223372036854775807 cycles"
+		if err := tr.CheckReplay(0); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("CheckReplay(0) of %q = %v, want an error containing %q", text, err, want)
+		}
+	}
+	// Exactly maxReplayCompute, split over lines and cores, replays.
+	ok := fmt.Sprintf("0 C %d\n0 C %d\n1 C %d\n", maxReplayCompute/2, maxReplayCompute/2, maxReplayCompute)
+	tr, err := Decode(strings.NewReader(ok+"0 L 40\n1 L 80\n"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.CheckReplay(1); err != nil {
+		t.Errorf("compute of exactly maxReplayCompute rejected: %v", err)
 	}
 }
 
