@@ -1,19 +1,21 @@
 package tilesim
 
 // The allocation gate pins the simulator's steady-state allocation rate
-// so hot-path regressions fail CI instead of silently eroding
-// throughput. ALLOC_BUDGET.json holds the ceiling; TestAllocGate
-// enforces it locally and the alloc-gate CI job enforces it against
-// BenchmarkAllocGate's -benchmem output. After a deliberate allocation
+// and volume so hot-path regressions fail CI instead of silently
+// eroding throughput. ALLOC_BUDGET.json holds the ceilings on
+// allocations and bytes per run; TestAllocGate and TestScaleAllocGate
+// enforce them locally and the alloc-gate CI job enforces them against
+// the benchmarks' -benchmem output. After a deliberate allocation
 // change, re-measure with
 //
-//	go test -run '^$' -bench '^BenchmarkAllocGate$' -benchtime 5x -benchmem .
+//	go test -run '^$' -bench 'AllocGate$' -benchtime 5x -benchmem .
 //
 // and update the measured_* fields and, if warranted, the ceilings.
 
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 
 	"tilesim/internal/cmp"
@@ -27,12 +29,15 @@ type allocBudget struct {
 	AllocsPerOpCeiling  uint64 `json:"allocs_per_op_ceiling"`
 	BytesPerOpCeiling   uint64 `json:"bytes_per_op_ceiling"`
 	MeasuredAllocsPerOp uint64 `json:"measured_allocs_per_op"`
+	MeasuredBytesPerOp  uint64 `json:"measured_bytes_per_op"`
 	BaselineAllocsPerOp uint64 `json:"baseline_allocs_per_op"`
 	// Scale-study gate (DESIGN.md §14.6): the 1024-tile cell budgets
-	// allocations per tile, so the growing machine never needs the
-	// 16-tile global ceiling raised on its behalf.
+	// allocations and bytes per tile, so the growing machine never
+	// needs the 16-tile global ceilings raised on its behalf.
 	ScaleAllocsPerTileCeiling  uint64 `json:"scale_allocs_per_tile_ceiling"`
 	ScaleMeasuredAllocsPerTile uint64 `json:"scale_measured_allocs_per_tile"`
+	ScaleBytesPerTileCeiling   uint64 `json:"scale_bytes_per_tile_ceiling"`
+	ScaleMeasuredBytesPerTile  uint64 `json:"scale_measured_bytes_per_tile"`
 }
 
 func readAllocBudget(t testing.TB) allocBudget {
@@ -45,10 +50,26 @@ func readAllocBudget(t testing.TB) allocBudget {
 	if err := json.Unmarshal(raw, &b); err != nil {
 		t.Fatalf("alloc gate: parse ALLOC_BUDGET.json: %v", err)
 	}
-	if b.AllocsPerOpCeiling == 0 {
-		t.Fatal("alloc gate: ALLOC_BUDGET.json has no allocs_per_op_ceiling")
+	if b.AllocsPerOpCeiling == 0 || b.BytesPerOpCeiling == 0 {
+		t.Fatal("alloc gate: ALLOC_BUDGET.json lacks allocs_per_op_ceiling or bytes_per_op_ceiling")
+	}
+	if b.ScaleAllocsPerTileCeiling == 0 || b.ScaleBytesPerTileCeiling == 0 {
+		t.Fatal("alloc gate: ALLOC_BUDGET.json lacks scale_allocs_per_tile_ceiling or scale_bytes_per_tile_ceiling")
 	}
 	return b
+}
+
+// measureRun runs fn once to warm up and once more on one P, and
+// returns the second run's heap allocations and bytes: the counts
+// testing.AllocsPerRun and -benchmem report.
+func measureRun(fn func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // allocGateConfig is the densest-workload configuration, identical to
@@ -81,6 +102,7 @@ func BenchmarkAllocGate(b *testing.B) {
 	budget := readAllocBudget(b)
 	b.ReportAllocs()
 	b.ReportMetric(float64(budget.AllocsPerOpCeiling), "alloc-ceiling/op")
+	b.ReportMetric(float64(budget.BytesPerOpCeiling), "byte-ceiling/op")
 	for i := 0; i < b.N; i++ {
 		runAllocGateOnce(b)
 	}
@@ -116,18 +138,20 @@ func runScaleGateOnce(t testing.TB) {
 }
 
 // BenchmarkScaleAllocGate is the measurement the CI alloc-gate job
-// compares against the per-tile ceiling
-// (allocs/op <= tiles * scale_allocs_per_tile_ceiling).
+// compares against the per-tile ceilings
+// (allocs/op <= tiles * scale_allocs_per_tile_ceiling, and B/op <=
+// tiles * scale_bytes_per_tile_ceiling).
 func BenchmarkScaleAllocGate(b *testing.B) {
 	budget := readAllocBudget(b)
 	b.ReportAllocs()
 	b.ReportMetric(float64(scaleGateTiles*budget.ScaleAllocsPerTileCeiling), "alloc-ceiling/op")
+	b.ReportMetric(float64(scaleGateTiles*budget.ScaleBytesPerTileCeiling), "byte-ceiling/op")
 	for i := 0; i < b.N; i++ {
 		runScaleGateOnce(b)
 	}
 }
 
-// TestScaleAllocGate enforces the per-tile ceiling at 1024 tiles in
+// TestScaleAllocGate enforces the per-tile ceilings at 1024 tiles in
 // the ordinary test run. Skipped under -race and -short for the same
 // reasons as TestAllocGate, and because a 1024-tile simulation takes
 // tens of seconds.
@@ -142,17 +166,19 @@ func TestScaleAllocGate(t *testing.T) {
 		t.Skip("1024-tile allocation measurement")
 	}
 	budget := readAllocBudget(t)
-	if budget.ScaleAllocsPerTileCeiling == 0 {
-		t.Fatal("alloc gate: ALLOC_BUDGET.json has no scale_allocs_per_tile_ceiling")
-	}
-	allocs := uint64(testing.AllocsPerRun(1, func() { runScaleGateOnce(t) }))
-	perTile := allocs / scaleGateTiles
-	ceiling := scaleGateTiles * budget.ScaleAllocsPerTileCeiling
-	t.Logf("scale alloc gate: %d allocs/op = %d allocs/tile at %d tiles (per-tile ceiling %d, recorded %d)",
-		allocs, perTile, scaleGateTiles, budget.ScaleAllocsPerTileCeiling, budget.ScaleMeasuredAllocsPerTile)
-	if allocs > ceiling {
+	allocs, bytes := measureRun(func() { runScaleGateOnce(t) })
+	t.Logf("scale alloc gate: %d allocs/op = %d allocs/tile, %d B/op = %d B/tile at %d tiles "+
+		"(per-tile ceilings %d allocs and %d B, recorded %d and %d)",
+		allocs, allocs/scaleGateTiles, bytes, bytes/scaleGateTiles, scaleGateTiles,
+		budget.ScaleAllocsPerTileCeiling, budget.ScaleBytesPerTileCeiling,
+		budget.ScaleMeasuredAllocsPerTile, budget.ScaleMeasuredBytesPerTile)
+	if ceiling := scaleGateTiles * budget.ScaleAllocsPerTileCeiling; allocs > ceiling {
 		t.Errorf("scale alloc gate: %d allocs/op exceeds %d tiles x %d allocs/tile = %d",
 			allocs, scaleGateTiles, budget.ScaleAllocsPerTileCeiling, ceiling)
+	}
+	if ceiling := scaleGateTiles * budget.ScaleBytesPerTileCeiling; bytes > ceiling {
+		t.Errorf("scale alloc gate: %d B/op exceeds %d tiles x %d B/tile = %d",
+			bytes, scaleGateTiles, budget.ScaleBytesPerTileCeiling, ceiling)
 	}
 }
 
@@ -172,11 +198,16 @@ func TestAllocGate(t *testing.T) {
 		t.Skip("full-run allocation measurement")
 	}
 	budget := readAllocBudget(t)
-	allocs := uint64(testing.AllocsPerRun(1, func() { runAllocGateOnce(t) }))
-	t.Logf("alloc gate: %d allocs/op (ceiling %d, recorded %d, pre-gate baseline %d)",
-		allocs, budget.AllocsPerOpCeiling, budget.MeasuredAllocsPerOp, budget.BaselineAllocsPerOp)
+	allocs, bytes := measureRun(func() { runAllocGateOnce(t) })
+	t.Logf("alloc gate: %d allocs/op and %d B/op (ceilings %d and %d, recorded %d and %d, pre-gate baseline %d allocs/op)",
+		allocs, bytes, budget.AllocsPerOpCeiling, budget.BytesPerOpCeiling,
+		budget.MeasuredAllocsPerOp, budget.MeasuredBytesPerOp, budget.BaselineAllocsPerOp)
 	if allocs > budget.AllocsPerOpCeiling {
 		t.Errorf("alloc gate: %d allocs/op exceeds the ALLOC_BUDGET.json ceiling of %d",
 			allocs, budget.AllocsPerOpCeiling)
+	}
+	if bytes > budget.BytesPerOpCeiling {
+		t.Errorf("alloc gate: %d B/op exceeds the ALLOC_BUDGET.json ceiling of %d",
+			bytes, budget.BytesPerOpCeiling)
 	}
 }

@@ -9,6 +9,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"tilesim/internal/stats"
@@ -39,20 +40,40 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
-// Line is one cache line's bookkeeping.
+// Line is one cache line's bookkeeping: 16 bytes, so a 4-way set is
+// one 64-byte host cache line (DESIGN.md §16.9).
 type Line struct {
-	Block uint64 // block address (addr &^ (lineBytes-1))
-	State State
+	// tag is the block address (addr &^ (lineBytes-1)) with the MESI
+	// state in its low two bits, which a block address of a line of 4
+	// or more bytes leaves clear. It is 0 when the line is invalid.
+	tag uint64
+	// lastUse is the LRU stamp; renumber keeps it within 32 bits.
+	lastUse uint32
 	// Aux is a word the cache's owner controls: the cache never reads
-	// it, and Insert and Invalidate zero it. It fills padding after
-	// State, so a line stays 24 bytes. A home L2 slice keeps the
+	// it, and Insert and Invalidate zero it. A home L2 slice keeps the
 	// block's directory-entry reference here.
-	Aux     uint32
-	lastUse uint64
+	Aux uint32
 }
 
+// stateMask selects the MESI state in a line's tag.
+const stateMask = 3
+
 // Valid reports whether the line holds a block.
-func (l *Line) Valid() bool { return l.State != Invalid }
+func (l *Line) Valid() bool { return l.tag != 0 }
+
+// Block returns the block address the line holds.
+func (l *Line) Block() uint64 { return l.tag &^ stateMask }
+
+// State returns the line's MESI state (Invalid for a free way).
+func (l *Line) State() State { return State(l.tag & stateMask) }
+
+// SetState changes a valid line's state. Only Invalidate drops a line.
+func (l *Line) SetState(st State) {
+	if l.tag == 0 || st == Invalid || st > Modified {
+		panic("cache: SetState takes a valid line to a valid state")
+	}
+	l.tag = l.tag&^stateMask | uint64(st)
+}
 
 // Config sizes a cache.
 type Config struct {
@@ -81,7 +102,7 @@ type Cache struct {
 	shift   uint // log2(lineBytes)
 	setMask uint64
 	lines   []Line // sets*ways, set-major
-	clock   uint64
+	clock   uint32
 	hits    stats.Counter
 	misses  stats.Counter
 	evicts  stats.Counter
@@ -92,6 +113,9 @@ type Cache struct {
 func New(cfg Config) *Cache {
 	if cfg.LineBytes <= 0 || bits.OnesCount(uint(cfg.LineBytes)) != 1 {
 		panic(fmt.Sprintf("cache: line size %d not a power of two", cfg.LineBytes))
+	}
+	if cfg.LineBytes <= stateMask {
+		panic(fmt.Sprintf("cache: line size %d leaves no tag bits for the state", cfg.LineBytes))
 	}
 	if cfg.Ways <= 0 || cfg.CapacityBytes <= 0 {
 		panic("cache: non-positive geometry")
@@ -145,7 +169,9 @@ func (c *Cache) Probe(addr uint64) *Line {
 	block := c.BlockOf(addr)
 	set := c.setOf(block)
 	for i := range set {
-		if set[i].Valid() && set[i].Block == block {
+		// One word per way: the tag differs from the block only in
+		// its state bits, and those are nonzero.
+		if (set[i].tag^block)-1 < stateMask {
 			return &set[i]
 		}
 	}
@@ -168,8 +194,7 @@ func (c *Cache) Access(addr uint64) *Line {
 // holds from Probe: the LRU clock, l's recency and the hit count move
 // exactly as Access would move them.
 func (c *Cache) AccessHit(l *Line) {
-	c.clock++
-	l.lastUse = c.clock
+	l.lastUse = c.tick()
 	c.hits.Inc()
 }
 
@@ -177,14 +202,51 @@ func (c *Cache) AccessHit(l *Line) {
 // probed: the LRU clock and the miss count move exactly as Access
 // would move them.
 func (c *Cache) AccessMiss() {
-	c.clock++
+	c.tick()
 	c.misses.Inc()
+}
+
+// tick advances the LRU clock and returns its new value, renumbering
+// the stamps first when the clock would wrap.
+func (c *Cache) tick() uint32 {
+	if c.clock == math.MaxUint32 {
+		c.renumber()
+	}
+	c.clock++
+	return c.clock
+}
+
+// renumber restarts the LRU clock before it wraps: each set's valid
+// lines take stamps 1..k in recency order and the clock restarts at
+// the way count, above every stamp. Victim compares stamps only within
+// a set, so every later victim is the one a clock that never wraps
+// would choose. A cache reaches this after 2^32 accesses.
+func (c *Cache) renumber() {
+	ways := c.cfg.Ways
+	for s := 0; s < len(c.lines); s += ways {
+		set := c.lines[s : s+ways]
+		// Stamps are distinct and positive, so once the r oldest lines
+		// hold 1..r, every other valid line's stamp is above r: the
+		// next oldest is the least stamp above r.
+		for r := uint32(0); ; r++ {
+			next := -1
+			for i := range set {
+				if set[i].Valid() && set[i].lastUse > r && (next < 0 || set[i].lastUse < set[next].lastUse) {
+					next = i
+				}
+			}
+			if next < 0 {
+				break
+			}
+			set[next].lastUse = r + 1
+		}
+	}
+	c.clock = uint32(ways)
 }
 
 // Set returns the cache set that addr maps to, in way order, without
 // allocating: the slice aliases the cache's line storage. Callers may
-// mutate line state through it but must not change Block of a valid
-// line.
+// change a line's state through it (SetState) and its Aux.
 //
 //tilesim:noescape the returned slice aliases the line array; victim scans rely on Set never allocating
 func (c *Cache) Set(addr uint64) []Line {
@@ -216,16 +278,16 @@ func (c *Cache) Insert(addr uint64, st State) Line {
 	if c.Probe(block) != nil {
 		panic(fmt.Sprintf("cache: double insert of block %#x", block))
 	}
-	if st == Invalid {
-		panic("cache: inserting an invalid line")
+	if st == Invalid || st > Modified {
+		panic(fmt.Sprintf("cache: inserting a line in state %v", st))
 	}
-	c.clock++
+	clock := c.tick()
 	v := c.Victim(block)
 	old := *v
 	if old.Valid() {
 		c.evicts.Inc()
 	}
-	*v = Line{Block: block, State: st, lastUse: c.clock}
+	*v = Line{tag: block | uint64(st), lastUse: clock}
 	return old
 }
 
@@ -233,7 +295,7 @@ func (c *Cache) Insert(addr uint64, st State) Line {
 // (Invalid if absent).
 func (c *Cache) Invalidate(addr uint64) State {
 	if l := c.Probe(addr); l != nil {
-		st := l.State
+		st := l.State()
 		*l = Line{}
 		return st
 	}

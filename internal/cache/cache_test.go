@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -51,7 +52,7 @@ func TestHitMissAndLRU(t *testing.T) {
 	}
 	c.Access(a) // a MRU, b LRU
 	old := c.Insert(x, Shared)
-	if !old.Valid() || old.Block != b {
+	if !old.Valid() || old.Block() != b {
 		t.Fatalf("evicted %+v, want block %#x", old, b)
 	}
 	if c.Probe(a) == nil || c.Probe(x) == nil || c.Probe(b) != nil {
@@ -144,7 +145,7 @@ func TestLRUNeverEvictsMRUProperty(t *testing.T) {
 			addr := uint64(rng.Intn(32)) * 64
 			if l := c.Access(addr); l == nil {
 				v := c.Victim(addr)
-				if touched && v.Valid() && v.Block == lastTouched && c.BlockOf(lastTouched) != c.BlockOf(addr) {
+				if touched && v.Valid() && v.Block() == lastTouched && c.BlockOf(lastTouched) != c.BlockOf(addr) {
 					// MRU eviction is only legal if the set has a single way
 					// holding it; with 2 ways it is a bug.
 					return false
@@ -267,12 +268,146 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
-// TestLineStaysTwentyFourBytes pins that Aux lives in the padding after
-// State: a home slice keeps its directory references in the tags
-// without growing the line array.
-func TestLineStaysTwentyFourBytes(t *testing.T) {
-	if got := unsafe.Sizeof(Line{}); got != 24 {
-		t.Fatalf("unsafe.Sizeof(Line{}) = %d, want 24", got)
+// TestLineIsSixteenBytes pins the packed line layout: the state rides
+// in the tag and the LRU stamp and Aux share one word, so a 4-way set
+// of the paper's L1 and L2 slice is one 64-byte host cache line and
+// starts on one.
+func TestLineIsSixteenBytes(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Line{}) = %d, want 16", got)
+	}
+	for _, cfg := range []Config{L1Config(), L2SliceConfig()} {
+		c := New(cfg)
+		if at := uintptr(unsafe.Pointer(&c.lines[0])); at%64 != 0 {
+			t.Errorf("%d-byte cache: line array at %#x is not 64-byte aligned", cfg.CapacityBytes, at)
+		}
+	}
+}
+
+// TestStateRidesInTheTag checks the packed tag: every state of every
+// block, block 0 included, reads back through Block and State, and
+// SetState refuses to drop a line or to revive a free way.
+func TestStateRidesInTheTag(t *testing.T) {
+	c := New(Config{CapacityBytes: 1024, Ways: 4, LineBytes: 4})
+	for _, block := range []uint64{0, 4, 1 << 40, 1<<64 - 4} {
+		c.Insert(block, Shared)
+		l := c.Probe(block)
+		for _, st := range []State{Shared, Exclusive, Modified, Shared} {
+			l.SetState(st)
+			if got := c.Probe(block); got != l || l.Block() != block || l.State() != st || !l.Valid() {
+				t.Fatalf("block %#x in %v reads back as %#x in %v (probe %p, line %p)",
+					block, st, l.Block(), l.State(), got, l)
+			}
+		}
+		if c.Probe(block^4) != nil {
+			t.Fatalf("probe of %#x matched block %#x", block^4, block)
+		}
+		if st := c.Invalidate(block); st != Shared || l.Valid() || l.State() != Invalid {
+			t.Fatalf("invalidating %#x returned %v and left %+v", block, st, *l)
+		}
+	}
+	for _, fn := range []func(){
+		func() { c.Insert(8, Shared); c.Probe(8).SetState(Invalid) },
+		func() { (&Line{}).SetState(Shared) },
+		func() { New(Config{CapacityBytes: 64, Ways: 4, LineBytes: 2}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("misuse accepted")
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// wideLRU is a reference set-associative LRU whose 64-bit clock never
+// wraps: the behaviour the 32-bit clock and its renumbering must keep.
+type wideLRU struct {
+	ways, sets int
+	block      []uint64
+	valid      []bool
+	lastUse    []uint64
+	clock      uint64
+}
+
+func (r *wideLRU) set(block uint64) int { return int(block/64) % r.sets * r.ways }
+
+func (r *wideLRU) find(block uint64) int {
+	for i := r.set(block); i < r.set(block)+r.ways; i++ {
+		if r.valid[i] && r.block[i] == block {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *wideLRU) victim(block uint64) int {
+	v := r.set(block)
+	for i := v; i < r.set(block)+r.ways; i++ {
+		if !r.valid[i] {
+			return i
+		}
+		if r.lastUse[i] < r.lastUse[v] {
+			v = i
+		}
+	}
+	return v
+}
+
+// TestLRUClockWrapMatchesWideClock drives a cache's 32-bit clock across
+// its wrap three times, by moving it to just below 2^32, and checks
+// every victim and eviction against the 64-bit reference.
+func TestLRUClockWrapMatchesWideClock(t *testing.T) {
+	const ways, sets = 4, 8
+	c := New(Config{CapacityBytes: ways * sets * 64, Ways: ways, LineBytes: 64})
+	ref := &wideLRU{ways: ways, sets: sets, block: make([]uint64, ways*sets),
+		valid: make([]bool, ways*sets), lastUse: make([]uint64, ways*sets)}
+	rng := rand.New(rand.NewSource(11))
+	wraps := 0
+	for i := 0; i < 30000; i++ {
+		if i%10000 == 0 {
+			c.clock = math.MaxUint32 - uint32(rng.Intn(2000))
+		}
+		before := c.clock
+		block := uint64(rng.Intn(6*sets)) * 64
+		if want, got := ref.victim(block), c.Victim(block); got.Valid() != ref.valid[want] ||
+			(got.Valid() && got.Block() != ref.block[want]) {
+			t.Fatalf("op %d: victim for %#x is %+v, reference way holds %#x (valid %v)",
+				i, block, *got, ref.block[want], ref.valid[want])
+		}
+		switch hit := ref.find(block); {
+		case rng.Intn(8) == 0:
+			c.Invalidate(block)
+			if hit >= 0 {
+				ref.valid[hit] = false
+			}
+		case hit >= 0:
+			ref.clock++
+			ref.lastUse[hit] = ref.clock
+			if c.Access(block) == nil {
+				t.Fatalf("op %d: %#x missed, reference hit", i, block)
+			}
+		default:
+			ref.clock += 2 // the miss and the insert
+			if c.Access(block) != nil {
+				t.Fatalf("op %d: %#x hit, reference missed", i, block)
+			}
+			v := ref.victim(block)
+			old := c.Insert(block, Shared)
+			if old.Valid() != ref.valid[v] || (old.Valid() && old.Block() != ref.block[v]) {
+				t.Fatalf("op %d: insert of %#x evicted %+v, reference evicts %#x (valid %v)",
+					i, block, old, ref.block[v], ref.valid[v])
+			}
+			ref.block[v], ref.valid[v], ref.lastUse[v] = block, true, ref.clock
+		}
+		if c.clock < before {
+			wraps++
+		}
+	}
+	if wraps != 3 {
+		t.Fatalf("clock wrapped %d times, want 3", wraps)
 	}
 }
 
@@ -352,7 +487,7 @@ func TestIndexSkipFolding(t *testing.T) {
 	a := uint64(0x0_0000)
 	b := uint64(0x0_3000) // differs only in bits 12-13
 	c.Insert(a, Shared)
-	if old := c.Insert(b, Shared); !old.Valid() || old.Block != a {
+	if old := c.Insert(b, Shared); !old.Valid() || old.Block() != a {
 		t.Fatalf("skip-field addresses should collide: evicted %+v", old)
 	}
 	// Bits below the skipped field still select sets normally.

@@ -121,3 +121,30 @@ func TestNewSystemRejectsEmptyMeasurementWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestNewSystemRejectsBadCodecParameters pins that out-of-range codec
+// parameters from the command line are returned as errors, on both
+// the baseline and the VL+B wiring, instead of reaching the codec
+// constructors' panics.
+func TestNewSystemRejectsBadCodecParameters(t *testing.T) {
+	cases := []struct {
+		spec compress.Spec
+		want string
+	}{
+		{compress.Spec{Kind: "dbrc", Entries: 0, LowOrderBytes: 2}, "entries must be 1..256, got 0"},
+		{compress.Spec{Kind: "dbrc", Entries: 300, LowOrderBytes: 2}, "entries must be 1..256, got 300"},
+		{compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 0}, "low-order bytes must be 1 or 2, got 0"},
+		{compress.Spec{Kind: "stride", LowOrderBytes: 3}, "low-order bytes must be 1 or 2, got 3"},
+		{compress.Spec{Kind: "perfect", LowOrderBytes: 3}, "low-order bytes must be 1 or 2, got 3"},
+	}
+	for _, c := range cases {
+		for _, het := range []bool{false, true} {
+			cfg := hetCfg("FFT", 100, c.spec)
+			cfg.Heterogeneous = het
+			_, err := NewSystem(cfg)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%+v (het %v): error %v, want one containing %q", c.spec, het, err, c.want)
+			}
+		}
+	}
+}

@@ -68,7 +68,7 @@ func (ts *testSystem) state(tile int, addr uint64) cache.State {
 	if line == nil {
 		return cache.Invalid
 	}
-	return line.State
+	return line.State()
 }
 
 // checkInvariants verifies the single-writer/multi-reader property and

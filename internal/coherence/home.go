@@ -240,7 +240,7 @@ func (h *HomeController) invalidateL2(line *cache.Line) {
 	if line.Aux != 0 {
 		h.side = append(h.side, line.Aux)
 	}
-	h.l2.Invalidate(line.Block)
+	h.l2.Invalidate(line.Block())
 }
 
 // setBusy transitions an entry's busy flag while maintaining the
@@ -488,7 +488,7 @@ func (h *HomeController) handleReplacement(r homeReq) {
 		if noc.Type(r.typ) == noc.WriteBack {
 			// The line's dirty data lands in the L2 slice.
 			if line != nil {
-				line.State = cache.Modified
+				line.SetState(cache.Modified)
 			} else {
 				panic(fmt.Sprintf("coherence: home %d writeback for L2-absent block %#x (inclusion broken)", h.id, r.block))
 			}
@@ -508,7 +508,7 @@ func (h *HomeController) handleRevision(m *noc.Message, block uint64) {
 	case txnFwdS:
 		if m.DataBytes > 0 {
 			if line != nil {
-				line.State = cache.Modified
+				line.SetState(cache.Modified)
 			} else {
 				panic(fmt.Sprintf("coherence: home %d revision data for L2-absent block %#x", h.id, block))
 			}
@@ -667,7 +667,7 @@ func (h *HomeController) fillL2(block uint64) {
 		h.finishFill(block, e)
 		return
 	}
-	vblock := victim.Block
+	vblock := victim.Block()
 	var ve *dirEntry
 	if victim.Aux != 0 {
 		ve = h.at(victim.Aux)
@@ -701,7 +701,7 @@ func (h *HomeController) fillL2(block uint64) {
 // with no further data-array delay.
 func (h *HomeController) finishFill(block uint64, e *dirEntry) {
 	if old := h.l2.Insert(block, cache.Shared); old.Aux != 0 { // clean w.r.t. memory
-		panic(fmt.Sprintf("coherence: home %d fill of %#x displaced %#x, whose L2 line names entry %d", h.id, block, old.Block, old.Aux))
+		panic(fmt.Sprintf("coherence: home %d fill of %#x displaced %#x, whose L2 line names entry %d", h.id, block, old.Block(), old.Aux))
 	}
 	h.unside(e.ref)
 	h.l2.Probe(block).Aux = e.ref

@@ -98,11 +98,11 @@ func (l *L1Controller) access(addr uint64, isWrite bool, done func()) {
 			done()
 			return
 		}
-		switch line.State {
+		switch line.State() {
 		case cache.Modified:
 			done()
 		case cache.Exclusive:
-			line.State = cache.Modified // silent E->M
+			line.SetState(cache.Modified) // silent E->M
 			done()
 		case cache.Shared:
 			l.StoreMisses.Inc()
@@ -220,7 +220,7 @@ func (l *L1Controller) onGrant(m *noc.Message) {
 		// Upgrade grant: the S line must still be here (the L1 never
 		// evicts a block with a live MSHR, and home serialization
 		// guarantees no invalidation raced ahead of this grant).
-		if line := l.cache.Probe(block); line == nil || line.State != cache.Shared {
+		if line := l.cache.Probe(block); line == nil || line.State() != cache.Shared {
 			panic(fmt.Sprintf("coherence: L1 %d upgrade grant without S line %#x", l.id, block))
 		}
 	}
@@ -298,7 +298,7 @@ func (l *L1Controller) maybeComplete(block uint64, e *cache.MSHREntry) {
 	writeOwnership, relinquish := false, false
 	switch {
 	case e.GrantUpgrade:
-		l.cache.Probe(block).State = cache.Modified
+		l.cache.Probe(block).SetState(cache.Modified)
 		writeOwnership = true
 	case e.IsWrite:
 		l.insertLine(block, cache.Modified)
@@ -341,7 +341,7 @@ func (l *L1Controller) insertLine(block uint64, st cache.State) {
 // lines with live MSHR entries (their transactions may still need them).
 func (l *L1Controller) victimAvoidingMSHR(block uint64) *cache.Line {
 	v := l.cache.Victim(block)
-	if !v.Valid() || l.mshr.Lookup(v.Block) == nil {
+	if !v.Valid() || l.mshr.Lookup(v.Block()) == nil {
 		return v
 	}
 	var best *cache.Line
@@ -351,7 +351,7 @@ func (l *L1Controller) victimAvoidingMSHR(block uint64) *cache.Line {
 		if !cand.Valid() {
 			return cand
 		}
-		if l.mshr.Lookup(cand.Block) != nil {
+		if l.mshr.Lookup(cand.Block()) != nil {
 			continue
 		}
 		if best == nil {
@@ -370,8 +370,8 @@ func (l *L1Controller) evictLine(v *cache.Line) {
 	if !v.Valid() {
 		return
 	}
-	st := v.State
-	block := v.Block
+	st := v.State()
+	block := v.Block()
 	l.cache.Invalidate(block)
 	if st == cache.Shared {
 		return // silent
@@ -409,7 +409,7 @@ func (l *L1Controller) onInv(m *noc.Message) {
 	}
 	line := l.cache.Probe(block)
 	switch {
-	case line == nil, line.State == cache.Shared:
+	case line == nil, line.State() == cache.Shared:
 		// Possibly a stale-epoch invalidation of a silently evicted S
 		// copy; ack either way. Acking immediately (never deferring) is
 		// what keeps the ack dependency graph acyclic: every later
@@ -432,7 +432,7 @@ func (l *L1Controller) onInv(m *noc.Message) {
 		// Recall of an M/E owner: return the line to the home.
 		rev := l.p.msg(noc.Revision, l.id, HomeOf(block, l.p.cfg.Tiles), block, m.Txn)
 		rev.NoCopy = true
-		if line.State == cache.Modified {
+		if line.State() == cache.Modified {
 			rev.DataBytes = noc.LineBytes
 		}
 		l.cache.Invalidate(block)
@@ -465,14 +465,14 @@ func (l *L1Controller) serviceFwd(block uint64, replyTo int, txn uint64, exclusi
 		return
 	}
 	line := l.cache.Probe(block)
-	if line == nil || (line.State != cache.Modified && line.State != cache.Exclusive) {
+	if line == nil || (line.State() != cache.Modified && line.State() != cache.Exclusive) {
 		panic(fmt.Sprintf("coherence: L1 %d forwarded for %#x it does not own (line=%v)", l.id, block, line))
 	}
-	dirty := line.State == cache.Modified
+	dirty := line.State() == cache.Modified
 	if exclusive {
 		l.cache.Invalidate(block)
 	} else {
-		line.State = cache.Shared
+		line.SetState(cache.Shared)
 	}
 	l.queueFwdReply(block, replyTo, txn, dirty, false, exclusive)
 }

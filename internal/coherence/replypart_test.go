@@ -49,7 +49,7 @@ func TestPartialReplyResumesCoreEarly(t *testing.T) {
 	}
 	ts.k.Run(nil)
 	installedAt = ts.k.Now()
-	if line := ts.p.L1(2).Cache().Probe(addr); line == nil || line.State != cache.Exclusive {
+	if line := ts.p.L1(2).Cache().Probe(addr); line == nil || line.State() != cache.Exclusive {
 		t.Fatalf("line not installed E after drain: %v", ts.p.L1(2).Cache().Probe(addr))
 	}
 	if installedAt <= resumedAt {

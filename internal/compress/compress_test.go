@@ -141,6 +141,27 @@ func TestDBRCDecodePanicsOnUninstalledEntry(t *testing.T) {
 	c.Decode(0, 1, RequestStream, Encoded{Compressed: true, PayloadBytes: 2, Payload: 0x12, InstallIndex: 3})
 }
 
+// TestDBRCReceiverKeepsExtremeBases round-trips the smallest and the
+// largest address through both low-order sizes: a receiver stores its
+// base plus one, so a zero base must read as installed and the largest
+// base must not wrap.
+func TestDBRCReceiverKeepsExtremeBases(t *testing.T) {
+	for _, lo := range []int{1, 2} {
+		for _, addr := range []uint64{0, 1<<64 - 1} {
+			c := NewDBRC(4, lo, testCores)
+			for i := 0; i < 2; i++ {
+				e := c.Encode(0, 1, RequestStream, addr)
+				if e.Compressed != (i == 1) {
+					t.Fatalf("lo %d addr %#x send %d: compressed=%v", lo, addr, i, e.Compressed)
+				}
+				if got := c.Decode(0, 1, RequestStream, e); got != addr {
+					t.Fatalf("lo %d addr %#x send %d decoded as %#x", lo, addr, i, got)
+				}
+			}
+		}
+	}
+}
+
 func TestDBRCConstructorValidation(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewDBRC(0, 2, testCores) },

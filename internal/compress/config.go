@@ -29,8 +29,34 @@ func (s Spec) Label() string {
 	return "unknown"
 }
 
-// Build instantiates the codec for a CMP with the given core count.
+// Validate checks the spec's parameters against the ranges its codec
+// accepts, so a bad flag or sweep entry is an error where it is
+// decoded; the constructors' panics are left to catch programmatic
+// misuse (DESIGN.md §14.1).
+func (s Spec) Validate() error {
+	switch s.Kind {
+	case "none":
+		return nil
+	case "dbrc":
+		if s.Entries < 1 || s.Entries > 256 {
+			return fmt.Errorf("compress: DBRC entries must be 1..256, got %d", s.Entries)
+		}
+	case "perfect", "stride":
+	default:
+		return fmt.Errorf("compress: unknown scheme kind %q", s.Kind)
+	}
+	if s.LowOrderBytes < 1 || s.LowOrderBytes > 2 {
+		return fmt.Errorf("compress: %s low-order bytes must be 1 or 2, got %d", s.Kind, s.LowOrderBytes)
+	}
+	return nil
+}
+
+// Build validates the spec and instantiates its codec for a CMP with
+// the given core count.
 func (s Spec) Build(cores int) (Codec, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	switch s.Kind {
 	case "none":
 		return NewNone(), nil
@@ -48,13 +74,13 @@ func (s Spec) Build(cores int) (Codec, error) {
 // would return, without building it: a DBRC's per-pair state grows with
 // the square of the core count, so the VL width must not cost one.
 func (s Spec) CompressedPayloadBytes() (int, error) {
-	switch s.Kind {
-	case "none":
-		return NewNone().CompressedPayloadBytes(), nil
-	case "perfect", "dbrc", "stride":
-		return s.LowOrderBytes, nil
+	if err := s.Validate(); err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("compress: unknown scheme kind %q", s.Kind)
+	if s.Kind == "none" {
+		return NewNone().CompressedPayloadBytes(), nil
+	}
+	return s.LowOrderBytes, nil
 }
 
 // Table1Scheme maps the spec to its hardware-cost row name: a paper

@@ -38,9 +38,10 @@ type DBRC struct {
 	cache []dbrcEntry
 	clock []uint64
 	// Receiver side, one register file per (dst, src, stream):
-	// bases/valid[((dst*cores+src)*NumStreams+stream)*entries+i].
+	// bases[((dst*cores+src)*NumStreams+stream)*entries+i] holds the
+	// installed base plus one, 0 until the first install. A base has at
+	// least one low-order byte stripped, so the sum never wraps.
 	bases []uint64
-	valid []bool
 }
 
 type dbrcEntry struct {
@@ -88,7 +89,6 @@ func (d *DBRC) Reset() {
 	d.cache = make([]dbrcEntry, senders*d.entries)
 	d.clock = make([]uint64, senders)
 	d.bases = make([]uint64, receivers*d.entries)
-	d.valid = make([]bool, receivers*d.entries)
 }
 
 func (d *DBRC) loMask() uint64 { return uint64(1)<<(8*d.loBytes) - 1 }
@@ -157,15 +157,15 @@ func (d *DBRC) Decode(src, dst int, stream Stream, e Encoded) uint64 {
 	r := ((dst*d.cores+src)*NumStreams+int(stream))*d.entries + e.InstallIndex
 	if !e.Compressed {
 		addr := e.Payload
-		d.bases[r] = addr >> (8 * d.loBytes)
-		d.valid[r] = true
+		d.bases[r] = addr>>(8*d.loBytes) + 1
 		return addr
 	}
-	if !d.valid[r] {
+	base := d.bases[r]
+	if base == 0 {
 		panic(fmt.Sprintf("compress: DBRC receiver %d<-%d %v entry %d used before install",
 			dst, src, stream, e.InstallIndex))
 	}
-	return d.bases[r]<<(8*d.loBytes) | (e.Payload & d.loMask())
+	return (base-1)<<(8*d.loBytes) | (e.Payload & d.loMask())
 }
 
 func (d *DBRC) checkPair(src, dst int) {

@@ -190,3 +190,35 @@ func TestSpecPayloadMatchesBuiltCodec(t *testing.T) {
 		t.Error("bogus spec has a payload size")
 	}
 }
+
+// TestSpecValidateBounds pins the parameter ranges Spec.Validate
+// accepts, and that Build and CompressedPayloadBytes refuse a spec it
+// rejects instead of reaching a constructor's panic.
+func TestSpecValidateBounds(t *testing.T) {
+	cases := []struct {
+		spec Spec
+		ok   bool
+	}{
+		{Spec{Kind: "none"}, true},
+		{Spec{Kind: "dbrc", Entries: 1, LowOrderBytes: 1}, true},
+		{Spec{Kind: "dbrc", Entries: 256, LowOrderBytes: 2}, true},
+		{Spec{Kind: "dbrc", Entries: 0, LowOrderBytes: 2}, false},
+		{Spec{Kind: "dbrc", Entries: 257, LowOrderBytes: 2}, false},
+		{Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 0}, false},
+		{Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 3}, false},
+		{Spec{Kind: "stride", LowOrderBytes: 1}, true},
+		{Spec{Kind: "stride", LowOrderBytes: 3}, false},
+		{Spec{Kind: "perfect", LowOrderBytes: 2}, true},
+		{Spec{Kind: "perfect", LowOrderBytes: -1}, false},
+		{Spec{Kind: "bogus"}, false},
+	}
+	for _, c := range cases {
+		err := c.spec.Validate()
+		_, buildErr := c.spec.Build(testCores)
+		_, payloadErr := c.spec.CompressedPayloadBytes()
+		if (err == nil) != c.ok || (buildErr == nil) != c.ok || (payloadErr == nil) != c.ok {
+			t.Errorf("%+v: Validate %v, Build %v, CompressedPayloadBytes %v; want ok=%v",
+				c.spec, err, buildErr, payloadErr, c.ok)
+		}
+	}
+}

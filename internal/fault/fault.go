@@ -138,16 +138,17 @@ func (c Config) Enabled() bool {
 
 // Validate checks parameter ranges.
 func (c Config) Validate() error {
-	if c.BER < 0 || c.BER >= 1 {
+	// Negated range checks, so NaN fails them too.
+	if !(c.BER >= 0 && c.BER < 1) {
 		return fmt.Errorf("fault: BER %g outside [0, 1)", c.BER)
 	}
-	if c.VLBERScale < 0 {
+	if !(c.VLBERScale >= 0) {
 		return fmt.Errorf("fault: VL BER scale %g negative", c.VLBERScale)
 	}
-	if ber := c.vlBER(); ber >= 1 {
+	if ber := c.vlBER(); !(ber < 1) {
 		return fmt.Errorf("fault: VL-plane BER %g (BER x scale) outside [0, 1)", ber)
 	}
-	if c.StallProb < 0 || c.StallProb > 1 {
+	if !(c.StallProb >= 0 && c.StallProb <= 1) {
 		return fmt.Errorf("fault: stall probability %g outside [0, 1]", c.StallProb)
 	}
 	if c.StallCycles < 0 {

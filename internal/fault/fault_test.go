@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -192,6 +193,10 @@ func TestEnabledAndValidate(t *testing.T) {
 		{StallCycles: -1},
 		{RetryLimit: -1},
 		{OutagePlane: "X"},
+		{BER: math.NaN()},
+		{BER: 1e-5, VLBERScale: math.NaN()},
+		{BER: 1e-5, VLBERScale: math.Inf(1)},
+		{StallProb: math.NaN()},
 	} {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%+v should fail validation", c)

@@ -3,7 +3,6 @@ package mesh
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"tilesim/internal/fault"
 	"tilesim/internal/noc"
@@ -172,7 +171,7 @@ type channel struct {
 // link is one directed link between adjacent routers. id is its
 // structural id from*nodes+to, kept only as the key of its fault
 // streams and trace tracks; the link's index in Network.links is its
-// dense id, the one routes store.
+// dense id, the one the routing tables store.
 type link struct {
 	from, to int
 	id       int
@@ -197,10 +196,8 @@ type Network struct {
 	// links holds every directed link in the topology's canonical
 	// Links() order. A slice (not a map) so every iteration is in
 	// deterministic link order — map iteration order would vary run to
-	// run. Links leaving one router are contiguous: they are
-	// links[firstLink[r]:firstLink[r+1]], sorted by destination.
-	links     []link
-	firstLink []int32
+	// run.
+	links []link
 	// wireCycles is each plane's head traversal latency.
 	wireCycles [numPlanes]sim.Time
 	// stalls holds each router's stall stream (fault injection only).
@@ -233,15 +230,20 @@ type Network struct {
 	// per-message transit was +5.7% of the run's allocations
 	// (BenchmarkObsOverhead/disabled, 2026-08).
 	free *transit
-	// Routes are pure functions of the topology, so each (src,dst)
-	// router pair's route is computed on first use and kept as link ids
-	// in one append-only arena: the route's hop count, then its links.
-	// routeAt[src*nodes+dst] is the route's arena offset, 0 until it is
-	// computed; routeArena[0] is a placeholder, so no route starts at 0.
-	// routeBuf is AppendRoute's reusable scratch.
-	routeAt    []int32
-	routeArena []int32
-	routeBuf   []int
+	// Routing tables (DESIGN.md §16.9). Routes are XY dimension order
+	// and a step on an axis depends only on the two coordinates on that
+	// axis (the Topology contract), so each hop computes its link and no
+	// route is kept per router pair. On a w x h grid, stepX[x*w+dx] is
+	// the column after x on the way to column dx and stepY[y*h+dy] the
+	// row after y on the way to row dy. out[(y*w+x)*(w+h)+c] is the
+	// dense id of the link from router (x, y) to the router at column c
+	// of its row (c < w) or at row c-w of its column, -1 where there is
+	// no such link; stride is w+h. tileAt[t] is the position of tile
+	// t's router.
+	w, h, stride int32
+	stepX, stepY []int32
+	out          []int32
+	tileAt       []pos
 
 	// inj, when non-nil, is the fault-injection source (DESIGN.md §11).
 	// Fault accounting below stays zero without an injector.
@@ -282,16 +284,13 @@ func New(k *sim.Kernel, cfg Config, obs Observer) *Network {
 	nodes := topo.Nodes()
 	links := topo.Links()
 	n := &Network{
-		k:          k,
-		topo:       topo,
-		nodes:      nodes,
-		cfg:        cfg,
-		obs:        obs,
-		handlers:   make([]Handler, topo.Tiles()),
-		links:      make([]link, len(links)),
-		firstLink:  make([]int32, nodes+1),
-		routeAt:    make([]int32, nodes*nodes),
-		routeArena: make([]int32, 1),
+		k:        k,
+		topo:     topo,
+		nodes:    nodes,
+		cfg:      cfg,
+		obs:      obs,
+		handlers: make([]Handler, topo.Tiles()),
+		links:    make([]link, len(links)),
 	}
 	for c := range n.latHist {
 		// 2-cycle buckets up to 512 cycles; congested tails overflow
@@ -307,16 +306,84 @@ func New(k *sim.Kernel, cfg Config, obs Observer) *Network {
 			n.wireCycles[p] = sim.Time(cycles)
 		}
 	}
-	// Canonical order sorts links by source router, so counting each
-	// router's links and summing the counts gives firstLink.
 	for id, l := range links {
 		n.links[id] = link{from: l.From, to: l.To, id: l.From*nodes + l.To}
-		n.firstLink[l.From+1]++
 	}
-	for r := 0; r < nodes; r++ {
-		n.firstLink[r+1] += n.firstLink[r]
-	}
+	n.buildRoutes()
 	return n
+}
+
+// buildRoutes fills the routing tables from the topology's route rule,
+// its tile attachment and its links: w*w + h*h steps, one position per
+// tile, then one entry per link.
+func (n *Network) buildRoutes() {
+	w, h := n.topo.Width(), n.topo.Height()
+	if n.nodes*(w+h) > math.MaxInt32 {
+		panic("mesh: routing tables outgrow int32 indices")
+	}
+	n.w, n.h, n.stride = int32(w), int32(h), int32(w+h)
+	n.stepX, n.stepY = axisSteps(n.topo, w), axisSteps(n.topo, h)
+	n.out = make([]int32, n.nodes*(w+h))
+	for i := range n.out {
+		n.out[i] = -1
+	}
+	n.tileAt = make([]pos, n.topo.Tiles())
+	for tile := range n.tileAt {
+		n.tileAt[tile] = n.posOf(n.topo.NodeOf(tile))
+	}
+	for id, l := range n.links {
+		row := l.from * (w + h)
+		switch from, to := n.posOf(l.from), n.posOf(l.to); {
+		case from.y == to.y:
+			n.out[row+int(to.x)] = int32(id)
+		case from.x == to.x:
+			n.out[row+w+int(to.y)] = int32(id)
+		default:
+			panic(fmt.Sprintf("mesh: link %d->%d leaves its router's row and column", l.from, l.to))
+		}
+	}
+}
+
+// axisSteps tabulates a topology's Step rule on an axis of n routers:
+// entry from*n+to is the coordinate after from on the way to to (from
+// itself when the two are equal).
+func axisSteps(t Topology, n int) []int32 {
+	steps := make([]int32, n*n)
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			next := from
+			if from != to {
+				next = t.Step(from, to, n)
+			}
+			steps[from*n+to] = int32(next)
+		}
+	}
+	return steps
+}
+
+// pos is a router's grid position: router y*w+x.
+type pos struct{ x, y int32 }
+
+// posOf returns a router's grid position.
+func (n *Network) posOf(router int) pos {
+	return pos{x: int32(router) % n.w, y: int32(router) / n.w}
+}
+
+// nextLink returns the dense id of the link a message at router at
+// crosses next on its way to router dst, and the router at its far end:
+// the column steps first, then the row. Asking at the destination is a
+// bug, never recoverable.
+func (n *Network) nextLink(at, dst pos) (int32, pos) {
+	row := (at.y*n.w + at.x) * n.stride
+	if at.x != dst.x {
+		at.x = n.stepX[at.x*n.w+dst.x]
+		return n.out[row+at.x], at
+	}
+	if at.y != dst.y {
+		at.y = n.stepY[at.y*n.h+dst.y]
+		return n.out[row+n.w+at.y], at
+	}
+	panic("mesh: zero-length route")
 }
 
 // scaledCycles scales a channel's wire-traversal latency, rounding up
@@ -417,7 +484,7 @@ func (n *Network) Send(m *noc.Message) {
 	if !n.HasPlane(plane) {
 		panic(fmt.Sprintf("mesh: message %v requests absent plane %v", m.Type, plane))
 	}
-	srcNode, dstNode := n.topo.NodeOf(m.Src), n.topo.NodeOf(m.Dst)
+	src, dst := n.tileAt[m.Src], n.tileAt[m.Dst]
 	n.inFlight++
 	injected := n.k.Now()
 	flits := noc.Flits(m.SizeBytes, n.cfg.Channels[plane].WidthBytes)
@@ -430,21 +497,20 @@ func (n *Network) Send(m *noc.Message) {
 				classSlug(noc.ClassOf(m.Type)), uint64(injected))
 		}
 	}
-	if srcNode == dstNode {
+	t := n.newTransit(m, src, dst, injected, flits, plane, traceID)
+	if src == dst {
 		// Same-router tiles (concentrated mesh only): the message
 		// crosses the local crossbar — one router pipeline plus tail
 		// serialization — with no link, no wire flight, and no channel
-		// contention. The empty route makes the latency breakdown exact
-		// (hops = 0, Wire = 0).
-		t := n.newTransit(m, 0, 0, injected, flits, plane, traceID)
+		// contention. No link is crossed, so the latency breakdown stays
+		// exact (hops = 0, Wire = 0).
 		if n.obs != nil {
 			n.obs.RouterHop(m.SizeBytes, flits)
 		}
 		n.k.ScheduleAt(injected+sim.Time(n.cfg.RouterLatency)+sim.Time(flits-1), t.deliverFn)
 		return
 	}
-	route, hops := n.routeOf(srcNode, dstNode)
-	n.hop(n.newTransit(m, route, hops, injected, flits, plane, traceID))
+	n.hop(t)
 }
 
 // transit is one message's in-flight state, taken from the Network's
@@ -455,11 +521,12 @@ func (n *Network) Send(m *noc.Message) {
 type transit struct {
 	// m is the network's own copy of the message.
 	m noc.Message
-	// route is the arena index of the route's first link id, hops its
-	// length, and idx the hop in progress: the link being crossed is
-	// links[routeArena[route+idx]].
-	route, hops, idx int
-	injected         sim.Time
+	// at is the router the head flit is leaving (hop advances it once
+	// a traversal is clean), dst the destination router, link the link
+	// being crossed and hops the links crossed so far.
+	at, dst    pos
+	link, hops int32
+	injected   sim.Time
 	// waited accumulates output-channel queueing across hops so
 	// delivery can decompose the end-to-end latency exactly.
 	waited sim.Time
@@ -491,12 +558,12 @@ type transit struct {
 }
 
 // newTransit takes a transit from the freelist (or allocates the pool's
-// next entry) and initializes every in-flight field, copying *m. route
-// and hops locate the message's route in the arena (both 0 for a
+// next entry) and initializes every in-flight field, copying *m. src
+// and dst are the source and destination routers (equal for a
 // same-router delivery).
 //
 //tilesim:pool
-func (n *Network) newTransit(m *noc.Message, route, hops int, injected sim.Time, flits noc.FlitCount, plane Plane, traceID uint64) *transit {
+func (n *Network) newTransit(m *noc.Message, src, dst pos, injected sim.Time, flits noc.FlitCount, plane Plane, traceID uint64) *transit {
 	t := n.free
 	if t == nil {
 		//tilesim:allocok pool miss: one transit + its four continuation closures, reused for the rest of the run
@@ -514,7 +581,7 @@ func (n *Network) newTransit(m *noc.Message, route, hops int, injected sim.Time,
 		t.next = nil
 	}
 	transitAcquired(t)
-	t.m, t.route, t.hops, t.idx = *m, route, hops, 0
+	t.m, t.at, t.dst, t.hops = *m, src, dst, 0
 	t.injected, t.waited, t.flits, t.plane = injected, 0, flits, plane
 	t.traceID, t.attempts, t.retryCycles = traceID, 0, 0
 	return t
@@ -530,55 +597,6 @@ func (n *Network) recycle(t *transit) {
 	n.free = t
 }
 
-// routeOf returns the arena index of the first link id of the route
-// between two distinct routers, and its hop count, computing the route
-// on first use. Cached routes are read-only: transits index into them
-// but never mutate.
-func (n *Network) routeOf(srcNode, dstNode int) (route, hops int) {
-	key := srcNode*n.nodes + dstNode
-	off := int(n.routeAt[key])
-	if off == 0 {
-		off = n.cacheRoute(srcNode, dstNode)
-		n.routeAt[key] = int32(off)
-	}
-	return off + 1, int(n.routeArena[off])
-}
-
-// cacheRoute appends the route between two distinct routers to the
-// arena and returns its offset; the arena grows once per route. An
-// empty route for distinct routers means the topology's AppendRoute
-// contract is broken — always a bug, never recoverable.
-func (n *Network) cacheRoute(srcNode, dstNode int) int {
-	n.routeBuf = n.topo.AppendRoute(n.routeBuf[:0], srcNode, dstNode)
-	hops := len(n.routeBuf)
-	if hops == 0 {
-		panic("mesh: zero-length route")
-	}
-	off := len(n.routeArena)
-	if off+1+hops > math.MaxInt32 {
-		panic("mesh: route arena outgrows int32 offsets")
-	}
-	n.routeArena = slices.Grow(n.routeArena, 1+hops)[:off+1+hops]
-	n.routeArena[off] = int32(hops)
-	at := srcNode
-	for i, next := range n.routeBuf {
-		n.routeArena[off+1+i] = int32(n.linkID(at, next))
-		at = next
-	}
-	return off
-}
-
-// linkID returns the dense id of the link between two adjacent
-// routers.
-func (n *Network) linkID(from, to int) int {
-	for id := n.firstLink[from]; id < n.firstLink[from+1]; id++ {
-		if n.links[id].to == to {
-			return int(id)
-		}
-	}
-	panic(fmt.Sprintf("mesh: no link %d->%d", from, to))
-}
-
 // hop models the head flit crossing the route's current link. Under
 // fault injection the traversal may be corrupted (caught by the link
 // CRC at the receiving router and NACKed back — see retryHop) or
@@ -587,7 +605,9 @@ func (n *Network) linkID(from, to int) int {
 //tilesim:hotpath per-hop transit, the simulator's innermost loop
 func (n *Network) hop(t *transit) {
 	entered := n.k.Now()
-	l := &n.links[n.routeArena[t.route+t.idx]]
+	id, next := n.nextLink(t.at, t.dst)
+	t.link = id
+	l := &n.links[id]
 	ch := &l.ch[t.plane]
 	// Router pipeline (plus any injected stall), then wait for the
 	// output channel and for any plane outage to lift: an out plane
@@ -628,23 +648,26 @@ func (n *Network) hop(t *transit) {
 		return
 	}
 	// Clean traversal: stalls and channel/outage waits count as
-	// queueing in the latency decomposition.
+	// queueing in the latency decomposition, and the head flit is now
+	// bound for the link's far router. A CRC-failed traversal above
+	// retries from the same router.
 	t.waited += wait + stall
+	t.at = next
+	t.hops++
 	n.k.ScheduleAt(headArrives, t.arriveFn)
 }
 
-// arrive fires when the head flit reaches the far end of the route's
-// current link: either the final tail-serialization delay before
+// arrive fires when the head flit reaches the far end of the link hop
+// sent it over: either the final tail-serialization delay before
 // delivery, or the next hop. Nothing mutates the transit between the
 // schedule in hop and this callback.
 func (n *Network) arrive(t *transit) {
-	if t.idx == t.hops-1 {
+	if t.at == t.dst {
 		// Final router pipeline plus tail serialization.
 		deliver := n.k.Now() + sim.Time(n.cfg.RouterLatency) + sim.Time(t.flits-1)
 		n.k.ScheduleAt(deliver, t.deliverFn)
 		return
 	}
-	t.idx++
 	n.hop(t)
 }
 
@@ -671,9 +694,9 @@ func (n *Network) retryHop(t *transit, l *link, entered, headArrives sim.Time) {
 		n.tracer.Instant(obs.PidLinks, tid, "crc-nack:"+t.m.Type.String(), "fault", uint64(tail))
 	}
 	if t.attempts > n.inj.RetryLimit() {
-		// The prebound drop continuation finds the failing link at the
-		// transit's current hop; nothing touches a doomed transit
-		// between here and the scheduled drop.
+		// The prebound drop continuation finds the failing link in the
+		// transit; nothing touches a doomed transit between here and
+		// the scheduled drop.
 		n.k.ScheduleAt(tail, t.dropFn)
 		return
 	}
@@ -690,7 +713,7 @@ func (n *Network) drop(t *transit) {
 	n.inFlight--
 	n.dropped.Inc()
 	if n.faultErr == nil {
-		l := &n.links[n.routeArena[t.route+t.idx]]
+		l := &n.links[t.link]
 		//tilesim:allocok terminal fault path: the first drop composes the run-fatal error
 		n.faultErr = fmt.Errorf("mesh: %v %d->%d dropped on link %d->%d at cycle %d: retry budget (%d) exhausted",
 			t.m.Type, t.m.Src, t.m.Dst, l.from, l.to, n.k.Now(), n.inj.RetryLimit())

@@ -90,7 +90,16 @@ func TestPanicPaths(t *testing.T) {
 				// A self-message is rejected by Validate before routing;
 				// the route guard is the backstop should the two ever
 				// disagree. Exercise it directly.
-				n.routeOf(2, 2)
+				n.nextLink(n.posOf(2), n.posOf(2))
+			},
+		},
+		{
+			name: "link off the router's row and column",
+			want: "leaves its router's row and column",
+			fn: func() {
+				cfg := DefaultBaseline()
+				cfg.Topo = diagonalMesh{NewMesh(4, 4)}
+				newNet(cfg)
 			},
 		},
 		{
@@ -117,3 +126,9 @@ func TestPanicPaths(t *testing.T) {
 		})
 	}
 }
+
+// diagonalMesh breaks the Topology contract with one diagonal link,
+// which no XY route can take.
+type diagonalMesh struct{ Mesh }
+
+func (d diagonalMesh) Links() []Link { return append(d.Mesh.Links(), Link{From: 0, To: 5}) }

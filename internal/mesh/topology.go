@@ -30,8 +30,15 @@ type Link struct{ From, To int }
 // it, how tiles map onto routers, and how messages route between
 // routers. All methods are pure and deterministic — the same receiver
 // always returns the same values, in the same order — which is what
-// lets routes be cached per (src,dst) router pair and lets same-seed
-// runs stay byte-identical (DESIGN.md §14).
+// lets same-seed runs stay byte-identical (DESIGN.md §14).
+//
+// Routers sit on a Width x Height grid, router y*Width+x at column x of
+// row y, and routes are XY dimension order: a route (AppendRoute)
+// steps the column to the destination's, then the row, one Step at a
+// time. A step depends only on the two coordinates on its axis, never
+// on the other axis or on the source. That property is what lets the
+// network route each hop from per-axis step tables and per-router link
+// tables instead of storing a route per router pair (DESIGN.md §16.9).
 type Topology interface {
 	// Name is the short topology identifier used in flags and canonical
 	// config encodings ("mesh", "cmesh", "torus", "slim").
@@ -43,14 +50,16 @@ type Topology interface {
 	// Nodes is the number of routers. Equal to Tiles for direct
 	// topologies; Tiles/c for a concentrated mesh.
 	Nodes() int
+	// Width and Height are the router grid's columns and rows; their
+	// product is Nodes.
+	Width() int
+	Height() int
+	// Step is the route rule: the coordinate after from on the way to
+	// to (from != to) along an axis of n routers. Each step crosses one
+	// link, and a route of Steps is minimal.
+	Step(from, to, n int) int
 	// NodeOf maps a tile id to the router it attaches to.
 	NodeOf(tile int) int
-	// AppendRoute appends the deterministic minimal route from router
-	// src to router dst to buf and returns the extended slice: the
-	// ordered intermediate+final router ids, excluding src. It appends
-	// nothing when src == dst, and allocates only when buf lacks the
-	// capacity. Repeated calls append equal routes.
-	AppendRoute(buf []int, src, dst int) []int
 	// Hops returns the minimal hop count between routers, equal to the
 	// number of ids AppendRoute appends.
 	Hops(src, dst int) int
@@ -61,6 +70,26 @@ type Topology interface {
 	// ascending (From, To). Per-link channel state, per-link metrics
 	// and the static wire inventory all follow this order.
 	Links() []Link
+}
+
+// AppendRoute appends t's route from router src to router dst to buf
+// and returns the extended slice: the ordered intermediate and final
+// router ids, excluding src, stepping the column with t.Step, then the
+// row. It appends nothing when src == dst, and allocates only when buf
+// lacks the capacity. The network routes by tables built from the same
+// Step rule; AppendRoute is the route written out, for tests and tools.
+func AppendRoute(t Topology, buf []int, src, dst int) []int {
+	w, h := t.Width(), t.Height()
+	x, y, dx, dy := src%w, src/w, dst%w, dst/w
+	for x != dx {
+		x = t.Step(x, dx, w)
+		buf = append(buf, y*w+x)
+	}
+	for y != dy {
+		y = t.Step(y, dy, h)
+		buf = append(buf, y*w+x)
+	}
+	return buf
 }
 
 // linksOf builds the canonical link enumeration from Neighbors: since
@@ -120,41 +149,12 @@ func (g grid) IDOf(c Coord) int {
 	return c.Y*g.W + c.X
 }
 
-// appendRouteXY is the shared XY dimension-order walk: resolve X
-// fully, then Y, stepping one grid coordinate at a time and appending
-// each router to buf. step picks the direction on an axis of the given
-// size (and handles wrap for the torus); its choice is a pure function
-// of (from, to, size), so the route is deterministic.
-func (g grid) appendRouteXY(buf []int, src, dst int, step func(from, to, size int) int) []int {
-	a, b := g.CoordOf(src), g.CoordOf(dst)
-	for a.X != b.X {
-		a.X = step(a.X, b.X, g.W)
-		buf = append(buf, g.IDOf(a))
-	}
-	for a.Y != b.Y {
-		a.Y = step(a.Y, b.Y, g.H)
-		buf = append(buf, g.IDOf(a))
-	}
-	return buf
-}
-
 // meshStep moves one unit toward to on an unwrapped axis.
-func meshStep(from, to, _ int) int {
+func meshStep(from, to int) int {
 	if from < to {
 		return from + 1
 	}
 	return from - 1
-}
-
-// torusStep moves one unit toward to on a wrapped axis of size n,
-// taking the shorter way around; on a tie (to is exactly n/2 away) it
-// deterministically steps in the positive direction.
-func torusStep(from, to, n int) int {
-	fwd := (to - from + n) % n // steps going +1 with wrap
-	if fwd <= n-fwd {
-		return (from + 1) % n
-	}
-	return (from - 1 + n) % n
 }
 
 // wrapDist is the minimal wrapped distance between two coordinates on
@@ -206,10 +206,8 @@ func (m Mesh) Hops(src, dst int) int {
 	return abs(a.X-b.X) + abs(a.Y-b.Y)
 }
 
-// AppendRoute implements Topology: XY dimension-order routing.
-func (m Mesh) AppendRoute(buf []int, src, dst int) []int {
-	return m.appendRouteXY(buf, src, dst, meshStep)
-}
+// Step implements Topology: one unit toward to.
+func (m Mesh) Step(from, to, _ int) int { return meshStep(from, to) }
 
 // Neighbors implements Topology.
 func (m Mesh) Neighbors(node int) []int {
@@ -281,11 +279,8 @@ func (m CMesh) Hops(src, dst int) int {
 	return abs(a.X-b.X) + abs(a.Y-b.Y)
 }
 
-// AppendRoute implements Topology: XY dimension-order routing over
-// routers.
-func (m CMesh) AppendRoute(buf []int, src, dst int) []int {
-	return m.appendRouteXY(buf, src, dst, meshStep)
-}
+// Step implements Topology: one unit toward to.
+func (m CMesh) Step(from, to, _ int) int { return meshStep(from, to) }
 
 // Neighbors implements Topology.
 func (m CMesh) Neighbors(node int) []int { return Mesh{m.grid}.Neighbors(node) }
@@ -332,10 +327,15 @@ func (t Torus) Hops(src, dst int) int {
 	return wrapDist(a.X, b.X, t.W) + wrapDist(a.Y, b.Y, t.H)
 }
 
-// AppendRoute implements Topology: XY dimension-order routing, shorter
-// way around each axis, ties broken toward the positive direction.
-func (t Torus) AppendRoute(buf []int, src, dst int) []int {
-	return t.appendRouteXY(buf, src, dst, torusStep)
+// Step implements Topology: one unit the shorter way around the axis
+// of n routers; on a tie (to is exactly n/2 away) it deterministically
+// steps in the positive direction.
+func (t Torus) Step(from, to, n int) int {
+	fwd := (to - from + n) % n // steps going +1 with wrap
+	if fwd <= n-fwd {
+		return (from + 1) % n
+	}
+	return (from - 1 + n) % n
 }
 
 // Neighbors implements Topology.
@@ -398,20 +398,11 @@ func (s Slim) Hops(src, dst int) int {
 	return h
 }
 
-// AppendRoute implements Topology: dimension-order — the single row
-// hop to the destination column first, then the single column hop.
-func (s Slim) AppendRoute(buf []int, src, dst int) []int {
-	a, b := s.CoordOf(src), s.CoordOf(dst)
-	if a.X != b.X {
-		a.X = b.X
-		buf = append(buf, s.IDOf(a))
-	}
-	if a.Y != b.Y {
-		a.Y = b.Y
-		buf = append(buf, s.IDOf(a))
-	}
-	return buf
-}
+// Step implements Topology: a jump straight to to, since every router
+// on an axis links to every other (the flattened butterfly). A route
+// is the single row hop to the destination column, then the single
+// column hop.
+func (s Slim) Step(_, to, _ int) int { return to }
 
 // Neighbors implements Topology: the rest of the row and the column.
 func (s Slim) Neighbors(node int) []int {

@@ -79,7 +79,7 @@ func TestTopologyRoutesAreMinimal(t *testing.T) {
 		}
 		for src := 0; src < topo.Nodes(); src++ {
 			for dst := 0; dst < topo.Nodes(); dst++ {
-				route := topo.AppendRoute(nil, src, dst)
+				route := AppendRoute(topo, nil, src, dst)
 				if len(route) != topo.Hops(src, dst) {
 					t.Fatalf("%s: %d->%d route length %d != hops %d",
 						topo.Name(), src, dst, len(route), topo.Hops(src, dst))
@@ -113,17 +113,17 @@ func TestTopologyRouteDeterminism(t *testing.T) {
 		buf := make([]int, 0, topo.Nodes())
 		for src := 0; src < topo.Nodes(); src++ {
 			for dst := 0; dst < topo.Nodes(); dst++ {
-				a, b := topo.AppendRoute(nil, src, dst), topo.AppendRoute(nil, src, dst)
+				a, b := AppendRoute(topo, nil, src, dst), AppendRoute(topo, nil, src, dst)
 				if !reflect.DeepEqual(a, b) {
 					t.Fatalf("%s: %d->%d routed %v then %v", topo.Name(), src, dst, a, b)
 				}
-				if buf = topo.AppendRoute(buf[:0], src, dst); !slices.Equal(buf, a) {
+				if buf = AppendRoute(topo, buf[:0], src, dst); !slices.Equal(buf, a) {
 					t.Fatalf("%s: %d->%d appended %v into capacity, %v into nil", topo.Name(), src, dst, buf, a)
 				}
 			}
 		}
 		far := topo.Nodes() - 1
-		if allocs := testing.AllocsPerRun(10, func() { buf = topo.AppendRoute(buf[:0], 0, far) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(10, func() { buf = AppendRoute(topo, buf[:0], 0, far) }); allocs != 0 {
 			t.Errorf("%s: AppendRoute into capacity made %.0f allocations, want 0", topo.Name(), allocs)
 		}
 	}
@@ -195,7 +195,7 @@ func TestTorusTieBreakIsPositive(t *testing.T) {
 	// 0 -> 4 on the top row: both directions are 4 hops; the tie must
 	// deterministically resolve to the positive direction 1,2,3,4.
 	want := []int{1, 2, 3, 4}
-	if got := tor.AppendRoute(nil, 0, 4); !reflect.DeepEqual(got, want) {
+	if got := AppendRoute(tor, nil, 0, 4); !reflect.DeepEqual(got, want) {
 		t.Fatalf("torus tie-broken route %v, want %v", got, want)
 	}
 }
@@ -263,7 +263,7 @@ func TestMeshAsymmetricRowIsLegal(t *testing.T) {
 	if m.Tiles() != 4 {
 		t.Fatalf("1x4 mesh tiles = %d", m.Tiles())
 	}
-	if got := m.AppendRoute(nil, 0, 3); len(got) != 3 {
+	if got := AppendRoute(m, nil, 0, 3); len(got) != 3 {
 		t.Fatalf("1x4 mesh route 0->3 = %v", got)
 	}
 }
