@@ -2,9 +2,10 @@
 # Checks that two source trees of tilesim produce byte-identical results:
 # builds cmd/tilesim from each, runs FFT at 64 tiles on all four
 # topologies (fault-free, at BER 1e-5 with a 4x noisier VL plane, and
-# with router stalls plus a VL-plane outage) and once on the 1024-tile
-# torus, then every application at 16 tiles, and compares the metrics
-# JSON with cmp and stdout with diff. The per-application runs cover the
+# with router stalls plus a VL-plane outage), on the 1024-tile torus
+# (fault-free and at BER 1e-5) and the 1024-tile slim network, then
+# every application at 16 tiles, and compares the metrics JSON with cmp
+# and stdout with diff. The per-application runs cover the
 # workload generator's paths FFT alone does not: long compute gaps
 # (Water-nsq, LU), no gaps at all (MP3D, Unstructured) and each address
 # pattern.
@@ -63,7 +64,11 @@ for topo in mesh cmesh torus slim; do
   compare "$topo-ber" "${fft[@]}" "${t64[@]}" "${ber[@]}"
   compare "$topo-stall-outage" "${fft[@]}" "${t64[@]}" "${stall[@]}"
 done
-compare torus1024 "${fft[@]}" -refs 40 -warmup 10 -topo torus -tiles 1024
+t1024=(-refs 40 -warmup 10 -tiles 1024)
+compare torus1024 "${fft[@]}" "${t1024[@]}" -topo torus
+compare torus1024-ber "${fft[@]}" "${t1024[@]}" -topo torus "${ber[@]}"
+# The widest port table: 62 output ports per router.
+compare slim1024 "${fft[@]}" "${t1024[@]}" -topo slim
 
 apps=(Barnes-Hut EM3D FFT LU-cont LU-noncont MP3D Ocean-cont Ocean-noncont
   Radix Raytrace Unstructured Water-nsq Water-spa)

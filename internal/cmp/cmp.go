@@ -64,7 +64,9 @@ type RunConfig struct {
 	ReplyPartitioning bool
 	// RouterLatency overrides the router pipeline depth (0 keeps the
 	// layout default of 2); LinkCyclesScale scales wire traversal
-	// latencies (0 keeps 1.0). Sensitivity-ablation knobs.
+	// latencies (0 keeps 1.0). Sensitivity-ablation knobs: NewSystem
+	// rejects a negative latency and a negative or non-finite scale, or
+	// one that puts a wire latency above 2^62 cycles.
 	RouterLatency   int
 	LinkCyclesScale float64
 	// SeriesInterval, when positive, samples an epoch series every that
@@ -331,13 +333,19 @@ func NewSystem(cfg RunConfig) (*System, error) {
 	default:
 		return nil, fmt.Errorf("cmp: unknown wiring %q", cfg.Wiring)
 	}
-	if cfg.RouterLatency > 0 {
+	// Zero keeps the layout's value; anything else, a negative router
+	// latency or a non-finite scale included, goes to the network's
+	// validation.
+	if cfg.RouterLatency != 0 {
 		netCfg.RouterLatency = cfg.RouterLatency
 	}
-	if cfg.LinkCyclesScale > 0 {
+	if cfg.LinkCyclesScale != 0 {
 		netCfg.LinkCyclesScale = cfg.LinkCyclesScale
 	}
 	netCfg.Topo = topo
+	if err := netCfg.Validate(); err != nil {
+		return nil, fmt.Errorf("cmp: network: %w", err)
+	}
 
 	k := sim.NewKernel()
 	meter := energy.NewMeter(topo.Nodes())

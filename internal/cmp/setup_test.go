@@ -2,6 +2,7 @@ package cmp
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -144,6 +145,44 @@ func TestNewSystemRejectsBadCodecParameters(t *testing.T) {
 			_, err := NewSystem(cfg)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%+v (het %v): error %v, want one containing %q", c.spec, het, err, c.want)
+			}
+		}
+	}
+}
+
+// TestNewSystemRejectsBadNetworkTiming pins the timing knobs' bounds.
+// Each rejected value used to run on some other timing: an overflowing
+// or infinite scale converted to a negative int and ran on 1-cycle
+// wires, NaN and negative scales meant 1.0, and a negative router
+// latency meant the layout's 2 cycles.
+func TestNewSystemRejectsBadNetworkTiming(t *testing.T) {
+	cases := []struct {
+		name   string
+		router int
+		scale  float64
+		want   string // "" when the configuration is valid
+	}{
+		{name: "defaults"},
+		{name: "slow wires", scale: 2},
+		{name: "fast wires", scale: 0.2},
+		{name: "deep routers", router: 4},
+		{name: "scale 1e20", scale: 1e20, want: "above 2^62 cycles"},
+		{name: "scale +Inf", scale: math.Inf(1), want: "finite and non-negative, got +Inf"},
+		{name: "scale NaN", scale: math.NaN(), want: "finite and non-negative, got NaN"},
+		{name: "scale -3", scale: -3, want: "finite and non-negative, got -3"},
+		{name: "router -5", router: -5, want: "router latency must be >= 1 cycle, got -5"},
+	}
+	for _, c := range cases {
+		for _, het := range []bool{false, true} {
+			cfg := hetCfg("FFT", 100, compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 2})
+			cfg.Heterogeneous = het
+			cfg.RouterLatency, cfg.LinkCyclesScale = c.router, c.scale
+			_, err := NewSystem(cfg)
+			switch {
+			case c.want == "" && err != nil:
+				t.Errorf("%s (het %v): %v", c.name, het, err)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+				t.Errorf("%s (het %v): error %v, want one containing %q", c.name, het, err, c.want)
 			}
 		}
 	}

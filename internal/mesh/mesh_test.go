@@ -434,7 +434,8 @@ func checkRouteWalk(t *testing.T, n *Network, links []Link, src, dst int) {
 	at, to := n.posOf(src), n.posOf(dst)
 	from := src
 	for i, want := range AppendRoute(topo, nil, src, dst) {
-		id, next := n.nextLink(at, to)
+		id, nx, ny := n.nextLink(at.x, at.y, to.x, to.y)
+		next := pos{x: nx, y: ny}
 		if l := links[id]; l.From != from || l.To != want || next != n.posOf(want) {
 			t.Fatalf("%s: %d->%d hop %d is link %d (%d->%d) toward %+v, want %d->%d",
 				topo.Label(), src, dst, i, id, l.From, l.To, next, from, want)
@@ -446,10 +447,28 @@ func checkRouteWalk(t *testing.T, n *Network, links []Link, src, dst int) {
 	}
 }
 
+// axisDegrees returns the most links any router of topo has along its
+// row and along its column: the output ports a router needs per axis.
+func axisDegrees(topo Topology) (row, col int) {
+	w := topo.Width()
+	for from := 0; from < topo.Nodes(); from++ {
+		r, c := 0, 0
+		for _, to := range topo.Neighbors(from) {
+			if to/w == from/w {
+				r++
+			} else {
+				c++
+			}
+		}
+		row, col = max(row, r), max(col, c)
+	}
+	return row, col
+}
+
 // TestLinkRoutesMatchTopology checks the dense link table and the
 // per-hop routing tables against the topology: every pair at 16 and
-// 64 tiles and seeded pairs at 1024. The tables hold at most
-// routers*(w+h) + w*w + h*h entries, none per router pair.
+// 64 tiles and seeded pairs at 1024. The tables hold routers x (row
+// ports + column ports) + w*w + h*h entries, none per router pair.
 func TestLinkRoutesMatchTopology(t *testing.T) {
 	full := []Topology{NewMesh(4, 4), NewCMesh(2, 2, 4), NewTorus(4, 4), NewSlim(4, 4)}
 	full = append(full, topologies64()...)
@@ -470,7 +489,8 @@ func TestLinkRoutesMatchTopology(t *testing.T) {
 			}
 		}
 		nodes, w, h := topo.Nodes(), topo.Width(), topo.Height()
-		if got, bound := len(n.out)+len(n.stepX)+len(n.stepY), nodes*(w+h)+w*w+h*h; got > bound {
+		row, col := axisDegrees(topo)
+		if got, bound := len(n.out)+len(n.stepX)+len(n.stepY), nodes*(row+col)+w*w+h*h; got > bound {
 			t.Fatalf("%s: routing tables hold %d entries, want at most %d", topo.Label(), got, bound)
 		}
 		if slices.Contains(sampled, topo) {
@@ -485,6 +505,56 @@ func TestLinkRoutesMatchTopology(t *testing.T) {
 					if src != dst {
 						checkRouteWalk(t, n, links, src, dst)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestEveryLinkHasAPort checks the port-indexed link tables on every
+// topology at 16, 64 and 1024 tiles, and on the degenerate 1x4 and 4x1
+// meshes (no row or no column ports): each router has as many ports on
+// an axis as it has links along it at most (4 on mesh, cmesh and
+// torus with at least 3 routers per axis), every link sits behind exactly one output port, and every
+// port a step table names holds a link.
+func TestEveryLinkHasAPort(t *testing.T) {
+	topos := []Topology{NewMesh(4, 4), NewCMesh(2, 2, 4), NewTorus(4, 4), NewSlim(4, 4), NewMesh(1, 4), NewMesh(4, 1)}
+	topos = append(topos, topologies64()...)
+	topos = append(topos, NewMesh(32, 32), NewCMesh(16, 16, 4), NewTorus(32, 32), NewSlim(32, 32))
+	for _, topo := range topos {
+		cfg := DefaultBaseline()
+		cfg.Topo = topo
+		n := New(sim.NewKernel(), cfg, nil)
+		row, col := axisDegrees(topo)
+		if int(n.stride) != row+col || int(n.portsX) != row {
+			t.Fatalf("%s: %d row ports of %d, want %d of %d", topo.Label(), n.portsX, n.stride, row, row+col)
+		}
+		if topo.Name() != "slim" && topo.Width() > 2 && topo.Height() > 2 && n.stride != 4 {
+			t.Errorf("%s: %d ports per router, want 4", topo.Label(), n.stride)
+		}
+		seen := make([]int, len(n.links))
+		for _, id := range n.out {
+			if id >= 0 {
+				seen[id]++
+			}
+		}
+		for id, c := range seen {
+			if c != 1 {
+				t.Fatalf("%s: link %d (%d->%d) sits behind %d ports, want 1",
+					topo.Label(), id, n.links[id].from, n.links[id].to, c)
+			}
+		}
+		w, h := int(n.w), int(n.h)
+		for r := 0; r < topo.Nodes(); r++ {
+			x, y, base := r%w, r/w, r*int(n.stride)
+			for dx := 0; dx < w; dx++ {
+				if port := n.stepX[x*w+dx] & 0xff; dx != x && n.out[base+int(port)] < 0 {
+					t.Fatalf("%s: router %d's row port %d toward column %d holds no link", topo.Label(), r, port, dx)
+				}
+			}
+			for dy := 0; dy < h; dy++ {
+				if port := n.stepY[y*h+dy] & 0xff; dy != y && n.out[base+int(n.portsX+port)] < 0 {
+					t.Fatalf("%s: router %d's column port %d toward row %d holds no link", topo.Label(), r, port, dy)
 				}
 			}
 		}
@@ -506,7 +576,7 @@ func TestRouteWalkDoesNotAllocate(t *testing.T) {
 				for dst := 0; dst < topo.Nodes(); dst++ {
 					at, to := n.posOf(src), n.posOf(dst)
 					for at != to {
-						_, at = n.nextLink(at, to)
+						_, at.x, at.y = n.nextLink(at.x, at.y, to.x, to.y)
 						hops++
 					}
 				}

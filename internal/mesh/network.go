@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -69,6 +70,34 @@ type Config struct {
 	// ablation to explore faster/slower wire technology around the
 	// calibrated 0.4 ns/mm point.
 	LinkCyclesScale float64
+}
+
+// maxWireCycles bounds a channel's scaled wire latency. The cycle clock
+// is 64 bits wide; 2^62 leaves it room for the sums a run adds on top,
+// the bound trace.CheckReplay puts on replayed compute.
+const maxWireCycles = 1 << 62
+
+// Validate returns the first setting New cannot build a network from,
+// or nil. Its messages carry no package prefix: New panics with them
+// and cmp.NewSystem returns them wrapped.
+func (c Config) Validate() error {
+	if c.Channels[PlaneB].WidthBytes <= 0 && c.Channels[PlanePW].WidthBytes <= 0 {
+		return errors.New("a bulk channel (PlaneB or PlanePW) is mandatory")
+	}
+	if c.RouterLatency < 1 {
+		return fmt.Errorf("router latency must be >= 1 cycle, got %d", c.RouterLatency)
+	}
+	// Negated, so NaN fails it too.
+	if s := c.LinkCyclesScale; !(s >= 0 && s <= math.MaxFloat64) {
+		return fmt.Errorf("wire-latency scale must be finite and non-negative, got %v", s)
+	}
+	for p := Plane(0); p < numPlanes; p++ {
+		ch := c.Channels[p]
+		if ch.WidthBytes > 0 && float64(wire.LatencyCycles(ch.Kind))*c.LinkCyclesScale > maxWireCycles {
+			return fmt.Errorf("wire-latency scale %v puts the %v plane's wire latency above 2^62 cycles", c.LinkCyclesScale, p)
+		}
+	}
+	return nil
 }
 
 // DefaultBaseline returns the paper's baseline network: 4x4 mesh,
@@ -158,25 +187,29 @@ type Observer interface {
 	RouterHop(msgBytes int, flits noc.FlitCount)
 }
 
-// channel is the mutable state of one wire plane of one directed link.
-// The plane's constants (wire kind, width, traversal cycles) are the
-// same on every link, so the Network keeps them once.
+// channel is the mutable state of one wire plane of one directed link,
+// the 16 bytes a hop reads and writes. The plane's constants (wire
+// kind, width, traversal cycles) are the same on every link, so the
+// Network keeps them once.
 type channel struct {
 	nextFree sim.Time      // first cycle a new head flit may enter
 	flits    stats.Counter // flit-cycles carried: traffic and utilization
-	// flit is the plane's transient-error stream (fault injection only).
-	flit fault.Stream
 }
 
 // link is one directed link between adjacent routers. id is its
 // structural id from*nodes+to, kept only as the key of its fault
 // streams and trace tracks; the link's index in Network.links is its
-// dense id, the one the routing tables store.
+// dense id, the one the routing tables store. Its channel state lives
+// in Network.ch, apart from the endpoints a hop never reads.
 type link struct {
 	from, to int
 	id       int
-	ch       [numPlanes]channel
 }
+
+// chanAt returns the index of plane p of the link with dense id id in
+// Network.ch and Network.flitFaults: link-major, numPlanes entries per
+// link.
+func chanAt(id int32, p Plane) int { return int(id)*int(numPlanes) + int(p) }
 
 // Handler consumes messages delivered at a tile. The *noc.Message points
 // into the network's in-flight state and is valid only during the call:
@@ -198,15 +231,22 @@ type Network struct {
 	// deterministic link order — map iteration order would vary run to
 	// run.
 	links []link
+	// ch holds every channel's state, chanAt(id, plane) for the link
+	// with dense id id: the only per-link memory a fault-free hop
+	// touches (DESIGN.md §16.10).
+	ch []channel
 	// wireCycles is each plane's head traversal latency.
 	wireCycles [numPlanes]sim.Time
-	// stalls holds each router's stall stream (fault injection only).
-	stalls []fault.Stream
+	// stalls holds each router's stall stream and flitFaults each
+	// channel's transient-error stream, indexed like ch (fault
+	// injection only: both stay nil without an injector).
+	stalls     []fault.Stream
+	flitFaults []fault.Stream
 
 	inFlight int
 
 	// Per-class latency statistics (message inject -> tail delivery).
-	latency [noc.NumClasses]stats.Mean
+	// Each histogram keeps the exact running mean beside its buckets.
 	latHist [noc.NumClasses]*stats.Histogram
 	byPlane [numPlanes]stats.Counter
 	msgs    [noc.NumClasses]stats.Counter
@@ -230,20 +270,23 @@ type Network struct {
 	// per-message transit was +5.7% of the run's allocations
 	// (BenchmarkObsOverhead/disabled, 2026-08).
 	free *transit
-	// Routing tables (DESIGN.md §16.9). Routes are XY dimension order
-	// and a step on an axis depends only on the two coordinates on that
-	// axis (the Topology contract), so each hop computes its link and no
-	// route is kept per router pair. On a w x h grid, stepX[x*w+dx] is
-	// the column after x on the way to column dx and stepY[y*h+dy] the
-	// row after y on the way to row dy. out[(y*w+x)*(w+h)+c] is the
-	// dense id of the link from router (x, y) to the router at column c
-	// of its row (c < w) or at row c-w of its column, -1 where there is
-	// no such link; stride is w+h. tileAt[t] is the position of tile
-	// t's router.
-	w, h, stride int32
-	stepX, stepY []int32
-	out          []int32
-	tileAt       []pos
+	// Routing tables (DESIGN.md §16.9, §16.10). Routes are XY dimension
+	// order and a step on an axis depends only on the two coordinates on
+	// that axis (the Topology contract), so each hop computes its link
+	// and no route is kept per router pair. On a w x h grid,
+	// stepX[x*w+dx] is next<<8 | port for the column next after x on the
+	// way to column dx, where port numbers next among the columns a step
+	// from x reaches, and stepY[y*h+dy] likewise for rows. A router has
+	// portsX row ports and then its column ports, stride in all:
+	// out[(y*w+x)*stride+port] is the dense id of the link from router
+	// (x, y) through that output port (row port p at p, column port p at
+	// portsX+p), -1 where the router has no such port. tileAt[t] is the
+	// position of tile t's router.
+	w, h           int32
+	portsX, stride int32
+	stepX, stepY   []int32
+	out            []int32
+	tileAt         []pos
 
 	// inj, when non-nil, is the fault-injection source (DESIGN.md §11).
 	// Fault accounting below stays zero without an injector.
@@ -269,13 +312,11 @@ var (
 	_ = [1]struct{}{}[int(numPlanes)-fault.NumPlanes]
 )
 
-// New builds a network on kernel k. obs may be nil.
+// New builds a network on kernel k. obs may be nil. A configuration
+// Validate rejects panics.
 func New(k *sim.Kernel, cfg Config, obs Observer) *Network {
-	if cfg.Channels[PlaneB].WidthBytes <= 0 && cfg.Channels[PlanePW].WidthBytes <= 0 {
-		panic("mesh: a bulk channel (PlaneB or PlanePW) is mandatory")
-	}
-	if cfg.RouterLatency < 1 {
-		panic("mesh: router latency must be >= 1 cycle")
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("mesh: %v", err))
 	}
 	topo := cfg.Topo
 	if topo == nil {
@@ -291,6 +332,7 @@ func New(k *sim.Kernel, cfg Config, obs Observer) *Network {
 		obs:      obs,
 		handlers: make([]Handler, topo.Tiles()),
 		links:    make([]link, len(links)),
+		ch:       make([]channel, len(links)*int(numPlanes)),
 	}
 	for c := range n.latHist {
 		// 2-cycle buckets up to 512 cycles; congested tails overflow
@@ -314,16 +356,20 @@ func New(k *sim.Kernel, cfg Config, obs Observer) *Network {
 }
 
 // buildRoutes fills the routing tables from the topology's route rule,
-// its tile attachment and its links: w*w + h*h steps, one position per
-// tile, then one entry per link.
+// its tile attachment and its links: w*w + h*h steps and their reverse
+// port maps, one position per tile, then one write per link.
 func (n *Network) buildRoutes() {
 	w, h := n.topo.Width(), n.topo.Height()
-	if n.nodes*(w+h) > math.MaxInt32 {
+	n.w, n.h = int32(w), int32(h)
+	var portX, portY []int32
+	var portsY int32
+	n.stepX, portX, n.portsX = axisSteps(n.topo, w)
+	n.stepY, portY, portsY = axisSteps(n.topo, h)
+	n.stride = n.portsX + portsY
+	if int64(n.nodes)*int64(n.stride) > math.MaxInt32 {
 		panic("mesh: routing tables outgrow int32 indices")
 	}
-	n.w, n.h, n.stride = int32(w), int32(h), int32(w+h)
-	n.stepX, n.stepY = axisSteps(n.topo, w), axisSteps(n.topo, h)
-	n.out = make([]int32, n.nodes*(w+h))
+	n.out = make([]int32, n.nodes*int(n.stride))
 	for i := range n.out {
 		n.out[i] = -1
 	}
@@ -332,33 +378,60 @@ func (n *Network) buildRoutes() {
 		n.tileAt[tile] = n.posOf(n.topo.NodeOf(tile))
 	}
 	for id, l := range n.links {
-		row := l.from * (w + h)
+		var port int32
 		switch from, to := n.posOf(l.from), n.posOf(l.to); {
 		case from.y == to.y:
-			n.out[row+int(to.x)] = int32(id)
+			port = portX[from.x*n.w+to.x]
 		case from.x == to.x:
-			n.out[row+w+int(to.y)] = int32(id)
+			if port = portY[from.y*n.h+to.y]; port >= 0 {
+				port += n.portsX
+			}
 		default:
 			panic(fmt.Sprintf("mesh: link %d->%d leaves its router's row and column", l.from, l.to))
+		}
+		// A link no route steps over gets no port: nothing reaches it.
+		if port >= 0 {
+			n.out[l.from*int(n.stride)+int(port)] = int32(id)
 		}
 	}
 }
 
-// axisSteps tabulates a topology's Step rule on an axis of n routers:
-// entry from*n+to is the coordinate after from on the way to to (from
-// itself when the two are equal).
-func axisSteps(t Topology, n int) []int32 {
-	steps := make([]int32, n*n)
+// maxAxisPorts bounds a coordinate's ports on one axis: a port number
+// lives in the low byte of a step entry.
+const maxAxisPorts = 255
+
+// axisSteps tabulates a topology's Step rule on an axis of n routers.
+// Entry from*n+to of steps is next<<8 | port: next is the coordinate
+// after from on the way to to (from itself, port 0, when the two are
+// equal), and port numbers next among the coordinates a step from from
+// reaches, in order of first use. ports is the reverse map:
+// ports[from*n+next] is that port, -1 where no step from from lands on
+// next. width is the most ports any coordinate has.
+func axisSteps(t Topology, n int) (steps, ports []int32, width int32) {
+	steps = make([]int32, n*n)
+	ports = make([]int32, n*n)
+	for i := range ports {
+		ports[i] = -1
+	}
 	for from := 0; from < n; from++ {
+		var used int32
 		for to := 0; to < n; to++ {
-			next := from
+			next, port := from, int32(0)
 			if from != to {
 				next = t.Step(from, to, n)
+				if port = ports[from*n+next]; port < 0 {
+					if used == maxAxisPorts {
+						panic(fmt.Sprintf("mesh: coordinate %d of a %d-router axis needs more than %d ports", from, n, maxAxisPorts))
+					}
+					port, used = used, used+1
+					ports[from*n+next] = port
+				}
 			}
-			steps[from*n+to] = int32(next)
+			steps[from*n+to] = int32(next)<<8 | port
 		}
+		width = max(width, used)
 	}
-	return steps
+	return steps, ports, width
 }
 
 // pos is a router's grid position: router y*w+x.
@@ -369,21 +442,27 @@ func (n *Network) posOf(router int) pos {
 	return pos{x: int32(router) % n.w, y: int32(router) / n.w}
 }
 
-// nextLink returns the dense id of the link a message at router at
-// crosses next on its way to router dst, and the router at its far end:
-// the column steps first, then the row. Asking at the destination is a
-// bug, never recoverable.
-func (n *Network) nextLink(at, dst pos) (int32, pos) {
-	row := (at.y*n.w + at.x) * n.stride
-	if at.x != dst.x {
-		at.x = n.stepX[at.x*n.w+dst.x]
-		return n.out[row+at.x], at
+// nextLink returns the dense id of the link a message at router (x, y)
+// crosses next on its way to router (dx, dy), and the coordinates of
+// the router at its far end: the column steps first, then the row. One
+// step-table load names the output port, one link-table load its link.
+// Scalar coordinates keep it within the inliner's budget. Asking at the
+// destination is a bug, never recoverable.
+func (n *Network) nextLink(x, y, dx, dy int32) (id, nx, ny int32) {
+	port := (y*n.w + x) * n.stride
+	var s int32
+	if x != dx {
+		s = n.stepX[x*n.w+dx]
+		x = s >> 8
+	} else {
+		if y == dy {
+			panic("mesh: zero-length route")
+		}
+		s = n.stepY[y*n.h+dy]
+		y = s >> 8
+		port += n.portsX
 	}
-	if at.y != dst.y {
-		at.y = n.stepY[at.y*n.h+dst.y]
-		return n.out[row+n.w+at.y], at
-	}
-	panic("mesh: zero-length route")
+	return n.out[port+s&0xff], x, y
 }
 
 // scaledCycles scales a channel's wire-traversal latency, rounding up
@@ -391,7 +470,8 @@ func (n *Network) nextLink(at, dst pos) (int32, pos) {
 // math.Ceil on the raw product over-rounds exact factors: 5 cycles at
 // scale 0.2 computes 1.0000000000000002 in float64, which must still
 // mean 1 cycle, not 2 (the old `+ 0.999999` ad-hoc ceiling got this
-// wrong; fixed under SimVersion v4).
+// wrong; fixed under SimVersion v4). Config.Validate keeps the product
+// within maxWireCycles, so the conversion to int is exact.
 func scaledCycles(cycles int, scale float64) int {
 	const fuzz = 1e-9
 	scaled := int(math.Ceil(float64(cycles)*scale - fuzz))
@@ -429,11 +509,11 @@ func (n *Network) SetInjector(in *fault.Injector) {
 	for r := range n.stalls {
 		n.stalls[r] = *in.StallStream(r)
 	}
-	for i := range n.links {
-		l := &n.links[i]
+	n.flitFaults = make([]fault.Stream, len(n.ch))
+	for id, l := range n.links {
 		for p := Plane(0); p < numPlanes; p++ {
 			if n.HasPlane(p) {
-				l.ch[p].flit = *in.FlitStream(l.id, int(p))
+				n.flitFaults[chanAt(int32(id), p)] = *in.FlitStream(l.id, int(p))
 			}
 		}
 	}
@@ -497,7 +577,7 @@ func (n *Network) Send(m *noc.Message) {
 				classSlug(noc.ClassOf(m.Type)), uint64(injected))
 		}
 	}
-	t := n.newTransit(m, src, dst, injected, flits, plane, traceID)
+	t := n.newTransit(m, dst, injected, flits, plane, traceID)
 	if src == dst {
 		// Same-router tiles (concentrated mesh only): the message
 		// crosses the local crossbar — one router pipeline plus tail
@@ -510,6 +590,8 @@ func (n *Network) Send(m *noc.Message) {
 		n.k.ScheduleAt(injected+sim.Time(n.cfg.RouterLatency)+sim.Time(flits-1), t.deliverFn)
 		return
 	}
+	// Route the first hop here; each hop then routes the next one.
+	t.link, t.to.x, t.to.y = n.nextLink(src.x, src.y, dst.x, dst.y)
 	n.hop(t)
 }
 
@@ -518,20 +600,31 @@ func (n *Network) Send(m *noc.Message) {
 // pointer instead of the whole argument list (the hop path dominates
 // the simulator's allocation volume). The kernel is single-threaded,
 // so hops may mutate it in place.
+//
+// Every field hop and arrive read or write comes first and fits in the
+// first 64 bytes, one host cache line (TestTransitHopFieldsShareALine);
+// the message and the retry, trace and freelist fields follow.
 type transit struct {
-	// m is the network's own copy of the message.
-	m noc.Message
-	// at is the router the head flit is leaving (hop advances it once
-	// a traversal is clean), dst the destination router, link the link
-	// being crossed and hops the links crossed so far.
-	at, dst    pos
+	// link is the link the head flit crosses next and to the router at
+	// its far end, both computed one hop ahead (lookahead routing); link
+	// is -1 once the head is bound for dst, the destination router.
+	// hops counts the links crossed so far.
+	to, dst    pos
 	link, hops int32
-	injected   sim.Time
+	flits      noc.FlitCount
+	plane      Plane
 	// waited accumulates output-channel queueing across hops so
 	// delivery can decompose the end-to-end latency exactly.
 	waited sim.Time
-	flits  noc.FlitCount
-	plane  Plane
+	// arriveFn is the prebound hop tail: the head flit reached the
+	// next router.
+	arriveFn sim.Event
+	// size is m.SizeBytes, the wire size each hop charges and corrupts.
+	size int32
+
+	// m is the network's own copy of the message.
+	m        noc.Message
+	injected sim.Time
 	// traceID is the sampled lifecycle span id (0 when untraced or
 	// unsampled).
 	traceID uint64
@@ -545,11 +638,11 @@ type transit struct {
 	// exact decomposition under retransmission (obs.go).
 	retryCycles sim.Time
 
-	// Prebound continuations, allocated once when the transit struct is
-	// first created and reused across pool generations: they capture
-	// only the (stable) transit pointer, so a recycled message performs
-	// zero closure allocations on the hop path.
-	arriveFn  sim.Event // head flit reached the next router (hop tail)
+	// Prebound continuations, arriveFn's siblings, allocated once when
+	// the transit struct is first created and reused across pool
+	// generations: they capture only the (stable) transit pointer, so a
+	// recycled message performs zero closure allocations on the hop
+	// path.
 	deliverFn sim.Event // tail serialized at the destination
 	hopFn     sim.Event // retransmission entry (fault injection)
 	dropFn    sim.Event // retry-budget exhaustion (fault injection)
@@ -558,12 +651,12 @@ type transit struct {
 }
 
 // newTransit takes a transit from the freelist (or allocates the pool's
-// next entry) and initializes every in-flight field, copying *m. src
-// and dst are the source and destination routers (equal for a
-// same-router delivery).
+// next entry) and initializes every in-flight field, copying *m. dst is
+// the destination router; the transit has no link to cross until Send
+// routes its first hop.
 //
 //tilesim:pool
-func (n *Network) newTransit(m *noc.Message, src, dst pos, injected sim.Time, flits noc.FlitCount, plane Plane, traceID uint64) *transit {
+func (n *Network) newTransit(m *noc.Message, dst pos, injected sim.Time, flits noc.FlitCount, plane Plane, traceID uint64) *transit {
 	t := n.free
 	if t == nil {
 		//tilesim:allocok pool miss: one transit + its four continuation closures, reused for the rest of the run
@@ -581,7 +674,7 @@ func (n *Network) newTransit(m *noc.Message, src, dst pos, injected sim.Time, fl
 		t.next = nil
 	}
 	transitAcquired(t)
-	t.m, t.at, t.dst, t.hops = *m, src, dst, 0
+	t.m, t.link, t.dst, t.hops, t.size = *m, -1, dst, 0, int32(m.SizeBytes)
 	t.injected, t.waited, t.flits, t.plane = injected, 0, flits, plane
 	t.traceID, t.attempts, t.retryCycles = traceID, 0, 0
 	return t
@@ -597,7 +690,10 @@ func (n *Network) recycle(t *transit) {
 	n.free = t
 }
 
-// hop models the head flit crossing the route's current link. Under
+// hop models the head flit crossing t.link, the link the router before
+// (or Send) routed it onto, so the channel's state is the first thing
+// it loads: no table load stands between the transit and the channel.
+// Under
 // fault injection the traversal may be corrupted (caught by the link
 // CRC at the receiving router and NACKed back — see retryHop) or
 // delayed by an injected router stall or plane outage.
@@ -605,16 +701,15 @@ func (n *Network) recycle(t *transit) {
 //tilesim:hotpath per-hop transit, the simulator's innermost loop
 func (n *Network) hop(t *transit) {
 	entered := n.k.Now()
-	id, next := n.nextLink(t.at, t.dst)
-	t.link = id
-	l := &n.links[id]
-	ch := &l.ch[t.plane]
+	id := t.link
+	c := chanAt(id, t.plane)
+	ch := &n.ch[c]
 	// Router pipeline (plus any injected stall), then wait for the
 	// output channel and for any plane outage to lift: an out plane
 	// accepts no new transmissions until its window ends.
 	var stall sim.Time
 	if n.inj != nil {
-		stall = sim.Time(n.inj.Stall(&n.stalls[l.from]))
+		stall = sim.Time(n.inj.Stall(&n.stalls[n.links[id].from]))
 		if stall > 0 {
 			n.stallInj.Add(uint64(stall))
 		}
@@ -636,33 +731,39 @@ func (n *Network) hop(t *transit) {
 	ch.flits.Add(uint64(t.flits))
 	n.planeFlits[t.plane].Add(uint64(t.flits))
 	if n.obs != nil {
-		n.obs.RouterHop(t.m.SizeBytes, t.flits)
-		n.obs.LinkTraversal(n.cfg.Channels[t.plane].Kind, n.cfg.LinkLengthM, t.m.SizeBytes, t.flits)
+		n.obs.RouterHop(int(t.size), t.flits)
+		n.obs.LinkTraversal(n.cfg.Channels[t.plane].Kind, n.cfg.LinkLengthM, int(t.size), t.flits)
 	}
 	if n.tracer != nil && t.traceID != 0 {
-		n.traceLinkOccupancy(&t.m, t.plane, l, start, t.flits)
+		n.traceLinkOccupancy(&t.m, t.plane, &n.links[id], start, t.flits)
 	}
 	headArrives := start + n.wireCycles[t.plane]
-	if n.inj != nil && n.inj.Corrupt(&ch.flit, int(t.plane), t.m.SizeBytes*8) {
-		n.retryHop(t, l, entered, headArrives)
+	if n.inj != nil && n.inj.Corrupt(&n.flitFaults[c], int(t.plane), int(t.size)*8) {
+		n.retryHop(t, entered, headArrives)
 		return
 	}
 	// Clean traversal: stalls and channel/outage waits count as
 	// queueing in the latency decomposition, and the head flit is now
-	// bound for the link's far router. A CRC-failed traversal above
-	// retries from the same router.
+	// bound for the link's far router, which routes the next hop now
+	// (lookahead routing, DESIGN.md §16.10). A CRC-failed traversal
+	// above retries the same link.
 	t.waited += wait + stall
-	t.at = next
 	t.hops++
+	if t.to != t.dst {
+		t.link, t.to.x, t.to.y = n.nextLink(t.to.x, t.to.y, t.dst.x, t.dst.y)
+	} else {
+		t.link = -1
+	}
 	n.k.ScheduleAt(headArrives, t.arriveFn)
 }
 
 // arrive fires when the head flit reaches the far end of the link hop
 // sent it over: either the final tail-serialization delay before
-// delivery, or the next hop. Nothing mutates the transit between the
-// schedule in hop and this callback.
+// delivery (no next link: the router is the destination), or the next
+// hop. Nothing mutates the transit between the schedule in hop and
+// this callback.
 func (n *Network) arrive(t *transit) {
-	if t.at == t.dst {
+	if t.link < 0 {
 		// Final router pipeline plus tail serialization.
 		deliver := n.k.Now() + sim.Time(n.cfg.RouterLatency) + sim.Time(t.flits-1)
 		n.k.ScheduleAt(deliver, t.deliverFn)
@@ -682,14 +783,14 @@ func (n *Network) arrive(t *transit) {
 // The whole failed attempt — from hop entry through NACK and backoff
 // — is charged to the transit's retryCycles, keeping the delivered
 // latency decomposition exact (LatencyBreakdown.Retry).
-func (n *Network) retryHop(t *transit, l *link, entered, headArrives sim.Time) {
+func (n *Network) retryHop(t *transit, entered, headArrives sim.Time) {
 	n.crcErrors.Inc()
 	n.retryFlits.Add(uint64(t.flits))
 	// The CRC verdict lands when the tail arrives at the receiver.
 	tail := headArrives + sim.Time(t.flits-1)
 	t.attempts++
 	if n.tracer != nil && t.traceID != 0 {
-		tid := l.id*int(numPlanes) + int(t.plane)
+		tid := n.links[t.link].id*int(numPlanes) + int(t.plane)
 		//tilesim:allocok sampled-span label on the fault path
 		n.tracer.Instant(obs.PidLinks, tid, "crc-nack:"+t.m.Type.String(), "fault", uint64(tail))
 	}
@@ -731,9 +832,7 @@ func (n *Network) deliver(t *transit) {
 	m := &t.m
 	n.inFlight--
 	class := noc.ClassOf(m.Type)
-	lat := float64(n.k.Now() - t.injected)
-	n.latency[class].Observe(lat)
-	n.latHist[class].Observe(lat)
+	n.latHist[class].Observe(float64(n.k.Now() - t.injected))
 	n.msgs[class].Inc()
 	n.bytes[class].Add(uint64(m.SizeBytes))
 	n.recordBreakdown(t, class)
@@ -772,7 +871,7 @@ func (n *Network) Summary() Summary {
 	for c := 0; c < int(noc.NumClasses); c++ {
 		s.Messages[c] = n.msgs[c].Value()
 		s.Bytes[c] = n.bytes[c].Value()
-		s.MeanLatency[c] = n.latency[c].Value()
+		s.MeanLatency[c] = n.latHist[c].Mean()
 	}
 	for p := 0; p < int(numPlanes); p++ {
 		s.PlaneMessages[p] = n.byPlane[p].Value()
@@ -782,10 +881,8 @@ func (n *Network) Summary() Summary {
 	s.Retries = n.retries.Value()
 	s.RetryFlits = n.retryFlits.Value()
 	s.Dropped = n.dropped.Value()
-	for i := range n.links {
-		for p := range n.links[i].ch {
-			s.TotalFlits += n.links[i].ch[p].flits.Value()
-		}
+	for i := range n.ch {
+		s.TotalFlits += n.ch[i].flits.Value()
 	}
 	return s
 }

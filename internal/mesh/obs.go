@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"tilesim/internal/noc"
@@ -117,6 +118,28 @@ func (n *Network) recordBreakdown(t *transit, class noc.Class) {
 	}
 }
 
+// appendLinkLabel appends "<ff>-><tt>.<plane>", the per-link segment
+// of the net.link.* metric and series names, for one plane of a
+// directed link: router ids zero-padded to two digits, the bytes fmt's
+// %02d writes. RegisterMetrics and RegisterSeries build their 2 x
+// links x planes names with it instead of fmt.Sprintf (16,384 names on
+// a 1024-tile torus).
+func appendLinkLabel(b []byte, l link, p Plane) []byte {
+	b = appendRouterID(b, l.from)
+	b = append(b, "->"...)
+	b = appendRouterID(b, l.to)
+	b = append(b, '.')
+	return append(b, p.String()...)
+}
+
+// appendRouterID appends a router id zero-padded to two digits.
+func appendRouterID(b []byte, id int) []byte {
+	if id < 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(id), 10)
+}
+
 // traceLinkOccupancy emits one complete-span event on the link's track
 // covering the cycles the message's flits occupy the channel. Only
 // called for sampled messages with a tracer attached (hop guards).
@@ -153,7 +176,7 @@ func (n *Network) RegisterMetrics(r *obs.Registry) {
 		slug := classSlug(c)
 		r.Counter("net.msgs."+slug, n.msgs[c].Value)
 		r.Counter("net.bytes."+slug, n.bytes[c].Value)
-		r.Mean("net.lat."+slug, &n.latency[c])
+		r.Mean("net.lat."+slug, n.latHist[c].Moments())
 		r.Histogram("net.lat."+slug+".hist", n.latHist[c])
 		bd := &n.breakdown[c]
 		r.Counter("net.breakdown."+slug+".total_cycles", func() uint64 { return bd.Total })
@@ -192,14 +215,14 @@ func (n *Network) RegisterMetrics(r *obs.Registry) {
 	if len(n.links) > perLinkMetricLinksCap {
 		return
 	}
-	for i := range n.links {
-		l := &n.links[i]
+	var label [32]byte
+	for id, l := range n.links {
 		for p := Plane(0); p < numPlanes; p++ {
 			if !n.HasPlane(p) {
 				continue
 			}
-			ch := &l.ch[p]
-			name := fmt.Sprintf("net.link.%02d->%02d.%s", l.from, l.to, p)
+			ch := &n.ch[chanAt(int32(id), p)]
+			name := "net.link." + string(appendLinkLabel(label[:0], l, p))
 			r.Counter(name+".flits", ch.flits.Value)
 			// Utilization: fraction of elapsed cycles the channel
 			// carried flits, read against the clock at snapshot time.
@@ -251,14 +274,14 @@ func (n *Network) RegisterSeries(s *obs.Series) {
 	if len(n.links) > perLinkMetricLinksCap {
 		return
 	}
-	for i := range n.links {
-		l := &n.links[i]
+	var label [32]byte
+	for id, l := range n.links {
 		for p := Plane(0); p < numPlanes; p++ {
 			if !n.HasPlane(p) {
 				continue
 			}
-			ch := &l.ch[p]
-			name := fmt.Sprintf("net.link.%02d->%02d.%s", l.from, l.to, p)
+			ch := &n.ch[chanAt(int32(id), p)]
+			name := "net.link." + string(appendLinkLabel(label[:0], l, p))
 			s.Delta(name+".flits", ch.flits.Value)
 			s.Utilization(name+".util", ch.flits.Value)
 		}

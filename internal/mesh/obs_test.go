@@ -3,6 +3,7 @@ package mesh
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"tilesim/internal/noc"
@@ -65,7 +66,7 @@ func TestBreakdownSumsExactly(t *testing.T) {
 	// observed latencies == sum of breakdown totals.
 	var meanSum float64
 	for c := noc.Class(0); c < noc.NumClasses; c++ {
-		meanSum += n.latency[c].Sum()
+		meanSum += n.latHist[c].Moments().Sum()
 	}
 	if uint64(meanSum+0.5) != totalLat {
 		t.Fatalf("breakdown total %d cycles, latency-mean sum %v", totalLat, meanSum)
@@ -219,4 +220,45 @@ func TestRegisterMetricsNames(t *testing.T) {
 			t.Errorf("gauge %s = %v out of [0,1]", name, m.Value)
 		}
 	}
+}
+
+// TestLinkLabelMatchesSprintf pins the per-link name segment to the
+// fmt.Sprintf format it replaced, across the id widths a 1024-tile
+// network reaches, so per-link metric and series names stay
+// byte-identical.
+func TestLinkLabelMatchesSprintf(t *testing.T) {
+	for _, from := range []int{0, 7, 9, 10, 99, 100, 1023} {
+		for _, to := range []int{0, 1, 10, 999, 1000} {
+			for p := Plane(0); p < numPlanes; p++ {
+				want := fmt.Sprintf("%02d->%02d.%s", from, to, p)
+				if got := string(appendLinkLabel(nil, link{from: from, to: to}, p)); got != want {
+					t.Fatalf("link %d->%d plane %v labelled %q, want %q", from, to, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkLinkMetrics registers and snapshots the network metrics of
+// a 1024-tile torus with VL+B wires, whose per-link family holds 4,096
+// links x 2 planes x 2 = 16,384 metrics.
+func BenchmarkLinkMetrics(b *testing.B) {
+	cfg, err := Heterogeneous(5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Topo = NewTorus(32, 32)
+	n := New(sim.NewKernel(), cfg, nil)
+	b.Run("register", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			n.RegisterMetrics(obs.NewRegistry())
+		}
+	})
+	r := obs.NewRegistry()
+	n.RegisterMetrics(r)
+	b.Run("snapshot", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r.Snapshot()
+		}
+	})
 }

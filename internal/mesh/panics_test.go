@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -59,6 +60,32 @@ func TestPanicPaths(t *testing.T) {
 			},
 		},
 		{
+			name: "NaN wire-latency scale",
+			want: "wire-latency scale must be finite",
+			fn: func() {
+				cfg := DefaultBaseline()
+				cfg.LinkCyclesScale = math.NaN()
+				newNet(cfg)
+			},
+		},
+		{
+			name: "wire latency past 2^62 cycles",
+			want: "above 2^62 cycles",
+			fn: func() {
+				cfg := DefaultBaseline()
+				cfg.LinkCyclesScale = 1e20
+				newNet(cfg)
+			},
+		},
+		{
+			name: "more than 255 ports on an axis",
+			want: "more than 255 ports",
+			fn: func() {
+				// A 257-router slim row links every router to 256 others.
+				axisSteps(NewSlim(257, 2), 257)
+			},
+		},
+		{
 			name: "malformed message",
 			want: "malformed",
 			fn: func() {
@@ -90,7 +117,8 @@ func TestPanicPaths(t *testing.T) {
 				// A self-message is rejected by Validate before routing;
 				// the route guard is the backstop should the two ever
 				// disagree. Exercise it directly.
-				n.nextLink(n.posOf(2), n.posOf(2))
+				at := n.posOf(2)
+				n.nextLink(at.x, at.y, at.x, at.y)
 			},
 		},
 		{

@@ -20,7 +20,7 @@ func TestDoubleRecyclePanicsUnderPooldebug(t *testing.T) {
 	pooldbg.Reset()
 	n := New(sim.NewKernel(), DefaultBaseline(), nil)
 	m := noc.Message{Type: noc.GetS, Src: 0, Dst: 1, SizeBytes: 11}
-	tr := n.newTransit(&m, n.posOf(0), n.posOf(1), 0, 1, PlaneB, 0)
+	tr := n.newTransit(&m, n.posOf(1), 0, 1, PlaneB, 0)
 	n.recycle(tr)
 	defer func() {
 		r := recover()

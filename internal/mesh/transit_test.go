@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"testing"
+	"unsafe"
 
 	"tilesim/internal/fault"
 	"tilesim/internal/noc"
@@ -96,5 +97,31 @@ func TestTransitReuseDeliversSentValues(t *testing.T) {
 	if delivered <= peak || transits >= delivered {
 		t.Fatalf("%d deliveries over %d transits (peak %d in flight): transits were not reused",
 			delivered, transits, peak)
+	}
+}
+
+// TestTransitHopFieldsShareALine pins the transit's layout: every field
+// hop and arrive read or write ends within the first 64 bytes, one host
+// cache line.
+func TestTransitHopFieldsShareALine(t *testing.T) {
+	var tr transit
+	fields := []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"to", unsafe.Offsetof(tr.to), unsafe.Sizeof(tr.to)},
+		{"dst", unsafe.Offsetof(tr.dst), unsafe.Sizeof(tr.dst)},
+		{"link", unsafe.Offsetof(tr.link), unsafe.Sizeof(tr.link)},
+		{"hops", unsafe.Offsetof(tr.hops), unsafe.Sizeof(tr.hops)},
+		{"flits", unsafe.Offsetof(tr.flits), unsafe.Sizeof(tr.flits)},
+		{"plane", unsafe.Offsetof(tr.plane), unsafe.Sizeof(tr.plane)},
+		{"waited", unsafe.Offsetof(tr.waited), unsafe.Sizeof(tr.waited)},
+		{"arriveFn", unsafe.Offsetof(tr.arriveFn), unsafe.Sizeof(tr.arriveFn)},
+		{"size", unsafe.Offsetof(tr.size), unsafe.Sizeof(tr.size)},
+	}
+	for _, f := range fields {
+		if end := f.off + f.size; end > 64 {
+			t.Errorf("transit.%s spans bytes %d-%d, past the first 64", f.name, f.off, end)
+		}
 	}
 }

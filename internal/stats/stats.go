@@ -164,6 +164,11 @@ func (h *Histogram) N() uint64 { return h.mean.N() }
 // Mean returns the exact running mean of all samples.
 func (h *Histogram) Mean() float64 { return h.mean.Value() }
 
+// Moments returns the exact running mean, extremes and count of all
+// samples, for callers that report the distribution as a Mean. The
+// caller only reads it; Observe keeps it current.
+func (h *Histogram) Moments() *Mean { return &h.mean }
+
 // Min returns the exact minimum sample (0 with no samples).
 func (h *Histogram) Min() float64 { return h.mean.Min() }
 
