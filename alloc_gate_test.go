@@ -159,9 +159,6 @@ func TestScaleAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
-	if pooldebugEnabled {
-		t.Skip("pool sanitizer bookkeeping allocates by design; the gate measures the default build")
-	}
 	if testing.Short() {
 		t.Skip("1024-tile allocation measurement")
 	}
@@ -190,9 +187,6 @@ func TestScaleAllocGate(t *testing.T) {
 func TestAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
-	}
-	if pooldebugEnabled {
-		t.Skip("pool sanitizer bookkeeping allocates by design; the gate measures the default build")
 	}
 	if testing.Short() {
 		t.Skip("full-run allocation measurement")

@@ -1,38 +1,39 @@
 // Command tilesimvet runs tilesim's simulator-specific static analyses
-// over the module: determinism (no map-order or wall-clock dependence,
-// no global randomness — directly or transitively via the taint call
-// graph), stable sorting (sort.SliceStable or a proven total order),
-// deterministic float accumulation, unit safety (no mixed-unit
-// arithmetic, compound assignment or comparison), panic hygiene
-// (prefixed constant messages), enum-switch exhaustiveness, obs-hook
-// discipline (tracer calls in loops are nil-guarded and never box
-// through interface parameters), canonical-encoding field coverage,
-// and constant-rooted metric names.
+// over the module. Every run applies all 13 rules, and each finding
+// names its rule: determinism (no map-order or wall-clock dependence,
+// no global randomness), stablesort (sort.SliceStable or a proven total
+// order), floatorder (no float accumulation in map order), units (no
+// mixed-unit arithmetic, compound assignment or comparison), panics
+// (prefixed constant messages), exhaustive (enum switches cover every
+// constant), obshooks (tracer calls in loops are nil-guarded),
+// metricskeys (constant-rooted metric names), taint (no transitive
+// reach of wall-clock time or global randomness), canoncover
+// (Canonical() covers every exported field), hotalloc (no per-event
+// allocation reachable from //tilesim:hotpath roots), sharedstate (no
+// unsynchronized shared state in goroutine-reachable code) and poollife
+// (pooled-object lifetimes: no use after release, double release,
+// retention or leak). The internal/analysis package doc has the full
+// catalog.
 //
 // Usage:
 //
 //	go run ./cmd/tilesimvet ./...
 //	go run ./cmd/tilesimvet -json ./internal/mesh
 //	go run ./cmd/tilesimvet -fix ./...
-//	go run ./cmd/tilesimvet -rules poollife ./...
-//	go run ./cmd/tilesimvet -rules -hotalloc,-sharedstate ./...
-//	go run ./cmd/tilesimvet -list
+//	go run ./cmd/tilesimvet -escapes ./...
 //
 // -json emits the diagnostics as a JSON array, each carrying its
 // machine-applicable fix when one exists. -fix applies every suggested
 // fix (atomically, gofmt-clean, idempotently) and then reports only
-// the findings that remain unfixable. -rules takes a comma-separated
-// selection: plain names run only those rules, -prefixed names run
-// everything but those (disabling a rule also disables its waiver
-// audit). -list prints the rule registry, one line per rule, and
-// exits.
+// the findings that remain unfixable. -escapes replaces the rules with
+// a check of the compiler's escape analysis against the
+// //tilesim:noescape and //tilesim:hotpath annotations.
 //
 // The exit status is 0 when the analyzed packages are clean (under
 // -fix: when every finding was fixable), 1 when findings remain, and
 // 2 on a driver error (unparsable package, build failure, conflicting
-// fixes, unknown rule name, ...). See DESIGN.md §8 and §12 for the
-// rule catalog and the //tilesim:ordered, //tilesim:unit and
-// //tilesim:totalorder annotations.
+// fixes, ...). See DESIGN.md §8 and §12 for the //tilesim:ordered,
+// //tilesim:unit and //tilesim:totalorder annotations.
 package main
 
 import (
@@ -40,7 +41,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"tilesim/internal/analysis"
 )
@@ -49,45 +49,21 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
 	fix := flag.Bool("fix", false, "apply suggested fixes, then report only unfixable findings")
 	escapes := flag.Bool("escapes", false, "correlate compiler escape analysis (-gcflags=-m) with //tilesim:noescape and //tilesim:hotpath annotations instead of running the syntactic rules")
-	rules := flag.String("rules", "", "comma-separated rule selection: names to run only those, -prefixed names to disable them")
-	list := flag.Bool("list", false, "print the rule registry, one line per rule, and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: tilesimvet [-json] [-fix] [-escapes] [-rules <selection>] [-list] <packages>\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: tilesimvet [-json] [-fix] [-escapes] <packages>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *list {
-		for _, r := range analysis.Rules() {
-			fmt.Printf("%-12s %s\n", r.Name, r.Desc)
-		}
-		return
-	}
-
-	var selection []string
-	if *rules != "" {
-		for _, name := range strings.Split(*rules, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				selection = append(selection, name)
-			}
-		}
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
-	run := func(dir string, patterns []string) ([]analysis.Diagnostic, error) {
-		return analysis.RunRules(dir, patterns, selection)
-	}
+	run := analysis.Run
 	if *escapes {
 		if *fix {
 			fmt.Fprintln(os.Stderr, "tilesimvet: -escapes findings have no machine-applicable fixes; drop -fix")
-			os.Exit(2)
-		}
-		if len(selection) > 0 {
-			fmt.Fprintln(os.Stderr, "tilesimvet: -escapes is not part of the rule registry; drop -rules")
 			os.Exit(2)
 		}
 		run = analysis.RunEscapes

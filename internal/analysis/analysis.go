@@ -1,6 +1,7 @@
 // Package analysis implements tilesimvet, the simulator-specific static
 // checks that keep tilesim's cycle-level results bit-for-bit
-// reproducible and its failure modes diagnosable:
+// reproducible and its failure modes diagnosable. Run applies all 13
+// rules; each finding is labelled with its rule's name:
 //
 //   - determinism: no map iteration in simulator packages (Go randomizes
 //     range-over-map order) unless explicitly annotated as order-safe,
@@ -14,39 +15,45 @@
 //     is flagged even when the range is //tilesim:ordered-annotated —
 //     float summation is not associative, so iteration order changes
 //     the result bits.
+//   - units: additive arithmetic, compound assignment and comparisons
+//     must not mix values of distinct physical units (cycles, joules,
+//     flits, seconds). Unit types are declared with a //tilesim:unit
+//     annotation on their type declaration.
+//   - panics: every panic in internal/ packages must carry a constant
+//     "<pkg>: ..."-prefixed message so a crash names its subsystem.
+//   - exhaustive: a switch over an enum-like named type must cover
+//     every declared constant or carry a default clause, so adding an
+//     enum value cannot silently fall through a protocol dispatch.
+//   - obshooks: observability hook calls (obs.Tracer methods) inside
+//     loop bodies must be nil-guarded so disabled observability costs
+//     one pointer check.
+//   - metricskeys: obs.Registry registrations must use
+//     constant-rooted, pointer-free metric names so metric snapshots
+//     stay byte-deterministic across runs.
 //   - taint: a module-wide call-graph pass flags internal/ functions
 //     from which time.Now or the global math/rand source is
 //     *transitively* reachable through helpers and stored function
 //     values, closing the hole the per-callsite determinism check
 //     leaves open.
-//   - unit safety: additive arithmetic, compound assignment and
-//     comparisons must not mix values of distinct physical units
-//     (cycles, joules, flits, seconds). Unit types are declared with a
-//     //tilesim:unit annotation on their type declaration.
-//   - panic hygiene: every panic in internal/ packages must carry a
-//     constant "<pkg>: ..."-prefixed message so a crash names its
-//     subsystem.
-//   - exhaustiveness: a switch over an enum-like named type must cover
-//     every declared constant or carry a default clause, so adding an
-//     enum value cannot silently fall through a protocol dispatch.
-//   - obs hooks: observability hook calls (obs.Tracer methods) inside
-//     loop bodies must be nil-guarded so disabled observability costs
-//     one pointer check, and interface-boxing hooks (Annotate) must
-//     never run in a loop at all.
 //   - canoncover: every Canonical() method must reference every
 //     exported field of its receiver struct (recursively through
 //     module-declared struct fields), promoting the runtime
 //     field-coverage reflection test to a vet-time guarantee.
-//   - metricskeys: obs.Registry registrations must use
-//     constant-rooted, pointer-free metric names so metric snapshots
-//     stay byte-deterministic across runs.
+//   - hotalloc: nothing reachable from a //tilesim:hotpath root may
+//     allocate per event (composite literals, make, capacity-less
+//     append in loops, fmt, capturing closures, method values,
+//     interface boxing) unless a reasoned //tilesim:allocok waives it
+//     (see hotpath.go).
+//   - sharedstate: code reachable from a go statement or a
+//     sweep.Runner callback must not touch unsynchronized shared
+//     mutable state unless a reasoned //tilesim:sharedok waives it
+//     (see sharedstate.go).
 //   - poollife: pooled-object lifetime discipline for the freelists
 //     behind //tilesim:pool / //tilesim:release annotations — no use
 //     after release on any path, no double release, no retention into
-//     fields/slices/closures/sim.Event payloads without a
-//     generation-snapshot guard or a reasoned //tilesim:retainok
-//     waiver, every release dominated by an acquire, no leaks (see
-//     poollife.go and DESIGN.md §17).
+//     fields, slices, closures or sim.Event payloads, every release
+//     dominated by an acquire, no leaks (see poollife.go and DESIGN.md
+//     §17).
 //
 // Some diagnostics carry a machine-applicable SuggestedFix
 // (sort.Slice -> sort.SliceStable, panic-prefix insertion, nil-guard
@@ -123,15 +130,6 @@ const (
 	// pointer, and every live local of that pooled type is considered
 	// released at the call (the MSHR.Free shape).
 	ReleaseAnnotation = "tilesim:release"
-	// RetainOKAnnotation waives one poollife escape finding (mandatory
-	// reason, stale detection, like the other waivers):
-	//
-	//	//tilesim:retainok terminal fault path: the drop event is the sole owner
-	//
-	// The contract the reason must defend: the retained pointer is
-	// either released exactly once by its new owner, or every later
-	// dereference is guarded by a generation check.
-	RetainOKAnnotation = "tilesim:retainok"
 )
 
 // Diagnostic is one finding.
@@ -170,11 +168,9 @@ type pass struct {
 	sharedok map[*ast.File]map[int]string
 	// poolacq and poolrel map file -> line -> annotation tail for the
 	// //tilesim:pool and //tilesim:release pool-API annotations (the
-	// tail of a release names the pooled type for by-key releases);
-	// retainok carries poollife escape waivers.
-	poolacq  map[*ast.File]map[int]string
-	poolrel  map[*ast.File]map[int]string
-	retainok map[*ast.File]map[int]string
+	// tail of a release names the pooled type for by-key releases).
+	poolacq map[*ast.File]map[int]string
+	poolrel map[*ast.File]map[int]string
 
 	report func(Diagnostic)
 }
@@ -243,100 +239,22 @@ type module struct {
 	targets map[string]*Package
 }
 
-// rule binds a registered analyzer name to its implementation: pkg
-// runs once per loaded package, mod runs once over the whole module
-// (after the reference graph is built). A rule has one or the other.
-type rule struct {
-	name string
-	desc string
-	pkg  func(*pass)
-	mod  func(*module, *graph)
-}
-
-// ruleTable registers every analyzer, in execution order. Rule names
-// match the Analyzer field of the diagnostics they emit, so -rules
-// selections and finding filters agree.
-var ruleTable = []rule{
-	{name: "determinism", desc: "no map-range order, wall-clock time, or global rand in simulator packages", pkg: checkDeterminism},
-	{name: "stablesort", desc: "sort.Slice must be sort.SliceStable or carry a //tilesim:totalorder proof", pkg: checkStableSort},
-	{name: "floatorder", desc: "no floating-point accumulation in map iteration order", pkg: checkFloatOrder},
-	{name: "units", desc: "arithmetic must not mix distinct //tilesim:unit physical units", pkg: checkUnits},
-	{name: "panics", desc: "panics in internal/ must carry a constant \"<pkg>: \"-prefixed message", pkg: checkPanics},
-	{name: "exhaustive", desc: "switches over enum-like types must cover every constant or have a default", pkg: checkExhaustive},
-	{name: "obshooks", desc: "observability hooks in loops must be nil-guarded and never box", pkg: checkObsHooks},
-	{name: "metricskeys", desc: "metric registrations must use constant-rooted, pointer-free names", pkg: checkMetricsKeys},
-	{name: "taint", desc: "no module function may transitively reach wall-clock time or global rand", mod: checkTaint},
-	{name: "canoncover", desc: "Canonical() methods must reference every exported receiver field", mod: checkCanonCover},
-	{name: "hotalloc", desc: "no allocation sources reachable from //tilesim:hotpath roots", mod: checkHotAlloc},
-	{name: "sharedstate", desc: "goroutine-reachable code must not touch unsynchronized shared state", mod: checkSharedState},
-	{name: "poollife", desc: "pooled objects: no use-after-release, double-release, unguarded retention, or leaks", mod: checkPoolLife},
-}
-
-// RuleInfo names one registered analyzer for cmd/tilesimvet -list.
-type RuleInfo struct {
-	Name string
-	Desc string
-}
-
-// Rules returns every registered analyzer in execution order.
-func Rules() []RuleInfo {
-	out := make([]RuleInfo, 0, len(ruleTable))
-	for _, r := range ruleTable {
-		out = append(out, RuleInfo{Name: r.name, Desc: r.desc})
+// pkgRules run once per loaded package and modRules once over the
+// whole module, after the reference graph is built, each in the order
+// listed. Every rule reports under its own analyzer name.
+var (
+	pkgRules = []func(*pass){
+		checkDeterminism, checkStableSort, checkFloatOrder, checkUnits,
+		checkPanics, checkExhaustive, checkObsHooks, checkMetricsKeys,
 	}
-	return out
-}
-
-// selectRules resolves a -rules style selection into the enabled-name
-// set. Entries enable rules by name; a leading '-' disables one. If any
-// entry is a plain enable, the selection starts from only those rules;
-// otherwise it starts from all of them. Unknown names are an error.
-func selectRules(selection []string) (map[string]bool, error) {
-	known := make(map[string]bool, len(ruleTable))
-	for _, r := range ruleTable {
-		known[r.name] = true
+	modRules = []func(*module, *graph){
+		checkTaint, checkCanonCover, checkHotAlloc, checkSharedState, checkPoolLife,
 	}
-	enabled := make(map[string]bool, len(ruleTable))
-	explicit := false
-	for _, s := range selection {
-		if !strings.HasPrefix(s, "-") {
-			explicit = true
-		}
-	}
-	if !explicit {
-		for name := range known { //tilesim:ordered — membership set, no iteration output
-			enabled[name] = true
-		}
-	}
-	for _, s := range selection {
-		name, disable := strings.CutPrefix(s, "-")
-		if !known[name] {
-			return nil, fmt.Errorf("analysis: unknown rule %q (run tilesimvet -list for the registry)", name)
-		}
-		if disable {
-			delete(enabled, name)
-		} else {
-			enabled[name] = true
-		}
-	}
-	return enabled, nil
-}
+)
 
 // Run loads the packages matched by patterns from dir and applies every
 // analyzer, returning the findings sorted by position.
 func Run(dir string, patterns []string) ([]Diagnostic, error) {
-	return RunRules(dir, patterns, nil)
-}
-
-// RunRules is Run restricted to a rule selection (see selectRules; nil
-// or empty runs everything). Disabling a rule also disables its waiver
-// audit, so e.g. -rules=-hotalloc does not turn every //tilesim:allocok
-// waiver into a stale-waiver finding.
-func RunRules(dir string, patterns []string, selection []string) ([]Diagnostic, error) {
-	enabled, err := selectRules(selection)
-	if err != nil {
-		return nil, err
-	}
 	pkgs, fset, err := Load(dir, patterns)
 	if err != nil {
 		return nil, err
@@ -365,24 +283,19 @@ func RunRules(dir string, patterns []string, selection []string) ([]Diagnostic, 
 			sharedok:   collectReasonAnnotations(fset, pkg, SharedOKAnnotation),
 			poolacq:    collectReasonAnnotations(fset, pkg, PoolAnnotation),
 			poolrel:    collectReasonAnnotations(fset, pkg, ReleaseAnnotation),
-			retainok:   collectReasonAnnotations(fset, pkg, RetainOKAnnotation),
 			report:     report,
 		}
 		mod.passes = append(mod.passes, p)
 		mod.targets[pkg.Path] = pkg
-		for _, r := range ruleTable {
-			if r.pkg != nil && enabled[r.name] {
-				r.pkg(p)
-			}
+		for _, check := range pkgRules {
+			check(p)
 		}
 	}
 
 	// Module-wide passes: these see every loaded package at once.
 	graph := buildGraph(mod)
-	for _, r := range ruleTable {
-		if r.mod != nil && enabled[r.name] {
-			r.mod(mod, graph)
-		}
+	for _, check := range modRules {
+		check(mod, graph)
 	}
 
 	sort.SliceStable(diags, func(i, j int) bool {

@@ -10,18 +10,13 @@ import (
 
 // checkObsHooks enforces the zero-overhead contract of the
 // observability layer (internal/obs, DESIGN.md §10) at its call sites:
+// an obs.Tracer hook called inside a loop body must sit under a
+// nil-guard on its receiver (`if x.tracer != nil { ... }`). The
+// disabled configuration must cost exactly one pointer check per
+// iteration, and calling a method on a nil *Tracer would panic the
+// first time a trace is not attached.
 //
-//  1. an obs.Tracer hook called inside a loop body must sit under a
-//     nil-guard on its receiver (`if x.tracer != nil { ... }`): the
-//     disabled configuration must cost exactly one pointer check per
-//     iteration, and calling a method on a nil *Tracer would panic the
-//     first time a trace is not attached.
-//  2. a hook whose signature takes an interface-typed parameter (e.g.
-//     Tracer.Annotate's `value any`) must never run in a loop at all,
-//     guarded or not: boxing the argument allocates per iteration.
-//     Such methods are cold-path conveniences by design.
-//
-// Both rules apply only inside simulator-core (internal/) packages —
+// The rule applies only inside simulator-core (internal/) packages —
 // the obs package itself and the cmd/ front-ends are exempt — and only
 // to *lexical* loop bodies: a function literal forms a boundary, since
 // its body does not execute per iteration of an enclosing loop.
@@ -116,15 +111,6 @@ func (p *pass) checkObsHooksFile(f *ast.File) {
 		fn := p.obsMethodCallee(sel, "Tracer")
 		if fn == nil || !inLoop(call.Pos()) {
 			return true
-		}
-		sig := fn.Type().(*types.Signature)
-		for i := 0; i < sig.Params().Len(); i++ {
-			if _, isIface := sig.Params().At(i).Type().Underlying().(*types.Interface); isIface {
-				p.reportf("obshooks", call.Pos(),
-					"obs hook %s.%s boxes parameter %q into an interface inside a loop; it is a cold-path hook — hoist the call out of the loop",
-					"Tracer", fn.Name(), sig.Params().At(i).Name())
-				break
-			}
 		}
 		if recv := types.ExprString(sel.X); !guarded(recv, call.Pos()) {
 			// When the unguarded call is a whole statement, wrapping it

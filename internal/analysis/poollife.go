@@ -11,12 +11,10 @@ package analysis
 //	    path after its release point (read what the code needs first,
 //	    release last);
 //	(b) double-release: no path releases the same pointer twice;
-//	(c) retention: a pooled pointer stored into a struct field, slice,
-//	    map, channel, closure, or sim.Event payload must be guarded by
-//	    a generation snapshot (the body records Generation()/Gen or
-//	    probes CheckAlive) or carry a reason-bearing
-//	    //tilesim:retainok waiver (audited for staleness like every
-//	    other waiver);
+//	(c) retention: a pooled pointer must not outlive the call that
+//	    holds it, so storing it into a struct field, slice, map,
+//	    channel, closure, composite literal, method value or sim.Event
+//	    payload is always a finding;
 //	(d) acquire/release pairing: a release must be dominated by an
 //	    acquire (on every path into the release the pointer came from
 //	    its pool), and a locally acquired object must be released,
@@ -42,8 +40,8 @@ package analysis
 // carries two bits — may-be-released and may-be-unacquired. It is
 // alias-light by design: copying a pooled pointer to another local
 // transfers the tracking; pointers reconstructed through fields or
-// containers are out of scope (that is exactly what the generation
-// guard and the -tags pooldebug runtime sanitizer cover).
+// containers are out of scope (each pool's release panics on a second
+// release of the same object instead).
 //
 // The bodies of annotated acquire/release functions are exempt for
 // their own pooled type (pool internals legitimately touch freelist
@@ -172,7 +170,6 @@ func checkPoolLife(m *module, g *graph) {
 		}
 	}
 
-	used := make(map[*pass]map[*ast.File]map[int]bool)
 	for _, p := range m.passes {
 		for _, f := range p.pkg.Files {
 			for _, decl := range f.Decls {
@@ -183,23 +180,17 @@ func checkPoolLife(m *module, g *graph) {
 				s := &poolScan{
 					p:        p,
 					g:        g,
-					file:     f,
 					pooled:   pooled,
 					registry: registry,
 					exempt:   exemptKeys(p, g, fd, pooled),
-					guarded:  make(map[types.Object]bool),
 					acquired: make(map[types.Object]token.Pos),
 					resolved: make(map[types.Object]bool),
 					reported: make(map[string]bool),
-					used:     used,
 				}
 				s.run(fd)
 			}
 		}
 	}
-
-	reportStaleWaivers(m, "poollife", RetainOKAnnotation,
-		func(p *pass) map[*ast.File]map[int]string { return p.retainok }, used)
 }
 
 // exemptKeys returns the pooled-type keys a function body is exempt
@@ -296,22 +287,15 @@ func replaceEnv(dst, src poolEnv) {
 type poolScan struct {
 	p        *pass
 	g        *graph
-	file     *ast.File
 	pooled   map[string]bool
 	registry map[string]bool
 	exempt   map[string]bool
-	// guarded holds the pooled locals whose generation the body
-	// snapshots or probes (reads of .Generation()/.Gen or a
-	// .CheckAlive call): retaining a guarded pointer is the sanctioned
-	// idiom, so its escapes are not findings.
-	guarded map[types.Object]bool
 	// acquired records locally acquired objects and their acquire
 	// positions; resolved records the ones some path releases, hands
 	// off, returns, or retains. The difference is the leak findings.
 	acquired map[types.Object]token.Pos
 	resolved map[types.Object]bool
 	reported map[string]bool
-	used     map[*pass]map[*ast.File]map[int]bool
 }
 
 // trackable reports whether an object is a pooled pointer this body
@@ -335,25 +319,6 @@ func (s *poolScan) objectOf(id *ast.Ident) types.Object {
 }
 
 func (s *poolScan) run(fd *ast.FuncDecl) {
-	// Guard prepass: find the locals whose generation this body reads.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		switch sel.Sel.Name {
-		case "Generation", "Gen", "CheckAlive":
-		default:
-			return true
-		}
-		if id, ok := sel.X.(*ast.Ident); ok {
-			if obj := s.objectOf(id); s.trackable(obj) {
-				s.guarded[obj] = true
-			}
-		}
-		return true
-	})
-
 	env := make(poolEnv)
 	if fd.Recv != nil {
 		s.bindParams(fd.Recv, env)
@@ -376,7 +341,7 @@ func (s *poolScan) run(fd *ast.FuncDecl) {
 	//tilesim:totalorder distinct acquire statements have distinct positions, so pos never ties
 	sort.Slice(leaks, func(i, j int) bool { return leaks[i].pos < leaks[j].pos })
 	for _, l := range leaks {
-		s.reportOnce(l.pos, nil,
+		s.reportOnce(l.pos,
 			"pooled object %s acquired here is never released, handed off, or retained on any path; the header leaks from its pool",
 			l.obj.Name())
 	}
@@ -530,7 +495,7 @@ func (s *poolScan) stmt(st ast.Stmt, env poolEnv) bool {
 		if id, ok := st.Value.(*ast.Ident); ok {
 			if obj := s.objectOf(id); s.trackable(obj) {
 				if _, tracked := env[obj]; tracked {
-					s.escape(obj, st.Arrow, "a channel", nil)
+					s.escape(obj, st.Arrow, "a channel")
 					s.expr(st.Value, env)
 					return false
 				}
@@ -711,14 +676,14 @@ func (s *poolScan) assign(st *ast.AssignStmt, env poolEnv) {
 			// Store into a field, slice, map, or dereference.
 			if rhsObj != nil {
 				s.useCheck(rhsID, env)
-				s.escape(rhsObj, st.TokPos, escapeTarget(lhs), s.snapshotFix(st, lhs, rhsID))
+				s.escape(rhsObj, st.TokPos, escapeTarget(lhs))
 			} else {
 				s.expr(rhs, env)
 				if call, ok := unparen(rhs).(*ast.CallExpr); ok {
 					if node := s.calleeNode(call); node != nil && node.poolAcquire &&
 						!s.exempt[node.poolType] && s.pooled[node.poolType] && !s.registry[node.poolType] {
-						s.reportOnce(st.TokPos, nil,
-							"pooled object acquired from %s immediately escapes into %s without a local to guard or release it",
+						s.reportOnce(st.TokPos,
+							"pooled object acquired from %s immediately escapes into %s; a pooled pointer must not outlive the call that holds it",
 							node.name, escapeTarget(lhs))
 					}
 				}
@@ -769,7 +734,7 @@ func (s *poolScan) expr(e ast.Expr, env poolEnv) {
 				if obj := s.objectOf(id); s.trackable(obj) {
 					if _, tracked := env[obj]; tracked {
 						s.useCheck(id, env)
-						s.escape(obj, id.Pos(), "a composite literal", nil)
+						s.escape(obj, id.Pos(), "a composite literal")
 						continue
 					}
 				}
@@ -786,7 +751,7 @@ func (s *poolScan) expr(e ast.Expr, env poolEnv) {
 							// A method value on a tracked pooled local
 							// captures the pointer like a closure would.
 							s.useCheck(id, env)
-							s.escape(obj, e.Pos(), "a method value", nil)
+							s.escape(obj, e.Pos(), "a method value")
 							return
 						case sel.Kind() == types.FieldVal && isFuncField(sel):
 							// Reading a func-valued field (a prebound
@@ -838,7 +803,7 @@ func (s *poolScan) useCheck(id *ast.Ident, env poolEnv) {
 	}
 	st, tracked := env[obj]
 	if tracked && st.mayReleased {
-		s.reportOnce(id.Pos(), nil,
+		s.reportOnce(id.Pos(),
 			"use of pooled %s after release (released at line %d); extract what the code needs before the release",
 			obj.Name(), st.releaseLine)
 	}
@@ -881,7 +846,7 @@ func (s *poolScan) call(call *ast.CallExpr, env poolEnv) {
 				if obj := s.objectOf(aid); s.trackable(obj) {
 					if _, tracked := env[obj]; tracked {
 						s.useCheck(aid, env)
-						s.escape(obj, aid.Pos(), "a slice via append", nil)
+						s.escape(obj, aid.Pos(), "a slice via append")
 						continue
 					}
 				}
@@ -911,7 +876,7 @@ func (s *poolScan) call(call *ast.CallExpr, env poolEnv) {
 				for _, obj := range objs {
 					st := env[obj]
 					if st.mayReleased {
-						s.reportOnce(call.Pos(), nil,
+						s.reportOnce(call.Pos(),
 							"double release of pooled %s (already released at line %d); a second release corrupts the freelist",
 							obj.Name(), st.releaseLine)
 					}
@@ -979,11 +944,11 @@ func (s *poolScan) releaseArg(call *ast.CallExpr, arg ast.Expr, env poolEnv) {
 	}
 	line := s.p.fset.Position(call.Pos()).Line
 	if st.mayReleased {
-		s.reportOnce(id.Pos(), nil,
+		s.reportOnce(id.Pos(),
 			"double release of pooled %s (already released at line %d); a second release corrupts the freelist",
 			obj.Name(), st.releaseLine)
 	} else if st.mayUnacquired {
-		s.reportOnce(id.Pos(), nil,
+		s.reportOnce(id.Pos(),
 			"release of %s is not dominated by an acquire: on some path into this release it was never taken from its pool",
 			obj.Name())
 	}
@@ -1059,29 +1024,17 @@ func (s *poolScan) capture(lit *ast.FuncLit, env poolEnv, target string) {
 			return true
 		}
 		seen[obj] = true
-		s.escape(obj, lit.Pos(), target, nil)
+		s.escape(obj, lit.Pos(), target)
 		return true
 	})
 }
 
-// escape handles one retention edge of a tracked pooled local: guarded
-// bodies and reason-bearing waivers sanction it, anything else is a
-// finding (with the mechanical snapshot fix when one applies).
-func (s *poolScan) escape(obj types.Object, pos token.Pos, target string, fix *SuggestedFix) {
+// escape reports one retention edge of a tracked pooled local.
+func (s *poolScan) escape(obj types.Object, pos token.Pos, target string) {
 	s.resolved[obj] = true
-	if s.guarded[obj] {
-		return
-	}
-	if reason, line, ok := waiverAt(s.p, s.p.retainok, s.file, pos); ok {
-		markWaiverUsed(s.used, s.p, s.file, line)
-		if reason == "" {
-			s.reportOnce(pos, nil, "//%s waiver needs a reason", RetainOKAnnotation)
-		}
-		return
-	}
-	s.reportOnce(pos, fix,
-		"pooled %s escapes into %s without a generation-snapshot guard; record Generation() and probe CheckAlive at the use, or waive with //%s <reason>",
-		obj.Name(), target, RetainOKAnnotation)
+	s.reportOnce(pos,
+		"pooled %s escapes into %s; a pooled pointer must not outlive the call that holds it",
+		obj.Name(), target)
 }
 
 // isFuncField reports whether a field selection yields a function
@@ -1104,66 +1057,13 @@ func escapeTarget(lhs ast.Expr) string {
 	return "a stored location"
 }
 
-// snapshotFix builds the mechanical generation-snapshot insertion for a
-// field-store escape: when the holder struct declares a sibling
-// <field>Gen unsigned counter and the pooled type has a Generation()
-// method, the fix inserts the snapshot assignment before the store.
-func (s *poolScan) snapshotFix(st *ast.AssignStmt, lhs ast.Expr, rhs *ast.Ident) *SuggestedFix {
-	sel, ok := lhs.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	rhsObj := s.objectOf(rhs)
-	if rhsObj == nil {
-		return nil
-	}
-	// The pooled type must expose Generation().
-	fn, _, _ := types.LookupFieldOrMethod(rhsObj.Type(), true, s.p.pkg.Pkg, "Generation")
-	if _, ok := fn.(*types.Func); !ok {
-		return nil
-	}
-	// The holder must declare <field>Gen of an unsigned kind.
-	holderType := s.p.pkg.Info.Types[sel.X].Type
-	if holderType == nil {
-		return nil
-	}
-	if ptr, ok := holderType.Underlying().(*types.Pointer); ok {
-		holderType = ptr.Elem()
-	}
-	strct, ok := holderType.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	genField := sel.Sel.Name + "Gen"
-	found := false
-	for i := 0; i < strct.NumFields(); i++ {
-		f := strct.Field(i)
-		if f.Name() != genField {
-			continue
-		}
-		if b, ok := f.Type().Underlying().(*types.Basic); ok && b.Info()&types.IsUnsigned != 0 {
-			found = true
-		}
-		break
-	}
-	if !found {
-		return nil
-	}
-	snapshot := fmt.Sprintf("%s.%s = %s.Generation()\n",
-		exprText(s.p.fset, sel.X), genField, rhs.Name)
-	return &SuggestedFix{
-		Message: fmt.Sprintf("record the pool generation into %s.%s before retaining %s", exprText(s.p.fset, sel.X), genField, rhs.Name),
-		Edits:   []TextEdit{s.p.insert(st.Pos(), snapshot)},
-	}
-}
-
-func (s *poolScan) reportOnce(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
+func (s *poolScan) reportOnce(pos token.Pos, format string, args ...any) {
 	key := fmt.Sprintf("%d|%s", pos, fmt.Sprintf(format, args...))
 	if s.reported[key] {
 		return
 	}
 	s.reported[key] = true
-	s.p.reportFix("poollife", pos, fix, format, args...)
+	s.p.reportf("poollife", pos, format, args...)
 }
 
 // unparen strips parentheses.

@@ -1,6 +1,6 @@
-// Package badobs is a tilesimvet fixture: it calls obs.Tracer hooks
-// from hot loops without the nil-guarded fast path, and boxes a value
-// through an interface-typed hook parameter per iteration.
+// Package badobs is a tilesimvet fixture: it calls an obs.Tracer hook
+// from a hot loop without the nil-guarded fast path, beside the guarded
+// and loop-free shapes the obshooks rule accepts.
 package badobs
 
 import "tilesim/internal/obs"
@@ -19,18 +19,8 @@ func (m *Mesh) Drain(cycles []uint64) {
 	}
 }
 
-// Label is nil-guarded but calls the interface-boxing Annotate hook on
-// every iteration, allocating per message.
-func (m *Mesh) Label(keys []string) {
-	for i, k := range keys {
-		if m.tracer != nil {
-			m.tracer.Annotate(k, i) // want: obshooks boxing finding here
-		}
-	}
-}
-
-// Guarded is the sanctioned fast path: one pointer check, concretely
-// typed args, no boxing.
+// Guarded is the sanctioned fast path: one pointer check per
+// iteration.
 func (m *Mesh) Guarded(cycles []uint64) {
 	for _, c := range cycles {
 		if m.tracer != nil {
@@ -55,7 +45,6 @@ func (m *Mesh) GuardedOutside(cycles []uint64) {
 // ColdPath calls hooks outside any loop: no guard required by the
 // analyzer (the call sites own the lifecycle there).
 func (m *Mesh) ColdPath() {
-	m.tracer.Annotate("phase", "done")
 	m.tracer.Instant(obs.PidCores, 0, "end", "core", 0)
 }
 

@@ -3,11 +3,9 @@
 // the //tilesim:pool and //tilesim:release annotations) and then
 // violates each clause of the ownership contract once: a read after
 // the release point, a double release on a branchy path, every escape
-// flavour without a generation-snapshot guard (struct field, slice,
-// closure, sim.Event payload), a header no path ever releases, a
-// release not dominated by an acquire, the two annotation misuse
-// shapes, and the waiver-audit pair (a reason-less //tilesim:retainok
-// and a stale one).
+// flavour (struct field, slice, closure, sim.Event payload), a header
+// no path ever releases, a release not dominated by an acquire, and
+// the two annotation misuse shapes.
 package badpoollife
 
 import "tilesim/internal/sim"
@@ -16,11 +14,7 @@ import "tilesim/internal/sim"
 type header struct {
 	id   int
 	next *header
-	gen  uint64
 }
-
-// Generation exposes the reuse counter the snapshot guard records.
-func (h *header) Generation() uint64 { return h.gen }
 
 // pool is an intrusive freelist of headers.
 type pool struct{ free *header }
@@ -37,20 +31,17 @@ func (p *pool) Get() *header {
 	return h
 }
 
-// Put returns h to the pool and poisons its generation.
+// Put returns h to the pool.
 //
 //tilesim:release
 func (p *pool) Put(h *header) {
-	h.gen++
 	h.next = p.free
 	p.free = h
 }
 
-// holder retains a header; the hGen sibling field is what makes the
-// mechanical snapshot fix applicable to escapeField.
+// holder retains a header.
 type holder struct {
-	h    *header
-	hGen uint64
+	h *header
 }
 
 // useAfterPut reads the header after its release point — the
@@ -70,30 +61,29 @@ func doubleRelease(p *pool, cond bool) {
 	p.Put(h) // want: double release
 }
 
-// escapeField stores the pooled pointer into a struct field with no
-// generation snapshot; hGen exists, so the finding carries the fix.
+// escapeField stores the pooled pointer into a struct field.
 func escapeField(p *pool, dst *holder) {
 	h := p.Get()
-	dst.h = h // want: unguarded field escape, with a snapshot fix
+	dst.h = h // want: field escape
 }
 
 // escapeSlice appends the pooled pointer into a caller-owned slice.
 func escapeSlice(p *pool, buf []*header) []*header {
 	h := p.Get()
-	return append(buf, h) // want: unguarded append escape
+	return append(buf, h) // want: append escape
 }
 
 // escapeClosure returns a closure capturing the pooled pointer.
 func escapeClosure(p *pool) func() int {
 	h := p.Get()
-	return func() int { return h.id } // want: unguarded closure escape
+	return func() int { return h.id } // want: closure escape
 }
 
 // escapeEvent schedules a kernel event whose payload captures the
 // pooled pointer: the retention whose lifetime is hardest to see.
 func escapeEvent(p *pool, k *sim.Kernel) {
 	h := p.Get()
-	k.Schedule(1, func() { h.id++ }) // want: unguarded sim.Event payload escape
+	k.Schedule(1, func() { h.id++ }) // want: sim.Event payload escape
 }
 
 // leak acquires a header that no path releases, hands off, or retains.
@@ -110,17 +100,6 @@ func undominated(p *pool, cond bool) {
 	}
 	p.Put(h) // want: release not dominated by an acquire
 }
-
-// waived exercises the waiver audit: the retention is waived but the
-// waiver carries no reason.
-func waived(p *pool, dst *holder) {
-	h := p.Get()
-	//tilesim:retainok
-	dst.h = h // want: waiver needs a reason
-}
-
-//tilesim:retainok nothing below retains a pooled pointer // want: stale waiver
-func nothing() {}
 
 // badAcquire is misannotated: it returns no pointer to a named type.
 //

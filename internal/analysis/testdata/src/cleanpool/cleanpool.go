@@ -1,9 +1,8 @@
 // Package cleanpool is the poollife negative control: every sanctioned
-// pooled-lifetime idiom in one file — a generation-snapshot-guarded
-// retention, a reason-bearing //tilesim:retainok waiver, a by-key
-// release (//tilesim:release entry, the MSHR.Free shape), hand-off on
-// one branch with release on the other, an acquire on every path into
-// an argument release, the read-everything-then-release-at-the-tail
+// pooled-lifetime idiom in one file — a by-key release
+// (//tilesim:release entry, the MSHR.Free shape), hand-off on one
+// branch with release on the other, an acquire on every path into an
+// argument release, the read-everything-then-release-at-the-tail
 // Deliver shape, and a loop-local acquire/release pair — and must
 // produce zero findings.
 package cleanpool
@@ -12,17 +11,6 @@ package cleanpool
 type entry struct {
 	key  int
 	next *entry
-	gen  uint64
-}
-
-// Generation exposes the reuse counter retention guards snapshot.
-func (e *entry) Generation() uint64 { return e.gen }
-
-// CheckAlive is the probe a retention site calls before dereferencing.
-func (e *entry) CheckAlive(gen uint64) {
-	if gen != e.gen {
-		panic("cleanpool: stale pooled entry")
-	}
 }
 
 // table owns the pool: a by-key live map over an intrusive freelist.
@@ -53,7 +41,6 @@ func (t *table) Alloc(key int) *entry {
 func (t *table) Drop(key int) {
 	e := t.live[key]
 	delete(t.live, key)
-	e.gen++
 	e.next = t.free
 	t.free = e
 }
@@ -62,36 +49,8 @@ func (t *table) Drop(key int) {
 //
 //tilesim:release
 func (t *table) Recycle(e *entry) {
-	e.gen++
 	e.next = t.free
 	t.free = e
-}
-
-// holder retains an entry together with its generation snapshot.
-type holder struct {
-	e    *entry
-	eGen uint64
-}
-
-// Probe dereferences the retained entry behind the liveness probe.
-func (h *holder) Probe() int {
-	h.e.CheckAlive(h.eGen)
-	return h.e.key
-}
-
-// retainGuarded stores the pooled pointer with a generation snapshot —
-// the sanctioned retention idiom.
-func retainGuarded(t *table, dst *holder) {
-	e := t.Alloc(1)
-	dst.eGen = e.Generation()
-	dst.e = e
-}
-
-// retainWaived retains without a snapshot but with a reasoned waiver.
-func retainWaived(reg map[int]*entry, t *table) {
-	e := t.Alloc(2)
-	//tilesim:retainok fixture: the registry owns the entry until Drop removes it
-	reg[2] = e
 }
 
 // dropByKey reads everything it needs before the by-key release.

@@ -3,6 +3,7 @@ package cache
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -241,14 +242,33 @@ func TestMSHRDuplicatePanics(t *testing.T) {
 	m.Allocate(0x40)
 }
 
+// TestMSHRFreeAbsentPanics frees a block the file does not hold: one
+// never allocated, and one freed already (a double release of the
+// pooled entry).
 func TestMSHRFreeAbsentPanics(t *testing.T) {
-	m := NewMSHR(4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("free of absent entry accepted")
-		}
-	}()
-	m.Free(0x40, nil)
+	const want = "cache: freeing absent MSHR entry"
+	for _, c := range []struct {
+		name    string
+		prepare func(m *MSHR)
+	}{
+		{"never allocated", func(*MSHR) {}},
+		{"freed twice", func(m *MSHR) {
+			m.Allocate(0x40)
+			m.Free(0x40, nil)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := NewMSHR(4)
+			c.prepare(m)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, want) {
+					t.Fatalf("free of absent entry: panic %q, want one containing %q", msg, want)
+				}
+			}()
+			m.Free(0x40, nil)
+		})
+	}
 }
 
 func BenchmarkCacheAccess(b *testing.B) {

@@ -173,7 +173,6 @@ func (m *MSHR) take(block uint64) *MSHREntry {
 	gen := e.Gen
 	ws, pws := e.Waiters[:0], e.PartialWaiters[:0]
 	*e = MSHREntry{Block: block, Gen: gen, Waiters: ws, PartialWaiters: pws}
-	entryAcquired(e)
 	return e
 }
 
@@ -227,7 +226,6 @@ func (m *MSHR) Free(block uint64, scratch []Waiter) []Waiter {
 	e.Waiters = e.Waiters[:0]
 	clear(e.PartialWaiters)
 	e.PartialWaiters = e.PartialWaiters[:0]
-	entryReleased(e)
 	e.Gen++ // poison: any retained pointer now has a mismatched Gen
 	e.next = m.free
 	m.free = e

@@ -3,8 +3,10 @@ package coherence
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
+	"tilesim/internal/cache"
 	"tilesim/internal/noc"
 	"tilesim/internal/sim"
 )
@@ -134,5 +136,36 @@ func TestDirEntriesNamedOnce(t *testing.T) {
 	if recalls == 0 || fills <= uint64(len(blocks)) || writebacks == 0 {
 		t.Fatalf("%d recalls, %d fills for %d blocks and %d replacements: the workload left some entry move untried",
 			recalls, fills, len(blocks), writebacks)
+	}
+}
+
+// TestDirEntryReleasedTwicePanics releases one directory entry twice,
+// once for a block with an L2 line and once for a block without one:
+// the second release must panic before the entry rejoins the freelist.
+func TestDirEntryReleasedTwicePanics(t *testing.T) {
+	const block = 0x200000 // home 0
+	for _, c := range []struct {
+		name string
+		inL2 bool
+		want string
+	}{
+		{"with an L2 line", true, "but its L2 line names 0"},
+		{"without an L2 line", false, "is on no line and not on the side list"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := newTestSystem(nil).p.Home(HomeOf(block, DefaultConfig().Tiles))
+			if c.inL2 {
+				h.l2.Insert(block, cache.Shared)
+			}
+			e, _ := h.entry(block)
+			h.release(block, e)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.want) {
+					t.Fatalf("second release: panic %q, want one containing %q", msg, c.want)
+				}
+			}()
+			h.release(block, e)
+		})
 	}
 }

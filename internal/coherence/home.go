@@ -175,7 +175,6 @@ func (h *HomeController) entry(block uint64) (*dirEntry, *cache.Line) {
 	e = h.at(h.free)
 	h.free = e.next
 	*e = dirEntry{sharers: e.sharers, owner: -1, block: block, queue: e.queue[:0], ref: e.ref}
-	dirEntryAcquired(e)
 	if line != nil {
 		line.Aux = e.ref
 	} else {
@@ -218,7 +217,6 @@ func (h *HomeController) release(block uint64, e *dirEntry) {
 	} else {
 		h.unside(e.ref)
 	}
-	dirEntryReleased(e)
 	e.next = h.free
 	h.free = e.ref
 }

@@ -646,8 +646,10 @@ type transit struct {
 	deliverFn sim.Event // tail serialized at the destination
 	hopFn     sim.Event // retransmission entry (fault injection)
 	dropFn    sim.Event // retry-budget exhaustion (fault injection)
-	// next links the freelist.
-	next *transit
+	// next links the freelist; freed marks a transit on it, so a second
+	// recycle panics instead of handing one transit to two messages.
+	next  *transit
+	freed bool
 }
 
 // newTransit takes a transit from the freelist (or allocates the pool's
@@ -671,9 +673,8 @@ func (n *Network) newTransit(m *noc.Message, dst pos, injected sim.Time, flits n
 		t.dropFn = func() { n.drop(t) }
 	} else {
 		n.free = t.next
-		t.next = nil
+		t.next, t.freed = nil, false
 	}
-	transitAcquired(t)
 	t.m, t.link, t.dst, t.hops, t.size = *m, -1, dst, 0, int32(m.SizeBytes)
 	t.injected, t.waited, t.flits, t.plane = injected, 0, flits, plane
 	t.traceID, t.attempts, t.retryCycles = traceID, 0, 0
@@ -685,8 +686,10 @@ func (n *Network) newTransit(m *noc.Message, dst pos, injected sim.Time, flits n
 //
 //tilesim:release
 func (n *Network) recycle(t *transit) {
-	transitReleased(t)
-	t.next = n.free
+	if t.freed {
+		panic("mesh: transit recycled twice")
+	}
+	t.next, t.freed = n.free, true
 	n.free = t
 }
 

@@ -131,6 +131,17 @@ func TestPanicPaths(t *testing.T) {
 			},
 		},
 		{
+			name: "transit recycled twice",
+			want: "transit recycled twice",
+			fn: func() {
+				n := newNet(DefaultBaseline())
+				m := noc.Message{Type: noc.GetS, Src: 0, Dst: 1, SizeBytes: 11}
+				tr := n.newTransit(&m, n.posOf(1), 0, 1, PlaneB, 0)
+				n.recycle(tr)
+				n.recycle(tr)
+			},
+		},
+		{
 			name: "missing handler",
 			want: "no handler",
 			fn: func() {

@@ -23,7 +23,6 @@ package obs
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -111,19 +110,6 @@ func (m Metric) field(name string) float64 {
 		return m.P99
 	}
 	panic(fmt.Sprintf("obs: unknown metric field %q", name))
-}
-
-// UnmarshalJSON decodes both the explicit encoding MarshalJSON writes
-// and the legacy omitempty encoding (absent fields zero), so old sweep
-// cache entries keep decoding.
-func (m *Metric) UnmarshalJSON(data []byte) error {
-	type plain Metric // no methods: plain decode, no recursion
-	var p plain
-	if err := json.Unmarshal(data, &p); err != nil {
-		return err
-	}
-	*m = Metric(p)
-	return nil
 }
 
 // Snapshot is a point-in-time reading of every registered metric,

@@ -218,15 +218,3 @@ func (t *Tracer) Counter(pid int, name string, cycle uint64, series []Arg) {
 	t.writeArgs(series)
 	t.w.WriteByte('}')
 }
-
-// Annotate attaches one ad-hoc named value as an instant event on the
-// cores process. The value parameter is an interface: this is a
-// cold-path convenience for tests and one-off debugging, and must
-// never be called from a simulation hot loop (the obshooks analyzer
-// flags it — boxing the value allocates).
-func (t *Tracer) Annotate(key string, value any) {
-	t.sep()
-	fmt.Fprintf(t.w,
-		`{"ph":"i","pid":%d,"tid":0,"name":%s,"cat":"annotation","ts":0,"s":"g","args":{"value":%s}}`,
-		PidCores, quote(key), quote(fmt.Sprint(value)))
-}

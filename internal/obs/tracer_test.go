@@ -203,16 +203,3 @@ func TestTracerWriteErrorSurfacesAtClose(t *testing.T) {
 		t.Fatal("Err() lost the write error")
 	}
 }
-
-func TestTracerAnnotate(t *testing.T) {
-	doc, _ := buildTrace(t, func(tr *Tracer) {
-		tr.Annotate("seed", 42)
-	})
-	ev := findEvent(doc, "i", "seed")
-	if ev == nil {
-		t.Fatal("missing annotation event")
-	}
-	if ev.Args["value"] != "42" {
-		t.Errorf("annotation args = %v", ev.Args)
-	}
-}
