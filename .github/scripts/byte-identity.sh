@@ -8,7 +8,11 @@
 # and stdout with diff. The per-application runs cover the
 # workload generator's paths FFT alone does not: long compute gaps
 # (Water-nsq, LU), no gaps at all (MP3D, Unstructured) and each address
-# pattern.
+# pattern. Last, it builds cmd/figures from each tree and compares
+# `figures -quick -csv` and `figures -quick -ablation -csv`: tilesim
+# has no wiring flag, so only these runs reach 2-byte Stride, perfect
+# compression, L+PW with Reply Partitioning and VL+B+PW. That makes 30
+# comparisons.
 #
 #   bash .github/scripts/byte-identity.sh BASE_SRC HEAD_SRC [WORKDIR]
 #
@@ -32,7 +36,8 @@ fi
 for side in base head; do
   src=${side}_src
   mkdir -p "$work/$side"
-  (cd "${!src}" && go build -o "$work/$side/tilesim" ./cmd/tilesim)
+  (cd "${!src}" && go build -o "$work/$side/tilesim" ./cmd/tilesim &&
+    go build -o "$work/$side/figures" ./cmd/figures)
 done
 
 fft=(-app FFT -het -scheme dbrc)
@@ -58,6 +63,22 @@ compare() {
   fi
 }
 
+# figures NAME ARGS...: runs both figure harnesses and diffs their CSV.
+figures() {
+  local name=$1
+  shift
+  for side in base head; do
+    (cd "$work/$side" && ./figures "$@" > "$name.csv" 2> "$name.err")
+  done
+  if diff -q "$work/base/$name.csv" "$work/head/$name.csv" > /dev/null; then
+    echo "identical: $name"
+  else
+    echo "::error title=byte-identity::$name differs from the base commit"
+    diff "$work/base/$name.csv" "$work/head/$name.csv" | head -20 || true
+    failed=1
+  fi
+}
+
 for topo in mesh cmesh torus slim; do
   t64=(-refs 500 -warmup 250 -topo "$topo" -tiles 64)
   compare "$topo-faultfree" "${fft[@]}" "${t64[@]}"
@@ -75,5 +96,8 @@ apps=(Barnes-Hut EM3D FFT LU-cont LU-noncont MP3D Ocean-cont Ocean-noncont
 for app in "${apps[@]}"; do
   compare "app-$app" -app "$app" -het -scheme dbrc -refs 2000 -warmup 500
 done
+
+figures figures-quick -quick -csv
+figures figures-ablation -quick -ablation -csv
 
 exit "$failed"

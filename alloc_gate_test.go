@@ -1,16 +1,25 @@
 package tilesim
 
-// The allocation gate pins the simulator's steady-state allocation rate
-// and volume so hot-path regressions fail CI instead of silently
-// eroding throughput. ALLOC_BUDGET.json holds the ceilings on
-// allocations and bytes per run; TestAllocGate and TestScaleAllocGate
-// enforce them locally and the alloc-gate CI job enforces them against
-// the benchmarks' -benchmem output. After a deliberate allocation
-// change, re-measure with
+// The allocation checks pin the simulator's allocations so a regression
+// fails CI instead of silently eroding throughput. ALLOC_BUDGET.json
+// holds every ceiling and the measurement beside it:
+//
+//   - TestAllocGate: allocations and bytes per run of the 16-tile
+//     MP3D configuration;
+//   - TestScaleAllocGate: allocations and bytes per tile of the
+//     1024-tile torus cell;
+//   - TestAllocSlope: allocations per simulated reference between two
+//     run lengths, on every configuration of the byte-identity matrix
+//     and the scheme and layout runs only cmd/figures reaches.
+//
+// The alloc-gate CI job runs these three tests. After a deliberate
+// allocation change, re-measure the gates with
 //
 //	go test -run '^$' -bench 'AllocGate$' -benchtime 5x -benchmem .
 //
-// and update the measured_* fields and, if warranted, the ceilings.
+// and the slope with `go test -run '^TestAllocSlope$' -v .`, then
+// update the measured_* fields. A ceiling rises only with the measured
+// result that justifies it.
 
 import (
 	"encoding/json"
@@ -20,6 +29,8 @@ import (
 
 	"tilesim/internal/cmp"
 	"tilesim/internal/compress"
+	"tilesim/internal/fault"
+	"tilesim/internal/workload"
 )
 
 // allocBudget mirrors ALLOC_BUDGET.json.
@@ -38,6 +49,12 @@ type allocBudget struct {
 	ScaleMeasuredAllocsPerTile uint64 `json:"scale_measured_allocs_per_tile"`
 	ScaleBytesPerTileCeiling   uint64 `json:"scale_bytes_per_tile_ceiling"`
 	ScaleMeasuredBytesPerTile  uint64 `json:"scale_measured_bytes_per_tile"`
+	// Run-phase check: one ceiling on allocations per simulated
+	// reference for every TestAllocSlope configuration, and the worst
+	// configuration's measurement.
+	SlopeAllocsPerRefCeiling  float64 `json:"slope_allocs_per_ref_ceiling"`
+	SlopeMeasuredAllocsPerRef float64 `json:"slope_measured_allocs_per_ref"`
+	SlopeMeasuredWorst        string  `json:"slope_measured_worst"`
 }
 
 func readAllocBudget(t testing.TB) allocBudget {
@@ -56,12 +73,15 @@ func readAllocBudget(t testing.TB) allocBudget {
 	if b.ScaleAllocsPerTileCeiling == 0 || b.ScaleBytesPerTileCeiling == 0 {
 		t.Fatal("alloc gate: ALLOC_BUDGET.json lacks scale_allocs_per_tile_ceiling or scale_bytes_per_tile_ceiling")
 	}
+	if b.SlopeAllocsPerRefCeiling == 0 {
+		t.Fatal("alloc gate: ALLOC_BUDGET.json lacks slope_allocs_per_ref_ceiling")
+	}
 	return b
 }
 
 // measureRun runs fn once to warm up and once more on one P, and
-// returns the second run's heap allocations and bytes: the counts
-// testing.AllocsPerRun and -benchmem report.
+// returns the second run's heap allocations and bytes, read from
+// runtime.MemStats around it: the counts -benchmem reports.
 func measureRun(fn func()) (allocs, bytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fn()
@@ -152,9 +172,8 @@ func BenchmarkScaleAllocGate(b *testing.B) {
 }
 
 // TestScaleAllocGate enforces the per-tile ceilings at 1024 tiles in
-// the ordinary test run. Skipped under -race and -short for the same
-// reasons as TestAllocGate, and because a 1024-tile simulation takes
-// tens of seconds.
+// the ordinary test run (about 7 s on a 2-vCPU host). Skipped under
+// -race and -short for the same reasons as TestAllocGate.
 func TestScaleAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -204,4 +223,131 @@ func TestAllocGate(t *testing.T) {
 		t.Errorf("alloc gate: %d B/op exceeds the ALLOC_BUDGET.json ceiling of %d",
 			bytes, budget.BytesPerOpCeiling)
 	}
+}
+
+// slopeCase is one configuration of the run-phase allocation check,
+// run at short and then long references per core.
+type slopeCase struct {
+	name        string
+	cfg         cmp.RunConfig
+	short, long int
+}
+
+// slopeCases are the run-phase check's configurations: the 13
+// applications at 16 tiles, the byte-identity script's twelve 64-tile
+// runs, and FFT at 16 tiles under every scheme and layout tilesim has
+// no flag for, and with the epoch-series sampler on. The 64-tile runs
+// are half as long per core but twice as long in references: FFT's
+// directory keeps growing for longer there (DESIGN.md §13).
+func slopeCases() []slopeCase {
+	const short16, long16 = 4000, 16000
+	const short64, long64 = 2000, 8000
+	dbrc := compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 2}
+	base := cmp.RunConfig{Seed: 1, Compression: dbrc, Heterogeneous: true}
+	var cases []slopeCase
+	for _, app := range workload.AppNames() {
+		cfg := base
+		cfg.App = app
+		cases = append(cases, slopeCase{app, cfg, short16, long16})
+	}
+	fft := base
+	fft.App = "FFT"
+	variants := []struct {
+		name string
+		set  func(*cmp.RunConfig)
+	}{
+		{"FFT-stride", func(c *cmp.RunConfig) { c.Compression = compress.Spec{Kind: "stride", LowOrderBytes: 2} }},
+		{"FFT-perfect", func(c *cmp.RunConfig) { c.Compression = compress.Spec{Kind: "perfect", LowOrderBytes: 2} }},
+		{"FFT-lpw-rp", func(c *cmp.RunConfig) {
+			c.Compression = compress.Spec{Kind: "none"}
+			c.Wiring, c.ReplyPartitioning = "lpw", true
+		}},
+		{"FFT-vlbpw-rp", func(c *cmp.RunConfig) { c.Wiring, c.ReplyPartitioning = "vlbpw", true }},
+		{"FFT-series512", func(c *cmp.RunConfig) { c.SeriesInterval = 512 }},
+	}
+	for _, v := range variants {
+		cfg := fft
+		v.set(&cfg)
+		cases = append(cases, slopeCase{v.name, cfg, short16, long16})
+	}
+	faults := []struct {
+		name string
+		f    fault.Config
+	}{
+		{"", fault.Config{}},
+		{"-ber", fault.Config{BER: 1e-5, VLBERScale: 4}},
+		{"-stall-outage", fault.Config{StallProb: 0.01, OutagePlane: "VL", OutageStart: 2000, OutageCycles: 3000}},
+	}
+	for _, topo := range cmp.TopologyNames {
+		for _, f := range faults {
+			cfg := fft
+			cfg.Topology, cfg.Tiles, cfg.Faults = topo, 64, f.f
+			cases = append(cases, slopeCase{topo + "64" + f.name, cfg, short64, long64})
+		}
+	}
+	return cases
+}
+
+// allocSlope runs c at its two run lengths on one P and returns the
+// extra heap allocations per extra simulated reference. Setup and
+// end-of-run allocations appear in both runs and cancel, so what is
+// left is what the run phase allocates as it goes.
+func allocSlope(t *testing.T, c slopeCase) float64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mallocs := func(refs int) uint64 {
+		cfg := c.cfg
+		cfg.RefsPerCore = refs
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := cmp.Run(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.ExecCycles == 0 {
+			t.Fatal("no progress")
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	tiles := c.cfg.Tiles
+	if tiles == 0 {
+		tiles = 16
+	}
+	short, long := mallocs(c.short), mallocs(c.long)
+	return (float64(long) - float64(short)) / float64((c.long-c.short)*tiles)
+}
+
+// TestAllocSlope is the run-phase allocation check: in every
+// configuration, allocations must stop growing with run length once
+// setup is done. A per-event allocation anywhere in the simulator (a
+// formatted string per hop, a closure per handler, a queue per
+// directory entry) adds to every reference and raises the slope past
+// the one ceiling in ALLOC_BUDGET.json, whatever its syntax or the
+// compiler's escape decision. Skipped under -race and -short, like
+// TestAllocGate.
+func TestAllocSlope(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	if testing.Short() {
+		t.Skip("run-phase allocation measurement")
+	}
+	budget := readAllocBudget(t)
+	worst, worstName := 0.0, ""
+	for _, c := range slopeCases() {
+		t.Run(c.name, func(t *testing.T) {
+			slope := allocSlope(t, c)
+			t.Logf("%.4f allocs/ref from %d to %d refs/core", slope, c.short, c.long)
+			if slope > worst {
+				worst, worstName = slope, c.name
+			}
+			if slope > budget.SlopeAllocsPerRefCeiling {
+				t.Errorf("alloc slope: %.4f allocs per simulated reference exceeds the ALLOC_BUDGET.json ceiling of %g",
+					slope, budget.SlopeAllocsPerRefCeiling)
+			}
+		})
+	}
+	t.Logf("alloc slope: worst %.4f allocs/ref on %s (ceiling %g, recorded %.4f on %s)",
+		worst, worstName, budget.SlopeAllocsPerRefCeiling, budget.SlopeMeasuredAllocsPerRef, budget.SlopeMeasuredWorst)
 }

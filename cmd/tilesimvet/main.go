@@ -1,5 +1,5 @@
 // Command tilesimvet runs tilesim's simulator-specific static analyses
-// over the module. Every run applies all 13 rules, and each finding
+// over the module. Every run applies all 12 rules, and each finding
 // names its rule: determinism (no map-order or wall-clock dependence,
 // no global randomness), stablesort (sort.SliceStable or a proven total
 // order), floatorder (no float accumulation in map order), units (no
@@ -8,8 +8,7 @@
 // constant), obshooks (tracer calls in loops are nil-guarded),
 // metricskeys (constant-rooted metric names), taint (no transitive
 // reach of wall-clock time or global randomness), canoncover
-// (Canonical() covers every exported field), hotalloc (no per-event
-// allocation reachable from //tilesim:hotpath roots), sharedstate (no
+// (Canonical() covers every exported field), sharedstate (no
 // unsynchronized shared state in goroutine-reachable code) and poollife
 // (pooled-object lifetimes: no use after release, double release,
 // retention or leak). The internal/analysis package doc has the full
@@ -20,14 +19,11 @@
 //	go run ./cmd/tilesimvet ./...
 //	go run ./cmd/tilesimvet -json ./internal/mesh
 //	go run ./cmd/tilesimvet -fix ./...
-//	go run ./cmd/tilesimvet -escapes ./...
 //
 // -json emits the diagnostics as a JSON array, each carrying its
 // machine-applicable fix when one exists. -fix applies every suggested
 // fix (atomically, gofmt-clean, idempotently) and then reports only
-// the findings that remain unfixable. -escapes replaces the rules with
-// a check of the compiler's escape analysis against the
-// //tilesim:noescape and //tilesim:hotpath annotations.
+// the findings that remain unfixable.
 //
 // The exit status is 0 when the analyzed packages are clean (under
 // -fix: when every finding was fixable), 1 when findings remain, and
@@ -48,9 +44,8 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
 	fix := flag.Bool("fix", false, "apply suggested fixes, then report only unfixable findings")
-	escapes := flag.Bool("escapes", false, "correlate compiler escape analysis (-gcflags=-m) with //tilesim:noescape and //tilesim:hotpath annotations instead of running the syntactic rules")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: tilesimvet [-json] [-fix] [-escapes] <packages>\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: tilesimvet [-json] [-fix] <packages>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -60,15 +55,7 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	run := analysis.Run
-	if *escapes {
-		if *fix {
-			fmt.Fprintln(os.Stderr, "tilesimvet: -escapes findings have no machine-applicable fixes; drop -fix")
-			os.Exit(2)
-		}
-		run = analysis.RunEscapes
-	}
-	diags, err := run(".", patterns)
+	diags, err := analysis.Run(".", patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tilesimvet: %v\n", err)
 		os.Exit(2)

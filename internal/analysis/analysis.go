@@ -1,6 +1,6 @@
 // Package analysis implements tilesimvet, the simulator-specific static
 // checks that keep tilesim's cycle-level results bit-for-bit
-// reproducible and its failure modes diagnosable. Run applies all 13
+// reproducible and its failure modes diagnosable. Run applies all 12
 // rules; each finding is labelled with its rule's name:
 //
 //   - determinism: no map iteration in simulator packages (Go randomizes
@@ -39,11 +39,6 @@
 //     exported field of its receiver struct (recursively through
 //     module-declared struct fields), promoting the runtime
 //     field-coverage reflection test to a vet-time guarantee.
-//   - hotalloc: nothing reachable from a //tilesim:hotpath root may
-//     allocate per event (composite literals, make, capacity-less
-//     append in loops, fmt, capturing closures, method values,
-//     interface boxing) unless a reasoned //tilesim:allocok waives it
-//     (see hotpath.go).
 //   - sharedstate: code reachable from a go statement or a
 //     sweep.Runner callback must not touch unsynchronized shared
 //     mutable state unless a reasoned //tilesim:sharedok waives it
@@ -89,28 +84,13 @@ const (
 	// unstable sort cannot introduce tie-breaking nondeterminism. The
 	// annotation should be accompanied by a comment proving totality.
 	TotalOrderAnnotation = "tilesim:totalorder"
-	// HotPathAnnotation marks a function declaration as a simulator
-	// hot-path entry point (event loop, mesh transit, coherence
-	// handler). The hotalloc rule checks the annotated function and
-	// every module function transitively reachable from it for
-	// allocation sources.
-	HotPathAnnotation = "tilesim:hotpath"
-	// AllocOKAnnotation waives one hotalloc finding:
+	// SharedOKAnnotation waives one sharedstate finding:
 	//
-	//	//tilesim:allocok one transit per message, pooled in Network.free
+	//	//tilesim:sharedok disjoint per-job slots, joined by wg.Wait
 	//
 	// The reason is mandatory, and a waiver that no longer suppresses a
 	// finding is itself reported as stale, so waivers cannot rot.
-	AllocOKAnnotation = "tilesim:allocok"
-	// SharedOKAnnotation waives one sharedstate finding the same way
-	// (mandatory reason, stale detection):
-	//
-	//	//tilesim:sharedok disjoint per-job slots, joined by wg.Wait
 	SharedOKAnnotation = "tilesim:sharedok"
-	// NoEscapeAnnotation asserts that the allocation on its line stays
-	// on the stack; `tilesimvet -escapes` fails when the compiler's
-	// escape analysis disagrees (see Escapes).
-	NoEscapeAnnotation = "tilesim:noescape"
 	// PoolAnnotation marks a function declaration as a pool acquire
 	// point: calling it yields a pooled object (the function's
 	// pointer-to-named result type). The poollife rule tracks the
@@ -156,15 +136,11 @@ type pass struct {
 	fset  *token.FileSet
 	units map[string]string // "pkgpath.TypeName" -> unit name
 	// ordered maps file -> set of lines carrying //tilesim:ordered;
-	// totalorder does the same for //tilesim:totalorder and hotpath
-	// for //tilesim:hotpath.
+	// totalorder does the same for //tilesim:totalorder.
 	ordered    map[*ast.File]map[int]bool
 	totalorder map[*ast.File]map[int]bool
-	hotpath    map[*ast.File]map[int]bool
-	// allocok and sharedok map file -> line -> waiver reason (empty
-	// string when the annotation carries no reason, which is itself a
-	// finding).
-	allocok  map[*ast.File]map[int]string
+	// sharedok maps file -> line -> waiver reason (empty string when
+	// the annotation carries no reason, which is itself a finding).
 	sharedok map[*ast.File]map[int]string
 	// poolacq and poolrel map file -> line -> annotation tail for the
 	// //tilesim:pool and //tilesim:release pool-API annotations (the
@@ -215,6 +191,23 @@ func (p *pass) totalOrderAt(f *ast.File, pos token.Pos) bool {
 	return p.annotatedAt(p.totalorder, f, pos)
 }
 
+// waiverAt looks a reason-bearing waiver up at pos's line or the line
+// above, returning the reason and the annotation's own line.
+func waiverAt(p *pass, waivers map[*ast.File]map[int]string, f *ast.File, pos token.Pos) (reason string, line int, ok bool) {
+	set := waivers[f]
+	if set == nil {
+		return "", 0, false
+	}
+	posLine := p.fset.Position(pos).Line
+	if r, found := set[posLine]; found {
+		return r, posLine, true
+	}
+	if r, found := set[posLine-1]; found {
+		return r, posLine - 1, true
+	}
+	return "", 0, false
+}
+
 // inInternal reports whether the package is part of the simulator core
 // (under tilesim's internal/ tree), where the strictest rules apply.
 func (p *pass) inInternal() bool {
@@ -248,7 +241,7 @@ var (
 		checkPanics, checkExhaustive, checkObsHooks, checkMetricsKeys,
 	}
 	modRules = []func(*module, *graph){
-		checkTaint, checkCanonCover, checkHotAlloc, checkSharedState, checkPoolLife,
+		checkTaint, checkCanonCover, checkSharedState, checkPoolLife,
 	}
 )
 
@@ -278,8 +271,6 @@ func Run(dir string, patterns []string) ([]Diagnostic, error) {
 			units:      units,
 			ordered:    collectAnnotations(fset, pkg, OrderedAnnotation),
 			totalorder: collectAnnotations(fset, pkg, TotalOrderAnnotation),
-			hotpath:    collectAnnotations(fset, pkg, HotPathAnnotation),
-			allocok:    collectReasonAnnotations(fset, pkg, AllocOKAnnotation),
 			sharedok:   collectReasonAnnotations(fset, pkg, SharedOKAnnotation),
 			poolacq:    collectReasonAnnotations(fset, pkg, PoolAnnotation),
 			poolrel:    collectReasonAnnotations(fset, pkg, ReleaseAnnotation),

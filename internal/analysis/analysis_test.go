@@ -38,7 +38,6 @@ func TestFixtureFindings(t *testing.T) {
 		{"badcanon", "canoncover", 1},
 		{"badmetricskeys", "metricskeys", 3},
 		{"badseries", "metricskeys", 4},
-		{"badhotalloc", "hotalloc", 11},
 		{"badsharedstate", "sharedstate", 6},
 		{"badpoollife", "poollife", 10},
 	}
@@ -86,7 +85,6 @@ func TestFixtureFindingsAnchored(t *testing.T) {
 		{"badcanon", []int{25}},
 		{"badmetricskeys", []int{23, 30, 37}},
 		{"badseries", []int{26, 33, 39, 45}},
-		{"badhotalloc", []int{26, 28, 30, 31, 32, 37, 39, 41, 43, 54, 55}},
 		{"badsharedstate", []int{34, 37, 38, 40, 44, 58}},
 		{"badpoollife", []int{52, 61, 67, 73, 79, 86, 91, 101, 107, 112}},
 	}
@@ -130,7 +128,7 @@ func TestTaintFixture(t *testing.T) {
 // new-rule fixture against its checked-in want.txt, pinning message
 // wording, positions, and ordering all at once.
 func TestGoldenFixtures(t *testing.T) {
-	for _, fixture := range []string{"badsort", "badfloat", "badtaint", "badcanon", "badmetricskeys", "badseries", "badhotalloc", "badsharedstate", "badpoollife"} {
+	for _, fixture := range []string{"badsort", "badfloat", "badtaint", "badcanon", "badmetricskeys", "badseries", "badsharedstate", "badpoollife"} {
 		t.Run(fixture, func(t *testing.T) {
 			diags := runFixture(t, fixture)
 			var b strings.Builder
@@ -165,11 +163,6 @@ func TestFixturesCarryFixes(t *testing.T) {
 		// literal-message findings are mechanically fixable.
 		{"badpanic", "panics", 2},
 		{"badobs", "obshooks", 1},
-		// The capacity-less append whose slice is created by []int{} in
-		// the same body, ranging over an in-scope value, gets the
-		// make-with-capacity rewrite; the other hotalloc findings need
-		// structural changes no rewrite can guess.
-		{"badhotalloc", "hotalloc", 1},
 	}
 	for _, c := range cases {
 		t.Run(c.fixture, func(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 )
 
 // graph is the module-wide reference graph the whole-program analyzers
-// (taint, canoncover, hotalloc, sharedstate) share. Nodes are declared
+// (taint, canoncover, sharedstate, poollife) share. Nodes are declared
 // functions, methods, package-level variables, anonymous function
 // literals that flow somewhere trackable, and function-typed struct
 // fields of the loaded target packages. Declared functions and
@@ -35,8 +35,8 @@ type graphNode struct {
 	p    *pass     // declaring package's pass
 	decl *ast.FuncDecl
 	// lit is set for anonymous function-literal nodes (decl is nil);
-	// the hot-path and shared-state analyzers scan lit.Body the same
-	// way they scan decl.Body.
+	// the shared-state analyzer scans lit.Body the same way it scans
+	// decl.Body.
 	lit *ast.FuncLit
 	// sources are the forbidden nondeterminism entry points the
 	// declaration references directly ("time.Now", "rand.Intn", ...),

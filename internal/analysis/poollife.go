@@ -1076,3 +1076,15 @@ func unparen(e ast.Expr) ast.Expr {
 		e = p.X
 	}
 }
+
+// isBuiltin reports whether ident refers to a Go builtin (go/types
+// records builtin uses as *types.Builtin; a nil object also means no
+// ordinary declaration shadows the name).
+func isBuiltin(p *pass, ident *ast.Ident) bool {
+	obj := p.pkg.Info.Uses[ident]
+	if obj == nil {
+		return true
+	}
+	_, ok := obj.(*types.Builtin)
+	return ok
+}

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
@@ -26,8 +27,9 @@ import (
 // themselves, and a function whose body takes a sync (RW)Mutex lock is
 // presumed to guard its shared accesses — the rule checks discipline,
 // not lock coverage. Anything else needs //tilesim:sharedok <reason>
-// (e.g. the disjoint per-job result slots a worker pool writes), with
-// the same mandatory-reason and stale-waiver auditing as hotalloc.
+// (e.g. the disjoint per-job result slots a worker pool writes): the
+// reason is mandatory, and a waiver that suppresses nothing is
+// reported as stale.
 func checkSharedState(m *module, g *graph) {
 	roots := append([]string(nil), g.goRoots...)
 	// Callbacks stored into sweep.Runner's function-typed fields run on
@@ -58,6 +60,54 @@ func checkSharedState(m *module, g *graph) {
 	reportStaleWaivers(m, "sharedstate", SharedOKAnnotation,
 		func(p *pass) map[*ast.File]map[int]string { return p.sharedok },
 		used)
+}
+
+func markWaiverUsed(used map[*pass]map[*ast.File]map[int]bool, p *pass, f *ast.File, line int) {
+	if used[p] == nil {
+		used[p] = make(map[*ast.File]map[int]bool)
+	}
+	if used[p][f] == nil {
+		used[p][f] = make(map[int]bool)
+	}
+	used[p][f][line] = true
+}
+
+// reportStaleWaivers reports every waiver annotation of the given kind
+// that suppressed no finding: a stale waiver hides nothing and rots
+// into misdocumentation.
+func reportStaleWaivers(m *module, analyzer, annotation string,
+	waivers func(*pass) map[*ast.File]map[int]string,
+	used map[*pass]map[*ast.File]map[int]bool) {
+	for _, p := range m.passes {
+		for _, f := range p.pkg.Files {
+			set := waivers(p)[f]
+			if len(set) == 0 {
+				continue
+			}
+			lines := make([]int, 0, len(set))
+			for line := range set { //tilesim:ordered — lines are sorted below
+				lines = append(lines, line)
+			}
+			sort.Ints(lines)
+			for _, line := range lines {
+				if used[p] != nil && used[p][f] != nil && used[p][f][line] {
+					continue
+				}
+				p.reportf(analyzer, lineStartPos(p, f, line),
+					"stale //%s waiver: no %s finding on this or the next line", annotation, analyzer)
+			}
+		}
+	}
+}
+
+// lineStartPos returns a position on the given line of f (the line's
+// first character).
+func lineStartPos(p *pass, f *ast.File, line int) token.Pos {
+	tf := p.fset.File(f.Pos())
+	if tf == nil || line < 1 || line > tf.LineCount() {
+		return f.Pos()
+	}
+	return tf.LineStart(line)
 }
 
 // moduleWrittenVars collects the IDs of package-level variables written
@@ -102,6 +152,27 @@ func writeTargets(n ast.Node) []*ast.Ident {
 		add(n.X)
 	}
 	return targets
+}
+
+// baseIdent unwraps selectors, indexing and parens to the leftmost
+// identifier, or nil.
+func baseIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 // pkgLevelVar resolves ident to a package-level *types.Var, if it is one.
@@ -231,8 +302,8 @@ func syncedType(t types.Type) bool {
 }
 
 // report files one sharedstate finding unless a //tilesim:sharedok
-// waiver covers it, with the same reason and dedup discipline as
-// hotalloc.
+// waiver covers it; used waivers are recorded for the stale audit, and
+// a waiver with no reason is itself reported.
 func (s *sharedScan) report(p *pass, f *ast.File, pos token.Pos, format string, args ...any) {
 	if reason, line, ok := waiverAt(p, p.sharedok, f, pos); ok {
 		markWaiverUsed(s.used, p, f, line)

@@ -247,8 +247,6 @@ func (c *Cache) renumber() {
 // Set returns the cache set that addr maps to, in way order, without
 // allocating: the slice aliases the cache's line storage. Callers may
 // change a line's state through it (SetState) and its Aux.
-//
-//tilesim:noescape the returned slice aliases the line array; victim scans rely on Set never allocating
 func (c *Cache) Set(addr uint64) []Line {
 	return c.setOf(c.BlockOf(addr))
 }

@@ -159,12 +159,9 @@ func (m *MSHR) index(block uint64) int {
 // take pops a pooled entry (or allocates the pool's next one) and
 // resets every transaction field. The waiter slices keep their backing
 // arrays, truncated to empty, so re-parking waiters does not allocate.
-//
-//tilesim:noescape reset writes into the pooled entry in place
 func (m *MSHR) take(block uint64) *MSHREntry {
 	e := m.free
 	if e == nil {
-		//tilesim:allocok pool miss: one MSHR entry, reused for the rest of the run
 		e = &MSHREntry{}
 	} else {
 		m.free = e.next

@@ -43,8 +43,6 @@ func (c *Core) start() {
 // step executes the core's next workload operation; it is the event
 // the kernel dispatches once per compute phase, memory reference and
 // barrier arrival.
-//
-//tilesim:hotpath per-operation core dispatch
 func (c *Core) step() {
 	// Measurement starts once every core has issued its warmup refs;
 	// the warmup barrier also aligns the cores, like the start of the

@@ -156,8 +156,6 @@ func (p *Protocol) Config() Config { return p.cfg }
 // Deliver routes an arriving message to the right controller at its
 // destination tile. m is valid only during the call: controllers copy
 // out the fields they keep and never retain the pointer.
-//
-//tilesim:hotpath coherence dispatch, once per delivered message
 func (p *Protocol) Deliver(m *noc.Message) {
 	switch m.Type {
 	case noc.GetS, noc.GetX, noc.Upgrade, noc.WriteBack, noc.ReplacementHint, noc.Revision, noc.OwnAck:

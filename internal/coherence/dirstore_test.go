@@ -59,6 +59,37 @@ func checkDirStorage(t *testing.T, h *HomeController, blocks []uint64) {
 	}
 }
 
+// checkHomeQueue walks home h's directory against its request queue:
+// the tracked entries' queued counts sum to the queue's length, every
+// queued request's block has a busy entry, and no entry on the freelist
+// counts a queued request.
+func checkHomeQueue(t *testing.T, h *HomeController) {
+	t.Helper()
+	free := make(map[uint32]bool)
+	for ref := h.free; ref != 0; ref = h.at(ref).next {
+		free[ref] = true
+	}
+	queued := 0
+	for ref := uint32(1); ref <= uint32(len(h.chunks)*entryChunk); ref++ {
+		e := h.at(ref)
+		if free[ref] {
+			if e.queued != 0 {
+				t.Fatalf("home %d: free entry %d counts %d queued requests", h.id, ref, e.queued)
+			}
+			continue
+		}
+		queued += e.queued
+	}
+	if queued != len(h.queue) {
+		t.Fatalf("home %d: entries count %d queued requests, the queue holds %d", h.id, queued, len(h.queue))
+	}
+	for _, r := range h.queue {
+		if e, _ := h.lookup(r.block); e == nil || !e.busy {
+			t.Fatalf("home %d: a request from tile %d waits on %#x, which has no busy entry", h.id, r.src, r.block)
+		}
+	}
+}
+
 // TestDirEntriesNamedOnce runs a random workload built to move
 // directory entries every way they can move, and checks the directory's
 // storage after every kernel event and again after the drain. Shared
@@ -93,6 +124,7 @@ func TestDirEntriesNamedOnce(t *testing.T) {
 	check := func() {
 		for _, h := range ts.p.homes {
 			checkDirStorage(t, h, blocks)
+			checkHomeQueue(t, h)
 		}
 	}
 	const opsPerTile = 60

@@ -44,9 +44,9 @@ type dirEntry struct {
 	owner   int       // tile with the M/E copy, or -1
 	block   uint64    // the tracked block
 
-	busy  bool
-	kind  txnKind
-	queue []homeReq // requests waiting for the transaction
+	busy   bool
+	kind   txnKind
+	queued int // requests for the block waiting in the home's queue
 
 	// Context for the in-flight transaction.
 	requestor  int
@@ -71,7 +71,7 @@ type dirEntry struct {
 }
 
 func (e *dirEntry) empty() bool {
-	return e.owner < 0 && !e.busy && len(e.queue) == 0 && e.sharers.Empty()
+	return e.owner < 0 && !e.busy && e.queued == 0 && e.sharers.Empty()
 }
 
 // entryChunk is the number of directory entries, with their sharer
@@ -102,10 +102,15 @@ type HomeController struct {
 	// setBusy so busyCount is O(1) — it runs on every drain check and
 	// epoch-series sample, where a directory walk dominated the cost.
 	busyEntries int
-	// drain holds the requests finishTxn is replaying, so entry queues
-	// keep their storage. A replay can finish another transaction and
-	// re-enter finishTxn, which appends its segment past the outer one
-	// and truncates back to its own start when done.
+	// queue holds every request waiting on a busy entry, in arrival
+	// order across blocks, like a home's request buffer in hardware; an
+	// entry's queued counts its block's share. drain holds the requests
+	// finishTxn is replaying. A replay can finish another transaction
+	// and re-enter finishTxn, which compacts queue (no loop iterates
+	// it), appends its segment to drain past the outer one, and
+	// truncates drain back to its own start when done. Both keep their
+	// storage for the rest of the run.
+	queue []homeReq
 	drain []homeReq
 
 	// Statistics.
@@ -174,7 +179,7 @@ func (h *HomeController) entry(block uint64) (*dirEntry, *cache.Line) {
 	}
 	e = h.at(h.free)
 	h.free = e.next
-	*e = dirEntry{sharers: e.sharers, owner: -1, block: block, queue: e.queue[:0], ref: e.ref}
+	*e = dirEntry{sharers: e.sharers, owner: -1, block: block, ref: e.ref}
 	if line != nil {
 		line.Aux = e.ref
 	} else {
@@ -188,7 +193,6 @@ func (h *HomeController) entry(block uint64) (*dirEntry, *cache.Line) {
 // entryChunk sets of sharerWords words each.
 func (h *HomeController) grow() {
 	w := sharerWords(h.p.cfg.Tiles)
-	//tilesim:allocok pool growth: entryChunk directory entries and their sharer words, reused for the rest of the run
 	c, words := new(dirChunk), make([]uint64, entryChunk*w)
 	h.chunks = append(h.chunks, c)
 	base := uint32(len(h.chunks)-1) * entryChunk
@@ -315,8 +319,7 @@ func (h *HomeController) dispatchTag(r *homeReq) {
 func (h *HomeController) handleRequest(r homeReq) {
 	e, line := h.entry(r.block)
 	if e.busy {
-		h.QueuedAtHome.Inc()
-		e.queue = append(e.queue, r)
+		h.wait(e, r)
 		return
 	}
 	switch noc.Type(r.typ) {
@@ -329,6 +332,13 @@ func (h *HomeController) handleRequest(r homeReq) {
 	default:
 		panic(fmt.Sprintf("coherence: home %d request dispatch got %v", h.id, noc.Type(r.typ)))
 	}
+}
+
+// wait queues request or replacement r behind e's transaction.
+func (h *HomeController) wait(e *dirEntry, r homeReq) {
+	h.QueuedAtHome.Inc()
+	e.queued++
+	h.queue = append(h.queue, r)
 }
 
 // handleGetS, handleGetX and handleUpgrade serve a request for a block
@@ -477,8 +487,7 @@ func (h *HomeController) recallSharers(s SharerSet, block uint64, txn uint64) {
 func (h *HomeController) handleReplacement(r homeReq) {
 	e, line := h.entry(r.block)
 	if e.busy {
-		h.QueuedAtHome.Inc()
-		e.queue = append(e.queue, r)
+		h.wait(e, r)
 		return
 	}
 	if e.owner == r.src {
@@ -584,17 +593,28 @@ func (h *HomeController) recallAckArrived(block uint64, e *dirEntry, line *cache
 	h.finishTxn(block, e)
 }
 
-// finishTxn clears the busy state and drains queued requests in order.
-// The requests move to the controller's drain buffer first: a replay
-// that finds the entry busy again re-queues on it, and the entry may be
-// released and reused meanwhile.
+// finishTxn clears the busy state and drains the block's queued
+// requests in order. They move from the home's queue to its drain
+// buffer first, and the rest of the queue closes up behind them: a
+// replay that finds the entry busy again re-queues at the tail, and the
+// entry may be released and reused meanwhile.
 func (h *HomeController) finishTxn(block uint64, e *dirEntry) {
 	h.setBusy(e, false)
 	e.kind = txnNone
 	start := len(h.drain)
-	h.drain = append(h.drain, e.queue...)
+	if e.queued > 0 {
+		kept := h.queue[:0]
+		for _, r := range h.queue {
+			if r.block == block {
+				h.drain = append(h.drain, r)
+			} else {
+				kept = append(kept, r)
+			}
+		}
+		h.queue = kept
+		e.queued = 0
+	}
 	end := len(h.drain)
-	e.queue = e.queue[:0]
 	h.release(block, e)
 	for i := start; i < end; i++ {
 		r := h.drain[i]

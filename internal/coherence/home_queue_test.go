@@ -36,6 +36,7 @@ func TestHomeBurstDrainsInArrivalOrder(t *testing.T) {
 		held    []noc.Message
 		order   []int // hotBlock requestors, in the order the home serves them
 		nested  bool
+		waiting bool // a send saw requests waiting in the home's queue
 	)
 	ts.p = New(ts.k, DefaultConfig(), func(m noc.Message) {
 		m.SizeBytes = m.UncompressedSize()
@@ -65,6 +66,8 @@ func TestHomeBurstDrainsInArrivalOrder(t *testing.T) {
 			}
 			held = nil
 		}
+		checkHomeQueue(t, ts.p.Home(homeID))
+		waiting = waiting || len(ts.p.Home(homeID).queue) > 0
 		ts.k.Schedule(ts.delay(&m), func() { ts.p.Deliver(&m) })
 	})
 	home := ts.p.Home(homeID)
@@ -118,6 +121,9 @@ func TestHomeBurstDrainsInArrivalOrder(t *testing.T) {
 	if !nested {
 		t.Fatal("the recall never finished inside a replay; the nested path went untested")
 	}
+	if !waiting {
+		t.Fatal("no message left the home while requests waited; the queue walk ran only on an empty queue")
+	}
 	want := []int{8, 9, 10, 11, 12, 13, 14, 15}
 	if len(order) != len(want) {
 		t.Fatalf("hot block served %v, want %v", order, want)
@@ -137,12 +143,17 @@ func TestHomeBurstDrainsInArrivalOrder(t *testing.T) {
 	if len(home.drain) != 0 {
 		t.Errorf("drain buffer holds %d requests after the burst", len(home.drain))
 	}
+	checkHomeQueue(t, home)
+	if len(home.queue) != 0 {
+		t.Errorf("home queue holds %d requests after the burst", len(home.queue))
+	}
 	ts.checkInvariants(t, append(addrs, hotBlock))
 }
 
 // TestHomeQueueStorageIsReused checks that once a burst has sized them,
-// the directory entry's queue and the home's drain buffer serve an
-// identical second burst without new storage.
+// the home's request queue and drain buffer serve an identical second
+// burst without new storage: waiting requests live in the home, not in
+// their block's directory entry.
 func TestHomeQueueStorageIsReused(t *testing.T) {
 	ts := newTestSystem(nil)
 	block := uint64(0x800000)
@@ -163,21 +174,20 @@ func TestHomeQueueStorageIsReused(t *testing.T) {
 	}
 
 	warm := burst()
-	e, _ := home.lookup(block)
-	if e == nil || cap(e.queue) == 0 || cap(home.drain) == 0 {
+	if cap(home.queue) == 0 || cap(home.drain) == 0 {
 		t.Fatal("the warm-up burst queued nothing at the home")
 	}
-	queue, queueCap := unsafe.SliceData(e.queue), cap(e.queue)
+	queue, queueCap := unsafe.SliceData(home.queue), cap(home.queue)
 	drain, drainCap := unsafe.SliceData(home.drain), cap(home.drain)
 
 	if again := burst(); again != warm {
 		t.Fatalf("second burst queued %d requests, the first %d", again, warm)
 	}
-	if again, _ := home.lookup(block); again != e {
-		t.Fatal("the block's directory entry changed between bursts")
+	if len(home.queue) != 0 {
+		t.Errorf("home queue holds %d requests after the burst", len(home.queue))
 	}
-	if unsafe.SliceData(e.queue) != queue || cap(e.queue) != queueCap {
-		t.Errorf("entry queue reallocated: cap %d -> %d", queueCap, cap(e.queue))
+	if unsafe.SliceData(home.queue) != queue || cap(home.queue) != queueCap {
+		t.Errorf("home queue reallocated: cap %d -> %d", queueCap, cap(home.queue))
 	}
 	if unsafe.SliceData(home.drain) != drain || cap(home.drain) != drainCap {
 		t.Errorf("drain buffer reallocated: cap %d -> %d", drainCap, cap(home.drain))

@@ -61,24 +61,18 @@ func (l *L1Controller) Cache() *cache.Cache { return l.cache }
 
 // Load performs a read; done runs when the data is available. The L1 hit
 // latency is charged here.
-//
-//tilesim:hotpath L1 read entry, once per load reference
 func (l *L1Controller) Load(addr uint64, done func()) {
 	l.Loads.Inc()
 	l.p.accessQ.Push(l1Access{tile: l.id, addr: addr, done: done})
 }
 
 // Store performs a write; done runs when ownership is obtained.
-//
-//tilesim:hotpath L1 write entry, once per store reference
 func (l *L1Controller) Store(addr uint64, done func()) {
 	l.Stores.Inc()
 	l.p.accessQ.Push(l1Access{tile: l.id, addr: addr, isWrite: true, done: done})
 }
 
 // dispatchAccess runs one queued core access after the L1 hit latency.
-//
-//tilesim:hotpath access dispatch, once per reference
 func (l *L1Controller) dispatchAccess(a *l1Access) {
 	l.access(a.addr, a.isWrite, a.done)
 }

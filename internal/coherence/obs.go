@@ -29,10 +29,8 @@ func (p *Protocol) MSHRLive() int {
 // issuing tile's core track. Callers guard on p.tracer != nil.
 func (l *L1Controller) traceMiss(req noc.Type, block uint64, start sim.Time) {
 	tr := l.p.tracer
-	//tilesim:allocok sampled-span emission: callers guard on the tracer
 	tr.SetTrackName(obs.PidCores, l.id, fmt.Sprintf("tile%02d", l.id))
 	tr.Complete(obs.PidCores, l.id, req.String(), "miss",
-		//tilesim:allocok sampled-span emission: callers guard on the tracer
 		uint64(start), uint64(l.p.k.Now()-start), []obs.Arg{
 			{Key: "block", Val: float64(block)},
 		})

@@ -133,8 +133,6 @@ func streamOf(t noc.Type) compress.Stream {
 // Send sizes, compresses and routes one protocol message, writing the
 // wire fields (SizeBytes, Compressed, VL, PW) into msg; the network and
 // the local path carry their own copy, so msg is not retained.
-//
-//tilesim:hotpath message sizing/compression/routing, once per protocol message
 func (m *Manager) Send(msg *noc.Message) {
 	if msg.Src == msg.Dst {
 		// Tile-local: L1 and home on the same tile; no link, no

@@ -546,8 +546,6 @@ func (n *Network) PlaneWidth(p Plane) int { return n.cfg.Channels[p].WidthBytes 
 // SizeBytes set and, if m.VL, the VL plane must exist and the message
 // must fit policy-wise (the message manager guarantees this; the mesh
 // enforces only that the plane exists).
-//
-//tilesim:hotpath mesh injection, once per message
 func (n *Network) Send(m *noc.Message) {
 	if err := m.Validate(n.topo.Tiles()); err != nil {
 		panic(fmt.Sprintf("mesh: refusing malformed message: %v", err))
@@ -661,15 +659,12 @@ type transit struct {
 func (n *Network) newTransit(m *noc.Message, dst pos, injected sim.Time, flits noc.FlitCount, plane Plane, traceID uint64) *transit {
 	t := n.free
 	if t == nil {
-		//tilesim:allocok pool miss: one transit + its four continuation closures, reused for the rest of the run
+		// Pool miss: one transit and its four continuation closures,
+		// reused for the rest of the run.
 		t = &transit{}
-		//tilesim:allocok pool miss: closure allocated once per pooled transit, reused for the rest of the run
 		t.arriveFn = func() { n.arrive(t) }
-		//tilesim:allocok pool miss: closure allocated once per pooled transit, reused for the rest of the run
 		t.deliverFn = func() { n.deliver(t) }
-		//tilesim:allocok pool miss: closure allocated once per pooled transit, reused for the rest of the run
 		t.hopFn = func() { n.hop(t) }
-		//tilesim:allocok pool miss: closure allocated once per pooled transit, reused for the rest of the run
 		t.dropFn = func() { n.drop(t) }
 	} else {
 		n.free = t.next
@@ -696,12 +691,10 @@ func (n *Network) recycle(t *transit) {
 // hop models the head flit crossing t.link, the link the router before
 // (or Send) routed it onto, so the channel's state is the first thing
 // it loads: no table load stands between the transit and the channel.
-// Under
-// fault injection the traversal may be corrupted (caught by the link
-// CRC at the receiving router and NACKed back — see retryHop) or
-// delayed by an injected router stall or plane outage.
-//
-//tilesim:hotpath per-hop transit, the simulator's innermost loop
+// It runs once per hop, the simulator's innermost loop. Under fault
+// injection the traversal may be corrupted (caught by the link CRC at
+// the receiving router and NACKed back — see retryHop) or delayed by an
+// injected router stall or plane outage.
 func (n *Network) hop(t *transit) {
 	entered := n.k.Now()
 	id := t.link
@@ -794,7 +787,6 @@ func (n *Network) retryHop(t *transit, entered, headArrives sim.Time) {
 	t.attempts++
 	if n.tracer != nil && t.traceID != 0 {
 		tid := n.links[t.link].id*int(numPlanes) + int(t.plane)
-		//tilesim:allocok sampled-span label on the fault path
 		n.tracer.Instant(obs.PidLinks, tid, "crc-nack:"+t.m.Type.String(), "fault", uint64(tail))
 	}
 	if t.attempts > n.inj.RetryLimit() {
@@ -818,14 +810,12 @@ func (n *Network) drop(t *transit) {
 	n.dropped.Inc()
 	if n.faultErr == nil {
 		l := &n.links[t.link]
-		//tilesim:allocok terminal fault path: the first drop composes the run-fatal error
 		n.faultErr = fmt.Errorf("mesh: %v %d->%d dropped on link %d->%d at cycle %d: retry budget (%d) exhausted",
 			t.m.Type, t.m.Src, t.m.Dst, l.from, l.to, n.k.Now(), n.inj.RetryLimit())
 	}
 	if n.tracer != nil && t.traceID != 0 {
 		n.tracer.End(obs.PidMessages, t.traceID, t.m.Type.String(),
 			classSlug(noc.ClassOf(t.m.Type)), uint64(n.k.Now()),
-			//tilesim:allocok traced terminal fault path: span args only materialize for sampled drops
 			[]obs.Arg{{Key: "dropped", Val: 1}, {Key: "attempts", Val: float64(t.attempts)}})
 	}
 	n.recycle(t)

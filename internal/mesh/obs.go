@@ -97,7 +97,6 @@ func (n *Network) recordBreakdown(t *transit, class noc.Class) {
 	bd.Retry += retry
 
 	if n.tracer != nil && t.traceID != 0 {
-		//tilesim:allocok sampled-span emission: guarded by tracer and trace id
 		args := []obs.Arg{
 			{Key: "hops", Val: float64(hops)},
 			{Key: "flits", Val: float64(t.flits)},
@@ -146,10 +145,8 @@ func appendRouterID(b []byte, id int) []byte {
 func (n *Network) traceLinkOccupancy(m *noc.Message, plane Plane, l *link, start sim.Time, flits noc.FlitCount) {
 	tid := l.id*int(numPlanes) + int(plane)
 	n.tracer.SetTrackName(obs.PidLinks, tid,
-		//tilesim:allocok sampled-span emission: guarded by tracer and trace id
 		fmt.Sprintf("%02d->%02d.%s", l.from, l.to, plane))
 	n.tracer.Complete(obs.PidLinks, tid, m.Type.String(), "link",
-		//tilesim:allocok sampled-span emission: guarded by tracer and trace id
 		uint64(start), uint64(flits), []obs.Arg{
 			{Key: "flits", Val: float64(flits)},
 			{Key: "bytes", Val: float64(m.SizeBytes)},

@@ -57,7 +57,6 @@ func (t Type) String() string {
 		"PartialReply",
 	}
 	if t < 0 || int(t) >= len(names) {
-		//tilesim:allocok out-of-range fallback for a malformed enum value
 		return fmt.Sprintf("Type(%d)", int(t))
 	}
 	return names[t]
@@ -90,7 +89,6 @@ func (c Class) String() string {
 	case ClassReplacement:
 		return "replacements"
 	}
-	//tilesim:allocok out-of-range fallback for a malformed enum value
 	return fmt.Sprintf("Class(%d)", int(c))
 }
 
@@ -251,23 +249,18 @@ func (m *Message) Short() bool { return m.UncompressedSize() <= ShortMax }
 // messages at injection.
 func (m *Message) Validate(cores int) error {
 	if m.Src < 0 || m.Src >= cores || m.Dst < 0 || m.Dst >= cores {
-		//tilesim:allocok validation failure path: every caller panics on a non-nil error
 		return fmt.Errorf("noc: message %v endpoints out of range: %d->%d", m.Type, m.Src, m.Dst)
 	}
 	if m.Src == m.Dst {
-		//tilesim:allocok validation failure path: every caller panics on a non-nil error
 		return fmt.Errorf("noc: message %v to self at tile %d", m.Type, m.Src)
 	}
 	if m.DataBytes != 0 && m.DataBytes != LineBytes {
-		//tilesim:allocok validation failure path: every caller panics on a non-nil error
 		return fmt.Errorf("noc: message %v with %d data bytes", m.Type, m.DataBytes)
 	}
 	if m.DataBytes == LineBytes && !CarriesData(m.Type) {
-		//tilesim:allocok validation failure path: every caller panics on a non-nil error
 		return fmt.Errorf("noc: message %v cannot carry data", m.Type)
 	}
 	if m.SizeBytes <= 0 {
-		//tilesim:allocok validation failure path: every caller panics on a non-nil error
 		return fmt.Errorf("noc: message %v injected without wire size", m.Type)
 	}
 	return nil

@@ -256,7 +256,7 @@ func formatFloat(v float64) string {
 	return out
 }
 
-// quote JSON-escapes a string. Metric names and types are plain ASCII
+// quote escapes a string for JSON. Metric names and types are plain ASCII
 // identifiers; strconv.Quote is a strict superset of JSON escaping for
 // them.
 func quote(s string) string { return strconv.Quote(s) }

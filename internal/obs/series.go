@@ -165,8 +165,6 @@ func (s *Series) Start(p *Pollers) *SeriesData {
 // sample appends one epoch row. It runs once per interval on the
 // kernel hot path; the appends amortize via slice doubling and are the
 // only allocations.
-//
-//tilesim:hotpath
 func (s *Series) sample(now sim.Time) {
 	width := now - s.lastTime // 0 only on the t=0 baseline row
 	s.lastTime = now
@@ -198,7 +196,6 @@ func (s *Series) sample(now sim.Time) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			v = 0
 		}
-		//tilesim:allocok amortized slice growth, one batch of appends per epoch
 		s.data.Values = append(s.data.Values, v)
 	}
 	s.raw = append(s.raw, s.last...)

