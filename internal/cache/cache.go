@@ -110,7 +110,33 @@ type Cache struct {
 
 // New builds a cache; capacity must divide evenly into sets of ways
 // power-of-two lines.
-func New(cfg Config) *Cache {
+func New(cfg Config) *Cache { return &NewSlab(cfg, 1)[0] }
+
+// NewSlab builds n caches of one geometry over one allocation of
+// lines: cache i owns the i-th run of the slab through a slice whose
+// capacity ends with the run, so no cache reaches another's lines. A
+// chip's L1s, or its L2 slices, are then one allocation, not one per
+// tile.
+func NewSlab(cfg Config, n int) []Cache {
+	sets := checkGeometry(cfg)
+	per := sets * cfg.Ways
+	slab := make([]Line, n*per)
+	cs := make([]Cache, n)
+	for i := range cs {
+		cs[i] = Cache{
+			cfg:     cfg,
+			sets:    sets,
+			shift:   uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+			setMask: uint64(sets - 1),
+			lines:   slab[i*per : (i+1)*per : (i+1)*per],
+		}
+	}
+	return cs
+}
+
+// checkGeometry panics unless cfg describes a buildable cache, and
+// returns its set count.
+func checkGeometry(cfg Config) int {
 	if cfg.LineBytes <= 0 || bits.OnesCount(uint(cfg.LineBytes)) != 1 {
 		panic(fmt.Sprintf("cache: line size %d not a power of two", cfg.LineBytes))
 	}
@@ -131,13 +157,7 @@ func New(cfg Config) *Cache {
 	if cfg.IndexSkipBits > 0 && cfg.IndexSkipLo < bits.TrailingZeros(uint(cfg.LineBytes)) {
 		panic(fmt.Sprintf("cache: index skip at bit %d is inside the %d-byte block offset", cfg.IndexSkipLo, cfg.LineBytes))
 	}
-	return &Cache{
-		cfg:     cfg,
-		sets:    sets,
-		shift:   uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		setMask: uint64(sets - 1),
-		lines:   make([]Line, linesTotal),
-	}
+	return sets
 }
 
 // Config returns the geometry.

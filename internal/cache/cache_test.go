@@ -304,6 +304,43 @@ func TestLineIsSixteenBytes(t *testing.T) {
 	}
 }
 
+// TestSlabCachesNeverAlias carves four caches of each of the paper's
+// geometries from one slab and fills every way of every set of each in
+// turn: the other three must stay empty. Each cache's lines must end
+// where their capacity does, so no append or reslice reaches a
+// neighbour, and start on a 64-byte boundary, like a lone cache's.
+func TestSlabCachesNeverAlias(t *testing.T) {
+	for _, cfg := range []Config{L1Config(), L2SliceConfig()} {
+		cs := NewSlab(cfg, 4)
+		for i := range cs {
+			c := &cs[i]
+			if len(c.lines) != cap(c.lines) || len(c.lines) != c.sets*cfg.Ways {
+				t.Fatalf("%d-byte cache %d: %d lines with capacity %d, want %d and %d",
+					cfg.CapacityBytes, i, len(c.lines), cap(c.lines), c.sets*cfg.Ways, c.sets*cfg.Ways)
+			}
+			if at := uintptr(unsafe.Pointer(&c.lines[0])); at%64 != 0 {
+				t.Errorf("%d-byte cache %d: line array at %#x is not 64-byte aligned", cfg.CapacityBytes, i, at)
+			}
+			// Consecutive blocks fill consecutive sets, so the first
+			// sets*ways blocks fill every way of every set.
+			for b := range len(c.lines) {
+				c.Insert(uint64(b*cfg.LineBytes), Exclusive)
+			}
+			if got := c.Occupancy(); got != len(c.lines) {
+				t.Fatalf("%d-byte cache %d: %d of %d lines valid after the fill", cfg.CapacityBytes, i, got, len(c.lines))
+			}
+			for j := range cs {
+				if got := cs[j].Occupancy(); j != i && got != 0 {
+					t.Fatalf("%d-byte cache %d: filling it left %d lines valid in cache %d", cfg.CapacityBytes, i, got, j)
+				}
+			}
+			for b := range len(c.lines) {
+				c.Invalidate(uint64(b * cfg.LineBytes))
+			}
+		}
+	}
+}
+
 // TestStateRidesInTheTag checks the packed tag: every state of every
 // block, block 0 included, reads back through Block and State, and
 // SetState refuses to drop a line or to revive a free way.

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"tilesim/internal/cache"
 	"tilesim/internal/noc"
 	"tilesim/internal/obs"
 	"tilesim/internal/sim"
@@ -137,9 +138,11 @@ func New(k *sim.Kernel, cfg Config, send Sender) *Protocol {
 	p.initQueues()
 	p.l1s = make([]*L1Controller, cfg.Tiles)
 	p.homes = make([]*HomeController, cfg.Tiles)
+	l1s := cache.NewSlab(cache.L1Config(), cfg.Tiles)
+	l2s := cache.NewSlab(l2SliceConfig(cfg.Tiles), cfg.Tiles)
 	for i := 0; i < cfg.Tiles; i++ {
-		p.l1s[i] = newL1Controller(p, i)
-		p.homes[i] = newHomeController(p, i)
+		p.l1s[i] = newL1Controller(p, i, &l1s[i])
+		p.homes[i] = newHomeController(p, i, &l2s[i])
 	}
 	return p
 }

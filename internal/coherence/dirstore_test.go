@@ -2,9 +2,11 @@ package coherence
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"tilesim/internal/cache"
 	"tilesim/internal/noc"
@@ -78,7 +80,7 @@ func checkHomeQueue(t *testing.T, h *HomeController) {
 			}
 			continue
 		}
-		queued += e.queued
+		queued += int(e.queued)
 	}
 	if queued != len(h.queue) {
 		t.Fatalf("home %d: entries count %d queued requests, the queue holds %d", h.id, queued, len(h.queue))
@@ -169,6 +171,39 @@ func TestDirEntriesNamedOnce(t *testing.T) {
 		t.Fatalf("%d recalls, %d fills for %d blocks and %d replacements: the workload left some entry move untried",
 			recalls, fills, len(blocks), writebacks)
 	}
+}
+
+// TestDirEntryIsOneHostCacheLine pins the directory's layout: an entry
+// is 64 bytes, one host cache line, and a chunk of entries holds no
+// pointer, so the GC never scans the directory. The sharer sets live
+// in the chunk's word array instead.
+func TestDirEntryIsOneHostCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(dirEntry{}); got != 64 {
+		t.Errorf("unsafe.Sizeof(dirEntry{}) = %d, want 64", got)
+	}
+	if holdsPointers(reflect.TypeOf(dirChunk{})) {
+		t.Error("dirChunk holds pointers")
+	}
+}
+
+// holdsPointers reports whether a value of type t holds a pointer the
+// garbage collector must scan.
+func holdsPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && holdsPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if holdsPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String,
+		reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+		return true
+	}
+	return false
 }
 
 // TestDirEntryReleasedTwicePanics releases one directory entry twice,

@@ -33,45 +33,40 @@ const (
 	opGrantX
 )
 
-// dirEntry is the directory state of one block at its home. Entries
-// live in the home's chunks, entryChunk to an allocation, and are
-// pooled on the controller's freelist: release recycles empty ones and
-// entry reuses them, so steady state allocates none. A block's entry is
-// named by its L2 line's Aux when the block is in L2, else by the
-// home's side list (DESIGN.md §16.8).
+// dirEntry is the directory state of one block at its home: 64 bytes,
+// one host cache line, holding no pointer. Entries live in the home's
+// chunks, entryChunk to an allocation, and are pooled on the
+// controller's freelist: release recycles empty ones and entry reuses
+// them, so steady state allocates none. A block's entry is named by its
+// L2 line's Aux when the block is in L2, else by the home's side list;
+// its sharer set is in its chunk's word array (DESIGN.md §16.8).
 type dirEntry struct {
-	sharers SharerSet // tiles with S copies (may be a superset); the entry's own words
-	owner   int       // tile with the M/E copy, or -1
-	block   uint64    // the tracked block
-
-	busy   bool
-	kind   txnKind
-	queued int // requests for the block waiting in the home's queue
-
-	// Context for the in-flight transaction.
-	requestor  int
-	reqType    noc.Type
-	recallAcks int
-	// pendingCloses counts the messages that must still arrive before
-	// the transaction unbusies: the owner's Revision for interventions,
-	// the requestor's OwnAck for ownership transfers (both for FwdGetX).
-	pendingCloses int
-	// Pending grant of a txnFill entry, dispatched when the fill lands.
-	pendOp  uint8
-	pendSrc int
-	pendTxn uint64
-	// fillFor is the block whose fill recalled this txnRecall victim;
-	// the fill resumes once the last recall ack arrives.
-	fillFor uint64
+	block  uint64 // the tracked block
+	owner  int32  // tile with the M/E copy, or -1
+	queued int32  // requests for the block waiting in the home's queue
 
 	// ref is the entry's fixed reference, its index in the home's
 	// chunks plus one: the value a line's Aux or the side list holds (0
 	// names nothing). next links the freelist by reference.
 	ref, next uint32
-}
 
-func (e *dirEntry) empty() bool {
-	return e.owner < 0 && !e.busy && e.queued == 0 && e.sharers.Empty()
+	busy bool
+	kind txnKind
+	// Pending grant of a txnFill entry, dispatched when the fill lands.
+	pendOp  uint8
+	pendSrc int32
+	pendTxn uint64
+
+	// Context for the in-flight transaction.
+	requestor  int32
+	recallAcks int32
+	// pendingCloses counts the messages that must still arrive before
+	// the transaction unbusies: the owner's Revision for interventions,
+	// the requestor's OwnAck for ownership transfers (both for FwdGetX).
+	pendingCloses int32
+	// fillFor is the block whose fill recalled this txnRecall victim;
+	// the fill resumes once the last recall ack arrives.
+	fillFor uint64
 }
 
 // entryChunk is the number of directory entries, with their sharer
@@ -81,8 +76,16 @@ const entryChunk = 8
 
 // dirChunk is one pool growth's entries. Entries are addressed by
 // reference through their chunk (HomeController.at), so no entry
-// pointer is ever stored.
+// pointer is ever stored, and a chunk holds no pointer for the GC to
+// scan.
 type dirChunk [entryChunk]dirEntry
+
+// chunk is one pool growth: its entries, and their sharer sets in one
+// word array, entry by entry, sharerWords words each.
+type chunk struct {
+	entries *dirChunk
+	words   []uint64
+}
 
 // HomeController is one tile's L2 slice plus the directory for the
 // address partition it is home to.
@@ -91,11 +94,11 @@ type HomeController struct {
 	id int
 
 	l2 *cache.Cache
-	// chunks holds every directory entry; side references the entries
-	// of blocks without an L2 line (waiting for a memory fill, or
-	// recalled victims still draining their queues); free heads the
-	// freelist of released entries (0 when empty).
-	chunks []*dirChunk
+	// chunks holds every directory entry and its sharer set; side
+	// references the entries of blocks without an L2 line (waiting for
+	// a memory fill, or recalled victims still draining their queues);
+	// free heads the freelist of released entries (0 when empty).
+	chunks []chunk
 	side   []uint32
 	free   uint32
 	// busyEntries counts dir entries with busy set, maintained by
@@ -123,18 +126,19 @@ type HomeController struct {
 	QueuedAtHome stats.Counter
 }
 
-func newHomeController(p *Protocol, id int) *HomeController {
-	l2cfg := cache.L2SliceConfig()
-	// Blocks are home-interleaved on the page bits; within this slice
-	// those bits are constant, so fold them out of the set index.
-	l2cfg.IndexSkipLo = HomePageShift
-	l2cfg.IndexSkipBits = bits.TrailingZeros(uint(p.cfg.Tiles))
-	h := &HomeController{
-		p:  p,
-		id: id,
-		l2: cache.New(l2cfg),
-	}
-	return h
+// l2SliceConfig returns the L2 slice geometry of a chip of the given
+// tile count. Blocks are home-interleaved on the page bits; within a
+// slice those bits are constant, so they are folded out of the set
+// index.
+func l2SliceConfig(tiles int) cache.Config {
+	cfg := cache.L2SliceConfig()
+	cfg.IndexSkipLo = HomePageShift
+	cfg.IndexSkipBits = bits.TrailingZeros(uint(tiles))
+	return cfg
+}
+
+func newHomeController(p *Protocol, id int, l2 *cache.Cache) *HomeController {
+	return &HomeController{p: p, id: id, l2: l2}
 }
 
 // L2 exposes the slice array (stats, tests).
@@ -143,7 +147,22 @@ func (h *HomeController) L2() *cache.Cache { return h.l2 }
 // at returns the entry that ref names.
 func (h *HomeController) at(ref uint32) *dirEntry {
 	i := ref - 1
-	return &h.chunks[i/entryChunk][i%entryChunk]
+	return &h.chunks[i/entryChunk].entries[i%entryChunk]
+}
+
+// sharers returns e's sharer set, a view of e's words in its chunk's
+// word array: tiles with S copies (may be a superset).
+func (h *HomeController) sharers(e *dirEntry) SharerSet {
+	i := e.ref - 1
+	words := h.chunks[i/entryChunk].words
+	n := uint32(len(words) / entryChunk) // words per set
+	j := i % entryChunk * n
+	return words[j : j+n : j+n]
+}
+
+// empty reports whether e holds no state, so release may recycle it.
+func (h *HomeController) empty(e *dirEntry) bool {
+	return e.owner < 0 && !e.busy && e.queued == 0 && h.sharers(e).Empty()
 }
 
 // lookup returns block's directory entry (nil when the block is
@@ -179,7 +198,7 @@ func (h *HomeController) entry(block uint64) (*dirEntry, *cache.Line) {
 	}
 	e = h.at(h.free)
 	h.free = e.next
-	*e = dirEntry{sharers: e.sharers, owner: -1, block: block, ref: e.ref}
+	*e = dirEntry{owner: -1, block: block, ref: e.ref}
 	if line != nil {
 		line.Aux = e.ref
 	} else {
@@ -192,12 +211,10 @@ func (h *HomeController) entry(block uint64) (*dirEntry, *cache.Line) {
 // reference first. The chunk's sharer words are one more allocation,
 // entryChunk sets of sharerWords words each.
 func (h *HomeController) grow() {
-	w := sharerWords(h.p.cfg.Tiles)
-	c, words := new(dirChunk), make([]uint64, entryChunk*w)
-	h.chunks = append(h.chunks, c)
+	c := new(dirChunk)
+	h.chunks = append(h.chunks, chunk{c, make([]uint64, entryChunk*sharerWords(h.p.cfg.Tiles))})
 	base := uint32(len(h.chunks)-1) * entryChunk
 	for i := entryChunk - 1; i >= 0; i-- {
-		c[i].sharers = words[i*w : (i+1)*w : (i+1)*w]
 		c[i].ref = base + uint32(i) + 1
 		c[i].next = h.free
 		h.free = c[i].ref
@@ -210,7 +227,7 @@ func (h *HomeController) grow() {
 //
 //tilesim:release
 func (h *HomeController) release(block uint64, e *dirEntry) {
-	if !e.empty() {
+	if !h.empty(e) {
 		return
 	}
 	if line := h.l2.Probe(block); line != nil {
@@ -345,16 +362,16 @@ func (h *HomeController) wait(e *dirEntry, r homeReq) {
 // whose directory entry is e and whose L2 line is line (nil when the
 // block is not in L2).
 func (h *HomeController) handleGetS(r homeReq, e *dirEntry, line *cache.Line) {
-	if e.owner == r.src {
+	if int(e.owner) == r.src {
 		panic(fmt.Sprintf("coherence: home %d GetS from current owner %d for %#x", h.id, r.src, r.block))
 	}
 	if e.owner >= 0 {
 		// 3-hop read: intervene at the owner.
 		h.Forwards.Inc()
 		h.setBusy(e, true)
-		e.kind, e.requestor, e.reqType = txnFwdS, r.src, noc.Type(r.typ)
+		e.kind, e.requestor = txnFwdS, int32(r.src)
 		e.pendingCloses = 1 // the owner's Revision
-		fwd := h.p.msg(noc.FwdGetS, h.id, e.owner, r.block, r.txn)
+		fwd := h.p.msg(noc.FwdGetS, h.id, int(e.owner), r.block, r.txn)
 		fwd.ReplyTo = r.src
 		h.p.send(fwd)
 		return
@@ -366,17 +383,17 @@ func (h *HomeController) handleGetS(r homeReq, e *dirEntry, line *cache.Line) {
 // mutates now; only the grant message waits, on send queue q.
 func (h *HomeController) grantS(block uint64, e *dirEntry, src int, txn uint64, q *sim.DelayQueue[noc.Message]) {
 	var grant noc.Message
-	if e.sharers.Empty() {
+	if s := h.sharers(e); s.Empty() {
 		// Sole copy: grant E. Unlike write-ownership transfers, E
 		// grants need no completion ack: a racing recall resolves
 		// through the requestor's use-once handling (it relinquishes
 		// with a replacement hint), and racing interventions defer
 		// at the requestor until the grant lands.
 		grant = h.p.msg(noc.DataExclusive, h.id, src, block, txn)
-		e.owner = src
+		e.owner = int32(src)
 	} else {
 		grant = h.p.msg(noc.Data, h.id, src, block, txn)
-		e.sharers.Add(src)
+		s.Add(src)
 	}
 	grant.DataBytes = noc.LineBytes
 	h.sendDataGrant(grant, q)
@@ -400,15 +417,15 @@ func (h *HomeController) sendDataGrant(grant noc.Message, q *sim.DelayQueue[noc.
 // race (the upgrader's copy was invalidated before its request reached
 // the home).
 func (h *HomeController) handleGetX(r homeReq, e *dirEntry, line *cache.Line) {
-	if e.owner == r.src {
+	if int(e.owner) == r.src {
 		panic(fmt.Sprintf("coherence: home %d GetX from current owner %d for %#x", h.id, r.src, r.block))
 	}
 	if e.owner >= 0 {
 		h.Forwards.Inc()
 		h.setBusy(e, true)
-		e.kind, e.requestor, e.reqType = txnFwdX, r.src, noc.Type(r.typ)
+		e.kind, e.requestor = txnFwdX, int32(r.src)
 		e.pendingCloses = 2 // the owner's Revision + the requestor's OwnAck
-		fwd := h.p.msg(noc.FwdGetX, h.id, e.owner, r.block, r.txn)
+		fwd := h.p.msg(noc.FwdGetX, h.id, int(e.owner), r.block, r.txn)
 		fwd.ReplyTo = r.src
 		h.p.send(fwd)
 		return
@@ -421,12 +438,13 @@ func (h *HomeController) handleGetX(r homeReq, e *dirEntry, line *cache.Line) {
 // requestor confirms completion (OwnAck), so recalls and interventions
 // can never race an in-flight grant.
 func (h *HomeController) grantX(block uint64, e *dirEntry, src int, txn uint64, q *sim.DelayQueue[noc.Message]) {
-	acks := h.invalidateSharers(e.sharers, block, src, txn)
+	s := h.sharers(e)
+	acks := h.invalidateSharers(s, block, src, txn)
 	grant := h.p.msg(noc.Data, h.id, src, block, txn)
 	grant.DataBytes = noc.LineBytes
 	grant.AckCount = acks
-	e.sharers.Clear()
-	e.owner = src
+	s.Clear()
+	e.owner = int32(src)
 	h.setBusy(e, true)
 	e.kind, e.pendingCloses = txnGrant, 1
 	h.sendDataGrant(grant, q)
@@ -438,13 +456,13 @@ func (h *HomeController) handleUpgrade(r homeReq, e *dirEntry, line *cache.Line)
 		h.handleGetX(r, e, line)
 		return
 	}
-	if e.sharers.Has(r.src) {
+	if s := h.sharers(e); s.Has(r.src) {
 		// Upgrade in place: invalidate the others, no data needed.
-		acks := h.invalidateSharers(e.sharers, r.block, r.src, r.txn)
+		acks := h.invalidateSharers(s, r.block, r.src, r.txn)
 		grant := h.p.msg(noc.AckNoData, h.id, r.src, r.block, r.txn)
 		grant.AckCount = acks
-		e.sharers.Clear()
-		e.owner = r.src
+		s.Clear()
+		e.owner = int32(r.src)
 		h.setBusy(e, true)
 		e.kind, e.pendingCloses = txnGrant, 1
 		h.p.send(grant)
@@ -490,7 +508,7 @@ func (h *HomeController) handleReplacement(r homeReq) {
 		h.wait(e, r)
 		return
 	}
-	if e.owner == r.src {
+	if int(e.owner) == r.src {
 		e.owner = -1
 		if noc.Type(r.typ) == noc.WriteBack {
 			// The line's dirty data lands in the L2 slice.
@@ -522,14 +540,15 @@ func (h *HomeController) handleRevision(m *noc.Message, block uint64) {
 		}
 		oldOwner := e.owner
 		e.owner = -1
-		e.sharers.Add(e.requestor)
+		s := h.sharers(e)
+		s.Add(int(e.requestor))
 		if !m.NoCopy {
-			e.sharers.Add(oldOwner)
+			s.Add(int(oldOwner))
 		}
 		h.closeOne(block, e)
 	case txnFwdX:
 		e.owner = e.requestor
-		e.sharers.Clear()
+		h.sharers(e).Clear()
 		h.closeOne(block, e)
 	case txnRecall:
 		if m.DataBytes > 0 {
@@ -574,7 +593,7 @@ func (h *HomeController) recallAckArrived(block uint64, e *dirEntry, line *cache
 	if e.recallAcks > 0 {
 		return
 	}
-	e.sharers.Clear()
+	h.sharers(e).Clear()
 	e.owner = -1
 	fillFor := e.fillFor
 	e.fillFor = 0
@@ -644,14 +663,14 @@ func (h *HomeController) ensureData(block uint64, e *dirEntry, line *cache.Line,
 		return
 	}
 	h.l2.AccessMiss()
-	if !e.sharers.Empty() || e.owner >= 0 {
+	if !h.sharers(e).Empty() || e.owner >= 0 {
 		panic(fmt.Sprintf("coherence: home %d block %#x has L1 copies but no L2 line (inclusion broken)", h.id, block))
 	}
 	h.L2Misses.Inc()
 	h.MemFetches.Inc()
 	h.setBusy(e, true)
 	e.kind = txnFill
-	e.pendOp, e.pendSrc, e.pendTxn = op, src, txn
+	e.pendOp, e.pendSrc, e.pendTxn = op, int32(src), txn
 	h.p.fillQ.Push(homeFill{block: block})
 }
 
@@ -690,7 +709,7 @@ func (h *HomeController) fillL2(block uint64) {
 	if victim.Aux != 0 {
 		ve = h.at(victim.Aux)
 	}
-	if ve == nil || (ve.sharers.Empty() && ve.owner < 0) {
+	if ve == nil || (h.sharers(ve).Empty() && ve.owner < 0) {
 		// No L1 copies: plain L2 eviction (dirty data flows to memory).
 		h.invalidateL2(victim)
 		h.finishFill(block, e)
@@ -704,13 +723,14 @@ func (h *HomeController) fillL2(block uint64) {
 	ve.fillFor = block
 	if ve.owner >= 0 {
 		ve.recallAcks = 1
-		inv := h.p.msg(noc.Inv, h.id, ve.owner, vblock, h.p.txn())
+		inv := h.p.msg(noc.Inv, h.id, int(ve.owner), vblock, h.p.txn())
 		inv.ReplyTo = h.id
 		inv.Recall = true
 		h.p.send(inv)
 	} else {
-		ve.recallAcks = ve.sharers.Count()
-		h.recallSharers(ve.sharers, vblock, h.p.txn())
+		s := h.sharers(ve)
+		ve.recallAcks = int32(s.Count())
+		h.recallSharers(s, vblock, h.p.txn())
 	}
 }
 
@@ -728,7 +748,7 @@ func (h *HomeController) finishFill(block uint64, e *dirEntry) {
 	// queued requests keep waiting for its OwnAck.
 	h.setBusy(e, false)
 	e.kind = txnNone
-	op, src, txn := e.pendOp, e.pendSrc, e.pendTxn
+	op, src, txn := e.pendOp, int(e.pendSrc), e.pendTxn
 	e.pendOp = opNone
 	h.dispatchGrant(block, e, op, src, txn, h.p.sendAfterFill)
 	if !e.busy {
@@ -769,5 +789,5 @@ func (h *HomeController) DirInfo(block uint64) (sharers SharerSet, owner int, bu
 	if e == nil {
 		return make(SharerSet, sharerWords(h.p.cfg.Tiles)), -1, false, false
 	}
-	return slices.Clone(e.sharers), e.owner, e.busy, true
+	return slices.Clone(h.sharers(e)), int(e.owner), e.busy, true
 }

@@ -95,7 +95,7 @@ func TestHomeBurstDrainsInArrivalOrder(t *testing.T) {
 	}
 	ts.k.Run(func() bool {
 		e, _ := home.lookup(victim)
-		return victim != 0 && e != nil && len(held) > 0 && len(held) == e.recallAcks
+		return victim != 0 && e != nil && len(held) > 0 && len(held) == int(e.recallAcks)
 	})
 	if len(held) == 0 {
 		t.Fatal("the fill recalled no victim; conflict geometry wrong?")

@@ -46,11 +46,11 @@ type L1Controller struct {
 	MSHRResidency stats.Mean
 }
 
-func newL1Controller(p *Protocol, id int) *L1Controller {
+func newL1Controller(p *Protocol, id int, c *cache.Cache) *L1Controller {
 	l := &L1Controller{
 		p:     p,
 		id:    id,
-		cache: cache.New(cache.L1Config()),
+		cache: c,
 		mshr:  cache.NewMSHR(p.cfg.MSHRs),
 	}
 	return l

@@ -8,10 +8,10 @@ const MaxTiles = 1024
 
 // SharerSet is the directory's sharer bitmask: one bit per tile, in
 // sharerWords(tiles) words, so a 16-tile chip keeps one word per block.
-// A home allocates each entry's words together with the entry (a chunk
-// at a time), and the set is a view of them: the methods read and write
-// the entry's own words, and the zero value is an empty set of no
-// words.
+// A home allocates its entries' words a chunk at a time, in a word
+// array beside the chunk's entries, and an entry's set is a view of its
+// own words: the methods read and write them, and the zero value is an
+// empty set of no words.
 type SharerSet []uint64
 
 // sharerWords returns the word count of a sharer set on a chip of the

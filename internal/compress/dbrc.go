@@ -1,6 +1,9 @@
 package compress
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // DBRC implements dynamic base register caching (Farrens & Park [8]),
 // adapted to a tiled CMP per paper Figure 1 (left):
@@ -24,10 +27,10 @@ import "fmt"
 // index in spare header bits), so the compressed payload is loBytes and
 // the whole message fits the 3+loBytes+1 = 4- or 5-byte VL channel.
 //
-// Both ends live in flat, pointer-free arrays (DESIGN.md §16.5): a
-// 1024-tile CMP has two million receiver register files, and one heap
-// object per file made construction and every GC mark phase scale with
-// that count.
+// Both ends live in flat, pointer-free arrays (DESIGN.md §16.5). A
+// 1024-tile CMP has two million (destination, source, stream)
+// receivers, but only the ones that have received an install keep a
+// register file, so memory follows the pairs that actually talk.
 type DBRC struct {
 	entries int
 	loBytes int
@@ -37,12 +40,30 @@ type DBRC struct {
 	// cache[(core*NumStreams+stream)*entries+i], clock[core*NumStreams+stream].
 	cache []dbrcEntry
 	clock []uint64
-	// Receiver side, one register file per (dst, src, stream):
-	// bases[((dst*cores+src)*NumStreams+stream)*entries+i] holds the
-	// installed base plus one, 0 until the first install. A base has at
-	// least one low-order byte stripped, so the sum never wraps.
-	bases []uint64
+	// Receiver side, one register file of entries registers per
+	// (dst, src, stream) that has received an install, in order of
+	// first install: regs[f*entries+i] is register i of file f, the
+	// installed base plus one, 0 until the first install into it. A
+	// base has at least one low-order byte stripped, so the sum never
+	// wraps. recv maps a receiver's index, (dst*cores+src)*NumStreams +
+	// stream, to its file by open addressing with linear probing; it is
+	// a power of two long and at most half full, and regs has room for
+	// len(recv)/2 files. Both double together (resize).
+	recv  []recvSlot
+	files int
+	regs  []uint64
 }
+
+// recvSlot is one slot of the receiver table.
+type recvSlot struct {
+	key  uint32 // the receiver's index plus one; 0 marks a free slot
+	file uint32 // the receiver's file number
+}
+
+// initialFiles bounds the receiver files a fresh codec has room for:
+// all of a 16-tile chip's 512, so the paper's configurations never
+// grow, and at most 1,024 on a larger chip, doubling from there.
+const initialFiles = 1024
 
 type dbrcEntry struct {
 	base    uint64
@@ -85,10 +106,38 @@ func (d *DBRC) CompressedPayloadBytes() int { return d.loBytes }
 // Reset implements Codec.
 func (d *DBRC) Reset() {
 	senders := d.cores * NumStreams
-	receivers := d.cores * senders
 	d.cache = make([]dbrcEntry, senders*d.entries)
 	d.clock = make([]uint64, senders)
-	d.bases = make([]uint64, receivers*d.entries)
+	files := min(d.cores*senders, initialFiles)
+	d.recv, d.regs, d.files = nil, nil, 0
+	d.resize(2 << bits.Len(uint(files-1)))
+}
+
+// resize gives the receiver table slots slots, a power of two, and
+// regs room for slots/2 files, keeping every file and its number.
+func (d *DBRC) resize(slots int) {
+	old := d.recv
+	d.recv = make([]recvSlot, slots)
+	for _, s := range old {
+		if s.key != 0 {
+			d.recv[d.probe(s.key)] = s
+		}
+	}
+	regs := make([]uint64, slots/2*d.entries)
+	copy(regs, d.regs)
+	d.regs = regs
+}
+
+// probe returns the slot of the receiver whose key (index plus one) is
+// key: the slot holding it, or the free slot where it belongs.
+func (d *DBRC) probe(key uint32) int {
+	mask := len(d.recv) - 1
+	// Fibonacci hashing: the product's top bits index the table.
+	i := int(key*0x9e3779b9>>(32-bits.Len(uint(mask)))) & mask
+	for d.recv[i].key != key && d.recv[i].key != 0 {
+		i = (i + 1) & mask
+	}
+	return i
 }
 
 func (d *DBRC) loMask() uint64 { return uint64(1)<<(8*d.loBytes) - 1 }
@@ -154,13 +203,26 @@ func (d *DBRC) Decode(src, dst int, stream Stream, e Encoded) uint64 {
 	if e.InstallIndex < 0 || e.InstallIndex >= d.entries {
 		panic(fmt.Sprintf("compress: DBRC decode with bad index %d", e.InstallIndex))
 	}
-	r := ((dst*d.cores+src)*NumStreams+int(stream))*d.entries + e.InstallIndex
+	key := uint32((dst*d.cores+src)*NumStreams+int(stream)) + 1
+	slot := d.probe(key)
 	if !e.Compressed {
+		if d.recv[slot].key == 0 {
+			// First install: open the receiver's file.
+			if d.files == len(d.recv)/2 {
+				d.resize(2 * len(d.recv))
+				slot = d.probe(key)
+			}
+			d.recv[slot] = recvSlot{key: key, file: uint32(d.files)}
+			d.files++
+		}
 		addr := e.Payload
-		d.bases[r] = addr>>(8*d.loBytes) + 1
+		d.regs[int(d.recv[slot].file)*d.entries+e.InstallIndex] = addr>>(8*d.loBytes) + 1
 		return addr
 	}
-	base := d.bases[r]
+	var base uint64
+	if d.recv[slot].key != 0 {
+		base = d.regs[int(d.recv[slot].file)*d.entries+e.InstallIndex]
+	}
 	if base == 0 {
 		panic(fmt.Sprintf("compress: DBRC receiver %d<-%d %v entry %d used before install",
 			dst, src, stream, e.InstallIndex))

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -165,6 +166,99 @@ func TestNewDBRCAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(1, func() { NewDBRC(4, 2, 1024) }); n > 8 {
 		t.Fatalf("NewDBRC(4, 2, 1024) made %.0f allocations, want <= 8", n)
 	}
+}
+
+// TestDBRCReceiverStorageFollowsInstalls drives seeded traffic through
+// DBRCs of 16, 64 and 1024 cores and checks, every 500 calls, that the
+// codec keeps exactly one register file per (dst, src, stream) that
+// has received an install, with room for at most twice as many (or for
+// its initial allotment): receiver storage follows the pairs that
+// talk, not the chip's cores² receivers. Half the endpoints come from
+// a small hot set, so compressed decodes read files across every
+// resize.
+func TestDBRCReceiverStorageFollowsInstalls(t *testing.T) {
+	const calls = 40_000
+	for _, cores := range []int{16, 64, 1024} {
+		d := NewDBRC(4, 2, cores)
+		rng := rand.New(rand.NewSource(int64(cores)))
+		hot := []int{0, 1, cores / 2, cores - 1}
+		pick := func() int {
+			if rng.Intn(2) == 0 {
+				return hot[rng.Intn(len(hot))]
+			}
+			return rng.Intn(cores)
+		}
+		installed := make(map[int]bool)
+		hits := 0
+		for i := 1; i <= calls; i++ {
+			src, dst := pick(), pick()
+			stream := Stream(rng.Intn(NumStreams))
+			addr := uint64(rng.Intn(4))<<16 | uint64(rng.Intn(256))
+			e := d.Encode(src, dst, stream, addr)
+			if got := d.Decode(src, dst, stream, e); got != addr {
+				t.Fatalf("cores=%d call %d: %d->%d %v sent %#x, decoded %#x", cores, i, src, dst, stream, addr, got)
+			}
+			if e.Compressed {
+				hits++
+			} else {
+				installed[(dst*cores+src)*NumStreams+int(stream)] = true
+			}
+			if i%500 != 0 {
+				continue
+			}
+			k := len(installed)
+			if d.files != k {
+				t.Fatalf("cores=%d after %d calls: %d register files for %d installed receivers", cores, i, d.files, k)
+			}
+			if room := len(d.regs) / d.entries; room > max(2*k, initialFiles) || len(d.recv) != 2*room {
+				t.Fatalf("cores=%d after %d calls: room for %d files in %d table slots, for %d installed receivers",
+					cores, i, room, len(d.recv), k)
+			}
+		}
+		if hits == 0 {
+			t.Errorf("cores=%d: no call compressed; no decode read a register file", cores)
+		}
+		t.Logf("cores=%d: %d register files of %d receivers, %d of %d calls compressed",
+			cores, d.files, cores*cores*NumStreams, hits, calls)
+	}
+}
+
+// TestDBRCStorageHoldsNoPointers walks the DBRC's fields: its sender
+// and receiver storage are slices of pointer-free elements and nothing
+// else in it holds a pointer, so the GC never scans its arrays however
+// many pairs talk.
+func TestDBRCStorageHoldsNoPointers(t *testing.T) {
+	typ := reflect.TypeOf(DBRC{})
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		ft := f.Type
+		if ft.Kind() == reflect.Slice {
+			ft = ft.Elem()
+		}
+		if holdsPointers(ft) {
+			t.Errorf("DBRC.%s (%v) holds pointers", f.Name, f.Type)
+		}
+	}
+}
+
+// holdsPointers reports whether a value of type t holds a pointer the
+// garbage collector must scan.
+func holdsPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && holdsPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if holdsPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String,
+		reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+		return true
+	}
+	return false
 }
 
 // TestSpecPayloadMatchesBuiltCodec keeps Spec.CompressedPayloadBytes,
