@@ -11,7 +11,9 @@
 # pattern. Last, it builds cmd/figures from each tree and compares
 # `figures -quick -csv` and `figures -quick -ablation -csv`: tilesim
 # has no wiring flag, so only these runs reach 2-byte Stride, perfect
-# compression, L+PW with Reply Partitioning and VL+B+PW. That makes 30
+# compression, L+PW with Reply Partitioning and VL+B+PW. It also diffs
+# the epoch-series CSV (`-series-out`) of three runs: 16-tile FFT, the
+# 64-tile torus at BER 1e-5 and the 1024-tile torus. That makes 33
 # comparisons.
 #
 #   bash .github/scripts/byte-identity.sh BASE_SRC HEAD_SRC [WORKDIR]
@@ -79,6 +81,23 @@ figures() {
   fi
 }
 
+# series NAME ARGS...: runs both binaries with the epoch-series sink and
+# diffs the CSV.
+series() {
+  local name=$1
+  shift
+  for side in base head; do
+    (cd "$work/$side" && ./tilesim "$@" -series-out "$name.csv" > "$name.txt" 2> "$name.err")
+  done
+  if diff -q "$work/base/$name.csv" "$work/head/$name.csv" > /dev/null; then
+    echo "identical: $name"
+  else
+    echo "::error title=byte-identity::$name differs from the base commit"
+    diff "$work/base/$name.csv" "$work/head/$name.csv" | head -20 || true
+    failed=1
+  fi
+}
+
 for topo in mesh cmesh torus slim; do
   t64=(-refs 500 -warmup 250 -topo "$topo" -tiles 64)
   compare "$topo-faultfree" "${fft[@]}" "${t64[@]}"
@@ -99,5 +118,10 @@ done
 
 figures figures-quick -quick -csv
 figures figures-ablation -quick -ablation -csv
+
+series series-fft16 "${fft[@]}" -refs 2000 -warmup 500 -series-interval 512
+series series-torus64-ber "${fft[@]}" -refs 500 -warmup 250 -topo torus -tiles 64 "${ber[@]}" \
+  -series-interval 4096
+series series-torus1024 "${fft[@]}" "${t1024[@]}" -topo torus -series-interval 100000
 
 exit "$failed"

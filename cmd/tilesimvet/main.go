@@ -1,14 +1,11 @@
 // Command tilesimvet runs tilesim's simulator-specific static analyses
-// over the module. Every run applies all 12 rules, and each finding
-// names its rule: determinism (no map-order or wall-clock dependence,
-// no global randomness), stablesort (sort.SliceStable or a proven total
-// order), floatorder (no float accumulation in map order), units (no
-// mixed-unit arithmetic, compound assignment or comparison), panics
-// (prefixed constant messages), exhaustive (enum switches cover every
-// constant), obshooks (tracer calls in loops are nil-guarded),
-// metricskeys (constant-rooted metric names), taint (no transitive
-// reach of wall-clock time or global randomness), canoncover
-// (Canonical() covers every exported field), sharedstate (no
+// over the module. Every run applies all 6 rules, and each finding
+// names its rule: determinism (no map-order dependence or float
+// accumulation in map order, sort.SliceStable or a proven total order,
+// and no wall-clock time or global randomness, reached directly or
+// through helpers), units (no mixed-unit arithmetic, compound
+// assignment or comparison), panics (prefixed constant messages),
+// exhaustive (enum switches cover every constant), sharedstate (no
 // unsynchronized shared state in goroutine-reachable code) and poollife
 // (pooled-object lifetimes: no use after release, double release,
 // retention or leak). The internal/analysis package doc has the full
@@ -22,14 +19,14 @@
 //
 // -json emits the diagnostics as a JSON array, each carrying its
 // machine-applicable fix when one exists. -fix applies every suggested
-// fix (atomically, gofmt-clean, idempotently) and then reports only
-// the findings that remain unfixable.
+// fix (atomically, gofmt-clean, idempotently): it inserts missing panic
+// prefixes and rewrites sort.Slice to sort.SliceStable, then reports
+// only the findings that remain unfixable.
 //
 // The exit status is 0 when the analyzed packages are clean (under
 // -fix: when every finding was fixable), 1 when findings remain, and
 // 2 on a driver error (unparsable package, build failure, conflicting
-// fixes, ...). See DESIGN.md §8 and §12 for the //tilesim:ordered,
-// //tilesim:unit and //tilesim:totalorder annotations.
+// fixes, ...). See DESIGN.md §8 for the rules and their annotations.
 package main
 
 import (

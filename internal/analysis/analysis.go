@@ -1,20 +1,15 @@
 // Package analysis implements tilesimvet, the simulator-specific static
 // checks that keep tilesim's cycle-level results bit-for-bit
-// reproducible and its failure modes diagnosable. Run applies all 12
+// reproducible and its failure modes diagnosable. Run applies all 6
 // rules; each finding is labelled with its rule's name:
 //
-//   - determinism: no map iteration in simulator packages (Go randomizes
-//     range-over-map order) unless explicitly annotated as order-safe,
-//     no wall-clock time, and no global/unseeded math/rand outside
-//     cmd/ and test files.
-//   - stablesort: sort.Slice in simulator packages must be
-//     sort.SliceStable (or carry a //tilesim:totalorder annotation
-//     proving the comparator is a total order), since the tie-breaking
-//     order of an unstable sort is unspecified and silently diverges.
-//   - floatorder: floating-point accumulation inside a range over a map
-//     is flagged even when the range is //tilesim:ordered-annotated —
-//     float summation is not associative, so iteration order changes
-//     the result bits.
+//   - determinism: in simulator packages, no map iteration unless
+//     annotated as order-safe (and no float accumulation even then), no
+//     unstable sort.Slice unless the comparator is annotated as a total
+//     order; outside cmd/ and test files, no wall-clock time and no
+//     global math/rand or math/rand/v2 draw, whether referenced
+//     directly or reached transitively through helpers and stored
+//     function values (see determinism.go).
 //   - units: additive arithmetic, compound assignment and comparisons
 //     must not mix values of distinct physical units (cycles, joules,
 //     flits, seconds). Unit types are declared with a //tilesim:unit
@@ -24,21 +19,6 @@
 //   - exhaustive: a switch over an enum-like named type must cover
 //     every declared constant or carry a default clause, so adding an
 //     enum value cannot silently fall through a protocol dispatch.
-//   - obshooks: observability hook calls (obs.Tracer methods) inside
-//     loop bodies must be nil-guarded so disabled observability costs
-//     one pointer check.
-//   - metricskeys: obs.Registry registrations must use
-//     constant-rooted, pointer-free metric names so metric snapshots
-//     stay byte-deterministic across runs.
-//   - taint: a module-wide call-graph pass flags internal/ functions
-//     from which time.Now or the global math/rand source is
-//     *transitively* reachable through helpers and stored function
-//     values, closing the hole the per-callsite determinism check
-//     leaves open.
-//   - canoncover: every Canonical() method must reference every
-//     exported field of its receiver struct (recursively through
-//     module-declared struct fields), promoting the runtime
-//     field-coverage reflection test to a vet-time guarantee.
 //   - sharedstate: code reachable from a go statement or a
 //     sweep.Runner callback must not touch unsynchronized shared
 //     mutable state unless a reasoned //tilesim:sharedok waives it
@@ -48,12 +28,12 @@
 //     after release on any path, no double release, no retention into
 //     fields, slices, closures or sim.Event payloads, every release
 //     dominated by an acquire, no leaks (see poollife.go and DESIGN.md
-//     §17).
+//     §8).
 //
-// Some diagnostics carry a machine-applicable SuggestedFix
-// (sort.Slice -> sort.SliceStable, panic-prefix insertion, nil-guard
-// wrapping); ApplyFixes applies them atomically and gofmt-clean, and
-// cmd/tilesimvet surfaces them behind -fix.
+// Two findings carry a machine-applicable SuggestedFix: a missing
+// panic prefix is inserted, and sort.Slice is rewritten to
+// sort.SliceStable. ApplyFixes applies them atomically and gofmt-clean,
+// and cmd/tilesimvet surfaces them behind -fix.
 //
 // The driver is stdlib-only: packages are resolved and compiled by the
 // go tool (go list -export), parsed with go/parser, and type-checked
@@ -220,28 +200,16 @@ func (p *pass) inCmd() bool {
 	return strings.Contains(p.pkg.Path, "/cmd/")
 }
 
-// module bundles every loaded package for the analyzers that need a
-// whole-program view (taint's call graph, canoncover's cross-package
-// method closure).
-type module struct {
-	passes []*pass
-	fset   *token.FileSet
-	// targets indexes the loaded target packages by import path, so
-	// "declared in the analyzed module" is decidable for types that
-	// reach a pass through export data.
-	targets map[string]*Package
-}
-
 // pkgRules run once per loaded package and modRules once over the
 // whole module, after the reference graph is built, each in the order
-// listed. Every rule reports under its own analyzer name.
+// listed. Each reports under its rule's name; determinism has one
+// check of each kind.
 var (
 	pkgRules = []func(*pass){
-		checkDeterminism, checkStableSort, checkFloatOrder, checkUnits,
-		checkPanics, checkExhaustive, checkObsHooks, checkMetricsKeys,
+		checkDeterminism, checkUnits, checkPanics, checkExhaustive,
 	}
-	modRules = []func(*module, *graph){
-		checkTaint, checkCanonCover, checkSharedState, checkPoolLife,
+	modRules = []func([]*pass, *graph){
+		checkDeterminismReach, checkSharedState, checkPoolLife,
 	}
 )
 
@@ -263,7 +231,7 @@ func Run(dir string, patterns []string) ([]Diagnostic, error) {
 
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
-	mod := &module{fset: fset, targets: make(map[string]*Package)}
+	var passes []*pass
 	for _, pkg := range pkgs {
 		p := &pass{
 			pkg:        pkg,
@@ -276,17 +244,16 @@ func Run(dir string, patterns []string) ([]Diagnostic, error) {
 			poolrel:    collectReasonAnnotations(fset, pkg, ReleaseAnnotation),
 			report:     report,
 		}
-		mod.passes = append(mod.passes, p)
-		mod.targets[pkg.Path] = pkg
+		passes = append(passes, p)
 		for _, check := range pkgRules {
 			check(p)
 		}
 	}
 
 	// Module-wide passes: these see every loaded package at once.
-	graph := buildGraph(mod)
+	graph := buildGraph(passes)
 	for _, check := range modRules {
-		check(mod, graph)
+		check(passes, graph)
 	}
 
 	sort.SliceStable(diags, func(i, j int) bool {

@@ -10,31 +10,17 @@ import (
 
 // fixModule is a self-contained throwaway module carrying exactly one
 // instance of each mechanically fixable finding: an unprefixed panic
-// literal, an unstable sort.Slice, and an unguarded obs hook in a loop.
+// literal and an unstable sort.Slice.
 var fixModule = map[string]string{
 	"go.mod": "module fixmod\n\ngo 1.22\n",
-	"internal/obs/obs.go": `// Package obs is a minimal stand-in for the tracing layer.
-package obs
-
-// Tracer is the stub hook sink.
-type Tracer struct{}
-
-// Instant records one event.
-func (t *Tracer) Instant(name string, cycle uint64) {}
-`,
 	"internal/fixable/fixable.go": `// Package fixable carries one instance of each fixable finding.
 package fixable
 
-import (
-	"sort"
+import "sort"
 
-	"fixmod/internal/obs"
-)
-
-// Node pairs a tracer with data.
+// Node holds data.
 type Node struct {
-	tracer *obs.Tracer
-	vals   []int
+	vals []int
 }
 
 // Validate rejects negative inputs.
@@ -47,13 +33,6 @@ func Validate(n int) {
 // Order sorts the values.
 func (nd *Node) Order() {
 	sort.Slice(nd.vals, func(i, j int) bool { return nd.vals[i] < nd.vals[j] })
-}
-
-// Emit traces one event per cycle.
-func (nd *Node) Emit(cycles []uint64) {
-	for _, c := range cycles {
-		nd.tracer.Instant("emit", c)
-	}
 }
 `,
 }
@@ -78,8 +57,8 @@ func TestFixRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(diags) != 3 {
-		t.Fatalf("got %d findings, want 3:\n%s", len(diags), render(diags))
+	if len(diags) != 2 {
+		t.Fatalf("got %d findings, want 2:\n%s", len(diags), render(diags))
 	}
 	for _, d := range diags {
 		if d.Fix == nil {
@@ -103,7 +82,6 @@ func TestFixRoundTrip(t *testing.T) {
 	for _, want := range []string{
 		`panic("fixable: negative")`,
 		"sort.SliceStable(nd.vals",
-		"if nd.tracer != nil {",
 	} {
 		if !strings.Contains(string(fixed), want) {
 			t.Errorf("fixed source missing %q:\n%s", want, fixed)

@@ -6,14 +6,13 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // graph is the module-wide reference graph the whole-program analyzers
-// (taint, canoncover, sharedstate, poollife) share. Nodes are declared
-// functions, methods, package-level variables, anonymous function
-// literals that flow somewhere trackable, and function-typed struct
-// fields of the loaded target packages. Declared functions and
+// (determinism's transitive pass, sharedstate, poollife) share. Nodes
+// are declared functions, methods, package-level variables, anonymous
+// function literals that flow somewhere trackable, and function-typed
+// struct fields of the loaded target packages. Declared functions and
 // variables are keyed by a stable cross-package ID (types.Func.FullName
 // for functions, "pkgpath.Name" for variables) so the source-checked
 // declaration of a package and the export-data view other packages
@@ -89,11 +88,11 @@ func (n *graphNode) body() *ast.BlockStmt {
 //     connected to it;
 //   - a funclit launched directly by a go statement gets its own node
 //     and is recorded in goRoots.
-func buildGraph(m *module) *graph {
+func buildGraph(passes []*pass) *graph {
 	g := &graph{nodes: make(map[string]*graphNode)}
 	// First sweep: declare the nodes, so the reference sweep can tell
 	// module declarations from foreign ones.
-	for _, p := range m.passes {
+	for _, p := range passes {
 		for _, f := range p.pkg.Files {
 			for _, decl := range f.Decls {
 				switch decl := decl.(type) {
@@ -140,7 +139,7 @@ func buildGraph(m *module) *graph {
 	}
 	// Second sweep: collect each node's references from its body (for
 	// functions) or initializer expressions (for package-level vars).
-	for _, p := range m.passes {
+	for _, p := range passes {
 		for _, f := range p.pkg.Files {
 			for _, decl := range f.Decls {
 				switch decl := decl.(type) {
@@ -481,32 +480,6 @@ func namedOf(t types.Type) (*types.Named, bool) {
 	}
 }
 
-// forbiddenSource reports whether fn is a nondeterminism entry point:
-// a wall-clock read or a global math/rand draw (the same sets the
-// per-callsite determinism rule enforces). Methods are never sources —
-// (*rand.Rand).Float64 on an explicitly seeded generator is exactly
-// the sanctioned alternative to the package-level rand.Float64.
-func forbiddenSource(fn *types.Func) (string, bool) {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return "", false
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return "", false
-	}
-	switch pkg.Path() {
-	case "time":
-		if forbiddenClockFuncs[fn.Name()] {
-			return "time." + fn.Name(), true
-		}
-	case "math/rand", "math/rand/v2":
-		if globalRandFuncs[fn.Name()] {
-			return "rand." + fn.Name(), true
-		}
-	}
-	return "", false
-}
-
 // varID keys a package-level variable.
 func varID(v *types.Var) string {
 	return v.Pkg().Path() + "." + v.Name()
@@ -580,10 +553,4 @@ func sortDedup(in []string) []string {
 		out = append(out, s)
 	}
 	return out
-}
-
-// moduleInternalPath reports whether an import path belongs to the
-// analyzed module's internal tree (fixture packages included).
-func moduleInternalPath(path string) bool {
-	return strings.Contains(path, "/internal/")
 }

@@ -1,6 +1,6 @@
 package analysis
 
-// poollife is the pooled-object lifetime analysis (tilesimvet v4).
+// poollife is the pooled-object lifetime analysis.
 // Intrusive freelists keep the hot path allocation-free — mesh
 // transits, MSHR entries and coherence directory entries — and bring a
 // bug class the garbage collector otherwise rules out: touching a
@@ -138,7 +138,7 @@ func annotatePoolNode(p *pass, f *ast.File, decl *ast.FuncDecl, node *graphNode)
 // collected from the reference graph's annotated declarations, so a
 // package releasing another package's pooled objects resolves through
 // the same cross-package node IDs every other graph rule uses.
-func checkPoolLife(m *module, g *graph) {
+func checkPoolLife(passes []*pass, g *graph) {
 	pooled := make(map[string]bool)
 	// registry holds the pooled types whose pool retains every live
 	// object in a by-key structure (the ones released by type, the
@@ -170,7 +170,7 @@ func checkPoolLife(m *module, g *graph) {
 		}
 	}
 
-	for _, p := range m.passes {
+	for _, p := range passes {
 		for _, f := range p.pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)

@@ -30,7 +30,7 @@ import (
 // (e.g. the disjoint per-job result slots a worker pool writes): the
 // reason is mandatory, and a waiver that suppresses nothing is
 // reported as stale.
-func checkSharedState(m *module, g *graph) {
+func checkSharedState(passes []*pass, g *graph) {
 	roots := append([]string(nil), g.goRoots...)
 	// Callbacks stored into sweep.Runner's function-typed fields run on
 	// (or are serialized between) worker goroutines: their conduit nodes
@@ -57,7 +57,7 @@ func checkSharedState(m *module, g *graph) {
 		s.scan(node, rootName)
 	}
 
-	reportStaleWaivers(m, "sharedstate", SharedOKAnnotation,
+	reportStaleWaivers(passes, "sharedstate", SharedOKAnnotation,
 		func(p *pass) map[*ast.File]map[int]string { return p.sharedok },
 		used)
 }
@@ -75,10 +75,10 @@ func markWaiverUsed(used map[*pass]map[*ast.File]map[int]bool, p *pass, f *ast.F
 // reportStaleWaivers reports every waiver annotation of the given kind
 // that suppressed no finding: a stale waiver hides nothing and rots
 // into misdocumentation.
-func reportStaleWaivers(m *module, analyzer, annotation string,
+func reportStaleWaivers(passes []*pass, analyzer, annotation string,
 	waivers func(*pass) map[*ast.File]map[int]string,
 	used map[*pass]map[*ast.File]map[int]bool) {
-	for _, p := range m.passes {
+	for _, p := range passes {
 		for _, f := range p.pkg.Files {
 			set := waivers(p)[f]
 			if len(set) == 0 {

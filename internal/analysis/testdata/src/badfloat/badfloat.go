@@ -12,7 +12,7 @@ type Joules float64
 func Sum(m map[string]float64) float64 {
 	var t float64
 	for _, v := range m { //tilesim:ordered — WRONG: float summation is order-dependent
-		t += v // want: floatorder finding here
+		t += v // want: determinism finding here
 	}
 	return t
 }
@@ -20,7 +20,7 @@ func Sum(m map[string]float64) float64 {
 // Drain subtracts named-float values in map order.
 func Drain(budget Joules, m map[int]Joules) Joules {
 	for _, v := range m { //tilesim:ordered — WRONG: float subtraction is order-dependent
-		budget -= v // want: floatorder finding here
+		budget -= v // want: determinism finding here
 	}
 	return budget
 }
@@ -29,14 +29,14 @@ func Drain(budget Joules, m map[int]Joules) Joules {
 func SpelledOut(m map[string]float64) float64 {
 	var t float64
 	for _, v := range m { //tilesim:ordered — WRONG: float summation is order-dependent
-		t = t + v // want: floatorder finding here
+		t = t + v // want: determinism finding here
 	}
 	return t
 }
 
 // Count accumulates an integer, which is associative: any iteration
-// order produces the same bits, so only the (annotated-away) map-range
-// rule applies, not floatorder.
+// order produces the same bits, so the annotation holds and nothing is
+// flagged.
 func Count(m map[string]float64) int {
 	n := 0
 	for range m { //tilesim:ordered — integer count is order-independent

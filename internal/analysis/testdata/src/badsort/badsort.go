@@ -15,7 +15,7 @@ type Event struct {
 // ByCycle sorts events by cycle only: two events on the same cycle tie,
 // so the unstable sort's tie-breaking leaks into dispatch order.
 func ByCycle(events []Event) {
-	sort.Slice(events, func(i, j int) bool { // want: stablesort finding here
+	sort.Slice(events, func(i, j int) bool { // want: determinism finding here
 		return events[i].Cycle < events[j].Cycle
 	})
 }

@@ -2,8 +2,8 @@
 // determinism pass: wall-clock time and global randomness leak into
 // exported entry points through a helper chain and a stored function
 // value. The direct references (the stamp initializer, jitter's body)
-// are the per-callsite determinism analyzer's findings; the taint pass
-// contributes the *callers* that reach them transitively.
+// are the per-callsite check's findings; the transitive pass
+// contributes the *callers* that reach them, each with its call chain.
 package badtaint
 
 import (
@@ -16,23 +16,23 @@ import (
 var stamp = time.Now // want: determinism finding here
 
 // helper invokes the stored clock.
-func helper() int64 { // want: taint finding here
+func helper() int64 { // want: determinism finding here
 	return stamp().UnixNano()
 }
 
 // Record is two hops from the wall clock.
-func Record() int64 { // want: taint finding here
+func Record() int64 { // want: determinism finding here
 	return helper()
 }
 
-// jitter draws from the global source directly (the determinism
-// analyzer's finding, not taint's).
+// jitter draws from the global source directly (the per-callsite
+// check's finding, not the transitive pass's).
 func jitter() float64 {
 	return rand.Float64() // want: determinism finding here
 }
 
 // Delay reaches the global source through jitter.
-func Delay() float64 { // want: taint finding here
+func Delay() float64 { // want: determinism finding here
 	return 4 * jitter()
 }
 

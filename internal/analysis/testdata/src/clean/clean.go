@@ -2,9 +2,9 @@
 // rule's escape hatch — an annotated order-independent map range with
 // sorted-key float summation, a properly prefixed panic, an exhaustive
 // switch with a panicking default, unit arithmetic that stays within
-// one unit, a stable sort plus a //tilesim:totalorder unstable sort, a
-// Canonical() covering every exported field, and randomness threaded
-// through a seeded *rand.Rand — and must produce zero findings.
+// one unit, a stable sort plus a //tilesim:totalorder unstable sort,
+// and randomness threaded through a seeded *rand.Rand — and must
+// produce zero findings.
 package clean
 
 import (
@@ -74,18 +74,6 @@ func SortTotal(xs []int) {
 	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }
 
-// Config is a cacheable configuration whose Canonical covers every
-// exported field.
-type Config struct {
-	Name  string
-	Level int
-}
-
-// Canonical encodes both fields.
-func (c Config) Canonical() string {
-	return fmt.Sprintf("name=%s level=%d", c.Name, c.Level)
-}
-
 // Jitter draws from an explicitly seeded generator: methods on a
 // *rand.Rand are the sanctioned alternative to the global source.
 func Jitter(rng *rand.Rand) float64 {
@@ -93,7 +81,7 @@ func Jitter(rng *rand.Rand) float64 {
 }
 
 // Perturb reaches randomness only through Jitter's seeded generator,
-// so the taint pass must leave it alone.
+// so the transitive determinism pass must leave it alone.
 func Perturb(rng *rand.Rand, x float64) float64 {
 	return x + Jitter(rng)
 }

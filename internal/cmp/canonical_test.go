@@ -63,8 +63,8 @@ func TestCanonicalRejectsGeneratorConfigs(t *testing.T) {
 }
 
 // TestCanonicalCoversEveryField guards the encoding against silently
-// dropping a newly added RunConfig field: every current field name must
-// influence the string.
+// dropping a newly added RunConfig or compress.Spec field: every
+// current field must influence the string.
 func TestCanonicalCoversEveryField(t *testing.T) {
 	base := RunConfig{
 		App: "FFT", RefsPerCore: 1000, WarmupRefs: 400, Seed: 1,
@@ -80,20 +80,22 @@ func TestCanonicalCoversEveryField(t *testing.T) {
 	}
 	ref := enc(base)
 	mutate := map[string]func(*RunConfig){
-		"App":               func(c *RunConfig) { c.App = "MP3D" },
-		"RefsPerCore":       func(c *RunConfig) { c.RefsPerCore++ },
-		"WarmupRefs":        func(c *RunConfig) { c.WarmupRefs++ },
-		"Seed":              func(c *RunConfig) { c.Seed++ },
-		"Topology":          func(c *RunConfig) { c.Topology = "torus" },
-		"Tiles":             func(c *RunConfig) { c.Tiles = 64 },
-		"Compression":       func(c *RunConfig) { c.Compression.Entries++ },
-		"Heterogeneous":     func(c *RunConfig) { c.Heterogeneous = true },
-		"Wiring":            func(c *RunConfig) { c.Wiring = "vlbpw" },
-		"ReplyPartitioning": func(c *RunConfig) { c.ReplyPartitioning = true },
-		"RouterLatency":     func(c *RunConfig) { c.RouterLatency = 4 },
-		"LinkCyclesScale":   func(c *RunConfig) { c.LinkCyclesScale = 0.5 },
-		"Faults":            func(c *RunConfig) { c.Faults.BER = 1e-6 },
-		"SeriesInterval":    func(c *RunConfig) { c.SeriesInterval = 1024 },
+		"App":                       func(c *RunConfig) { c.App = "MP3D" },
+		"RefsPerCore":               func(c *RunConfig) { c.RefsPerCore++ },
+		"WarmupRefs":                func(c *RunConfig) { c.WarmupRefs++ },
+		"Seed":                      func(c *RunConfig) { c.Seed++ },
+		"Topology":                  func(c *RunConfig) { c.Topology = "torus" },
+		"Tiles":                     func(c *RunConfig) { c.Tiles = 64 },
+		"Compression.Kind":          func(c *RunConfig) { c.Compression.Kind = "perfect" },
+		"Compression.Entries":       func(c *RunConfig) { c.Compression.Entries++ },
+		"Compression.LowOrderBytes": func(c *RunConfig) { c.Compression.LowOrderBytes = 1 },
+		"Heterogeneous":             func(c *RunConfig) { c.Heterogeneous = true },
+		"Wiring":                    func(c *RunConfig) { c.Wiring = "vlbpw" },
+		"ReplyPartitioning":         func(c *RunConfig) { c.ReplyPartitioning = true },
+		"RouterLatency":             func(c *RunConfig) { c.RouterLatency = 4 },
+		"LinkCyclesScale":           func(c *RunConfig) { c.LinkCyclesScale = 0.5 },
+		"Faults":                    func(c *RunConfig) { c.Faults.BER = 1e-6 },
+		"SeriesInterval":            func(c *RunConfig) { c.SeriesInterval = 1024 },
 	}
 	for name, mut := range mutate {
 		cfg := base
@@ -111,14 +113,25 @@ func TestCanonicalCoversEveryField(t *testing.T) {
 		t.Errorf("series-free encoding mentions series: %s", ref)
 	}
 
-	// Completeness: every RunConfig field must appear above, so adding
-	// a field without extending Canonical() (and this test) fails.
-	// Generator is the deliberate exception — it makes a config
-	// uncacheable instead of encoding.
+	// Completeness: every RunConfig field, and every field of its
+	// compress.Spec, must appear above, so adding a field without
+	// extending Canonical() (and this test) fails. Generator is the
+	// deliberate exception — it makes a config uncacheable instead of
+	// encoding. fault.Config's fields have their own reflective test.
 	typ := reflect.TypeOf(RunConfig{})
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
 		if name == "Generator" {
+			continue
+		}
+		if name == "Compression" {
+			spec := typ.Field(i).Type
+			for j := 0; j < spec.NumField(); j++ {
+				f := spec.Field(j)
+				if _, ok := mutate[name+"."+f.Name]; f.IsExported() && !ok {
+					t.Errorf("compress.Spec field %s is not covered: extend Canonical() and this test", f.Name)
+				}
+			}
 			continue
 		}
 		if _, ok := mutate[name]; !ok {

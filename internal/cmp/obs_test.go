@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tilesim/internal/compress"
+	"tilesim/internal/fault"
 	"tilesim/internal/obs"
 )
 
@@ -96,6 +97,61 @@ func TestMetricsByteIdentical(t *testing.T) {
 	var parsed map[string]map[string]any
 	if err := json.Unmarshal(bufs[0].Bytes(), &parsed); err != nil {
 		t.Fatalf("metrics JSON invalid: %v", err)
+	}
+}
+
+// TestMetricNamesStableOnEveryBranch builds each configuration twice,
+// without running it, and requires the registry's metric names and the
+// series' column names to come out identical and under one of the four
+// component families. The configurations reach every registration
+// branch: each link layout (the PW plane only exists under lpw and
+// vlbpw), fault injection off and on, and a 256-tile slim network whose
+// 7,680 directed links exceed the per-link family's cap. A name that
+// formats a pointer differs between the two builds, and a nil sampler
+// panics at registration.
+func TestMetricNamesStableOnEveryBranch(t *testing.T) {
+	dbrc := compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 2}
+	cfgs := map[string]RunConfig{
+		"slim256": {Compression: dbrc, Wiring: "vlb", Topology: "slim", Tiles: 256},
+	}
+	for _, wiring := range []string{"baseline", "vlb", "lpw", "vlbpw"} {
+		cfgs[wiring] = RunConfig{Compression: dbrc, Wiring: wiring}
+		cfgs[wiring+"-ber"] = RunConfig{Compression: dbrc, Wiring: wiring, Faults: fault.Config{BER: 1e-5}}
+	}
+	families := []string{"sim.", "net.", "coh.", "mgr."}
+	for name, cfg := range cfgs {
+		cfg.App, cfg.RefsPerCore, cfg.Seed, cfg.SeriesInterval = "FFT", 100, 1, 512
+		t.Run(name, func(t *testing.T) {
+			var names [2][]string
+			for i := range names {
+				sys, err := NewSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, series := sys.startSeries(obs.NewPollers(sys.K))
+				names[i] = append(sys.Registry().Names(), series.Columns...)
+			}
+			if !slices.Equal(names[0], names[1]) {
+				t.Fatal("two builds of one configuration register different metric or series names")
+			}
+			for _, n := range names[0] {
+				if !slices.ContainsFunc(families, func(f string) bool { return strings.HasPrefix(n, f) }) {
+					t.Errorf("name %q is outside the sim., net., coh. and mgr. families", n)
+				}
+			}
+			// Each configuration must reach the branch it is here for.
+			pw := cfg.Wiring == "lpw" || cfg.Wiring == "vlbpw"
+			if slices.Contains(names[0], "net.plane.PW.flits") != pw {
+				t.Errorf("PW-plane names present = %t, want %t", !pw, pw)
+			}
+			if slices.Contains(names[0], "net.fault.retries") != cfg.Faults.Enabled() {
+				t.Errorf("fault names present = %t, want %t", !cfg.Faults.Enabled(), cfg.Faults.Enabled())
+			}
+			perLink := slices.ContainsFunc(names[0], func(n string) bool { return strings.HasPrefix(n, "net.link.") })
+			if perLink != (cfg.Topology != "slim") {
+				t.Errorf("per-link names present = %t on %d tiles of %s", perLink, cfg.tiles(), cfg.topologyName())
+			}
+		})
 	}
 }
 

@@ -38,6 +38,9 @@ import (
 type Series struct {
 	interval sim.Time
 	columns  []seriesColumn
+	// names holds every registered column name until Start, so a
+	// duplicate is found without scanning the columns.
+	names    map[string]struct{}
 	started  bool
 	finished bool
 	data     *SeriesData
@@ -84,7 +87,7 @@ func NewSeries(interval sim.Time) *Series {
 	if interval == 0 {
 		interval = 1
 	}
-	return &Series{interval: interval}
+	return &Series{interval: interval, names: make(map[string]struct{})}
 }
 
 // register installs a column under a unique name, cold-path only.
@@ -92,11 +95,10 @@ func (s *Series) register(c seriesColumn) {
 	if s.started {
 		panic(fmt.Sprintf("obs: series column %q registered after Start", c.name))
 	}
-	for _, have := range s.columns {
-		if have.name == c.name {
-			panic(fmt.Sprintf("obs: duplicate series column %q", c.name))
-		}
+	if _, dup := s.names[c.name]; dup {
+		panic(fmt.Sprintf("obs: duplicate series column %q", c.name))
 	}
+	s.names[c.name] = struct{}{}
 	s.columns = append(s.columns, c)
 }
 
@@ -146,6 +148,7 @@ func (s *Series) Start(p *Pollers) *SeriesData {
 		panic("obs: series started twice")
 	}
 	s.started = true
+	s.names = nil
 	sort.SliceStable(s.columns, func(i, j int) bool {
 		return s.columns[i].name < s.columns[j].name
 	})

@@ -24,7 +24,7 @@ const CyclesPerMicrosecond = 4000.0
 // Arg is one numeric key/value attached to a trace event. Args are
 // ordered (not a map) so event serialization is byte-deterministic,
 // and concretely typed so hook calls never box values into interfaces
-// on the hot path (see cmd/tilesimvet's obshooks analyzer).
+// on the hot path.
 type Arg struct {
 	Key string
 	Val float64
@@ -44,6 +44,11 @@ type Arg struct {
 // Sampling: NextID hands out sequential span ids and reports whether
 // the id falls on the sample grid (every Nth). Hooks skip all event
 // emission for unsampled spans, bounding file size on long runs.
+//
+// The methods are deliberately not nil-safe: every hook site guards
+// with `if x.tracer != nil`, and an unguarded hook nil-panics in the
+// first untraced test run that reaches it instead of hiding a branch
+// inside each method.
 type Tracer struct {
 	w     *bufio.Writer
 	every uint64
