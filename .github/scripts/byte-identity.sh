@@ -13,8 +13,10 @@
 # has no wiring flag, so only these runs reach 2-byte Stride, perfect
 # compression, L+PW with Reply Partitioning and VL+B+PW. It also diffs
 # the epoch-series CSV (`-series-out`) of three runs: 16-tile FFT, the
-# 64-tile torus at BER 1e-5 and the 1024-tile torus. That makes 33
-# comparisons.
+# 64-tile torus at BER 1e-5 and the 1024-tile torus; and the Perfetto
+# trace (`-trace-out`) of two: 16-tile FFT with the series sink
+# attached too, and the 64-tile torus at BER 1e-5, whose trace holds
+# the CRC-NACK retries. That makes 35 comparisons.
 #
 #   bash .github/scripts/byte-identity.sh BASE_SRC HEAD_SRC [WORKDIR]
 #
@@ -98,6 +100,23 @@ series() {
   fi
 }
 
+# trace NAME ARGS...: runs both binaries with the trace sink and diffs
+# the trace JSON.
+trace() {
+  local name=$1
+  shift
+  for side in base head; do
+    (cd "$work/$side" && ./tilesim "$@" -trace-out "$name.trace.json" > "$name.txt" 2> "$name.err")
+  done
+  if cmp -s "$work/base/$name.trace.json" "$work/head/$name.trace.json"; then
+    echo "identical: $name"
+  else
+    echo "::error title=byte-identity::$name differs from the base commit"
+    cmp "$work/base/$name.trace.json" "$work/head/$name.trace.json" || true
+    failed=1
+  fi
+}
+
 for topo in mesh cmesh torus slim; do
   t64=(-refs 500 -warmup 250 -topo "$topo" -tiles 64)
   compare "$topo-faultfree" "${fft[@]}" "${t64[@]}"
@@ -123,5 +142,10 @@ series series-fft16 "${fft[@]}" -refs 2000 -warmup 500 -series-interval 512
 series series-torus64-ber "${fft[@]}" -refs 500 -warmup 250 -topo torus -tiles 64 "${ber[@]}" \
   -series-interval 4096
 series series-torus1024 "${fft[@]}" "${t1024[@]}" -topo torus -series-interval 100000
+
+trace trace-fft16 "${fft[@]}" -refs 2000 -warmup 500 -trace-sample 16 \
+  -series-out trace-fft16.csv -series-interval 512
+trace trace-torus64-ber "${fft[@]}" -refs 500 -warmup 250 -topo torus -tiles 64 "${ber[@]}" \
+  -trace-sample 16
 
 exit "$failed"

@@ -253,7 +253,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 }
 
 // BenchmarkSeriesOverhead quantifies the epoch time series' cost on
-// the same configuration (DESIGN.md §15.2; the 2026-08 measurement put
+// the same configuration (DESIGN.md §10.3; the 2026-08 measurement put
 // sampling every 1024 cycles at +9.2% wall):
 //
 //   - disabled: SeriesInterval zero — the series is never built, so

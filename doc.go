@@ -31,8 +31,8 @@
 //	internal/energy     link/router/chip energy, ED^2P        DESIGN.md §5
 //	internal/workload   13 SPLASH-2-class synthetic apps      DESIGN.md §5
 //	internal/core       the proposal: compress + plane map    DESIGN.md §1
-//	internal/obs        metrics registry, tracer, epoch       DESIGN.md §10, §15
-//	                    series, shared pollers
+//	internal/obs        metrics registry, epoch series,       DESIGN.md §10
+//	                    tracer, shared pollers
 //	internal/trace      workload record/replay and replay     DESIGN.md §7
 //	                    validation
 //	internal/sweep      parallel sweep engine + result cache  DESIGN.md §9

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -60,40 +62,61 @@ func TestFixtureFindings(t *testing.T) {
 	}
 }
 
-// TestFixtureFindingsAnchored pins each fixture's findings to the lines
-// marked "want:" in its source, so the analyzers cannot drift to
-// flagging the wrong statements while keeping the right counts.
+// TestFixtureFindingsAnchored pins every bad* fixture's findings to the
+// lines marked "// want:" in its sources, by file and line: each marker
+// carries a finding and each finding sits on a marker, so the analyzers
+// cannot drift to flagging the wrong statement, or the same line of
+// another file in the fixture, while keeping the right counts.
 func TestFixtureFindingsAnchored(t *testing.T) {
-	cases := []struct {
-		fixture string
-		lines   []int
-	}{
-		{"badmaprange", []int{9}},
-		{"badtime", []int{9, 14}},
-		{"badrand", []int{10, 11, 12, 13, 14}},
-		{"badpanic", []int{11, 14, 17}},
-		{"badunits", []int{19, 24, 29, 34, 39, 45, 52}},
-		{"badswitch", []int{18}},
-		{"badsort", []int{18}},
-		{"badfloat", []int{15, 23, 32}},
-		{"badtaint", []int{16, 19, 24, 31, 35}},
-		{"badsharedstate", []int{34, 37, 38, 40, 44, 58}},
-		{"badpoollife", []int{52, 61, 67, 73, 79, 86, 91, 101, 107, 112}},
+	dirs, err := filepath.Glob(filepath.Join("testdata", "src", "bad*"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		t.Run(c.fixture, func(t *testing.T) {
-			diags := runFixture(t, c.fixture)
-			got := make(map[int]bool)
-			for _, d := range diags {
-				got[d.Line] = true
+	if len(dirs) == 0 {
+		t.Fatal("no testdata/src/bad* fixtures")
+	}
+	for _, dir := range dirs {
+		fixture := filepath.Base(dir)
+		t.Run(fixture, func(t *testing.T) {
+			want := wantMarkers(t, dir)
+			var got []string
+			for _, d := range runFixture(t, fixture) {
+				got = append(got, filepath.Base(d.File)+":"+strconv.Itoa(d.Line))
 			}
-			for _, line := range c.lines {
-				if !got[line] {
-					t.Errorf("%s: no finding on line %d:\n%s", c.fixture, line, render(diags))
-				}
+			sort.Strings(got)
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("findings are not on the // want: markers:\n--- got ---\n%s\n--- want ---\n%s",
+					strings.Join(got, "\n"), strings.Join(want, "\n"))
 			}
 		})
 	}
+}
+
+// wantMarkers returns the sorted "file.go:line" positions of the
+// "// want:" comments in the Go sources of the fixture directory dir.
+func wantMarkers(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var marks []string
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if strings.Contains(line, "// want:") {
+				marks = append(marks, filepath.Base(f)+":"+strconv.Itoa(i+1))
+			}
+		}
+	}
+	if len(marks) == 0 {
+		t.Fatalf("%s has no // want: marker", dir)
+	}
+	sort.Strings(marks)
+	return marks
 }
 
 // TestTaintFixture checks the fixture that exercises both halves of the
@@ -118,11 +141,21 @@ func TestTaintFixture(t *testing.T) {
 	}
 }
 
-// TestGoldenFixtures compares the full rendered diagnostics of each
-// fixture that carries a want.txt against it, pinning message wording,
-// positions, and ordering all at once.
+// TestGoldenFixtures compares the full rendered diagnostics of every
+// testdata/src/bad* fixture with its want.txt, one
+// "file:line:col: analyzer: message" line per finding in report order,
+// so a finding that moves line or file, changes wording or changes
+// analyzer fails. A bad* fixture without a want.txt fails too.
 func TestGoldenFixtures(t *testing.T) {
-	for _, fixture := range []string{"badrand", "badsort", "badfloat", "badtaint", "badsharedstate", "badpoollife"} {
+	dirs, err := filepath.Glob(filepath.Join("testdata", "src", "bad*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dirs) == 0 {
+		t.Fatal("no testdata/src/bad* fixtures")
+	}
+	for _, dir := range dirs {
+		fixture := filepath.Base(dir)
 		t.Run(fixture, func(t *testing.T) {
 			diags := runFixture(t, fixture)
 			var b strings.Builder
@@ -133,7 +166,7 @@ func TestGoldenFixtures(t *testing.T) {
 				}
 				b.WriteString(line + "\n")
 			}
-			want, err := os.ReadFile(filepath.Join("testdata", "src", fixture, "want.txt"))
+			want, err := os.ReadFile(filepath.Join(dir, "want.txt"))
 			if err != nil {
 				t.Fatal(err)
 			}

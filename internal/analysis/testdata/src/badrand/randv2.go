@@ -5,8 +5,7 @@ import "math/rand/v2"
 // PickV2 draws from math/rand/v2's global source. The v2 names (IntN,
 // Int64N, the generic N, Uint) are as nondeterministic as v1's Intn,
 // and their findings suggest v2's seeded generator, rand.NewPCG, in
-// place of v1's rand.NewSource. The draws sit below line 10, the line
-// of badrand.go's finding, so the anchored-line test tells them apart.
+// place of v1's rand.NewSource.
 func PickV2(n int) int {
 	a := rand.IntN(n)               // want: determinism finding here
 	b := int(rand.Int64N(int64(n))) // want: determinism finding here

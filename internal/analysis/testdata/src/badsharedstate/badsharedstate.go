@@ -41,8 +41,8 @@ func Launch(jobs []int) []int {
 			//tilesim:sharedok fixture: i is this worker's own slot
 			results[i] = j // correctly waived: no finding
 		}
-		//tilesim:sharedok fixture: nothing shared on this line
-		_ = jobs // want: stale waiver
+		//tilesim:sharedok fixture: nothing shared on this line // want: stale waiver
+		_ = jobs
 		tally()
 		locked()
 		close(done)

@@ -70,10 +70,10 @@ type RunConfig struct {
 	RouterLatency   int
 	LinkCyclesScale float64
 	// SeriesInterval, when positive, samples an epoch series every that
-	// many simulated cycles (DESIGN.md §15): per-window deltas of the
-	// registered counters land in Result.Series. 0 (the default)
-	// disables sampling and preserves pre-series behavior and cache
-	// keys. Sampling reads state only — it never feeds back into the
+	// many simulated cycles (DESIGN.md §10.3): per-window readings of
+	// the registry's sampled quantities land in Result.Series. 0 (the
+	// default) disables sampling and preserves pre-series behavior and
+	// cache keys. Sampling reads state only — it never feeds back into the
 	// simulation — but the series rides in the Result, so the interval
 	// is part of the canonical encoding.
 	SeriesInterval int
@@ -214,6 +214,8 @@ type System struct {
 
 	registry *obs.Registry
 	tracer   *obs.Tracer
+	series   *obs.Series // nil without a series sink
+	running  int         // cores that have not finished
 
 	warmCycles sim.Time
 	warmDyn    energy.DynSnapshot
@@ -386,6 +388,7 @@ func NewSystem(cfg RunConfig) (*System, error) {
 
 // Run executes the parallel phase to completion and returns the result.
 func (s *System) Run() (Result, error) {
+	s.running = len(s.cores)
 	for _, c := range s.cores {
 		c.start()
 	}
@@ -399,10 +402,9 @@ func (s *System) Run() (Result, error) {
 	if s.tracer != nil {
 		s.startCounterPoller(polls)
 	}
-	var series *obs.Series
 	var seriesData *obs.SeriesData
 	if s.cfg.SeriesInterval > 0 {
-		series, seriesData = s.startSeries(polls)
+		seriesData = s.startSeries(polls)
 	}
 	s.K.Run(nil)
 
@@ -426,12 +428,11 @@ func (s *System) Run() (Result, error) {
 		return Result{}, fmt.Errorf("cmp: %d messages / %d transactions outstanding after drain",
 			s.Net.InFlight(), s.Proto.OutstandingTransactions())
 	}
-	if series != nil {
-		// Close the epoch table at the execution window's end: drop
-		// mid-drain rows the trailing poller sampled past it and flush
-		// the final partial epoch, so delta columns sum to the run's
-		// snapshot totals.
-		series.Finish(execCycles)
+	if s.series != nil {
+		// Close the epoch table at the execution window's end, which
+		// the last core marked: flush the final partial epoch, drain
+		// included, so counter columns sum to the run's snapshot totals.
+		s.series.Finish()
 	}
 
 	// Everything below reports the measurement window: the run minus
@@ -467,7 +468,7 @@ func (s *System) Run() (Result, error) {
 	}
 	r.RequestLatencyP50 = s.Net.LatencyPercentile(noc.ClassRequest, 0.50)
 	r.RequestLatencyP99 = s.Net.LatencyPercentile(noc.ClassRequest, 0.99)
-	r.Metrics = s.Registry().Snapshot()
+	r.Metrics = s.Registry().Snapshot(s.K.Now())
 	r.Series = seriesData
 	return r, nil
 }

@@ -56,6 +56,10 @@ func (c *Core) step() {
 	if !ok {
 		c.done = true
 		c.finishedAt = c.sys.K.Now()
+		c.sys.running--
+		if c.sys.running == 0 && c.sys.series != nil {
+			c.sys.series.End(c.finishedAt)
+		}
 		return
 	}
 	switch op.Kind {

@@ -103,12 +103,12 @@ func TestMetricsByteIdentical(t *testing.T) {
 // TestMetricNamesStableOnEveryBranch builds each configuration twice,
 // without running it, and requires the registry's metric names and the
 // series' column names to come out identical and under one of the four
-// component families. The configurations reach every registration
-// branch: each link layout (the PW plane only exists under lpw and
-// vlbpw), fault injection off and on, and a 256-tile slim network whose
-// 7,680 directed links exceed the per-link family's cap. A name that
-// formats a pointer differs between the two builds, and a nil sampler
-// panics at registration.
+// component families, and every series column to be a registry name.
+// The configurations reach every declaration branch: each link layout
+// (the PW plane only exists under lpw and vlbpw), fault injection off
+// and on, and a 256-tile slim network whose 7,680 directed links exceed
+// the per-link family's cap. A name that formats a pointer differs
+// between the two builds, and a nil reader panics at declaration.
 func TestMetricNamesStableOnEveryBranch(t *testing.T) {
 	dbrc := compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 2}
 	cfgs := map[string]RunConfig{
@@ -128,8 +128,14 @@ func TestMetricNamesStableOnEveryBranch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, series := sys.startSeries(obs.NewPollers(sys.K))
-				names[i] = append(sys.Registry().Names(), series.Columns...)
+				registry := sys.Registry().Names()
+				columns := sys.startSeries(obs.NewPollers(sys.K)).Columns
+				for _, c := range columns {
+					if _, found := slices.BinarySearch(registry, c); !found {
+						t.Errorf("series column %q is not a registry name", c)
+					}
+				}
+				names[i] = append(registry, columns...)
 			}
 			if !slices.Equal(names[0], names[1]) {
 				t.Fatal("two builds of one configuration register different metric or series names")
@@ -262,7 +268,7 @@ func TestRequestPercentilesBracketMean(t *testing.T) {
 // the trace-only run's byte for byte, and its series must equal the
 // series-only run's in every column but sim.events, which counts the
 // trace poller's ticks too (the bookkeeping exception of DESIGN.md
-// §15.2).
+// §10.5).
 func TestTraceAndSeriesTogether(t *testing.T) {
 	cfg := obsCfg()
 	cfg.SeriesInterval = 512

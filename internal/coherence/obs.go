@@ -36,11 +36,14 @@ func (l *L1Controller) traceMiss(req noc.Type, block uint64, start sim.Time) {
 		})
 }
 
-// RegisterMetrics installs the protocol's counters in a registry under
-// the "coh." prefix (DESIGN.md §10 naming): chip-wide sums of the L1
-// demand/traffic counters, the chip-wide MSHR-residency distribution,
-// and per-tile miss latency and MSHR state.
+// RegisterMetrics declares the protocol's quantities in a registry
+// under the "coh." prefix (DESIGN.md §10 naming): chip-wide sums of the
+// L1 demand/traffic counters, the chip-wide MSHR-residency
+// distribution, and per-tile miss latency and MSHR state. The epoch
+// series samples the demand, miss and writeback counts and the live
+// MSHRs and outstanding transactions at each window boundary.
 func (p *Protocol) RegisterMetrics(r *obs.Registry) {
+	s := r.Sampled()
 	sum := func(pick func(*L1Controller) *stats.Counter) func() uint64 {
 		return func() uint64 {
 			var t uint64
@@ -50,44 +53,21 @@ func (p *Protocol) RegisterMetrics(r *obs.Registry) {
 			return t
 		}
 	}
-	r.Counter("coh.l1.loads", sum(func(l *L1Controller) *stats.Counter { return &l.Loads }))
-	r.Counter("coh.l1.stores", sum(func(l *L1Controller) *stats.Counter { return &l.Stores }))
-	r.Counter("coh.l1.load_misses", sum(func(l *L1Controller) *stats.Counter { return &l.LoadMisses }))
-	r.Counter("coh.l1.store_misses", sum(func(l *L1Controller) *stats.Counter { return &l.StoreMisses }))
+	s.Counter("coh.l1.loads", sum(func(l *L1Controller) *stats.Counter { return &l.Loads }))
+	s.Counter("coh.l1.stores", sum(func(l *L1Controller) *stats.Counter { return &l.Stores }))
+	s.Counter("coh.l1.load_misses", sum(func(l *L1Controller) *stats.Counter { return &l.LoadMisses }))
+	s.Counter("coh.l1.store_misses", sum(func(l *L1Controller) *stats.Counter { return &l.StoreMisses }))
 	r.Counter("coh.l1.upgrades", sum(func(l *L1Controller) *stats.Counter { return &l.Upgrades }))
-	r.Counter("coh.l1.writebacks", sum(func(l *L1Controller) *stats.Counter { return &l.Writebacks }))
+	s.Counter("coh.l1.writebacks", sum(func(l *L1Controller) *stats.Counter { return &l.Writebacks }))
 	r.Counter("coh.l1.hints", sum(func(l *L1Controller) *stats.Counter { return &l.Hints }))
 	r.Counter("coh.l1.interventions", sum(func(l *L1Controller) *stats.Counter { return &l.Interventions }))
 	r.Counter("coh.l1.invalidations", sum(func(l *L1Controller) *stats.Counter { return &l.Invalidations }))
 	r.Mean("coh.mshr.residency", &p.mshrResidency)
-	r.Gauge("coh.mshr.live", func() float64 { return float64(p.MSHRLive()) })
-	r.Gauge("coh.outstanding", func() float64 { return float64(p.OutstandingTransactions()) })
+	s.Gauge("coh.mshr.live", func() float64 { return float64(p.MSHRLive()) })
+	s.Gauge("coh.outstanding", func() float64 { return float64(p.OutstandingTransactions()) })
 	for i, l := range p.l1s {
 		prefix := fmt.Sprintf("coh.l1.%02d.", i)
 		r.Mean(prefix+"miss_latency", &l.MissLatency)
 		r.Mean(prefix+"mshr_residency", &l.MSHRResidency)
 	}
-}
-
-// RegisterSeries installs the protocol's time-resolved probes in an
-// epoch series (DESIGN.md §15): chip-wide demand/miss deltas per
-// window plus the instantaneous MSHR residency and outstanding
-// transactions at each window boundary. Naming mirrors RegisterMetrics.
-func (p *Protocol) RegisterSeries(s *obs.Series) {
-	sum := func(pick func(*L1Controller) *stats.Counter) func() uint64 {
-		return func() uint64 {
-			var t uint64
-			for _, l := range p.l1s {
-				t += pick(l).Value()
-			}
-			return t
-		}
-	}
-	s.Delta("coh.l1.loads", sum(func(l *L1Controller) *stats.Counter { return &l.Loads }))
-	s.Delta("coh.l1.stores", sum(func(l *L1Controller) *stats.Counter { return &l.Stores }))
-	s.Delta("coh.l1.load_misses", sum(func(l *L1Controller) *stats.Counter { return &l.LoadMisses }))
-	s.Delta("coh.l1.store_misses", sum(func(l *L1Controller) *stats.Counter { return &l.StoreMisses }))
-	s.Delta("coh.l1.writebacks", sum(func(l *L1Controller) *stats.Counter { return &l.Writebacks }))
-	s.Level("coh.mshr.live", func() float64 { return float64(p.MSHRLive()) })
-	s.Level("coh.outstanding", func() float64 { return float64(p.OutstandingTransactions()) })
 }

@@ -42,9 +42,6 @@ func NewStride(deltaBytes, cores int) *Stride {
 // Name implements Codec, matching the paper's figure labels.
 func (s *Stride) Name() string { return fmt.Sprintf("%d-byte Stride", s.deltaBytes) }
 
-// DeltaBytes returns the compressed delta size.
-func (s *Stride) DeltaBytes() int { return s.deltaBytes }
-
 // CompressedPayloadBytes implements Codec.
 func (s *Stride) CompressedPayloadBytes() int { return s.deltaBytes }
 

@@ -196,12 +196,6 @@ func (m *Manager) compress(msg *noc.Message) {
 	}
 }
 
-// Coverage returns the fraction of compressible messages that were
-// actually compressed (Figure 2's metric).
-func (m *Manager) Coverage() float64 {
-	return stats.Ratio(float64(m.Compressed.Value()), float64(m.Compressible.Value()))
-}
-
 // VLFraction returns the fraction of remote messages that rode the
 // low-latency wires.
 func (m *Manager) VLFraction() float64 {

@@ -2,41 +2,29 @@ package core
 
 import "tilesim/internal/obs"
 
-// RegisterMetrics installs the message manager's counters in a
+// RegisterMetrics declares the message manager's quantities in a
 // registry under the "mgr." prefix (DESIGN.md §10 naming): the
-// compression hit/miss pipeline and the plane-steering decision
-// counts. The failover counter registers only under fault injection,
-// keeping fault-free metric output byte-identical to earlier versions.
+// compression hit/miss pipeline, the plane-steering decision counts and
+// the compression coverage. The epoch series samples the steering
+// counts and the coverage per window — the per-phase compression drift
+// end-of-run aggregates flatten away. The failover counter registers
+// only under fault injection, keeping fault-free metric output
+// byte-identical to earlier versions.
 func (m *Manager) RegisterMetrics(r *obs.Registry) {
+	s := r.Sampled()
 	r.Counter("mgr.compressible", m.Compressible.Value)
-	r.Counter("mgr.compressed", m.Compressed.Value)
-	r.Counter("mgr.vl_messages", m.VLMessages.Value)
-	r.Counter("mgr.b_messages", m.BMessages.Value)
-	r.Counter("mgr.pw_messages", m.PWMessages.Value)
-	r.Counter("mgr.local_messages", m.LocalMsgs.Value)
+	s.Counter("mgr.compressed", m.Compressed.Value)
+	s.Counter("mgr.vl_messages", m.VLMessages.Value)
+	s.Counter("mgr.b_messages", m.BMessages.Value)
+	s.Counter("mgr.pw_messages", m.PWMessages.Value)
+	s.Counter("mgr.local_messages", m.LocalMsgs.Value)
 	r.Counter("mgr.saved_bytes", m.SavedBytes.Value)
 	if m.net.FaultsEnabled() {
-		r.Counter("mgr.failover_msgs", m.FailoverMsgs.Value)
+		s.Counter("mgr.failover_msgs", m.FailoverMsgs.Value)
 	}
-	r.Gauge("mgr.coverage", m.Coverage)
+	// Coverage: the fraction of compressible messages that were
+	// compressed (Figure 2's metric).
+	s.Ratio("mgr.coverage", m.Compressed.Value, m.Compressible.Value)
 	r.Gauge("mgr.vl_fraction", m.VLFraction)
 	r.Gauge("mgr.pw_fraction", m.PWFraction)
-}
-
-// RegisterSeries installs the manager's time-resolved probes in an
-// epoch series (DESIGN.md §15): per-window plane-steering deltas and
-// the windowed compression coverage (compressed/compressible per
-// window — the per-phase compression-ratio drift end-of-run aggregates
-// flatten away). The failover delta registers only under fault
-// injection, mirroring RegisterMetrics.
-func (m *Manager) RegisterSeries(s *obs.Series) {
-	s.Delta("mgr.compressed", m.Compressed.Value)
-	s.Delta("mgr.vl_messages", m.VLMessages.Value)
-	s.Delta("mgr.b_messages", m.BMessages.Value)
-	s.Delta("mgr.pw_messages", m.PWMessages.Value)
-	s.Delta("mgr.local_messages", m.LocalMsgs.Value)
-	s.DeltaRatio("mgr.coverage", m.Compressed.Value, m.Compressible.Value)
-	if m.net.FaultsEnabled() {
-		s.Delta("mgr.failover_msgs", m.FailoverMsgs.Value)
-	}
 }

@@ -42,7 +42,7 @@ type Scale struct {
 	Seed        int64
 	// SeriesInterval, when positive, samples an epoch time series every
 	// that many cycles in every cell of every figure (cmp.RunConfig's
-	// knob, DESIGN.md §15). cmd/figures surfaces it as -series-interval
+	// knob, DESIGN.md §10.3). cmd/figures surfaces it as -series-interval
 	// and writes the per-cell series next to the metrics sidecars.
 	SeriesInterval int
 }

@@ -8,7 +8,6 @@ import (
 	"tilesim/internal/noc"
 	"tilesim/internal/obs"
 	"tilesim/internal/sim"
-	"tilesim/internal/stats"
 )
 
 // LatencyBreakdown decomposes delivered-message latency into the
@@ -118,11 +117,10 @@ func (n *Network) recordBreakdown(t *transit, class noc.Class) {
 }
 
 // appendLinkLabel appends "<ff>-><tt>.<plane>", the per-link segment
-// of the net.link.* metric and series names, for one plane of a
-// directed link: router ids zero-padded to two digits, the bytes fmt's
-// %02d writes. RegisterMetrics and RegisterSeries build their 2 x
-// links x planes names with it instead of fmt.Sprintf (16,384 names on
-// a 1024-tile torus).
+// of the net.link.* metric names, for one plane of a directed link:
+// router ids zero-padded to two digits, the bytes fmt's %02d writes.
+// RegisterMetrics builds its 2 x links x planes names with it instead
+// of fmt.Sprintf (16,384 names on a 1024-tile torus).
 func appendLinkLabel(b []byte, l link, p Plane) []byte {
 	b = appendRouterID(b, l.from)
 	b = append(b, "->"...)
@@ -153,7 +151,7 @@ func (n *Network) traceLinkOccupancy(m *noc.Message, plane Plane, l *link, start
 		})
 }
 
-// RegisterMetrics installs the network's counters in a registry under
+// RegisterMetrics declares the network's quantities in a registry under
 // the "net." prefix (DESIGN.md §10 naming):
 //
 //	net.msgs.<class> / net.bytes.<class>    delivered traffic
@@ -165,31 +163,37 @@ func (n *Network) traceLinkOccupancy(m *noc.Message, plane Plane, l *link, start
 //	net.fault.*                             fault-injection activity
 //	                                        (only with an injector)
 //
+// The epoch series samples the per-class delivered messages and the
+// total, queue and retry stages (congestion onset), the per-plane and
+// per-link traffic, the link duty cycles, the in-flight level and the
+// retry and CRC activity that drives retry storms.
+//
 // The fault family — and the per-class retry_cycles breakdown stage —
 // register only when a fault injector is attached, keeping fault-free
 // metric output byte-identical to earlier versions.
 func (n *Network) RegisterMetrics(r *obs.Registry) {
+	s := r.Sampled()
 	for c := noc.Class(0); c < noc.NumClasses; c++ {
 		slug := classSlug(c)
-		r.Counter("net.msgs."+slug, n.msgs[c].Value)
+		s.Counter("net.msgs."+slug, n.msgs[c].Value)
 		r.Counter("net.bytes."+slug, n.bytes[c].Value)
 		r.Mean("net.lat."+slug, n.latHist[c].Moments())
 		r.Histogram("net.lat."+slug+".hist", n.latHist[c])
 		bd := &n.breakdown[c]
-		r.Counter("net.breakdown."+slug+".total_cycles", func() uint64 { return bd.Total })
+		s.Counter("net.breakdown."+slug+".total_cycles", func() uint64 { return bd.Total })
 		r.Counter("net.breakdown."+slug+".router_cycles", func() uint64 { return bd.Router })
-		r.Counter("net.breakdown."+slug+".queue_cycles", func() uint64 { return bd.Queue })
+		s.Counter("net.breakdown."+slug+".queue_cycles", func() uint64 { return bd.Queue })
 		r.Counter("net.breakdown."+slug+".wire_cycles", func() uint64 { return bd.Wire })
 		r.Counter("net.breakdown."+slug+".serialize_cycles", func() uint64 { return bd.Serialize })
 		if n.inj != nil {
-			r.Counter("net.breakdown."+slug+".retry_cycles", func() uint64 { return bd.Retry })
+			s.Counter("net.breakdown."+slug+".retry_cycles", func() uint64 { return bd.Retry })
 		}
 	}
 	if n.inj != nil {
-		r.Counter("net.fault.crc_errors", n.crcErrors.Value)
-		r.Counter("net.fault.retries", n.retries.Value)
+		s.Counter("net.fault.crc_errors", n.crcErrors.Value)
+		s.Counter("net.fault.retries", n.retries.Value)
 		r.Counter("net.fault.retry_flits", n.retryFlits.Value)
-		r.Counter("net.fault.dropped", n.dropped.Value)
+		s.Counter("net.fault.dropped", n.dropped.Value)
 		r.Counter("net.fault.stall_cycles", n.stallInj.Value)
 		r.Counter("net.fault.outage_wait_cycles", n.outageWait.Value)
 	}
@@ -197,11 +201,11 @@ func (n *Network) RegisterMetrics(r *obs.Registry) {
 		if !n.HasPlane(p) {
 			continue
 		}
-		r.Counter("net.plane."+p.String()+".msgs", n.byPlane[p].Value)
-		r.Counter("net.plane."+p.String()+".flits", n.planeFlits[p].Value)
+		s.Counter("net.plane."+p.String()+".msgs", n.byPlane[p].Value)
+		s.Counter("net.plane."+p.String()+".flits", n.planeFlits[p].Value)
 	}
 	r.Mean("net.hop_wait", &n.hopWait)
-	r.Gauge("net.inflight", func() float64 { return float64(n.inFlight) })
+	s.Gauge("net.inflight", func() float64 { return float64(n.inFlight) })
 	// Per-link metrics follow the topology's canonical link enumeration
 	// (ascending (From, To) — for the dense mesh, byte-identical names
 	// and order to the pre-interface grid scan); names are unique, so
@@ -212,20 +216,16 @@ func (n *Network) RegisterMetrics(r *obs.Registry) {
 	if len(n.links) > perLinkMetricLinksCap {
 		return
 	}
-	var label [32]byte
+	var buf [40]byte
 	for id, l := range n.links {
 		for p := Plane(0); p < numPlanes; p++ {
 			if !n.HasPlane(p) {
 				continue
 			}
-			ch := &n.ch[chanAt(int32(id), p)]
-			name := "net.link." + string(appendLinkLabel(label[:0], l, p))
-			r.Counter(name+".flits", ch.flits.Value)
-			// Utilization: fraction of elapsed cycles the channel
-			// carried flits, read against the clock at snapshot time.
-			r.Gauge(name+".util", func() float64 {
-				return stats.Ratio(float64(ch.flits.Value()), float64(n.k.Now()))
-			})
+			flits := n.ch[chanAt(int32(id), p)].flits.Value
+			name := appendLinkLabel(append(buf[:0], "net.link."...), l, p)
+			s.Counter(string(append(name, ".flits"...)), flits)
+			s.Utilization(string(append(name, ".util"...)), flits)
 		}
 	}
 }
@@ -235,52 +235,3 @@ func (n *Network) RegisterMetrics(r *obs.Registry) {
 // 4096 keeps every mesh/cmesh/torus up to 1024 tiles fully instrumented
 // (a 32x32 mesh has 3968 directed links).
 const perLinkMetricLinksCap = 4096
-
-// RegisterSeries installs the network's time-resolved probes in an
-// epoch series (DESIGN.md §15): per-class delivered-message and
-// queue-cycle deltas (congestion onset), per-plane flit deltas,
-// per-link flit deltas and duty-cycle utilization, the in-flight level,
-// and — only with a fault injector — the retry/CRC activity that drives
-// retry storms. Naming mirrors RegisterMetrics so a series column and
-// the end-of-run snapshot key for the same quantity match; the same
-// perLinkMetricLinksCap bounds the per-link family.
-func (n *Network) RegisterSeries(s *obs.Series) {
-	for c := noc.Class(0); c < noc.NumClasses; c++ {
-		slug := classSlug(c)
-		s.Delta("net.msgs."+slug, n.msgs[c].Value)
-		bd := &n.breakdown[c]
-		s.Delta("net.breakdown."+slug+".total_cycles", func() uint64 { return bd.Total })
-		s.Delta("net.breakdown."+slug+".queue_cycles", func() uint64 { return bd.Queue })
-		if n.inj != nil {
-			s.Delta("net.breakdown."+slug+".retry_cycles", func() uint64 { return bd.Retry })
-		}
-	}
-	if n.inj != nil {
-		s.Delta("net.fault.crc_errors", n.crcErrors.Value)
-		s.Delta("net.fault.retries", n.retries.Value)
-		s.Delta("net.fault.dropped", n.dropped.Value)
-	}
-	for p := Plane(0); p < numPlanes; p++ {
-		if !n.HasPlane(p) {
-			continue
-		}
-		s.Delta("net.plane."+p.String()+".msgs", n.byPlane[p].Value)
-		s.Delta("net.plane."+p.String()+".flits", n.planeFlits[p].Value)
-	}
-	s.Level("net.inflight", func() float64 { return float64(n.inFlight) })
-	if len(n.links) > perLinkMetricLinksCap {
-		return
-	}
-	var label [32]byte
-	for id, l := range n.links {
-		for p := Plane(0); p < numPlanes; p++ {
-			if !n.HasPlane(p) {
-				continue
-			}
-			ch := &n.ch[chanAt(int32(id), p)]
-			name := "net.link." + string(appendLinkLabel(label[:0], l, p))
-			s.Delta(name+".flits", ch.flits.Value)
-			s.Utilization(name+".util", ch.flits.Value)
-		}
-	}
-}

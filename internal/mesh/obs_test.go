@@ -196,7 +196,7 @@ func TestRegisterMetricsNames(t *testing.T) {
 
 	burst(k, n)
 	k.Run(nil)
-	snap := r.Snapshot()
+	snap := r.Snapshot(k.Now())
 
 	// Breakdown counters surfaced through the registry still sum
 	// exactly per class.
@@ -212,7 +212,7 @@ func TestRegisterMetricsNames(t *testing.T) {
 		}
 	}
 
-	// Utilization gauges are fractions of elapsed time.
+	// Utilizations read as gauges, fractions of elapsed time.
 	for _, name := range names {
 		m := snap[name]
 		if m.Type == "gauge" && (m.Value < 0 || m.Value > 1) &&
@@ -258,7 +258,7 @@ func BenchmarkLinkMetrics(b *testing.B) {
 	n.RegisterMetrics(r)
 	b.Run("snapshot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			r.Snapshot()
+			r.Snapshot(0)
 		}
 	})
 }

@@ -1,23 +1,28 @@
-// Package obs is tilesim's observability layer: a pull-based metrics
-// registry and a message-lifecycle tracer, threaded through the
-// simulator stack (sim, mesh, coherence, core, cmp) and surfaced by
-// the command-line front-ends (DESIGN.md §10).
+// Package obs is tilesim's observability layer (DESIGN.md §10): a
+// metrics registry in which each quantity is declared once with its
+// kind, read at the end of a run by Snapshot and on a simulated-time
+// grid by the epoch Series; a message-lifecycle tracer; and the
+// Pollers that schedule periodic samplers on the kernel. It is threaded
+// through the simulator stack (sim, mesh, coherence, core, cmp) and
+// surfaced by the command-line front-ends.
 //
 // Design rules:
 //
 //   - Zero overhead when disabled. The registry is pull-based: it holds
-//     closures over counters the components maintain anyway, so nothing
-//     happens on the hot path until Snapshot is called. Tracer hooks are
-//     nil-guarded pointer checks; with no tracer attached a hook costs
-//     one branch. Tracer methods are not nil-safe, so a hook that loses
-//     its guard crashes every untraced run that reaches it.
+//     readers over counters the components maintain anyway, so nothing
+//     happens on the hot path until a snapshot or a sample reads them.
+//     Tracer hooks are nil-guarded pointer checks; with no tracer
+//     attached a hook costs one branch. Tracer methods are not
+//     nil-safe, so a hook that loses its guard crashes every untraced
+//     run that reaches it.
 //   - Deterministic output. Snapshots serialize with sorted keys and
-//     shortest-round-trip float encoding; trace events are emitted in
-//     simulation order with simulated-clock timestamps only. Two
-//     same-seed runs produce byte-identical metrics and trace files
-//     (the CI obs-smoke job asserts this).
-//   - No simulation feedback. Hooks only read state; attaching a
-//     registry or tracer never changes a single simulated cycle.
+//     shortest-round-trip float encoding; series columns are sorted by
+//     name; trace events are emitted in simulation order with
+//     simulated-clock timestamps only. Two same-seed runs produce
+//     byte-identical metrics, series and trace files.
+//   - No simulation feedback. Readers and hooks only read state;
+//     attaching a registry, series or tracer never changes a single
+//     simulated cycle.
 package obs
 
 import (
@@ -26,8 +31,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 
+	"tilesim/internal/sim"
 	"tilesim/internal/stats"
 )
 
@@ -116,93 +123,146 @@ func (m Metric) field(name string) float64 {
 // keyed by hierarchical metric name (e.g. "net.link.00->01.B.flits").
 type Snapshot map[string]Metric
 
-// source produces one metric reading. Boxing happens once at
-// registration (cold path), never per sample.
-type source func() Metric
-
-// Registry names and snapshots the metrics of one simulated system.
-// Registration is cold-path; components keep updating their own
-// stats.Counter/Mean/Histogram values and the registry reads them out
-// on Snapshot. The zero value is not ready; use NewRegistry.
+// Registry declares every quantity of one simulated system once, by
+// name and kind, and reads them out. Declaration is cold-path:
+// components keep updating their own counters and stats values, and the
+// registry holds one typed reader per quantity, whose Go type is its
+// kind. Snapshot reads every quantity; a Series built on the registry
+// samples the quantities declared through Sampled. The zero value is
+// not ready; use NewRegistry.
+//
+// Each kind has one reading in the snapshot and one in the series:
+//
+//   - Counter: a monotone count; the series reports its increment per
+//     window.
+//   - Gauge: an instantaneous value, read at snapshot time and at each
+//     window boundary.
+//   - Utilization: a monotone busy-cycle count; the snapshot divides it
+//     by the clock, the series its increment by the window length (a
+//     0..1 duty cycle for a resource busy at most once per cycle). The
+//     snapshot reports it as a gauge.
+//   - Ratio: two monotone counts; the snapshot reports num/den over the
+//     run as a gauge, the series the increment of num over that of den
+//     in each window. Both read 0 when den is 0 or did not move.
+//   - Mean and Histogram: distributions, read by the snapshot only.
 type Registry struct {
-	sources map[string]source
+	plain   map[string]any // read by Snapshot only
+	sampled map[string]any // read by Snapshot and by a Series
+	// sampling routes this view's declarations to sampled.
+	sampling bool
 }
+
+// The readers of the scalar kinds. Storing a func reader in an
+// interface boxes nothing; a ratio's two funcs take one allocation.
+type (
+	counter     func() uint64
+	gauge       func() float64
+	utilization func() uint64
+	ratio       struct{ num, den func() uint64 }
+)
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{sources: make(map[string]source)}
+	return &Registry{plain: make(map[string]any), sampled: make(map[string]any)}
 }
 
-// register installs a source under a unique name.
-func (r *Registry) register(name string, s source) {
-	if _, dup := r.sources[name]; dup {
+// Sampled returns a view of r: a quantity declared through it is read
+// by Snapshot like any other, and an epoch Series built on r samples it
+// as well. Only the four scalar kinds can be sampled.
+func (r *Registry) Sampled() *Registry {
+	v := *r
+	v.sampling = true
+	return &v
+}
+
+// declare installs a reader under a name unique across both maps.
+func (r *Registry) declare(name string, isNil bool, q any) {
+	if isNil {
+		panic(fmt.Sprintf("obs: nil reader for metric %q", name))
+	}
+	_, dup := r.plain[name]
+	if _, s := r.sampled[name]; dup || s {
 		panic(fmt.Sprintf("obs: duplicate metric name %q", name))
 	}
-	r.sources[name] = s
+	if r.sampling {
+		r.sampled[name] = q
+	} else {
+		r.plain[name] = q
+	}
 }
 
-// Counter registers a monotone count read through fn (typically a
+// Counter declares a monotone count read through fn (typically a
 // stats.Counter.Value method value).
-func (r *Registry) Counter(name string, fn func() uint64) {
-	r.register(name, func() Metric {
-		return Metric{Type: "counter", Count: fn()}
-	})
+func (r *Registry) Counter(name string, fn func() uint64) { r.declare(name, fn == nil, counter(fn)) }
+
+// Gauge declares an instantaneous value read through fn.
+func (r *Registry) Gauge(name string, fn func() float64) { r.declare(name, fn == nil, gauge(fn)) }
+
+// Utilization declares a monotone busy-cycle count read through busy.
+func (r *Registry) Utilization(name string, busy func() uint64) {
+	r.declare(name, busy == nil, utilization(busy))
 }
 
-// Gauge registers an instantaneous value read through fn.
-func (r *Registry) Gauge(name string, fn func() float64) {
-	r.register(name, func() Metric {
-		return Metric{Type: "gauge", Value: fn()}
-	})
+// Ratio declares the ratio of two monotone counts.
+func (r *Registry) Ratio(name string, num, den func() uint64) {
+	r.declare(name, num == nil || den == nil, ratio{num, den})
 }
 
-// Mean registers a stats.Mean distribution.
-func (r *Registry) Mean(name string, m *stats.Mean) {
-	r.register(name, func() Metric {
-		return Metric{
-			Type:  "mean",
-			Count: m.N(),
-			Mean:  m.Value(),
-			Min:   m.Min(),
-			Max:   m.Max(),
-		}
-	})
-}
+// Mean declares a stats.Mean distribution.
+func (r *Registry) Mean(name string, m *stats.Mean) { r.declare(name, m == nil, m) }
 
-// Histogram registers a stats.Histogram distribution with percentile
+// Histogram declares a stats.Histogram distribution with percentile
 // summaries.
-func (r *Registry) Histogram(name string, h *stats.Histogram) {
-	r.register(name, func() Metric {
-		return Metric{
-			Type:  "histogram",
-			Count: h.N(),
-			Mean:  h.Mean(),
-			Min:   h.Min(),
-			Max:   h.Max(),
-			P50:   h.Percentile(0.50),
-			P99:   h.Percentile(0.99),
-		}
-	})
-}
+func (r *Registry) Histogram(name string, h *stats.Histogram) { r.declare(name, h == nil, h) }
 
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int { return len(r.sources) }
-
-// Names returns every registered metric name in sorted order.
+// Names returns every declared name in sorted order.
 func (r *Registry) Names() []string {
-	return stats.SortedKeys(r.sources)
+	names := append(stats.SortedKeys(r.plain), stats.SortedKeys(r.sampled)...)
+	slices.Sort(names)
+	return names
 }
 
-// Snapshot reads every source. The result is a plain map safe to
-// marshal, compare, and attach to cached results. It reads the sources
-// in map order: every source only reads, and filling a map is
-// order-free, so no sort is needed (a 1024-tile run has 18,507 names).
-func (r *Registry) Snapshot() Snapshot {
-	out := make(Snapshot, len(r.sources))
-	for name, src := range r.sources { //tilesim:ordered — read-only sources fill a map
-		out[name] = src()
+// Snapshot reads every quantity at cycle now. The result is a plain map
+// safe to marshal, compare, and attach to cached results. It reads the
+// quantities in map order: every reader only reads, and filling a map
+// is order-free, so no sort is needed (a 1024-tile run has 18,507
+// names).
+func (r *Registry) Snapshot(now sim.Time) Snapshot {
+	out := make(Snapshot, len(r.plain)+len(r.sampled))
+	for name, q := range r.plain { //tilesim:ordered — read-only readers fill a map
+		out[name] = read(q, now)
+	}
+	for name, q := range r.sampled { //tilesim:ordered — read-only readers fill a map
+		out[name] = read(q, now)
 	}
 	return out
+}
+
+// read returns one quantity's snapshot reading at cycle now.
+func read(q any, now sim.Time) Metric {
+	switch q := q.(type) {
+	case counter:
+		return Metric{Type: "counter", Count: q()}
+	case gauge:
+		return Metric{Type: "gauge", Value: q()}
+	case utilization:
+		return Metric{Type: "gauge", Value: stats.Ratio(float64(q()), float64(now))}
+	case ratio:
+		return Metric{Type: "gauge", Value: stats.Ratio(float64(q.num()), float64(q.den()))}
+	case *stats.Mean:
+		return Metric{Type: "mean", Count: q.N(), Mean: q.Value(), Min: q.Min(), Max: q.Max()}
+	case *stats.Histogram:
+		return Metric{
+			Type:  "histogram",
+			Count: q.N(),
+			Mean:  q.Mean(),
+			Min:   q.Min(),
+			Max:   q.Max(),
+			P50:   q.Percentile(0.50),
+			P99:   q.Percentile(0.99),
+		}
+	}
+	panic(fmt.Sprintf("obs: no reading for %T", q))
 }
 
 // WriteJSON serializes the snapshot as pretty-printed JSON with sorted

@@ -18,7 +18,14 @@ func TestRegistrySnapshot(t *testing.T) {
 	c.Add(42)
 	r.Counter("net.msgs", c.Value)
 
-	r.Gauge("net.util", func() float64 { return 0.375 })
+	r.Gauge("net.level", func() float64 { return 0.375 })
+
+	var busy stats.Counter
+	busy.Add(30)
+	r.Sampled().Utilization("net.util", busy.Value)
+
+	num, den := uint64(3), uint64(4)
+	r.Sampled().Ratio("mgr.coverage", func() uint64 { return num }, func() uint64 { return den })
 
 	var m stats.Mean
 	m.Observe(10)
@@ -30,16 +37,24 @@ func TestRegistrySnapshot(t *testing.T) {
 	h.Observe(5)
 	r.Histogram("lat.hist", h)
 
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
+	if n := len(r.Names()); n != 6 {
+		t.Fatalf("%d names, want 6", n)
 	}
 
-	snap := r.Snapshot()
+	snap := r.Snapshot(120)
 	if got := snap["net.msgs"]; got.Type != "counter" || got.Count != 42 {
 		t.Errorf("counter metric = %+v", got)
 	}
-	if got := snap["net.util"]; got.Type != "gauge" || got.Value != 0.375 {
+	if got := snap["net.level"]; got.Type != "gauge" || got.Value != 0.375 {
 		t.Errorf("gauge metric = %+v", got)
+	}
+	// A utilization reads as a gauge: busy cycles over the clock.
+	if got := snap["net.util"]; got.Type != "gauge" || got.Value != 0.25 {
+		t.Errorf("utilization metric = %+v, want a gauge of 30/120", got)
+	}
+	// A ratio reads as a gauge: num/den over the run.
+	if got := snap["mgr.coverage"]; got.Type != "gauge" || got.Value != 0.75 {
+		t.Errorf("ratio metric = %+v, want a gauge of 3/4", got)
 	}
 	if got := snap["lat.mean"]; got.Type != "mean" || got.Count != 2 ||
 		got.Mean != 15 || got.Min != 10 || got.Max != 20 {
@@ -49,11 +64,16 @@ func TestRegistrySnapshot(t *testing.T) {
 		got.Min != 3 || got.Max != 5 || got.P99 != 5 {
 		t.Errorf("histogram metric = %+v", got)
 	}
+	// Both scalar ratios read 0 before their clock or denominator moves.
+	den = 0
+	if snap := r.Snapshot(0); snap["net.util"].Value != 0 || snap["mgr.coverage"].Value != 0 {
+		t.Errorf("zero-denominator readings = %+v, %+v, want 0", snap["net.util"], snap["mgr.coverage"])
+	}
 
 	// Registry is pull-based: later component updates show up in a new
 	// snapshot without re-registration.
 	c.Inc()
-	if got := r.Snapshot()["net.msgs"]; got.Count != 43 {
+	if got := r.Snapshot(120)["net.msgs"]; got.Count != 43 {
 		t.Errorf("pull-through counter = %d, want 43", got.Count)
 	}
 	// ... but an existing snapshot is a frozen copy.
@@ -64,27 +84,50 @@ func TestRegistrySnapshot(t *testing.T) {
 
 func TestRegistryNamesSorted(t *testing.T) {
 	r := NewRegistry()
-	for _, name := range []string{"zeta", "alpha", "mid"} {
+	for _, name := range []string{"zeta", "alpha"} {
 		r.Counter(name, func() uint64 { return 0 })
 	}
-	names := r.Names()
-	want := []string{"alpha", "mid", "zeta"}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Names = %v, want %v", names, want)
-		}
+	r.Sampled().Counter("mid", func() uint64 { return 0 })
+	if names, want := r.Names(), []string{"alpha", "mid", "zeta"}; !slices.Equal(names, want) {
+		t.Fatalf("Names = %v, want %v", names, want)
 	}
 }
 
+// TestRegistryDuplicatePanics declares one name twice through every
+// pair of the plain and sampled views, and every kind with a nil
+// reader through both: each must panic at declaration, naming the
+// quantity.
 func TestRegistryDuplicatePanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("dup", func() uint64 { return 0 })
-	defer func() {
-		if msg, ok := recover().(string); !ok || !strings.Contains(msg, "dup") {
-			t.Fatalf("duplicate registration did not panic with name: %v", msg)
+	expectPanic := func(name, want string, fn func(r *Registry)) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, want) || !strings.Contains(msg, `"x"`) {
+				t.Errorf("%s: panic = %q, want mention of %q and the name", name, msg, want)
+			}
+		}()
+		fn(NewRegistry())
+	}
+	zero := func() uint64 { return 0 }
+	views := map[string]func(*Registry) *Registry{
+		"plain":   func(r *Registry) *Registry { return r },
+		"sampled": (*Registry).Sampled,
+	}
+	for first, v1 := range views {
+		for second, v2 := range views {
+			expectPanic(first+" then "+second, "duplicate metric name", func(r *Registry) {
+				v1(r).Counter("x", zero)
+				v2(r).Gauge("x", func() float64 { return 0 })
+			})
 		}
-	}()
-	r.Gauge("dup", func() float64 { return 0 })
+		expectPanic(first+" nil counter", "nil reader", func(r *Registry) { v1(r).Counter("x", nil) })
+		expectPanic(first+" nil gauge", "nil reader", func(r *Registry) { v1(r).Gauge("x", nil) })
+		expectPanic(first+" nil utilization", "nil reader", func(r *Registry) { v1(r).Utilization("x", nil) })
+		expectPanic(first+" nil ratio num", "nil reader", func(r *Registry) { v1(r).Ratio("x", nil, zero) })
+		expectPanic(first+" nil ratio den", "nil reader", func(r *Registry) { v1(r).Ratio("x", zero, nil) })
+	}
+	expectPanic("nil mean", "nil reader", func(r *Registry) { r.Mean("x", nil) })
+	expectPanic("nil histogram", "nil reader", func(r *Registry) { r.Histogram("x", nil) })
 }
 
 func TestSnapshotWriteJSON(t *testing.T) {
@@ -93,7 +136,7 @@ func TestSnapshotWriteJSON(t *testing.T) {
 	c.Add(7)
 	r.Counter("b.count", c.Value)
 	r.Gauge("a.gauge", func() float64 { return 2.5 })
-	snap := r.Snapshot()
+	snap := r.Snapshot(0)
 
 	var buf bytes.Buffer
 	if err := snap.WriteJSON(&buf); err != nil {

@@ -3,12 +3,27 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
 	"tilesim/internal/sim"
 	"tilesim/internal/stats"
 )
+
+// declareWorkload declares one sampled quantity of each scalar kind
+// over the workload's counters, plus an unsampled counter the series
+// must leave out.
+func declareWorkload(flits *stats.Counter, live *int) *Registry {
+	r := NewRegistry()
+	s := r.Sampled()
+	s.Counter("net.flits", flits.Value)
+	s.Gauge("coh.mshr_live", func() float64 { return float64(*live) })
+	s.Utilization("net.link_util", flits.Value)
+	s.Ratio("compress.ratio", flits.Value, func() uint64 { return flits.Value() * 2 })
+	r.Counter("net.bytes", flits.Value)
+	return r
+}
 
 // driveSeries runs a fixed workload against a fresh series: a counter
 // incremented by 3 every 10 cycles at 3,13,...,93 (offset so no event
@@ -29,12 +44,7 @@ func driveSeries(t *testing.T) *SeriesData {
 	}
 	k.Schedule(3, chain)
 
-	s := NewSeries(25)
-	s.Delta("net.flits", flits.Value)
-	s.Level("coh.mshr_live", func() float64 { return float64(live) })
-	s.Utilization("net.link_util", flits.Value)
-	s.DeltaRatio("compress.ratio", flits.Value, func() uint64 { return flits.Value() * 2 })
-	data := s.Start(NewPollers(k))
+	data := NewSeries(declareWorkload(&flits, &live), 25).Start(NewPollers(k))
 	k.Run(nil)
 	return data
 }
@@ -103,7 +113,7 @@ func TestSeriesSampling(t *testing.T) {
 	if got := r1[col("net.link_util")]; got != 9.0/25.0 {
 		t.Errorf("utilization = %v, want 0.36", got)
 	}
-	// DeltaRatio: numerator delta / denominator delta = 9/18 = 0.5 in
+	// Ratio: numerator delta / denominator delta = 9/18 = 0.5 in
 	// every active window (the denominator tracks 2× the numerator).
 	if got := r1[col("compress.ratio")]; got != 0.5 {
 		t.Errorf("delta ratio = %v, want 0.5", got)
@@ -196,6 +206,10 @@ func TestSeriesEmptyJSON(t *testing.T) {
 	}
 }
 
+// TestSeriesRegistrationPanics covers the series' own panics: a
+// distribution declared through the sampled view has no series reading,
+// and a series starts once. The declaration panics of sampled
+// quantities are TestRegistryDuplicatePanics'.
 func TestSeriesRegistrationPanics(t *testing.T) {
 	expectPanic := func(name, want string, fn func()) {
 		t.Helper()
@@ -207,50 +221,31 @@ func TestSeriesRegistrationPanics(t *testing.T) {
 		}()
 		fn()
 	}
-
-	expectPanic("dup", "duplicate series column", func() {
-		s := NewSeries(10)
-		s.Delta("x", func() uint64 { return 0 })
-		s.Delta("x", func() uint64 { return 0 })
-	})
-	expectPanic("nil delta", "nil sampler", func() {
-		NewSeries(10).Delta("x", nil)
-	})
-	expectPanic("nil level", "nil sampler", func() {
-		NewSeries(10).Level("x", nil)
-	})
-	expectPanic("nil util", "nil sampler", func() {
-		NewSeries(10).Utilization("x", nil)
-	})
-	expectPanic("nil ratio den", "nil sampler", func() {
-		NewSeries(10).DeltaRatio("x", func() uint64 { return 0 }, nil)
-	})
-	expectPanic("post-start", "after Start", func() {
-		k := sim.NewKernel()
-		s := NewSeries(10)
-		s.Delta("x", func() uint64 { return 0 })
-		s.Start(NewPollers(k))
-		s.Delta("y", func() uint64 { return 0 })
+	expectPanic("sampled mean", "cannot sample", func() {
+		r := NewRegistry()
+		r.Sampled().Mean("x", &stats.Mean{})
+		NewSeries(r, 10).Start(NewPollers(sim.NewKernel()))
 	})
 	expectPanic("double start", "started twice", func() {
 		k := sim.NewKernel()
-		s := NewSeries(10)
+		s := NewSeries(NewRegistry(), 10)
 		s.Start(NewPollers(k))
 		s.Start(NewPollers(k))
 	})
 }
 
 func TestSeriesZeroIntervalClamps(t *testing.T) {
-	if s := NewSeries(0); s.interval != 1 {
+	if s := NewSeries(NewRegistry(), 0); s.interval != 1 {
 		t.Fatalf("interval = %d, want clamp to 1", s.interval)
 	}
 }
 
-// finishSeries builds the driveSeries workload plus an optional far
-// trailing no-op event (so the poller keeps sampling past the last real
-// event, producing several beyond-end rows) and returns the live Series
-// for Finish-level tests.
-func finishSeries(t *testing.T, trailingEvent sim.Time) (*sim.Kernel, *Series, *SeriesData) {
+// finishSeries builds the driveSeries workload, whose last event is at
+// cycle 93, plus an optional far trailing no-op event (so the poller
+// keeps ticking past the last real event), marks the series' end at 93
+// from an event scheduled there, and returns the live Series for
+// Finish-level tests.
+func finishSeries(t *testing.T, trailingEvent sim.Time) (*Series, *SeriesData) {
 	t.Helper()
 	k := sim.NewKernel()
 	var flits stats.Counter
@@ -268,23 +263,20 @@ func finishSeries(t *testing.T, trailingEvent sim.Time) (*sim.Kernel, *Series, *
 		k.ScheduleAt(trailingEvent, func() {})
 	}
 
-	s := NewSeries(25)
-	s.Delta("net.flits", flits.Value)
-	s.Level("coh.mshr_live", func() float64 { return float64(live) })
-	s.Utilization("net.link_util", flits.Value)
-	s.DeltaRatio("compress.ratio", flits.Value, func() uint64 { return flits.Value() * 2 })
+	s := NewSeries(declareWorkload(&flits, &live), 25)
 	data := s.Start(NewPollers(k))
+	k.ScheduleAt(93, func() { s.End(k.Now()) })
 	k.Run(nil)
-	return k, s, data
+	return s, data
 }
 
 // TestSeriesFinishPartialEpoch drives a run whose end (cycle 93) the
-// 25-cycle grid does not divide: Finish must replace the beyond-end row
-// the trailing poll sampled at 100 with a partial epoch stamped at 93,
-// and every delta column must sum to its counter's end-of-run total.
+// 25-cycle grid does not divide: the trailing poll at 100 records no
+// row, and Finish appends a partial epoch stamped at 93; every delta
+// column must sum to its counter's end-of-run total.
 func TestSeriesFinishPartialEpoch(t *testing.T) {
-	_, s, d := finishSeries(t, 0)
-	s.Finish(93)
+	s, d := finishSeries(t, 0)
+	s.Finish()
 
 	wantTimes := []uint64{0, 25, 50, 75, 93}
 	if d.Rows() != len(wantTimes) {
@@ -331,39 +323,43 @@ func TestSeriesFinishPartialEpoch(t *testing.T) {
 }
 
 // TestSeriesFinishRewindsTrailingRows plants a far no-op event so the
-// poller emits many beyond-end rows (100, 125, ..., past 260); Finish
-// must drop them all and still fold every increment since the last kept
-// full epoch into the one partial row — the multi-row rewind path.
+// poller keeps ticking long past the end End marks at 93 (100, 125,
+// ..., past 260): no row after the end may be recorded, and Finish must
+// still fold every increment since the last full epoch into the one
+// partial row.
 func TestSeriesFinishRewindsTrailingRows(t *testing.T) {
-	_, s, d := finishSeries(t, 260)
-	if d.Rows() < 7 {
-		t.Fatalf("trailing event produced only %d rows; want several beyond-end rows", d.Rows())
+	s, d := finishSeries(t, 260)
+	for _, at := range d.Times {
+		if at > 93 {
+			t.Fatalf("row recorded at %d, after the end at 93 (times %v)", at, d.Times)
+		}
 	}
-	s.Finish(93)
+	s.Finish()
 	if got := d.Times[d.Rows()-1]; got != 93 {
 		t.Fatalf("last row at %d, want the end cycle 93 (times %v)", got, d.Times)
 	}
-	col := 0
-	for i, c := range d.Columns {
-		if c == "net.flits" {
-			col = i
-		}
-	}
+	col := slices.Index(d.Columns, "net.flits")
 	var sum float64
 	for i := 0; i < d.Rows(); i++ {
 		sum += d.Row(i)[col]
 	}
 	if sum != 30 {
-		t.Errorf("rewound delta column sums to %v, want 30", sum)
+		t.Errorf("delta column sums to %v, want 30", sum)
 	}
 }
 
 // TestSeriesFinishExactGridNoop: when the grid divides the run exactly
 // the table is left untouched — no empty partial row is appended.
 func TestSeriesFinishExactGridNoop(t *testing.T) {
-	_, s, d := finishSeries(t, 0)
+	k := sim.NewKernel()
+	var flits stats.Counter
+	var live int
+	s := NewSeries(declareWorkload(&flits, &live), 25)
+	d := s.Start(NewPollers(k))
+	k.ScheduleAt(100, func() { flits.Add(3); s.End(k.Now()) })
+	k.Run(nil)
 	before := len(d.Times)
-	s.Finish(100) // the trailing poll landed exactly on the grid
+	s.Finish() // the poll at 100 landed exactly on the end
 	if len(d.Times) != before || d.Times[len(d.Times)-1] != 100 {
 		t.Fatalf("exact-grid Finish changed the table: times %v", d.Times)
 	}
@@ -381,11 +377,16 @@ func TestSeriesFinishPanics(t *testing.T) {
 		fn()
 	}
 	expectPanic("before start", "before Start", func() {
-		NewSeries(10).Finish(5)
+		NewSeries(NewRegistry(), 10).Finish()
+	})
+	expectPanic("before end", "before End", func() {
+		s := NewSeries(NewRegistry(), 10)
+		s.Start(NewPollers(sim.NewKernel()))
+		s.Finish()
 	})
 	expectPanic("double finish", "finished twice", func() {
-		_, s, _ := finishSeries(t, 0)
-		s.Finish(93)
-		s.Finish(93)
+		s, _ := finishSeries(t, 0)
+		s.Finish()
+		s.Finish()
 	})
 }

@@ -176,59 +176,6 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 }
 
-func TestTickerDisarmsWhenDrained(t *testing.T) {
-	k := NewKernel()
-	work := 5
-	var ticks int
-	tk := NewTicker(k, 2, func() bool {
-		ticks++
-		work--
-		return work > 0
-	})
-	tk.Arm()
-	if !tk.Armed() {
-		t.Fatal("ticker not armed after Arm")
-	}
-	k.Run(nil)
-	if ticks != 5 {
-		t.Fatalf("ticks %d, want 5", ticks)
-	}
-	if tk.Armed() {
-		t.Fatal("ticker still armed after drain")
-	}
-	if k.Now() != 10 {
-		t.Fatalf("clock %d, want 10", k.Now())
-	}
-	// Re-arming restarts it.
-	work = 2
-	tk.Arm()
-	k.Run(nil)
-	if ticks != 7 {
-		t.Fatalf("ticks %d after re-arm, want 7", ticks)
-	}
-}
-
-func TestTickerDoubleArmIsIdempotent(t *testing.T) {
-	k := NewKernel()
-	ticks := 0
-	tk := NewTicker(k, 1, func() bool { ticks++; return false })
-	tk.Arm()
-	tk.Arm()
-	k.Run(nil)
-	if ticks != 1 {
-		t.Fatalf("double arm produced %d ticks, want 1", ticks)
-	}
-}
-
-func TestTickerZeroPeriodPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero period did not panic")
-		}
-	}()
-	NewTicker(NewKernel(), 0, func() bool { return false })
-}
-
 func BenchmarkKernelScheduleRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
