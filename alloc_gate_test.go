@@ -10,9 +10,11 @@ package tilesim
 //     1024-tile torus cell;
 //   - TestAllocSlope: allocations per simulated reference between two
 //     run lengths, on every configuration of the byte-identity matrix
-//     and the scheme and layout runs only cmd/figures reaches.
+//     and the scheme and layout runs only cmd/figures reaches;
+//   - TestResultEncodingAllocGate: bytes allocated by sweep.Digest and
+//     a disk-cache Put of a 1024-tile result.
 //
-// The alloc-gate CI job runs these three tests. After a deliberate
+// The alloc-gate CI job runs these four tests. After a deliberate
 // allocation change, re-measure the gates with
 //
 //	go test -run '^$' -bench 'AllocGate$' -benchtime 5x -benchmem .
@@ -30,6 +32,7 @@ import (
 	"tilesim/internal/cmp"
 	"tilesim/internal/compress"
 	"tilesim/internal/fault"
+	"tilesim/internal/sweep"
 	"tilesim/internal/workload"
 )
 
@@ -55,6 +58,10 @@ type allocBudget struct {
 	SlopeAllocsPerRefCeiling  float64 `json:"slope_allocs_per_ref_ceiling"`
 	SlopeMeasuredAllocsPerRef float64 `json:"slope_measured_allocs_per_ref"`
 	SlopeMeasuredWorst        string  `json:"slope_measured_worst"`
+	// Result-encoding check: bytes allocated by one digest or one
+	// disk-cache Put of the 1024-tile bench result, each.
+	EncodeBytesCeiling  uint64 `json:"encode_bytes_ceiling"`
+	EncodeMeasuredBytes uint64 `json:"encode_measured_bytes"`
 }
 
 func readAllocBudget(t testing.TB) allocBudget {
@@ -75,6 +82,9 @@ func readAllocBudget(t testing.TB) allocBudget {
 	}
 	if b.SlopeAllocsPerRefCeiling == 0 {
 		t.Fatal("alloc gate: ALLOC_BUDGET.json lacks slope_allocs_per_ref_ceiling")
+	}
+	if b.EncodeBytesCeiling == 0 {
+		t.Fatal("alloc gate: ALLOC_BUDGET.json lacks encode_bytes_ceiling")
 	}
 	return b
 }
@@ -350,4 +360,45 @@ func TestAllocSlope(t *testing.T) {
 	}
 	t.Logf("alloc slope: worst %.4f allocs/ref on %s (ceiling %g, recorded %.4f on %s)",
 		worst, worstName, budget.SlopeAllocsPerRefCeiling, budget.SlopeMeasuredAllocsPerRef, budget.SlopeMeasuredWorst)
+}
+
+// TestResultEncodingAllocGate requires the digest and the disk cache to
+// stream a result's encoding instead of holding it: on the 1024-tile
+// torus result bench/ digests (fft-torus1024: 18,507 metrics, 1.4 MB of
+// JSON), sweep.Digest and a disk-cache Put must each allocate at most
+// the ALLOC_BUDGET.json ceiling. Materializing the encoding, as
+// json.Marshal does, allocates 7.6 MB. Skipped under -race, like
+// TestAllocGate.
+func TestResultEncodingAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	budget := readAllocBudget(t)
+	res, err := cmp.Run(cmp.RunConfig{
+		App: "FFT", RefsPerCore: 40, WarmupRefs: 10, Seed: 1, Topology: "torus", Tiles: 1024,
+		Compression:   compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 2},
+		Heterogeneous: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := sweep.NewDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"sweep.Digest", func() { sweep.Digest(res) }},
+		{"Cache.Put", func() { cache.Put("fft-torus1024", res) }},
+	} {
+		allocs, bytes := measureRun(c.fn)
+		t.Logf("%s: %d allocs, %d B (ceiling %d B, recorded %d B)",
+			c.name, allocs, bytes, budget.EncodeBytesCeiling, budget.EncodeMeasuredBytes)
+		if bytes > budget.EncodeBytesCeiling {
+			t.Errorf("%s allocated %d B, above the ALLOC_BUDGET.json ceiling of %d B: "+
+				"the result's encoding is being held, not streamed", c.name, bytes, budget.EncodeBytesCeiling)
+		}
+	}
 }

@@ -66,6 +66,11 @@ type Meter struct {
 	routerDynJ  Joules
 	comprEvents uint64
 
+	// perTransition caches wire.DynamicEnergyPerTransition per wire kind
+	// at the link length it was computed for: every link of a network
+	// has the same length, so each kind computes it once per run.
+	perTransition [wire.NumKinds]struct{ lengthM, joules float64 }
+
 	// Standing resources for static integration.
 	staticLinkW float64
 	routers     int
@@ -87,8 +92,12 @@ func (m *Meter) AddStaticWires(kind wire.Kind, lengthM float64, wires int) {
 // LinkTraversal implements mesh.Observer: msgBytes of payload cross one
 // link of the given kind.
 func (m *Meter) LinkTraversal(kind wire.Kind, lengthM float64, msgBytes int, flits noc.FlitCount) {
+	e := &m.perTransition[kind]
+	if e.lengthM != lengthM {
+		e.lengthM, e.joules = lengthM, wire.DynamicEnergyPerTransition(kind, lengthM)
+	}
 	bits := float64(msgBytes * 8)
-	m.linkDynJ += Joules(bits * Alpha * wire.DynamicEnergyPerTransition(kind, lengthM))
+	m.linkDynJ += Joules(bits * Alpha * e.joules)
 }
 
 // RouterHop implements mesh.Observer.

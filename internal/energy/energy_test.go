@@ -24,6 +24,28 @@ func TestLinkDynAccumulation(t *testing.T) {
 	}
 }
 
+// TestLinkDynCachedPerKindIsExact feeds the meter traversals that
+// alternate wire kinds and link lengths: every addend must be the
+// uncached bits * Alpha * DynamicEnergyPerTransition, bit for bit.
+func TestLinkDynCachedPerKindIsExact(t *testing.T) {
+	m := NewMeter(16)
+	var want Joules
+	for _, h := range []struct {
+		kind    wire.Kind
+		lengthM float64
+		bytes   int
+	}{
+		{wire.B8X, 5e-3, 11}, {wire.VL5B, 5e-3, 5}, {wire.B8X, 5e-3, 67},
+		{wire.B8X, 2.5e-3, 11}, {wire.VL5B, 5e-3, 4}, {wire.B8X, 5e-3, 11}, {wire.PW4X, 0, 3},
+	} {
+		m.LinkTraversal(h.kind, h.lengthM, h.bytes, 1)
+		want += Joules(float64(h.bytes*8) * Alpha * wire.DynamicEnergyPerTransition(h.kind, h.lengthM))
+		if got := m.Link(0).DynJ; got != want {
+			t.Fatalf("after %+v: link dyn %g, want %g exactly", h, got, want)
+		}
+	}
+}
+
 func TestStaticIntegratesOverTime(t *testing.T) {
 	m := NewMeter(16)
 	m.AddStaticWires(wire.B8X, 5e-3, 600*48)

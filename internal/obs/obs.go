@@ -26,13 +26,10 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
-	"io"
-	"math"
 	"slices"
 	"strconv"
+	"strings"
 
 	"tilesim/internal/sim"
 	"tilesim/internal/stats"
@@ -50,73 +47,6 @@ type Metric struct {
 	Max   float64 `json:"max,omitempty"`
 	P50   float64 `json:"p50,omitempty"`
 	P99   float64 `json:"p99,omitempty"`
-}
-
-// activeFields maps each metric type to the fields that are meaningful
-// for it — the fields MarshalJSON always emits, zero or not.
-var activeFields = map[string][]string{
-	"counter":   {"count"},
-	"gauge":     {"value"},
-	"mean":      {"count", "mean", "min", "max"},
-	"histogram": {"count", "mean", "min", "max", "p50", "p99"},
-}
-
-// MarshalJSON emits the metric with its type's active fields always
-// present, so a counter at Count 0 ({"type":"counter","count":0}) is
-// distinguishable from an absent or corrupted field set — the plain
-// struct tags' omitempty made the two byte-identical. Inactive fields
-// (always zero by construction) stay omitted. Unknown types fall back
-// to emitting every non-zero field. Floats are clamped like
-// formatFloat (NaN/Inf to 0), so marshaling never fails.
-//
-// This governs the encoding/json path only (sweep cache entries,
-// figures sidecars); Snapshot.WriteJSON keeps its original
-// omit-all-zeros encoding so existing golden snapshot files stay
-// byte-identical.
-func (m Metric) MarshalJSON() ([]byte, error) {
-	var b bytes.Buffer
-	b.WriteString(`{"type":` + quote(m.Type))
-	fields := activeFields[m.Type]
-	if fields == nil {
-		// Unknown type: preserve whatever is set.
-		for _, f := range []string{"count", "value", "mean", "min", "max", "p50", "p99"} {
-			if m.field(f) != 0 {
-				fields = append(fields, f)
-			}
-		}
-	}
-	for _, f := range fields {
-		b.WriteString("," + quote(f) + ":")
-		if f == "count" {
-			fmt.Fprintf(&b, "%d", m.Count)
-		} else {
-			b.WriteString(formatFloat(m.field(f)))
-		}
-	}
-	b.WriteString("}")
-	return b.Bytes(), nil
-}
-
-// field returns the named field's value as a float64 (Count included,
-// exact below 2^53 — metric counts in practice).
-func (m Metric) field(name string) float64 {
-	switch name {
-	case "count":
-		return float64(m.Count)
-	case "value":
-		return m.Value
-	case "mean":
-		return m.Mean
-	case "min":
-		return m.Min
-	case "max":
-		return m.Max
-	case "p50":
-		return m.P50
-	case "p99":
-		return m.P99
-	}
-	panic(fmt.Sprintf("obs: unknown metric field %q", name))
 }
 
 // Snapshot is a point-in-time reading of every registered metric,
@@ -146,10 +76,31 @@ type Snapshot map[string]Metric
 //     in each window. Both read 0 when den is 0 or did not move.
 //   - Mean and Histogram: distributions, read by the snapshot only.
 type Registry struct {
-	plain   map[string]any // read by Snapshot only
-	sampled map[string]any // read by Snapshot and by a Series
-	// sampling routes this view's declarations to sampled.
+	decls *declarations // shared by r and its Sampled view
+	// sampling marks this view's declarations as sampled.
 	sampling bool
+}
+
+// declarations holds a registry's declarations in declaration order,
+// in chunks of declChunk: each chunk is allocated once and never
+// regrown, so a 1024-tile system's 18,507 declarations leave no growth
+// garbage behind. A name is checked for duplicates where the
+// declarations are read (Snapshot, NewSeries, Names), not at each
+// declaration.
+type declarations struct {
+	chunks [][]decl
+	n      int
+}
+
+// declChunk is the number of declarations per chunk (10 KB).
+const declChunk = 256
+
+// decl is one declared quantity: its name, its reader and whether the
+// series samples it.
+type decl struct {
+	name    string
+	q       any
+	sampled bool
 }
 
 // The readers of the scalar kinds. Storing a func reader in an
@@ -162,33 +113,42 @@ type (
 )
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{plain: make(map[string]any), sampled: make(map[string]any)}
-}
+func NewRegistry() *Registry { return &Registry{decls: &declarations{}} }
 
 // Sampled returns a view of r: a quantity declared through it is read
 // by Snapshot like any other, and an epoch Series built on r samples it
 // as well. Only the four scalar kinds can be sampled.
-func (r *Registry) Sampled() *Registry {
-	v := *r
-	v.sampling = true
-	return &v
-}
+func (r *Registry) Sampled() *Registry { return &Registry{decls: r.decls, sampling: true} }
 
-// declare installs a reader under a name unique across both maps.
+// declare appends a reader under a name. A nil reader panics here; a
+// name declared twice panics when the declarations are read.
 func (r *Registry) declare(name string, isNil bool, q any) {
 	if isNil {
 		panic(fmt.Sprintf("obs: nil reader for metric %q", name))
 	}
-	_, dup := r.plain[name]
-	if _, s := r.sampled[name]; dup || s {
-		panic(fmt.Sprintf("obs: duplicate metric name %q", name))
+	d := r.decls
+	if len(d.chunks) == 0 || len(d.chunks[len(d.chunks)-1]) == declChunk {
+		d.chunks = append(d.chunks, make([]decl, 0, declChunk))
 	}
-	if r.sampling {
-		r.sampled[name] = q
-	} else {
-		r.plain[name] = q
+	last := &d.chunks[len(d.chunks)-1]
+	*last = append(*last, decl{name: name, q: q, sampled: r.sampling})
+	d.n++
+}
+
+// sorted returns every declaration in name order. It panics on the
+// first name declared twice, across the plain and sampled views alike.
+func (r *Registry) sorted() []decl {
+	all := make([]decl, 0, r.decls.n)
+	for _, c := range r.decls.chunks {
+		all = append(all, c...)
 	}
+	slices.SortFunc(all, func(a, b decl) int { return strings.Compare(a.name, b.name) })
+	for i := 1; i < len(all); i++ {
+		if all[i].name == all[i-1].name {
+			panic(fmt.Sprintf("obs: duplicate metric name %q", all[i].name))
+		}
+	}
+	return all
 }
 
 // Counter declares a monotone count read through fn (typically a
@@ -215,25 +175,30 @@ func (r *Registry) Mean(name string, m *stats.Mean) { r.declare(name, m == nil, 
 // summaries.
 func (r *Registry) Histogram(name string, h *stats.Histogram) { r.declare(name, h == nil, h) }
 
-// Names returns every declared name in sorted order.
+// Names returns every declared name in sorted order. A name declared
+// twice panics.
 func (r *Registry) Names() []string {
-	names := append(stats.SortedKeys(r.plain), stats.SortedKeys(r.sampled)...)
-	slices.Sort(names)
+	all := r.sorted()
+	names := make([]string, len(all))
+	for i, d := range all {
+		names[i] = d.name
+	}
 	return names
 }
 
 // Snapshot reads every quantity at cycle now. The result is a plain map
 // safe to marshal, compare, and attach to cached results. It reads the
-// quantities in map order: every reader only reads, and filling a map
-// is order-free, so no sort is needed (a 1024-tile run has 18,507
-// names).
+// quantities in declaration order into a map sized once; a map shorter
+// than the declarations holds a name declared twice, which panics.
 func (r *Registry) Snapshot(now sim.Time) Snapshot {
-	out := make(Snapshot, len(r.plain)+len(r.sampled))
-	for name, q := range r.plain { //tilesim:ordered — read-only readers fill a map
-		out[name] = read(q, now)
+	out := make(Snapshot, r.decls.n)
+	for _, c := range r.decls.chunks {
+		for _, d := range c {
+			out[d.name] = read(d.q, now)
+		}
 	}
-	for name, q := range r.sampled { //tilesim:ordered — read-only readers fill a map
-		out[name] = read(q, now)
+	if len(out) != r.decls.n {
+		r.sorted() // panics naming the duplicate
 	}
 	return out
 }
@@ -263,57 +228,6 @@ func read(q any, now sim.Time) Metric {
 		}
 	}
 	panic(fmt.Sprintf("obs: no reading for %T", q))
-}
-
-// WriteJSON serializes the snapshot as pretty-printed JSON with sorted
-// keys and shortest-round-trip floats, so two snapshots of identical
-// readings are byte-identical.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\n")
-	for i, name := range stats.SortedKeys(s) {
-		m := s[name]
-		if i > 0 {
-			bw.WriteString(",\n")
-		}
-		fmt.Fprintf(bw, "  %s: {", quote(name))
-		fmt.Fprintf(bw, "\"type\": %s", quote(m.Type))
-		if m.Count != 0 {
-			fmt.Fprintf(bw, ", \"count\": %d", m.Count)
-		}
-		writeFloatField(bw, "value", m.Value)
-		writeFloatField(bw, "mean", m.Mean)
-		writeFloatField(bw, "min", m.Min)
-		writeFloatField(bw, "max", m.Max)
-		writeFloatField(bw, "p50", m.P50)
-		writeFloatField(bw, "p99", m.P99)
-		bw.WriteString("}")
-	}
-	bw.WriteString("\n}\n")
-	return bw.Flush()
-}
-
-// writeFloatField emits a ", \"key\": value" pair, omitting zeros (the
-// struct tags' omitempty, mirrored for the hand-rolled writer).
-func writeFloatField(w *bufio.Writer, key string, v float64) {
-	if v == 0 {
-		return
-	}
-	fmt.Fprintf(w, ", %s: %s", quote(key), formatFloat(v))
-}
-
-// formatFloat renders a float as a JSON number: shortest
-// round-trippable form, never NaN/Inf (clamped to 0, which valid
-// metrics never produce).
-func formatFloat(v float64) string {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return "0"
-	}
-	out := strconv.FormatFloat(v, 'g', -1, 64)
-	// JSON numbers may not spell "e+07" with Go's 'g' uppercase — 'g'
-	// emits lowercase 'e', which JSON accepts. Nothing to fix, but keep
-	// integers readable.
-	return out
 }
 
 // quote escapes a string for JSON. Metric names and types are plain ASCII

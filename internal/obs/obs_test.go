@@ -94,9 +94,10 @@ func TestRegistryNamesSorted(t *testing.T) {
 }
 
 // TestRegistryDuplicatePanics declares one name twice through every
-// pair of the plain and sampled views, and every kind with a nil
-// reader through both: each must panic at declaration, naming the
-// quantity.
+// pair of the plain and sampled views: each of the registry's readers
+// (Snapshot, NewSeries, Names) must panic before producing anything,
+// naming the quantity. Every kind with a nil reader, through both
+// views, must panic at declaration.
 func TestRegistryDuplicatePanics(t *testing.T) {
 	expectPanic := func(name, want string, fn func(r *Registry)) {
 		t.Helper()
@@ -113,12 +114,21 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 		"plain":   func(r *Registry) *Registry { return r },
 		"sampled": (*Registry).Sampled,
 	}
+	readers := map[string]func(*Registry){
+		"Snapshot":  func(r *Registry) { r.Snapshot(0) },
+		"NewSeries": func(r *Registry) { NewSeries(r, 1) },
+		"Names":     func(r *Registry) { r.Names() },
+	}
 	for first, v1 := range views {
 		for second, v2 := range views {
-			expectPanic(first+" then "+second, "duplicate metric name", func(r *Registry) {
-				v1(r).Counter("x", zero)
-				v2(r).Gauge("x", func() float64 { return 0 })
-			})
+			for reader, read := range readers {
+				expectPanic(first+" then "+second+", "+reader, "duplicate metric name", func(r *Registry) {
+					v1(r).Counter("x", zero)
+					r.Counter("y", zero)
+					v2(r).Gauge("x", func() float64 { return 0 })
+					read(r)
+				})
+			}
 		}
 		expectPanic(first+" nil counter", "nil reader", func(r *Registry) { v1(r).Counter("x", nil) })
 		expectPanic(first+" nil gauge", "nil reader", func(r *Registry) { v1(r).Gauge("x", nil) })

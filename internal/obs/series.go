@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"tilesim/internal/sim"
-	"tilesim/internal/stats"
 )
 
 // Series samples a registry's sampled quantities on a fixed
@@ -48,15 +47,18 @@ type SeriesData struct {
 
 // NewSeries returns a series over r's sampled quantities, sampling
 // every interval cycles (clamped to 1, like Pollers.Poll). Quantities
-// declared after it are not sampled.
+// declared after it are not sampled. A name declared twice panics.
 func NewSeries(r *Registry, interval sim.Time) *Series {
 	if interval == 0 {
 		interval = 1
 	}
-	names := stats.SortedKeys(r.sampled)
-	columns := make([]any, len(names))
-	for i, name := range names {
-		columns[i] = r.sampled[name]
+	var names []string
+	var columns []any
+	for _, d := range r.sorted() {
+		if d.sampled {
+			names = append(names, d.name)
+			columns = append(columns, d.q)
+		}
 	}
 	return &Series{
 		interval: interval,

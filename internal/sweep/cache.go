@@ -1,12 +1,14 @@
 package sweep
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -150,28 +152,42 @@ func (c *Cache) Put(key string, r cmp.Result) {
 	if c.dir == "" {
 		return
 	}
-	data, err := json.Marshal(entry{Version: cmp.SimVersion, Key: key, Result: r})
-	if err != nil {
-		return
-	}
 	// Temp file + rename keeps concurrent writers (and readers) from
 	// ever observing a partial entry.
 	tmp, err := os.CreateTemp(c.dir, "tmp-*")
 	if err != nil {
 		return
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
+	bw := bufio.NewWriter(tmp)
+	err = writeEntry(bw, key, r)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := tmp.Close(); err != nil {
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return
 	}
 	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
 		os.Remove(tmp.Name())
 	}
+}
+
+// writeEntry writes the bytes json.Marshal writes for r's entry under
+// key, streaming the result through writeResult.
+func writeEntry(w io.Writer, key string, r cmp.Result) error {
+	version, _ := json.Marshal(cmp.SimVersion) // strings always marshal
+	k, _ := json.Marshal(key)
+	if _, err := fmt.Fprintf(w, `{"Version":%s,"Key":%s,"Result":`, version, k); err != nil {
+		return err
+	}
+	if err := writeResult(w, r); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, "}")
+	return err
 }
 
 // Stats returns a snapshot of the traffic counters.

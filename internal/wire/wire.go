@@ -35,7 +35,9 @@ const (
 	VL4B
 	VL5B
 
-	numKinds
+	// NumKinds is the number of cataloged kinds: a Kind indexes an
+	// array of NumKinds.
+	NumKinds
 )
 
 // String returns the paper's name for the wire kind.
@@ -72,7 +74,7 @@ type Characteristics struct {
 }
 
 // catalog reproduces Table 2 and Table 3 of the paper verbatim.
-var catalog = [numKinds]Characteristics{
+var catalog = [NumKinds]Characteristics{
 	B8X:  {B8X, 1.0, 1.0, 2.65, 1.0246},
 	B4X:  {B4X, 1.6, 0.5, 2.9, 1.1578},
 	L8X:  {L8X, 0.5, 4.0, 1.46, 0.5670},
@@ -84,7 +86,7 @@ var catalog = [numKinds]Characteristics{
 
 // Lookup returns the published characteristics for a wire kind.
 func Lookup(k Kind) Characteristics {
-	if k < 0 || k >= numKinds {
+	if k < 0 || k >= NumKinds {
 		panic(fmt.Sprintf("wire: unknown kind %d", int(k)))
 	}
 	return catalog[k]
