@@ -9,12 +9,13 @@ package tilesim
 //   - TestScaleAllocGate: allocations and bytes per tile of the
 //     1024-tile torus cell;
 //   - TestAllocSlope: allocations per simulated reference between two
-//     run lengths, on every configuration of the byte-identity matrix
-//     and the scheme and layout runs only cmd/figures reaches;
+//     run lengths, on the 30 pinned configurations (pinned_test.go)
+//     that name a slope subtest;
 //   - TestResultEncodingAllocGate: bytes allocated by sweep.Digest and
 //     a disk-cache Put of a 1024-tile result.
 //
-// The alloc-gate CI job runs these four tests. After a deliberate
+// The alloc-gate CI job runs the root package without -race, so these
+// four tests run there with TestPinnedResults. After a deliberate
 // allocation change, re-measure the gates with
 //
 //	go test -run '^$' -bench 'AllocGate$' -benchtime 5x -benchmem .
@@ -31,9 +32,7 @@ import (
 
 	"tilesim/internal/cmp"
 	"tilesim/internal/compress"
-	"tilesim/internal/fault"
 	"tilesim/internal/sweep"
-	"tilesim/internal/workload"
 )
 
 // allocBudget mirrors ALLOC_BUDGET.json.
@@ -243,56 +242,25 @@ type slopeCase struct {
 	short, long int
 }
 
-// slopeCases are the run-phase check's configurations: the 13
-// applications at 16 tiles, the byte-identity script's twelve 64-tile
-// runs, and FFT at 16 tiles under every scheme and layout tilesim has
-// no flag for, and with the epoch-series sampler on. The 64-tile runs
-// are half as long per core but twice as long in references: FFT's
-// directory keeps growing for longer there (DESIGN.md §13).
+// slopeCases are the run-phase check's configurations: the pinned
+// configurations that name a slope subtest (the 13 applications at 16
+// tiles, FFT at 16 tiles under every scheme and layout tilesim has no
+// flag for and with the epoch-series sampler on, and the twelve
+// 64-tile runs), each without warmup. The 64-tile runs are half as
+// long per core but twice as long in references: FFT's directory keeps
+// growing for longer there (DESIGN.md §13).
 func slopeCases() []slopeCase {
-	const short16, long16 = 4000, 16000
-	const short64, long64 = 2000, 8000
-	dbrc := compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 2}
-	base := cmp.RunConfig{Seed: 1, Compression: dbrc, Heterogeneous: true}
 	var cases []slopeCase
-	for _, app := range workload.AppNames() {
-		cfg := base
-		cfg.App = app
-		cases = append(cases, slopeCase{app, cfg, short16, long16})
-	}
-	fft := base
-	fft.App = "FFT"
-	variants := []struct {
-		name string
-		set  func(*cmp.RunConfig)
-	}{
-		{"FFT-stride", func(c *cmp.RunConfig) { c.Compression = compress.Spec{Kind: "stride", LowOrderBytes: 2} }},
-		{"FFT-perfect", func(c *cmp.RunConfig) { c.Compression = compress.Spec{Kind: "perfect", LowOrderBytes: 2} }},
-		{"FFT-lpw-rp", func(c *cmp.RunConfig) {
-			c.Compression = compress.Spec{Kind: "none"}
-			c.Wiring, c.ReplyPartitioning = "lpw", true
-		}},
-		{"FFT-vlbpw-rp", func(c *cmp.RunConfig) { c.Wiring, c.ReplyPartitioning = "vlbpw", true }},
-		{"FFT-series512", func(c *cmp.RunConfig) { c.SeriesInterval = 512 }},
-	}
-	for _, v := range variants {
-		cfg := fft
-		v.set(&cfg)
-		cases = append(cases, slopeCase{v.name, cfg, short16, long16})
-	}
-	faults := []struct {
-		name string
-		f    fault.Config
-	}{
-		{"", fault.Config{}},
-		{"-ber", fault.Config{BER: 1e-5, VLBERScale: 4}},
-		{"-stall-outage", fault.Config{StallProb: 0.01, OutagePlane: "VL", OutageStart: 2000, OutageCycles: 3000}},
-	}
-	for _, topo := range cmp.TopologyNames {
-		for _, f := range faults {
-			cfg := fft
-			cfg.Topology, cfg.Tiles, cfg.Faults = topo, 64, f.f
-			cases = append(cases, slopeCase{topo + "64" + f.name, cfg, short64, long64})
+	for _, c := range pinnedConfigs() {
+		if c.slope == "" {
+			continue
+		}
+		cfg := c.cfg
+		cfg.WarmupRefs = 0
+		if cfg.Tiles == 64 {
+			cases = append(cases, slopeCase{c.slope, cfg, 2000, 8000})
+		} else {
+			cases = append(cases, slopeCase{c.slope, cfg, 4000, 16000})
 		}
 	}
 	return cases

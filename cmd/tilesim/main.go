@@ -45,6 +45,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -229,48 +230,53 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tilesim: wrote %d metrics to %s\n", len(r.Metrics), *metricsOut)
 	}
 
-	fmt.Printf("application         %s\n", r.App)
-	fmt.Printf("configuration       %s", r.Config)
-	if *het {
-		w, _ := cfg.VLWidthBytes()
-		fmt.Printf("  (heterogeneous: %dB VL + 34B B wires)", w)
+	report(os.Stdout, cfg, sys, r)
+}
+
+// report prints the run's statistics: execution time, the message
+// mix, compression coverage, fault counters and energy.
+func report(w io.Writer, cfg cmp.RunConfig, sys *cmp.System, r cmp.Result) {
+	fmt.Fprintf(w, "application         %s\n", r.App)
+	fmt.Fprintf(w, "configuration       %s", r.Config)
+	if cfg.Heterogeneous {
+		vl, _ := cfg.VLWidthBytes()
+		fmt.Fprintf(w, "  (heterogeneous: %dB VL + 34B B wires)", vl)
 	} else {
-		fmt.Printf("  (baseline: 75B B wires)")
+		fmt.Fprintf(w, "  (baseline: 75B B wires)")
 	}
-	fmt.Println()
-	if *topo != "mesh" || *tiles != 16 {
-		t := sys.Net.Topology()
-		fmt.Printf("topology            %s (%d tiles, %d routers, %d links, avg %.2f hops)\n",
+	fmt.Fprintln(w)
+	if t := sys.Net.Topology(); t.Name() != "mesh" || t.Tiles() != 16 {
+		fmt.Fprintf(w, "topology            %s (%d tiles, %d routers, %d links, avg %.2f hops)\n",
 			t.Label(), t.Tiles(), t.Nodes(), sys.Net.Links(), mesh.AvgHops(t))
 	}
-	fmt.Printf("execution time      %d cycles (%.3f us at 4 GHz)\n", r.ExecCycles, float64(r.ExecCycles)/4e9*1e6)
-	fmt.Printf("references          %d loads, %d stores\n", r.Loads, r.Stores)
-	fmt.Printf("L1 misses           %d (%.1f%%), mean latency %.0f cycles\n",
+	fmt.Fprintf(w, "execution time      %d cycles (%.3f us at 4 GHz)\n", r.ExecCycles, float64(r.ExecCycles)/4e9*1e6)
+	fmt.Fprintf(w, "references          %d loads, %d stores\n", r.Loads, r.Stores)
+	fmt.Fprintf(w, "L1 misses           %d (%.1f%%), mean latency %.0f cycles\n",
 		r.L1Misses, 100*float64(r.L1Misses)/float64(r.Loads+r.Stores), r.MeanMissLatency)
-	fmt.Println()
-	fmt.Printf("network messages    %d remote + %d tile-local\n", r.Net.TotalMessages(), r.LocalMessages)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "network messages    %d remote + %d tile-local\n", r.Net.TotalMessages(), r.LocalMessages)
 	for c := 0; c < int(noc.NumClasses); c++ {
-		fmt.Printf("  %-20s %8d  (%5.1f%%)  %8d bytes\n",
+		fmt.Fprintf(w, "  %-20s %8d  (%5.1f%%)  %8d bytes\n",
 			noc.Class(c).String(), r.Net.Messages[c],
 			100*float64(r.Net.Messages[c])/float64(r.Net.TotalMessages()), r.Net.Bytes[c])
 	}
-	fmt.Printf("mean hop queueing   %.2f cycles\n", r.Net.MeanHopQueuing)
-	fmt.Printf("request latency     p50 %.0f / p99 %.0f cycles\n", r.RequestLatencyP50, r.RequestLatencyP99)
-	fmt.Println()
-	if *scheme != "none" {
-		fmt.Printf("compression         coverage %.1f%%, %d hardware events\n", 100*r.Coverage, r.ComprEvents)
+	fmt.Fprintf(w, "mean hop queueing   %.2f cycles\n", r.Net.MeanHopQueuing)
+	fmt.Fprintf(w, "request latency     p50 %.0f / p99 %.0f cycles\n", r.RequestLatencyP50, r.RequestLatencyP99)
+	fmt.Fprintln(w)
+	if cfg.Compression.Kind != "none" {
+		fmt.Fprintf(w, "compression         coverage %.1f%%, %d hardware events\n", 100*r.Coverage, r.ComprEvents)
 	}
-	if *het {
-		fmt.Printf("VL-wire traffic     %.1f%% of remote messages\n", 100*r.VLFraction)
+	if cfg.Heterogeneous {
+		fmt.Fprintf(w, "VL-wire traffic     %.1f%% of remote messages\n", 100*r.VLFraction)
 	}
 	if cfg.Faults.Enabled() {
-		fmt.Printf("fault injection     %d CRC errors, %d retries, %d flits retransmitted\n",
+		fmt.Fprintf(w, "fault injection     %d CRC errors, %d retries, %d flits retransmitted\n",
 			r.Net.CRCErrors, r.Net.Retries, r.Net.RetryFlits)
 		if r.Failovers > 0 {
-			fmt.Printf("plane failover      %d critical messages rerouted uncompressed\n", r.Failovers)
+			fmt.Fprintf(w, "plane failover      %d critical messages rerouted uncompressed\n", r.Failovers)
 		}
 	}
-	fmt.Printf("link energy         %.3g J dynamic + %.3g J static\n", r.Link.DynJ, r.Link.StaticJ)
-	fmt.Printf("interconnect energy %.3g J (links + routers)\n", r.InterconnectJ)
-	fmt.Printf("link ED2P           %.4g J*s^2\n", energy.ED2P(r.Link.TotalJ(), r.ExecCycles))
+	fmt.Fprintf(w, "link energy         %.3g J dynamic + %.3g J static\n", r.Link.DynJ, r.Link.StaticJ)
+	fmt.Fprintf(w, "interconnect energy %.3g J (links + routers)\n", r.InterconnectJ)
+	fmt.Fprintf(w, "link ED2P           %.4g J*s^2\n", energy.ED2P(r.Link.TotalJ(), r.ExecCycles))
 }

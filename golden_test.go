@@ -1,15 +1,15 @@
 package tilesim
 
-// Golden and byte-identity guards for the topology refactor
-// (DESIGN.md §14.5): the pluggable-topology network must be
-// observationally identical to the pre-refactor fixed 4x4 mesh, and
-// every topology must stay same-seed deterministic at scale.
+// Golden and determinism guards for the topology refactor (DESIGN.md
+// §14.5): the pluggable-topology network must be observationally
+// identical to the pre-refactor fixed 4x4 mesh, and every topology must
+// stay same-seed deterministic at scale. Both tests run under -race in
+// the CI test job, where TestPinnedResults skips.
 //
 // testdata/golden holds metrics snapshots and tilesim stdout captured
 // from the pre-refactor simulator (the commit before the Topology
-// interface landed) at the fault-smoke configuration. The metrics
-// halves are enforced here; the stdout halves are enforced by the CI
-// topology-smoke job, which runs the actual binary.
+// interface landed). The metrics halves are enforced here; the stdout
+// halves by cmd/tilesim's TestReportGolden.
 
 import (
 	"bytes"
@@ -20,11 +20,10 @@ import (
 	"tilesim/internal/cmp"
 	"tilesim/internal/compress"
 	"tilesim/internal/fault"
-	"tilesim/internal/sweep"
 )
 
-// goldenConfig is the configuration the goldens were captured at:
-// the fault-smoke CI configuration, with and without fault injection.
+// goldenConfig is the configuration the goldens were captured at
+// (testdata/golden/README.md), with and without fault injection.
 func goldenConfig(faults bool) cmp.RunConfig {
 	cfg := cmp.RunConfig{
 		App: "FFT", RefsPerCore: 2000, WarmupRefs: 500, Seed: 1,
@@ -77,29 +76,6 @@ func TestGoldenMetricsUnchanged(t *testing.T) {
 					len(got), len(want))
 			}
 		})
-	}
-}
-
-// TestGoldenResultDigest pins sweep.Digest of the golden configuration,
-// fault-free and at high BER. The digest covers every cmp.Result field,
-// where the metrics golden covers only the snapshot. The fault-free
-// digest has held since SimVersion v4.
-func TestGoldenResultDigest(t *testing.T) {
-	for _, c := range []struct {
-		faults bool
-		want   string
-	}{
-		{false, "ff547f82976cf32e7d63bf07ef851afb62e2f8b8156460bb623c11de50c817ae"},
-		{true, "4d5796cd9954d2711d2e419eaf621572f116160245645a76c258669971a69816"},
-	} {
-		r, err := cmp.Run(goldenConfig(c.faults))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sweep.Digest(r); got != c.want {
-			t.Errorf("faults=%t: result digest %s, want %s; if the change is deliberate, "+
-				"update the digest and bump cmp.SimVersion", c.faults, got, c.want)
-		}
 	}
 }
 

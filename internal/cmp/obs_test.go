@@ -78,8 +78,7 @@ func TestMetricsSnapshotAttached(t *testing.T) {
 }
 
 // TestMetricsByteIdentical serializes the metrics of two same-seed
-// runs and requires byte equality (the CI obs-smoke assertion, run
-// in-process).
+// runs and requires byte equality and valid JSON.
 func TestMetricsByteIdentical(t *testing.T) {
 	var bufs [2]bytes.Buffer
 	for i := range bufs {

@@ -11,8 +11,9 @@ func TestScaleStudyQuick(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	// Two topologies at two small tile counts keeps the test in the
-	// seconds range; the 256/1024-tile cells are exercised by the CI
-	// topology-smoke job and cmd/figures -scale.
+	// seconds range. Only figures -scale runs the 256- and 1024-tile
+	// cells; the root package's TestScaleAllocGate runs the 1024-tile
+	// torus at DBRC-4/2B on VL+B.
 	rows, table, err := ScaleStudy(nil, Quick(), "FFT", []int{16, 64}, []string{"mesh", "torus"})
 	if err != nil {
 		t.Fatal(err)

@@ -8,8 +8,8 @@ import (
 )
 
 // topologies64 returns one 64-tile instance of every topology, the
-// scale-study's smallest point and the size the byte-identity CI test
-// runs at.
+// scale study's smallest point and the size of the root package's
+// 64-tile determinism test and pinned results.
 func topologies64() []Topology {
 	return []Topology{
 		NewMesh(8, 8),
@@ -160,7 +160,7 @@ func TestTopologyLinksCanonical(t *testing.T) {
 // TestMeshLinksMatchLegacyOrder pins the dense mesh's canonical link
 // order to the pre-interface N² grid scan: ascending (From, To) over
 // adjacent pairs. The per-link metric names derive from this order, so
-// it is part of the byte-identity contract.
+// the 4x4 goldens and the pinned results depend on it.
 func TestMeshLinksMatchLegacyOrder(t *testing.T) {
 	m := NewMesh(4, 4)
 	var legacy []Link

@@ -2,10 +2,10 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"math"
 	"strconv"
+	"unicode/utf8"
 
 	"tilesim/internal/stats"
 )
@@ -75,7 +75,7 @@ func appendMetric(b []byte, m *Metric, f format) []byte {
 	}
 	b = append(b, `{"type"`...)
 	b = append(b, colon...)
-	b = appendString(b, m.Type, f)
+	b = appendString(b, m.Type, f == compact)
 	for i, name := range metricFields {
 		if mask&(1<<i) == 0 {
 			continue
@@ -94,31 +94,63 @@ func appendMetric(b []byte, m *Metric, f format) []byte {
 	return append(b, '}')
 }
 
-// appendString appends s as a JSON string. The compact format escapes
-// as encoding/json does, '<', '>' and '&' included, so the link name
-// "net.link.00->01.B.flits" is written "net.link.00-\u003e01.B.flits";
-// a string with any byte outside printable ASCII goes through
-// encoding/json itself. The pretty format quotes with strconv, as the
-// metrics file always has.
-func appendString(b []byte, s string, f format) []byte {
-	if f == pretty {
-		return strconv.AppendQuote(b, s)
-	}
-	start := len(b)
+// appendString appends s as a JSON string, escaped by encoding/json's
+// rules: '"' and '\\' with a backslash; \b, \f, \n, \r and \t by name;
+// every other control byte, U+2028 and U+2029 as \u escapes; each
+// invalid UTF-8 byte as \ufffd. escapeHTML writes '<', '>' and '&' as
+// \u escapes too, as json.Marshal does, so the compact format writes
+// the link name "net.link.00->01.B.flits" as
+// "net.link.00-\u003e01.B.flits". The pretty file, the series JSON and
+// the tracer leave them alone, so each writes a printable-ASCII name
+// as strconv.Quote does.
+func appendString(b []byte, s string, escapeHTML bool) []byte {
+	const hex = "0123456789abcdef"
 	b = append(b, '"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20 || c > 0x7e:
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b[:start], q...)
-		case c == '"' || c == '\\':
-			b = append(b, '\\', c)
-		case c == '<' || c == '>' || c == '&':
-			b = append(b, '\\', 'u', '0', '0', "0123456789abcdef"[c>>4], "0123456789abcdef"[c&0xf])
-		default:
-			b = append(b, c)
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && !(escapeHTML && (c == '<' || c == '>' || c == '&')) {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
 		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
 	}
+	b = append(b, s[start:]...)
 	return append(b, '"')
 }
 
@@ -184,7 +216,7 @@ func (s Snapshot) write(w io.Writer, f format) error {
 		if f == pretty {
 			b = append(b, "  "...)
 		}
-		b = appendString(b, name, f)
+		b = appendString(b, name, f == compact)
 		b = append(b, colon...)
 		m := s[name]
 		b = appendMetric(b, &m, f)

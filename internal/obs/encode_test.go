@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -116,8 +118,13 @@ var fuzzTypes = [...]string{"counter", "gauge", "mean", "histogram", `odd<&>"\`}
 // streamed compact writer, Snapshot.MarshalJSON and json.Marshal of the
 // snapshot must write the bytes encoding/json's own map encoder writes
 // for map[string]Metric, which must in turn equal that encoder's bytes
-// over the legacy Metric.MarshalJSON; WriteJSON must write the legacy
-// pretty file. The seed corpus is testdata/fuzz/FuzzSnapshotJSON.
+// over the legacy Metric.MarshalJSON. WriteJSON must decode with
+// encoding/json to the names and types the compact bytes decode to,
+// and write the legacy pretty file whenever every name and type is
+// printable ASCII. A series with the two names as columns and a trace
+// with them as track, event, category and arg names must decode and
+// give the names back. The seed corpus is
+// testdata/fuzz/FuzzSnapshotJSON.
 func FuzzSnapshotJSON(f *testing.F) {
 	f.Add("net.link.00->01.B.flits", "a&b", byte(0), uint64(0), 0.0, -1.5, 1e21, 1e-7, 2.5, -0.0)
 	f.Fuzz(func(t *testing.T, name1, name2 string, typ byte, count uint64,
@@ -157,11 +164,95 @@ func FuzzSnapshotJSON(f *testing.F) {
 		if err := s.WriteJSON(&pretty); err != nil {
 			t.Fatal(err)
 		}
-		legacyWriteJSON(s, &legacyPretty)
-		if !bytes.Equal(pretty.Bytes(), legacyPretty.Bytes()) {
-			t.Fatalf("WriteJSON:\n got %s\nwant %s", pretty.Bytes(), legacyPretty.Bytes())
+		// The pretty file writes every non-zero field and the compact
+		// bytes the active ones, so only names and types must agree.
+		var gotTypes, wantTypes map[string]struct{ Type string }
+		if err := json.Unmarshal(pretty.Bytes(), &gotTypes); err != nil {
+			t.Fatalf("WriteJSON wrote invalid JSON: %v\n%s", err, pretty.Bytes())
+		}
+		if err := json.Unmarshal(want, &wantTypes); err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(gotTypes, wantTypes) {
+			t.Fatalf("WriteJSON decodes to %v, the compact bytes to %v", gotTypes, wantTypes)
+		}
+		if printableASCII(name1, name2, m.Type, m2.Type) {
+			legacyWriteJSON(s, &legacyPretty)
+			if !bytes.Equal(pretty.Bytes(), legacyPretty.Bytes()) {
+				t.Fatalf("WriteJSON:\n got %s\nwant %s", pretty.Bytes(), legacyPretty.Bytes())
+			}
+		}
+
+		// What encoding/json gives back for each name: itself, unless
+		// it holds invalid UTF-8.
+		back := func(name string) string {
+			var s string
+			q, _ := json.Marshal(name)
+			if err := json.Unmarshal(q, &s); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		n1, n2 := back(name1), back(name2)
+		series := &SeriesData{IntervalCycles: 1, Columns: []string{name1, name2}, Times: []uint64{0}, Values: []float64{value, mean}}
+		var sj bytes.Buffer
+		if err := series.WriteJSON(&sj); err != nil {
+			t.Fatal(err)
+		}
+		var sdoc struct{ Columns []string }
+		if err := json.Unmarshal(sj.Bytes(), &sdoc); err != nil {
+			t.Fatalf("series WriteJSON wrote invalid JSON: %v\n%s", err, sj.Bytes())
+		}
+		if !slices.Equal(sdoc.Columns, []string{n1, n2}) {
+			t.Fatalf("series columns decode to %q, want %q", sdoc.Columns, []string{n1, n2})
+		}
+
+		var tj bytes.Buffer
+		tr := NewTracer(&tj, 1)
+		tr.SetTrackName(PidCores, 1, name1)
+		tr.Complete(PidCores, 1, name1, name2, 0, 4000, []Arg{{name2, value}})
+		tr.Counter(PidLinks, name2, 4000, []Arg{{name1, mean}})
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var tdoc traceDoc
+		if err := json.Unmarshal(tj.Bytes(), &tdoc); err != nil {
+			t.Fatalf("tracer wrote invalid JSON: %v\n%s", err, tj.Bytes())
+		}
+		var track, x, c *traceEvent
+		for i := range tdoc.TraceEvents {
+			switch ev := &tdoc.TraceEvents[i]; {
+			case ev.Ph == "M" && ev.Name == "thread_name":
+				track = ev
+			case ev.Ph == "X":
+				x = ev
+			case ev.Ph == "C":
+				c = ev
+			}
+		}
+		if track == nil || track.Args["name"] != n1 {
+			t.Fatalf("track name decodes to %v, want %q", track, n1)
+		}
+		if x == nil || x.Name != n1 || x.Cat != n2 || x.Args[n2] == nil {
+			t.Fatalf("complete event decodes to %+v, want name %q, category and arg %q", x, n1, n2)
+		}
+		if c == nil || c.Name != n2 || c.Args[n1] == nil {
+			t.Fatalf("counter event decodes to %+v, want name %q and series %q", c, n2, n1)
 		}
 	})
+}
+
+// printableASCII reports whether every byte of every string is in
+// ' '..'~'.
+func printableASCII(ss ...string) bool {
+	for _, s := range ss {
+		for i := 0; i < len(s); i++ {
+			if s[i] < 0x20 || s[i] > 0x7e {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestSnapshotJSONEdges pins the writer's edge cases outside the fuzz

@@ -28,7 +28,6 @@ package obs
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 
 	"tilesim/internal/sim"
@@ -229,8 +228,3 @@ func read(q any, now sim.Time) Metric {
 	}
 	panic(fmt.Sprintf("obs: no reading for %T", q))
 }
-
-// quote escapes a string for JSON. Metric names and types are plain ASCII
-// identifiers; strconv.Quote is a strict superset of JSON escaping for
-// them.
-func quote(s string) string { return strconv.Quote(s) }

@@ -196,11 +196,13 @@ func (d *SeriesData) WriteCSV(w io.Writer) error {
 func (d *SeriesData) WriteJSON(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "{\n  \"interval_cycles\": %d,\n  \"columns\": [", d.IntervalCycles)
+	var col []byte
 	for i, c := range d.Columns {
 		if i > 0 {
 			bw.WriteString(", ")
 		}
-		bw.WriteString(quote(c))
+		col = appendString(col[:0], c, false)
+		bw.Write(col)
 	}
 	bw.WriteString("],\n  \"rows\": [")
 	for i := 0; i < d.Rows(); i++ {

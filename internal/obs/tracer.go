@@ -59,6 +59,8 @@ type Tracer struct {
 	tracks map[[2]int]bool
 	pids   map[int]bool
 	err    error
+	// b is the scratch buffer events' strings are escaped into.
+	b []byte
 }
 
 // NewTracer starts a trace on w. sampleEvery selects the sampling
@@ -120,6 +122,23 @@ func ts(cycles uint64) string {
 	return strconv.FormatFloat(float64(cycles)/CyclesPerMicrosecond, 'g', -1, 64)
 }
 
+// str returns s as a JSON string in t's scratch buffer, valid until
+// the next call.
+func (t *Tracer) str(s string) []byte {
+	t.b = appendString(t.b[:0], s, false)
+	return t.b
+}
+
+// nameCat returns `"name":<name>,"cat":<cat>` in t's scratch buffer,
+// valid until the next call.
+func (t *Tracer) nameCat(name, cat string) []byte {
+	b := append(t.b[:0], `"name":`...)
+	b = appendString(b, name, false)
+	b = append(b, `,"cat":`...)
+	t.b = appendString(b, cat, false)
+	return t.b
+}
+
 // writeArgs renders an ordered arg list as a JSON object.
 func (t *Tracer) writeArgs(args []Arg) {
 	t.w.WriteString("\"args\":{")
@@ -127,7 +146,8 @@ func (t *Tracer) writeArgs(args []Arg) {
 		if i > 0 {
 			t.w.WriteByte(',')
 		}
-		fmt.Fprintf(t.w, "%s:%s", quote(a.Key), formatFloat(a.Val))
+		t.b = appendFloat(append(t.str(a.Key), ':'), a.Val)
+		t.w.Write(t.b)
 	}
 	t.w.WriteByte('}')
 }
@@ -141,7 +161,7 @@ func (t *Tracer) SetProcessName(pid int, name string) {
 	t.sep()
 	fmt.Fprintf(t.w,
 		`{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%s}}`,
-		pid, quote(name))
+		pid, t.str(name))
 	// Keep the processes in declaration order in the Perfetto UI.
 	t.sep()
 	fmt.Fprintf(t.w,
@@ -161,7 +181,7 @@ func (t *Tracer) SetTrackName(pid, tid int, name string) {
 	t.sep()
 	fmt.Fprintf(t.w,
 		`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`,
-		pid, tid, quote(name))
+		pid, tid, t.str(name))
 	t.sep()
 	fmt.Fprintf(t.w,
 		`{"ph":"M","pid":%d,"tid":%d,"name":"thread_sort_index","args":{"sort_index":%d}}`,
@@ -172,8 +192,8 @@ func (t *Tracer) SetTrackName(pid, tid int, name string) {
 func (t *Tracer) Complete(pid, tid int, name, cat string, startCycle, durCycles uint64, args []Arg) {
 	t.sep()
 	fmt.Fprintf(t.w,
-		`{"ph":"X","pid":%d,"tid":%d,"name":%s,"cat":%s,"ts":%s,"dur":%s,`,
-		pid, tid, quote(name), quote(cat), ts(startCycle), ts(durCycles))
+		`{"ph":"X","pid":%d,"tid":%d,%s,"ts":%s,"dur":%s,`,
+		pid, tid, t.nameCat(name, cat), ts(startCycle), ts(durCycles))
 	t.writeArgs(args)
 	t.w.WriteByte('}')
 }
@@ -184,16 +204,16 @@ func (t *Tracer) Complete(pid, tid int, name, cat string, startCycle, durCycles 
 func (t *Tracer) Begin(pid int, id uint64, name, cat string, cycle uint64) {
 	t.sep()
 	fmt.Fprintf(t.w,
-		`{"ph":"b","pid":%d,"tid":0,"id":"0x%x","name":%s,"cat":%s,"ts":%s}`,
-		pid, id, quote(name), quote(cat), ts(cycle))
+		`{"ph":"b","pid":%d,"tid":0,"id":"0x%x",%s,"ts":%s}`,
+		pid, id, t.nameCat(name, cat), ts(cycle))
 }
 
 // End closes an async span (ph "e") with final args.
 func (t *Tracer) End(pid int, id uint64, name, cat string, cycle uint64, args []Arg) {
 	t.sep()
 	fmt.Fprintf(t.w,
-		`{"ph":"e","pid":%d,"tid":0,"id":"0x%x","name":%s,"cat":%s,"ts":%s,`,
-		pid, id, quote(name), quote(cat), ts(cycle))
+		`{"ph":"e","pid":%d,"tid":0,"id":"0x%x",%s,"ts":%s,`,
+		pid, id, t.nameCat(name, cat), ts(cycle))
 	t.writeArgs(args)
 	t.w.WriteByte('}')
 }
@@ -202,8 +222,8 @@ func (t *Tracer) End(pid int, id uint64, name, cat string, cycle uint64, args []
 func (t *Tracer) Instant(pid, tid int, name, cat string, cycle uint64) {
 	t.sep()
 	fmt.Fprintf(t.w,
-		`{"ph":"i","pid":%d,"tid":%d,"name":%s,"cat":%s,"ts":%s,"s":"t"}`,
-		pid, tid, quote(name), quote(cat), ts(cycle))
+		`{"ph":"i","pid":%d,"tid":%d,%s,"ts":%s,"s":"t"}`,
+		pid, tid, t.nameCat(name, cat), ts(cycle))
 }
 
 // Counter emits a "C" counter event: each arg becomes one series of
@@ -212,7 +232,7 @@ func (t *Tracer) Counter(pid int, name string, cycle uint64, series []Arg) {
 	t.sep()
 	fmt.Fprintf(t.w,
 		`{"ph":"C","pid":%d,"name":%s,"ts":%s,`,
-		pid, quote(name), ts(cycle))
+		pid, t.str(name), ts(cycle))
 	t.writeArgs(series)
 	t.w.WriteByte('}')
 }
