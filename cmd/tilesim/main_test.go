@@ -14,9 +14,10 @@ import (
 // TestReportGolden runs the configurations of the stdout goldens in
 // testdata/golden and requires report to print them byte for byte: the
 // 4x4 mesh fault-free and at BER 1e-5, and the 64-tile torus with
-// router stalls and a VL-plane outage, the only golden with the
-// topology line. Each configuration is what the README's capture
-// command gives tilesim.
+// router stalls and a VL-plane outage, the goldens with the topology
+// line, once with the outage inside warmup and once after it, the one
+// golden with the plane failover line. Each configuration is what the
+// README's capture command gives tilesim.
 func TestReportGolden(t *testing.T) {
 	// tilesim -app FFT -het -scheme dbrc -refs 2000 -warmup 500
 	mesh := cmp.RunConfig{
@@ -29,10 +30,13 @@ func TestReportGolden(t *testing.T) {
 	torus := mesh
 	torus.RefsPerCore, torus.WarmupRefs, torus.Topology, torus.Tiles = 500, 250, "torus", 64
 	torus.Faults = fault.Config{StallProb: 0.01, OutagePlane: "VL", OutageStart: 2000, OutageCycles: 3000}
+	failover := torus
+	failover.Faults.OutageStart = 100000
 	for name, cfg := range map[string]cmp.RunConfig{
-		"mesh4x4-faultfree":    mesh,
-		"mesh4x4-ber1e5":       ber,
-		"torus-stall-outage64": torus,
+		"mesh4x4-faultfree":      mesh,
+		"mesh4x4-ber1e5":         ber,
+		"torus-stall-outage64":   torus,
+		"torus-stall-failover64": failover,
 	} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

@@ -39,7 +39,8 @@ const (
 // controller's freelist: release recycles empty ones and entry reuses
 // them, so steady state allocates none. A block's entry is named by its
 // L2 line's Aux when the block is in L2, else by the home's side list;
-// its sharer set is in its chunk's word array (DESIGN.md §16.8).
+// its sharer set is in its chunk's word array, once the chunk has one
+// (DESIGN.md §16.8).
 type dirEntry struct {
 	block  uint64 // the tracked block
 	owner  int32  // tile with the M/E copy, or -1
@@ -69,9 +70,9 @@ type dirEntry struct {
 	fillFor uint64
 }
 
-// entryChunk is the number of directory entries, with their sharer
-// words, that one pool growth allocates (DESIGN.md §16.8 has the
-// measurements behind the size).
+// entryChunk is the number of directory entries that one pool growth
+// allocates, and that share one sharer word array (DESIGN.md §16.8 has
+// the measurements behind the size).
 const entryChunk = 8
 
 // dirChunk is one pool growth's entries. Entries are addressed by
@@ -81,7 +82,10 @@ const entryChunk = 8
 type dirChunk [entryChunk]dirEntry
 
 // chunk is one pool growth: its entries, and their sharer sets in one
-// word array, entry by entry, sharerWords words each.
+// word array, entry by entry, sharerWords words each. The words are
+// allocated when one of the entries receives its first sharer
+// (addSharer), and nil until then: at 1024 tiles a set is 16 words, and
+// most chunks never hold a sharer.
 type chunk struct {
 	entries *dirChunk
 	words   []uint64
@@ -151,13 +155,25 @@ func (h *HomeController) at(ref uint32) *dirEntry {
 }
 
 // sharers returns e's sharer set, a view of e's words in its chunk's
-// word array: tiles with S copies (may be a superset).
+// word array: tiles with S copies (may be a superset). It is the empty
+// set of no words while the chunk has no word array; addSharer is the
+// one way to add a tile.
 func (h *HomeController) sharers(e *dirEntry) SharerSet {
 	i := e.ref - 1
 	words := h.chunks[i/entryChunk].words
-	n := uint32(len(words) / entryChunk) // words per set
+	n := uint32(len(words) / entryChunk) // words per set, 0 without words
 	j := i % entryChunk * n
 	return words[j : j+n : j+n]
+}
+
+// addSharer adds tile t to e's sharer set, first giving e's chunk its
+// word array if none of the chunk's entries has held a sharer yet.
+func (h *HomeController) addSharer(e *dirEntry, t int) {
+	c := &h.chunks[(e.ref-1)/entryChunk]
+	if c.words == nil {
+		c.words = make([]uint64, entryChunk*sharerWords(h.p.cfg.Tiles))
+	}
+	h.sharers(e).Add(t)
 }
 
 // empty reports whether e holds no state, so release may recycle it.
@@ -207,12 +223,11 @@ func (h *HomeController) entry(block uint64) (*dirEntry, *cache.Line) {
 	return e, line
 }
 
-// grow adds a chunk of entryChunk entries to the freelist, lowest
-// reference first. The chunk's sharer words are one more allocation,
-// entryChunk sets of sharerWords words each.
+// grow adds a chunk of entryChunk entries, without sharer words, to the
+// freelist, lowest reference first.
 func (h *HomeController) grow() {
 	c := new(dirChunk)
-	h.chunks = append(h.chunks, chunk{c, make([]uint64, entryChunk*sharerWords(h.p.cfg.Tiles))})
+	h.chunks = append(h.chunks, chunk{entries: c})
 	base := uint32(len(h.chunks)-1) * entryChunk
 	for i := entryChunk - 1; i >= 0; i-- {
 		c[i].ref = base + uint32(i) + 1
@@ -383,7 +398,7 @@ func (h *HomeController) handleGetS(r homeReq, e *dirEntry, line *cache.Line) {
 // mutates now; only the grant message waits, on send queue q.
 func (h *HomeController) grantS(block uint64, e *dirEntry, src int, txn uint64, q *sim.DelayQueue[noc.Message]) {
 	var grant noc.Message
-	if s := h.sharers(e); s.Empty() {
+	if h.sharers(e).Empty() {
 		// Sole copy: grant E. Unlike write-ownership transfers, E
 		// grants need no completion ack: a racing recall resolves
 		// through the requestor's use-once handling (it relinquishes
@@ -393,7 +408,7 @@ func (h *HomeController) grantS(block uint64, e *dirEntry, src int, txn uint64, 
 		e.owner = int32(src)
 	} else {
 		grant = h.p.msg(noc.Data, h.id, src, block, txn)
-		s.Add(src)
+		h.addSharer(e, src)
 	}
 	grant.DataBytes = noc.LineBytes
 	h.sendDataGrant(grant, q)
@@ -540,10 +555,9 @@ func (h *HomeController) handleRevision(m *noc.Message, block uint64) {
 		}
 		oldOwner := e.owner
 		e.owner = -1
-		s := h.sharers(e)
-		s.Add(int(e.requestor))
+		h.addSharer(e, int(e.requestor))
 		if !m.NoCopy {
-			s.Add(int(oldOwner))
+			h.addSharer(e, int(oldOwner))
 		}
 		h.closeOne(block, e)
 	case txnFwdX:
@@ -782,12 +796,15 @@ func (h *HomeController) pickL2Victim(block uint64) *cache.Line {
 }
 
 // DirInfo returns the directory view of one block for invariant checks:
-// a copy of the sharer mask, the owner (-1 if none), whether a
+// a chip-wide copy of the sharer mask, sharerWords words whether or not
+// the block's chunk has words, the owner (-1 if none), whether a
 // transaction is in flight, and whether the block is tracked at all.
 func (h *HomeController) DirInfo(block uint64) (sharers SharerSet, owner int, busy bool, tracked bool) {
+	sharers = make(SharerSet, sharerWords(h.p.cfg.Tiles))
 	e, _ := h.lookup(block)
 	if e == nil {
-		return make(SharerSet, sharerWords(h.p.cfg.Tiles)), -1, false, false
+		return sharers, -1, false, false
 	}
-	return slices.Clone(h.sharers(e)), int(e.owner), e.busy, true
+	copy(sharers, h.sharers(e))
+	return sharers, int(e.owner), e.busy, true
 }

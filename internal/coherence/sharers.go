@@ -8,10 +8,12 @@ const MaxTiles = 1024
 
 // SharerSet is the directory's sharer bitmask: one bit per tile, in
 // sharerWords(tiles) words, so a 16-tile chip keeps one word per block.
-// A home allocates its entries' words a chunk at a time, in a word
-// array beside the chunk's entries, and an entry's set is a view of its
-// own words: the methods read and write them, and the zero value is an
-// empty set of no words.
+// A home's entries keep their sets in their chunk's word array, and an
+// entry's set is a view of its own words: the methods read and write
+// them. A chunk gets its words when one of its entries receives its
+// first sharer; until then each of its entries' sets is the zero value,
+// a set of no words that reads as empty and that Add must not be
+// called on.
 type SharerSet []uint64
 
 // sharerWords returns the word count of a sharer set on a chip of the
@@ -21,8 +23,12 @@ func sharerWords(tiles int) int { return (tiles + 63) / 64 }
 // Add inserts tile t.
 func (s SharerSet) Add(t int) { s[t>>6] |= 1 << uint(t&63) }
 
-// Has reports whether tile t is in the set.
-func (s SharerSet) Has(t int) bool { return s[t>>6]&(1<<uint(t&63)) != 0 }
+// Has reports whether tile t is in the set; a tile past the set's words
+// is not.
+func (s SharerSet) Has(t int) bool {
+	i := t >> 6
+	return i < len(s) && s[i]&(1<<uint(t&63)) != 0
+}
 
 // Empty reports whether no tile is in the set.
 func (s SharerSet) Empty() bool {

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -236,6 +237,66 @@ func TestStridePairsIndependent(t *testing.T) {
 	if e := roundTrip(t, c, 1, 1, RequestStream, 0x4040); e.Compressed {
 		t.Fatal("sources shared a base register")
 	}
+}
+
+// TestStrideStorageFollowsSends drives seeded traffic through 2-byte
+// Strides of 16, 64 and 1024 cores and checks, every 500 calls, that the
+// codec keeps exactly one register record per (src, dst, stream) that
+// has sent, with room for at most twice as many (or for its initial
+// allotment), and that each record's sender and receiver registers
+// agree: register storage follows the pairs that talk, not the chip's
+// cores² × streams pairs. Half the endpoints come from a small hot set,
+// so deltas compress against records across every resize.
+func TestStrideStorageFollowsSends(t *testing.T) {
+	const calls = 40_000
+	for _, cores := range []int{16, 64, 1024} {
+		s := NewStride(2, cores)
+		rng := rand.New(rand.NewSource(int64(cores)))
+		hot := []int{0, 1, cores / 2, cores - 1}
+		pick := func() int {
+			if rng.Intn(2) == 0 {
+				return hot[rng.Intn(len(hot))]
+			}
+			return rng.Intn(cores)
+		}
+		sent := make(map[int]bool)
+		hits := 0
+		for i := 1; i <= calls; i++ {
+			src, dst := pick(), pick()
+			stream := Stream(rng.Intn(NumStreams))
+			addr := uint64(rng.Intn(4))<<16 | uint64(rng.Intn(256))<<6
+			e := s.Encode(src, dst, stream, addr)
+			if got := s.Decode(src, dst, stream, e); got != addr {
+				t.Fatalf("cores=%d call %d: %d->%d %v sent %#x, decoded %#x", cores, i, src, dst, stream, addr, got)
+			}
+			if e.Compressed {
+				hits++
+			}
+			sent[(src*cores+dst)*NumStreams+int(stream)] = true
+			if i%500 != 0 {
+				continue
+			}
+			k := len(sent)
+			if s.pairs.n != k {
+				t.Fatalf("cores=%d after %d calls: %d register records for %d pairs that sent", cores, i, s.pairs.n, k)
+			}
+			if room := len(s.regs); room > max(2*k, initialPairs) || room != s.pairs.room() {
+				t.Fatalf("cores=%d after %d calls: room for %d records in %d table slots, for %d pairs that sent",
+					cores, i, room, len(s.pairs.slots), k)
+			}
+			for p, r := range s.regs[:k] {
+				if !r.senderSeen || !r.recvSeen || r.sender != r.recv {
+					t.Fatalf("cores=%d after %d calls: record %d diverged: %+v", cores, i, p, r)
+				}
+			}
+		}
+		if hits == 0 {
+			t.Errorf("cores=%d: no call compressed; no decode read a base register", cores)
+		}
+		t.Logf("cores=%d: %d register records of %d pairs, %d of %d calls compressed",
+			cores, s.pairs.n, cores*cores*NumStreams, hits, calls)
+	}
+	checkStorageHoldsNoPointers(t, "Stride", reflect.TypeOf(Stride{}))
 }
 
 // Property: any interleaving of addresses across pairs and streams

@@ -1,9 +1,6 @@
 package compress
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // DBRC implements dynamic base register caching (Farrens & Park [8]),
 // adapted to a tiled CMP per paper Figure 1 (left):
@@ -41,29 +38,15 @@ type DBRC struct {
 	cache []dbrcEntry
 	clock []uint64
 	// Receiver side, one register file of entries registers per
-	// (dst, src, stream) that has received an install, in order of
-	// first install: regs[f*entries+i] is register i of file f, the
+	// (dst, src, stream) that has received an install: recv numbers the
+	// receiver's index, (dst*cores+src)*NumStreams + stream, on its
+	// first install, and regs[f*entries+i] is register i of file f, the
 	// installed base plus one, 0 until the first install into it. A
 	// base has at least one low-order byte stripped, so the sum never
-	// wraps. recv maps a receiver's index, (dst*cores+src)*NumStreams +
-	// stream, to its file by open addressing with linear probing; it is
-	// a power of two long and at most half full, and regs has room for
-	// len(recv)/2 files. Both double together (resize).
-	recv  []recvSlot
-	files int
-	regs  []uint64
+	// wraps. regs has room for recv.room() files.
+	recv pairTable
+	regs []uint64
 }
-
-// recvSlot is one slot of the receiver table.
-type recvSlot struct {
-	key  uint32 // the receiver's index plus one; 0 marks a free slot
-	file uint32 // the receiver's file number
-}
-
-// initialFiles bounds the receiver files a fresh codec has room for:
-// all of a 16-tile chip's 512, so the paper's configurations never
-// grow, and at most 1,024 on a larger chip, doubling from there.
-const initialFiles = 1024
 
 type dbrcEntry struct {
 	base    uint64
@@ -108,36 +91,8 @@ func (d *DBRC) Reset() {
 	senders := d.cores * NumStreams
 	d.cache = make([]dbrcEntry, senders*d.entries)
 	d.clock = make([]uint64, senders)
-	files := min(d.cores*senders, initialFiles)
-	d.recv, d.regs, d.files = nil, nil, 0
-	d.resize(2 << bits.Len(uint(files-1)))
-}
-
-// resize gives the receiver table slots slots, a power of two, and
-// regs room for slots/2 files, keeping every file and its number.
-func (d *DBRC) resize(slots int) {
-	old := d.recv
-	d.recv = make([]recvSlot, slots)
-	for _, s := range old {
-		if s.key != 0 {
-			d.recv[d.probe(s.key)] = s
-		}
-	}
-	regs := make([]uint64, slots/2*d.entries)
-	copy(regs, d.regs)
-	d.regs = regs
-}
-
-// probe returns the slot of the receiver whose key (index plus one) is
-// key: the slot holding it, or the free slot where it belongs.
-func (d *DBRC) probe(key uint32) int {
-	mask := len(d.recv) - 1
-	// Fibonacci hashing: the product's top bits index the table.
-	i := int(key*0x9e3779b9>>(32-bits.Len(uint(mask)))) & mask
-	for d.recv[i].key != key && d.recv[i].key != 0 {
-		i = (i + 1) & mask
-	}
-	return i
+	d.recv.reset(d.cores * senders)
+	d.regs = make([]uint64, d.recv.room()*d.entries)
 }
 
 func (d *DBRC) loMask() uint64 { return uint64(1)<<(8*d.loBytes) - 1 }
@@ -203,25 +158,22 @@ func (d *DBRC) Decode(src, dst int, stream Stream, e Encoded) uint64 {
 	if e.InstallIndex < 0 || e.InstallIndex >= d.entries {
 		panic(fmt.Sprintf("compress: DBRC decode with bad index %d", e.InstallIndex))
 	}
-	key := uint32((dst*d.cores+src)*NumStreams+int(stream)) + 1
-	slot := d.probe(key)
+	i := (dst*d.cores+src)*NumStreams + int(stream)
 	if !e.Compressed {
-		if d.recv[slot].key == 0 {
-			// First install: open the receiver's file.
-			if d.files == len(d.recv)/2 {
-				d.resize(2 * len(d.recv))
-				slot = d.probe(key)
-			}
-			d.recv[slot] = recvSlot{key: key, file: uint32(d.files)}
-			d.files++
+		// An install: the receiver's first opens its file.
+		f, fresh := d.recv.open(i)
+		if n := d.recv.room() * d.entries; fresh && len(d.regs) < n {
+			regs := make([]uint64, n)
+			copy(regs, d.regs)
+			d.regs = regs
 		}
 		addr := e.Payload
-		d.regs[int(d.recv[slot].file)*d.entries+e.InstallIndex] = addr>>(8*d.loBytes) + 1
+		d.regs[f*d.entries+e.InstallIndex] = addr>>(8*d.loBytes) + 1
 		return addr
 	}
 	var base uint64
-	if d.recv[slot].key != 0 {
-		base = d.regs[int(d.recv[slot].file)*d.entries+e.InstallIndex]
+	if f := d.recv.find(i); f >= 0 {
+		base = d.regs[f*d.entries+e.InstallIndex]
 	}
 	if base == 0 {
 		panic(fmt.Sprintf("compress: DBRC receiver %d<-%d %v entry %d used before install",

@@ -207,19 +207,19 @@ func TestDBRCReceiverStorageFollowsInstalls(t *testing.T) {
 				continue
 			}
 			k := len(installed)
-			if d.files != k {
-				t.Fatalf("cores=%d after %d calls: %d register files for %d installed receivers", cores, i, d.files, k)
+			if d.recv.n != k {
+				t.Fatalf("cores=%d after %d calls: %d register files for %d installed receivers", cores, i, d.recv.n, k)
 			}
-			if room := len(d.regs) / d.entries; room > max(2*k, initialFiles) || len(d.recv) != 2*room {
+			if room := len(d.regs) / d.entries; room > max(2*k, initialPairs) || room != d.recv.room() {
 				t.Fatalf("cores=%d after %d calls: room for %d files in %d table slots, for %d installed receivers",
-					cores, i, room, len(d.recv), k)
+					cores, i, room, len(d.recv.slots), k)
 			}
 		}
 		if hits == 0 {
 			t.Errorf("cores=%d: no call compressed; no decode read a register file", cores)
 		}
 		t.Logf("cores=%d: %d register files of %d receivers, %d of %d calls compressed",
-			cores, d.files, cores*cores*NumStreams, hits, calls)
+			cores, d.recv.n, cores*cores*NumStreams, hits, calls)
 	}
 }
 
@@ -228,15 +228,26 @@ func TestDBRCReceiverStorageFollowsInstalls(t *testing.T) {
 // else in it holds a pointer, so the GC never scans its arrays however
 // many pairs talk.
 func TestDBRCStorageHoldsNoPointers(t *testing.T) {
-	typ := reflect.TypeOf(DBRC{})
+	checkStorageHoldsNoPointers(t, "DBRC", reflect.TypeOf(DBRC{}))
+}
+
+// checkStorageHoldsNoPointers fails t unless every field of the struct
+// type typ, named name, is a pointer-free value, a slice of them, or a
+// struct (such as a pairTable) whose own fields are.
+func checkStorageHoldsNoPointers(t *testing.T, name string, typ reflect.Type) {
+	t.Helper()
 	for i := range typ.NumField() {
 		f := typ.Field(i)
 		ft := f.Type
-		if ft.Kind() == reflect.Slice {
+		switch ft.Kind() {
+		case reflect.Struct:
+			checkStorageHoldsNoPointers(t, name+"."+f.Name, ft)
+			continue
+		case reflect.Slice:
 			ft = ft.Elem()
 		}
 		if holdsPointers(ft) {
-			t.Errorf("DBRC.%s (%v) holds pointers", f.Name, f.Type)
+			t.Errorf("%s.%s (%v) holds pointers", name, f.Name, f.Type)
 		}
 	}
 }

@@ -10,19 +10,28 @@ import "fmt"
 // the new address. No adder-free index lookup is needed, which is the
 // scheme's hardware appeal; its weakness (shown in Figure 2) is that
 // home-interleaved coherence traffic rarely exhibits small strides.
+//
+// The registers live in a flat, pointer-free array with one record per
+// pair that has sent (DESIGN.md §16.5): a 1024-tile CMP has two million
+// pairs, and the ones that never talk keep nothing.
 type Stride struct {
 	deltaBytes int
 	cores      int
 
-	// Indexed by (src*cores+dst)*NumStreams + stream. A real
-	// implementation has one register at each end updated in lockstep by
-	// construction (every message updates both); the codec keeps sender
-	// and receiver copies separately so tests can prove they never
-	// diverge.
-	senderBase []uint64
-	recvBase   []uint64
-	senderSeen []bool
-	recvSeen   []bool
+	// pairs numbers a pair's index, (src*cores+dst)*NumStreams + stream,
+	// on its first message, and regs[p] holds pair p's registers; regs
+	// has room for pairs.room() records.
+	pairs pairTable
+	regs  []strideRegs
+}
+
+// strideRegs is one pair's base registers. A real implementation has one
+// register at each end updated in lockstep by construction (every
+// message updates both); the codec keeps sender and receiver copies
+// separately so tests can prove they never diverge.
+type strideRegs struct {
+	sender, recv         uint64
+	senderSeen, recvSeen bool
 }
 
 // NewStride builds a stride codec sending deltaBytes (1 or 2) deltas for
@@ -47,33 +56,32 @@ func (s *Stride) CompressedPayloadBytes() int { return s.deltaBytes }
 
 // Reset implements Codec.
 func (s *Stride) Reset() {
-	n := s.cores * s.cores * NumStreams
-	s.senderBase = make([]uint64, n)
-	s.recvBase = make([]uint64, n)
-	s.senderSeen = make([]bool, n)
-	s.recvSeen = make([]bool, n)
+	s.pairs.reset(s.cores * s.cores * NumStreams)
+	s.regs = make([]strideRegs, s.pairs.room())
 }
 
-func (s *Stride) pair(src, dst int, stream Stream) int {
+// regsOf returns the registers of the pair from src to dst on stream,
+// numbering the pair if it has not talked before.
+func (s *Stride) regsOf(src, dst int, stream Stream) *strideRegs {
 	if src < 0 || src >= s.cores || dst < 0 || dst >= s.cores {
 		panic(fmt.Sprintf("compress: stride endpoint out of range src=%d dst=%d cores=%d", src, dst, s.cores))
 	}
-	return (src*s.cores+dst)*NumStreams + int(stream)
+	p, fresh := s.pairs.open((src*s.cores+dst)*NumStreams + int(stream))
+	if n := s.pairs.room(); fresh && len(s.regs) < n {
+		regs := make([]strideRegs, n)
+		copy(regs, s.regs)
+		s.regs = regs
+	}
+	return &s.regs[p]
 }
 
 // Encode implements Codec.
 func (s *Stride) Encode(src, dst int, stream Stream, addr uint64) Encoded {
-	p := s.pair(src, dst, stream)
-	defer func() {
-		s.senderBase[p] = addr
-		s.senderSeen[p] = true
-	}()
-	if !s.senderSeen[p] {
-		return Encoded{Compressed: false, PayloadBytes: 8, Payload: addr, InstallIndex: -1}
-	}
-	delta := int64(addr - s.senderBase[p])
+	r := s.regsOf(src, dst, stream)
+	seen, delta := r.senderSeen, int64(addr-r.sender)
+	r.sender, r.senderSeen = addr, true
 	limit := int64(1) << (8*s.deltaBytes - 1)
-	if delta >= -limit && delta < limit {
+	if seen && delta >= -limit && delta < limit {
 		mask := uint64(1)<<(8*s.deltaBytes) - 1
 		return Encoded{
 			Compressed:   true,
@@ -87,20 +95,17 @@ func (s *Stride) Encode(src, dst int, stream Stream, addr uint64) Encoded {
 
 // Decode implements Codec.
 func (s *Stride) Decode(src, dst int, stream Stream, e Encoded) uint64 {
-	p := s.pair(src, dst, stream)
-	var addr uint64
+	r := s.regsOf(src, dst, stream)
+	addr := e.Payload
 	if e.Compressed {
-		if !s.recvSeen[p] {
+		if !r.recvSeen {
 			panic(fmt.Sprintf("compress: stride receiver %d<-%d %v got delta before any base", dst, src, stream))
 		}
 		// Sign-extend the delta.
 		shift := 64 - 8*s.deltaBytes
 		delta := int64(e.Payload<<shift) >> shift
-		addr = s.recvBase[p] + uint64(delta)
-	} else {
-		addr = e.Payload
+		addr = r.recv + uint64(delta)
 	}
-	s.recvBase[p] = addr
-	s.recvSeen[p] = true
+	r.recv, r.recvSeen = addr, true
 	return addr
 }

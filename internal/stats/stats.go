@@ -28,11 +28,11 @@ func (c *Counter) Value() uint64 { return c.n }
 // Reset zeroes the counter.
 func (c *Counter) Reset() { c.n = 0 }
 
-// Mean accumulates a running mean/variance (Welford's algorithm) plus
-// min/max, without storing samples.
+// Mean accumulates a running mean (Welford's update) plus min/max,
+// without storing samples.
 type Mean struct {
 	n        uint64
-	mean, m2 float64
+	mean     float64
 	min, max float64
 }
 
@@ -49,9 +49,7 @@ func (m *Mean) Observe(x float64) {
 		}
 	}
 	m.n++
-	delta := x - m.mean
-	m.mean += delta / float64(m.n)
-	m.m2 += delta * (x - m.mean)
+	m.mean += (x - m.mean) / float64(m.n)
 }
 
 // N returns the sample count.
@@ -59,17 +57,6 @@ func (m *Mean) N() uint64 { return m.n }
 
 // Value returns the running mean (0 with no samples).
 func (m *Mean) Value() float64 { return m.mean }
-
-// Variance returns the population variance (0 with fewer than 2 samples).
-func (m *Mean) Variance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n)
-}
-
-// StdDev returns the population standard deviation.
-func (m *Mean) StdDev() float64 { return math.Sqrt(m.Variance()) }
 
 // Min returns the smallest sample (0 with no samples).
 func (m *Mean) Min() float64 {

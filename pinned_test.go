@@ -93,7 +93,8 @@ func (c pinnedConfig) row() (pinnedRow, error) {
 //
 // (a 4-entry DBRC with 2 low-order bytes, seed 1): FFT at 64 tiles on
 // every topology, fault-free, at BER 1e-5 with a 4x noisier VL plane,
-// and with router stalls plus a VL-plane outage; FFT at 1024 tiles;
+// and with router stalls plus a VL-plane outage, and on the torus with
+// the outage after warmup; FFT at 1024 tiles;
 // the 13 applications at 16 tiles, which cover the generator's paths
 // FFT alone does not (long compute gaps in Water-nsq and LU, none in
 // MP3D and Unstructured, each address pattern); the schemes and link
@@ -129,6 +130,13 @@ func pinnedConfigs() []pinnedConfig {
 			add(topo+"64"+f.name, cfg, topo+"64"+f.name)
 		}
 	}
+	// The torus's, with -fault-outage-start 100000: the warmup barrier
+	// falls between cycles 63,000 and 100,000, so the run measures the
+	// outage's failovers (the rows above end their outage in warmup).
+	failover := fft(500, 250)
+	failover.Topology, failover.Tiles = "torus", 64
+	failover.Faults = fault.Config{StallProb: 0.01, OutagePlane: "VL", OutageStart: 100000, OutageCycles: 3000}
+	add("torus64-stall-failover", failover, "")
 	// -refs 40 -warmup 10 -tiles 1024 -topo torus (bench/'s
 	// fft-torus1024), at BER 1e-5, and -topo slim: the widest port
 	// table, 62 output ports per router.
