@@ -1,15 +1,13 @@
 // Command tilesimvet runs tilesim's simulator-specific static analyses
-// over the module. Every run applies all 6 rules, and each finding
+// over the module. Every run applies all 5 rules, and each finding
 // names its rule: determinism (no map-order dependence or float
 // accumulation in map order, sort.SliceStable or a proven total order,
 // and no wall-clock time or global randomness, reached directly or
 // through helpers), units (no mixed-unit arithmetic, compound
 // assignment or comparison), panics (prefixed constant messages),
-// exhaustive (enum switches cover every constant), sharedstate (no
-// unsynchronized shared state in goroutine-reachable code) and poollife
-// (pooled-object lifetimes: no use after release, double release,
-// retention or leak). The internal/analysis package doc has the full
-// catalog.
+// exhaustive (enum switches cover every constant) and sharedstate (no
+// unsynchronized shared state in goroutine-reachable code). The
+// internal/analysis package doc has the full catalog.
 //
 // Usage:
 //

@@ -1,6 +1,6 @@
 // Package analysis implements tilesimvet, the simulator-specific static
 // checks that keep tilesim's cycle-level results bit-for-bit
-// reproducible and its failure modes diagnosable. Run applies all 6
+// reproducible and its failure modes diagnosable. Run applies all 5
 // rules; each finding is labelled with its rule's name:
 //
 //   - determinism: in simulator packages, no map iteration unless
@@ -23,12 +23,6 @@
 //     sweep.Runner callback must not touch unsynchronized shared
 //     mutable state unless a reasoned //tilesim:sharedok waives it
 //     (see sharedstate.go).
-//   - poollife: pooled-object lifetime discipline for the freelists
-//     behind //tilesim:pool / //tilesim:release annotations — no use
-//     after release on any path, no double release, no retention into
-//     fields, slices, closures or sim.Event payloads, every release
-//     dominated by an acquire, no leaks (see poollife.go and DESIGN.md
-//     §8).
 //
 // Two findings carry a machine-applicable SuggestedFix: a missing
 // panic prefix is inserted, and sort.Slice is rewritten to
@@ -71,25 +65,6 @@ const (
 	// The reason is mandatory, and a waiver that no longer suppresses a
 	// finding is itself reported as stale, so waivers cannot rot.
 	SharedOKAnnotation = "tilesim:sharedok"
-	// PoolAnnotation marks a function declaration as a pool acquire
-	// point: calling it yields a pooled object (the function's
-	// pointer-to-named result type). The poollife rule tracks the
-	// lifetime of every value acquired this way.
-	//
-	//	//tilesim:pool
-	//	func (p *Pool) Get() *Message { ... }
-	PoolAnnotation = "tilesim:pool"
-	// ReleaseAnnotation marks a function declaration as a pool release
-	// point. Without a trailing type name the released objects are the
-	// call's pooled-pointer arguments; with one —
-	//
-	//	//tilesim:release MSHREntry
-	//	func (m *MSHR) Free(block uint64, ...) ...
-	//
-	// — the release identifies the object by key rather than by
-	// pointer, and every live local of that pooled type is considered
-	// released at the call (the MSHR.Free shape).
-	ReleaseAnnotation = "tilesim:release"
 )
 
 // Diagnostic is one finding.
@@ -122,11 +97,6 @@ type pass struct {
 	// sharedok maps file -> line -> waiver reason (empty string when
 	// the annotation carries no reason, which is itself a finding).
 	sharedok map[*ast.File]map[int]string
-	// poolacq and poolrel map file -> line -> annotation tail for the
-	// //tilesim:pool and //tilesim:release pool-API annotations (the
-	// tail of a release names the pooled type for by-key releases).
-	poolacq map[*ast.File]map[int]string
-	poolrel map[*ast.File]map[int]string
 
 	report func(Diagnostic)
 }
@@ -209,7 +179,7 @@ var (
 		checkDeterminism, checkUnits, checkPanics, checkExhaustive,
 	}
 	modRules = []func([]*pass, *graph){
-		checkDeterminismReach, checkSharedState, checkPoolLife,
+		checkDeterminismReach, checkSharedState,
 	}
 )
 
@@ -240,8 +210,6 @@ func Run(dir string, patterns []string) ([]Diagnostic, error) {
 			ordered:    collectAnnotations(fset, pkg, OrderedAnnotation),
 			totalorder: collectAnnotations(fset, pkg, TotalOrderAnnotation),
 			sharedok:   collectReasonAnnotations(fset, pkg, SharedOKAnnotation),
-			poolacq:    collectReasonAnnotations(fset, pkg, PoolAnnotation),
-			poolrel:    collectReasonAnnotations(fset, pkg, ReleaseAnnotation),
 			report:     report,
 		}
 		passes = append(passes, p)
@@ -288,8 +256,8 @@ func annotationRest(c *ast.Comment, annotation string) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	// Word boundary: "//tilesim:pool miss" is the pool annotation with
-	// a tail, "//tilesim:poolish" is not the pool annotation at all.
+	// Word boundary: "//tilesim:sharedok why" is the waiver with a
+	// reason, "//tilesim:sharedokay" is not the waiver at all.
 	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
 		return "", false
 	}

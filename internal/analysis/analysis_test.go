@@ -37,7 +37,6 @@ func TestFixtureFindings(t *testing.T) {
 		{"badsort", "determinism", 1},
 		{"badfloat", "determinism", 3},
 		{"badsharedstate", "sharedstate", 6},
-		{"badpoollife", "poollife", 10},
 	}
 	for _, c := range cases {
 		t.Run(c.fixture, func(t *testing.T) {
@@ -210,10 +209,8 @@ func TestFixturesCarryFixes(t *testing.T) {
 }
 
 func TestCleanFixture(t *testing.T) {
-	for _, fixture := range []string{"clean", "cleanpool"} {
-		if diags := runFixture(t, fixture); len(diags) != 0 {
-			t.Fatalf("%s fixture produced findings:\n%s", fixture, render(diags))
-		}
+	if diags := runFixture(t, "clean"); len(diags) != 0 {
+		t.Fatalf("clean fixture produced findings:\n%s", render(diags))
 	}
 }
 

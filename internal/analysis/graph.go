@@ -9,8 +9,8 @@ import (
 )
 
 // graph is the module-wide reference graph the whole-program analyzers
-// (determinism's transitive pass, sharedstate, poollife) share. Nodes
-// are declared functions, methods, package-level variables, anonymous
+// (determinism's transitive pass and sharedstate) share. Nodes are
+// declared functions, methods, package-level variables, anonymous
 // function literals that flow somewhere trackable, and function-typed
 // struct fields of the loaded target packages. Declared functions and
 // variables are keyed by a stable cross-package ID (types.Func.FullName
@@ -45,15 +45,6 @@ type graphNode struct {
 	// by call or by value use, so stored function values propagate —
 	// sorted and deduplicated.
 	refs []string
-	// poolAcquire and poolRelease mark //tilesim:pool and
-	// //tilesim:release function declarations (the poollife rule's pool
-	// API). poolType is the pooled type key ("pkgpath.TypeName"): the
-	// result type for acquires, the annotation's named type for by-key
-	// releases (poolByType), empty for argument-based releases.
-	poolAcquire bool
-	poolRelease bool
-	poolByType  bool
-	poolType    string
 }
 
 // body returns the analyzable statement body of the node, or nil for
@@ -108,7 +99,6 @@ func buildGraph(passes []*pass) *graph {
 						p:    p,
 						decl: decl,
 					}
-					annotatePoolNode(p, f, decl, node)
 					g.nodes[fn.FullName()] = node
 				case *ast.GenDecl:
 					if decl.Tok != token.VAR {

@@ -59,23 +59,22 @@ type Waiter struct {
 // writeback overflow AllocateOver admits.
 //
 // Entries are pooled: Free recycles them onto a freelist and Allocate
-// reuses them, so steady state allocates nothing per miss. Every trip
-// through the pool bumps the entry's generation (Gen), so a stale
-// pointer held across a Free is detectable: its Gen no longer matches
-// the value the holder recorded at allocation.
+// reuses them, so steady state allocates nothing per miss. Free
+// poisons what it recycles (see Free), so a pointer used after its
+// entry's Free reads no transaction's state.
 type MSHR struct {
 	cap  int
 	live []*MSHREntry // live entries, in no particular order
 	free *MSHREntry   // freelist of recycled entries
 }
 
+// poisonBlock is the block of a freed entry. Block addresses are
+// line-aligned and this one is not, so it names no block.
+const poisonBlock = ^uint64(0)
+
 // MSHREntry tracks one outstanding transaction on a block.
 type MSHREntry struct {
 	Block uint64
-	// Gen counts this entry's trips through the pool; it increments on
-	// Free, so a pointer that outlives its transaction is "poisoned":
-	// comparing Gen against the allocation-time value detects aliasing.
-	Gen uint64
 	// AllocAt records the allocation cycle (plain uint64 so the cache
 	// package stays independent of the simulation kernel). The L1
 	// controller stamps it and reads it back when the entry frees, for
@@ -167,17 +166,14 @@ func (m *MSHR) take(block uint64) *MSHREntry {
 		m.free = e.next
 		e.next = nil
 	}
-	gen := e.Gen
 	ws, pws := e.Waiters[:0], e.PartialWaiters[:0]
-	*e = MSHREntry{Block: block, Gen: gen, Waiters: ws, PartialWaiters: pws}
+	*e = MSHREntry{Block: block, Waiters: ws, PartialWaiters: pws}
 	return e
 }
 
 // Allocate creates an entry for block. Allocating over capacity or for a
 // block that already has an entry panics: the L1 controller must check
 // Full/Lookup first.
-//
-//tilesim:pool
 func (m *MSHR) Allocate(block uint64) *MSHREntry {
 	if m.Full() {
 		panic("cache: MSHR overflow")
@@ -189,8 +185,6 @@ func (m *MSHR) Allocate(block uint64) *MSHREntry {
 // capacity. Writeback buffers use it: an eviction triggered by a fill
 // cannot be deferred, so the buffer may transiently exceed the register
 // count (real controllers reserve dedicated writeback entries).
-//
-//tilesim:pool
 func (m *MSHR) AllocateOver(block uint64) *MSHREntry {
 	if m.index(block) >= 0 {
 		panic(fmt.Sprintf("cache: duplicate MSHR entry for block %#x", block))
@@ -202,12 +196,12 @@ func (m *MSHR) AllocateOver(block uint64) *MSHREntry {
 
 // Free releases the entry for block, appends its completion waiters to
 // scratch (returning the extended slice), and recycles the entry onto
-// the pool. The caller runs the returned waiters from its own scratch
-// buffer: by the time they run the entry is already poisoned (Gen
-// bumped, fields cleared), so a waiter that re-allocates the same block
-// can never alias the dead transaction's state.
-//
-//tilesim:release MSHREntry
+// the pool, poisoned: every transaction field is cleared, the block is
+// poisonBlock and PendingAcks is -1, so a pointer used after the Free
+// finds no transaction and its entry can never Complete. The caller
+// runs the returned waiters from its own scratch buffer: by the time
+// they run the entry is already poisoned, so a waiter that re-allocates
+// the same block can never alias the dead transaction's state.
 func (m *MSHR) Free(block uint64, scratch []Waiter) []Waiter {
 	i := m.index(block)
 	if i < 0 {
@@ -220,11 +214,9 @@ func (m *MSHR) Free(block uint64, scratch []Waiter) []Waiter {
 	m.live = m.live[:last]
 	scratch = append(scratch, e.Waiters...)
 	clear(e.Waiters)
-	e.Waiters = e.Waiters[:0]
 	clear(e.PartialWaiters)
-	e.PartialWaiters = e.PartialWaiters[:0]
-	e.Gen++ // poison: any retained pointer now has a mismatched Gen
-	e.next = m.free
+	*e = MSHREntry{Block: poisonBlock, PendingAcks: -1,
+		Waiters: e.Waiters[:0], PartialWaiters: e.PartialWaiters[:0], next: m.free}
 	m.free = e
 	return scratch
 }

@@ -3,16 +3,17 @@ package cache
 import "testing"
 
 // TestMSHRFreePoisonsEntry pins the pooled-entry aliasing contract: Free
-// bumps Gen and clears the transaction state, so a pointer retained
-// across a Free is detectable (its allocation-time Gen mismatches) and a
-// re-allocation of the same block can never alias the dead transaction.
+// clears the transaction state and writes an impossible block and ack
+// count, so a pointer retained across a Free reads no transaction, and
+// a re-allocation of the same block can never alias the dead one.
 func TestMSHRFreePoisonsEntry(t *testing.T) {
 	m := NewMSHR(4)
 
 	e := m.Allocate(0x40)
 	stale := e
-	staleGen := e.Gen
 	e.IsWrite = true
+	e.GrantExclusive = true
+	e.InvalidatedInFlight = true
 	e.GotData = true
 	e.PendingAcks = 2
 	e.Waiters = append(e.Waiters, Waiter{Kind: WaiterDone, Done: func() {}})
@@ -26,43 +27,31 @@ func TestMSHRFreePoisonsEntry(t *testing.T) {
 	if scratch[0].Kind != WaiterDone || scratch[1].Kind != WaiterFinish {
 		t.Fatalf("Free reordered waiters: %+v", scratch)
 	}
-	if stale.Gen == staleGen {
-		t.Fatal("Free did not poison Gen; stale pointers are undetectable")
+	if stale.Block != poisonBlock || stale.PendingAcks != -1 {
+		t.Fatalf("freed entry holds block %#x and %d pending acks, want the poison %#x and -1",
+			stale.Block, stale.PendingAcks, poisonBlock)
+	}
+	if stale.IsWrite || stale.GotData || stale.GrantExclusive || stale.InvalidatedInFlight ||
+		len(stale.Waiters) != 0 || len(stale.PartialWaiters) != 0 {
+		t.Fatalf("freed entry retains dead-transaction state: %+v", *stale)
 	}
 	if m.Lookup(0x40) != nil {
 		t.Fatal("freed entry still addressable")
 	}
 
-	// Re-allocating the same block must reuse the pooled entry with a
-	// clean transaction and the poisoned (advanced) generation — the
-	// stale holder's recorded Gen can never match it again.
+	// Re-allocating the same block must reuse the pooled entry, tracking
+	// the block again with a clean transaction.
 	r := m.Allocate(0x40)
 	if r != e {
 		t.Fatal("pool did not recycle the freed entry")
 	}
-	if r.Gen == staleGen {
-		t.Fatalf("recycled Gen %d equals the stale holder's; aliasing undetectable", r.Gen)
+	if r.Block != 0x40 {
+		t.Fatalf("recycled entry tracks block %#x, want 0x40", r.Block)
 	}
 	if r.IsWrite || r.GotData || r.PendingAcks != 0 || len(r.Waiters) != 0 || len(r.PartialWaiters) != 0 {
 		t.Fatalf("recycled entry retains dead-transaction state: %+v", r)
 	}
 	if cap(r.Waiters) != waiterCap {
 		t.Errorf("recycled waiter backing array not retained: cap %d, want %d", cap(r.Waiters), waiterCap)
-	}
-}
-
-// TestMSHRGenerationsAdvanceMonotonically: every trip through the pool
-// bumps the generation, across distinct blocks sharing one pooled entry.
-func TestMSHRGenerationsAdvanceMonotonically(t *testing.T) {
-	m := NewMSHR(4)
-	var last uint64
-	for i, block := range []uint64{0x40, 0x80, 0xc0, 0x100} {
-		e := m.Allocate(block)
-		if i > 0 && e.Gen <= last {
-			t.Fatalf("trip %d: Gen %d did not advance past %d", i, e.Gen, last)
-		}
-		last = e.Gen
-		e.GotData = true
-		m.Free(block, nil)
 	}
 }

@@ -207,8 +207,10 @@ func holdsPointers(t reflect.Type) bool {
 }
 
 // TestDirEntryReleasedTwicePanics releases one directory entry twice,
-// once for a block with an L2 line and once for a block without one:
-// the second release must panic before the entry rejoins the freelist.
+// once for a block with an L2 line and once for a block without one.
+// The first release must poison the entry, so that it tracks no block
+// and names no owner, and the second must panic before the entry
+// rejoins the freelist.
 func TestDirEntryReleasedTwicePanics(t *testing.T) {
 	const block = 0x200000 // home 0
 	for _, c := range []struct {
@@ -226,6 +228,9 @@ func TestDirEntryReleasedTwicePanics(t *testing.T) {
 			}
 			e, _ := h.entry(block)
 			h.release(block, e)
+			if e.block != poisonBlock || e.owner != -2 {
+				t.Fatalf("released entry tracks block %#x with owner %d, want the poison %#x and -2", e.block, e.owner, poisonBlock)
+			}
 			defer func() {
 				msg, _ := recover().(string)
 				if !strings.Contains(msg, c.want) {

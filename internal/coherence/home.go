@@ -70,6 +70,10 @@ type dirEntry struct {
 	fillFor uint64
 }
 
+// poisonBlock is the block of a released entry. Block addresses are
+// line-aligned and this one is not, so it names no block.
+const poisonBlock = ^uint64(0)
+
 // entryChunk is the number of directory entries that one pool growth
 // allocates, and that share one sharer word array (DESIGN.md §16.8 has
 // the measurements behind the size).
@@ -202,8 +206,6 @@ func (h *HomeController) lookup(block uint64) (*dirEntry, *cache.Line) {
 
 // entry is lookup that takes a pooled entry, and names it on the line
 // or the side list, when the block is untracked.
-//
-//tilesim:pool
 func (h *HomeController) entry(block uint64) (*dirEntry, *cache.Line) {
 	e, line := h.lookup(block)
 	if e != nil {
@@ -238,9 +240,9 @@ func (h *HomeController) grow() {
 
 // release recycles block's entry once it holds no state — the single
 // release point of the directory-entry pool — dropping the reference
-// that names it.
-//
-//tilesim:release
+// that names it. The recycled entry is poisoned until entry takes it
+// again: its block is poisonBlock and its owner -2, so a use of it
+// after the release tracks no block and names no tile.
 func (h *HomeController) release(block uint64, e *dirEntry) {
 	if !h.empty(e) {
 		return
@@ -253,7 +255,7 @@ func (h *HomeController) release(block uint64, e *dirEntry) {
 	} else {
 		h.unside(e.ref)
 	}
-	e.next = h.free
+	*e = dirEntry{block: poisonBlock, owner: -2, ref: e.ref, next: h.free}
 	h.free = e.ref
 }
 

@@ -507,11 +507,9 @@ func (l *L1Controller) onWBAck(m *noc.Message) {
 // freeEntry releases the MSHR entry for block, recording its
 // allocation-to-free residency (per-tile and chip-wide), and runs the
 // entry's parked waiters from the controller's scratch buffer. The
-// entry returns to the pool — poisoned, Gen bumped — before the first
-// waiter runs, so a waiter that re-allocates the same block can never
-// alias the dead transaction's state.
-//
-//tilesim:release MSHREntry
+// entry returns to the pool, poisoned, before the first waiter runs, so
+// a waiter that re-allocates the same block can never alias the dead
+// transaction's state, and e must not be used once this returns.
 func (l *L1Controller) freeEntry(block uint64, e *cache.MSHREntry) {
 	res := float64(uint64(l.p.k.Now()) - e.AllocAt)
 	l.MSHRResidency.Observe(res)

@@ -644,18 +644,14 @@ type transit struct {
 	deliverFn sim.Event // tail serialized at the destination
 	hopFn     sim.Event // retransmission entry (fault injection)
 	dropFn    sim.Event // retry-budget exhaustion (fault injection)
-	// next links the freelist; freed marks a transit on it, so a second
-	// recycle panics instead of handing one transit to two messages.
-	next  *transit
-	freed bool
+	// next links the freelist.
+	next *transit
 }
 
 // newTransit takes a transit from the freelist (or allocates the pool's
 // next entry) and initializes every in-flight field, copying *m. dst is
 // the destination router; the transit has no link to cross until Send
 // routes its first hop.
-//
-//tilesim:pool
 func (n *Network) newTransit(m *noc.Message, dst pos, injected sim.Time, flits noc.FlitCount, plane Plane, traceID uint64) *transit {
 	t := n.free
 	if t == nil {
@@ -668,7 +664,7 @@ func (n *Network) newTransit(m *noc.Message, dst pos, injected sim.Time, flits n
 		t.dropFn = func() { n.drop(t) }
 	} else {
 		n.free = t.next
-		t.next, t.freed = nil, false
+		t.next = nil
 	}
 	t.m, t.link, t.dst, t.hops, t.size = *m, -1, dst, 0, int32(m.SizeBytes)
 	t.injected, t.waited, t.flits, t.plane = injected, 0, flits, plane
@@ -676,15 +672,20 @@ func (n *Network) newTransit(m *noc.Message, dst pos, injected sim.Time, flits n
 	return t
 }
 
-// recycle returns a finished transit to the freelist. The caller must
-// be done with every field; the next Send will overwrite them.
-//
-//tilesim:release
+// recycle returns a finished transit to the freelist, poisoned until
+// the next Send takes it: its message has a negative type, source and
+// destination and a zero size, and its link is -2, no link. A use of
+// the transit before then panics on the link index or the type's class,
+// or counts zero bytes. The negative type also marks the transit free,
+// so a second recycle panics instead of handing one transit to two
+// messages.
 func (n *Network) recycle(t *transit) {
-	if t.freed {
+	if t.m.Type < 0 {
 		panic("mesh: transit recycled twice")
 	}
-	t.next, t.freed = n.free, true
+	t.m = noc.Message{Type: -1, Src: -1, Dst: -1}
+	t.link = -2
+	t.next = n.free
 	n.free = t
 }
 
