@@ -12,7 +12,8 @@ package tilesim
 //     run lengths, on the 30 pinned configurations (pinned_test.go)
 //     that name a slope subtest;
 //   - TestResultEncodingAllocGate: bytes allocated by sweep.Digest and
-//     a disk-cache Put of a 1024-tile result.
+//     a disk-cache Put of a 1024-tile result, and by a metrics snapshot
+//     of the system that produced it.
 //
 // The alloc-gate CI job runs the root package without -race, so these
 // four tests run there with TestPinnedResults. After a deliberate
@@ -58,9 +59,12 @@ type allocBudget struct {
 	SlopeMeasuredAllocsPerRef float64 `json:"slope_measured_allocs_per_ref"`
 	SlopeMeasuredWorst        string  `json:"slope_measured_worst"`
 	// Result-encoding check: bytes allocated by one digest or one
-	// disk-cache Put of the 1024-tile bench result, each.
-	EncodeBytesCeiling  uint64 `json:"encode_bytes_ceiling"`
-	EncodeMeasuredBytes uint64 `json:"encode_measured_bytes"`
+	// disk-cache Put of the 1024-tile bench result, each, and by one
+	// more metrics snapshot of its system.
+	EncodeBytesCeiling    uint64 `json:"encode_bytes_ceiling"`
+	EncodeMeasuredBytes   uint64 `json:"encode_measured_bytes"`
+	SnapshotBytesCeiling  uint64 `json:"snapshot_bytes_ceiling"`
+	SnapshotMeasuredBytes uint64 `json:"snapshot_measured_bytes"`
 }
 
 func readAllocBudget(t testing.TB) allocBudget {
@@ -82,8 +86,8 @@ func readAllocBudget(t testing.TB) allocBudget {
 	if b.SlopeAllocsPerRefCeiling == 0 {
 		t.Fatal("alloc gate: ALLOC_BUDGET.json lacks slope_allocs_per_ref_ceiling")
 	}
-	if b.EncodeBytesCeiling == 0 {
-		t.Fatal("alloc gate: ALLOC_BUDGET.json lacks encode_bytes_ceiling")
+	if b.EncodeBytesCeiling == 0 || b.SnapshotBytesCeiling == 0 {
+		t.Fatal("alloc gate: ALLOC_BUDGET.json lacks encode_bytes_ceiling or snapshot_bytes_ceiling")
 	}
 	return b
 }
@@ -331,22 +335,28 @@ func TestAllocSlope(t *testing.T) {
 }
 
 // TestResultEncodingAllocGate requires the digest and the disk cache to
-// stream a result's encoding instead of holding it: on the 1024-tile
-// torus result bench/ digests (fft-torus1024: 18,507 metrics, 1.4 MB of
-// JSON), sweep.Digest and a disk-cache Put must each allocate at most
-// the ALLOC_BUDGET.json ceiling. Materializing the encoding, as
-// json.Marshal does, allocates 7.6 MB. Skipped under -race, like
-// TestAllocGate.
+// stream a result's encoding instead of holding it, and the metrics
+// snapshot to be one sorted slice. On the 1024-tile torus result bench/
+// digests (fft-torus1024: 18,507 metrics, 1.4 MB of JSON), sweep.Digest
+// and a disk-cache Put must each allocate at most encode_bytes_ceiling,
+// which a sort of the metric names or a materialized encoding
+// overruns; one more Registry().Snapshot of the system must allocate at
+// most snapshot_bytes_ceiling, which a snapshot built as a map
+// overruns. Skipped under -race, like TestAllocGate.
 func TestResultEncodingAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
 	budget := readAllocBudget(t)
-	res, err := cmp.Run(cmp.RunConfig{
+	sys, err := cmp.NewSystem(cmp.RunConfig{
 		App: "FFT", RefsPerCore: 40, WarmupRefs: 10, Seed: 1, Topology: "torus", Tiles: 1024,
 		Compression:   compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 2},
 		Heterogeneous: true,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,18 +365,23 @@ func TestResultEncodingAllocGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name string
-		fn   func()
+		name              string
+		fn                func()
+		ceiling, recorded uint64
+		held              string
 	}{
-		{"sweep.Digest", func() { sweep.Digest(res) }},
-		{"Cache.Put", func() { cache.Put("fft-torus1024", res) }},
+		{"sweep.Digest", func() { sweep.Digest(res) }, budget.EncodeBytesCeiling, budget.EncodeMeasuredBytes,
+			"the result's encoding, or a sort of its names, is being held"},
+		{"Cache.Put", func() { cache.Put("fft-torus1024", res) }, budget.EncodeBytesCeiling, budget.EncodeMeasuredBytes,
+			"the result's encoding, or a sort of its names, is being held"},
+		{"Registry.Snapshot", func() { sys.Registry().Snapshot(sys.K.Now()) }, budget.SnapshotBytesCeiling, budget.SnapshotMeasuredBytes,
+			"the snapshot holds more than its sorted entries"},
 	} {
 		allocs, bytes := measureRun(c.fn)
-		t.Logf("%s: %d allocs, %d B (ceiling %d B, recorded %d B)",
-			c.name, allocs, bytes, budget.EncodeBytesCeiling, budget.EncodeMeasuredBytes)
-		if bytes > budget.EncodeBytesCeiling {
-			t.Errorf("%s allocated %d B, above the ALLOC_BUDGET.json ceiling of %d B: "+
-				"the result's encoding is being held, not streamed", c.name, bytes, budget.EncodeBytesCeiling)
+		t.Logf("%s: %d allocs, %d B (ceiling %d B, recorded %d B)", c.name, allocs, bytes, c.ceiling, c.recorded)
+		if bytes > c.ceiling {
+			t.Errorf("%s allocated %d B, above the ALLOC_BUDGET.json ceiling of %d B: %s",
+				c.name, bytes, c.ceiling, c.held)
 		}
 	}
 }

@@ -30,7 +30,7 @@ func TestSidecarKeepsDistinctRuns(t *testing.T) {
 	}
 	for _, tiles := range []int{16, 64} {
 		cfg.Tiles = tiles
-		snap := obs.Snapshot{"sim.cycles": obs.Metric{Type: "gauge", Value: float64(tiles)}}
+		snap := obs.Snapshot{{Name: "sim.cycles", Metric: obs.Metric{Type: "gauge", Value: float64(tiles)}}}
 		sc.collect(sweep.JobResult{Config: cfg, Result: cmp.Result{Metrics: snap}})
 	}
 	if err := sc.flush("scale"); err != nil {

@@ -14,10 +14,10 @@ import (
 //     randomizes map iteration order per run, so any map-order-dependent
 //     side effect makes two identically-seeded runs diverge. A statement
 //     may be annotated //tilesim:ordered when its body is order-safe
-//     (e.g. it only collects keys that are sorted before use, as
-//     stats.SortedKeys does). Inside an annotated range, floating-point
-//     accumulation is still flagged: float addition is not associative,
-//     so a float sum is never order-independent.
+//     (e.g. it only collects keys that are sorted before use). Inside
+//     an annotated range, floating-point accumulation is still flagged:
+//     float addition is not associative, so a float sum is never
+//     order-independent.
 //  2. wall-clock time (time.Now, time.Since, time.Until) outside cmd/:
 //     simulated time must come from the sim.Kernel clock.
 //  3. global math/rand and math/rand/v2 functions (rand.Intn,

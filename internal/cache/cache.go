@@ -112,27 +112,40 @@ type Cache struct {
 // power-of-two lines.
 func New(cfg Config) *Cache { return &NewSlab(cfg, 1)[0] }
 
-// NewSlab builds n caches of one geometry over one allocation of
-// lines: cache i owns the i-th run of the slab through a slice whose
-// capacity ends with the run, so no cache reaches another's lines. A
-// chip's L1s, or its L2 slices, are then one allocation, not one per
-// tile.
+// NewSlab builds n caches of one geometry over a few allocations of
+// lines: the slab is cut into chunks of at most slabChunkLines lines
+// (or one cache, if larger), each holding whole caches, and cache i
+// owns its run of a chunk through a slice whose capacity ends with the
+// run, so no cache reaches another's lines. A chip's L1s, or its L2
+// slices, then take a few allocations, not one per tile.
 func NewSlab(cfg Config, n int) []Cache {
 	sets := checkGeometry(cfg)
 	per := sets * cfg.Ways
-	slab := make([]Line, n*per)
+	perChunk := max(1, slabChunkLines/per)
 	cs := make([]Cache, n)
+	var chunk []Line
 	for i := range cs {
+		if len(chunk) == 0 {
+			chunk = make([]Line, min(perChunk, n-i)*per)
+		}
 		cs[i] = Cache{
 			cfg:     cfg,
 			sets:    sets,
 			shift:   uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 			setMask: uint64(sets - 1),
-			lines:   slab[i*per : (i+1)*per : (i+1)*per],
+			lines:   chunk[:per:per],
 		}
+		chunk = chunk[per:]
 	}
 	return cs
 }
+
+// slabChunkLines bounds one allocation of a slab to 4 MiB of 16-byte
+// lines (DESIGN.md §16.9). The runtime zeroes a large allocation whole
+// when any of its pages was freed before, which touches every page:
+// one 64 MB slab at 1024 tiles could double a run's resident memory.
+// A chunk bounds what one such reuse touches.
+const slabChunkLines = 1 << 18
 
 // checkGeometry panics unless cfg describes a buildable cache, and
 // returns its set count.

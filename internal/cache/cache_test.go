@@ -304,14 +304,20 @@ func TestLineIsSixteenBytes(t *testing.T) {
 	}
 }
 
-// TestSlabCachesNeverAlias carves four caches of each of the paper's
-// geometries from one slab and fills every way of every set of each in
-// turn: the other three must stay empty. Each cache's lines must end
-// where their capacity does, so no append or reslice reaches a
-// neighbour, and start on a 64-byte boundary, like a lone cache's.
+// TestSlabCachesNeverAlias carves caches of each of the paper's
+// geometries from one slab, two more than a chunk holds, so the slab
+// crosses a chunk boundary, and fills every way of every set of each
+// in turn with blocks of its own: every cache must still hold all of
+// its blocks and nothing else. Each cache's lines must end where their
+// capacity does, so no append or reslice reaches a neighbour, and
+// start on a 64-byte boundary, like a lone cache's.
 func TestSlabCachesNeverAlias(t *testing.T) {
 	for _, cfg := range []Config{L1Config(), L2SliceConfig()} {
-		cs := NewSlab(cfg, 4)
+		cs := NewSlab(cfg, slabChunkLines/(cfg.CapacityBytes/cfg.LineBytes)+2)
+		// Cache i's blocks: consecutive blocks fill consecutive sets,
+		// so the first sets*ways fill every way of every set, tagged
+		// with i above every index bit.
+		block := func(i, b int) uint64 { return uint64(i)<<40 | uint64(b*cfg.LineBytes) }
 		for i := range cs {
 			c := &cs[i]
 			if len(c.lines) != cap(c.lines) || len(c.lines) != c.sets*cfg.Ways {
@@ -321,21 +327,19 @@ func TestSlabCachesNeverAlias(t *testing.T) {
 			if at := uintptr(unsafe.Pointer(&c.lines[0])); at%64 != 0 {
 				t.Errorf("%d-byte cache %d: line array at %#x is not 64-byte aligned", cfg.CapacityBytes, i, at)
 			}
-			// Consecutive blocks fill consecutive sets, so the first
-			// sets*ways blocks fill every way of every set.
 			for b := range len(c.lines) {
-				c.Insert(uint64(b*cfg.LineBytes), Exclusive)
+				c.Insert(block(i, b), Exclusive)
 			}
+		}
+		for i := range cs {
+			c := &cs[i]
 			if got := c.Occupancy(); got != len(c.lines) {
-				t.Fatalf("%d-byte cache %d: %d of %d lines valid after the fill", cfg.CapacityBytes, i, got, len(c.lines))
-			}
-			for j := range cs {
-				if got := cs[j].Occupancy(); j != i && got != 0 {
-					t.Fatalf("%d-byte cache %d: filling it left %d lines valid in cache %d", cfg.CapacityBytes, i, got, j)
-				}
+				t.Fatalf("%d-byte cache %d: %d of %d lines valid after every fill", cfg.CapacityBytes, i, got, len(c.lines))
 			}
 			for b := range len(c.lines) {
-				c.Invalidate(uint64(b * cfg.LineBytes))
+				if c.Probe(block(i, b)) == nil {
+					t.Fatalf("%d-byte cache %d of %d lost block %#x to a neighbour's fill", cfg.CapacityBytes, i, len(cs), block(i, b))
+				}
 			}
 		}
 	}

@@ -39,10 +39,10 @@ func TestFaultRunSameSeedByteIdentical(t *testing.T) {
 	if r1.Net.Retries != r1.Net.CRCErrors {
 		t.Fatalf("retries %d != crc errors %d with zero drops", r1.Net.Retries, r1.Net.CRCErrors)
 	}
-	if _, ok := r1.Metrics["net.fault.crc_errors"]; !ok {
+	if _, ok := r1.Metrics.Get("net.fault.crc_errors"); !ok {
 		t.Error("fault-injected run missing net.fault.crc_errors metric")
 	}
-	if _, ok := r1.Metrics["mgr.failover_msgs"]; !ok {
+	if _, ok := r1.Metrics.Get("mgr.failover_msgs"); !ok {
 		t.Error("fault-injected run missing mgr.failover_msgs metric")
 	}
 }
@@ -64,10 +64,10 @@ func TestFaultInjectionSlowsTheRunDown(t *testing.T) {
 	if clean.Net.CRCErrors != 0 || clean.Failovers != 0 {
 		t.Fatalf("fault-free run has fault counters: %+v", clean.Net)
 	}
-	if _, ok := clean.Metrics["net.fault.crc_errors"]; ok {
+	if _, ok := clean.Metrics.Get("net.fault.crc_errors"); ok {
 		t.Error("fault-free run registers net.fault.* metrics")
 	}
-	if _, ok := clean.Metrics["mgr.failover_msgs"]; ok {
+	if _, ok := clean.Metrics.Get("mgr.failover_msgs"); ok {
 		t.Error("fault-free run registers mgr.failover_msgs")
 	}
 }

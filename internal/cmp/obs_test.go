@@ -41,16 +41,16 @@ func TestMetricsSnapshotAttached(t *testing.T) {
 		"coh.l1.loads", "coh.mshr.residency",
 		"mgr.compressible", "mgr.coverage",
 	} {
-		if _, ok := r.Metrics[want]; !ok {
+		if _, ok := r.Metrics.Get(want); !ok {
 			t.Errorf("metric %q missing from snapshot", want)
 		}
 	}
 
 	// Per-link metrics exist and at least one link carried traffic.
 	var linkFlits uint64
-	for name, m := range r.Metrics {
-		if strings.HasPrefix(name, "net.link.") && strings.HasSuffix(name, ".flits") {
-			linkFlits += m.Count
+	for _, e := range r.Metrics {
+		if strings.HasPrefix(e.Name, "net.link.") && strings.HasSuffix(e.Name, ".flits") {
+			linkFlits += e.Metric.Count
 		}
 	}
 	if linkFlits == 0 {
@@ -62,19 +62,26 @@ func TestMetricsSnapshotAttached(t *testing.T) {
 	classes := []string{"requests", "responses", "coherence_commands",
 		"coherence_replies", "replacements"}
 	for _, slug := range classes {
-		total := r.Metrics["net.breakdown."+slug+".total_cycles"].Count
-		parts := r.Metrics["net.breakdown."+slug+".router_cycles"].Count +
-			r.Metrics["net.breakdown."+slug+".queue_cycles"].Count +
-			r.Metrics["net.breakdown."+slug+".wire_cycles"].Count +
-			r.Metrics["net.breakdown."+slug+".serialize_cycles"].Count
+		total := metric(r.Metrics, "net.breakdown."+slug+".total_cycles").Count
+		parts := metric(r.Metrics, "net.breakdown."+slug+".router_cycles").Count +
+			metric(r.Metrics, "net.breakdown."+slug+".queue_cycles").Count +
+			metric(r.Metrics, "net.breakdown."+slug+".wire_cycles").Count +
+			metric(r.Metrics, "net.breakdown."+slug+".serialize_cycles").Count
 		if total != parts {
 			t.Errorf("breakdown %s: total %d != components %d", slug, total, parts)
 		}
-		lat := r.Metrics["net.lat."+slug]
+		lat := metric(r.Metrics, "net.lat."+slug)
 		if sum := lat.Mean * float64(lat.Count); uint64(sum+0.5) != total {
 			t.Errorf("breakdown %s: total %d disagrees with latency sum %v", slug, total, sum)
 		}
 	}
+}
+
+// metric returns the metric named name in s, the zero Metric if s
+// lacks it.
+func metric(s obs.Snapshot, name string) obs.Metric {
+	m, _ := s.Get(name)
+	return m
 }
 
 // TestMetricsByteIdentical serializes the metrics of two same-seed
@@ -250,14 +257,14 @@ func TestRequestPercentilesBracketMean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat := r.Metrics["net.lat.requests"]
+	lat := metric(r.Metrics, "net.lat.requests")
 	if r.RequestLatencyP50 < lat.Min || r.RequestLatencyP50 > lat.Max {
 		t.Errorf("p50 %v outside [%v, %v]", r.RequestLatencyP50, lat.Min, lat.Max)
 	}
 	if r.RequestLatencyP99 < r.RequestLatencyP50 || r.RequestLatencyP99 > lat.Max {
 		t.Errorf("p99 %v outside [p50 %v, max %v]", r.RequestLatencyP99, r.RequestLatencyP50, lat.Max)
 	}
-	if hist, ok := r.Metrics["net.lat.requests.hist"]; !ok || hist.P50 != r.RequestLatencyP50 {
+	if hist, ok := r.Metrics.Get("net.lat.requests.hist"); !ok || hist.P50 != r.RequestLatencyP50 {
 		t.Errorf("snapshot p50 %v disagrees with Result %v", hist.P50, r.RequestLatencyP50)
 	}
 }

@@ -117,12 +117,12 @@ func TestSeriesNoSimulationFeedback(t *testing.T) {
 
 			// Metric-level: everything except the drain-clock bookkeeping
 			// must match exactly.
-			for name, m := range without.Metrics {
-				if name == "sim.events" || name == "sim.cycles" || strings.HasSuffix(name, ".util") {
+			for _, e := range without.Metrics {
+				if e.Name == "sim.events" || e.Name == "sim.cycles" || strings.HasSuffix(e.Name, ".util") {
 					continue
 				}
-				if got := with.Metrics[name]; got != m {
-					t.Errorf("series changed metric %s: %+v vs %+v", name, got, m)
+				if got, _ := with.Metrics.Get(e.Name); got != e.Metric {
+					t.Errorf("series changed metric %s: %+v vs %+v", e.Name, got, e.Metric)
 				}
 			}
 			if len(with.Metrics) != len(without.Metrics) {
@@ -167,7 +167,7 @@ func TestSeriesFinishClosesAtRunEnd(t *testing.T) {
 			// its column sum must equal the snapshot total.
 			checked := 0
 			for i, colName := range d.Columns {
-				m, ok := r.Metrics[colName]
+				m, ok := r.Metrics.Get(colName)
 				if !ok || m.Type != "counter" {
 					continue
 				}

@@ -70,7 +70,8 @@ func TestBaselineSizesAndPlane(t *testing.T) {
 func (h *harness) coverage() float64 {
 	r := obs.NewRegistry()
 	h.mgr.RegisterMetrics(r)
-	return r.Snapshot(h.k.Now())["mgr.coverage"].Value
+	m, _ := r.Snapshot(h.k.Now()).Get("mgr.coverage")
+	return m.Value
 }
 
 func TestCompressedRequestRidesVL(t *testing.T) {

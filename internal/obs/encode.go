@@ -2,12 +2,15 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
+	"strings"
 	"unicode/utf8"
-
-	"tilesim/internal/stats"
 )
 
 // The metric writer: one append-based encoder behind every encoding of
@@ -15,7 +18,8 @@ import (
 //
 //   - Metric.MarshalJSON: one metric, with its type's active fields;
 //   - WriteCompactJSON, and Snapshot.MarshalJSON on top of it: the
-//     bytes json.Marshal writes for map[string]Metric, streamed;
+//     bytes json.Marshal writes for map[string]Metric, streamed, which
+//     Snapshot.UnmarshalJSON reads back;
 //   - WriteJSON: the pretty, zero-omitting -metrics-out file.
 
 // format selects one of the writer's output formats.
@@ -180,11 +184,11 @@ func (s Snapshot) MarshalJSON() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// WriteCompactJSON streams the bytes json.Marshal writes for
-// map[string]Metric(s): keys sorted bytewise, each value in
+// WriteCompactJSON streams the bytes json.Marshal writes for the map
+// from s's names to their metrics: names in byte order, each value in
 // Metric.MarshalJSON's form, no whitespace, and null for a nil
-// snapshot. It holds the sorted names and one buffer, never the whole
-// encoding (1.4 MB at 1024 tiles).
+// snapshot. It holds one buffer, never the whole encoding (1.4 MB at
+// 1024 tiles).
 func (s Snapshot) WriteCompactJSON(w io.Writer) error {
 	if s == nil {
 		_, err := io.WriteString(w, "null")
@@ -201,7 +205,9 @@ func (s Snapshot) WriteJSON(w io.Writer) error { return s.write(w, pretty) }
 // flushAt is the buffered length at which write hands its buffer to w.
 const flushAt = 32 << 10
 
-// write streams s to w in format f, one name at a time in sorted order.
+// write streams s to w in format f, one entry at a time in order. A
+// name out of byte order, or repeated, is an error: s was not built
+// sorted, and its encoding would not be a sorted JSON object.
 func (s Snapshot) write(w io.Writer, f format) error {
 	open, sep, colon, end := "{", ",", ":", "}"
 	if f == pretty {
@@ -209,17 +215,20 @@ func (s Snapshot) write(w io.Writer, f format) error {
 	}
 	b := make([]byte, 0, flushAt+1024)
 	b = append(b, open...)
-	for i, name := range stats.SortedKeys(s) {
+	for i := range s {
+		e := &s[i]
 		if i > 0 {
+			if s[i-1].Name >= e.Name {
+				return fmt.Errorf("obs: snapshot name %q follows %q", e.Name, s[i-1].Name)
+			}
 			b = append(b, sep...)
 		}
 		if f == pretty {
 			b = append(b, "  "...)
 		}
-		b = appendString(b, name, f == compact)
+		b = appendString(b, e.Name, f == compact)
 		b = append(b, colon...)
-		m := s[name]
-		b = appendMetric(b, &m, f)
+		b = appendMetric(b, &e.Metric, f)
 		if len(b) >= flushAt {
 			if _, err := w.Write(b); err != nil {
 				return err
@@ -230,4 +239,65 @@ func (s Snapshot) write(w io.Writer, f format) error {
 	b = append(b, end...)
 	_, err := w.Write(b)
 	return err
+}
+
+// UnmarshalJSON decodes a JSON object of metrics, such as a disk-cache
+// entry's, into a sorted snapshot: the one encoding/json decodes into
+// map[string]Metric, a name given twice keeping its last value. A JSON
+// null leaves s as it is.
+func (s *Snapshot) UnmarshalJSON(data []byte) error {
+	out, err := decodeSnapshot(data)
+	if err != nil {
+		return fmt.Errorf("obs: decoding a snapshot: %w", err)
+	}
+	if out != nil {
+		*s = out
+	}
+	return nil
+}
+
+// decodeSnapshot decodes one JSON object of metrics, in the object's
+// order, or null (a nil snapshot and no error).
+func decodeSnapshot(data []byte) (Snapshot, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	tok, err := dec.Token()
+	if err != nil || tok == nil {
+		return nil, err
+	}
+	if tok != json.Delim('{') {
+		return nil, fmt.Errorf("a JSON %v is not an object", tok)
+	}
+	out := Snapshot{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return nil, err
+		}
+		e := Entry{Name: tok.(string)} // Token returns an object's keys as strings
+		if err := dec.Decode(&e.Metric); err != nil {
+			return nil, err
+		}
+		out = append(out, e)
+	}
+	if _, err := dec.Token(); err != nil { // the closing brace
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("data after the object")
+	}
+	return sortedUnique(out), nil
+}
+
+// sortedUnique sorts s by name in place and keeps the last entry of
+// each name, as a map keeps the last value stored under a key.
+func sortedUnique(s Snapshot) Snapshot {
+	slices.SortStableFunc(s, func(a, b Entry) int { return strings.Compare(a.Name, b.Name) })
+	out := s[:0]
+	for i := range s {
+		if i+1 < len(s) && s[i+1].Name == s[i].Name {
+			continue
+		}
+		out = append(out, s[i])
+	}
+	return out
 }

@@ -10,9 +10,8 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
-
-	"tilesim/internal/stats"
 )
 
 // legacyMetric carries the Metric.MarshalJSON the metric writer
@@ -80,8 +79,8 @@ func legacyFormatFloat(v float64) string {
 func legacyWriteJSON(s Snapshot, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\n")
-	for i, name := range stats.SortedKeys(s) {
-		m := s[name]
+	for i, e := range s {
+		name, m := e.Name, e.Metric
 		if i > 0 {
 			bw.WriteString(",\n")
 		}
@@ -114,17 +113,21 @@ func legacyWriteFloatField(w *bufio.Writer, key string, v float64) {
 var fuzzTypes = [...]string{"counter", "gauge", "mean", "histogram", `odd<&>"\`}
 
 // FuzzSnapshotJSON builds a snapshot from arbitrary names, types and
-// values and requires every encoding of it to match its reference: the
-// streamed compact writer, Snapshot.MarshalJSON and json.Marshal of the
-// snapshot must write the bytes encoding/json's own map encoder writes
-// for map[string]Metric, which must in turn equal that encoder's bytes
-// over the legacy Metric.MarshalJSON. WriteJSON must decode with
-// encoding/json to the names and types the compact bytes decode to,
-// and write the legacy pretty file whenever every name and type is
-// printable ASCII. A series with the two names as columns and a trace
-// with them as track, event, category and arg names must decode and
-// give the names back. The seed corpus is
-// testdata/fuzz/FuzzSnapshotJSON.
+// values, through the constructor UnmarshalJSON uses, which keeps the
+// last metric of a repeated name as a map literal does. Every encoding
+// of it must match its reference: the streamed compact writer,
+// Snapshot.MarshalJSON and json.Marshal of the snapshot must write the
+// bytes encoding/json's own map encoder writes for the map literal,
+// which must in turn equal that encoder's bytes over the legacy
+// Metric.MarshalJSON. Get must find every name of the map and report
+// an absent one, and UnmarshalJSON of the compact bytes must give what
+// encoding/json decodes them to as a map[string]Metric, sorted by
+// name. WriteJSON must decode with encoding/json to the names and types
+// the compact bytes decode to, and write the legacy pretty file
+// whenever every name and type is printable ASCII. A series with the
+// two names as columns and a trace with them as track, event, category
+// and arg names must decode and give the names back. The seed corpus
+// is testdata/fuzz/FuzzSnapshotJSON.
 func FuzzSnapshotJSON(f *testing.F) {
 	f.Add("net.link.00->01.B.flits", "a&b", byte(0), uint64(0), 0.0, -1.5, 1e21, 1e-7, 2.5, -0.0)
 	f.Fuzz(func(t *testing.T, name1, name2 string, typ byte, count uint64,
@@ -134,15 +137,28 @@ func FuzzSnapshotJSON(f *testing.F) {
 		// A second metric of the next type with the fields rotated.
 		m2 := Metric{Type: fuzzTypes[(int(typ)+1)%len(fuzzTypes)], Count: count / 3,
 			Value: p99, Mean: value, Min: mean, Max: min, P50: max, P99: p50}
-		s := Snapshot{name1: m, name2: m2, name1 + name2: {Type: m.Type}}
+		m3 := Metric{Type: m.Type}
+		ref := map[string]Metric{name1: m, name2: m2, name1 + name2: m3}
+		s := sortedUnique(Snapshot{{name1, m}, {name2, m2}, {name1 + name2, m3}})
 
-		want, err := json.Marshal(map[string]Metric(s))
+		want, err := json.Marshal(ref)
 		if err != nil {
 			return
 		}
-		legacy := make(map[string]legacyMetric, len(s))
-		for name, m := range s {
+		legacy := make(map[string]legacyMetric, len(ref))
+		for name, m := range ref {
 			legacy[name] = legacyMetric(m)
+			if got, ok := s.Get(name); !ok || !identical(got, m) {
+				t.Fatalf("Get(%q) = %+v, %v, want %+v", name, got, ok, m)
+			}
+		}
+		if len(s) != len(ref) {
+			t.Fatalf("snapshot holds %d entries for %d names", len(s), len(ref))
+		}
+		// Longer than both names, and one byte past their concatenation.
+		absent := name1 + name2 + "\x00"
+		if _, ok := s.Get(absent); ok {
+			t.Fatalf("Get(%q) found a metric the snapshot does not hold", absent)
 		}
 		if ref, err := json.Marshal(legacy); err == nil && !bytes.Equal(want, ref) {
 			t.Fatalf("Metric.MarshalJSON diverged from the legacy encoder:\n got %s\nwant %s", want, ref)
@@ -159,6 +175,17 @@ func FuzzSnapshotJSON(f *testing.F) {
 		}
 		if got, err := json.Marshal(s); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("json.Marshal(Snapshot) = %s, %v\nwant %s", got, err, want)
+		}
+		var read Snapshot
+		if err := json.Unmarshal(want, &read); err != nil {
+			t.Fatalf("UnmarshalJSON(%s): %v", want, err)
+		}
+		var decoded map[string]Metric
+		if err := json.Unmarshal(want, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		if wantRead := sortedOf(decoded); !slices.Equal(read, wantRead) {
+			t.Fatalf("UnmarshalJSON(%s) = %+v\nencoding/json decodes %+v", want, read, wantRead)
 		}
 		var pretty, legacyPretty bytes.Buffer
 		if err := s.WriteJSON(&pretty); err != nil {
@@ -255,33 +282,96 @@ func printableASCII(ss ...string) bool {
 	return true
 }
 
-// TestSnapshotJSONEdges pins the writer's edge cases outside the fuzz
-// target's generator: a nil snapshot, an empty one, and an encoding
-// longer than the writer's flush threshold.
-func TestSnapshotJSONEdges(t *testing.T) {
-	big := Snapshot{}
-	for i := range 3000 {
-		big[fmt.Sprintf("net.link.%04d->%04d.B.flits", i, i+1)] = Metric{Type: "counter", Count: uint64(i)}
+// identical reports whether a and b hold the same type and the same
+// bits in every field, NaN included.
+func identical(a, b Metric) bool {
+	fa, fb := a.floats(), b.floats()
+	for i := range fa {
+		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
+			return false
+		}
 	}
-	for name, s := range map[string]Snapshot{"nil": nil, "empty": {}, "big": big} {
-		want, err := json.Marshal(map[string]Metric(s))
+	return a.Type == b.Type && a.Count == b.Count
+}
+
+// sortedOf returns m's metrics as a snapshot, nil for a nil map.
+func sortedOf(m map[string]Metric) Snapshot {
+	if m == nil {
+		return nil
+	}
+	s := Snapshot{}
+	for name, m := range m {
+		s = append(s, Entry{name, m})
+	}
+	slices.SortFunc(s, func(a, b Entry) int { return strings.Compare(a.Name, b.Name) })
+	return s
+}
+
+// mapOf returns s's metrics as a map, nil for a nil snapshot.
+func mapOf(s Snapshot) map[string]Metric {
+	if s == nil {
+		return nil
+	}
+	m := make(map[string]Metric, len(s))
+	for _, e := range s {
+		m[e.Name] = e.Metric
+	}
+	return m
+}
+
+// TestSnapshotJSONEdges pins the writer's and the reader's edge cases
+// outside the fuzz target's generator: a nil snapshot, an empty one,
+// and an encoding longer than the writer's flush threshold must round
+// trip, nil as null and empty as {}; a snapshot out of name order or
+// with a repeated name must fail to encode; and UnmarshalJSON must
+// refuse anything but one JSON object or null.
+func TestSnapshotJSONEdges(t *testing.T) {
+	var big Snapshot
+	for i := range 3000 {
+		big = append(big, Entry{fmt.Sprintf("net.link.%04d->%04d.B.flits", i, i+1), Metric{Type: "counter", Count: uint64(i)}})
+	}
+	for _, c := range []struct {
+		name string
+		s    Snapshot
+	}{{"nil", nil}, {"empty", Snapshot{}}, {"big", big}} {
+		want, err := json.Marshal(mapOf(c.s))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer
-		if err := s.WriteCompactJSON(&got); err != nil {
+		if err := c.s.WriteCompactJSON(&got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("%s: WriteCompactJSON wrote %d bytes, want json.Marshal's %d", name, got.Len(), len(want))
+			t.Errorf("%s: WriteCompactJSON wrote %d bytes, want json.Marshal's %d", c.name, got.Len(), len(want))
+		}
+		var back Snapshot
+		if err := json.Unmarshal(want, &back); err != nil || !slices.Equal(back, c.s) || (back == nil) != (c.s == nil) {
+			t.Errorf("%s: UnmarshalJSON gave %d entries (nil %v), %v", c.name, len(back), back == nil, err)
 		}
 		var pretty, legacy bytes.Buffer
-		if err := s.WriteJSON(&pretty); err != nil {
+		if err := c.s.WriteJSON(&pretty); err != nil {
 			t.Fatal(err)
 		}
-		legacyWriteJSON(s, &legacy)
+		legacyWriteJSON(c.s, &legacy)
 		if !bytes.Equal(pretty.Bytes(), legacy.Bytes()) {
-			t.Errorf("%s: WriteJSON differs from the legacy pretty file", name)
+			t.Errorf("%s: WriteJSON differs from the legacy pretty file", c.name)
+		}
+	}
+
+	a, b := Entry{"a", Metric{Type: "counter"}}, Entry{"b", Metric{Type: "gauge"}}
+	for _, bad := range []Snapshot{{b, a}, {a, a}} {
+		if err := bad.WriteCompactJSON(io.Discard); err == nil {
+			t.Errorf("WriteCompactJSON of %v succeeded", bad)
+		}
+		if err := bad.WriteJSON(io.Discard); err == nil {
+			t.Errorf("WriteJSON of %v succeeded", bad)
+		}
+	}
+	for _, data := range []string{`[]`, `"a"`, `{"a":{"type":"counter"}} {}`, `{"a":1}`, `{"a":{}`} {
+		var s Snapshot
+		if err := s.UnmarshalJSON([]byte(data)); err == nil {
+			t.Errorf("UnmarshalJSON(%s) = %v, want an error", data, s)
 		}
 	}
 }

@@ -48,9 +48,27 @@ type Metric struct {
 	P99   float64 `json:"p99,omitempty"`
 }
 
-// Snapshot is a point-in-time reading of every registered metric,
-// keyed by hierarchical metric name (e.g. "net.link.00->01.B.flits").
-type Snapshot map[string]Metric
+// Snapshot is a point-in-time reading of every registered metric: one
+// entry per hierarchical metric name (e.g. "net.link.00->01.B.flits"),
+// sorted by the names' bytes, the order encoding/json gives map keys.
+// Registry.Snapshot and UnmarshalJSON build it sorted, Get searches it,
+// and its writers walk it in order (DESIGN.md §10.2).
+type Snapshot []Entry
+
+// Entry is one metric of a snapshot under its name.
+type Entry struct {
+	Name   string
+	Metric Metric
+}
+
+// Get returns the metric named name, and whether s holds it.
+func (s Snapshot) Get(name string) (Metric, bool) {
+	i, ok := slices.BinarySearchFunc(s, name, func(e Entry, name string) int { return strings.Compare(e.Name, name) })
+	if !ok {
+		return Metric{}, false
+	}
+	return s[i].Metric, true
+}
 
 // Registry declares every quantity of one simulated system once, by
 // name and kind, and reads them out. Declaration is cold-path:
@@ -83,12 +101,15 @@ type Registry struct {
 // declarations holds a registry's declarations in declaration order,
 // in chunks of declChunk: each chunk is allocated once and never
 // regrown, so a 1024-tile system's 18,507 declarations leave no growth
-// garbage behind. A name is checked for duplicates where the
-// declarations are read (Snapshot, NewSeries, Names), not at each
-// declaration.
+// garbage behind. The first read (Snapshot, NewSeries, Names) sorts
+// them by name into order and checks for a name declared twice; later
+// reads reuse order until another declaration arrives.
 type declarations struct {
 	chunks [][]decl
 	n      int
+	// order holds the indexes of the first len(order) declarations,
+	// sorted by name.
+	order []int32
 }
 
 // declChunk is the number of declarations per chunk (10 KB).
@@ -134,20 +155,28 @@ func (r *Registry) declare(name string, isNil bool, q any) {
 	d.n++
 }
 
-// sorted returns every declaration in name order. It panics on the
+// at returns declaration i.
+func (d *declarations) at(i int32) *decl { return &d.chunks[i/declChunk][i%declChunk] }
+
+// byName returns the index of every declaration in name byte order,
+// sorting in those declared since the previous call. It panics on the
 // first name declared twice, across the plain and sampled views alike.
-func (r *Registry) sorted() []decl {
-	all := make([]decl, 0, r.decls.n)
-	for _, c := range r.decls.chunks {
-		all = append(all, c...)
+func (d *declarations) byName() []int32 {
+	if len(d.order) == d.n {
+		return d.order
 	}
-	slices.SortFunc(all, func(a, b decl) int { return strings.Compare(a.name, b.name) })
-	for i := 1; i < len(all); i++ {
-		if all[i].name == all[i-1].name {
-			panic(fmt.Sprintf("obs: duplicate metric name %q", all[i].name))
+	d.order = slices.Grow(d.order, d.n-len(d.order))
+	for i := len(d.order); i < d.n; i++ {
+		d.order = append(d.order, int32(i))
+	}
+	slices.SortFunc(d.order, func(a, b int32) int { return strings.Compare(d.at(a).name, d.at(b).name) })
+	for i := 1; i < len(d.order); i++ {
+		if name := d.at(d.order[i]).name; name == d.at(d.order[i-1]).name {
+			d.order = d.order[:0] // every later read panics too
+			panic(fmt.Sprintf("obs: duplicate metric name %q", name))
 		}
 	}
-	return all
+	return d.order
 }
 
 // Counter declares a monotone count read through fn (typically a
@@ -177,27 +206,23 @@ func (r *Registry) Histogram(name string, h *stats.Histogram) { r.declare(name, 
 // Names returns every declared name in sorted order. A name declared
 // twice panics.
 func (r *Registry) Names() []string {
-	all := r.sorted()
-	names := make([]string, len(all))
-	for i, d := range all {
-		names[i] = d.name
+	order := r.decls.byName()
+	names := make([]string, len(order))
+	for i, j := range order {
+		names[i] = r.decls.at(j).name
 	}
 	return names
 }
 
-// Snapshot reads every quantity at cycle now. The result is a plain map
-// safe to marshal, compare, and attach to cached results. It reads the
-// quantities in declaration order into a map sized once; a map shorter
-// than the declarations holds a name declared twice, which panics.
+// Snapshot reads every quantity at cycle now, in name order, into a
+// snapshot whose names are the declared strings. After the first read
+// it allocates only the snapshot. A name declared twice panics.
 func (r *Registry) Snapshot(now sim.Time) Snapshot {
-	out := make(Snapshot, r.decls.n)
-	for _, c := range r.decls.chunks {
-		for _, d := range c {
-			out[d.name] = read(d.q, now)
-		}
-	}
-	if len(out) != r.decls.n {
-		r.sorted() // panics naming the duplicate
+	order := r.decls.byName()
+	out := make(Snapshot, len(order))
+	for i, j := range order {
+		d := r.decls.at(j)
+		out[i] = Entry{Name: d.name, Metric: read(d.q, now)}
 	}
 	return out
 }

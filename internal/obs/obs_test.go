@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"tilesim/internal/sim"
 	"tilesim/internal/stats"
@@ -42,42 +43,42 @@ func TestRegistrySnapshot(t *testing.T) {
 	}
 
 	snap := r.Snapshot(120)
-	if got := snap["net.msgs"]; got.Type != "counter" || got.Count != 42 {
+	if got := get(snap, "net.msgs"); got.Type != "counter" || got.Count != 42 {
 		t.Errorf("counter metric = %+v", got)
 	}
-	if got := snap["net.level"]; got.Type != "gauge" || got.Value != 0.375 {
+	if got := get(snap, "net.level"); got.Type != "gauge" || got.Value != 0.375 {
 		t.Errorf("gauge metric = %+v", got)
 	}
 	// A utilization reads as a gauge: busy cycles over the clock.
-	if got := snap["net.util"]; got.Type != "gauge" || got.Value != 0.25 {
+	if got := get(snap, "net.util"); got.Type != "gauge" || got.Value != 0.25 {
 		t.Errorf("utilization metric = %+v, want a gauge of 30/120", got)
 	}
 	// A ratio reads as a gauge: num/den over the run.
-	if got := snap["mgr.coverage"]; got.Type != "gauge" || got.Value != 0.75 {
+	if got := get(snap, "mgr.coverage"); got.Type != "gauge" || got.Value != 0.75 {
 		t.Errorf("ratio metric = %+v, want a gauge of 3/4", got)
 	}
-	if got := snap["lat.mean"]; got.Type != "mean" || got.Count != 2 ||
+	if got := get(snap, "lat.mean"); got.Type != "mean" || got.Count != 2 ||
 		got.Mean != 15 || got.Min != 10 || got.Max != 20 {
 		t.Errorf("mean metric = %+v", got)
 	}
-	if got := snap["lat.hist"]; got.Type != "histogram" || got.Count != 2 ||
+	if got := get(snap, "lat.hist"); got.Type != "histogram" || got.Count != 2 ||
 		got.Min != 3 || got.Max != 5 || got.P99 != 5 {
 		t.Errorf("histogram metric = %+v", got)
 	}
 	// Both scalar ratios read 0 before their clock or denominator moves.
 	den = 0
-	if snap := r.Snapshot(0); snap["net.util"].Value != 0 || snap["mgr.coverage"].Value != 0 {
-		t.Errorf("zero-denominator readings = %+v, %+v, want 0", snap["net.util"], snap["mgr.coverage"])
+	if snap := r.Snapshot(0); get(snap, "net.util").Value != 0 || get(snap, "mgr.coverage").Value != 0 {
+		t.Errorf("zero-denominator readings = %+v, %+v, want 0", get(snap, "net.util"), get(snap, "mgr.coverage"))
 	}
 
 	// Registry is pull-based: later component updates show up in a new
 	// snapshot without re-registration.
 	c.Inc()
-	if got := r.Snapshot(120)["net.msgs"]; got.Count != 43 {
+	if got := get(r.Snapshot(120), "net.msgs"); got.Count != 43 {
 		t.Errorf("pull-through counter = %d, want 43", got.Count)
 	}
 	// ... but an existing snapshot is a frozen copy.
-	if snap["net.msgs"].Count != 42 {
+	if get(snap, "net.msgs").Count != 42 {
 		t.Error("old snapshot mutated by later counter update")
 	}
 }
@@ -91,6 +92,77 @@ func TestRegistryNamesSorted(t *testing.T) {
 	if names, want := r.Names(), []string{"alpha", "mid", "zeta"}; !slices.Equal(names, want) {
 		t.Fatalf("Names = %v, want %v", names, want)
 	}
+}
+
+// get returns the metric named name in s, the zero Metric if s lacks
+// it.
+func get(s Snapshot, name string) Metric {
+	m, _ := s.Get(name)
+	return m
+}
+
+// TestRegistryOrder checks the registry's one sorted order. Names, the
+// snapshot and the series columns list the names by their bytes, which
+// is the order encoding/json gives map keys, and the snapshot's
+// entries hold the declared strings. A second Snapshot allocates only
+// its slice, and a name declared after a read is sorted in by the next
+// one.
+func TestRegistryOrder(t *testing.T) {
+	r := NewRegistry()
+	declared := []string{"zeta", "Zeta", "a.b", "a-b", "a\xff", "\u00e9", "a", ""}
+	byName := map[string]Metric{}
+	for i, name := range declared {
+		v := r.Counter
+		if i%2 == 1 {
+			v = r.Sampled().Counter
+		}
+		v(name, func() uint64 { return uint64(i) })
+		byName[name] = Metric{Type: "counter", Count: uint64(i)}
+	}
+	want := slices.Clone(declared)
+	slices.Sort(want)
+	if names := r.Names(); !slices.Equal(names, want) {
+		t.Fatalf("Names = %q, want %q", names, want)
+	}
+	snap := r.Snapshot(0)
+	for i, e := range snap {
+		if e.Name != want[i] || e.Metric != byName[e.Name] {
+			t.Fatalf("entry %d = %q %+v, want %q %+v", i, e.Name, e.Metric, want[i], byName[want[i]])
+		}
+		j := slices.Index(declared, e.Name)
+		if e.Name != "" && unsafe.StringData(e.Name) != unsafe.StringData(declared[j]) {
+			t.Errorf("entry %q copies its declared name", e.Name)
+		}
+	}
+	if got, err := json.Marshal(snap); err != nil || !bytes.Equal(got, must(json.Marshal(byName))) {
+		t.Fatalf("snapshot encodes as %s, %v; encoding/json writes the map as %s", got, err, must(json.Marshal(byName)))
+	}
+	if cols := NewSeries(r, 1).data.Columns; !slices.Equal(cols, []string{"", "Zeta", "a-b", "\u00e9"}) {
+		t.Errorf("series columns = %q, want the sampled names in byte order", cols)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { r.Snapshot(0) }); allocs != 1 {
+		t.Errorf("a second Snapshot made %v allocations, want 1 (its slice)", allocs)
+	}
+
+	r.Gauge("b", func() float64 { return 0.5 })
+	r.Sampled().Counter("0", func() uint64 { return 9 })
+	want = slices.Insert(want, 1, "0")
+	want = slices.Insert(want, slices.Index(want, "a\xff")+1, "b")
+	snap = r.Snapshot(0)
+	if names := r.Names(); !slices.Equal(names, want) {
+		t.Fatalf("after two more declarations, Names = %q, want %q", names, want)
+	}
+	if len(snap) != len(want) || get(snap, "b").Value != 0.5 || get(snap, "0").Count != 9 {
+		t.Fatalf("after two more declarations, snapshot = %+v", snap)
+	}
+}
+
+// must returns b, for an encoding that cannot fail.
+func must(b []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // TestRegistryDuplicatePanics declares one name twice through every
@@ -125,6 +197,15 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 				expectPanic(first+" then "+second+", "+reader, "duplicate metric name", func(r *Registry) {
 					v1(r).Counter("x", zero)
 					r.Counter("y", zero)
+					v2(r).Gauge("x", func() float64 { return 0 })
+					read(r)
+				})
+				// The second declaration comes after a read that
+				// sorted the first.
+				expectPanic(first+", "+reader+", then "+second, "duplicate metric name", func(r *Registry) {
+					v1(r).Counter("x", zero)
+					r.Counter("y", zero)
+					r.Snapshot(0)
 					v2(r).Gauge("x", func() float64 { return 0 })
 					read(r)
 				})
@@ -264,8 +345,8 @@ func TestMetricJSONRoundTrip(t *testing.T) {
 	// Snapshots of metrics round-trip through encoding/json (the sweep
 	// cache path) including inactive-field omission.
 	snap := Snapshot{
-		"a.counter": {Type: "counter", Count: 7},
-		"b.gauge":   {Type: "gauge", Value: 2.5},
+		{"a.counter", Metric{Type: "counter", Count: 7}},
+		{"b.gauge", Metric{Type: "gauge", Value: 2.5}},
 	}
 	data, err := json.Marshal(snap)
 	if err != nil {
@@ -275,7 +356,7 @@ func TestMetricJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 2 || back["a.counter"] != snap["a.counter"] || back["b.gauge"] != snap["b.gauge"] {
+	if !slices.Equal(back, snap) {
 		t.Errorf("snapshot round trip = %+v", back)
 	}
 }

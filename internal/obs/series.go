@@ -54,8 +54,8 @@ func NewSeries(r *Registry, interval sim.Time) *Series {
 	}
 	var names []string
 	var columns []any
-	for _, d := range r.sorted() {
-		if d.sampled {
+	for _, i := range r.decls.byName() {
+		if d := r.decls.at(i); d.sampled {
 			names = append(names, d.name)
 			columns = append(columns, d.q)
 		}

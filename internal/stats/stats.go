@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -286,15 +285,4 @@ func (t *Table) CSV() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// SortedKeys returns the keys of a string-keyed map in sorted order,
-// for deterministic iteration when reporting.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m { //tilesim:ordered — keys are sorted below
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -298,50 +298,3 @@ func TestTableCSV(t *testing.T) {
 		t.Fatalf("csv = %q, want %q", csv, want)
 	}
 }
-
-func TestSortedKeys(t *testing.T) {
-	cases := []struct {
-		name string
-		m    map[string]int
-		want []string
-	}{
-		{"nil map", nil, []string{}},
-		{"empty map", map[string]int{}, []string{}},
-		{"single", map[string]int{"only": 1}, []string{"only"}},
-		{"unsorted", map[string]int{"b": 1, "a": 2, "c": 3}, []string{"a", "b", "c"}},
-		{"numeric-ish strings sort lexically",
-			map[string]int{"10": 1, "2": 2, "1": 3}, []string{"1", "10", "2"}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			got := SortedKeys(c.m)
-			if len(got) != len(c.want) {
-				t.Fatalf("SortedKeys(%v) = %v, want %v", c.m, got, c.want)
-			}
-			for i := range got {
-				if got[i] != c.want[i] {
-					t.Fatalf("SortedKeys(%v) = %v, want %v", c.m, got, c.want)
-				}
-			}
-		})
-	}
-}
-
-// TestSortedKeysStable exercises the order guarantee directly: over
-// many differently-built maps with the same contents, the result must
-// be identical every time (the raw range order would not be).
-func TestSortedKeysStable(t *testing.T) {
-	want := SortedKeys(map[string]int{"x": 0, "y": 0, "z": 0, "w": 0})
-	for trial := 0; trial < 50; trial++ {
-		m := make(map[string]int)
-		for _, k := range []string{"z", "w", "x", "y"} {
-			m[k] = trial
-		}
-		got := SortedKeys(m)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: SortedKeys = %v, want %v", trial, got, want)
-			}
-		}
-	}
-}

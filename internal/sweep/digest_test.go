@@ -81,7 +81,14 @@ func TestResultEncodingMatchesMarshal(t *testing.T) {
 			t.Errorf("%s: streamed encoding differs from json.Marshal (%d vs %d bytes) from byte %d",
 				c.name, got.Len(), len(want), firstDiff(got.Bytes(), want))
 		}
-		metrics, err := json.Marshal(map[string]obs.Metric(res.Metrics))
+		var byName map[string]obs.Metric // null, like the zero Result's nil snapshot
+		if res.Metrics != nil {
+			byName = make(map[string]obs.Metric, len(res.Metrics))
+			for _, e := range res.Metrics {
+				byName[e.Name] = e.Metric
+			}
+		}
+		metrics, err := json.Marshal(byName)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
