@@ -29,6 +29,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -111,7 +112,13 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		defer stop()
+		defer func() {
+			if err := stop(); err != nil {
+				fmt.Fprintln(os.Stderr, "figures:", err)
+				return
+			}
+			fmt.Fprintf(os.Stderr, "figures: wrote cpu.pprof and heap.pprof to %s\n", *pprofDir)
+		}()
 	}
 
 	metricsSC, err := newSidecar(*metricsDir, "metrics", "run snapshots", func(r cmp.Result) (obs.Snapshot, bool) {
@@ -348,9 +355,11 @@ func (s *sidecar[T]) flush(name string) error {
 }
 
 // startProfiles begins a CPU profile in dir and returns a stop
-// function that finalizes it and captures a heap profile. Profiles are
+// function that writes it and a heap profile there. Profiles are
 // host-side observability only: they never touch simulation state.
-func startProfiles(dir string) (func(), error) {
+// runtime/pprof drops its writer's errors, so both profiles are built
+// in memory and written to disk by calls that report a failed write.
+func startProfiles(dir string) (stop func() error, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -358,27 +367,29 @@ func startProfiles(dir string) (func(), error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := pprof.StartCPUProfile(cf); err != nil {
+	var cpu bytes.Buffer
+	if err := pprof.StartCPUProfile(&cpu); err != nil {
 		cf.Close()
 		return nil, err
 	}
-	return func() {
+	return func() error {
 		pprof.StopCPUProfile()
-		cf.Close()
-		hf, err := os.Create(filepath.Join(dir, "heap.pprof"))
+		_, err := cf.Write(cpu.Bytes())
+		if cerr := cf.Close(); err == nil {
+			err = cerr
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures: heap profile:", err)
-			return
+			return fmt.Errorf("cpu profile: %w", err)
 		}
 		runtime.GC()
-		if err := pprof.WriteHeapProfile(hf); err == nil {
-			err = hf.Close()
+		var heap bytes.Buffer
+		if err := pprof.WriteHeapProfile(&heap); err != nil {
+			return fmt.Errorf("heap profile: %w", err)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures: heap profile:", err)
-			return
+		if err := os.WriteFile(filepath.Join(dir, "heap.pprof"), heap.Bytes(), 0o644); err != nil {
+			return fmt.Errorf("heap profile: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "figures: wrote cpu.pprof and heap.pprof to %s\n", dir)
+		return nil
 	}, nil
 }
 

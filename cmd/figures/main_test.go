@@ -48,3 +48,38 @@ func TestSidecarKeepsDistinctRuns(t *testing.T) {
 		t.Fatalf("sidecar holds %d entries for two distinct runs: %v", len(runs), runs)
 	}
 }
+
+// TestProfilesReportWriteErrors points each profile file in turn at a
+// full device: runtime/pprof drops its own write errors, so stop must
+// write through calls that report them, and announce nothing it could
+// not write.
+func TestProfilesReportWriteErrors(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	for _, full := range []string{"", "cpu.pprof", "heap.pprof"} {
+		dir := t.TempDir()
+		if full != "" {
+			if err := os.Symlink("/dev/full", filepath.Join(dir, full)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stop, err := startProfiles(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = stop()
+		switch {
+		case full != "" && err == nil:
+			t.Errorf("%s on a full device: stop reported no error", full)
+		case full == "" && err != nil:
+			t.Errorf("stop: %v", err)
+		case full == "":
+			for _, name := range []string{"cpu.pprof", "heap.pprof"} {
+				if info, err := os.Stat(filepath.Join(dir, name)); err != nil || info.Size() == 0 {
+					t.Errorf("%s missing or empty after stop (%v)", name, err)
+				}
+			}
+		}
+	}
+}

@@ -38,14 +38,14 @@
 //	internal/sweep      parallel sweep engine + result cache  DESIGN.md §9
 //	                    + result digests
 //	internal/figures    paper table/figure regeneration       DESIGN.md §4
-//	internal/analysis   tilesimvet static-analysis rules      DESIGN.md §8
+//	internal/analysis   tilesimvet's four per-package rules   DESIGN.md §8
 //	cmd/tilesim         single-run CLI, also trace replay
 //	cmd/tables          Tables 1-3 (analytic, no simulation)
 //	cmd/figures         Figures 2, 5, 6, 7 + ablations + the
 //	                    topology scale study (-scale) via the
 //	                    sweep engine
 //	cmd/tracegen        trace capture and summary
-//	cmd/tilesimvet      the static analyzer CLI
+//	cmd/tilesimvet      the static analyzer CLI (no flags)
 //
 // The benchmarks in bench_test.go regenerate each table and figure at a
 // reduced scale and measure the sweep engine's serial-vs-parallel

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // checkDeterminism flags the sources of silent nondeterminism in a
@@ -25,16 +24,18 @@ import (
 //     shared, seedable from anywhere, and in modern Go auto-seeded per
 //     process; simulator randomness must flow from an explicitly seeded
 //     generator.
-//  4. sort.Slice in internal/ packages: elements the comparator
-//     considers equal end up in an order that depends on the input
-//     permutation and on the sort algorithm of the current Go release.
-//     The rule demands sort.SliceStable (the finding carries that fix),
-//     or a //tilesim:totalorder annotation on the call asserting, with
-//     a comment proving it, that no two distinct elements compare
-//     equal.
-//
-// checkDeterminismReach carries rules 2 and 3 through the module's
-// reference graph.
+//  4. sort.Slice and slices.SortFunc in internal/ packages: elements
+//     the comparator considers equal end up in an order that depends on
+//     the input permutation and on the sort algorithm of the current Go
+//     release. The rule demands the stable spelling, or a
+//     //tilesim:totalorder annotation on the call asserting, with a
+//     comment proving it, that no two distinct elements compare equal.
+//  5. a write to a package-level variable in internal/ packages: an
+//     assignment or ++/-- whose base identifier is one, init bodies
+//     included. State that outlives a run changes the next run's result
+//     in a sweep, and it races between the sweep's workers; a table is
+//     built in its declaration instead. Types from sync and sync/atomic
+//     synchronize themselves and are exempt.
 func checkDeterminism(p *pass) {
 	for _, f := range p.pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -44,7 +45,15 @@ func checkDeterminism(p *pass) {
 			case *ast.SelectorExpr:
 				p.checkClockAndRand(n)
 			case *ast.CallExpr:
-				p.checkSortSlice(f, n)
+				p.checkUnstableSort(f, n)
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					for _, lhs := range n.Lhs {
+						p.checkGlobalWrite(lhs)
+					}
+				}
+			case *ast.IncDecStmt:
+				p.checkGlobalWrite(n.X)
 			}
 			return true
 		})
@@ -173,51 +182,40 @@ var seededRand = map[string]string{
 	"math/rand/v2": "rand.New(rand.NewPCG(seed1, seed2))",
 }
 
-// forbiddenSource reports whether fn is a nondeterminism entry point:
-// a wall-clock read or a global math/rand draw, returned as its display
-// name ("time.Now", "rand.IntN"). Methods are never sources —
-// (*rand.Rand).Float64 on an explicitly seeded generator is exactly
-// the sanctioned alternative to the package-level rand.Float64.
-func forbiddenSource(fn *types.Func) (string, bool) {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return "", false
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return "", false
-	}
-	if pkg.Path() == "time" && forbiddenClockFuncs[fn.Name()] {
-		return "time." + fn.Name(), true
-	}
-	if globalRandFuncs[pkg.Path()][fn.Name()] {
-		return "rand." + fn.Name(), true
-	}
-	return "", false
-}
-
 func (p *pass) checkClockAndRand(sel *ast.SelectorExpr) {
 	if p.inCmd() {
 		return
 	}
 	fn, ok := p.pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok {
+	if !ok || fn.Pkg() == nil {
 		return
 	}
-	src, ok := forbiddenSource(fn)
-	if !ok {
+	// Methods are never sources: (*rand.Rand).Float64 on an explicitly
+	// seeded generator is exactly the sanctioned alternative to the
+	// package-level rand.Float64.
+	if fn.Type().(*types.Signature).Recv() != nil {
 		return
 	}
-	if fn.Pkg().Path() == "time" {
+	path := fn.Pkg().Path()
+	switch {
+	case path == "time" && forbiddenClockFuncs[fn.Name()]:
 		p.reportf("determinism", sel.Pos(),
-			"%s: wall-clock time in a simulator package; use the sim.Kernel clock (cmd/ and _test.go files are exempt)", src)
-		return
+			"time.%s: wall-clock time in a simulator package; use the sim.Kernel clock (cmd/ and _test.go files are exempt)", fn.Name())
+	case globalRandFuncs[path][fn.Name()]:
+		p.reportf("determinism", sel.Pos(),
+			"rand.%s draws from the global source; use an explicit %s so runs are reproducible",
+			fn.Name(), seededRand[path])
 	}
-	p.reportf("determinism", sel.Pos(),
-		"%s draws from the global source; use an explicit %s so runs are reproducible",
-		src, seededRand[fn.Pkg().Path()])
 }
 
-func (p *pass) checkSortSlice(f *ast.File, call *ast.CallExpr) {
+// unstableSorts maps each comparator sort whose tie-breaking order is
+// unspecified to the stable spelling its finding suggests.
+var unstableSorts = map[string]string{
+	"sort.Slice":      "sort.SliceStable",
+	"slices.SortFunc": "slices.SortStableFunc",
+}
+
+func (p *pass) checkUnstableSort(f *ast.File, call *ast.CallExpr) {
 	if !p.inInternal() {
 		return
 	}
@@ -226,81 +224,79 @@ func (p *pass) checkSortSlice(f *ast.File, call *ast.CallExpr) {
 		return
 	}
 	fn, ok := p.pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sort" || fn.Name() != "Slice" {
+	if !ok || fn.Pkg() == nil {
 		return
 	}
-	if p.totalOrderAt(f, call.Pos()) {
+	name := fn.Pkg().Path() + "." + fn.Name()
+	stable, ok := unstableSorts[name]
+	if !ok || p.totalOrderAt(f, call.Pos()) {
 		return
 	}
-	fix := &SuggestedFix{
-		Message: "replace sort.Slice with sort.SliceStable",
-		Edits:   []TextEdit{p.edit(sel.Sel.Pos(), sel.Sel.End(), "SliceStable")},
-	}
-	p.reportFix("determinism", call.Pos(), fix,
-		"sort.Slice tie-breaking order is unspecified and unstable; use sort.SliceStable, or annotate //%s with a comment proving the comparator is a total order",
-		TotalOrderAnnotation)
+	p.reportf("determinism", call.Pos(),
+		"%s tie-breaking order is unspecified and unstable; use %s, or annotate //%s with a comment proving the comparator is a total order",
+		name, stable, TotalOrderAnnotation)
 }
 
-// checkDeterminismReach is the module-wide closure of rules 2 and 3:
-// it flags internal/ functions from which a wall-clock read or a global
-// math/rand draw is *transitively* reachable — through helper calls,
-// through methods, and through function values stored in package-level
-// variables — with the whole call chain in the message, so a
-// nondeterministic helper cannot hide behind layers of indirection.
-//
-// Approximation envelope (DESIGN.md §8): edges follow every
-// *reference* to a module function or package-level variable, whether
-// it is a call or a stored value, so a function that merely stores a
-// tainted helper is treated as reaching it (sound for reachability,
-// possibly over-approximate for execution). Dynamic dispatch through
-// interface methods and function values received as parameters is not
-// resolved — a source smuggled through those is a known false
-// negative; recursion cycles that reach a source only through the
-// cycle are likewise not chased.
-//
-// Functions that reference a source directly are skipped: the
-// per-callsite check already flags the exact reference, and repeating
-// it per caller would bury the primary finding.
-func checkDeterminismReach(_ []*pass, g *graph) {
-	// reach memoizes, per node ID, the chain of display names leading
-	// to a forbidden source (nil when none is reachable).
-	reach := make(map[string][]string)
-	visiting := make(map[string]bool)
-	var visit func(id string) []string
-	visit = func(id string) []string {
-		if chain, done := reach[id]; done {
-			return chain
-		}
-		if visiting[id] {
-			return nil // break cycles; see the envelope note above
-		}
-		visiting[id] = true
-		defer delete(visiting, id)
-		node := g.nodes[id]
-		var chain []string
-		if len(node.sources) > 0 {
-			chain = []string{node.name, node.sources[0]}
-		} else {
-			for _, ref := range node.refs {
-				if sub := visit(ref); sub != nil {
-					chain = append([]string{node.name}, sub...)
-					break
+// checkGlobalWrite flags lhs, the target of an assignment or ++/--,
+// when its base identifier is a package-level variable (rule 5).
+func (p *pass) checkGlobalWrite(lhs ast.Expr) {
+	if !p.inInternal() {
+		return
+	}
+	id := p.baseIdent(lhs)
+	if id == nil {
+		return
+	}
+	v, ok := p.pkg.Info.Uses[id].(*types.Var)
+	if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() || syncedType(v.Type()) {
+		return
+	}
+	name := v.Name()
+	if v.Pkg() != p.pkg.Pkg {
+		name = v.Pkg().Name() + "." + name
+	}
+	p.reportf("determinism", lhs.Pos(),
+		"write to package-level variable %s: state that outlives a run changes the next run's result and races between sweep workers; keep it in per-run state, or build the table in its declaration",
+		name)
+}
+
+// baseIdent unwraps selectors, indexing, dereferences and parens to the
+// leftmost identifier, or nil. A qualified identifier (pkg.Var) is its
+// own base.
+func (p *pass) baseIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			if id, ok := x.X.(*ast.Ident); ok {
+				if _, isPkg := p.pkg.Info.Uses[id].(*types.PkgName); isPkg {
+					return x.Sel
 				}
 			}
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil
 		}
-		reach[id] = chain
-		return chain
 	}
+}
 
-	for _, id := range g.sortedNodeIDs() {
-		node := g.nodes[id]
-		if node.decl == nil || !node.p.inInternal() || node.p.inCmd() || len(node.sources) > 0 {
-			continue
-		}
-		if chain := visit(id); chain != nil {
-			node.p.reportf("determinism", node.pos,
-				"%s transitively reaches %s (%s); thread simulated time / a seeded *rand.Rand through instead",
-				node.name, chain[len(chain)-1], strings.Join(chain, " -> "))
-		}
+// syncedType reports whether t, or what it points to, is a type from
+// sync or sync/atomic: those synchronize their own access.
+func syncedType(t types.Type) bool {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
 	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return false
+	}
+	path := named.Obj().Pkg().Path()
+	return path == "sync" || path == "sync/atomic"
 }

@@ -88,10 +88,9 @@ func Load(dir string, patterns []string) ([]*Package, *token.FileSet, error) {
 			files = append(files, f)
 		}
 		info := &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+			Types: make(map[ast.Expr]types.TypeAndValue),
+			Uses:  make(map[*ast.Ident]types.Object),
+			Defs:  make(map[*ast.Ident]types.Object),
 		}
 		conf := types.Config{Importer: imp}
 		pkg, err := conf.Check(t.ImportPath, fset, files, info)

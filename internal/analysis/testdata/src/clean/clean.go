@@ -3,14 +3,18 @@
 // sorted-key float summation, a properly prefixed panic, an exhaustive
 // switch with a panicking default, unit arithmetic that stays within
 // one unit, a stable sort plus a //tilesim:totalorder unstable sort,
-// and randomness threaded through a seeded *rand.Rand — and must
-// produce zero findings.
+// randomness threaded through a seeded *rand.Rand, package-level state
+// of sync and sync/atomic types, a table built in its declaration, and
+// a local that shadows a package-level variable — and must produce
+// zero findings.
 package clean
 
 import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Widgets is a unit-typed quantity.
@@ -80,8 +84,40 @@ func Jitter(rng *rand.Rand) float64 {
 	return rng.Float64()
 }
 
-// Perturb reaches randomness only through Jitter's seeded generator,
-// so the transitive determinism pass must leave it alone.
-func Perturb(rng *rand.Rand, x float64) float64 {
-	return x + Jitter(rng)
+// calls counts Count calls across goroutines: an atomic type
+// synchronizes itself.
+var calls atomic.Int64
+
+// Count records one call.
+func Count() int64 {
+	return calls.Add(1)
+}
+
+// bufs recycles scratch buffers. Setting its New in init is a write
+// through a sync type, which the package-variable check exempts.
+var bufs sync.Pool
+
+func init() {
+	bufs.New = func() any { return new([64]byte) }
+}
+
+// modeNames is built in its declaration and only read afterwards.
+var modeNames = [...]string{Off: "off", On: "on"}
+
+// Name reads the declaration-built table.
+func Name(m Mode) string {
+	return modeNames[m]
+}
+
+// limit is a package-level bound that no function writes.
+var limit = 8
+
+// Clamp writes only its own limit, which shadows the package-level one
+// it starts from.
+func Clamp(x int) int {
+	limit := limit
+	if x < limit {
+		limit = x
+	}
+	return limit
 }

@@ -169,6 +169,7 @@ func (d *declarations) byName() []int32 {
 	for i := len(d.order); i < d.n; i++ {
 		d.order = append(d.order, int32(i))
 	}
+	//tilesim:totalorder — names are unique: a duplicate panics just below, before any caller sees how a tie was ordered
 	slices.SortFunc(d.order, func(a, b int32) int { return strings.Compare(d.at(a).name, d.at(b).name) })
 	for i := 1; i < len(d.order); i++ {
 		if name := d.at(d.order[i]).name; name == d.at(d.order[i-1]).name {

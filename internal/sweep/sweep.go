@@ -3,10 +3,13 @@
 //
 // The paper's evaluation is a grid of independent simulations
 // (application x compression scheme x wiring). Each cmp.Run builds a
-// private kernel, mesh and protocol and — by the determinism guarantees
-// tilesimvet enforces (DESIGN.md §8) — returns a bit-identical Result
-// for the same RunConfig, so the grid is embarrassingly parallel and
-// safely memoizable. A Runner fans a job slice out over a bounded
+// private kernel, mesh and protocol and returns a bit-identical Result
+// for the same RunConfig: tilesimvet's determinism rule (DESIGN.md §8)
+// keeps internal/ packages free of map-order dependence, host clocks,
+// global randomness and writes to package-level variables, and
+// TestParallelMatchesSerial under -race checks the worker pool's own
+// shared state. So the grid is embarrassingly parallel and safely
+// memoizable. A Runner fans a job slice out over a bounded
 // worker pool and returns results in submission order regardless of
 // completion order; a failed job is captured in its slot instead of
 // aborting the batch. A content-addressed Cache (in-process map,
@@ -125,14 +128,14 @@ func (r *Runner) Run(cfgs []cmp.RunConfig) []JobResult {
 			for i := range work {
 				if r.Cache != nil && keys[i] != "" {
 					if res, ok := r.Cache.Get(keys[i]); ok {
-						//tilesim:sharedok disjoint per-job slots; each index is owned by exactly one worker, joined by wg.Wait
+						// Disjoint per-job slots: each index is owned by exactly one worker, joined by wg.Wait.
 						out[i].Result, out[i].Cached = res, true
 						report(1 + dups[i])
 						continue
 					}
 				}
 				res, err := run(cfgs[i])
-				//tilesim:sharedok disjoint per-job slots; each index is owned by exactly one worker, joined by wg.Wait
+				// Disjoint per-job slots: each index is owned by exactly one worker, joined by wg.Wait.
 				out[i].Result, out[i].Err = res, err
 				if err == nil && r.Cache != nil && keys[i] != "" {
 					r.Cache.Put(keys[i], res)
