@@ -38,7 +38,7 @@
 //	internal/sweep      parallel sweep engine + result cache  DESIGN.md §9
 //	                    + result digests
 //	internal/figures    paper table/figure regeneration       DESIGN.md §4
-//	internal/analysis   tilesimvet's four per-package rules   DESIGN.md §8
+//	internal/analysis   tilesimvet's two per-package rules    DESIGN.md §8
 //	cmd/tilesim         single-run CLI, also trace replay
 //	cmd/tables          Tables 1-3 (analytic, no simulation)
 //	cmd/figures         Figures 2, 5, 6, 7 + ablations + the

@@ -1,21 +1,13 @@
 // Package analysis implements tilesimvet, the simulator-specific static
 // checks that keep tilesim's cycle-level results bit-for-bit
-// reproducible and its failure modes diagnosable. Run applies all 4
-// rules to one package at a time; each finding is labelled with its
-// rule's name:
+// reproducible. Run applies both rules to one package at a time; each
+// finding is labelled with its rule's name:
 //
-//   - determinism: in simulator packages, no map iteration unless
-//     annotated as order-safe (and no float accumulation even then), no
+//   - determinism: in simulator packages, no range over a map, no
 //     unstable sort.Slice or slices.SortFunc unless the comparator is
 //     annotated as a total order, and no write to a package-level
 //     variable; outside cmd/ and test files, no wall-clock time and no
 //     global math/rand or math/rand/v2 draw (see determinism.go).
-//   - units: additive arithmetic, compound assignment and comparisons
-//     must not mix values of distinct physical units (cycles, joules,
-//     flits, seconds). Unit types are declared with a //tilesim:unit
-//     annotation on their type declaration.
-//   - panics: every panic in internal/ packages must carry a constant
-//     "<pkg>: ..."-prefixed message so a crash names its subsystem.
 //   - exhaustive: a switch over an enum-like named type must cover
 //     every declared constant or carry a default clause, so adding an
 //     enum value cannot silently fall through a protocol dispatch.
@@ -33,24 +25,12 @@ import (
 	"strings"
 )
 
-// Annotations recognized in source comments.
-const (
-	// OrderedAnnotation marks a range-over-map statement whose
-	// iteration order cannot affect simulation results (the body sorts
-	// the keys afterwards, or is provably order-independent).
-	OrderedAnnotation = "tilesim:ordered"
-	// UnitAnnotation declares a named type as carrying a physical unit:
-	//
-	//	//tilesim:unit cycles
-	//	type Time uint64
-	UnitAnnotation = "tilesim:unit"
-	// TotalOrderAnnotation marks a sort.Slice or slices.SortFunc call
-	// whose comparator is a total order (no two distinct elements
-	// compare equal), so the unstable sort cannot introduce
-	// tie-breaking nondeterminism. The annotation should be accompanied
-	// by a comment proving totality.
-	TotalOrderAnnotation = "tilesim:totalorder"
-)
+// TotalOrderAnnotation, the one annotation tilesimvet recognizes, marks
+// a sort.Slice or slices.SortFunc call whose comparator is a total
+// order (no two distinct elements compare equal), so the unstable sort
+// cannot introduce tie-breaking nondeterminism. The annotation should
+// be accompanied by a comment proving totality.
+const TotalOrderAnnotation = "tilesim:totalorder"
 
 // Diagnostic is one finding.
 type Diagnostic struct {
@@ -68,12 +48,9 @@ func (d Diagnostic) String() string {
 
 // pass bundles what one analyzer run over one package needs.
 type pass struct {
-	pkg   *Package
-	fset  *token.FileSet
-	units map[string]string // "pkgpath.TypeName" -> unit name
-	// ordered maps file -> set of lines carrying //tilesim:ordered;
-	// totalorder does the same for //tilesim:totalorder.
-	ordered    map[*ast.File]map[int]bool
+	pkg  *Package
+	fset *token.FileSet
+	// totalorder maps file -> set of lines carrying //tilesim:totalorder.
 	totalorder map[*ast.File]map[int]bool
 
 	report func(Diagnostic)
@@ -90,26 +67,13 @@ func (p *pass) reportf(analyzer string, pos token.Pos, format string, args ...an
 	})
 }
 
-// annotatedAt reports whether an annotation line-set covers the given
-// position: on the same line (trailing comment) or the line immediately
+// totalOrderAt reports whether a //tilesim:totalorder annotation covers
+// pos: on the same line (trailing comment) or the line immediately
 // above the statement.
-func (p *pass) annotatedAt(lines map[*ast.File]map[int]bool, f *ast.File, pos token.Pos) bool {
-	set := lines[f]
-	if set == nil {
-		return false
-	}
+func (p *pass) totalOrderAt(f *ast.File, pos token.Pos) bool {
+	set := p.totalorder[f]
 	line := p.fset.Position(pos).Line
 	return set[line] || set[line-1]
-}
-
-// orderedAt reports whether a //tilesim:ordered annotation covers pos.
-func (p *pass) orderedAt(f *ast.File, pos token.Pos) bool {
-	return p.annotatedAt(p.ordered, f, pos)
-}
-
-// totalOrderAt reports whether a //tilesim:totalorder annotation covers pos.
-func (p *pass) totalOrderAt(f *ast.File, pos token.Pos) bool {
-	return p.annotatedAt(p.totalorder, f, pos)
 }
 
 // inInternal reports whether the package is part of the simulator core
@@ -126,9 +90,7 @@ func (p *pass) inCmd() bool {
 
 // rules run once per loaded package, in the order listed. Each reports
 // under its rule's name.
-var rules = []func(*pass){
-	checkDeterminism, checkUnits, checkPanics, checkExhaustive,
-}
+var rules = []func(*pass){checkDeterminism, checkExhaustive}
 
 // Run loads the packages matched by patterns from dir and applies every
 // analyzer, returning the findings sorted by position.
@@ -138,23 +100,13 @@ func Run(dir string, patterns []string) ([]Diagnostic, error) {
 		return nil, err
 	}
 
-	// First pass over every loaded package: collect the unit-type
-	// registry, so cross-package unit arithmetic resolves no matter
-	// which package declares the type.
-	units := make(map[string]string)
-	for _, pkg := range pkgs {
-		collectUnits(pkg, units)
-	}
-
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
 	for _, pkg := range pkgs {
 		p := &pass{
 			pkg:        pkg,
 			fset:       fset,
-			units:      units,
-			ordered:    collectAnnotations(fset, pkg, OrderedAnnotation),
-			totalorder: collectAnnotations(fset, pkg, TotalOrderAnnotation),
+			totalorder: collectTotalOrder(fset, pkg),
 			report:     report,
 		}
 		for _, check := range rules {
@@ -178,39 +130,30 @@ func Run(dir string, patterns []string) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// annotationRest returns the text following the given annotation when
-// the comment IS that annotation — the comment text starts with it
-// (optionally space-separated from the // marker). Prose that merely
-// mentions an annotation, and indented doc-comment examples (whose
+// isTotalOrder reports whether the comment IS the //tilesim:totalorder
+// annotation: its text (optionally space-separated from the // marker)
+// starts with it, followed by nothing or by a space. Prose that merely
+// mentions the annotation, and indented doc-comment examples (whose
 // trimmed text starts with a second //), do not count, so documenting
-// an annotation never accidentally applies it.
-func annotationRest(c *ast.Comment, annotation string) (string, bool) {
+// the annotation never accidentally applies it.
+func isTotalOrder(c *ast.Comment) bool {
 	text, ok := strings.CutPrefix(c.Text, "//")
 	if !ok {
-		return "", false
+		return false
 	}
-	text = strings.TrimSpace(text)
-	rest, ok := strings.CutPrefix(text, annotation)
-	if !ok {
-		return "", false
-	}
-	// Word boundary: "//tilesim:unit cycles" is the unit annotation
-	// with its name, "//tilesim:unitless" is not an annotation at all.
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return "", false
-	}
-	return strings.TrimSpace(rest), true
+	rest, ok := strings.CutPrefix(strings.TrimSpace(text), TotalOrderAnnotation)
+	return ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t')
 }
 
-// collectAnnotations indexes the lines of each file that carry the
-// given //tilesim:* annotation.
-func collectAnnotations(fset *token.FileSet, pkg *Package, annotation string) map[*ast.File]map[int]bool {
+// collectTotalOrder indexes the lines of each file that carry the
+// //tilesim:totalorder annotation.
+func collectTotalOrder(fset *token.FileSet, pkg *Package) map[*ast.File]map[int]bool {
 	out := make(map[*ast.File]map[int]bool)
 	for _, f := range pkg.Files {
 		lines := make(map[int]bool)
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if _, ok := annotationRest(c, annotation); ok {
+				if isTotalOrder(c) {
 					lines[fset.Position(c.Pos()).Line] = true
 				}
 			}
@@ -218,42 +161,4 @@ func collectAnnotations(fset *token.FileSet, pkg *Package, annotation string) ma
 		out[f] = lines
 	}
 	return out
-}
-
-// collectUnits records every //tilesim:unit-annotated type declaration
-// of the package into the registry, keyed "pkgpath.TypeName".
-func collectUnits(pkg *Package, units map[string]string) {
-	record := func(doc *ast.CommentGroup, name string) {
-		if doc == nil {
-			return
-		}
-		for _, c := range doc.List {
-			if unit, ok := annotationRest(c, UnitAnnotation); ok {
-				if unit == "" {
-					unit = name
-				}
-				units[pkg.Path+"."+name] = unit
-			}
-		}
-	}
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				// The annotation may sit on the TypeSpec (grouped
-				// declarations) or on the GenDecl (single type).
-				record(ts.Doc, ts.Name.Name)
-				if len(gd.Specs) == 1 {
-					record(gd.Doc, ts.Name.Name)
-				}
-			}
-		}
-	}
 }

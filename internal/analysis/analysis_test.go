@@ -21,48 +21,6 @@ func runFixture(t *testing.T, name string) []Diagnostic {
 	return diags
 }
 
-// TestFixtureFindings checks each bad* fixture's finding count, that
-// every finding comes from the one analyzer the fixture exercises, and
-// that it is positioned inside the fixture.
-func TestFixtureFindings(t *testing.T) {
-	cases := []struct {
-		fixture  string
-		analyzer string
-		want     int
-	}{
-		{"badmaprange", "determinism", 1},
-		{"badtime", "determinism", 3},
-		{"badrand", "determinism", 5},
-		{"badpanic", "panics", 3},
-		{"badunits", "units", 7},
-		{"badswitch", "exhaustive", 1},
-		{"badsort", "determinism", 2},
-		{"badfloat", "determinism", 3},
-		{"badglobal", "determinism", 6},
-	}
-	for _, c := range cases {
-		t.Run(c.fixture, func(t *testing.T) {
-			diags := runFixture(t, c.fixture)
-			if len(diags) != c.want {
-				t.Fatalf("%s: got %d findings, want %d:\n%s",
-					c.fixture, len(diags), c.want, render(diags))
-			}
-			for _, d := range diags {
-				if d.Analyzer != c.analyzer {
-					t.Errorf("%s: finding from analyzer %q, want %q: %s",
-						c.fixture, d.Analyzer, c.analyzer, d)
-				}
-				if d.File == "" || d.Line == 0 {
-					t.Errorf("%s: finding without a position: %+v", c.fixture, d)
-				}
-				if !strings.Contains(d.File, c.fixture) {
-					t.Errorf("%s: finding in unexpected file %s", c.fixture, d.File)
-				}
-			}
-		})
-	}
-}
-
 // TestFixtureFindingsAnchored pins every bad* fixture's findings to the
 // lines marked "// want:" in its sources, by file and line: each marker
 // carries a finding and each finding sits on a marker, so the analyzers

@@ -11,12 +11,9 @@ import (
 //
 //  1. range over a map in a simulator-core (internal/) package: Go
 //     randomizes map iteration order per run, so any map-order-dependent
-//     side effect makes two identically-seeded runs diverge. A statement
-//     may be annotated //tilesim:ordered when its body is order-safe
-//     (e.g. it only collects keys that are sorted before use). Inside
-//     an annotated range, floating-point accumulation is still flagged:
-//     float addition is not associative, so a float sum is never
-//     order-independent.
+//     side effect makes two identically-seeded runs diverge. There is
+//     no annotation: code that must visit every entry keeps its keys in
+//     a slice of fixed order.
 //  2. wall-clock time (time.Now, time.Since, time.Until) outside cmd/:
 //     simulated time must come from the sim.Kernel clock.
 //  3. global math/rand and math/rand/v2 functions (rand.Intn,
@@ -41,7 +38,7 @@ func checkDeterminism(p *pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.RangeStmt:
-				p.checkMapRange(f, n)
+				p.checkMapRange(n)
 			case *ast.SelectorExpr:
 				p.checkClockAndRand(n)
 			case *ast.CallExpr:
@@ -60,95 +57,20 @@ func checkDeterminism(p *pass) {
 	}
 }
 
-func (p *pass) checkMapRange(f *ast.File, n *ast.RangeStmt) {
+func (p *pass) checkMapRange(n *ast.RangeStmt) {
 	if !p.inInternal() {
 		return
 	}
-	typ := p.mapType(n.X)
+	typ := p.pkg.Info.TypeOf(n.X)
 	if typ == nil {
 		return
 	}
-	if p.orderedAt(f, n.Pos()) {
-		p.checkFloatAccum(n)
+	if _, isMap := typ.Underlying().(*types.Map); !isMap {
 		return
 	}
 	p.reportf("determinism", n.Pos(),
-		"range over map %s: iteration order is randomized per run; iterate sorted keys, use a slice, or annotate //%s if order-safe",
-		types.TypeString(typ, types.RelativeTo(p.pkg.Pkg)), OrderedAnnotation)
-}
-
-// mapType returns e's type when it is a map, and nil otherwise.
-func (p *pass) mapType(e ast.Expr) types.Type {
-	t := p.pkg.Info.TypeOf(e)
-	if t == nil {
-		return nil
-	}
-	if _, isMap := t.Underlying().(*types.Map); !isMap {
-		return nil
-	}
-	return t
-}
-
-// checkFloatAccum walks one ordered map-range body looking for float
-// accumulation (acc += v, acc -= v, acc = acc + v, acc = acc - v into
-// a float-underlying lvalue, energy.Joules included). Function-literal
-// bodies do not run per iteration, and nested map ranges are judged
-// when the walk reaches them as ranges of their own.
-func (p *pass) checkFloatAccum(rng *ast.RangeStmt) {
-	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.RangeStmt:
-			return p.mapType(n.X) == nil
-		case *ast.AssignStmt:
-			if lhs, ok := p.floatAccumTarget(n); ok {
-				p.reportf("determinism", n.Pos(),
-					"floating-point accumulation of %s inside a range over a map: summation order changes float results (even under //%s); iterate sorted keys or accumulate an integer",
-					types.ExprString(lhs), OrderedAnnotation)
-			}
-		}
-		return true
-	})
-}
-
-// floatAccumTarget reports whether the assignment accumulates into a
-// float-underlying lvalue, returning that lvalue.
-func (p *pass) floatAccumTarget(n *ast.AssignStmt) (ast.Expr, bool) {
-	switch n.Tok {
-	case token.ADD_ASSIGN, token.SUB_ASSIGN:
-		if len(n.Lhs) == 1 && p.isFloat(n.Lhs[0]) {
-			return n.Lhs[0], true
-		}
-	case token.ASSIGN:
-		// x = x + v / x = x - v spelled out.
-		for i, lhs := range n.Lhs {
-			if i >= len(n.Rhs) || !p.isFloat(lhs) {
-				continue
-			}
-			be, ok := ast.Unparen(n.Rhs[i]).(*ast.BinaryExpr)
-			if !ok || (be.Op != token.ADD && be.Op != token.SUB) {
-				continue
-			}
-			want := types.ExprString(lhs)
-			if types.ExprString(ast.Unparen(be.X)) == want || types.ExprString(ast.Unparen(be.Y)) == want {
-				return lhs, true
-			}
-		}
-	default: // other assignment operators do not accumulate additively
-	}
-	return nil, false
-}
-
-// isFloat reports whether the expression's type has a floating-point
-// underlying type.
-func (p *pass) isFloat(e ast.Expr) bool {
-	tv, ok := p.pkg.Info.Types[e]
-	if !ok {
-		return false
-	}
-	basic, ok := tv.Type.Underlying().(*types.Basic)
-	return ok && basic.Info()&types.IsFloat != 0
+		"range over map %s: iteration order is randomized per run; keep the keys in a slice and iterate that",
+		types.TypeString(typ, types.RelativeTo(p.pkg.Pkg)))
 }
 
 // forbiddenClockFuncs are the wall-clock entry points of package time.

@@ -1,6 +1,6 @@
 // Package badmaprange is a tilesimvet fixture: it ranges over a map in
-// simulator code without a //tilesim:ordered annotation, so iteration
-// order (randomized by the Go runtime) can leak into results.
+// simulator code, so iteration order (randomized by the Go runtime) can
+// leak into results.
 package badmaprange
 
 // Keys returns the map's keys in runtime-randomized order.

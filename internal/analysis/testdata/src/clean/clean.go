@@ -1,26 +1,19 @@
 // Package clean is the tilesimvet negative control: it exercises every
-// rule's escape hatch — an annotated order-independent map range with
-// sorted-key float summation, a properly prefixed panic, an exhaustive
-// switch with a panicking default, unit arithmetic that stays within
-// one unit, a stable sort plus a //tilesim:totalorder unstable sort,
-// randomness threaded through a seeded *rand.Rand, package-level state
-// of sync and sync/atomic types, a table built in its declaration, and
-// a local that shadows a package-level variable — and must produce
-// zero findings.
+// rule's escape hatch — a map read through a slice of its keys, an
+// exhaustive switch that leaves out only a sentinel, a partial switch
+// with a default, a stable sort plus a //tilesim:totalorder unstable
+// sort, randomness threaded through a seeded *rand.Rand, package-level
+// state of sync and sync/atomic types, a table built in its
+// declaration, and a local that shadows a package-level variable — and
+// must produce zero findings.
 package clean
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
-
-// Widgets is a unit-typed quantity.
-//
-//tilesim:unit widgets
-type Widgets float64
 
 // Mode is a small enum with a sentinel that exhaustiveness must ignore.
 type Mode int
@@ -33,38 +26,35 @@ const (
 	numModes
 )
 
-// Describe covers every mode and panics (prefixed) on corruption.
+// Describe covers every mode but the numModes sentinel.
 func Describe(m Mode) string {
 	switch m {
 	case Off:
 		return "off"
 	case On:
 		return "on"
+	}
+	return "?"
+}
+
+// IsOn names one mode and leaves the rest to its default clause.
+func IsOn(m Mode) bool {
+	switch m {
+	case On:
+		return true
 	default:
-		panic(fmt.Sprintf("clean: unknown mode %d", int(m)))
+		return false
 	}
 }
 
-// Total sums map values in sorted-key order: collecting the keys is
-// order-independent (annotated), and the float accumulation itself runs
-// over the deterministic sorted slice.
-func Total(counts map[string]Widgets) Widgets {
-	keys := make([]string, 0, len(counts))
-	for k := range counts { //tilesim:ordered — keys are sorted below
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var t Widgets
+// Total sums the counts of the given keys: indexing the map in the
+// order of a key slice is the alternative to ranging over it.
+func Total(counts map[string]float64, keys []string) float64 {
+	var t float64
 	for _, k := range keys {
 		t += counts[k]
 	}
 	return t
-}
-
-// Scale multiplies within one unit and by dimensionless constants,
-// which the units analyzer must accept.
-func Scale(w Widgets) float64 {
-	return 2 * float64(w) / float64(numModes)
 }
 
 // SortStable uses the stable sort, the default sanctioned spelling.

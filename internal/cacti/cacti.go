@@ -92,23 +92,3 @@ func (a Array) LeakageW() float64 {
 	)
 	return fixedW + perEntryW*float64(a.Entries) + perBitW*float64(a.Bytes()*8)
 }
-
-// CacheAccessEnergyJ estimates the access energy of a set-associative
-// cache at 65 nm, used by the full-CMP energy model for L1/L2 accesses.
-// Calibrated to CACTI-class values: ~0.10 nJ for a 32 KB 4-way L1 and
-// ~0.38 nJ for a 256 KB 4-way L2 slice.
-func CacheAccessEnergyJ(capacityBytes, assoc int) float64 {
-	if capacityBytes <= 0 || assoc <= 0 {
-		panic("cacti: cache energy needs positive capacity and associativity")
-	}
-	kb := float64(capacityBytes) / 1024
-	// Energy grows ~sqrt with capacity (bitline/wordline halving via
-	// subbanking) and mildly with associativity (parallel tag compare).
-	base := 0.016e-9 * mathPow(kb, 0.55) // J
-	return base * (0.85 + 0.15*float64(assoc))
-}
-
-// CacheLeakageW estimates cache leakage at 65 nm (~0.3 mW/KB high-perf).
-func CacheLeakageW(capacityBytes int) float64 {
-	return 0.30e-3 * float64(capacityBytes) / 1024
-}

@@ -2,7 +2,6 @@ package cacti
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -106,33 +105,6 @@ func TestModelRowRejectsUnknownScheme(t *testing.T) {
 	}
 }
 
-func TestCostForScheme(t *testing.T) {
-	c, err := CostForScheme("4-entry DBRC")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 0.1065 W / (4 * 4 GHz) = 6.66 pJ.
-	if math.Abs(c.AccessEnergyJ-6.65625e-12)/6.65625e-12 > 1e-9 {
-		t.Errorf("access energy %.4g, want 6.656 pJ", c.AccessEnergyJ)
-	}
-	if c.StaticPowerW != 0.01078 {
-		t.Errorf("static %.5g, want 10.78 mW", c.StaticPowerW)
-	}
-	if _, err := CostForScheme("nope"); err == nil {
-		t.Error("unknown scheme accepted")
-	}
-	if !strings.Contains(err2str(err), "") {
-		t.Error("unreachable")
-	}
-}
-
-func err2str(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
-}
-
 func TestArrayValidate(t *testing.T) {
 	if err := (Array{Entries: 4, BytesPerRow: 8}).Validate(); err != nil {
 		t.Errorf("valid array rejected: %v", err)
@@ -169,27 +141,4 @@ func TestArrayMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestCacheEnergyModel(t *testing.T) {
-	l1 := CacheAccessEnergyJ(32*1024, 4)
-	l2 := CacheAccessEnergyJ(256*1024, 4)
-	if l1 < 0.03e-9 || l1 > 0.3e-9 {
-		t.Errorf("L1 access energy %.3g J out of CACTI-class range", l1)
-	}
-	if l2 <= l1 {
-		t.Error("L2 slice access must cost more than L1")
-	}
-	if l2 < 0.15e-9 || l2 > 1.2e-9 {
-		t.Errorf("L2 access energy %.3g J out of CACTI-class range", l2)
-	}
-	if CacheLeakageW(32*1024) <= 0 {
-		t.Error("cache leakage must be positive")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("bad cache geometry did not panic")
-		}
-	}()
-	CacheAccessEnergyJ(0, 4)
 }

@@ -1,11 +1,6 @@
 package cacti
 
-import (
-	"fmt"
-	"math"
-)
-
-func mathPow(x, p float64) float64 { return math.Pow(x, p) }
+import "fmt"
 
 // Table1Row is one row of paper Table 1: the per-core hardware cost of an
 // address-compression scheme on a 16-core tiled CMP at 65 nm, with the
@@ -30,36 +25,6 @@ func Table1Rows() []Table1Row {
 		{"64-entry DBRC", 17408, 0.8240, 3.30, 0.7078, 3.16, 0.13342, 3.76},
 		{"2-byte Stride", 272, 0.0257, 0.10, 0.0561, 0.25, 0.00514, 0.15},
 	}
-}
-
-// CompressionCost is the derived per-core cost model the energy
-// accounting consumes: energy per message-compression event and always-on
-// leakage, both from the Table 1 catalog.
-type CompressionCost struct {
-	// AccessEnergyJ is the energy of one compression/decompression
-	// event: a sender-structure search plus a receiver-structure access.
-	AccessEnergyJ float64
-	// StaticPowerW is the per-core leakage of all structures.
-	StaticPowerW float64
-	// AreaMM2 is the per-core layout area.
-	AreaMM2 float64
-}
-
-// CostForScheme returns the derived cost model for a named scheme row of
-// Table 1. The max-dynamic-power column assumes four structures active
-// per cycle per core (send + receive on both the request and command
-// streams) at 4 GHz, so one access costs P_max / (4 * f).
-func CostForScheme(scheme string) (CompressionCost, error) {
-	for _, r := range Table1Rows() {
-		if r.Scheme == scheme {
-			return CompressionCost{
-				AccessEnergyJ: r.MaxDynPowerW / (4 * 4e9),
-				StaticPowerW:  r.StaticPowerW,
-				AreaMM2:       r.AreaMM2,
-			}, nil
-		}
-	}
-	return CompressionCost{}, fmt.Errorf("cacti: no Table 1 row for scheme %q", scheme)
 }
 
 // DBRCArrays returns the per-core structures of an n-entry DBRC scheme:

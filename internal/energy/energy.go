@@ -28,11 +28,8 @@ import (
 )
 
 // Joules is an amount of energy. Keeping energy in its own defined type
-// (rather than a bare float64) lets the compiler and tilesimvet's units
-// analyzer catch dimensionally bogus arithmetic such as adding an
-// energy to a cycle count.
-//
-//tilesim:unit joules
+// (rather than a bare float64) lets the compiler reject dimensionally
+// bogus arithmetic such as adding an energy to a cycle count.
 type Joules float64
 
 // Alpha is the average switching factor of message payload bits: each
@@ -155,25 +152,6 @@ type LinkReport struct {
 
 // TotalJ returns dynamic plus static link energy.
 func (r LinkReport) TotalJ() Joules { return r.DynJ + r.StaticJ }
-
-// Link returns the link energy over a run of the given cycles.
-func (m *Meter) Link(cycles uint64) LinkReport {
-	return LinkReport{
-		DynJ:    m.linkDynJ,
-		StaticJ: Joules(m.staticLinkW * float64(m.Seconds(cycles))),
-	}
-}
-
-// InterconnectJ returns links plus routers energy over the run: the
-// "interconnect" whose chip share anchors the full-CMP model.
-func (m *Meter) InterconnectJ(cycles uint64) Joules {
-	t := m.Seconds(cycles)
-	return m.Link(cycles).TotalJ() + m.routerDynJ +
-		Joules(RouterStaticWEach*float64(m.routers)*float64(t))
-}
-
-// RouterDynJ returns the accumulated router dynamic energy.
-func (m *Meter) RouterDynJ() Joules { return m.routerDynJ }
 
 // ED2P returns the energy-delay^2 product in J*s^2 for an energy and a
 // run length in cycles.

@@ -12,14 +12,14 @@ func TestLinkDynAccumulation(t *testing.T) {
 	// 11 bytes over one 5mm B8X link: 88 bits * 0.5 * 3.3125 pJ.
 	m.LinkTraversal(wire.B8X, 5e-3, 11, 1)
 	want := 88 * 0.5 * wire.DynamicEnergyPerTransition(wire.B8X, 5e-3)
-	got := float64(m.Link(0).DynJ)
+	got := float64(m.LinkSince(DynSnapshot{}, 0).DynJ)
 	if math.Abs(got-want)/want > 1e-12 {
 		t.Fatalf("link dyn %g, want %g", got, want)
 	}
 	// VL wires cost less per bit.
 	m2 := NewMeter(16)
 	m2.LinkTraversal(wire.VL5B, 5e-3, 11, 3)
-	if float64(m2.Link(0).DynJ) >= got {
+	if float64(m2.LinkSince(DynSnapshot{}, 0).DynJ) >= got {
 		t.Fatal("VL traversal should cost less than B8X")
 	}
 }
@@ -40,7 +40,7 @@ func TestLinkDynCachedPerKindIsExact(t *testing.T) {
 	} {
 		m.LinkTraversal(h.kind, h.lengthM, h.bytes, 1)
 		want += Joules(float64(h.bytes*8) * Alpha * wire.DynamicEnergyPerTransition(h.kind, h.lengthM))
-		if got := m.Link(0).DynJ; got != want {
+		if got := m.LinkSince(DynSnapshot{}, 0).DynJ; got != want {
 			t.Fatalf("after %+v: link dyn %g, want %g exactly", h, got, want)
 		}
 	}
@@ -49,8 +49,8 @@ func TestLinkDynCachedPerKindIsExact(t *testing.T) {
 func TestStaticIntegratesOverTime(t *testing.T) {
 	m := NewMeter(16)
 	m.AddStaticWires(wire.B8X, 5e-3, 600*48)
-	e1 := m.Link(4_000_000).StaticJ // 1 ms
-	e2 := m.Link(8_000_000).StaticJ
+	e1 := m.LinkSince(DynSnapshot{}, 4_000_000).StaticJ // 1 ms
+	e2 := m.LinkSince(DynSnapshot{}, 8_000_000).StaticJ
 	if math.Abs(float64(e2-2*e1))/float64(e1) > 1e-12 {
 		t.Fatalf("static not linear in time: %g vs %g", e1, e2)
 	}
@@ -67,8 +67,8 @@ func TestHeterogeneousStandingLeakageBelowBaseline(t *testing.T) {
 	het := NewMeter(16)
 	het.AddStaticWires(wire.VL5B, 5e-3, 5*8*48)
 	het.AddStaticWires(wire.B8X, 5e-3, 34*8*48)
-	b := base.Link(1_000_000).StaticJ
-	h := het.Link(1_000_000).StaticJ
+	b := base.LinkSince(DynSnapshot{}, 1_000_000).StaticJ
+	h := het.LinkSince(DynSnapshot{}, 1_000_000).StaticJ
 	if h >= b {
 		t.Fatalf("heterogeneous static %g not below baseline %g", h, b)
 	}
@@ -81,12 +81,12 @@ func TestRouterEnergy(t *testing.T) {
 	m := NewMeter(16)
 	m.RouterHop(67, 2)
 	want := 67*RouterDynPerByteJ + 2*RouterDynPerFlitJ
-	if got := float64(m.RouterDynJ()); math.Abs(got-want)/want > 1e-12 {
+	if got := float64(m.Snapshot().RouterDynJ); math.Abs(got-want)/want > 1e-12 {
 		t.Fatalf("router dyn %g, want %g", got, want)
 	}
 	// Interconnect includes router static.
-	ic := m.InterconnectJ(4_000_000)
-	if ic <= m.RouterDynJ() {
+	ic := m.InterconnectSince(DynSnapshot{}, 4_000_000)
+	if ic <= m.Snapshot().RouterDynJ {
 		t.Fatal("interconnect energy must include router leakage")
 	}
 }
@@ -196,7 +196,7 @@ func TestSnapshotWindows(t *testing.T) {
 	m.CompressionEvent()
 
 	window := m.LinkSince(snap, 4_000_000)
-	full := m.Link(4_000_000)
+	full := m.LinkSince(DynSnapshot{}, 4_000_000)
 	if window.DynJ >= full.DynJ {
 		t.Fatal("windowed dynamic energy should exclude pre-snapshot activity")
 	}

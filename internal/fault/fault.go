@@ -38,19 +38,6 @@ const (
 	NumPlanes = 3
 )
 
-// PlaneName renders a plane index the way mesh.Plane.String does.
-func PlaneName(p int) string {
-	switch p {
-	case PlaneB:
-		return "B"
-	case PlaneVL:
-		return "VL"
-	case PlanePW:
-		return "PW"
-	}
-	return "?"
-}
-
 // planeIndex parses a plane name ("B", "VL", "PW"); -1 for "".
 func planeIndex(name string) (int, error) {
 	switch name {

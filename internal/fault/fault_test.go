@@ -141,7 +141,7 @@ func TestPlaneOutageWindow(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := in.PlaneDown(c.plane, c.now); got != c.down {
-			t.Errorf("PlaneDown(%s, %d) = %v, want %v", PlaneName(c.plane), c.now, got, c.down)
+			t.Errorf("PlaneDown(%d, %d) = %v, want %v", c.plane, c.now, got, c.down)
 		}
 	}
 	if in.OutageEnd() != 150 {

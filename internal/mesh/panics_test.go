@@ -33,7 +33,7 @@ func mustPanic(t *testing.T, fn func()) string {
 
 // TestPanicPaths drives every defensive panic in the mesh and checks
 // both that it fires and that its message carries the "mesh: " prefix
-// tilesimvet's panic-hygiene rule demands.
+// the simulator's panics use to name their subsystem.
 func TestPanicPaths(t *testing.T) {
 	newNet := func(cfg Config) *Network {
 		return New(sim.NewKernel(), cfg, nil)

@@ -241,10 +241,6 @@ func (m *Message) UncompressedSize() int {
 	return size
 }
 
-// Short reports whether the message (uncompressed) is a short message
-// per Section 4.2 (<= 11 bytes).
-func (m *Message) Short() bool { return m.UncompressedSize() <= ShortMax }
-
 // Validate checks internal consistency; the mesh refuses malformed
 // messages at injection.
 func (m *Message) Validate(cores int) error {
@@ -268,10 +264,7 @@ func (m *Message) Validate(cores int) error {
 
 // FlitCount is a number of flits — the serialization quanta a message
 // is chopped into on a wire plane. A defined type so flit math cannot
-// silently mix with byte or cycle counts (see tilesimvet's units
-// analyzer).
-//
-//tilesim:unit flits
+// silently mix with byte or cycle counts.
 type FlitCount int
 
 // Flits returns the number of width-byte flits a size-byte message

@@ -9,9 +9,6 @@ func TestSizesMatchSection43(t *testing.T) {
 		if got := m.UncompressedSize(); got != 11 {
 			t.Errorf("%v: size %d, want 11", typ, got)
 		}
-		if !m.Short() {
-			t.Errorf("%v must be short", typ)
-		}
 	}
 	// Coherence replies and replacement hints: 3 bytes.
 	for _, typ := range []Type{InvAck, OwnAck, ReplacementHint} {
@@ -25,9 +22,6 @@ func TestSizesMatchSection43(t *testing.T) {
 		m := &Message{Type: typ, DataBytes: LineBytes}
 		if got := m.UncompressedSize(); got != 67 {
 			t.Errorf("%v: size %d, want 67", typ, got)
-		}
-		if m.Short() {
-			t.Errorf("%v with data must be long", typ)
 		}
 	}
 	// Revision without data is a 3-byte control message.

@@ -58,7 +58,6 @@ type Tracer struct {
 	// thread_name metadata; pids likewise for process_name.
 	tracks map[[2]int]bool
 	pids   map[int]bool
-	err    error
 	// b is the scratch buffer events' strings are escaped into.
 	b []byte
 }
@@ -91,22 +90,14 @@ func (t *Tracer) NextID() (id uint64, sampled bool) {
 	return t.next, t.next%t.every == 0
 }
 
-// SampleEvery returns the sampling stride.
-func (t *Tracer) SampleEvery() uint64 { return t.every }
-
-// Err returns the first write error, if any (surfaced by Close; the
-// buffered writer's own sticky error turns later hook calls into
-// no-ops, so a full disk cannot crash a simulation).
-func (t *Tracer) Err() error { return t.err }
-
-// Close terminates the JSON document and flushes. The underlying
-// writer is not closed (the caller owns the file handle).
+// Close terminates the JSON document and flushes, returning the first
+// write error of the whole trace: the buffered writer keeps it and
+// turns every later write into a no-op, so a full disk cannot crash a
+// simulation. The underlying writer is not closed (the caller owns the
+// file handle).
 func (t *Tracer) Close() error {
 	t.w.WriteString("\n],\"displayTimeUnit\":\"ns\"}\n")
-	if err := t.w.Flush(); err != nil && t.err == nil {
-		t.err = err
-	}
-	return t.err
+	return t.w.Flush()
 }
 
 // sep writes the inter-event comma.

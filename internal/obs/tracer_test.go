@@ -130,9 +130,6 @@ func TestTracerTrackMetadataOnce(t *testing.T) {
 func TestTracerSampling(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf, 3)
-	if tr.SampleEvery() != 3 {
-		t.Fatalf("SampleEvery = %d", tr.SampleEvery())
-	}
 	sampled := 0
 	for i := 0; i < 30; i++ {
 		if _, ok := tr.NextID(); ok {
@@ -198,8 +195,5 @@ func TestTracerWriteErrorSurfacesAtClose(t *testing.T) {
 	}
 	if err := tr.Close(); err == nil {
 		t.Fatal("Close did not surface the write error")
-	}
-	if tr.Err() == nil {
-		t.Fatal("Err() lost the write error")
 	}
 }

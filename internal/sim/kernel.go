@@ -13,8 +13,6 @@ import (
 )
 
 // Time is a point in simulated time, in clock cycles.
-//
-//tilesim:unit cycles
 type Time uint64
 
 // Event is a callback scheduled to run at a particular cycle.

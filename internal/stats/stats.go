@@ -84,34 +84,6 @@ func Ratio(a, b float64) float64 {
 	return a / b
 }
 
-// GeoMean returns the geometric mean of positive values; zero or negative
-// values are skipped. Returns 0 for an empty input.
-func GeoMean(xs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
-// ArithMean returns the arithmetic mean, 0 for empty input.
-func ArithMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // Histogram is a fixed-width-bucket histogram over [0, bucketWidth*len).
 // Samples beyond the last bucket land in an overflow bucket. It supports
 // approximate percentile queries at bucket resolution.
@@ -214,20 +186,6 @@ func NewTable(header ...string) *Table {
 // AddRow appends a row; cells beyond the header width are kept and simply
 // widen the table.
 func (t *Table) AddRow(cells ...string) {
-	t.rows = append(t.rows, cells)
-}
-
-// AddRowf appends a row where each value is formatted with the
-// corresponding verb ("%s" for strings, "%.3f" etc. for numbers).
-func (t *Table) AddRowf(format []string, values ...any) {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		f := "%v"
-		if i < len(format) {
-			f = format[i]
-		}
-		cells[i] = fmt.Sprintf(f, v)
-	}
 	t.rows = append(t.rows, cells)
 }
 

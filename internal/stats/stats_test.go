@@ -125,30 +125,6 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	got := GeoMean([]float64{1, 4, 16})
-	if math.Abs(got-4) > 1e-9 {
-		t.Fatalf("geomean = %v, want 4", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("geomean of empty should be 0")
-	}
-	// Non-positive values are skipped, not poisoning the result.
-	got = GeoMean([]float64{0, -3, 4, 4})
-	if math.Abs(got-4) > 1e-9 {
-		t.Fatalf("geomean with skips = %v, want 4", got)
-	}
-}
-
-func TestArithMean(t *testing.T) {
-	if ArithMean([]float64{1, 2, 3}) != 2 {
-		t.Fatal("arith mean")
-	}
-	if ArithMean(nil) != 0 {
-		t.Fatal("arith mean of empty should be 0")
-	}
-}
-
 func TestHistogramPercentiles(t *testing.T) {
 	h := NewHistogram(100, 1)
 	for i := 1; i <= 100; i++ {
@@ -291,7 +267,7 @@ func TestTableRendering(t *testing.T) {
 
 func TestTableCSV(t *testing.T) {
 	tb := NewTable("a", "b")
-	tb.AddRowf([]string{"%s", "%.2f"}, "x", 1.234)
+	tb.AddRow("x", "1.23")
 	csv := tb.CSV()
 	want := "a,b\nx,1.23\n"
 	if csv != want {

@@ -290,7 +290,8 @@ type Summary struct {
 // Summarize scans the trace.
 func (t *Trace) Summarize() Summary {
 	s := Summary{Cores: t.cores}
-	blocks := map[uint64]int{} // block -> bitmask-ish core count tracking via map of maps is heavy; track first core + shared flag
+	// firstCore holds every block touched, with the first core to touch
+	// it; shared holds the blocks a second core touched too.
 	firstCore := map[uint64]int{}
 	shared := map[uint64]bool{}
 	for core, stream := range t.ops {
@@ -307,7 +308,6 @@ func (t *Trace) Summarize() Summary {
 			}
 			if op.Kind == workload.OpLoad || op.Kind == workload.OpStore {
 				b := op.Addr &^ 63
-				blocks[b]++
 				if fc, ok := firstCore[b]; !ok {
 					firstCore[b] = core
 				} else if fc != core {
@@ -316,9 +316,9 @@ func (t *Trace) Summarize() Summary {
 			}
 		}
 	}
-	s.Blocks = len(blocks)
-	if len(blocks) > 0 {
-		s.SharedPct = 100 * float64(len(shared)) / float64(len(blocks))
+	s.Blocks = len(firstCore)
+	if s.Blocks > 0 {
+		s.SharedPct = 100 * float64(len(shared)) / float64(s.Blocks)
 	}
 	return s
 }

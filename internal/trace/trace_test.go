@@ -102,6 +102,27 @@ func TestCaptureFromWorkload(t *testing.T) {
 	}
 }
 
+// TestSummarizeHandBuilt pins the whole Summary of a 2-core trace: block
+// 0x1000 is touched by both cores (at two offsets on core 1), 0x2000
+// only by core 0 (twice) and 0x3000 only by core 1, so one block of
+// three is shared.
+func TestSummarizeHandBuilt(t *testing.T) {
+	tr := New(2)
+	tr.Append(0, workload.Op{Kind: workload.OpLoad, Addr: 0x1000})
+	tr.Append(0, workload.Op{Kind: workload.OpStore, Addr: 0x2000})
+	tr.Append(0, workload.Op{Kind: workload.OpCompute, Cycles: 5})
+	tr.Append(0, workload.Op{Kind: workload.OpLoad, Addr: 0x2008})
+	tr.Append(0, workload.Op{Kind: workload.OpBarrier})
+	tr.Append(1, workload.Op{Kind: workload.OpStore, Addr: 0x1010})
+	tr.Append(1, workload.Op{Kind: workload.OpLoad, Addr: 0x3000})
+	tr.Append(1, workload.Op{Kind: workload.OpLoad, Addr: 0x103f})
+	tr.Append(1, workload.Op{Kind: workload.OpBarrier})
+	want := Summary{Cores: 2, Loads: 4, Stores: 2, Computes: 1, Barriers: 2, Blocks: 3, SharedPct: 100.0 / 3}
+	if got := tr.Summarize(); got != want {
+		t.Fatalf("Summarize() = %+v, want %+v", got, want)
+	}
+}
+
 // TestRoundTripInterleavedWithComments decodes a file whose core
 // streams interleave arbitrarily between comment lines, re-encodes it,
 // and parses the result again: per-core op order must survive both

@@ -149,16 +149,7 @@ func LatencyCycles(k Kind) int {
 // Seconds is a physical duration. Distinct from sim.Time (whole clock
 // cycles) so wall-time physics and cycle accounting cannot be mixed
 // without an explicit conversion through the clock frequency.
-//
-//tilesim:unit seconds
 type Seconds float64
-
-// LatencySeconds returns the physical traversal delay of a link of the
-// given length built from wires of kind k.
-func LatencySeconds(k Kind, lengthM float64) Seconds {
-	baselinePerM := float64(BaselineLinkCycles) / ClockHz / LinkLengthM
-	return Seconds(Lookup(k).RelLatency * baselinePerM * lengthM)
-}
 
 // DynamicEnergyPerTransition returns the energy in joules for one bit
 // transition on one wire of kind k over lengthM meters.

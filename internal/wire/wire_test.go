@@ -89,17 +89,6 @@ func TestVLWiresFasterThanLWires(t *testing.T) {
 	}
 }
 
-func TestLatencySecondsScalesWithLength(t *testing.T) {
-	d5 := LatencySeconds(B8X, 5e-3)
-	d10 := LatencySeconds(B8X, 10e-3)
-	if math.Abs(float64(d10-2*d5)) > 1e-15 {
-		t.Fatalf("latency not linear in length: %g vs %g", d5, d10)
-	}
-	if math.Abs(float64(d5)-2.0e-9) > 1e-12 {
-		t.Fatalf("B8X 5mm = %g s, want 2.0 ns", d5)
-	}
-}
-
 func TestDynamicEnergyPerTransition(t *testing.T) {
 	// B8X at 2.65 W/m with alpha=1 at 4 GHz over 5 mm:
 	// 2.65 * 0.005 / 4e9 = 3.3125e-12 J.

@@ -131,16 +131,3 @@ func NewNamedApp(name string, cores, refsPerCore int, seed int64) (*App, error) 
 	}
 	return NewApp(p)
 }
-
-// AllApps builds every paper application.
-func AllApps(cores, refsPerCore int, seed int64) ([]*App, error) {
-	var out []*App
-	for _, name := range AppNames() {
-		a, err := NewNamedApp(name, cores, refsPerCore, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
