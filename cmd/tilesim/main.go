@@ -121,7 +121,7 @@ func main() {
 		refs    = flag.Int("refs", 8000, "memory references per core")
 		warmup  = flag.Int("warmup", 3000, "warmup references per core before measurement")
 		seed    = flag.Int64("seed", 1, "workload seed")
-		topo    = flag.String("topo", "mesh", "interconnect topology: "+strings.Join(cmp.TopologyNames, ", "))
+		topo    = flag.String("topo", "mesh", "interconnect topology: "+strings.Join(mesh.TopologyNames, ", "))
 		tiles   = flag.Int("tiles", 16, "tile count (power of two, 4..1024)")
 
 		metricsOut  = flag.String("metrics-out", "", "write the metrics snapshot as JSON to this file")

@@ -29,7 +29,7 @@ func main() {
 	// different wire budgets and hop counts (DESIGN.md §14).
 	fmt.Printf("topologies at %d tiles:\n\n", tiles)
 	fmt.Printf("  %-12s %8s %7s %9s\n", "topology", "routers", "links", "avg hops")
-	for _, name := range cmp.TopologyNames {
+	for _, name := range mesh.TopologyNames {
 		cfg := cmp.RunConfig{Topology: name, Tiles: tiles}
 		topo, err := cfg.BuildTopology()
 		if err != nil {

@@ -20,6 +20,7 @@ import (
 	"tilesim/internal/cmp"
 	"tilesim/internal/compress"
 	"tilesim/internal/fault"
+	"tilesim/internal/mesh"
 )
 
 // goldenConfig is the configuration the goldens were captured at
@@ -86,7 +87,7 @@ func TestTopologiesByteIdentical64(t *testing.T) {
 	if testing.Short() {
 		t.Skip("eight 64-tile simulations")
 	}
-	for _, topo := range cmp.TopologyNames {
+	for _, topo := range mesh.TopologyNames {
 		topo := topo
 		t.Run(topo, func(t *testing.T) {
 			t.Parallel()

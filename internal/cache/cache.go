@@ -176,9 +176,6 @@ func checkGeometry(cfg Config) int {
 // Config returns the geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Sets returns the set count.
-func (c *Cache) Sets() int { return c.sets }
-
 // BlockOf returns the block address containing addr.
 func (c *Cache) BlockOf(addr uint64) uint64 { return addr &^ uint64(c.cfg.LineBytes-1) }
 
@@ -347,10 +344,4 @@ func (c *Cache) Occupancy() int {
 // Stats returns (hits, misses, evictions).
 func (c *Cache) Stats() (hits, misses, evicts uint64) {
 	return c.hits.Value(), c.misses.Value(), c.evicts.Value()
-}
-
-// HitRate returns hits / (hits + misses), 0 when unused.
-func (c *Cache) HitRate() float64 {
-	h, m, _ := c.Stats()
-	return stats.Ratio(float64(h), float64(h+m))
 }

@@ -11,12 +11,12 @@ import (
 
 func TestGeometry(t *testing.T) {
 	l1 := New(L1Config())
-	if l1.Sets() != 128 {
-		t.Errorf("L1 sets = %d, want 128", l1.Sets())
+	if l1.sets != 128 {
+		t.Errorf("L1 sets = %d, want 128", l1.sets)
 	}
 	l2 := New(L2SliceConfig())
-	if l2.Sets() != 1024 {
-		t.Errorf("L2 sets = %d, want 1024", l2.Sets())
+	if l2.sets != 1024 {
+		t.Errorf("L2 sets = %d, want 1024", l2.sets)
 	}
 }
 
@@ -527,16 +527,18 @@ func TestAuxClearedByInsertAndInvalidate(t *testing.T) {
 	}
 }
 
+// TestHitRate checks the hit and miss counts a hit rate is taken
+// from: none on an unused cache, then one of each.
 func TestHitRate(t *testing.T) {
 	c := New(Config{CapacityBytes: 256, Ways: 2, LineBytes: 64})
-	if c.HitRate() != 0 {
-		t.Fatal("unused cache hit rate not 0")
+	if h, m, _ := c.Stats(); h != 0 || m != 0 {
+		t.Fatalf("unused cache counted %d hits, %d misses", h, m)
 	}
 	c.Access(0x40) // miss
 	c.Insert(0x40, Shared)
 	c.Access(0x40) // hit
-	if got := c.HitRate(); got != 0.5 {
-		t.Fatalf("hit rate %v, want 0.5", got)
+	if h, m, _ := c.Stats(); h != 1 || m != 1 {
+		t.Fatalf("counted %d hits, %d misses, want 1 and 1", h, m)
 	}
 }
 

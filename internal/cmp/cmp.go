@@ -353,7 +353,7 @@ func NewSystem(cfg RunConfig) (*System, error) {
 	meter := energy.NewMeter(topo.Nodes())
 	net := mesh.New(k, netCfg, meter)
 	for _, sw := range net.StaticWires() {
-		meter.AddStaticWires(sw.Kind, sw.Length, sw.Wires)
+		meter.AddStaticWires(sw.Kind, sw.Wires)
 	}
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, fmt.Errorf("cmp: %w", err)

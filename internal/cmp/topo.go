@@ -17,10 +17,6 @@ const defaultTiles = 16
 // quad).
 const CMeshConc = 4
 
-// TopologyNames lists the valid RunConfig.Topology values in flag-help
-// order.
-var TopologyNames = []string{"mesh", "cmesh", "torus", "slim"}
-
 // tiles normalizes the tile count: 0 means the paper's 16.
 func (c RunConfig) tiles() int {
 	if c.Tiles == 0 {
@@ -47,41 +43,27 @@ func gridDims(routers int) (w, h int) {
 }
 
 // BuildTopology validates the configuration's topology parameters and
-// constructs the interconnect graph. All parameter errors surface here
-// as returned errors — config decoding (flags, sweep specs) calls this
-// before any simulator structure is built, so a bad tile count or an
-// undersized torus never reaches the mesh package's programmatic-misuse
-// panics.
+// constructs the interconnect graph, returning an error for any it
+// cannot build. The rules that belong to the CMP come first: a
+// power-of-two tile count in 4..coherence.MaxTiles, laid out on the
+// squarest router grid with CMeshConc tiles per cmesh router.
+// mesh.NewTopology checks the shape; its error names the topology.
+// Config decoding (flags, sweep specs) calls this before any simulator
+// structure is built.
 func (c RunConfig) BuildTopology() (mesh.Topology, error) {
 	tiles := c.tiles()
 	if tiles < 4 || tiles > coherence.MaxTiles || bits.OnesCount(uint(tiles)) != 1 {
-		return nil, fmt.Errorf("cmp: tile count must be a power of two in 4..%d (page-interleaved homes), got %d",
+		return mesh.Topology{}, fmt.Errorf("cmp: tile count must be a power of two in 4..%d (page-interleaved homes), got %d",
 			coherence.MaxTiles, tiles)
 	}
-	switch c.topologyName() {
-	case "mesh":
-		w, h := gridDims(tiles)
-		return mesh.NewMesh(w, h), nil
-	case "cmesh":
-		if tiles < 2*CMeshConc {
-			return nil, fmt.Errorf("cmp: cmesh topology needs at least %d tiles (two routers at %d tiles per router), got %d",
-				2*CMeshConc, CMeshConc, tiles)
-		}
-		w, h := gridDims(tiles / CMeshConc)
-		return mesh.NewCMesh(w, h, CMeshConc), nil
-	case "torus":
-		w, h := gridDims(tiles)
-		if w < 3 || h < 3 {
-			return nil, fmt.Errorf("cmp: torus topology needs both grid dimensions >= 3 (16+ tiles), got %dx%d from %d tiles",
-				w, h, tiles)
-		}
-		return mesh.NewTorus(w, h), nil
-	case "slim":
-		w, h := gridDims(tiles)
-		if w < 2 || h < 2 {
-			return nil, fmt.Errorf("cmp: slim topology needs both grid dimensions >= 2, got %dx%d from %d tiles", w, h, tiles)
-		}
-		return mesh.NewSlim(w, h), nil
+	name, conc := c.topologyName(), 1
+	if name == "cmesh" {
+		conc = CMeshConc
 	}
-	return nil, fmt.Errorf("cmp: unknown topology %q (valid: %v)", c.Topology, TopologyNames)
+	w, h := gridDims(tiles / conc)
+	topo, err := mesh.NewTopology(name, w, h, conc)
+	if err != nil {
+		return mesh.Topology{}, fmt.Errorf("cmp: %d tiles: %w", tiles, err)
+	}
+	return topo, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tilesim/internal/compress"
+	"tilesim/internal/mesh"
 )
 
 func TestTopologyDefaultsNormalizeInCanonical(t *testing.T) {
@@ -87,7 +88,7 @@ func TestNewSystemRejectsBadTopologyWithError(t *testing.T) {
 }
 
 func Test64TileSystemsRunOnAllTopologies(t *testing.T) {
-	for _, topo := range TopologyNames {
+	for _, topo := range mesh.TopologyNames {
 		topo := topo
 		t.Run(topo, func(t *testing.T) {
 			cfg := RunConfig{

@@ -63,10 +63,9 @@ type Meter struct {
 	routerDynJ  Joules
 	comprEvents uint64
 
-	// perTransition caches wire.DynamicEnergyPerTransition per wire kind
-	// at the link length it was computed for: every link of a network
-	// has the same length, so each kind computes it once per run.
-	perTransition [wire.NumKinds]struct{ lengthM, joules float64 }
+	// perTransition holds wire.DynamicEnergyPerTransition per wire kind
+	// over one wire.LinkLengthM link, the length of every link.
+	perTransition [wire.NumKinds]float64
 
 	// Standing resources for static integration.
 	staticLinkW float64
@@ -77,24 +76,25 @@ type Meter struct {
 // NewMeter builds a meter for a network with the given standing wires
 // and router count.
 func NewMeter(routers int) *Meter {
-	return &Meter{routers: routers, clockHz: wire.ClockHz}
+	m := &Meter{routers: routers, clockHz: wire.ClockHz}
+	for k := range m.perTransition {
+		m.perTransition[k] = wire.DynamicEnergyPerTransition(wire.Kind(k), wire.LinkLengthM)
+	}
+	return m
 }
 
-// AddStaticWires registers standing link wires (call once per plane,
-// with the totals from mesh.Network.StaticWires).
-func (m *Meter) AddStaticWires(kind wire.Kind, lengthM float64, wires int) {
-	m.staticLinkW += wire.StaticPowerWatts(kind, lengthM, wires) * LinkLeakageDuty
+// AddStaticWires registers standing link wires, each wire.LinkLengthM
+// long (call once per plane, with the totals from
+// mesh.Network.StaticWires).
+func (m *Meter) AddStaticWires(kind wire.Kind, wires int) {
+	m.staticLinkW += wire.StaticPowerWatts(kind, wire.LinkLengthM, wires) * LinkLeakageDuty
 }
 
 // LinkTraversal implements mesh.Observer: msgBytes of payload cross one
 // link of the given kind.
-func (m *Meter) LinkTraversal(kind wire.Kind, lengthM float64, msgBytes int, flits noc.FlitCount) {
-	e := &m.perTransition[kind]
-	if e.lengthM != lengthM {
-		e.lengthM, e.joules = lengthM, wire.DynamicEnergyPerTransition(kind, lengthM)
-	}
+func (m *Meter) LinkTraversal(kind wire.Kind, msgBytes int, flits noc.FlitCount) {
 	bits := float64(msgBytes * 8)
-	m.linkDynJ += Joules(bits * Alpha * e.joules)
+	m.linkDynJ += Joules(bits * Alpha * m.perTransition[kind])
 }
 
 // RouterHop implements mesh.Observer.

@@ -10,36 +10,36 @@ import (
 func TestLinkDynAccumulation(t *testing.T) {
 	m := NewMeter(16)
 	// 11 bytes over one 5mm B8X link: 88 bits * 0.5 * 3.3125 pJ.
-	m.LinkTraversal(wire.B8X, 5e-3, 11, 1)
-	want := 88 * 0.5 * wire.DynamicEnergyPerTransition(wire.B8X, 5e-3)
+	m.LinkTraversal(wire.B8X, 11, 1)
+	want := 88 * 0.5 * wire.DynamicEnergyPerTransition(wire.B8X, wire.LinkLengthM)
 	got := float64(m.LinkSince(DynSnapshot{}, 0).DynJ)
 	if math.Abs(got-want)/want > 1e-12 {
 		t.Fatalf("link dyn %g, want %g", got, want)
 	}
 	// VL wires cost less per bit.
 	m2 := NewMeter(16)
-	m2.LinkTraversal(wire.VL5B, 5e-3, 11, 3)
+	m2.LinkTraversal(wire.VL5B, 11, 3)
 	if float64(m2.LinkSince(DynSnapshot{}, 0).DynJ) >= got {
 		t.Fatal("VL traversal should cost less than B8X")
 	}
 }
 
 // TestLinkDynCachedPerKindIsExact feeds the meter traversals that
-// alternate wire kinds and link lengths: every addend must be the
-// uncached bits * Alpha * DynamicEnergyPerTransition, bit for bit.
+// alternate wire kinds: every addend must be the uncached
+// bits * Alpha * DynamicEnergyPerTransition over a wire.LinkLengthM
+// link, bit for bit.
 func TestLinkDynCachedPerKindIsExact(t *testing.T) {
 	m := NewMeter(16)
 	var want Joules
 	for _, h := range []struct {
-		kind    wire.Kind
-		lengthM float64
-		bytes   int
+		kind  wire.Kind
+		bytes int
 	}{
-		{wire.B8X, 5e-3, 11}, {wire.VL5B, 5e-3, 5}, {wire.B8X, 5e-3, 67},
-		{wire.B8X, 2.5e-3, 11}, {wire.VL5B, 5e-3, 4}, {wire.B8X, 5e-3, 11}, {wire.PW4X, 0, 3},
+		{wire.B8X, 11}, {wire.VL5B, 5}, {wire.B8X, 67},
+		{wire.VL5B, 4}, {wire.B8X, 11}, {wire.PW4X, 3},
 	} {
-		m.LinkTraversal(h.kind, h.lengthM, h.bytes, 1)
-		want += Joules(float64(h.bytes*8) * Alpha * wire.DynamicEnergyPerTransition(h.kind, h.lengthM))
+		m.LinkTraversal(h.kind, h.bytes, 1)
+		want += Joules(float64(h.bytes*8) * Alpha * wire.DynamicEnergyPerTransition(h.kind, wire.LinkLengthM))
 		if got := m.LinkSince(DynSnapshot{}, 0).DynJ; got != want {
 			t.Fatalf("after %+v: link dyn %g, want %g exactly", h, got, want)
 		}
@@ -48,13 +48,13 @@ func TestLinkDynCachedPerKindIsExact(t *testing.T) {
 
 func TestStaticIntegratesOverTime(t *testing.T) {
 	m := NewMeter(16)
-	m.AddStaticWires(wire.B8X, 5e-3, 600*48)
+	m.AddStaticWires(wire.B8X, 600*48)
 	e1 := m.LinkSince(DynSnapshot{}, 4_000_000).StaticJ // 1 ms
 	e2 := m.LinkSince(DynSnapshot{}, 8_000_000).StaticJ
 	if math.Abs(float64(e2-2*e1))/float64(e1) > 1e-12 {
 		t.Fatalf("static not linear in time: %g vs %g", e1, e2)
 	}
-	wantW := wire.StaticPowerWatts(wire.B8X, 5e-3, 600*48) * LinkLeakageDuty
+	wantW := wire.StaticPowerWatts(wire.B8X, wire.LinkLengthM, 600*48) * LinkLeakageDuty
 	if gotW := float64(e1) / float64(m.Seconds(4_000_000)); math.Abs(gotW-wantW)/wantW > 1e-9 {
 		t.Fatalf("static power %g W, want %g W", gotW, wantW)
 	}
@@ -63,10 +63,10 @@ func TestStaticIntegratesOverTime(t *testing.T) {
 func TestHeterogeneousStandingLeakageBelowBaseline(t *testing.T) {
 	// 75B of B8X vs 5B VL + 34B B8X: fewer, fatter wires leak less.
 	base := NewMeter(16)
-	base.AddStaticWires(wire.B8X, 5e-3, 75*8*48)
+	base.AddStaticWires(wire.B8X, 75*8*48)
 	het := NewMeter(16)
-	het.AddStaticWires(wire.VL5B, 5e-3, 5*8*48)
-	het.AddStaticWires(wire.B8X, 5e-3, 34*8*48)
+	het.AddStaticWires(wire.VL5B, 5*8*48)
+	het.AddStaticWires(wire.B8X, 34*8*48)
 	b := base.LinkSince(DynSnapshot{}, 1_000_000).StaticJ
 	h := het.LinkSince(DynSnapshot{}, 1_000_000).StaticJ
 	if h >= b {
@@ -184,13 +184,13 @@ func TestCompressionEvents(t *testing.T) {
 
 func TestSnapshotWindows(t *testing.T) {
 	m := NewMeter(16)
-	m.AddStaticWires(wire.B8X, 5e-3, 600*48)
-	m.LinkTraversal(wire.B8X, 5e-3, 67, 1)
+	m.AddStaticWires(wire.B8X, 600*48)
+	m.LinkTraversal(wire.B8X, 67, 1)
 	m.RouterHop(67, 1)
 	m.CompressionEvent()
 	snap := m.Snapshot()
 	// More activity after the snapshot.
-	m.LinkTraversal(wire.B8X, 5e-3, 11, 1)
+	m.LinkTraversal(wire.B8X, 11, 1)
 	m.RouterHop(11, 1)
 	m.CompressionEvent()
 	m.CompressionEvent()
@@ -200,7 +200,7 @@ func TestSnapshotWindows(t *testing.T) {
 	if window.DynJ >= full.DynJ {
 		t.Fatal("windowed dynamic energy should exclude pre-snapshot activity")
 	}
-	want := 11 * 8 * Alpha * wire.DynamicEnergyPerTransition(wire.B8X, 5e-3)
+	want := 11 * 8 * Alpha * wire.DynamicEnergyPerTransition(wire.B8X, wire.LinkLengthM)
 	if math.Abs(float64(window.DynJ)-want)/want > 1e-9 {
 		t.Fatalf("window dyn %g, want %g", window.DynJ, want)
 	}

@@ -102,9 +102,9 @@ func TestFaultRetryCorrectsEveryErrorAndStaysExact(t *testing.T) {
 	}
 	for c := noc.Class(0); c < noc.NumClasses; c++ {
 		bd := n.Breakdown(c)
-		if bd.ComponentsSum() != bd.Total {
+		if sum := bd.Router + bd.Queue + bd.Wire + bd.Serialize + bd.Retry; sum != bd.Total {
 			t.Errorf("class %v: components %d != total %d under retransmission",
-				c, bd.ComponentsSum(), bd.Total)
+				c, sum, bd.Total)
 		}
 	}
 	if bd := n.Breakdown(noc.ClassResponse); bd.Retry == 0 {
@@ -200,7 +200,7 @@ func TestRouterStallInjectionDelaysHops(t *testing.T) {
 	}
 	// The stall counts as queueing, keeping the decomposition exact.
 	bd := n.Breakdown(noc.ClassRequest)
-	if bd.Queue != 5 || bd.ComponentsSum() != bd.Total {
+	if bd.Queue != 5 || bd.Router+bd.Queue+bd.Wire+bd.Serialize+bd.Retry != bd.Total {
 		t.Fatalf("breakdown %+v: want Queue=5 and exact sum", bd)
 	}
 }

@@ -12,20 +12,8 @@ import (
 	"tilesim/internal/wire"
 )
 
-func TestTopologyCoordRoundTrip(t *testing.T) {
-	topo := NewMesh(4, 4)
-	for id := 0; id < 16; id++ {
-		if got := topo.IDOf(topo.CoordOf(id)); got != id {
-			t.Errorf("tile %d round-trips to %d", id, got)
-		}
-	}
-	if topo.Tiles() != 16 {
-		t.Errorf("tiles = %d", topo.Tiles())
-	}
-}
-
 func TestRouteXYIsMinimalAndDimensionOrdered(t *testing.T) {
-	topo := NewMesh(4, 4)
+	topo := mustTopology("mesh", 4, 4, 1)
 	for src := 0; src < 16; src++ {
 		for dst := 0; dst < 16; dst++ {
 			if src == dst {
@@ -39,13 +27,12 @@ func TestRouteXYIsMinimalAndDimensionOrdered(t *testing.T) {
 				t.Fatalf("%d->%d: route ends at %d", src, dst, route[len(route)-1])
 			}
 			// X moves first, then Y: once Y changes, X must stay fixed.
-			prev := topo.CoordOf(src)
+			prev := src
 			yPhase := false
 			for _, id := range route {
-				c := topo.CoordOf(id)
-				dx, dy := abs(c.X-prev.X), abs(c.Y-prev.Y)
+				dx, dy := max(id%4-prev%4, prev%4-id%4), max(id/4-prev/4, prev/4-id/4)
 				if dx+dy != 1 {
-					t.Fatalf("%d->%d: non-adjacent step %+v -> %+v", src, dst, prev, c)
+					t.Fatalf("%d->%d: non-adjacent step %d -> %d", src, dst, prev, id)
 				}
 				if dy == 1 {
 					yPhase = true
@@ -53,7 +40,7 @@ func TestRouteXYIsMinimalAndDimensionOrdered(t *testing.T) {
 				if dx == 1 && yPhase {
 					t.Fatalf("%d->%d: X move after Y phase", src, dst)
 				}
-				prev = c
+				prev = id
 			}
 		}
 	}
@@ -62,19 +49,28 @@ func TestRouteXYIsMinimalAndDimensionOrdered(t *testing.T) {
 func TestAvgHops4x4(t *testing.T) {
 	// For a 4x4 mesh the mean minimal distance over distinct pairs is
 	// 2*(mean 1-D distance over pairs) adjusted for ordered pairs: 8/3.
-	got := AvgHops(NewMesh(4, 4))
+	got := AvgHops(mustTopology("mesh", 4, 4, 1))
 	if math.Abs(got-8.0/3.0) > 1e-12 {
 		t.Fatalf("avg hops %.4f, want %.4f", got, 8.0/3.0)
 	}
 }
 
+// TestDegenerateTopologyPanics checks that a 1x1 grid never reaches a
+// network: NewTopology refuses it, and New panics on the zero Topology
+// that comes back with the error rather than build a one-router network.
 func TestDegenerateTopologyPanics(t *testing.T) {
+	topo, err := NewTopology("mesh", 1, 1, 1)
+	if err == nil {
+		t.Fatalf("1x1 topology accepted as %s", topo.Label())
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("1x1 topology accepted")
+			t.Fatal("network built on a refused 1x1 topology")
 		}
 	}()
-	NewMesh(1, 1)
+	cfg := DefaultBaseline()
+	cfg.Topo = topo
+	New(sim.NewKernel(), cfg, nil)
 }
 
 // deliverOne sends a single message through an idle network and returns
@@ -283,7 +279,7 @@ type countingObserver struct {
 	bytes          int
 }
 
-func (o *countingObserver) LinkTraversal(k wire.Kind, l float64, b int, f noc.FlitCount) {
+func (o *countingObserver) LinkTraversal(k wire.Kind, b int, f noc.FlitCount) {
 	o.links++
 	o.bytes += b
 }
@@ -451,18 +447,15 @@ func checkRouteWalk(t *testing.T, n *Network, links []Link, src, dst int) {
 // row and along its column: the output ports a router needs per axis.
 func axisDegrees(topo Topology) (row, col int) {
 	w := topo.Width()
-	for from := 0; from < topo.Nodes(); from++ {
-		r, c := 0, 0
-		for _, to := range topo.Neighbors(from) {
-			if to/w == from/w {
-				r++
-			} else {
-				c++
-			}
+	rows, cols := make([]int, topo.Nodes()), make([]int, topo.Nodes())
+	for _, l := range topo.Links() {
+		if l.To/w == l.From/w {
+			rows[l.From]++
+		} else {
+			cols[l.From]++
 		}
-		row, col = max(row, r), max(col, c)
 	}
-	return row, col
+	return slices.Max(rows), slices.Max(cols)
 }
 
 // TestLinkRoutesMatchTopology checks the dense link table and the
@@ -470,9 +463,8 @@ func axisDegrees(topo Topology) (row, col int) {
 // 64 tiles and seeded pairs at 1024. The tables hold routers x (row
 // ports + column ports) + w*w + h*h entries, none per router pair.
 func TestLinkRoutesMatchTopology(t *testing.T) {
-	full := []Topology{NewMesh(4, 4), NewCMesh(2, 2, 4), NewTorus(4, 4), NewSlim(4, 4)}
-	full = append(full, topologies64()...)
-	sampled := []Topology{NewTorus(32, 32), NewSlim(32, 32)}
+	full := append(topologies16(), topologies64()...)
+	sampled := []Topology{mustTopology("torus", 32, 32, 1), mustTopology("slim", 32, 32, 1)}
 	rng := rand.New(rand.NewSource(1))
 	for _, topo := range append(full, sampled...) {
 		cfg := DefaultBaseline()
@@ -518,9 +510,8 @@ func TestLinkRoutesMatchTopology(t *testing.T) {
 // torus with at least 3 routers per axis), every link sits behind exactly one output port, and every
 // port a step table names holds a link.
 func TestEveryLinkHasAPort(t *testing.T) {
-	topos := []Topology{NewMesh(4, 4), NewCMesh(2, 2, 4), NewTorus(4, 4), NewSlim(4, 4), NewMesh(1, 4), NewMesh(4, 1)}
-	topos = append(topos, topologies64()...)
-	topos = append(topos, NewMesh(32, 32), NewCMesh(16, 16, 4), NewTorus(32, 32), NewSlim(32, 32))
+	topos := slices.Concat(topologies16(), topologies64(), topologies1024(),
+		[]Topology{mustTopology("mesh", 1, 4, 1), mustTopology("mesh", 4, 1, 1)})
 	for _, topo := range topos {
 		cfg := DefaultBaseline()
 		cfg.Topo = topo
@@ -565,7 +556,7 @@ func TestEveryLinkHasAPort(t *testing.T) {
 // 1024-tile torus and slim network: computing each hop's link
 // allocates nothing.
 func TestRouteWalkDoesNotAllocate(t *testing.T) {
-	for _, topo := range []Topology{NewTorus(32, 32), NewSlim(32, 32)} {
+	for _, topo := range []Topology{mustTopology("torus", 32, 32, 1), mustTopology("slim", 32, 32, 1)} {
 		cfg := DefaultBaseline()
 		cfg.Topo = topo
 		n := New(sim.NewKernel(), cfg, nil)

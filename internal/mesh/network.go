@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"tilesim/internal/fault"
 	"tilesim/internal/noc"
@@ -51,20 +52,13 @@ type ChannelConfig struct {
 
 // Config parameterizes the network.
 type Config struct {
-	// Topo is the interconnect topology. When nil, a dense Width x
-	// Height mesh is built — the paper's network and the zero-config
-	// default, so pre-interface configurations keep their meaning.
+	// Topo is the interconnect topology (NewTopology).
 	Topo Topology
-	// Width, Height describe the default dense mesh used when Topo is
-	// nil; ignored otherwise.
-	Width, Height int
 	// RouterLatency is the per-hop router pipeline depth in cycles.
 	RouterLatency int
 	// Channels maps each plane to its wire design; a zero-width plane is
 	// absent. PlaneB must be present.
 	Channels [numPlanes]ChannelConfig
-	// LinkLengthM is the physical link length (5 mm in the paper).
-	LinkLengthM float64
 	// LinkCyclesScale scales every channel's wire-traversal cycles
 	// (rounded up, minimum 1); 0 means 1.0. Used by the sensitivity
 	// ablation to explore faster/slower wire technology around the
@@ -81,6 +75,9 @@ const maxWireCycles = 1 << 62
 // or nil. Its messages carry no package prefix: New panics with them
 // and cmp.NewSystem returns them wrapped.
 func (c Config) Validate() error {
+	if c.Topo == (Topology{}) {
+		return errors.New("no topology: build one with NewTopology")
+	}
 	if c.Channels[PlaneB].WidthBytes <= 0 && c.Channels[PlanePW].WidthBytes <= 0 {
 		return errors.New("a bulk channel (PlaneB or PlanePW) is mandatory")
 	}
@@ -100,17 +97,20 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// paperMesh is the paper's network: a 4x4 mesh, one tile per router.
+var paperMesh = Topology{name: "mesh", w: 4, h: 4, conc: 1}
+
 // DefaultBaseline returns the paper's baseline network: 4x4 mesh,
-// 75-byte B-Wire (8X) unidirectional links, 5 mm, 2-stage routers (the
-// speculative two-stage pipeline typical of the paper's era).
+// 75-byte B-Wire (8X) unidirectional links, 5 mm (wire.LinkLengthM),
+// 2-stage routers (the speculative two-stage pipeline typical of the
+// paper's era).
 func DefaultBaseline() Config {
 	return Config{
-		Width: 4, Height: 4,
+		Topo:          paperMesh,
 		RouterLatency: 2,
 		Channels: [numPlanes]ChannelConfig{
 			PlaneB: {Kind: wire.B8X, WidthBytes: 75},
 		},
-		LinkLengthM: wire.LinkLengthM,
 	}
 }
 
@@ -123,13 +123,12 @@ func Heterogeneous(vlBytes int) (Config, error) {
 		return Config{}, err
 	}
 	return Config{
-		Width: 4, Height: 4,
+		Topo:          paperMesh,
 		RouterLatency: 2,
 		Channels: [numPlanes]ChannelConfig{
 			PlaneB:  {Kind: wire.B8X, WidthBytes: 34},
 			PlaneVL: {Kind: kind, WidthBytes: vlBytes},
 		},
-		LinkLengthM: wire.LinkLengthM,
 	}, nil
 }
 
@@ -143,13 +142,12 @@ func Heterogeneous(vlBytes int) (Config, error) {
 // 11 B x 8 x 4.0 (L) = 352; 62 B x 8 x 0.5 (PW) = 248; total 600.
 func LayoutLPW() Config {
 	return Config{
-		Width: 4, Height: 4,
+		Topo:          paperMesh,
 		RouterLatency: 2,
 		Channels: [numPlanes]ChannelConfig{
 			PlaneVL: {Kind: wire.L8X, WidthBytes: 11},
 			PlanePW: {Kind: wire.PW4X, WidthBytes: 62},
 		},
-		LinkLengthM: wire.LinkLengthM,
 	}
 }
 
@@ -166,14 +164,13 @@ func LayoutVLBPW(vlBytes int) (Config, error) {
 		return Config{}, err
 	}
 	return Config{
-		Width: 4, Height: 4,
+		Topo:          paperMesh,
 		RouterLatency: 2,
 		Channels: [numPlanes]ChannelConfig{
 			PlaneB:  {Kind: wire.B8X, WidthBytes: 20},
 			PlaneVL: {Kind: kind, WidthBytes: vlBytes},
 			PlanePW: {Kind: wire.PW4X, WidthBytes: 30},
 		},
-		LinkLengthM: wire.LinkLengthM,
 	}, nil
 }
 
@@ -181,8 +178,9 @@ func LayoutVLBPW(vlBytes int) (Config, error) {
 // by energy.Meter; a nil observer disables accounting.
 type Observer interface {
 	// LinkTraversal is called once per message per link: the message's
-	// payload bits cross lengthM of kind wires in flits flits.
-	LinkTraversal(kind wire.Kind, lengthM float64, msgBytes int, flits noc.FlitCount)
+	// payload bits cross one wire.LinkLengthM link of kind wires in
+	// flits flits.
+	LinkTraversal(kind wire.Kind, msgBytes int, flits noc.FlitCount)
 	// RouterHop is called once per message per router traversed.
 	RouterHop(msgBytes int, flits noc.FlitCount)
 }
@@ -272,11 +270,11 @@ type Network struct {
 	free *transit
 	// Routing tables (DESIGN.md §16.9, §16.10). Routes are XY dimension
 	// order and a step on an axis depends only on the two coordinates on
-	// that axis (the Topology contract), so each hop computes its link
-	// and no route is kept per router pair. On a w x h grid,
-	// stepX[x*w+dx] is next<<8 | port for the column next after x on the
-	// way to column dx, where port numbers next among the columns a step
-	// from x reaches, and stepY[y*h+dy] likewise for rows. A router has
+	// that axis (Topology.Step), so each hop computes its link and no
+	// route is kept per router pair. On a w x h grid, stepX[x*w+dx] is
+	// next<<8 | port for the column next after x on the way to column
+	// dx, where port is next's index among the columns one step from x,
+	// ascending, and stepY[y*h+dy] likewise for rows. A router has
 	// portsX row ports and then its column ports, stride in all:
 	// out[(y*w+x)*stride+port] is the dense id of the link from router
 	// (x, y) through that output port (row port p at p, column port p at
@@ -319,9 +317,6 @@ func New(k *sim.Kernel, cfg Config, obs Observer) *Network {
 		panic(fmt.Sprintf("mesh: %v", err))
 	}
 	topo := cfg.Topo
-	if topo == nil {
-		topo = NewMesh(cfg.Width, cfg.Height)
-	}
 	nodes := topo.Nodes()
 	links := topo.Links()
 	n := &Network{
@@ -356,19 +351,18 @@ func New(k *sim.Kernel, cfg Config, obs Observer) *Network {
 }
 
 // buildRoutes fills the routing tables from the topology's route rule,
-// its tile attachment and its links: w*w + h*h steps and their reverse
-// port maps, one position per tile, then one write per link.
+// its tile attachment and its links: w*w + h*h steps, one position per
+// tile, then one write per link. Port p of a router on an axis leads
+// to its p-th coordinate one Step away, ascending, so every link has a
+// port.
 func (n *Network) buildRoutes() {
 	w, h := n.topo.Width(), n.topo.Height()
 	n.w, n.h = int32(w), int32(h)
-	var portX, portY []int32
+	xs, ys := n.topo.axisNext(w), n.topo.axisNext(h)
 	var portsY int32
-	n.stepX, portX, n.portsX = axisSteps(n.topo, w)
-	n.stepY, portY, portsY = axisSteps(n.topo, h)
+	n.stepX, n.portsX = axisSteps(n.topo, xs)
+	n.stepY, portsY = axisSteps(n.topo, ys)
 	n.stride = n.portsX + portsY
-	if int64(n.nodes)*int64(n.stride) > math.MaxInt32 {
-		panic("mesh: routing tables outgrow int32 indices")
-	}
 	n.out = make([]int32, n.nodes*int(n.stride))
 	for i := range n.out {
 		n.out[i] = -1
@@ -378,60 +372,49 @@ func (n *Network) buildRoutes() {
 		n.tileAt[tile] = n.posOf(n.topo.NodeOf(tile))
 	}
 	for id, l := range n.links {
-		var port int32
-		switch from, to := n.posOf(l.from), n.posOf(l.to); {
-		case from.y == to.y:
-			port = portX[from.x*n.w+to.x]
-		case from.x == to.x:
-			if port = portY[from.y*n.h+to.y]; port >= 0 {
-				port += n.portsX
-			}
-		default:
-			panic(fmt.Sprintf("mesh: link %d->%d leaves its router's row and column", l.from, l.to))
+		from, to := n.posOf(l.from), n.posOf(l.to)
+		port, _ := slices.BinarySearch(xs[from.x], int(to.x))
+		if from.y != to.y {
+			port, _ = slices.BinarySearch(ys[from.y], int(to.y))
+			port += int(n.portsX)
 		}
-		// A link no route steps over gets no port: nothing reaches it.
-		if port >= 0 {
-			n.out[l.from*int(n.stride)+int(port)] = int32(id)
-		}
+		n.out[l.from*int(n.stride)+port] = int32(id)
 	}
 }
 
 // maxAxisPorts bounds a coordinate's ports on one axis: a port number
-// lives in the low byte of a step entry.
+// lives in the low byte of a step entry. NewTopology keeps every
+// topology within it.
 const maxAxisPorts = 255
 
-// axisSteps tabulates a topology's Step rule on an axis of n routers.
-// Entry from*n+to of steps is next<<8 | port: next is the coordinate
-// after from on the way to to (from itself, port 0, when the two are
-// equal), and port numbers next among the coordinates a step from from
-// reaches, in order of first use. ports is the reverse map:
-// ports[from*n+next] is that port, -1 where no step from from lands on
-// next. width is the most ports any coordinate has.
-func axisSteps(t Topology, n int) (steps, ports []int32, width int32) {
+// maxRouters bounds a topology's routers so that the link table, at
+// most 2*maxAxisPorts entries per router, stays indexable by int32.
+const maxRouters = math.MaxInt32 / (2 * maxAxisPorts)
+
+// axisSteps tabulates a topology's Step rule on an axis whose
+// coordinate c reaches the coordinates next[c] in one Step. Entry
+// from*n+to of steps is s<<8 | port: s is the coordinate after from on
+// the way to to (from itself, port 0, when the two are equal), and
+// port is s's index in next[from]. width is the most ports any
+// coordinate has.
+func axisSteps(t Topology, next [][]int) (steps []int32, width int32) {
+	n := len(next)
 	steps = make([]int32, n*n)
-	ports = make([]int32, n*n)
-	for i := range ports {
-		ports[i] = -1
-	}
-	for from := 0; from < n; from++ {
-		var used int32
-		for to := 0; to < n; to++ {
-			next, port := from, int32(0)
-			if from != to {
-				next = t.Step(from, to, n)
-				if port = ports[from*n+next]; port < 0 {
-					if used == maxAxisPorts {
-						panic(fmt.Sprintf("mesh: coordinate %d of a %d-router axis needs more than %d ports", from, n, maxAxisPorts))
-					}
-					port, used = used, used+1
-					ports[from*n+next] = port
-				}
-			}
-			steps[from*n+to] = int32(next)<<8 | port
+	for from, reach := range next {
+		if len(reach) > maxAxisPorts {
+			panic(fmt.Sprintf("mesh: coordinate %d of a %d-router axis needs more than %d ports", from, n, maxAxisPorts))
 		}
-		width = max(width, used)
+		width = max(width, int32(len(reach)))
+		for to := range n {
+			s, port := from, 0
+			if to != from {
+				s = t.Step(from, to, n)
+				port, _ = slices.BinarySearch(reach, s)
+			}
+			steps[from*n+to] = int32(s<<8 | port)
+		}
 	}
-	return steps, ports, width
+	return steps, width
 }
 
 // pos is a router's grid position: router y*w+x.
@@ -729,7 +712,7 @@ func (n *Network) hop(t *transit) {
 	n.planeFlits[t.plane].Add(uint64(t.flits))
 	if n.obs != nil {
 		n.obs.RouterHop(int(t.size), t.flits)
-		n.obs.LinkTraversal(n.cfg.Channels[t.plane].Kind, n.cfg.LinkLengthM, int(t.size), t.flits)
+		n.obs.LinkTraversal(n.cfg.Channels[t.plane].Kind, int(t.size), t.flits)
 	}
 	if n.tracer != nil && t.traceID != 0 {
 		n.traceLinkOccupancy(&t.m, t.plane, &n.links[id], start, t.flits)
@@ -918,11 +901,10 @@ func (n *Network) LatencyPercentile(c noc.Class, p float64) float64 {
 
 // StaticWireStats describes the standing wire resources for leakage
 // accounting: per plane, the number of wires and their kind across all
-// directed links.
+// directed links, each wire.LinkLengthM long.
 type StaticWireStats struct {
-	Kind   wire.Kind
-	Wires  int // total across all links
-	Length float64
+	Kind  wire.Kind
+	Wires int // total across all links
 }
 
 // StaticWires returns the standing wire inventory per plane.
@@ -935,9 +917,8 @@ func (n *Network) StaticWires() []StaticWireStats {
 			continue
 		}
 		out = append(out, StaticWireStats{
-			Kind:   cfg.Kind,
-			Wires:  cfg.WidthBytes * 8 * nLinks,
-			Length: n.cfg.LinkLengthM,
+			Kind:  cfg.Kind,
+			Wires: cfg.WidthBytes * 8 * nLinks,
 		})
 	}
 	return out

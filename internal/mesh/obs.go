@@ -41,12 +41,6 @@ type LatencyBreakdown struct {
 	Retry uint64
 }
 
-// ComponentsSum returns Router+Queue+Wire+Serialize+Retry, which must
-// equal Total exactly.
-func (b LatencyBreakdown) ComponentsSum() uint64 {
-	return b.Router + b.Queue + b.Wire + b.Serialize + b.Retry
-}
-
 // Breakdown returns the accumulated latency decomposition for a class.
 func (n *Network) Breakdown(c noc.Class) LatencyBreakdown {
 	return n.breakdown[c]

@@ -50,7 +50,7 @@ func TestBreakdownSumsExactly(t *testing.T) {
 		bd := n.Breakdown(c)
 		delivered += bd.Messages
 		totalLat += bd.Total
-		if bd.Total != bd.ComponentsSum() {
+		if bd.Total != bd.Router+bd.Queue+bd.Wire+bd.Serialize+bd.Retry {
 			t.Errorf("class %v: total %d != router %d + queue %d + wire %d + serialize %d",
 				c, bd.Total, bd.Router, bd.Queue, bd.Wire, bd.Serialize)
 		}
@@ -254,7 +254,7 @@ func BenchmarkLinkMetrics(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg.Topo = NewTorus(32, 32)
+	cfg.Topo = mustTopology("torus", 32, 32, 1)
 	n := New(sim.NewKernel(), cfg, nil)
 	b.Run("register", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -3,40 +3,48 @@ package mesh
 import (
 	"reflect"
 	"slices"
-	"sort"
+	"strings"
 	"testing"
 )
+
+// mustTopology builds a topology the test knows to be valid.
+func mustTopology(name string, w, h, conc int) Topology {
+	t, err := NewTopology(name, w, h, conc)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
 
 // topologies64 returns one 64-tile instance of every topology, the
 // scale study's smallest point and the size of the root package's
 // 64-tile determinism test and pinned results.
 func topologies64() []Topology {
 	return []Topology{
-		NewMesh(8, 8),
-		NewCMesh(4, 4, 4),
-		NewTorus(8, 8),
-		NewSlim(8, 8),
+		mustTopology("mesh", 8, 8, 1),
+		mustTopology("cmesh", 4, 4, 4),
+		mustTopology("torus", 8, 8, 1),
+		mustTopology("slim", 8, 8, 1),
 	}
 }
 
-// gridOf exposes the promoted grid arithmetic of each concrete
-// topology for the round-trip property.
-type gridded interface {
-	CoordOf(id int) Coord
-	IDOf(c Coord) int
+// topologies16 and topologies1024 are the paper's size and the scale
+// study's largest, laid out as cmp lays them out.
+func topologies16() []Topology {
+	return []Topology{
+		mustTopology("mesh", 4, 4, 1),
+		mustTopology("cmesh", 2, 2, 4),
+		mustTopology("torus", 4, 4, 1),
+		mustTopology("slim", 4, 4, 1),
+	}
 }
 
-func TestTopologyCoordRoundTripAll(t *testing.T) {
-	for _, topo := range topologies64() {
-		g, ok := topo.(gridded)
-		if !ok {
-			t.Fatalf("%s: not grid-backed", topo.Name())
-		}
-		for id := 0; id < topo.Nodes(); id++ {
-			if got := g.IDOf(g.CoordOf(id)); got != id {
-				t.Errorf("%s: router %d round-trips to %d", topo.Name(), id, got)
-			}
-		}
+func topologies1024() []Topology {
+	return []Topology{
+		mustTopology("mesh", 32, 32, 1),
+		mustTopology("cmesh", 16, 16, 4),
+		mustTopology("torus", 32, 32, 1),
+		mustTopology("slim", 32, 32, 1),
 	}
 }
 
@@ -129,40 +137,37 @@ func TestTopologyRouteDeterminism(t *testing.T) {
 	}
 }
 
-// TestTopologyLinksCanonical asserts the link-enumeration contract the
-// per-link metric names and channel inventory depend on: strictly
-// ascending (From, To) with no duplicates, consistent with Neighbors.
+// TestTopologyLinksCanonical pins the link order that the dense link
+// table, every per-link metric name and the static wire inventory
+// follow: for every kind at 16, 64 and 1024 tiles, Links() is exactly
+// the router pairs at Hops 1, in ascending (From, To). Links() derives
+// from Step and Hops is a closed form per kind, so the two must agree.
 func TestTopologyLinksCanonical(t *testing.T) {
-	for _, topo := range topologies64() {
-		ls := topo.Links()
-		for i := 1; i < len(ls); i++ {
-			a, b := ls[i-1], ls[i]
-			if a.From > b.From || (a.From == b.From && a.To >= b.To) {
-				t.Fatalf("%s: links out of canonical order at %d: %+v then %+v", topo.Name(), i, a, b)
-			}
-		}
-		var fromNeighbors []Link
+	for _, topo := range slices.Concat(topologies16(), topologies64(), topologies1024()) {
+		var want []Link
 		for from := 0; from < topo.Nodes(); from++ {
-			ns := topo.Neighbors(from)
-			if !sort.IntsAreSorted(ns) {
-				t.Fatalf("%s: Neighbors(%d) = %v not ascending", topo.Name(), from, ns)
-			}
-			for _, to := range ns {
-				fromNeighbors = append(fromNeighbors, Link{From: from, To: to})
+			for to := 0; to < topo.Nodes(); to++ {
+				if topo.Hops(from, to) == 1 {
+					want = append(want, Link{From: from, To: to})
+				}
 			}
 		}
-		if !reflect.DeepEqual(ls, fromNeighbors) {
-			t.Fatalf("%s: Links() disagrees with Neighbors enumeration", topo.Name())
+		if got := topo.Links(); !slices.Equal(got, want) {
+			i := 0
+			for i < min(len(got), len(want)) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("%s: %d links, want %d; first difference at %d", topo.Label(), len(got), len(want), i)
 		}
 	}
 }
 
-// TestMeshLinksMatchLegacyOrder pins the dense mesh's canonical link
-// order to the pre-interface N² grid scan: ascending (From, To) over
-// adjacent pairs. The per-link metric names derive from this order, so
-// the 4x4 goldens and the pinned results depend on it.
+// TestMeshLinksMatchLegacyOrder pins the paper's 4x4 mesh to the
+// pre-interface N² grid scan: ascending (From, To) over adjacent pairs,
+// 48 links. The per-link metric names derive from this order, so the
+// 4x4 goldens and the pinned results depend on it.
 func TestMeshLinksMatchLegacyOrder(t *testing.T) {
-	m := NewMesh(4, 4)
+	m := mustTopology("mesh", 4, 4, 1)
 	var legacy []Link
 	for from := 0; from < 16; from++ {
 		for to := 0; to < 16; to++ {
@@ -171,13 +176,16 @@ func TestMeshLinksMatchLegacyOrder(t *testing.T) {
 			}
 		}
 	}
+	if len(legacy) != 48 {
+		t.Fatalf("4x4 mesh has %d adjacent pairs, want 48", len(legacy))
+	}
 	if got := m.Links(); !reflect.DeepEqual(got, legacy) {
 		t.Fatalf("mesh links diverge from legacy grid order:\n got %v\nwant %v", got, legacy)
 	}
 }
 
 func TestTorusWrapHalvesDiameter(t *testing.T) {
-	m, tor := NewMesh(8, 8), NewTorus(8, 8)
+	m, tor := mustTopology("mesh", 8, 8, 1), mustTopology("torus", 8, 8, 1)
 	// Corner to corner: mesh pays 14 hops, torus wraps in 2.
 	if h := m.Hops(0, 63); h != 14 {
 		t.Fatalf("mesh corner distance %d, want 14", h)
@@ -191,7 +199,7 @@ func TestTorusWrapHalvesDiameter(t *testing.T) {
 }
 
 func TestTorusTieBreakIsPositive(t *testing.T) {
-	tor := NewTorus(8, 8)
+	tor := mustTopology("torus", 8, 8, 1)
 	// 0 -> 4 on the top row: both directions are 4 hops; the tie must
 	// deterministically resolve to the positive direction 1,2,3,4.
 	want := []int{1, 2, 3, 4}
@@ -201,7 +209,7 @@ func TestTorusTieBreakIsPositive(t *testing.T) {
 }
 
 func TestSlimDiameterIsTwo(t *testing.T) {
-	s := NewSlim(8, 8)
+	s := mustTopology("slim", 8, 8, 1)
 	for a := 0; a < s.Nodes(); a++ {
 		for b := 0; b < s.Nodes(); b++ {
 			if a != b && s.Hops(a, b) > 2 {
@@ -209,14 +217,14 @@ func TestSlimDiameterIsTwo(t *testing.T) {
 			}
 		}
 	}
-	// Row+column degree: 7 + 7 = 14 neighbors per router at 8x8.
-	if d := len(s.Neighbors(0)); d != 14 {
-		t.Fatalf("slim degree %d, want 14", d)
+	// Row+column degree: 7 + 7 = 14 links from each router at 8x8.
+	if row, col := axisDegrees(s); row+col != 14 {
+		t.Fatalf("slim degree %d + %d, want 14", row, col)
 	}
 }
 
 func TestCMeshSameRouterTilesShareNode(t *testing.T) {
-	cm := NewCMesh(4, 4, 4)
+	cm := mustTopology("cmesh", 4, 4, 4)
 	if cm.Nodes() != 16 || cm.Tiles() != 64 {
 		t.Fatalf("cmesh 4x4x4: %d routers / %d tiles", cm.Nodes(), cm.Tiles())
 	}
@@ -231,25 +239,35 @@ func TestCMeshSameRouterTilesShareNode(t *testing.T) {
 	}
 }
 
+// TestTopologyValidationMessages checks that NewTopology returns an
+// error, naming the topology and the broken rule, for each shape it
+// cannot build.
 func TestTopologyValidationMessages(t *testing.T) {
 	cases := []struct {
-		name string
-		fn   func()
+		name       string
+		kind       string
+		w, h, conc int
+		want       string // substring of the error
 	}{
-		{"mesh 1x1", func() { NewMesh(1, 1) }},
-		{"mesh 0x4", func() { NewMesh(0, 4) }},
-		{"cmesh conc 1", func() { NewCMesh(4, 4, 1) }},
-		{"torus 2x4", func() { NewTorus(2, 4) }},
-		{"slim 1x8", func() { NewSlim(1, 8) }},
+		{"hypercube 4x4", "hypercube", 4, 4, 1, `unknown topology "hypercube"`},
+		{"mesh 1x1", "mesh", 1, 1, 1, "mesh needs 2.."},
+		{"mesh 0x4", "mesh", 0, 4, 1, "mesh needs 2.."},
+		{"mesh 2^22x2^22", "mesh", 1 << 22, 1 << 22, 1, "mesh needs 2.."},
+		{"cmesh conc 1", "cmesh", 4, 4, 1, "cmesh needs at least 2 tiles per router"},
+		{"torus conc 4", "torus", 4, 4, 4, "torus attaches 1 tile per router"},
+		{"torus 2x4", "torus", 2, 4, 1, "torus needs both dimensions >= 3"},
+		{"slim 1x8", "slim", 1, 8, 1, "slim needs both dimensions in 2..256"},
+		{"slim 257x2", "slim", 257, 2, 1, "slim needs both dimensions in 2..256"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s accepted", c.name)
-				}
-			}()
-			c.fn()
+			topo, err := NewTopology(c.kind, c.w, c.h, c.conc)
+			if err == nil {
+				t.Fatalf("%s accepted as %s", c.name, topo.Label())
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %q does not mention %q", err, c.want)
+			}
 		})
 	}
 }
@@ -259,7 +277,7 @@ func TestTopologyValidationMessages(t *testing.T) {
 // one dimension) — the old validation rejected w=1 with a message that
 // blamed the wrong dimension.
 func TestMeshAsymmetricRowIsLegal(t *testing.T) {
-	m := NewMesh(1, 4)
+	m := mustTopology("mesh", 1, 4, 1)
 	if m.Tiles() != 4 {
 		t.Fatalf("1x4 mesh tiles = %d", m.Tiles())
 	}

@@ -122,8 +122,6 @@ const (
 	LineBytes = 64
 	// ShortMax is the largest short message: control + address.
 	ShortMax = ControlBytes + AddrBytes // 11
-	// LongSize is a data-carrying message: control + line.
-	LongSize = ControlBytes + LineBytes // 67
 )
 
 // HasAddr reports whether the type carries the 8-byte block address.

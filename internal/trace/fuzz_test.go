@@ -29,12 +29,13 @@ func FuzzDecode(f *testing.F) {
 		if err := tr.Encode(&buf); err != nil {
 			t.Fatalf("Encode: %v", err)
 		}
-		back, err := Decode(&buf, tr.Cores())
+		cores := tr.Summarize().Cores
+		back, err := Decode(&buf, cores)
 		if err != nil {
 			t.Fatalf("decoding the re-encoded trace: %v\n%s", err, buf.Bytes())
 		}
-		if back.Cores() != tr.Cores() {
-			t.Fatalf("re-decoded %d cores, want %d", back.Cores(), tr.Cores())
+		if got := back.Summarize().Cores; got != cores {
+			t.Fatalf("re-decoded %d cores, want %d", got, cores)
 		}
 		for core := range tr.ops {
 			if !slices.Equal(back.ops[core], tr.ops[core]) {

@@ -41,9 +41,6 @@ func New(cores int) *Trace {
 	return &Trace{cores: cores, ops: make([][]workload.Op, cores), cursors: make([]int, cores)}
 }
 
-// Cores returns the core count.
-func (t *Trace) Cores() int { return t.cores }
-
 // Len returns the total recorded operation count.
 func (t *Trace) Len() int {
 	n := 0

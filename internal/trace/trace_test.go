@@ -28,8 +28,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cores() != 2 || got.Len() != orig.Len() {
-		t.Fatalf("decoded %d cores / %d ops", got.Cores(), got.Len())
+	if cores := got.Summarize().Cores; cores != 2 || got.Len() != orig.Len() {
+		t.Fatalf("decoded %d cores / %d ops", cores, got.Len())
 	}
 	for core := 0; core < 2; core++ {
 		for {
@@ -145,8 +145,8 @@ func TestRoundTripInterleavedWithComments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Cores() != 3 || first.Len() != 7 {
-		t.Fatalf("decoded %d cores / %d ops, want 3 / 7", first.Cores(), first.Len())
+	if cores := first.Summarize().Cores; cores != 3 || first.Len() != 7 {
+		t.Fatalf("decoded %d cores / %d ops, want 3 / 7", cores, first.Len())
 	}
 
 	var enc1 strings.Builder
@@ -259,7 +259,7 @@ func TestDecodeErrors(t *testing.T) {
 		}
 	}
 	// The largest core id is accepted.
-	if tr, err := Decode(strings.NewReader("1023 B\n"), 0); err != nil || tr.Cores() != 1024 {
+	if tr, err := Decode(strings.NewReader("1023 B\n"), 0); err != nil || tr.Summarize().Cores != 1024 {
 		t.Errorf("core 1023: %v", err)
 	}
 	// A line longer than the scanner's buffer names its line.
@@ -283,8 +283,8 @@ func TestCommentsAndBlankLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 2 || tr.Cores() != 2 {
-		t.Fatalf("decoded %d ops / %d cores", tr.Len(), tr.Cores())
+	if cores := tr.Summarize().Cores; tr.Len() != 2 || cores != 2 {
+		t.Fatalf("decoded %d ops / %d cores", tr.Len(), cores)
 	}
 }
 

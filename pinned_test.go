@@ -24,6 +24,7 @@ import (
 	"tilesim/internal/compress"
 	"tilesim/internal/fault"
 	"tilesim/internal/figures"
+	"tilesim/internal/mesh"
 	"tilesim/internal/obs"
 	"tilesim/internal/stats"
 	"tilesim/internal/sweep"
@@ -116,7 +117,7 @@ func pinnedConfigs() []pinnedConfig {
 	// -refs 500 -warmup 250 -topo T -tiles 64, then
 	// -fault-ber 1e-5 -fault-vl-ber-scale 4, or -fault-stall-prob 0.01
 	// -fault-outage-plane VL -fault-outage-start 2000 -fault-outage-cycles 3000.
-	for _, topo := range cmp.TopologyNames {
+	for _, topo := range mesh.TopologyNames {
 		for _, f := range []struct {
 			name string
 			f    fault.Config
