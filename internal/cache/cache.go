@@ -274,13 +274,6 @@ func (c *Cache) renumber() {
 	c.clock = uint32(ways)
 }
 
-// Set returns the cache set that addr maps to, in way order, without
-// allocating: the slice aliases the cache's line storage. Callers may
-// change a line's state through it (SetState) and its Aux.
-func (c *Cache) Set(addr uint64) []Line {
-	return c.setOf(c.BlockOf(addr))
-}
-
 // Victim returns the line that would be evicted to make room for addr's
 // block: an invalid way if any, else the LRU line. It never returns nil.
 func (c *Cache) Victim(addr uint64) *Line {
@@ -295,6 +288,25 @@ func (c *Cache) Victim(addr uint64) *Line {
 		}
 	}
 	return victim
+}
+
+// VictimWhere returns the way to evict for addr's block when the caller
+// may not evict every way: an invalid way if any, else the
+// least-recently-used way that ok accepts, or nil when ok accepts none.
+// ok sees only valid ways, and only the LRU way when it accepts that.
+func (c *Cache) VictimWhere(addr uint64, ok func(*Line) bool) *Line {
+	v := c.Victim(addr)
+	if !v.Valid() || ok(v) {
+		return v
+	}
+	var best *Line
+	set := c.setOf(c.BlockOf(addr))
+	for i := range set {
+		if l := &set[i]; l != v && (best == nil || l.lastUse < best.lastUse) && ok(l) {
+			best = l
+		}
+	}
+	return best
 }
 
 // Insert places block into the cache in the given state, returning the
@@ -328,17 +340,6 @@ func (c *Cache) Invalidate(addr uint64) State {
 		return st
 	}
 	return Invalid
-}
-
-// Occupancy returns the number of valid lines.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].Valid() {
-			n++
-		}
-	}
-	return n
 }
 
 // Stats returns (hits, misses, evictions).

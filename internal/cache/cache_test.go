@@ -70,8 +70,45 @@ func TestInsertIntoFreeWayEvictsNothing(t *testing.T) {
 	if old := c.Insert(0x40, Modified); old.Valid() {
 		t.Fatalf("eviction from empty set: %+v", old)
 	}
-	if c.Occupancy() != 1 {
-		t.Fatalf("occupancy %d", c.Occupancy())
+	if n := occupancy(c); n != 1 {
+		t.Fatalf("occupancy %d", n)
+	}
+}
+
+// occupancy counts c's valid lines.
+func occupancy(c *Cache) int {
+	n := 0
+	for i := range c.lines {
+		if c.lines[i].Valid() {
+			n++
+		}
+	}
+	return n
+}
+
+// TestVictimWhereTakesLRUAcceptedWay fills a 4-way set, touches way 0
+// last, and checks that the victim is the least-recently-used way the
+// predicate accepts, that accepting the LRU way costs one predicate
+// call, and that a predicate accepting no way yields nil.
+func TestVictimWhereTakesLRUAcceptedWay(t *testing.T) {
+	c := New(Config{CapacityBytes: 256, Ways: 4, LineBytes: 64})
+	if v := c.VictimWhere(0, func(*Line) bool { panic("predicate called on a free way") }); v.Valid() {
+		t.Fatalf("victim in an empty set holds %#x", v.Block())
+	}
+	for _, b := range []uint64{0x000, 0x100, 0x200, 0x300} { // one set
+		c.Insert(b, Shared)
+	}
+	c.Access(0x000)
+	calls := 0
+	all := func(*Line) bool { calls++; return true }
+	if v := c.VictimWhere(0x400, all); v.Block() != 0x100 || calls != 1 {
+		t.Fatalf("victim %#x after %d predicate calls, want the LRU way 0x100 after 1", v.Block(), calls)
+	}
+	if v := c.VictimWhere(0x400, func(l *Line) bool { return l.Block() != 0x100 }); v.Block() != 0x200 {
+		t.Fatalf("victim %#x with the LRU way refused, want the next oldest 0x200", v.Block())
+	}
+	if v := c.VictimWhere(0x400, func(*Line) bool { return false }); v != nil {
+		t.Fatalf("victim %#x with every way refused, want nil", v.Block())
 	}
 }
 
@@ -95,7 +132,7 @@ func TestInvalidate(t *testing.T) {
 	if st := c.Invalidate(0x40); st != Invalid {
 		t.Fatalf("re-invalidate returned %v, want I", st)
 	}
-	if c.Occupancy() != 0 {
+	if occupancy(c) != 0 {
 		t.Fatal("line still present")
 	}
 }
@@ -124,7 +161,7 @@ func TestInsertProperty(t *testing.T) {
 			if c.Probe(addr) == nil {
 				return false
 			}
-			if c.Occupancy() > 16 {
+			if occupancy(c) > 16 {
 				return false
 			}
 		}
@@ -333,7 +370,7 @@ func TestSlabCachesNeverAlias(t *testing.T) {
 		}
 		for i := range cs {
 			c := &cs[i]
-			if got := c.Occupancy(); got != len(c.lines) {
+			if got := occupancy(c); got != len(c.lines) {
 				t.Fatalf("%d-byte cache %d: %d of %d lines valid after every fill", cfg.CapacityBytes, i, got, len(c.lines))
 			}
 			for b := range len(c.lines) {

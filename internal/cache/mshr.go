@@ -75,6 +75,9 @@ const poisonBlock = ^uint64(0)
 // MSHREntry tracks one outstanding transaction on a block.
 type MSHREntry struct {
 	Block uint64
+	// Txn is the demand request's transaction id, which its replies
+	// carry (zero for a writeback-buffer entry).
+	Txn uint64
 	// AllocAt records the allocation cycle (plain uint64 so the cache
 	// package stays independent of the simulation kernel). The L1
 	// controller stamps it and reads it back when the entry frees, for

@@ -29,8 +29,8 @@ const SimVersion = "tilesim-sim-v5"
 // simulation-relevant field of the configuration. Two configurations
 // with equal encodings produce bit-identical Results (given equal
 // SimVersion); equivalent spellings normalize to one encoding
-// (Heterogeneous=true and Wiring="vlb" encode identically, and the
-// Reply Partitioning that Wiring="lpw" implies is folded in).
+// (Heterogeneous=true and Wiring="vlb" encode identically), and the
+// Reply Partitioning the two PW layouts run is folded in.
 //
 // Configurations driven by a custom Generator have no canonical
 // encoding — the generator's stream is opaque — and return an error;
@@ -39,12 +39,10 @@ func (c RunConfig) Canonical() (string, error) {
 	if c.Generator != nil {
 		return "", fmt.Errorf("cmp: config with a custom Generator has no canonical encoding (trace replay is not cacheable)")
 	}
-	w := c.wiring()
-	rp := c.ReplyPartitioning || w == "lpw"
 	enc := fmt.Sprintf("app=%s refs=%d warmup=%d seed=%d compress=%s/%d/%d wiring=%s rp=%t router=%d linkscale=%g",
 		c.App, c.RefsPerCore, c.WarmupRefs, c.Seed,
 		c.Compression.Kind, c.Compression.Entries, c.Compression.LowOrderBytes,
-		w, rp, c.RouterLatency, c.LinkCyclesScale)
+		c.wiring(), c.replyPartitioning(), c.RouterLatency, c.LinkCyclesScale)
 	// Topology fields append only away from the paper's default 4x4
 	// mesh, so every pre-topology-refactor configuration keeps its cache
 	// key (equivalent spellings normalize: Topology="" and "mesh" encode

@@ -1,6 +1,7 @@
 package cmp
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -30,24 +31,19 @@ func TestCanonicalNormalizesEquivalentSpellings(t *testing.T) {
 		t.Errorf("Heterogeneous=true and Wiring=vlb encode differently:\n  %s\n  %s", a, b)
 	}
 
-	// lpw implies Reply Partitioning; the implied and explicit forms
-	// must encode identically.
-	lpw := RunConfig{App: "FFT", RefsPerCore: 1000, Seed: 1, Wiring: "lpw"}
-	lpwExplicit := lpw
-	lpwExplicit.ReplyPartitioning = true
-	a, err = lpw.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err = lpwExplicit.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("implied and explicit Reply Partitioning encode differently:\n  %s\n  %s", a, b)
-	}
-	if !strings.Contains(a, "rp=true") {
-		t.Errorf("lpw encoding should fold in Reply Partitioning: %s", a)
+	// The two PW layouts run Reply Partitioning, and their encodings
+	// say so.
+	for _, c := range []struct {
+		wiring string
+		rp     bool
+	}{{"lpw", true}, {"vlbpw", true}, {"vlb", false}, {"baseline", false}} {
+		enc, err := RunConfig{App: "FFT", RefsPerCore: 1000, Seed: 1, Wiring: c.wiring}.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("rp=%t", c.rp); !strings.Contains(enc, want) {
+			t.Errorf("%s encoding lacks %s: %s", c.wiring, want, enc)
+		}
 	}
 }
 
@@ -91,7 +87,6 @@ func TestCanonicalCoversEveryField(t *testing.T) {
 		"Compression.LowOrderBytes": func(c *RunConfig) { c.Compression.LowOrderBytes = 1 },
 		"Heterogeneous":             func(c *RunConfig) { c.Heterogeneous = true },
 		"Wiring":                    func(c *RunConfig) { c.Wiring = "vlbpw" },
-		"ReplyPartitioning":         func(c *RunConfig) { c.ReplyPartitioning = true },
 		"RouterLatency":             func(c *RunConfig) { c.RouterLatency = 4 },
 		"LinkCyclesScale":           func(c *RunConfig) { c.LinkCyclesScale = 0.5 },
 		"Faults":                    func(c *RunConfig) { c.Faults.BER = 1e-6 },

@@ -53,15 +53,11 @@ type RunConfig struct {
 	// Heterogeneous when set:
 	//   "baseline" - 75-byte B-Wires (the paper's baseline)
 	//   "vlb"      - VL-Wires + 34-byte B-Wires (the paper's proposal)
-	//   "lpw"      - 11-byte L-Wires + 62-byte PW-Wires (Cheng-style,
-	//                requires Reply Partitioning)
+	//   "lpw"      - 11-byte L-Wires + 62-byte PW-Wires (Cheng-style)
 	//   "vlbpw"    - VL + 20-byte B + 30-byte PW (the combined design
 	//                the paper sketches as future work)
+	// The two PW layouts run Reply Partitioning (replyPartitioning).
 	Wiring string
-	// ReplyPartitioning enables the Flores et al. [9] extension: data
-	// replies split into a critical-word partial plus a relaxed full
-	// line. Implied by Wiring "lpw".
-	ReplyPartitioning bool
 	// RouterLatency overrides the router pipeline depth (0 keeps the
 	// layout default of 2); LinkCyclesScale scales wire traversal
 	// latencies (0 keeps 1.0). Sensitivity-ablation knobs: NewSystem
@@ -98,6 +94,16 @@ func (c RunConfig) wiring() string {
 	return "baseline"
 }
 
+// replyPartitioning reports whether the layout runs the Flores et al.
+// [9] extension: data replies split into a critical-word partial plus
+// a relaxed full line that rides the PW-Wires. The L+PW layout has no
+// fast path for critical long messages, so it needs it; the combined
+// VL+B+PW layout is designed around it.
+func (c RunConfig) replyPartitioning() bool {
+	w := c.wiring()
+	return w == "lpw" || w == "vlbpw"
+}
+
 // Label names the configuration the way the paper's figures do.
 func (c RunConfig) Label() string {
 	switch c.wiring() {
@@ -108,11 +114,7 @@ func (c RunConfig) Label() string {
 	case "vlbpw":
 		return c.Compression.Label() + " +RP (VL+B+PW)"
 	}
-	label := c.Compression.Label()
-	if c.ReplyPartitioning {
-		label += " +RP"
-	}
-	return label
+	return c.Compression.Label()
 }
 
 // VLWidthBytes returns the low-latency channel width the configuration
@@ -323,10 +325,6 @@ func NewSystem(cfg RunConfig) (*System, error) {
 		}
 	case "lpw":
 		netCfg = mesh.LayoutLPW()
-		// The L+PW layout has no fast path for critical long messages;
-		// it only works with Reply Partitioning taking data replies off
-		// the critical path.
-		cfg.ReplyPartitioning = true
 	case "vlbpw":
 		netCfg, err = mesh.LayoutVLBPW(vlWidth)
 		if err != nil {
@@ -371,7 +369,7 @@ func NewSystem(cfg RunConfig) (*System, error) {
 	// into the protocol.
 	cohCfg := coherence.DefaultConfig()
 	cohCfg.Tiles = tiles
-	cohCfg.ReplyPartitioning = cfg.ReplyPartitioning
+	cohCfg.ReplyPartitioning = cfg.replyPartitioning()
 	sys.Proto = coherence.New(k, cohCfg, func(m noc.Message) { sys.Mgr.Send(&m) })
 	sys.Mgr = core.New(k, net, core.Config{Codec: codec, VLWidthBytes: vlWidth}, meter,
 		func(m *noc.Message) { sys.Proto.Deliver(m) })

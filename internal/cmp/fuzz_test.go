@@ -26,7 +26,7 @@ const fuzzMaxTiles = 64
 //	go test -run '^$' -fuzz '^FuzzNewSystem$' -fuzztime 30s ./internal/cmp
 func FuzzNewSystem(f *testing.F) {
 	f.Fuzz(func(t *testing.T, app string, refs, warmup int, seed int64, topo string, tiles int,
-		kind string, entries, lo int, het bool, wiring string, rp bool,
+		kind string, entries, lo int, het bool, wiring string, _ bool,
 		routerLatency int, linkScale float64, series int,
 		ber, vlScale float64, outagePlane string, outageStart, outageCycles uint64,
 		stallProb float64, stallCycles, retryLimit int) {
@@ -37,7 +37,7 @@ func FuzzNewSystem(f *testing.F) {
 			App: app, RefsPerCore: refs, WarmupRefs: warmup, Seed: seed,
 			Topology: topo, Tiles: tiles,
 			Compression:   compress.Spec{Kind: kind, Entries: entries, LowOrderBytes: lo},
-			Heterogeneous: het, Wiring: wiring, ReplyPartitioning: rp,
+			Heterogeneous: het, Wiring: wiring,
 			RouterLatency: routerLatency, LinkCyclesScale: linkScale, SeriesInterval: series,
 			Faults: fault.Config{
 				BER: ber, VLBERScale: vlScale,

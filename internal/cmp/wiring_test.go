@@ -31,9 +31,8 @@ func TestWiringLabels(t *testing.T) {
 func TestLPWRunsAndUsesPWWires(t *testing.T) {
 	r, err := Run(RunConfig{
 		App: "MP3D", RefsPerCore: 1000, WarmupRefs: 300, Seed: 1,
-		Compression:       compress.Spec{Kind: "none"},
-		Wiring:            "lpw",
-		ReplyPartitioning: true,
+		Compression: compress.Spec{Kind: "none"},
+		Wiring:      "lpw",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,9 +64,8 @@ func TestVLBPWRequiresCompression(t *testing.T) {
 func TestVLBPWCombinedRuns(t *testing.T) {
 	r, err := Run(RunConfig{
 		App: "Unstructured", RefsPerCore: 1000, WarmupRefs: 300, Seed: 1,
-		Compression:       compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 2},
-		Wiring:            "vlbpw",
-		ReplyPartitioning: true,
+		Compression: compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 2},
+		Wiring:      "vlbpw",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,25 +75,6 @@ func TestVLBPWCombinedRuns(t *testing.T) {
 	}
 	if r.Coverage == 0 {
 		t.Error("no compression in combined layout")
-	}
-}
-
-func TestReplyPartitioningImprovesLPWOverMisuse(t *testing.T) {
-	// Running the proposal's VLB layout with and without RP: both must
-	// complete and yield consistent reference counts.
-	for _, rp := range []bool{false, true} {
-		r, err := Run(RunConfig{
-			App: "MP3D", RefsPerCore: 800, WarmupRefs: 200, Seed: 1,
-			Compression:       compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 2},
-			Heterogeneous:     true,
-			ReplyPartitioning: rp,
-		})
-		if err != nil {
-			t.Fatalf("rp=%v: %v", rp, err)
-		}
-		if r.Loads+r.Stores == 0 {
-			t.Fatalf("rp=%v: no references", rp)
-		}
 	}
 }
 

@@ -150,9 +150,6 @@ func New(k *sim.Kernel, cfg Config, send Sender) *Protocol {
 // L1 returns tile id's L1 controller.
 func (p *Protocol) L1(id int) *L1Controller { return p.l1s[id] }
 
-// Home returns tile id's home (L2 slice + directory) controller.
-func (p *Protocol) Home(id int) *HomeController { return p.homes[id] }
-
 // Config returns the protocol configuration.
 func (p *Protocol) Config() Config { return p.cfg }
 

@@ -1,128 +1,15 @@
 package coherence
 
 import (
-	"math/rand"
 	"testing"
 
 	"tilesim/internal/cache"
 	"tilesim/internal/noc"
-	"tilesim/internal/sim"
 )
 
-// testSystem wires the protocol to a loopback transport with a fixed or
-// randomized per-message delay, recording all traffic.
-type testSystem struct {
-	k *sim.Kernel
-	p *Protocol
-	// sent counts messages by type.
-	sent map[noc.Type]int
-	// delay returns the transport delay for a message.
-	delay func(*noc.Message) sim.Time
-}
-
-func newTestSystem(delay func(*noc.Message) sim.Time) *testSystem {
-	ts := &testSystem{k: sim.NewKernel(), sent: map[noc.Type]int{}}
-	if delay == nil {
-		delay = func(*noc.Message) sim.Time { return 1 }
-	}
-	ts.delay = delay
-	ts.p = New(ts.k, DefaultConfig(), func(m noc.Message) {
-		m.SizeBytes = m.UncompressedSize()
-		ts.sent[m.Type]++
-		ts.k.Schedule(ts.delay(&m), func() { ts.p.Deliver(&m) })
-	})
-	return ts
-}
-
-// run drives one access to completion and returns its latency.
-func (ts *testSystem) run(t *testing.T, tile int, addr uint64, write bool) sim.Time {
-	t.Helper()
-	start := ts.k.Now()
-	done := false
-	if write {
-		ts.p.L1(tile).Store(addr, func() { done = true })
-	} else {
-		ts.p.L1(tile).Load(addr, func() { done = true })
-	}
-	ts.k.Run(func() bool { return done })
-	if !done {
-		t.Fatalf("access tile=%d addr=%#x write=%v never completed", tile, addr, write)
-	}
-	end := ts.k.Now()
-	// Drain trailing protocol activity (revisions, acks) so invariants
-	// hold when inspected.
-	ts.k.Run(nil)
-	return end - start
-}
-
-func (ts *testSystem) drain(t *testing.T) {
-	t.Helper()
-	ts.k.Run(nil)
-	if n := ts.p.OutstandingTransactions(); n != 0 {
-		t.Fatalf("%d transactions outstanding after drain", n)
-	}
-}
-
-func (ts *testSystem) state(tile int, addr uint64) cache.State {
-	line := ts.p.L1(tile).Cache().Probe(addr)
-	if line == nil {
-		return cache.Invalid
-	}
-	return line.State()
-}
-
-// checkInvariants verifies the single-writer/multi-reader property and
-// directory consistency for the given blocks.
-func (ts *testSystem) checkInvariants(t *testing.T, blocks []uint64) {
-	t.Helper()
-	tiles := ts.p.Config().Tiles
-	for _, b := range blocks {
-		owners, sharers := 0, 0
-		ownerTile := -1
-		for tile := 0; tile < tiles; tile++ {
-			switch ts.state(tile, b) {
-			case cache.Modified, cache.Exclusive:
-				owners++
-				ownerTile = tile
-			case cache.Shared:
-				sharers++
-			}
-		}
-		if owners > 1 {
-			t.Errorf("block %#x has %d owners", b, owners)
-		}
-		if owners == 1 && sharers > 0 {
-			t.Errorf("block %#x has an owner at %d and %d sharers", b, ownerTile, sharers)
-		}
-		home := ts.p.Home(HomeOf(b, tiles))
-		dirSharers, dirOwner, busy, tracked := home.DirInfo(b)
-		if busy {
-			t.Errorf("block %#x still busy at home", b)
-		}
-		if owners == 1 {
-			if !tracked || dirOwner != ownerTile {
-				t.Errorf("block %#x owned by %d but directory says %d (tracked=%v)", b, ownerTile, dirOwner, tracked)
-			}
-		} else if dirOwner >= 0 {
-			// Directory owner with no actual M/E copy is a leak.
-			t.Errorf("block %#x: directory owner %d but no L1 owns it", b, dirOwner)
-		}
-		// Directory sharers must be a superset of actual S holders.
-		for tile := 0; tile < tiles; tile++ {
-			if ts.state(tile, b) == cache.Shared && !dirSharers.Has(tile) {
-				t.Errorf("block %#x: tile %d holds S but directory mask %v misses it", b, tile, dirSharers)
-			}
-		}
-		// Inclusion: any L1 presence requires the home L2 line.
-		if (owners > 0 || sharers > 0) && home.L2().Probe(b) == nil {
-			t.Errorf("block %#x in L1s but not in home L2 (inclusion broken)", b)
-		}
-	}
-}
-
 func TestColdReadGrantsExclusive(t *testing.T) {
-	ts := newTestSystem(nil)
-	lat := ts.run(t, 3, 0x10000, false)
+	ts := newTestSystem(t, rig{})
+	lat := ts.run(3, 0x10000, false)
 	if st := ts.state(3, 0x10000); st != cache.Exclusive {
 		t.Fatalf("state after cold read = %v, want E", st)
 	}
@@ -133,15 +20,14 @@ func TestColdReadGrantsExclusive(t *testing.T) {
 	if lat < 400 {
 		t.Fatalf("cold miss latency %d < memory latency", lat)
 	}
-	ts.drain(t)
-	ts.checkInvariants(t, []uint64{0x10000})
+	ts.drain()
 }
 
 func TestSecondReaderDowngradesOwner(t *testing.T) {
-	ts := newTestSystem(nil)
+	ts := newTestSystem(t, rig{})
 	addr := uint64(0x20000)
-	ts.run(t, 1, addr, false) // tile 1 gets E
-	ts.run(t, 2, addr, false) // tile 2 reads: FwdGetS to tile 1
+	ts.run(1, addr, false) // tile 1 gets E
+	ts.run(2, addr, false) // tile 2 reads: FwdGetS to tile 1
 	if st := ts.state(1, addr); st != cache.Shared {
 		t.Fatalf("old owner state %v, want S", st)
 	}
@@ -151,32 +37,30 @@ func TestSecondReaderDowngradesOwner(t *testing.T) {
 	if ts.sent[noc.FwdGetS] != 1 || ts.sent[noc.Revision] != 1 {
 		t.Fatalf("fwd=%d revision=%d, want 1,1", ts.sent[noc.FwdGetS], ts.sent[noc.Revision])
 	}
-	ts.drain(t)
-	ts.checkInvariants(t, []uint64{addr})
+	ts.drain()
 }
 
 func TestReadAfterWriteForwardsDirtyData(t *testing.T) {
-	ts := newTestSystem(nil)
+	ts := newTestSystem(t, rig{})
 	addr := uint64(0x30000)
-	ts.run(t, 0, addr, true) // tile 0: M
+	ts.run(0, addr, true) // tile 0: M
 	if st := ts.state(0, addr); st != cache.Modified {
 		t.Fatalf("writer state %v, want M", st)
 	}
-	ts.run(t, 5, addr, false)
+	ts.run(5, addr, false)
 	if ts.state(0, addr) != cache.Shared || ts.state(5, addr) != cache.Shared {
 		t.Fatal("dirty forward did not leave both in S")
 	}
-	ts.drain(t)
-	ts.checkInvariants(t, []uint64{addr})
+	ts.drain()
 }
 
 func TestUpgradeInvalidatesSharers(t *testing.T) {
-	ts := newTestSystem(nil)
+	ts := newTestSystem(t, rig{})
 	addr := uint64(0x40000)
 	for _, tile := range []int{0, 1, 2} {
-		ts.run(t, tile, addr, false)
+		ts.run(tile, addr, false)
 	}
-	ts.run(t, 1, addr, true) // S -> M via Upgrade
+	ts.run(1, addr, true) // S -> M via Upgrade
 	if st := ts.state(1, addr); st != cache.Modified {
 		t.Fatalf("upgrader state %v, want M", st)
 	}
@@ -191,15 +75,14 @@ func TestUpgradeInvalidatesSharers(t *testing.T) {
 	if ts.sent[noc.Inv] != 2 || ts.sent[noc.InvAck] != 2 {
 		t.Fatalf("inv=%d invack=%d, want 2,2", ts.sent[noc.Inv], ts.sent[noc.InvAck])
 	}
-	ts.drain(t)
-	ts.checkInvariants(t, []uint64{addr})
+	ts.drain()
 }
 
 func TestWriteAfterWriteTransfersOwnership(t *testing.T) {
-	ts := newTestSystem(nil)
+	ts := newTestSystem(t, rig{})
 	addr := uint64(0x50000)
-	ts.run(t, 0, addr, true)
-	ts.run(t, 7, addr, true)
+	ts.run(0, addr, true)
+	ts.run(7, addr, true)
 	if ts.state(0, addr) != cache.Invalid {
 		t.Fatal("old writer kept its copy")
 	}
@@ -209,8 +92,7 @@ func TestWriteAfterWriteTransfersOwnership(t *testing.T) {
 	if ts.sent[noc.FwdGetX] != 1 {
 		t.Fatalf("FwdGetX = %d, want 1", ts.sent[noc.FwdGetX])
 	}
-	ts.drain(t)
-	ts.checkInvariants(t, []uint64{addr})
+	ts.drain()
 }
 
 // l1ConflictAddrs returns n block addresses mapping to the same L1 set
@@ -226,10 +108,10 @@ func l1ConflictAddrs(n int) []uint64 {
 }
 
 func TestL1EvictionEmitsWriteback(t *testing.T) {
-	ts := newTestSystem(nil)
+	ts := newTestSystem(t, rig{})
 	addrs := l1ConflictAddrs(5) // 5 blocks into a 4-way set
 	for _, a := range addrs {
-		ts.run(t, 0, a, true) // all M
+		ts.run(0, a, true) // all M
 	}
 	if ts.sent[noc.WriteBack] != 1 {
 		t.Fatalf("writebacks = %d, want 1 (one conflict eviction)", ts.sent[noc.WriteBack])
@@ -239,24 +121,23 @@ func TestL1EvictionEmitsWriteback(t *testing.T) {
 	}
 	// The evicted block (LRU = first) must be gone from the L1 and
 	// unowned at the directory.
-	ts.drain(t)
+	ts.drain()
 	if ts.state(0, addrs[0]) != cache.Invalid {
 		t.Fatal("evicted line still present")
 	}
-	ts.checkInvariants(t, addrs)
 	// And re-reading it works (data now home in L2, no memory refetch).
-	fetchesBefore := ts.p.Home(HomeOf(addrs[0], 16)).MemFetches.Value()
-	ts.run(t, 0, addrs[0], false)
-	if got := ts.p.Home(HomeOf(addrs[0], 16)).MemFetches.Value(); got != fetchesBefore {
+	fetchesBefore := ts.p.homeOf(addrs[0]).MemFetches.Value()
+	ts.run(0, addrs[0], false)
+	if got := ts.p.homeOf(addrs[0]).MemFetches.Value(); got != fetchesBefore {
 		t.Fatal("re-read of written-back block went to memory")
 	}
 }
 
 func TestCleanEvictionSendsHint(t *testing.T) {
-	ts := newTestSystem(nil)
+	ts := newTestSystem(t, rig{})
 	addrs := l1ConflictAddrs(5)
 	for _, a := range addrs {
-		ts.run(t, 0, a, false) // all E (sole reader)
+		ts.run(0, a, false) // all E (sole reader)
 	}
 	if ts.sent[noc.ReplacementHint] != 1 {
 		t.Fatalf("hints = %d, want 1", ts.sent[noc.ReplacementHint])
@@ -264,8 +145,7 @@ func TestCleanEvictionSendsHint(t *testing.T) {
 	if ts.sent[noc.WriteBack] != 0 {
 		t.Fatalf("clean eviction sent a data writeback")
 	}
-	ts.drain(t)
-	ts.checkInvariants(t, addrs)
+	ts.drain()
 }
 
 // l2ConflictAddrs returns n blocks mapping to the same home and the same
@@ -281,19 +161,19 @@ func l2ConflictAddrs(n int) []uint64 {
 }
 
 func TestL2RecallMaintainsInclusion(t *testing.T) {
-	ts := newTestSystem(nil)
+	ts := newTestSystem(t, rig{})
 	addrs := l2ConflictAddrs(6) // 6 blocks into a 4-way L2 set
 	// Tile 1 holds the first block in S (shared with tile 2 so it is not
 	// an owner recall).
-	ts.run(t, 1, addrs[0], false)
-	ts.run(t, 2, addrs[0], false)
+	ts.run(1, addrs[0], false)
+	ts.run(2, addrs[0], false)
 	// Fill the L2 set from other tiles until the first block is
 	// recalled.
 	for _, a := range addrs[1:] {
-		ts.run(t, 3, a, false)
+		ts.run(3, a, false)
 	}
-	ts.drain(t)
-	home := ts.p.Home(HomeOf(addrs[0], 16))
+	ts.drain()
+	home := ts.p.homeOf(addrs[0])
 	if home.Recalls.Value() == 0 {
 		t.Fatal("no recall happened; conflict geometry wrong?")
 	}
@@ -305,31 +185,82 @@ func TestL2RecallMaintainsInclusion(t *testing.T) {
 			}
 		}
 	}
-	ts.checkInvariants(t, addrs)
 }
 
 func TestL2RecallOfDirtyOwner(t *testing.T) {
-	ts := newTestSystem(nil)
+	ts := newTestSystem(t, rig{})
 	addrs := l2ConflictAddrs(6)
-	ts.run(t, 1, addrs[0], true) // tile 1 owns dirty
+	ts.run(1, addrs[0], true) // tile 1 owns dirty
 	for _, a := range addrs[1:] {
-		ts.run(t, 3, a, false)
+		ts.run(3, a, false)
 	}
-	ts.drain(t)
-	home := ts.p.Home(HomeOf(addrs[0], 16))
+	ts.drain()
+	home := ts.p.homeOf(addrs[0])
 	if home.Recalls.Value() == 0 {
 		t.Fatal("no recall happened")
 	}
-	ts.checkInvariants(t, addrs)
 	// The dirty line's round trip: re-reading must work.
-	ts.run(t, 4, addrs[0], false)
-	ts.drain(t)
-	ts.checkInvariants(t, addrs)
+	ts.run(4, addrs[0], false)
+	ts.drain()
+}
+
+// TestRecallRacingExclusiveGrantRelinquishes holds tile 1's E grant of
+// a block while a fill recalls that block: tile 1 acks the recall with
+// its read still in flight, so once the grant lands it must use the
+// line once and give it up with a replacement hint, or it would keep an
+// E copy its home's L2 no longer holds.
+func TestRecallRacingExclusiveGrantRelinquishes(t *testing.T) {
+	ts := newTestSystem(t, rig{})
+	addrs := l2ConflictAddrs(5)
+	var held []noc.Message
+	ts.onSend = func(m *noc.Message) bool {
+		if m.Type == noc.DataExclusive && m.Dst == 1 && m.Addr == addrs[0] {
+			held = append(held, *m)
+			return true
+		}
+		return false
+	}
+	done := false
+	ts.p.L1(1).Load(addrs[0], func() { done = true })
+	ts.runUntil(nil)
+	for _, a := range addrs[1:] { // the grant's block is the set's LRU way
+		ts.run(2, a, false)
+	}
+	if len(held) != 1 || ts.p.homeOf(addrs[0]).l2.Probe(addrs[0]) != nil {
+		t.Fatalf("held %d grants, and the fill kept %#x: %v; the recall did not race the grant",
+			len(held), addrs[0], ts.p.homeOf(addrs[0]).l2.Probe(addrs[0]) != nil)
+	}
+	ts.deliver(&held[0])
+	ts.drain()
+	if !done || ts.state(1, addrs[0]) != cache.Invalid || ts.sent[noc.ReplacementHint] != 1 {
+		t.Fatalf("load done %v, tile 1 holds %#x in %v after %d hints; want the line used once and relinquished",
+			done, addrs[0], ts.state(1, addrs[0]), ts.sent[noc.ReplacementHint])
+	}
+}
+
+// TestL2FillEvictsLRUIdleWay fills one L2 set with four blocks no L1
+// holds, touches way 0 last, and has a fifth block miss into the set:
+// the fill must evict the least-recently-used way, not the first idle
+// one.
+func TestL2FillEvictsLRUIdleWay(t *testing.T) {
+	ts := newTestSystem(t, rig{})
+	addrs := l2ConflictAddrs(5)
+	l2 := ts.p.homeOf(addrs[0]).l2
+	for _, a := range addrs[:4] {
+		l2.Insert(a, cache.Shared) // ways 0..3
+	}
+	l2.Access(addrs[0])
+	ts.run(3, addrs[4], false)
+	ts.drain()
+	if l2.Probe(addrs[0]) == nil || l2.Probe(addrs[1]) != nil {
+		t.Fatalf("the fill kept %#x: %v, and %#x: %v; want the LRU way %#x evicted",
+			addrs[0], l2.Probe(addrs[0]) != nil, addrs[1], l2.Probe(addrs[1]) != nil, addrs[1])
+	}
 }
 
 func TestMissLatencyRecorded(t *testing.T) {
-	ts := newTestSystem(nil)
-	ts.run(t, 0, 0x70000, false)
+	ts := newTestSystem(t, rig{})
+	ts.run(0, 0x70000, false)
 	l1 := ts.p.L1(0)
 	if l1.MissLatency.N() != 1 || l1.MissLatency.Value() < 400 {
 		t.Fatalf("miss latency stats: n=%d mean=%.0f", l1.MissLatency.N(), l1.MissLatency.Value())
@@ -359,70 +290,19 @@ func TestHomeOfDistributesBlocks(t *testing.T) {
 	}
 }
 
-// TestRandomizedStress runs a random access mix from all tiles with
-// randomized message delays (an aggressive race generator), then checks
-// every invariant at quiescence.
-func TestRandomizedStress(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		seed := seed
-		rng := rand.New(rand.NewSource(seed))
-		delayRng := rand.New(rand.NewSource(seed * 77))
-		ts := newTestSystem(func(*noc.Message) sim.Time {
-			return sim.Time(1 + delayRng.Intn(40))
-		})
-		// Small block pool to force heavy conflicts.
-		blocks := make([]uint64, 24)
-		for i := range blocks {
-			blocks[i] = uint64(0x300000 + i*64)
-		}
-		// Each tile runs a chain of random accesses.
-		const opsPerTile = 60
-		doneCount := 0
-		var launch func(tile, remaining int)
-		launch = func(tile, remaining int) {
-			if remaining == 0 {
-				doneCount++
-				return
-			}
-			addr := blocks[rng.Intn(len(blocks))]
-			write := rng.Intn(3) == 0
-			cont := func() { launch(tile, remaining-1) }
-			if write {
-				ts.p.L1(tile).Store(addr, cont)
-			} else {
-				ts.p.L1(tile).Load(addr, cont)
-			}
-		}
-		for tile := 0; tile < 16; tile++ {
-			launch(tile, opsPerTile)
-		}
-		ts.k.Run(nil)
-		if doneCount != 16 {
-			t.Fatalf("seed %d: only %d/16 tiles finished", seed, doneCount)
-		}
-		ts.drain(t)
-		ts.checkInvariants(t, blocks)
-	}
-}
-
 // TestSameBlockWriteStorm has every tile write the same block
 // concurrently: the fiercest serialization test.
 func TestSameBlockWriteStorm(t *testing.T) {
-	delayRng := rand.New(rand.NewSource(99))
-	ts := newTestSystem(func(*noc.Message) sim.Time {
-		return sim.Time(1 + delayRng.Intn(25))
-	})
+	ts := newTestSystem(t, rig{delay: randomDelay(99, 25, 0)})
 	addr := uint64(0x400000)
 	done := 0
 	for tile := 0; tile < 16; tile++ {
 		ts.p.L1(tile).Store(addr, func() { done++ })
 	}
-	ts.k.Run(nil)
+	ts.drain()
 	if done != 16 {
 		t.Fatalf("%d/16 writes completed", done)
 	}
-	ts.drain(t)
-	ts.checkInvariants(t, []uint64{addr})
 	// Exactly one tile must own the block in M.
 	owners := 0
 	for tile := 0; tile < 16; tile++ {
@@ -438,10 +318,7 @@ func TestSameBlockWriteStorm(t *testing.T) {
 // TestReadWriteInterleaveOnHotBlock mixes readers and writers on one
 // block with random delays.
 func TestReadWriteInterleaveOnHotBlock(t *testing.T) {
-	delayRng := rand.New(rand.NewSource(123))
-	ts := newTestSystem(func(*noc.Message) sim.Time {
-		return sim.Time(1 + delayRng.Intn(30))
-	})
+	ts := newTestSystem(t, rig{delay: randomDelay(123, 30, 0)})
 	addr := uint64(0x500000)
 	done := 0
 	for tile := 0; tile < 16; tile++ {
@@ -458,91 +335,24 @@ func TestReadWriteInterleaveOnHotBlock(t *testing.T) {
 			})
 		}
 	}
-	ts.k.Run(nil)
+	ts.drain()
 	if done != 32 {
 		t.Fatalf("%d/32 ops completed", done)
 	}
-	ts.drain(t)
-	ts.checkInvariants(t, []uint64{addr})
 }
 
 func TestLocalHomeAccess(t *testing.T) {
 	// Block homed at the requesting tile: the transport still delivers
 	// (the cmp layer shortcuts it physically, but the protocol is
 	// transport-agnostic).
-	ts := newTestSystem(nil)
+	ts := newTestSystem(t, rig{})
 	addr := uint64(0x600000) // home 0
 	if HomeOf(addr, 16) != 0 {
 		t.Fatal("test address not homed at 0")
 	}
-	ts.run(t, 0, addr, true)
+	ts.run(0, addr, true)
 	if ts.state(0, addr) != cache.Modified {
 		t.Fatal("local write failed")
 	}
-	ts.drain(t)
-	ts.checkInvariants(t, []uint64{addr})
-}
-
-// TestBusyCountMatchesWalk cross-checks the incrementally maintained
-// busy-entry count (setBusy/busyCount) against a directory walk over
-// every block the workload touches, after every kernel event of a
-// conflict-heavy random workload, then again after the drain. A drift
-// here means some transaction path flips dirEntry.busy without going
-// through setBusy.
-func TestBusyCountMatchesWalk(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	delayRng := rand.New(rand.NewSource(42 * 77))
-	ts := newTestSystem(func(*noc.Message) sim.Time {
-		return sim.Time(1 + delayRng.Intn(40))
-	})
-	blocks := make([]uint64, 8)
-	for i := range blocks {
-		blocks[i] = uint64(0x700000 + i*64)
-	}
-	check := func() {
-		for _, h := range ts.p.homes {
-			walked := 0
-			for _, b := range blocks {
-				if e, _ := h.lookup(b); e != nil && e.busy {
-					walked++
-				}
-			}
-			if got := h.busyCount(); got != walked {
-				t.Fatalf("home %d: busyCount() = %d, directory walk = %d", h.id, got, walked)
-			}
-		}
-	}
-	const opsPerTile = 25
-	doneCount := 0
-	var launch func(tile, remaining int)
-	launch = func(tile, remaining int) {
-		if remaining == 0 {
-			doneCount++
-			return
-		}
-		addr := blocks[rng.Intn(len(blocks))]
-		cont := func() { launch(tile, remaining-1) }
-		if rng.Intn(3) == 0 {
-			ts.p.L1(tile).Store(addr, cont)
-		} else {
-			ts.p.L1(tile).Load(addr, cont)
-		}
-	}
-	for tile := 0; tile < 16; tile++ {
-		launch(tile, opsPerTile)
-	}
-	// The stop predicate runs between events: verify the counter after
-	// every step of the simulation, not just at quiescence.
-	ts.k.Run(func() bool {
-		check()
-		return false
-	})
-	if doneCount != 16 {
-		t.Fatalf("only %d/16 tiles finished", doneCount)
-	}
-	ts.drain(t)
-	check()
-	if n := ts.p.OutstandingTransactions(); n != 0 {
-		t.Fatalf("%d transactions outstanding after drain", n)
-	}
+	ts.drain()
 }

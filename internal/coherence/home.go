@@ -295,10 +295,10 @@ func (h *HomeController) setBusy(e *dirEntry, v bool) {
 }
 
 // busyCount returns the number of busy directory entries. It reads the
-// incrementally maintained count (TestBusyCountMatchesWalk cross-checks
-// it against a directory walk) because it runs on every drain check and
-// epoch-series sample, where walking — let alone sorting — the
-// directory dominated the sample cost.
+// incrementally maintained count (the coherence tests' checker compares
+// it with a walk of the entries after every kernel event) because it
+// runs on every drain check and epoch-series sample, where walking —
+// let alone sorting — the directory dominated the sample cost.
 func (h *HomeController) busyCount() int { return h.busyEntries }
 
 // wantsInvAck reports whether an InvAck for block belongs to a recall in
@@ -710,7 +710,9 @@ func (h *HomeController) fillL2(block uint64) {
 	if e == nil || !e.busy || e.kind != txnFill {
 		panic(fmt.Sprintf("coherence: home %d fill for %#x without a fill transaction", h.id, block))
 	}
-	victim := h.pickL2Victim(block)
+	// The victim is the least-recently-used way whose block has no
+	// transaction in flight.
+	victim := h.l2.VictimWhere(block, func(l *cache.Line) bool { return l.Aux == 0 || !h.at(l.Aux).busy })
 	if victim == nil {
 		// Every way's block is mid-transaction; retry shortly.
 		h.p.fillRetryQ.Push(homeFill{block: block})
@@ -770,43 +772,4 @@ func (h *HomeController) finishFill(block uint64, e *dirEntry) {
 	if !e.busy {
 		h.finishTxn(block, e)
 	}
-}
-
-// pickL2Victim chooses an eviction victim for block's set: an invalid
-// way, else the least-recently-used way whose block has no transaction
-// in flight. nil means every way is busy.
-func (h *HomeController) pickL2Victim(block uint64) *cache.Line {
-	v := h.l2.Victim(block)
-	if !v.Valid() {
-		return v
-	}
-	var best *cache.Line
-	set := h.l2.Set(block)
-	for i := range set {
-		cand := &set[i]
-		if !cand.Valid() {
-			return cand
-		}
-		if cand.Aux != 0 && h.at(cand.Aux).busy {
-			continue
-		}
-		if best == nil {
-			best = cand
-		}
-	}
-	return best
-}
-
-// DirInfo returns the directory view of one block for invariant checks:
-// a chip-wide copy of the sharer mask, sharerWords words whether or not
-// the block's chunk has words, the owner (-1 if none), whether a
-// transaction is in flight, and whether the block is tracked at all.
-func (h *HomeController) DirInfo(block uint64) (sharers SharerSet, owner int, busy bool, tracked bool) {
-	sharers = make(SharerSet, sharerWords(h.p.cfg.Tiles))
-	e, _ := h.lookup(block)
-	if e == nil {
-		return sharers, -1, false, false
-	}
-	copy(sharers, h.sharers(e))
-	return sharers, int(e.owner), e.busy, true
 }

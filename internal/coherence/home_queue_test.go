@@ -5,7 +5,6 @@ import (
 	"unsafe"
 
 	"tilesim/internal/noc"
-	"tilesim/internal/sim"
 )
 
 // TestHomeBurstDrainsInArrivalOrder sends a burst of requests for one
@@ -28,19 +27,16 @@ func TestHomeBurstDrainsInArrivalOrder(t *testing.T) {
 		t.Fatal("test blocks not homed together")
 	}
 
-	ts := &testSystem{k: sim.NewKernel(), sent: map[noc.Type]int{}}
-	ts.delay = func(*noc.Message) sim.Time { return 1 }
+	ts := newTestSystem(t, rig{})
 	var (
 		holding bool
 		victim  uint64
 		held    []noc.Message
 		order   []int // hotBlock requestors, in the order the home serves them
 		nested  bool
-		waiting bool // a send saw requests waiting in the home's queue
+		waiting bool // a check ran while requests waited in the home's queue
 	)
-	ts.p = New(ts.k, DefaultConfig(), func(m noc.Message) {
-		m.SizeBytes = m.UncompressedSize()
-		ts.sent[m.Type]++
+	ts.onSend = func(m *noc.Message) bool {
 		block := m.Addr &^ uint64(noc.LineBytes-1)
 		if m.Src == homeID && block == hotBlock {
 			switch m.Type {
@@ -55,31 +51,29 @@ func TestHomeBurstDrainsInArrivalOrder(t *testing.T) {
 				victim = block
 			}
 			if (m.Type == noc.InvAck || m.Type == noc.Revision) && m.Dst == homeID && block == victim {
-				held = append(held, m)
-				return
+				held = append(held, *m)
+				return true
 			}
 		}
 		if m.Type == noc.FwdGetS && block == hotBlock && m.ReplyTo == 10 && len(held) > 0 {
 			nested = true
-			for _, ack := range held {
-				ts.p.Deliver(&ack)
+			for i := range held {
+				ts.deliver(&held[i])
 			}
 			held = nil
 		}
-		checkHomeQueue(t, ts.p.Home(homeID))
-		waiting = waiting || len(ts.p.Home(homeID).queue) > 0
-		ts.k.Schedule(ts.delay(&m), func() { ts.p.Deliver(&m) })
-	})
-	home := ts.p.Home(homeID)
+		return false
+	}
+	home := ts.p.homes[homeID]
 
 	// a0 shared by tiles 1 and 2, a1..a3 exclusive at tile 3, the hot
 	// block modified at tile 7.
-	ts.run(t, 1, addrs[0], false)
-	ts.run(t, 2, addrs[0], false)
+	ts.run(1, addrs[0], false)
+	ts.run(2, addrs[0], false)
 	for _, a := range addrs[1:4] {
-		ts.run(t, 3, a, false)
+		ts.run(3, a, false)
 	}
-	ts.run(t, 7, hotBlock, true)
+	ts.run(7, hotBlock, true)
 	order = nil
 
 	done := map[int]bool{}
@@ -93,7 +87,7 @@ func TestHomeBurstDrainsInArrivalOrder(t *testing.T) {
 	for tile := 4; tile <= 6; tile++ {
 		load(tile, fillBlock)
 	}
-	ts.k.Run(func() bool {
+	ts.runUntil(func() bool {
 		e, _ := home.lookup(victim)
 		return victim != 0 && e != nil && len(held) > 0 && len(held) == int(e.recallAcks)
 	})
@@ -110,8 +104,11 @@ func TestHomeBurstDrainsInArrivalOrder(t *testing.T) {
 	for tile := 10; tile <= 15; tile++ {
 		load(tile, hotBlock)
 	}
-	ts.k.Run(nil)
-	ts.drain(t)
+	ts.runUntil(func() bool {
+		waiting = waiting || len(home.queue) > 0
+		return false
+	})
+	ts.drain()
 
 	for _, tile := range []int{0, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15} {
 		if !done[tile] {
@@ -122,7 +119,7 @@ func TestHomeBurstDrainsInArrivalOrder(t *testing.T) {
 		t.Fatal("the recall never finished inside a replay; the nested path went untested")
 	}
 	if !waiting {
-		t.Fatal("no message left the home while requests waited; the queue walk ran only on an empty queue")
+		t.Fatal("no check ran while requests waited; the queue walk ran only on an empty queue")
 	}
 	want := []int{8, 9, 10, 11, 12, 13, 14, 15}
 	if len(order) != len(want) {
@@ -143,11 +140,9 @@ func TestHomeBurstDrainsInArrivalOrder(t *testing.T) {
 	if len(home.drain) != 0 {
 		t.Errorf("drain buffer holds %d requests after the burst", len(home.drain))
 	}
-	checkHomeQueue(t, home)
 	if len(home.queue) != 0 {
 		t.Errorf("home queue holds %d requests after the burst", len(home.queue))
 	}
-	ts.checkInvariants(t, append(addrs, hotBlock))
 }
 
 // TestHomeQueueStorageIsReused checks that once a burst has sized them,
@@ -155,21 +150,21 @@ func TestHomeBurstDrainsInArrivalOrder(t *testing.T) {
 // burst without new storage: waiting requests live in the home, not in
 // their block's directory entry.
 func TestHomeQueueStorageIsReused(t *testing.T) {
-	ts := newTestSystem(nil)
+	ts := newTestSystem(t, rig{})
 	block := uint64(0x800000)
-	home := ts.p.Home(HomeOf(block, 16))
+	home := ts.p.homeOf(block)
 	burst := func() uint64 {
 		before := home.QueuedAtHome.Value()
 		done := 0
 		for tile := 1; tile < 16; tile++ {
 			ts.p.L1(tile).Store(block, func() { done++ })
 		}
-		ts.k.Run(nil)
+		ts.runUntil(nil)
 		if done != 15 {
 			t.Fatalf("%d of 15 stores completed", done)
 		}
 		// Tile 0 takes the block, so the next burst's 15 stores all miss.
-		ts.run(t, 0, block, true)
+		ts.run(0, block, true)
 		return home.QueuedAtHome.Value() - before
 	}
 

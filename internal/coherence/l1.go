@@ -144,8 +144,8 @@ func (l *L1Controller) startMiss(block uint64, req noc.Type, done func()) {
 	} else {
 		e.Waiters = append(e.Waiters, doneW, finish)
 	}
-	home := HomeOf(block, l.p.cfg.Tiles)
-	l.p.send(l.p.msg(req, l.id, home, block, l.p.txn()))
+	e.Txn = l.p.txn()
+	l.p.send(l.p.msg(req, l.id, HomeOf(block, l.p.cfg.Tiles), block, e.Txn))
 }
 
 // dispatchRetry re-attempts one MSHR-full miss after the backoff: if a
@@ -234,9 +234,11 @@ func (l *L1Controller) addAcks(e *cache.MSHREntry, m *noc.Message) {
 func (l *L1Controller) onPartial(m *noc.Message) {
 	block := l.cache.BlockOf(m.Addr)
 	e := l.mshr.Lookup(block)
-	if e == nil || e.WritebackData {
+	if e == nil || e.Txn != m.Txn {
 		// The ordinary reply overtook the partial and already completed
-		// the transaction; the word is redundant.
+		// the transaction; the word is redundant. The block may have a
+		// later transaction by now (a writeback, or the next miss),
+		// which the word must not touch.
 		return
 	}
 	e.GotPartial = true
@@ -324,38 +326,17 @@ func (l *L1Controller) maybeComplete(block uint64, e *cache.MSHREntry) {
 // insertLine fills a granted line, evicting a victim if needed and
 // emitting the replacement traffic of Figure 4.
 func (l *L1Controller) insertLine(block uint64, st cache.State) {
-	l.evictLine(l.victimAvoidingMSHR(block))
+	// The victim is the least-recently-used way whose block has no
+	// live MSHR entry: its transaction may still need the line.
+	v := l.cache.VictimWhere(block, func(v *cache.Line) bool { return l.mshr.Lookup(v.Block()) == nil })
+	if v == nil {
+		panic(fmt.Sprintf("coherence: L1 %d all ways of set for %#x transaction-locked", l.id, block))
+	}
+	l.evictLine(v)
 	if l.cache.Probe(block) != nil {
 		panic(fmt.Sprintf("coherence: L1 %d double fill %#x", l.id, block))
 	}
 	l.cache.Insert(block, st)
-}
-
-// victimAvoidingMSHR picks the eviction victim for block's set, skipping
-// lines with live MSHR entries (their transactions may still need them).
-func (l *L1Controller) victimAvoidingMSHR(block uint64) *cache.Line {
-	v := l.cache.Victim(block)
-	if !v.Valid() || l.mshr.Lookup(v.Block()) == nil {
-		return v
-	}
-	var best *cache.Line
-	set := l.cache.Set(block)
-	for i := range set {
-		cand := &set[i]
-		if !cand.Valid() {
-			return cand
-		}
-		if l.mshr.Lookup(cand.Block()) != nil {
-			continue
-		}
-		if best == nil {
-			best = cand
-		}
-	}
-	if best == nil {
-		panic(fmt.Sprintf("coherence: L1 %d all ways of set for %#x transaction-locked", l.id, block))
-	}
-	return best
 }
 
 // evictLine removes a valid line, emitting WriteBack/ReplacementHint and

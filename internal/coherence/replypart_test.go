@@ -1,7 +1,6 @@
 package coherence
 
 import (
-	"math/rand"
 	"testing"
 
 	"tilesim/internal/cache"
@@ -9,29 +8,20 @@ import (
 	"tilesim/internal/sim"
 )
 
-// newRPSystem builds a test system with Reply Partitioning enabled and a
-// transport that delays relaxed full-line replies much more than partial
-// replies, mimicking the PW/L wire split.
-func newRPSystem(lineDelay sim.Time) *testSystem {
-	ts := &testSystem{k: sim.NewKernel(), sent: map[noc.Type]int{}}
-	ts.delay = func(m *noc.Message) sim.Time {
+// slowLines is a loopback delay rule that delays relaxed full-line
+// replies much more than everything else, the partial replies included,
+// mimicking the PW/L wire split.
+func slowLines(lineDelay sim.Time) func(*noc.Message) sim.Time {
+	return func(m *noc.Message) sim.Time {
 		if m.Relaxed {
 			return lineDelay
 		}
 		return 2
 	}
-	cfg := DefaultConfig()
-	cfg.ReplyPartitioning = true
-	ts.p = New(ts.k, cfg, func(m noc.Message) {
-		m.SizeBytes = m.UncompressedSize()
-		ts.sent[m.Type]++
-		ts.k.Schedule(ts.delay(&m), func() { ts.p.Deliver(&m) })
-	})
-	return ts
 }
 
 func TestPartialReplyResumesCoreEarly(t *testing.T) {
-	ts := newRPSystem(200) // full line crawls
+	ts := newTestSystem(t, rig{rp: true, delay: slowLines(200)}) // full line crawls
 	addr := uint64(0x9_0000)
 	var resumedAt, installedAt sim.Time
 	done := false
@@ -39,7 +29,7 @@ func TestPartialReplyResumesCoreEarly(t *testing.T) {
 		done = true
 		resumedAt = ts.k.Now()
 	})
-	ts.k.Run(func() bool { return done })
+	ts.runUntil(func() bool { return done })
 	if !done {
 		t.Fatal("load never completed")
 	}
@@ -47,7 +37,7 @@ func TestPartialReplyResumesCoreEarly(t *testing.T) {
 	if ts.p.L1(2).Cache().Probe(addr) != nil {
 		t.Fatal("line installed before the slow ordinary reply arrived")
 	}
-	ts.k.Run(nil)
+	ts.runUntil(nil)
 	installedAt = ts.k.Now()
 	if line := ts.p.L1(2).Cache().Probe(addr); line == nil || line.State() != cache.Exclusive {
 		t.Fatalf("line not installed E after drain: %v", ts.p.L1(2).Cache().Probe(addr))
@@ -58,141 +48,71 @@ func TestPartialReplyResumesCoreEarly(t *testing.T) {
 	if ts.sent[noc.PartialReply] != 1 {
 		t.Fatalf("partial replies sent: %d", ts.sent[noc.PartialReply])
 	}
-	ts.drain(t)
-	ts.checkInvariants(t, []uint64{addr})
+	ts.drain()
 }
 
 func TestOrdinaryReplyOvertakingPartialIsHandled(t *testing.T) {
 	// Invert the delays: the full line arrives before the partial.
-	ts := &testSystem{k: sim.NewKernel(), sent: map[noc.Type]int{}}
-	ts.delay = func(m *noc.Message) sim.Time {
+	ts := newTestSystem(t, rig{rp: true, delay: func(m *noc.Message) sim.Time {
 		if m.Type == noc.PartialReply {
 			return 300
 		}
 		return 2
-	}
-	cfg := DefaultConfig()
-	cfg.ReplyPartitioning = true
-	ts.p = New(ts.k, cfg, func(m noc.Message) {
-		m.SizeBytes = m.UncompressedSize()
-		ts.sent[m.Type]++
-		ts.k.Schedule(ts.delay(&m), func() { ts.p.Deliver(&m) })
-	})
+	}})
 	addr := uint64(0xA_0000)
 	done := false
 	ts.p.L1(1).Load(addr, func() { done = true })
-	ts.k.Run(nil)
+	ts.runUntil(nil)
 	if !done {
 		t.Fatal("load never completed")
 	}
 	// The late partial must be ignored gracefully (entry already freed).
-	ts.drain(t)
-	ts.checkInvariants(t, []uint64{addr})
+	ts.drain()
 }
 
+// TestPartialReplyOnWritesWaitsForAcks has a store invalidate three
+// sharers whose acks travel 40 cycles, long after the partial reply:
+// the core must resume on the partial and the last ack, before the full
+// line installs.
 func TestPartialReplyOnWritesWaitsForAcks(t *testing.T) {
-	ts := newRPSystem(150)
+	const ackDelay = 40
+	ts := newTestSystem(t, rig{rp: true, delay: func(m *noc.Message) sim.Time {
+		if m.Type == noc.InvAck {
+			return ackDelay
+		}
+		return slowLines(150)(m)
+	}})
 	addr := uint64(0xB_0000)
-	// Three sharers.
 	for _, tile := range []int{0, 1, 2} {
-		done := false
-		ts.p.L1(tile).Load(addr, func() { done = true })
-		ts.k.Run(func() bool { return done })
-		ts.k.Run(nil)
+		ts.run(tile, addr, false)
 	}
-	// Tile 5 writes: needs data + 3 invalidation acks.
+	var lastAck, resumedAt sim.Time
+	ts.onSend = func(m *noc.Message) bool {
+		if m.Type == noc.InvAck && m.Dst == 5 {
+			lastAck = ts.k.Now() + ackDelay
+		}
+		return false
+	}
 	done := false
-	var resumedAt sim.Time
-	ts.p.L1(5).Store(addr, func() {
-		done = true
-		resumedAt = ts.k.Now()
-	})
-	ts.k.Run(func() bool { return done })
-	if !done {
-		t.Fatal("store never completed")
+	ts.p.L1(5).Store(addr, func() { done, resumedAt = true, ts.k.Now() })
+	ts.runUntil(func() bool { return done })
+	if ts.sent[noc.InvAck] != 3 || resumedAt < lastAck || ts.state(5, addr) != cache.Invalid {
+		t.Fatalf("%d acks, the last in at %d, the core resumed at %d with the line in %v; want 3, and the resume on the last ack before the line installs",
+			ts.sent[noc.InvAck], lastAck, resumedAt, ts.state(5, addr))
 	}
-	if ts.sent[noc.InvAck] < 3 {
-		t.Fatalf("invacks %d, want >= 3", ts.sent[noc.InvAck])
-	}
-	_ = resumedAt
-	ts.k.Run(nil)
-	ts.drain(t)
-	ts.checkInvariants(t, []uint64{addr})
+	ts.drain()
 	if st := ts.state(5, addr); st != cache.Modified {
 		t.Fatalf("writer state %v", st)
 	}
 }
 
 func TestForwardedOwnersSplitRepliesToo(t *testing.T) {
-	ts := newRPSystem(120)
+	ts := newTestSystem(t, rig{rp: true, delay: slowLines(120)})
 	addr := uint64(0xC_0000)
-	run := func(tile int, write bool) {
-		done := false
-		if write {
-			ts.p.L1(tile).Store(addr, func() { done = true })
-		} else {
-			ts.p.L1(tile).Load(addr, func() { done = true })
-		}
-		ts.k.Run(func() bool { return done })
-		ts.k.Run(nil)
-	}
-	run(0, true)  // owner M at tile 0
-	run(3, false) // FwdGetS: owner must send PR + relaxed line
+	ts.run(0, addr, true)  // owner M at tile 0
+	ts.run(3, addr, false) // FwdGetS: owner must send PR + relaxed line
 	if ts.sent[noc.PartialReply] < 2 {
 		t.Fatalf("partial replies %d, want >= 2 (home grant + owner forward)", ts.sent[noc.PartialReply])
 	}
-	ts.drain(t)
-	ts.checkInvariants(t, []uint64{addr})
-}
-
-// TestReplyPartitioningStress reruns the randomized protocol stress with
-// RP enabled and relaxed replies heavily delayed.
-func TestReplyPartitioningStress(t *testing.T) {
-	for _, seed := range []int64{11, 12, 13} {
-		rng := rand.New(rand.NewSource(seed))
-		delayRng := rand.New(rand.NewSource(seed * 31))
-		ts := &testSystem{k: sim.NewKernel(), sent: map[noc.Type]int{}}
-		ts.delay = func(m *noc.Message) sim.Time {
-			d := sim.Time(1 + delayRng.Intn(30))
-			if m.Relaxed {
-				d += 40
-			}
-			return d
-		}
-		cfg := DefaultConfig()
-		cfg.ReplyPartitioning = true
-		ts.p = New(ts.k, cfg, func(m noc.Message) {
-			m.SizeBytes = m.UncompressedSize()
-			ts.sent[m.Type]++
-			ts.k.Schedule(ts.delay(&m), func() { ts.p.Deliver(&m) })
-		})
-		blocks := make([]uint64, 16)
-		for i := range blocks {
-			blocks[i] = uint64(0xD_0000 + i*64)
-		}
-		doneCount := 0
-		var launch func(tile, remaining int)
-		launch = func(tile, remaining int) {
-			if remaining == 0 {
-				doneCount++
-				return
-			}
-			addr := blocks[rng.Intn(len(blocks))]
-			cont := func() { launch(tile, remaining-1) }
-			if rng.Intn(3) == 0 {
-				ts.p.L1(tile).Store(addr, cont)
-			} else {
-				ts.p.L1(tile).Load(addr, cont)
-			}
-		}
-		for tile := 0; tile < 16; tile++ {
-			launch(tile, 40)
-		}
-		ts.k.Run(nil)
-		if doneCount != 16 {
-			t.Fatalf("seed %d: %d/16 tiles finished", seed, doneCount)
-		}
-		ts.drain(t)
-		ts.checkInvariants(t, blocks)
-	}
+	ts.drain()
 }

@@ -1,35 +1,17 @@
 package coherence
 
 import (
+	"testing"
+
 	"tilesim/internal/noc"
 	"tilesim/internal/sim"
-
-	"testing"
 )
-
-// newTestSystemMSHRs is newTestSystem with a custom MSHR register count,
-// so tests can saturate the file without driving thousands of misses.
-func newTestSystemMSHRs(mshrs int, delay func(*noc.Message) sim.Time) *testSystem {
-	ts := &testSystem{k: sim.NewKernel(), sent: map[noc.Type]int{}}
-	if delay == nil {
-		delay = func(*noc.Message) sim.Time { return 1 }
-	}
-	ts.delay = delay
-	cfg := DefaultConfig()
-	cfg.MSHRs = mshrs
-	ts.p = New(ts.k, cfg, func(m noc.Message) {
-		m.SizeBytes = m.UncompressedSize()
-		ts.sent[m.Type]++
-		ts.k.Schedule(ts.delay(&m), func() { ts.p.Deliver(&m) })
-	})
-	return ts
-}
 
 // TestSameBlockWaitersResumeFIFO pins the MSHR waiter discipline: accesses
 // that arrive while a transaction is live on their block queue on the
 // entry and must resume in arrival order when it completes.
 func TestSameBlockWaitersResumeFIFO(t *testing.T) {
-	ts := newTestSystem(nil)
+	ts := newTestSystem(t, rig{})
 	addr := uint64(0x30000)
 	var order []int
 	done := 0
@@ -37,7 +19,7 @@ func TestSameBlockWaitersResumeFIFO(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		ts.p.L1(0).Load(addr, func() { order = append(order, i); done++ })
 	}
-	ts.k.Run(func() bool { return done == 4 })
+	ts.runUntil(func() bool { return done == 4 })
 	if done != 4 {
 		t.Fatalf("only %d of 4 same-block accesses completed", done)
 	}
@@ -46,8 +28,7 @@ func TestSameBlockWaitersResumeFIFO(t *testing.T) {
 			t.Fatalf("waiters resumed out of order: %v", order)
 		}
 	}
-	ts.drain(t)
-	ts.checkInvariants(t, []uint64{addr})
+	ts.drain()
 }
 
 // TestWritebackBurstRetriesWithoutStarvation drives the startMiss
@@ -60,18 +41,18 @@ func TestSameBlockWaitersResumeFIFO(t *testing.T) {
 func TestWritebackBurstRetriesWithoutStarvation(t *testing.T) {
 	const wbAckDelay = 4000
 	slowWBAck := false
-	ts := newTestSystemMSHRs(2, func(m *noc.Message) sim.Time {
+	ts := newTestSystem(t, rig{mshrs: 2, delay: func(m *noc.Message) sim.Time {
 		if slowWBAck && m.Type == noc.WBAck {
 			return wbAckDelay
 		}
 		return 1
-	})
+	}})
 	l1 := ts.p.L1(0)
 	addrs := l1ConflictAddrs(8) // one 4-way L1 set, one home
 
 	// Fill the set with dirty lines while writebacks still ack fast.
 	for _, a := range addrs[:4] {
-		ts.run(t, 0, a, true)
+		ts.run(0, a, true)
 	}
 	slowWBAck = true
 
@@ -86,7 +67,7 @@ func TestWritebackBurstRetriesWithoutStarvation(t *testing.T) {
 	// registers end up busy with writebacks.
 	store(0, addrs[4])
 	store(1, addrs[5])
-	ts.k.Run(func() bool { return done == 2 })
+	ts.runUntil(func() bool { return done == 2 })
 	if done != 2 {
 		t.Fatalf("filling stores stalled: %d of 2 done", done)
 	}
@@ -108,12 +89,12 @@ func TestWritebackBurstRetriesWithoutStarvation(t *testing.T) {
 	// Halfway through the writeback's lifetime nothing may have slipped
 	// through: the misses are spinning on the retry path, not allocating
 	// over capacity.
-	ts.k.RunUntil(start + wbAckDelay/2)
+	ts.runUntil(func() bool { return ts.k.Now() >= start+wbAckDelay/2 })
 	if done != 2 {
 		t.Fatalf("%d misses completed while every register was busy", done-2)
 	}
 
-	ts.k.Run(func() bool { return done == 5 })
+	ts.runUntil(func() bool { return done == 5 })
 	if done != 5 {
 		t.Fatalf("starvation: %d of 5 accesses completed (order %v)", done, order)
 	}
@@ -133,6 +114,5 @@ func TestWritebackBurstRetriesWithoutStarvation(t *testing.T) {
 		t.Fatalf("writebacks = %d, want 4", ts.sent[noc.WriteBack])
 	}
 
-	ts.drain(t)
-	ts.checkInvariants(t, addrs)
+	ts.drain()
 }

@@ -43,10 +43,10 @@ func AblationWiring(runner *sweep.Runner, scale Scale, apps []string) ([]WiringA
 			return cmp.RunConfig{App: app, Compression: dbrc, Wiring: "vlb"}
 		}},
 		{"L+PW +RP (Cheng/[9])", func(app string) cmp.RunConfig {
-			return cmp.RunConfig{App: app, Compression: compress.Spec{Kind: "none"}, Wiring: "lpw", ReplyPartitioning: true}
+			return cmp.RunConfig{App: app, Compression: compress.Spec{Kind: "none"}, Wiring: "lpw"}
 		}},
 		{"VL+B+PW +RP (combined)", func(app string) cmp.RunConfig {
-			return cmp.RunConfig{App: app, Compression: dbrc, Wiring: "vlbpw", ReplyPartitioning: true}
+			return cmp.RunConfig{App: app, Compression: dbrc, Wiring: "vlbpw"}
 		}},
 	}
 	stride := 1 + len(layouts)

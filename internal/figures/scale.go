@@ -83,10 +83,10 @@ func scaleConfigs() []struct {
 			return cmp.RunConfig{App: app, Compression: dbrc, Wiring: "vlb"}
 		}},
 		{"L+PW +RP", func(app string) cmp.RunConfig {
-			return cmp.RunConfig{App: app, Compression: compress.Spec{Kind: "none"}, Wiring: "lpw", ReplyPartitioning: true}
+			return cmp.RunConfig{App: app, Compression: compress.Spec{Kind: "none"}, Wiring: "lpw"}
 		}},
 		{"DBRC-4/2B VL+B+PW +RP", func(app string) cmp.RunConfig {
-			return cmp.RunConfig{App: app, Compression: dbrc, Wiring: "vlbpw", ReplyPartitioning: true}
+			return cmp.RunConfig{App: app, Compression: dbrc, Wiring: "vlbpw"}
 		}},
 	}
 }

@@ -101,13 +101,13 @@ func TestFaultRetryCorrectsEveryErrorAndStaysExact(t *testing.T) {
 		t.Fatalf("retries %d != crc errors %d with zero drops", s.Retries, s.CRCErrors)
 	}
 	for c := noc.Class(0); c < noc.NumClasses; c++ {
-		bd := n.Breakdown(c)
+		bd := n.breakdown[c]
 		if sum := bd.Router + bd.Queue + bd.Wire + bd.Serialize + bd.Retry; sum != bd.Total {
 			t.Errorf("class %v: components %d != total %d under retransmission",
 				c, sum, bd.Total)
 		}
 	}
-	if bd := n.Breakdown(noc.ClassResponse); bd.Retry == 0 {
+	if bd := n.breakdown[noc.ClassResponse]; bd.Retry == 0 {
 		t.Error("no retry cycles charged despite CRC errors")
 	}
 }
@@ -199,7 +199,7 @@ func TestRouterStallInjectionDelaysHops(t *testing.T) {
 		t.Fatalf("stalled delivery %v, want [17]", *times)
 	}
 	// The stall counts as queueing, keeping the decomposition exact.
-	bd := n.Breakdown(noc.ClassRequest)
+	bd := n.breakdown[noc.ClassRequest]
 	if bd.Queue != 5 || bd.Router+bd.Queue+bd.Wire+bd.Serialize+bd.Retry != bd.Total {
 		t.Fatalf("breakdown %+v: want Queue=5 and exact sum", bd)
 	}

@@ -41,11 +41,6 @@ type LatencyBreakdown struct {
 	Retry uint64
 }
 
-// Breakdown returns the accumulated latency decomposition for a class.
-func (n *Network) Breakdown(c noc.Class) LatencyBreakdown {
-	return n.breakdown[c]
-}
-
 // PlaneFlits returns the cumulative flit-cycles carried on a plane
 // across all links.
 func (n *Network) PlaneFlits(p Plane) uint64 {

@@ -47,7 +47,7 @@ func TestBreakdownSumsExactly(t *testing.T) {
 
 	var delivered, totalLat uint64
 	for c := noc.Class(0); c < noc.NumClasses; c++ {
-		bd := n.Breakdown(c)
+		bd := n.breakdown[c]
 		delivered += bd.Messages
 		totalLat += bd.Total
 		if bd.Total != bd.Router+bd.Queue+bd.Wire+bd.Serialize+bd.Retry {
@@ -76,7 +76,7 @@ func TestBreakdownSumsExactly(t *testing.T) {
 	// this test proves nothing about the residual math.
 	var queue uint64
 	for c := noc.Class(0); c < noc.NumClasses; c++ {
-		queue += n.Breakdown(c).Queue
+		queue += n.breakdown[c].Queue
 	}
 	if queue == 0 {
 		t.Fatal("burst produced no queueing; congestion fixture is broken")
@@ -152,7 +152,7 @@ func TestTracerDoesNotChangeTiming(t *testing.T) {
 		end := k.Run(nil)
 		var bds [noc.NumClasses]LatencyBreakdown
 		for c := noc.Class(0); c < noc.NumClasses; c++ {
-			bds[c] = n.Breakdown(c)
+			bds[c] = n.breakdown[c]
 		}
 		return n.Summary(), bds, end
 	}

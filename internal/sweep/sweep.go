@@ -178,16 +178,3 @@ func Err(results []JobResult) error {
 	}
 	return errors.Join(errs...)
 }
-
-// Results unwraps a fully successful batch into plain results, or
-// returns the combined failure.
-func Results(jrs []JobResult) ([]cmp.Result, error) {
-	if err := Err(jrs); err != nil {
-		return nil, err
-	}
-	rs := make([]cmp.Result, len(jrs))
-	for i, jr := range jrs {
-		rs[i] = jr.Result
-	}
-	return rs, nil
-}

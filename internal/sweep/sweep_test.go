@@ -95,9 +95,6 @@ func TestErrorsAreCollected(t *testing.T) {
 			t.Errorf("combined error missing %q: %v", want, err)
 		}
 	}
-	if _, err := Results(jrs); err == nil {
-		t.Error("Results should fail on a batch with failures")
-	}
 }
 
 // TestCacheSkipsDuplicates asserts simulate-call counts: duplicates
@@ -273,7 +270,6 @@ func TestKeyFieldSensitivity(t *testing.T) {
 		{"Compression.Entries", func(c *cmp.RunConfig) { c.Compression.Entries = 8 }},
 		{"Compression.LowOrderBytes", func(c *cmp.RunConfig) { c.Compression.LowOrderBytes = 1 }},
 		{"Wiring", func(c *cmp.RunConfig) { c.Wiring = "vlbpw" }},
-		{"ReplyPartitioning", func(c *cmp.RunConfig) { c.ReplyPartitioning = true }},
 		{"RouterLatency", func(c *cmp.RunConfig) { c.RouterLatency = 4 }},
 		{"LinkCyclesScale", func(c *cmp.RunConfig) { c.LinkCyclesScale = 2.0 }},
 		{"Faults.BER", func(c *cmp.RunConfig) { c.Faults.BER = 1e-6 }},
@@ -379,8 +375,8 @@ func TestMetricsSurviveDiskCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Results((&Runner{Jobs: 1, Cache: cache1}).Run([]cmp.RunConfig{cfg}))
-	if err != nil {
+	coldJobs := (&Runner{Jobs: 1, Cache: cache1}).Run([]cmp.RunConfig{cfg})
+	if err := Err(coldJobs); err != nil {
 		t.Fatal(err)
 	}
 	cache2, err := NewDiskCache(dir)
@@ -388,17 +384,17 @@ func TestMetricsSurviveDiskCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	warmJobs := (&Runner{Jobs: 1, Cache: cache2}).Run([]cmp.RunConfig{cfg})
-	warm, err := Results(warmJobs)
-	if err != nil {
+	if err := Err(warmJobs); err != nil {
 		t.Fatal(err)
 	}
 	if !warmJobs[0].Cached {
 		t.Fatal("second run did not hit the disk cache")
 	}
-	if len(warm[0].Metrics) == 0 {
+	cold, warm := coldJobs[0].Result, warmJobs[0].Result
+	if len(warm.Metrics) == 0 {
 		t.Fatal("cached result lost its metrics snapshot")
 	}
-	if !reflect.DeepEqual(cold[0].Metrics, warm[0].Metrics) {
+	if !reflect.DeepEqual(cold.Metrics, warm.Metrics) {
 		t.Fatal("metrics snapshot changed across the disk-cache round trip")
 	}
 }

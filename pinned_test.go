@@ -172,9 +172,9 @@ func pinnedConfigs() []pinnedConfig {
 		{"FFT-perfect", func(c *cmp.RunConfig) { c.Compression = compress.Spec{Kind: "perfect", LowOrderBytes: 2} }},
 		{"FFT-lpw-rp", func(c *cmp.RunConfig) {
 			c.Compression = compress.Spec{Kind: "none"}
-			c.Wiring, c.ReplyPartitioning = "lpw", true
+			c.Wiring = "lpw"
 		}},
-		{"FFT-vlbpw-rp", func(c *cmp.RunConfig) { c.Wiring, c.ReplyPartitioning = "vlbpw", true }},
+		{"FFT-vlbpw-rp", func(c *cmp.RunConfig) { c.Wiring = "vlbpw" }},
 	} {
 		cfg := fft(2000, 500)
 		v.set(&cfg)
