@@ -214,6 +214,11 @@ type System struct {
 	bar   *barrier
 	warm  *barrier
 
+	// prefetch serves the named App's streams (nil with a caller's
+	// Generator). Its producer starts on the first Next in Run and has
+	// exited when Run returns.
+	prefetch *workload.Prefetch
+
 	registry *obs.Registry
 	tracer   *obs.Tracer
 	series   *obs.Series // nil without a series sink
@@ -299,12 +304,18 @@ func NewSystem(cfg RunConfig) (*System, error) {
 		return nil, err
 	}
 	tiles := topo.Tiles()
+	// A caller's generator is used as given; the App built here is
+	// served through rings that a producer goroutine fills ahead of
+	// the simulation once Run starts.
 	gen := cfg.Generator
+	var prefetch *workload.Prefetch
 	if gen == nil {
-		gen, err = workload.NewNamedApp(cfg.App, tiles, cfg.RefsPerCore, cfg.Seed)
+		app, err := workload.NewNamedApp(cfg.App, tiles, cfg.RefsPerCore, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
+		prefetch = workload.NewPrefetch(app)
+		gen = prefetch
 	}
 	codec, err := buildCodec(cfg.Compression, tiles)
 	if err != nil {
@@ -364,7 +375,7 @@ func NewSystem(cfg RunConfig) (*System, error) {
 		net.SetInjector(inj)
 	}
 
-	sys := &System{K: k, Net: net, Meter: meter, cfg: cfg}
+	sys := &System{K: k, Net: net, Meter: meter, cfg: cfg, prefetch: prefetch}
 	// The protocol sends through the manager; the manager delivers back
 	// into the protocol.
 	cohCfg := coherence.DefaultConfig()
@@ -386,6 +397,9 @@ func NewSystem(cfg RunConfig) (*System, error) {
 
 // Run executes the parallel phase to completion and returns the result.
 func (s *System) Run() (Result, error) {
+	if s.prefetch != nil {
+		defer s.prefetch.Stop()
+	}
 	s.running = len(s.cores)
 	for _, c := range s.cores {
 		c.start()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tilesim/internal/compress"
+	"tilesim/internal/workload"
 )
 
 // torus1024Config is the 1024-tile scale cell: FFT on a torus with a
@@ -28,20 +29,40 @@ func torus1024Config() RunConfig {
 // allocates. Per-pair compression state once made this 8.4 M objects;
 // the flat codec keeps setup to the per-tile structures, the dense
 // mesh link table to one object for all links, and each core's random
-// stream lives inside the workload's core state.
+// stream lives inside the workload's core state. Serving the App
+// through the prefetcher costs one more object, the Prefetch: its
+// rings and producer come with the first Next, in Run.
 func TestScaleSetupAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-tile system construction")
 	}
 	cfg := torus1024Config()
-	allocs := testing.AllocsPerRun(1, func() {
-		if _, err := NewSystem(cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
+	build := func(cfg RunConfig) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := NewSystem(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	allocs := build(cfg)
 	t.Logf("NewSystem at 1024 tiles: %.0f allocations", allocs)
 	if allocs >= 14_900 {
 		t.Fatalf("NewSystem at 1024 tiles made %.0f allocations, want < 14900", allocs)
+	}
+	app, err := workload.NewNamedApp(cfg.App, 1024, cfg.RefsPerCore, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appAllocs := testing.AllocsPerRun(5, func() {
+		if _, err := workload.NewNamedApp(cfg.App, 1024, cfg.RefsPerCore, cfg.Seed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	given := cfg
+	given.Generator = app
+	if direct := build(given); allocs != direct+appAllocs+1 {
+		t.Errorf("NewSystem made %.0f allocations, want %.0f: %.0f with the App given, %.0f for the App, 1 for the Prefetch",
+			allocs, direct+appAllocs+1, direct, appAllocs)
 	}
 }
 

@@ -137,6 +137,11 @@ func (p Params) Validate() error {
 	if p.HotFraction > 0 && p.HotBytes < 64 {
 		return fmt.Errorf("workload %s: HotBytes must hold a block", p.Name)
 	}
+	// A compute gap is at most ten times the mean, and Prefetch keeps
+	// it in the 62 bits above an op's kind.
+	if p.ComputeMean > maxComputeMean {
+		return fmt.Errorf("workload %s: ComputeMean must be at most %d", p.Name, maxComputeMean)
+	}
 	// Random and hot-set draws pick a block with stream.Intn, which
 	// implements math/rand's 31-bit path only.
 	for _, size := range []int{p.PrivateBytes, p.SharedBytes, p.HotBytes} {
@@ -146,6 +151,9 @@ func (p Params) Validate() error {
 	}
 	return nil
 }
+
+// maxComputeMean bounds Params.ComputeMean.
+const maxComputeMean = 1 << 40
 
 // Address-space layout: private regions are striped per core well away
 // from each other; the shared region is common; the hot set sits at the

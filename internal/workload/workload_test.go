@@ -253,6 +253,11 @@ func TestParamsValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("single core accepted")
 	}
+	bad = good
+	bad.ComputeMean = maxComputeMean + 1
+	if err := bad.Validate(); err == nil {
+		t.Error("ComputeMean above maxComputeMean accepted")
+	}
 	// stream.Intn serves 31-bit bounds only, so no region may hold
 	// more than 2^31-1 blocks.
 	big := good
