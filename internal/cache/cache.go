@@ -173,9 +173,6 @@ func checkGeometry(cfg Config) int {
 	return sets
 }
 
-// Config returns the geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // BlockOf returns the block address containing addr.
 func (c *Cache) BlockOf(addr uint64) uint64 { return addr &^ uint64(c.cfg.LineBytes-1) }
 

@@ -1,93 +1,47 @@
 package cmp
 
 import (
+	"reflect"
 	"testing"
 
 	"tilesim/internal/compress"
 )
 
-// fingerprint collapses a Result into the quantities that must be
-// bit-identical across same-seed runs: timing, message counts, and
-// energy. Comparing float64 energy with == is deliberate — any
-// nondeterminism (map iteration order, wall-clock leakage, unseeded
-// randomness) perturbs the event interleaving and shows up here.
-type fingerprint struct {
-	execCycles uint64
-	messages   uint64
-	flits      uint64
-	loads      uint64
-	stores     uint64
-	misses     uint64
-	linkDynJ   float64
-	linkStatJ  float64
-	icJ        float64
-}
-
-func fingerprintOf(r Result) fingerprint {
-	return fingerprint{
-		execCycles: r.ExecCycles,
-		messages:   r.Net.TotalMessages(),
-		flits:      r.Net.TotalFlits,
-		loads:      r.Loads,
-		stores:     r.Stores,
-		misses:     r.L1Misses,
-		linkDynJ:   float64(r.Link.DynJ),
-		linkStatJ:  float64(r.Link.StaticJ),
-		icJ:        float64(r.InterconnectJ),
-	}
-}
-
-// TestRunDeterminism is the regression test backing the tilesimvet
-// determinism rules: two runs with the same seed must agree on every
-// cycle, message, and joule; a different seed must actually change the
-// workload. Run under -race this also shakes out data races that could
-// reorder events.
-func TestRunDeterminism(t *testing.T) {
-	cfg := RunConfig{
-		App:           "FFT",
-		RefsPerCore:   300,
-		Seed:          7,
-		Compression:   compress.Spec{Kind: "stride", LowOrderBytes: 2},
-		Heterogeneous: true,
-	}
-
-	run := func(c RunConfig) fingerprint {
-		t.Helper()
-		r, err := Run(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fingerprintOf(r)
-	}
-
-	first := run(cfg)
-	second := run(cfg)
-	if first != second {
-		t.Errorf("same seed diverged:\n  run 1: %+v\n  run 2: %+v", first, second)
-	}
-
-	reseeded := cfg
-	reseeded.Seed = 8
-	other := run(reseeded)
-	if other == first {
-		t.Errorf("different seed produced identical run: %+v", first)
-	}
-}
-
-// TestRunDeterminismBaseline repeats the same-seed check on the
-// baseline wiring so both plane layouts (B-only and VL+B) are covered.
-func TestRunDeterminismBaseline(t *testing.T) {
-	cfg := baselineCfg("Barnes-Hut", 300)
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprintOf(a) != fingerprintOf(b) {
-		t.Errorf("baseline same-seed runs diverged:\n  run 1: %+v\n  run 2: %+v",
-			fingerprintOf(a), fingerprintOf(b))
+// TestSameSeedRunsAreIdentical is the regression test backing the
+// tilesimvet determinism rule: two runs with the same seed must agree
+// on the whole Result, every metric included, and a different seed must
+// change it. The rows cover both plane layouts (B only and VL+B). Run
+// under -race this also shakes out data races that could reorder
+// events.
+func TestSameSeedRunsAreIdentical(t *testing.T) {
+	stride := hetCfg("FFT", 300, compress.Spec{Kind: "stride", LowOrderBytes: 2})
+	stride.Seed = 7
+	for _, c := range []struct {
+		name string
+		cfg  RunConfig
+	}{
+		{"MP3D-baseline", baselineCfg("MP3D", 400)},
+		{"Barnes-Hut-baseline", baselineCfg("Barnes-Hut", 300)},
+		{"FFT-stride-VLB", stride},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(cfg RunConfig) Result {
+				t.Helper()
+				r, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			first := run(c.cfg)
+			if second := run(c.cfg); !reflect.DeepEqual(first, second) {
+				t.Errorf("same-seed runs differ:\n  run 1: %+v\n  run 2: %+v", fingerprintOf(first), fingerprintOf(second))
+			}
+			reseeded := c.cfg
+			reseeded.Seed++
+			if reflect.DeepEqual(run(reseeded), first) {
+				t.Errorf("seeds %d and %d produced identical runs", c.cfg.Seed, reseeded.Seed)
+			}
+		})
 	}
 }

@@ -167,6 +167,37 @@ func TestMetricNamesStableOnEveryBranch(t *testing.T) {
 	}
 }
 
+// fingerprint collapses a Result into the quantities a tracer must not
+// change: timing, message counts and energy. A traced run's whole
+// Result differs by design (its counter poller adds kernel events to
+// sim.events). Comparing float64 energy with == is deliberate: any
+// feedback from observation into timing shows up here.
+type fingerprint struct {
+	execCycles uint64
+	messages   uint64
+	flits      uint64
+	loads      uint64
+	stores     uint64
+	misses     uint64
+	linkDynJ   float64
+	linkStatJ  float64
+	icJ        float64
+}
+
+func fingerprintOf(r Result) fingerprint {
+	return fingerprint{
+		execCycles: r.ExecCycles,
+		messages:   r.Net.TotalMessages(),
+		flits:      r.Net.TotalFlits,
+		loads:      r.Loads,
+		stores:     r.Stores,
+		misses:     r.L1Misses,
+		linkDynJ:   float64(r.Link.DynJ),
+		linkStatJ:  float64(r.Link.StaticJ),
+		icJ:        float64(r.InterconnectJ),
+	}
+}
+
 // TestTracerDoesNotChangeResults attaches a tracer (with its counter
 // poller) and requires the simulation fingerprint to match an
 // untraced run: observation must never feed back into timing.

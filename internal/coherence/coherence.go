@@ -150,9 +150,6 @@ func New(k *sim.Kernel, cfg Config, send Sender) *Protocol {
 // L1 returns tile id's L1 controller.
 func (p *Protocol) L1(id int) *L1Controller { return p.l1s[id] }
 
-// Config returns the protocol configuration.
-func (p *Protocol) Config() Config { return p.cfg }
-
 // Deliver routes an arriving message to the right controller at its
 // destination tile. m is valid only during the call: controllers copy
 // out the fields they keep and never retain the pointer.

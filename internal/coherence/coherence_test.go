@@ -178,7 +178,7 @@ func TestL2RecallMaintainsInclusion(t *testing.T) {
 		t.Fatal("no recall happened; conflict geometry wrong?")
 	}
 	// If the first block was recalled, no L1 may still hold it.
-	if home.L2().Probe(addrs[0]) == nil {
+	if home.l2.Probe(addrs[0]) == nil {
 		for _, tile := range []int{1, 2} {
 			if ts.state(tile, addrs[0]) != cache.Invalid {
 				t.Fatalf("tile %d kept a copy of recalled block", tile)

@@ -149,9 +149,6 @@ func newHomeController(p *Protocol, id int, l2 *cache.Cache) *HomeController {
 	return &HomeController{p: p, id: id, l2: l2}
 }
 
-// L2 exposes the slice array (stats, tests).
-func (h *HomeController) L2() *cache.Cache { return h.l2 }
-
 // at returns the entry that ref names.
 func (h *HomeController) at(ref uint32) *dirEntry {
 	i := ref - 1

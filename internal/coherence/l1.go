@@ -56,9 +56,6 @@ func newL1Controller(p *Protocol, id int, c *cache.Cache) *L1Controller {
 	return l
 }
 
-// Cache exposes the underlying array (read-only use: stats, tests).
-func (l *L1Controller) Cache() *cache.Cache { return l.cache }
-
 // Load performs a read; done runs when the data is available. The L1 hit
 // latency is charged here.
 func (l *L1Controller) Load(addr uint64, done func()) {

@@ -34,13 +34,13 @@ func TestPartialReplyResumesCoreEarly(t *testing.T) {
 		t.Fatal("load never completed")
 	}
 	// The line is not yet installed when the core resumes.
-	if ts.p.L1(2).Cache().Probe(addr) != nil {
+	if ts.p.L1(2).cache.Probe(addr) != nil {
 		t.Fatal("line installed before the slow ordinary reply arrived")
 	}
 	ts.runUntil(nil)
 	installedAt = ts.k.Now()
-	if line := ts.p.L1(2).Cache().Probe(addr); line == nil || line.State() != cache.Exclusive {
-		t.Fatalf("line not installed E after drain: %v", ts.p.L1(2).Cache().Probe(addr))
+	if line := ts.p.L1(2).cache.Probe(addr); line == nil || line.State() != cache.Exclusive {
+		t.Fatalf("line not installed E after drain: %v", ts.p.L1(2).cache.Probe(addr))
 	}
 	if installedAt <= resumedAt {
 		t.Fatalf("install at %d not after resume at %d", installedAt, resumedAt)

@@ -77,12 +77,6 @@ func (d *DBRC) Name() string {
 	return fmt.Sprintf("%d-entry DBRC (%dB LO)", d.entries, d.loBytes)
 }
 
-// Entries returns the compression-cache entry count.
-func (d *DBRC) Entries() int { return d.entries }
-
-// LowOrderBytes returns the uncompressed low-order byte count.
-func (d *DBRC) LowOrderBytes() int { return d.loBytes }
-
 // CompressedPayloadBytes implements Codec.
 func (d *DBRC) CompressedPayloadBytes() int { return d.loBytes }
 

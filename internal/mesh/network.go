@@ -318,7 +318,8 @@ func New(k *sim.Kernel, cfg Config, obs Observer) *Network {
 	}
 	topo := cfg.Topo
 	nodes := topo.Nodes()
-	links := topo.Links()
+	xs, ys := topo.axis(topo.w), topo.axis(topo.h)
+	links := topo.links(xs.next, ys.next)
 	n := &Network{
 		k:        k,
 		topo:     topo,
@@ -346,23 +347,19 @@ func New(k *sim.Kernel, cfg Config, obs Observer) *Network {
 	for id, l := range links {
 		n.links[id] = link{from: l.From, to: l.To, id: l.From*nodes + l.To}
 	}
-	n.buildRoutes()
+	n.buildRoutes(xs, ys)
 	return n
 }
 
-// buildRoutes fills the routing tables from the topology's route rule,
-// its tile attachment and its links: w*w + h*h steps, one position per
-// tile, then one write per link. Port p of a router on an axis leads
-// to its p-th coordinate one Step away, ascending, so every link has a
-// port.
-func (n *Network) buildRoutes() {
-	w, h := n.topo.Width(), n.topo.Height()
-	n.w, n.h = int32(w), int32(h)
-	xs, ys := n.topo.axisNext(w), n.topo.axisNext(h)
-	var portsY int32
-	n.stepX, n.portsX = axisSteps(n.topo, xs)
-	n.stepY, portsY = axisSteps(n.topo, ys)
-	n.stride = n.portsX + portsY
+// buildRoutes fills the routing tables from the topology's route rule
+// tabulated on each axis, its tile attachment and its links: one
+// position per tile, then one write per link. Port p of a router on an
+// axis leads to its p-th coordinate one Step away, ascending, so every
+// link has a port.
+func (n *Network) buildRoutes(xs, ys axisTable) {
+	n.w, n.h = int32(n.topo.Width()), int32(n.topo.Height())
+	n.stepX, n.portsX = xs.steps, xs.width
+	n.stepY, n.stride = ys.steps, xs.width+ys.width
 	n.out = make([]int32, n.nodes*int(n.stride))
 	for i := range n.out {
 		n.out[i] = -1
@@ -371,11 +368,14 @@ func (n *Network) buildRoutes() {
 	for tile := range n.tileAt {
 		n.tileAt[tile] = n.posOf(n.topo.NodeOf(tile))
 	}
+	// The loop reads the lists through locals: through xs and ys, the
+	// 1024-tile slim network (63,488 links) built about 4% slower.
+	xn, yn := xs.next, ys.next
 	for id, l := range n.links {
 		from, to := n.posOf(l.from), n.posOf(l.to)
-		port, _ := slices.BinarySearch(xs[from.x], int(to.x))
+		port, _ := slices.BinarySearch(xn[from.x], int(to.x))
 		if from.y != to.y {
-			port, _ = slices.BinarySearch(ys[from.y], int(to.y))
+			port, _ = slices.BinarySearch(yn[from.y], int(to.y))
 			port += int(n.portsX)
 		}
 		n.out[l.from*int(n.stride)+port] = int32(id)
@@ -390,32 +390,6 @@ const maxAxisPorts = 255
 // maxRouters bounds a topology's routers so that the link table, at
 // most 2*maxAxisPorts entries per router, stays indexable by int32.
 const maxRouters = math.MaxInt32 / (2 * maxAxisPorts)
-
-// axisSteps tabulates a topology's Step rule on an axis whose
-// coordinate c reaches the coordinates next[c] in one Step. Entry
-// from*n+to of steps is s<<8 | port: s is the coordinate after from on
-// the way to to (from itself, port 0, when the two are equal), and
-// port is s's index in next[from]. width is the most ports any
-// coordinate has.
-func axisSteps(t Topology, next [][]int) (steps []int32, width int32) {
-	n := len(next)
-	steps = make([]int32, n*n)
-	for from, reach := range next {
-		if len(reach) > maxAxisPorts {
-			panic(fmt.Sprintf("mesh: coordinate %d of a %d-router axis needs more than %d ports", from, n, maxAxisPorts))
-		}
-		width = max(width, int32(len(reach)))
-		for to := range n {
-			s, port := from, 0
-			if to != from {
-				s = t.Step(from, to, n)
-				port, _ = slices.BinarySearch(reach, s)
-			}
-			steps[from*n+to] = int32(s<<8 | port)
-		}
-	}
-	return steps, width
-}
 
 // pos is a router's grid position: router y*w+x.
 type pos struct{ x, y int32 }

@@ -93,7 +93,7 @@ func TestPanicPaths(t *testing.T) {
 				// A 257-router slim row links every router to 256 others;
 				// NewTopology refuses it, so build the value directly.
 				slim := Topology{name: "slim", w: 257, h: 2, conc: 1}
-				axisSteps(slim, slim.axisNext(257))
+				slim.axis(257)
 			},
 		},
 		{

@@ -151,7 +151,11 @@ func (t Topology) axisHops(a, b, n int) int {
 // row or its column. Per-link channel state, per-link metrics and the
 // static wire inventory all follow this order.
 func (t Topology) Links() []Link {
-	xs, ys := t.axisNext(t.w), t.axisNext(t.h)
+	return t.links(t.axis(t.w).next, t.axis(t.h).next)
+}
+
+// links is Links from each axis's one-Step lists (axisTable.next).
+func (t Topology) links(xs, ys [][]int) []Link {
 	var ls []Link
 	for from := range t.Nodes() {
 		x, y := from%t.w, from/t.w
@@ -172,18 +176,33 @@ func (t Topology) Links() []Link {
 	return ls
 }
 
-// axisNext lists, for each coordinate of an axis of n routers, the
-// coordinates one Step away in ascending order: n*n Step calls and no
-// sort. The lists share one backing array.
-func (t Topology) axisNext(n int) [][]int {
-	next := make([][]int, n)
+// axisTable is a topology's Step rule tabulated on an axis of n
+// routers. next[c] lists the coordinates one Step from c, ascending,
+// and the lists share one backing array. Entry from*n+to of steps is
+// s<<8 | port: s is the coordinate after from on the way to to (from
+// itself, port 0, when the two are equal), and port is s's index in
+// next[from]. width is the most ports any coordinate has.
+type axisTable struct {
+	next  [][]int
+	steps []int32
+	width int32
+}
+
+// axis tabulates t's Step rule on an axis of n routers: n*(n-1) Step
+// calls and no sort.
+func (t Topology) axis(n int) axisTable {
+	a := axisTable{next: make([][]int, n), steps: make([]int32, n*n)}
 	reached := make([]bool, n)
 	flat := make([]int, 0, n*n)
-	for from := range next {
+	for from := range n {
+		row := a.steps[from*n:][:n]
 		for to := range n {
+			s := from
 			if to != from {
-				reached[t.Step(from, to, n)] = true
+				s = t.Step(from, to, n)
+				reached[s] = true
 			}
+			row[to] = int32(s)
 		}
 		start := len(flat)
 		for c, ok := range reached {
@@ -192,9 +211,20 @@ func (t Topology) axisNext(n int) [][]int {
 				reached[c] = false
 			}
 		}
-		next[from] = flat[start:len(flat):len(flat)]
+		reach := flat[start:len(flat):len(flat)]
+		if len(reach) > maxAxisPorts {
+			panic(fmt.Sprintf("mesh: coordinate %d of a %d-router axis needs more than %d ports", from, n, maxAxisPorts))
+		}
+		a.next[from], a.width = reach, max(a.width, int32(len(reach)))
+		for to, s := range row {
+			port := 0
+			if to != from {
+				port, _ = slices.BinarySearch(reach, int(s))
+			}
+			row[to] = s<<8 | int32(port)
+		}
 	}
-	return next
+	return a
 }
 
 // AppendRoute appends t's route from router src to router dst to buf

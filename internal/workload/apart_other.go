@@ -3,10 +3,10 @@
 package workload
 
 // cpuMask stands in for a CPU mask: only on Linux on amd64 does the
-// producer place its thread.
+// producer place its thread, and so only there does a producer run.
 type cpuMask struct{}
 
-// otherCPUs reports no other CPU.
+// otherCPUs reports no other CPU, so Prefetch starts no producer.
 func otherCPUs() (cpuMask, bool) { return cpuMask{}, false }
 
 // runOn does nothing here.

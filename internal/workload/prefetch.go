@@ -16,18 +16,20 @@ import (
 // (DESIGN.md §16.7).
 //
 // The caller never parks on the producer. Next pops a published op;
-// when the core's ring is empty and the token is free it fills the
-// ring itself, one batch or, while the producer naps, all of it, and
-// pops from that; once no producer runs, nor will, it calls App.Next
-// itself. Only while the producer holds the token, which it does for
-// one batch at most, does Next spin, yielding after a while.
+// when the core's ring is empty and the token is free it fills one
+// batch itself and pops from that; once no producer runs, nor will, it
+// calls App.Next itself. Only while the producer holds the token, which
+// it does for one batch at most, does Next spin, yielding after a
+// while.
 //
-// The producer starts on the first Next, unless a ring holds less than
-// a batch or the process already runs as many simulations as it has
-// spare CPUs, and allocates nothing after it starts; Stop ends it.
-// While it runs apart, the caller's goroutine stays locked to its
-// thread (runtime.LockOSThread), so Next and Stop are for one
-// goroutine, like App.Next.
+// The producer starts on the first Next only where it can run on a CPU
+// of its own: each ring holds a batch, the process runs no more
+// simulations than it has spare CPUs, there is more than one P, and the
+// caller's thread may run on another CPU than its own (Linux on amd64).
+// Anywhere else the caller generates every op. The producer allocates
+// nothing after it starts; Stop ends it. While it runs, the caller's
+// goroutine stays locked to its thread (runtime.LockOSThread), so Next
+// and Stop are for one goroutine, like App.Next.
 type Prefetch struct {
 	app    *App
 	budget int // bytes for all rings together
@@ -45,7 +47,6 @@ type Prefetch struct {
 	locked  bool        // start locked the caller to its thread
 	stop    atomic.Bool // Stop asks the producer to exit
 	exited  atomic.Bool // no producer runs
-	resting atomic.Bool // the producer naps, has exited, or never started
 }
 
 // live counts the Prefetches in the process between their first Next
@@ -75,31 +76,26 @@ const ringBytes = 32 << 10
 const maxBatch = 16
 
 // spinsBeforeYield is how many times Next retries a core whose token
-// the producer holds before it yields each retry: with GOMAXPROCS=1
-// the producer finishes its batch only once the caller yields.
+// the producer holds before it yields each retry: the producer's
+// thread may be descheduled mid-batch, and a caller that only spun
+// would hold its P, and its CPU, until that thread ran again.
 const spinsBeforeYield = 1024
 
-// napAfter is how many passes in a row the producer finds nothing to
-// fill before it naps: a goroutine that only polls keeps its thread on
-// a CPU, which the simulation may need. On a CPU of its own it polls
-// for napAfterApart core checks instead, about 0.3 ms at 16 cores: a
-// nap lets the rings run dry, and a simulation that pauses for longer
-// than a few hundred passes is common. A nap sleeps for nap, which an
-// idle Go runtime rounds up to its timer resolution (about a
-// millisecond on Linux); Stop waits for at most one. After retireAfter
-// naps in a row with no pop while the producer was awake, the two take
-// turns on one CPU, and the producer retires.
+// napAfter is how many core checks in a row the producer finds nothing
+// to fill before it naps, about 0.3 ms at 16 cores: a nap lets the
+// rings run dry, and a simulation that pauses for longer than a few
+// hundred passes is common. A nap sleeps for nap, which an idle Go
+// runtime rounds up to its timer resolution (about a millisecond on
+// Linux); Stop waits for at most one.
 const (
-	napAfter      = 256
-	napAfterApart = 1 << 16
-	nap           = 50 * time.Microsecond
-	retireAfter   = 4
+	napAfter = 1 << 16
+	nap      = 50 * time.Microsecond
 )
 
 // ringShared is the part of a core's ring both sides touch, alone on
 // its cache line.
 type ringShared struct {
-	// head counts the ops the caller popped, published every batch.
+	// head counts the ops the caller has taken, published every batch.
 	head atomic.Uint64
 	// tail counts the ops published into the ring, by either side.
 	tail atomic.Uint64
@@ -109,7 +105,7 @@ type ringShared struct {
 }
 
 // cursor is one side's private copy of a ring's counters: for the
-// caller, where it has popped to and the last tail it read; for the
+// caller, how many ops it has taken and the last tail it read; for the
 // producer, the last head and tail it read or published. For the
 // producer, ended marks a stream it saw end; for the caller, alone marks
 // a tail that no producer will move again.
@@ -176,7 +172,8 @@ func ringShift(budget, cores int) uint {
 	return shift
 }
 
-// start allocates empty rings and, with produce, starts the producer.
+// start allocates empty rings and, with produce, starts the producer
+// where it can run on a CPU of its own (see Prefetch).
 func (f *Prefetch) start(produce bool) {
 	cores := len(f.app.cores)
 	f.shift = ringShift(f.budget, cores)
@@ -189,22 +186,22 @@ func (f *Prefetch) start(produce bool) {
 	f.counted, f.locked = true, false
 	f.stop.Store(false)
 	f.exited.Store(true)
-	f.resting.Store(true)
-	if spare := spareCPUs(); live.Add(1) <= spare && produce {
-		var others cpuMask
-		if runtime.GOMAXPROCS(0) > 1 {
-			// Locked, the caller keeps its thread and so its CPU, which
-			// the producer's thread then avoids. Unlocked, it could
-			// resume on another thread that sits on the producer's CPU.
-			runtime.LockOSThread()
-			if others, f.locked = otherCPUs(); !f.locked {
-				runtime.UnlockOSThread()
-			}
-		}
-		f.exited.Store(false)
-		f.resting.Store(false)
-		go f.produce(others, f.locked, spare)
+	spare := spareCPUs()
+	if live.Add(1) > spare || !produce || runtime.GOMAXPROCS(0) < 2 {
+		return
 	}
+	// Locked, the caller keeps its thread and so its CPU, which the
+	// producer's thread then avoids. Unlocked, it could resume on another
+	// thread that sits on the producer's CPU.
+	runtime.LockOSThread()
+	others, ok := otherCPUs()
+	if !ok {
+		runtime.UnlockOSThread()
+		return
+	}
+	f.locked = true
+	f.exited.Store(false)
+	go f.produce(others, spare)
 }
 
 // Stop ends the producer and returns once it has exited. The rings
@@ -276,14 +273,9 @@ func (f *Prefetch) refill(core int, c *cursor) (Op, bool) {
 			// what it published last is visible now and comes first.
 			if c.tail = sh.tail.Load(); c.tail == c.head {
 				// The ring is empty: publish the head so that the
-				// producer sees all of it free, and fill it, all of it
-				// while the producer naps.
-				n := f.batch
-				if f.resting.Load() {
-					n = f.mask + 1
-				}
+				// producer sees all of it free, and fill one batch.
 				sh.head.Store(c.head)
-				c.tail, _ = f.generate(core, c.head, n)
+				c.tail, _ = f.generate(core, c.head, f.batch)
 				sh.tail.Store(c.tail)
 			}
 			sh.token.Store(0)
@@ -299,37 +291,28 @@ func (f *Prefetch) refill(core int, c *cursor) (Op, bool) {
 }
 
 // produce fills rings, one batch per core and pass, until every stream
-// has ended, Stop asks it to exit, more than spare simulations run in
-// the process, or the caller popped nothing while it was awake
-// retireAfter times in a row. A pass that fills nothing polls again
-// (yielding, unless apart); after napAfter such passes in a row
-// (napAfterApart core checks, apart) the producer naps.
+// has ended, Stop asks it to exit, or more than spare simulations run
+// in the process. A pass that fills nothing polls again at once; after
+// napAfter core checks that filled nothing, the producer naps.
 //
-// With place, the caller is locked to its thread, and the producer
-// first moves its own thread to others, the CPUs but the caller's: a
-// host that does not balance load between CPUs otherwise keeps a new
-// thread on the CPU of the thread that made it, where the two would
-// take turns. Once apart, an idle pass does not yield: a locked
-// goroutine that yields hands its P to another thread and wakes its own
-// again, and those threads may run on the caller's CPU.
-func (f *Prefetch) produce(others cpuMask, place bool, spare int32) {
+// The caller is locked to its thread, and the producer first moves its
+// own thread to others, the CPUs but the caller's: a host that does not
+// balance load between CPUs otherwise keeps a new thread on the CPU of
+// the thread that made it, where the two would take turns. If it
+// cannot, it exits, and the caller generates on its own. An idle pass
+// does not yield: a locked goroutine that yields hands its P to another
+// thread and wakes its own again, and those threads may run on the
+// caller's CPU.
+func (f *Prefetch) produce(others cpuMask, spare int32) {
 	defer f.exited.Store(true)
-	defer f.resting.Store(true)
-	apart := false
-	if place {
-		// Apart, the goroutine exits locked, which ends the thread and
-		// its CPU restriction with it.
-		runtime.LockOSThread()
-		if apart = runOn(others); !apart {
-			runtime.UnlockOSThread()
-		}
+	// The goroutine exits locked, which ends the thread and its CPU
+	// restriction with it.
+	runtime.LockOSThread()
+	if !runOn(others) {
+		return
 	}
-	idleLimit := napAfter
-	if apart {
-		idleLimit = max(napAfter, napAfterApart/len(f.prod))
-	}
-	idle, unpopped, popped := 0, 0, f.popped()
-	for !f.stop.Load() && live.Load() <= spare {
+	idleLimit := napAfter / len(f.prod)
+	for idle := 0; !f.stop.Load() && live.Load() <= spare; {
 		open, filled := false, false
 		for core := range f.prod {
 			p := &f.prod[core]
@@ -348,34 +331,10 @@ func (f *Prefetch) produce(others cpuMask, place bool, spare int32) {
 			idle = 0
 		case idle < idleLimit:
 			idle++
-			if !apart {
-				runtime.Gosched()
-			}
 		default:
-			// Nothing popped while the producer was awake, retireAfter
-			// times in a row: the two take turns on one CPU, where the
-			// producer only delays the caller, which generates on its
-			// own from here on.
-			if unpopped++; f.popped() != popped {
-				unpopped = 0
-			} else if unpopped == retireAfter {
-				return
-			}
-			f.resting.Store(true)
 			time.Sleep(nap)
-			f.resting.Store(false)
-			popped = f.popped()
 		}
 	}
-}
-
-// popped sums the heads the caller has published.
-func (f *Prefetch) popped() uint64 {
-	var n uint64
-	for i := range f.shared {
-		n += f.shared[i].head.Load()
-	}
-	return n
 }
 
 // free is the room in a core's ring as far as the producer knows,

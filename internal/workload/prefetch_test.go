@@ -30,7 +30,9 @@ func streams(t *testing.T, name string, cores, refs int, seed int64) [][]Op {
 // prefetchRegimes start a Prefetch four ways: the producer never runs,
 // so the caller generates every op; the producer fills every ring
 // before the first pop; every ring holds one op; and the producer runs
-// free beside the caller.
+// free beside the caller. The last three start a producer only where
+// one can run on a CPU of its own (more than one P, Linux on amd64);
+// elsewhere they too read what the caller generates.
 var prefetchRegimes = []struct {
 	name  string
 	ring1 bool // a budget of one slot per core
@@ -123,6 +125,51 @@ func TestPrefetchStreamsMatchApp(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestNoProducerAtOneP requires that at GOMAXPROCS=1, where a producer
+// could only take turns with the simulation, the first Next starts no
+// goroutine and the caller generates on its own.
+func TestNoProducerAtOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	app, err := NewNamedApp("FFT", 16, 300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewPrefetch(app)
+	defer f.Stop()
+	before := runtime.NumGoroutine()
+	if _, ok := f.Next(0); !ok {
+		t.Fatal("core 0's stream is empty")
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("first Next: %d goroutines, %d before", n, before)
+	}
+	if !f.exited.Load() {
+		t.Error("a producer runs at GOMAXPROCS=1")
+	}
+}
+
+// TestProducerStartsWhereItCanBePlaced requires the first Next to
+// start a producer where one can run on a CPU of its own: on Linux on
+// amd64, with more than one P and more than one CPU. No other test
+// fails when none ever starts.
+func TestProducerStartsWhereItCanBePlaced(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" || runtime.GOMAXPROCS(0) < 2 || runtime.NumCPU() < 2 {
+		t.Skip("no CPU of its own for a producer here")
+	}
+	app, err := NewNamedApp("FFT", 16, 300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewPrefetch(app)
+	defer f.Stop()
+	if _, ok := f.Next(0); !ok {
+		t.Fatal("core 0's stream is empty")
+	}
+	if !f.locked {
+		t.Error("the first Next started no producer")
 	}
 }
 

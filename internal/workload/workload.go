@@ -205,9 +205,6 @@ func NewApp(p Params) (*App, error) {
 // Name implements Generator.
 func (a *App) Name() string { return a.p.Name }
 
-// Params returns the configuration.
-func (a *App) Params() Params { return a.p }
-
 // Reset implements Generator.
 func (a *App) Reset() {
 	a.cores = make([]coreState, a.p.Cores)
