@@ -17,13 +17,15 @@ package tilesim
 //
 // The alloc-gate CI job runs the root package without -race, so these
 // four tests run there with TestPinnedResults. After a deliberate
-// allocation change, re-measure the gates with
+// allocation change, re-measure the 16-tile gate on the path it
+// measures, one P with no workload producer, with
 //
-//	go test -run '^$' -bench 'AllocGate$' -benchtime 5x -benchmem .
+//	go test -count=1 -run '^TestAllocGate$' -v .
 //
-// and the slope with `go test -run '^TestAllocSlope$' -v .`, then
-// update the measured_* fields. A ceiling rises only with the measured
-// result that justifies it.
+// the scale gate with `go test -run '^$' -bench 'ScaleAllocGate$'
+// -benchtime 5x -benchmem .` and the slope with `go test -run
+// '^TestAllocSlope$' -v .`, then update the measured_* fields. A
+// ceiling rises only with the measured result that justifies it.
 
 import (
 	"encoding/json"

@@ -16,6 +16,7 @@ import (
 	"tilesim/internal/cmp"
 	"tilesim/internal/compress"
 	"tilesim/internal/figures"
+	"tilesim/internal/noc"
 	"tilesim/internal/obs"
 	"tilesim/internal/sweep"
 	"tilesim/internal/wire"
@@ -68,24 +69,12 @@ func BenchmarkTable3VLWires(b *testing.B) {
 func BenchmarkFigure2Coverage(b *testing.B) {
 	var dbrc4, stride1 float64
 	for i := 0; i < b.N; i++ {
-		results, _, err := figures.Figure2(nil, benchScale())
+		cells, _, err := figures.Figure2(nil, benchScale())
 		if err != nil {
 			b.Fatal(err)
 		}
-		var nD, nS int
-		dbrc4, stride1 = 0, 0
-		for _, r := range results {
-			switch r.Scheme {
-			case "4-entry DBRC (2B LO)":
-				dbrc4 += r.Coverage
-				nD++
-			case "1-byte Stride":
-				stride1 += r.Coverage
-				nS++
-			}
-		}
-		dbrc4 /= float64(nD)
-		stride1 /= float64(nS)
+		dbrc4 = figures.Average(cells, "4-entry DBRC (2B LO)", coverage)
+		stride1 = figures.Average(cells, "1-byte Stride", coverage)
 	}
 	b.ReportMetric(dbrc4, "avg-coverage/4entryDBRC-2B")
 	b.ReportMetric(stride1, "avg-coverage/1B-stride")
@@ -94,55 +83,63 @@ func BenchmarkFigure2Coverage(b *testing.B) {
 func BenchmarkFigure5MessageMix(b *testing.B) {
 	var reqRsp, repl float64
 	for i := 0; i < b.N; i++ {
-		results, _, err := figures.Figure5(nil, benchScale())
+		cells, _, err := figures.Figure5(nil, benchScale())
 		if err != nil {
 			b.Fatal(err)
 		}
-		reqRsp, repl = 0, 0
-		for _, m := range results {
-			reqRsp += m.Fraction[0] + m.Fraction[1]
-			repl += m.Fraction[4]
-		}
-		reqRsp /= float64(len(results))
-		repl /= float64(len(results))
+		reqRsp = figures.Average(cells, "baseline", func(c figures.Cell) float64 {
+			return classShare(c, noc.ClassRequest) + classShare(c, noc.ClassResponse)
+		})
+		repl = figures.Average(cells, "baseline", func(c figures.Cell) float64 {
+			return classShare(c, noc.ClassReplacement)
+		})
 	}
 	b.ReportMetric(reqRsp, "avg-frac/requests+responses")
 	b.ReportMetric(repl, "avg-frac/replacements")
 }
 
+// coverage selects a cell's compression coverage.
+func coverage(c figures.Cell) float64 { return c.Coverage }
+
+// classShare is one message class's share of a cell's interconnect
+// messages.
+func classShare(c figures.Cell, class noc.Class) float64 {
+	return float64(c.Net.Messages[class]) / float64(c.Net.TotalMessages())
+}
+
 // figure67 runs the shared Figure 6/7 sweep once per iteration and
 // reports the requested averages.
-func figure67(b *testing.B, report func([]figures.Figure67Result)) {
+func figure67(b *testing.B, report func([]figures.Cell)) {
 	b.Helper()
-	var results []figures.Figure67Result
+	var cells []figures.Cell
 	for i := 0; i < b.N; i++ {
 		var err error
-		results, err = figures.Figure67(nil, benchScale())
+		cells, err = figures.Figure67(nil, benchScale())
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	report(results)
+	report(cells)
 }
 
 func BenchmarkFigure6ExecutionTime(b *testing.B) {
-	figure67(b, func(results []figures.Figure67Result) {
-		b.ReportMetric(figures.Average(results, "4-entry DBRC (2B LO)", figures.NormTime), "norm-time/4entryDBRC-2B")
-		b.ReportMetric(figures.Average(results, "perfect (2B LO)", figures.NormTime), "norm-time/perfect-2B")
+	figure67(b, func(cells []figures.Cell) {
+		b.ReportMetric(figures.Average(cells, "4-entry DBRC (2B LO)", figures.NormTime), "norm-time/4entryDBRC-2B")
+		b.ReportMetric(figures.Average(cells, "perfect (2B LO) [line]", figures.NormTime), "norm-time/perfect-2B")
 	})
 }
 
 func BenchmarkFigure6LinkED2P(b *testing.B) {
-	figure67(b, func(results []figures.Figure67Result) {
-		b.ReportMetric(figures.Average(results, "4-entry DBRC (2B LO)", figures.NormLinkED2P), "norm-linkED2P/4entryDBRC-2B")
-		b.ReportMetric(figures.Average(results, "2-byte Stride", figures.NormLinkED2P), "norm-linkED2P/2B-stride")
+	figure67(b, func(cells []figures.Cell) {
+		b.ReportMetric(figures.Average(cells, "4-entry DBRC (2B LO)", figures.NormLinkED2P), "norm-linkED2P/4entryDBRC-2B")
+		b.ReportMetric(figures.Average(cells, "2-byte Stride", figures.NormLinkED2P), "norm-linkED2P/2B-stride")
 	})
 }
 
 func BenchmarkFigure7FullCMPED2P(b *testing.B) {
-	figure67(b, func(results []figures.Figure67Result) {
-		b.ReportMetric(figures.Average(results, "4-entry DBRC (2B LO)", figures.NormChipED2P), "norm-chipED2P/4entryDBRC-2B")
-		b.ReportMetric(figures.Average(results, "64-entry DBRC (2B LO)", figures.NormChipED2P), "norm-chipED2P/64entryDBRC-2B")
+	figure67(b, func(cells []figures.Cell) {
+		b.ReportMetric(figures.Average(cells, "4-entry DBRC (2B LO)", figures.NormChipED2P), "norm-chipED2P/4entryDBRC-2B")
+		b.ReportMetric(figures.Average(cells, "64-entry DBRC (2B LO)", figures.NormChipED2P), "norm-chipED2P/64entryDBRC-2B")
 	})
 }
 

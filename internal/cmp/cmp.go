@@ -382,8 +382,7 @@ func NewSystem(cfg RunConfig) (*System, error) {
 	cohCfg.Tiles = tiles
 	cohCfg.ReplyPartitioning = cfg.replyPartitioning()
 	sys.Proto = coherence.New(k, cohCfg, func(m noc.Message) { sys.Mgr.Send(&m) })
-	sys.Mgr = core.New(k, net, core.Config{Codec: codec, VLWidthBytes: vlWidth}, meter,
-		func(m *noc.Message) { sys.Proto.Deliver(m) })
+	sys.Mgr = core.New(k, net, codec, meter, func(m *noc.Message) { sys.Proto.Deliver(m) })
 
 	sys.bar = newBarrier(tiles)
 	sys.warm = newBarrier(tiles)

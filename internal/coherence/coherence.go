@@ -47,17 +47,10 @@ import (
 // queueing.
 type Sender func(noc.Message)
 
-// Config parameterizes the protocol timing (paper Table 4).
+// Config parameterizes the protocol; its latencies are the constants
+// of dispatch.go (paper Table 4).
 type Config struct {
 	Tiles int
-	// L1HitCycles is the L1 access latency.
-	L1HitCycles int
-	// L2TagCycles is the directory/tag access at the home.
-	L2TagCycles int
-	// L2DataCycles is the additional data-array access for replies.
-	L2DataCycles int
-	// MemCycles is the off-chip access latency.
-	MemCycles int
 	// MSHRs is the per-L1 miss-register count (demand misses plus
 	// writeback buffer entries).
 	MSHRs int
@@ -67,17 +60,9 @@ type Config struct {
 	ReplyPartitioning bool
 }
 
-// DefaultConfig returns the paper's 16-tile configuration: L1 2 cycles,
-// L2 6+2 cycles, memory 400 cycles.
+// DefaultConfig returns the paper's 16-tile configuration.
 func DefaultConfig() Config {
-	return Config{
-		Tiles:        16,
-		L1HitCycles:  2,
-		L2TagCycles:  2,
-		L2DataCycles: 6,
-		MemCycles:    400,
-		MSHRs:        8,
-	}
+	return Config{Tiles: 16, MSHRs: 8}
 }
 
 // HomePageShift sets the home-interleaving granularity: 4 KB pages.

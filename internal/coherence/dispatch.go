@@ -14,20 +14,33 @@ import (
 	"tilesim/internal/sim"
 )
 
+// The protocol's latencies in cycles (paper Table 4: L1 2 cycles, L2
+// 6+2 cycles, memory 400 cycles). The retry delays beside them in
+// initQueues are the model's own.
+const (
+	// L1HitCycles is the L1 access latency.
+	L1HitCycles = 2
+	// L2TagCycles is the directory/tag access at the home.
+	L2TagCycles = 2
+	// L2DataCycles is the additional data-array access for replies.
+	L2DataCycles = 6
+	// MemCycles is the off-chip access latency.
+	MemCycles = 400
+)
+
 // initQueues builds the Protocol's step queues, each routing its
 // records to the owning controller.
 func (p *Protocol) initQueues() {
-	k, cfg := p.k, p.cfg
-	hit := sim.Time(cfg.L1HitCycles)
-	p.accessQ = sim.NewDelayQueue(k, hit, func(a *l1Access) { p.l1s[a.tile].dispatchAccess(a) })
+	k := p.k
+	p.accessQ = sim.NewDelayQueue(k, L1HitCycles, func(a *l1Access) { p.l1s[a.tile].dispatchAccess(a) })
 	p.retryQ = sim.NewDelayQueue(k, 4, func(r *l1Retry) { p.l1s[r.tile].dispatchRetry(r) })
-	p.fwdQ = sim.NewDelayQueue(k, hit, func(r *l1FwdReply) { p.l1s[r.tile].dispatchFwdReply(r) })
-	p.tagQ = sim.NewDelayQueue(k, sim.Time(cfg.L2TagCycles), func(r *homeReq) { p.homeOf(r.block).dispatchTag(r) })
+	p.fwdQ = sim.NewDelayQueue(k, L1HitCycles, func(r *l1FwdReply) { p.l1s[r.tile].dispatchFwdReply(r) })
+	p.tagQ = sim.NewDelayQueue(k, L2TagCycles, func(r *homeReq) { p.homeOf(r.block).dispatchTag(r) })
 	fill := func(f *homeFill) { p.homeOf(f.block).fillL2(f.block) }
-	p.fillQ = sim.NewDelayQueue(k, sim.Time(cfg.MemCycles), fill)
+	p.fillQ = sim.NewDelayQueue(k, MemCycles, fill)
 	p.fillRetryQ = sim.NewDelayQueue(k, 8, fill)
 	send := func(m *noc.Message) { p.send(*m) }
-	p.sendAfterData = sim.NewDelayQueue(k, sim.Time(cfg.L2DataCycles), send)
+	p.sendAfterData = sim.NewDelayQueue(k, L2DataCycles, send)
 	p.sendAfterFill = sim.NewDelayQueue(k, 0, send)
 }
 

@@ -154,7 +154,7 @@ func (ts *testSystem) interconnect(r rig, tiles int) func(noc.Message) {
 	case "vlbpw":
 		cfg, errL = mesh.LayoutVLBPW(vl)
 	case "lpw":
-		cfg, spec, vl = mesh.LayoutLPW(), compress.Spec{Kind: "none"}, noc.ShortMax
+		cfg, spec = mesh.LayoutLPW(), compress.Spec{Kind: "none"}
 	}
 	codec, errC := spec.Build(tiles)
 	inj, errF := fault.NewInjector(r.faults, r.seed)
@@ -166,7 +166,7 @@ func (ts *testSystem) interconnect(r rig, tiles int) func(noc.Message) {
 	if r.faults.Enabled() {
 		ts.net.SetInjector(inj)
 	}
-	mgr := core.New(ts.k, ts.net, core.Config{Codec: codec, VLWidthBytes: vl}, nil, ts.deliver)
+	mgr := core.New(ts.k, ts.net, codec, nil, ts.deliver)
 	return func(m noc.Message) {
 		mgr.Send(&m)
 		if m.Src != m.Dst {
@@ -253,7 +253,7 @@ func (ts *testSystem) noteSend(m *noc.Message) {
 		case m.Type == noc.FwdGetX:
 			ts.fwdX[m.Txn] = true
 		case m.Type == noc.Data && req == noc.GetS:
-			if granted := ts.k.Now() - sim.Time(ts.p.cfg.L2DataCycles); r.cleared <= granted {
+			if granted := ts.k.Now() - L2DataCycles; r.cleared <= granted {
 				ts.addSharer(b, r, m.Dst)
 			}
 		case m.Type != noc.DataExclusive:

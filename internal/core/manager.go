@@ -40,24 +40,17 @@ import (
 	"tilesim/internal/stats"
 )
 
-// Config parameterizes the message manager.
-type Config struct {
-	// Codec is the address-compression scheme (NewNone() for the
-	// baseline).
-	Codec compress.Codec
-	// VLWidthBytes is the VL-Wire channel width (3, 4 or 5); 0 means no
-	// VL plane (baseline interconnect).
-	VLWidthBytes int
-}
-
 // LocalCycles is the latency of a tile-internal L1<->L2 hop.
 const LocalCycles sim.Time = 1
 
 // Manager is the per-chip message management unit.
 type Manager struct {
 	net   *mesh.Network
-	cfg   Config
-	meter *energy.Meter // may be nil
+	codec compress.Codec
+	// vlWidth is the network's VL channel width in bytes (3, 4 or 5 on
+	// VL+B layouts, 11 for L+PW's L wires); 0 means no VL plane.
+	vlWidth int
+	meter   *energy.Meter // may be nil
 	// deliver hands arrived messages to the protocol.
 	deliver func(*noc.Message)
 
@@ -82,28 +75,23 @@ type Manager struct {
 	FailoverMsgs stats.Counter
 }
 
-// New wires a manager between the protocol and the network. deliver is
-// the protocol's Deliver. meter may be nil.
-func New(k *sim.Kernel, net *mesh.Network, cfg Config, meter *energy.Meter, deliver func(*noc.Message)) *Manager {
-	if cfg.Codec == nil {
+// New wires a manager between the protocol and the network. codec is
+// the address-compression scheme (compress.NewNone for the baseline);
+// the VL channel width is the network's. deliver is the protocol's
+// Deliver. meter may be nil.
+func New(k *sim.Kernel, net *mesh.Network, codec compress.Codec, meter *energy.Meter, deliver func(*noc.Message)) *Manager {
+	if codec == nil {
 		panic("core: manager needs a codec (use compress.NewNone for the baseline)")
 	}
-	if cfg.VLWidthBytes != 0 {
-		if !net.HasPlane(mesh.PlaneVL) {
-			panic("core: VL width configured but network has no VL plane")
-		}
-		if got := net.PlaneWidth(mesh.PlaneVL); got != cfg.VLWidthBytes {
-			panic(fmt.Sprintf("core: VL width %d does not match network channel width %d", cfg.VLWidthBytes, got))
-		}
-		want := noc.ControlBytes + cfg.Codec.CompressedPayloadBytes()
-		if _, isPerfect := cfg.Codec.(*compress.Perfect); cfg.VLWidthBytes < want && !isPerfect {
-			panic(fmt.Sprintf("core: VL channel %dB cannot carry compressed messages of %dB", cfg.VLWidthBytes, want))
-		}
+	vlWidth := net.PlaneWidth(mesh.PlaneVL)
+	_, isPerfect := codec.(*compress.Perfect)
+	if want := noc.ControlBytes + codec.CompressedPayloadBytes(); vlWidth > 0 && vlWidth < want && !isPerfect {
+		panic(fmt.Sprintf("core: VL channel %dB cannot carry compressed messages of %dB", vlWidth, want))
 	}
-	_, isPerfect := cfg.Codec.(*compress.Perfect)
 	m := &Manager{
 		net:          net,
-		cfg:          cfg,
+		codec:        codec,
+		vlWidth:      vlWidth,
 		meter:        meter,
 		deliver:      deliver,
 		verifyDecode: !isPerfect,
@@ -149,16 +137,16 @@ func (m *Manager) Send(msg *noc.Message) {
 	// untouched, exactly as hardware would when the encoder is bypassed)
 	// and let the message fall through to the bulk plane uncompressed —
 	// the same fallback path a compression miss takes.
-	vlDown := m.cfg.VLWidthBytes > 0 && !m.net.PlaneUp(mesh.PlaneVL)
+	vlDown := m.vlWidth > 0 && !m.net.PlaneUp(mesh.PlaneVL)
 	if noc.Compressible(msg.Type) && !vlDown {
 		m.compress(msg)
 	}
 	critical := noc.Critical(msg.Type) && !msg.Relaxed
-	if vlDown && critical && (noc.Compressible(msg.Type) || msg.SizeBytes <= m.cfg.VLWidthBytes) {
+	if vlDown && critical && (noc.Compressible(msg.Type) || msg.SizeBytes <= m.vlWidth) {
 		m.FailoverMsgs.Inc()
 	}
 	switch {
-	case critical && !vlDown && m.cfg.VLWidthBytes > 0 && msg.SizeBytes <= m.cfg.VLWidthBytes:
+	case critical && !vlDown && m.vlWidth > 0 && msg.SizeBytes <= m.vlWidth:
 		msg.VL = true
 		m.VLMessages.Inc()
 	case (!critical || !m.net.HasPlane(mesh.PlaneB)) && m.net.HasPlane(mesh.PlanePW):
@@ -177,12 +165,12 @@ func (m *Manager) Send(msg *noc.Message) {
 func (m *Manager) compress(msg *noc.Message) {
 	stream := streamOf(msg.Type)
 	m.Compressible.Inc()
-	enc := m.cfg.Codec.Encode(msg.Src, msg.Dst, stream, msg.Addr)
+	enc := m.codec.Encode(msg.Src, msg.Dst, stream, msg.Addr)
 	// Commit the receiver state atomically (see the ordering note in
 	// the package comment) and verify exact reconstruction.
-	dec := m.cfg.Codec.Decode(msg.Src, msg.Dst, stream, enc)
+	dec := m.codec.Decode(msg.Src, msg.Dst, stream, enc)
 	if m.verifyDecode && dec != msg.Addr {
-		panic(fmt.Sprintf("core: codec %s corrupted address %#x -> %#x", m.cfg.Codec.Name(), msg.Addr, dec))
+		panic(fmt.Sprintf("core: codec %s corrupted address %#x -> %#x", m.codec.Name(), msg.Addr, dec))
 	}
 	if m.meter != nil {
 		m.meter.CompressionEvent()

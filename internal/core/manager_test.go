@@ -34,8 +34,7 @@ func newHarness(t *testing.T, codec compress.Codec, vlWidth int) *harness {
 		cfg = mesh.DefaultBaseline()
 	}
 	h.net = mesh.New(h.k, cfg, nil)
-	h.mgr = New(h.k, h.net, Config{Codec: codec, VLWidthBytes: vlWidth}, nil,
-		func(m *noc.Message) { h.delivered = append(h.delivered, *m) })
+	h.mgr = New(h.k, h.net, codec, nil, func(m *noc.Message) { h.delivered = append(h.delivered, *m) })
 	return h
 }
 
@@ -204,16 +203,7 @@ func TestManagerConfigValidation(t *testing.T) {
 				t.Error("nil codec accepted")
 			}
 		}()
-		New(k, net, Config{}, nil, deliver)
-	}()
-	// VL width on a baseline network.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("VL width without VL plane accepted")
-			}
-		}()
-		New(k, net, Config{Codec: compress.NewNone(), VLWidthBytes: 5}, nil, deliver)
+		New(k, net, nil, nil, deliver)
 	}()
 	// VL channel too narrow for the codec's compressed size.
 	hetCfg, _ := mesh.Heterogeneous(4)
@@ -224,6 +214,6 @@ func TestManagerConfigValidation(t *testing.T) {
 				t.Error("narrow VL channel accepted for 2B-LO codec")
 			}
 		}()
-		New(k, hetNet, Config{Codec: compress.NewDBRC(4, 2, 16), VLWidthBytes: 4}, nil, deliver)
+		New(k, hetNet, compress.NewDBRC(4, 2, 16), nil, deliver)
 	}()
 }

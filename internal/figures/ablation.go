@@ -3,9 +3,7 @@ package figures
 import (
 	"fmt"
 
-	"tilesim/internal/cmp"
 	"tilesim/internal/compress"
-	"tilesim/internal/energy"
 	"tilesim/internal/stats"
 	"tilesim/internal/sweep"
 )
@@ -20,181 +18,111 @@ import (
 //     (costed by the cacti analytical surrogate), exposing the Figure 7
 //     optimum between coverage and hardware overhead.
 
-// WiringAblationRow is one (application, layout) result.
-type WiringAblationRow struct {
-	App, Layout  string
-	NormTime     float64
-	NormLinkED2P float64
-	VLFraction   float64
-	PWFraction   float64
+// layouts are the link layouts AblationWiring and ScaleStudy run, the
+// baseline first, each under both studies' labels: the paper's
+// practical compression point over VL+B, the Cheng-style L+PW layout,
+// which does not compress, and the combined layout.
+var layouts = []struct {
+	wiring                  string
+	spec                    compress.Spec
+	wiringLabel, scaleLabel string
+}{
+	{"", none, none.Label(), none.Label()},
+	{"vlb", dbrc4, "VL+B (paper)", "DBRC-4/2B VL+B"},
+	{"lpw", none, "L+PW +RP (Cheng/[9])", "L+PW +RP"},
+	{"vlbpw", dbrc4, "VL+B+PW +RP (combined)", "DBRC-4/2B VL+B+PW +RP"},
 }
 
 // AblationWiring compares link layouts on the given applications. The
 // compression scheme is the paper's practical point (4-entry DBRC, 2B
 // low-order) wherever the layout supports compression.
-func AblationWiring(runner *sweep.Runner, scale Scale, apps []string) ([]WiringAblationRow, *stats.Table, error) {
-	runner = defaulted(runner)
-	dbrc := compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 2}
-	layouts := []struct {
-		name string
-		cfg  func(app string) cmp.RunConfig
-	}{
-		{"VL+B (paper)", func(app string) cmp.RunConfig {
-			return cmp.RunConfig{App: app, Compression: dbrc, Wiring: "vlb"}
-		}},
-		{"L+PW +RP (Cheng/[9])", func(app string) cmp.RunConfig {
-			return cmp.RunConfig{App: app, Compression: compress.Spec{Kind: "none"}, Wiring: "lpw"}
-		}},
-		{"VL+B+PW +RP (combined)", func(app string) cmp.RunConfig {
-			return cmp.RunConfig{App: app, Compression: dbrc, Wiring: "vlbpw"}
-		}},
-	}
-	stride := 1 + len(layouts)
-	jobs := make([]cmp.RunConfig, 0, len(apps)*stride)
+func AblationWiring(runner *sweep.Runner, scale Scale, apps []string) ([]Cell, *stats.Table, error) {
+	var groups []group
 	for _, app := range apps {
-		jobs = append(jobs, scale.job(app, compress.Spec{Kind: "none"}))
+		g := group{name: app}
 		for _, l := range layouts {
-			jobs = append(jobs, scale.apply(l.cfg(app)))
+			cfg := scale.job(app, l.spec)
+			cfg.Wiring = l.wiring
+			g.add(l.wiringLabel, cfg)
 		}
+		groups = append(groups, g)
 	}
-	jrs := runner.Run(jobs)
-	if err := sweep.Err(jrs); err != nil {
-		return nil, nil, fmt.Errorf("wiring ablation: %w", err)
+	cells, err := run(runner, "wiring ablation", groups)
+	if err != nil {
+		return nil, nil, err
 	}
 	t := stats.NewTable("Application", "Layout", "Norm time", "Norm link ED2P", "VL traffic", "PW traffic")
-	var rows []WiringAblationRow
-	for ai, app := range apps {
-		base := jrs[ai*stride].Result
-		for li, l := range layouts {
-			r := jrs[ai*stride+1+li].Result
-			row := WiringAblationRow{
-				App:          app,
-				Layout:       l.name,
-				NormTime:     float64(r.ExecCycles) / float64(base.ExecCycles),
-				NormLinkED2P: r.LinkED2P() / base.LinkED2P(),
-				VLFraction:   r.VLFraction,
-				PWFraction:   r.PWFraction,
-			}
-			rows = append(rows, row)
-			t.AddRow(app, l.name,
-				fmt.Sprintf("%.3f", row.NormTime),
-				fmt.Sprintf("%.3f", row.NormLinkED2P),
-				fmt.Sprintf("%.2f", row.VLFraction),
-				fmt.Sprintf("%.2f", row.PWFraction))
+	for _, g := range byGroup(cells) {
+		for _, c := range g[1:] {
+			t.AddRow(c.Group, c.Label,
+				fmt.Sprintf("%.3f", c.NormTime),
+				fmt.Sprintf("%.3f", c.NormLinkED2P),
+				fmt.Sprintf("%.2f", c.VLFraction),
+				fmt.Sprintf("%.2f", c.PWFraction))
 		}
 	}
-	return rows, t, nil
-}
-
-// SensitivityRow is one point of the technology-sensitivity sweep.
-type SensitivityRow struct {
-	RouterLatency int
-	LinkScale     float64
-	NormTime      float64
+	return cells, t, nil
 }
 
 // AblationSensitivity measures how the proposal's execution-time win
 // depends on the network technology point: router pipeline depth and
 // wire speed around the calibrated 2-stage / 0.4 ns/mm configuration
 // (see DESIGN.md section 5.0). Deeper routers and faster wires both
-// dilute the VL-Wire advantage.
-func AblationSensitivity(runner *sweep.Runner, scale Scale, app string) ([]SensitivityRow, *stats.Table, error) {
-	runner = defaulted(runner)
+// dilute the VL-Wire advantage. Each point is a group named
+// "<stages>-stage/<scale>x".
+func AblationSensitivity(runner *sweep.Runner, scale Scale, app string) ([]Cell, *stats.Table, error) {
 	points := []struct {
 		router int
 		scale  float64
 	}{
 		{1, 1.0}, {2, 0.5}, {2, 1.0}, {2, 2.0}, {4, 1.0},
 	}
-	mk := func(p struct {
-		router int
-		scale  float64
-	}, het bool) cmp.RunConfig {
-		cfg := scale.job(app, compress.Spec{Kind: "none"})
-		cfg.RouterLatency = p.router
-		cfg.LinkCyclesScale = p.scale
-		if het {
-			cfg.Compression = compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 2}
-			cfg.Heterogeneous = true
-		}
-		return cfg
-	}
-	jobs := make([]cmp.RunConfig, 0, 2*len(points))
+	var groups []group
 	for _, p := range points {
-		jobs = append(jobs, mk(p, false), mk(p, true))
+		g := group{name: fmt.Sprintf("%d-stage/%.1fx", p.router, p.scale)}
+		base := scale.job(app, none)
+		base.RouterLatency = p.router
+		base.LinkCyclesScale = p.scale
+		het := base
+		het.Compression, het.Heterogeneous = dbrc4, true
+		g.add(none.Label(), base)
+		g.add(dbrc4.Label(), het)
+		groups = append(groups, g)
 	}
-	jrs := runner.Run(jobs)
-	if err := sweep.Err(jrs); err != nil {
-		return nil, nil, fmt.Errorf("sensitivity ablation: %w", err)
+	cells, err := run(runner, "sensitivity ablation", groups)
+	if err != nil {
+		return nil, nil, err
 	}
 	t := stats.NewTable("Router stages", "Wire-speed scale", "Norm time (DBRC-4 2B)")
-	var rows []SensitivityRow
 	for i, p := range points {
-		base, het := jrs[2*i].Result, jrs[2*i+1].Result
-		row := SensitivityRow{
-			RouterLatency: p.router,
-			LinkScale:     p.scale,
-			NormTime:      float64(het.ExecCycles) / float64(base.ExecCycles),
-		}
-		rows = append(rows, row)
 		t.AddRow(fmt.Sprintf("%d", p.router), fmt.Sprintf("%.1fx", p.scale),
-			fmt.Sprintf("%.3f", row.NormTime))
+			fmt.Sprintf("%.3f", cells[2*i+1].NormTime))
 	}
-	return rows, t, nil
-}
-
-// DBRCSizeRow is one entry-count result of the size sweep.
-type DBRCSizeRow struct {
-	Entries      int
-	Coverage     float64
-	NormTime     float64
-	NormChipED2P float64
+	return cells, t, nil
 }
 
 // AblationDBRCSize sweeps the DBRC entry count (including the paper's
 // untabulated 8 and 32 points) on one application, exposing where the
 // Figure 7 coverage-vs-hardware-overhead tradeoff turns over.
-func AblationDBRCSize(runner *sweep.Runner, scale Scale, app string) ([]DBRCSizeRow, *stats.Table, error) {
-	runner = defaulted(runner)
+func AblationDBRCSize(runner *sweep.Runner, scale Scale, app string) ([]Cell, *stats.Table, error) {
 	sizes := []int{4, 8, 16, 32, 64}
-	jobs := make([]cmp.RunConfig, 0, 1+len(sizes))
-	jobs = append(jobs, scale.job(app, compress.Spec{Kind: "none"}))
+	g := group{name: app}
+	g.add(none.Label(), scale.job(app, none))
 	for _, entries := range sizes {
 		cfg := scale.job(app, compress.Spec{Kind: "dbrc", Entries: entries, LowOrderBytes: 2})
 		cfg.Heterogeneous = true
-		jobs = append(jobs, cfg)
+		g.add(cfg.Compression.Label(), cfg)
 	}
-	jrs := runner.Run(jobs)
-	if err := sweep.Err(jrs); err != nil {
-		return nil, nil, fmt.Errorf("dbrc sweep: %w", err)
-	}
-	base := jrs[0].Result
-	model := energy.Calibrate(base.InterconnectJ, base.ExecCycles, ICShare, 16)
-	baseChipJ, err := model.ChipJ(base.InterconnectJ, base.ExecCycles, "", 0)
+	cells, err := run(runner, "dbrc sweep", []group{g})
 	if err != nil {
 		return nil, nil, err
 	}
-	baseED2P := energy.ED2P(baseChipJ, base.ExecCycles)
-
 	t := stats.NewTable("DBRC entries", "Coverage", "Norm time", "Norm chip ED2P")
-	var rows []DBRCSizeRow
-	for i, entries := range sizes {
-		r := jrs[1+i].Result
-		chipJ, err := model.ChipJ(r.InterconnectJ, r.ExecCycles, r.Table1Scheme, r.ComprEvents)
-		if err != nil {
-			return nil, nil, err
-		}
-		row := DBRCSizeRow{
-			Entries:      entries,
-			Coverage:     r.Coverage,
-			NormTime:     float64(r.ExecCycles) / float64(base.ExecCycles),
-			NormChipED2P: energy.ED2P(chipJ, r.ExecCycles) / baseED2P,
-		}
-		rows = append(rows, row)
-		t.AddRow(fmt.Sprintf("%d", entries),
-			fmt.Sprintf("%.2f", row.Coverage),
-			fmt.Sprintf("%.3f", row.NormTime),
-			fmt.Sprintf("%.3f", row.NormChipED2P))
+	for i, c := range cells[1:] {
+		t.AddRow(fmt.Sprintf("%d", sizes[i]),
+			fmt.Sprintf("%.2f", c.Coverage),
+			fmt.Sprintf("%.3f", c.NormTime),
+			fmt.Sprintf("%.3f", c.NormChipED2P))
 	}
-	return rows, t, nil
+	return cells, t, nil
 }

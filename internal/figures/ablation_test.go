@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -10,12 +9,12 @@ func TestAblationWiringQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	rows, table, err := AblationWiring(nil, Quick(), []string{"MP3D", "Water-nsq"})
+	cells, table, err := AblationWiring(nil, Quick(), []string{"MP3D", "Water-nsq"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("%d rows, want 2 apps x 3 layouts", len(rows))
+	if len(cells) != 8 {
+		t.Fatalf("%d cells, want 2 apps x (baseline + 3 layouts)", len(cells))
 	}
 	out := table.String()
 	for _, want := range []string{"VL+B (paper)", "L+PW +RP", "VL+B+PW +RP"} {
@@ -23,12 +22,14 @@ func TestAblationWiringQuick(t *testing.T) {
 			t.Errorf("table missing layout %q", want)
 		}
 	}
-	for _, r := range rows {
-		if r.NormTime <= 0 || r.NormTime > 1.5 {
-			t.Errorf("%s/%s: norm time %.3f out of range", r.App, r.Layout, r.NormTime)
-		}
-		if strings.Contains(r.Layout, "PW") && r.PWFraction == 0 {
-			t.Errorf("%s/%s: PW layout with no PW traffic", r.App, r.Layout)
+	for _, g := range byGroup(cells) {
+		for _, c := range g[1:] {
+			if c.NormTime <= 0 || c.NormTime > 1.5 {
+				t.Errorf("%s/%s: norm time %.3f out of range", c.Group, c.Label, c.NormTime)
+			}
+			if strings.Contains(c.Label, "PW") && c.PWFraction == 0 {
+				t.Errorf("%s/%s: PW layout with no PW traffic", c.Group, c.Label)
+			}
 		}
 	}
 }
@@ -37,21 +38,22 @@ func TestAblationDBRCSizeQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	rows, table, err := AblationDBRCSize(nil, Quick(), "FFT")
+	cells, table, err := AblationDBRCSize(nil, Quick(), "FFT")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
-		t.Fatalf("%d rows, want 5 entry counts", len(rows))
+	if len(cells) != 6 {
+		t.Fatalf("%d cells, want baseline + 5 entry counts", len(cells))
 	}
 	if !strings.Contains(table.String(), "32") {
 		t.Error("untabulated 32-entry point missing")
 	}
 	// Coverage must be non-decreasing in entries.
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Coverage+0.03 < rows[i-1].Coverage {
-			t.Errorf("coverage not monotone: %d entries %.2f < %d entries %.2f",
-				rows[i].Entries, rows[i].Coverage, rows[i-1].Entries, rows[i-1].Coverage)
+	sizes := cells[1:]
+	for i := 1; i < len(sizes); i++ {
+		if sizes[i].Coverage+0.03 < sizes[i-1].Coverage {
+			t.Errorf("coverage not monotone: %s %.2f < %s %.2f",
+				sizes[i].Label, sizes[i].Coverage, sizes[i-1].Label, sizes[i-1].Coverage)
 		}
 	}
 }
@@ -60,27 +62,26 @@ func TestAblationSensitivityQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	rows, table, err := AblationSensitivity(nil, Quick(), "MP3D")
+	cells, table, err := AblationSensitivity(nil, Quick(), "MP3D")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
-		t.Fatalf("%d rows", len(rows))
+	groups := byGroup(cells)
+	if len(groups) != 5 {
+		t.Fatalf("%d points", len(groups))
 	}
 	if !strings.Contains(table.String(), "Router stages") {
 		t.Error("table header missing")
 	}
-	byKey := map[string]float64{}
-	for _, r := range rows {
-		byKey[key(r.RouterLatency, r.LinkScale)] = r.NormTime
+	normTime := map[string]float64{}
+	for _, g := range groups {
+		normTime[g[0].Group] = g[1].NormTime
 	}
 	// Slower wires amplify the win; deeper routers dilute it.
-	if byKey[key(2, 2.0)] >= byKey[key(2, 0.5)] {
-		t.Errorf("slow wires %f should beat fast wires %f", byKey[key(2, 2.0)], byKey[key(2, 0.5)])
+	if normTime["2-stage/2.0x"] >= normTime["2-stage/0.5x"] {
+		t.Errorf("slow wires %f should beat fast wires %f", normTime["2-stage/2.0x"], normTime["2-stage/0.5x"])
 	}
-	if byKey[key(1, 1.0)] >= byKey[key(4, 1.0)] {
-		t.Errorf("shallow routers %f should beat deep routers %f", byKey[key(1, 1.0)], byKey[key(4, 1.0)])
+	if normTime["1-stage/1.0x"] >= normTime["4-stage/1.0x"] {
+		t.Errorf("shallow routers %f should beat deep routers %f", normTime["1-stage/1.0x"], normTime["4-stage/1.0x"])
 	}
 }
-
-func key(r int, s float64) string { return fmt.Sprintf("%d/%.1f", r, s) }

@@ -3,175 +3,95 @@ package figures
 import (
 	"fmt"
 
-	"tilesim/internal/cmp"
 	"tilesim/internal/compress"
-	"tilesim/internal/energy"
 	"tilesim/internal/stats"
 	"tilesim/internal/sweep"
 )
 
-// Figure67Result holds one application's full sweep: the baseline run
-// plus every bar and line configuration, with the three normalized
-// metrics the paper plots (execution time, link ED^2P, full-CMP ED^2P).
-type Figure67Result struct {
-	App string
-	// Configs maps the configuration label to its normalized metrics.
-	Rows []Figure67Row
-}
-
-// Figure67Row is one (application, configuration) point.
-type Figure67Row struct {
-	Config string
-	// Perfect marks the solid-line upper bounds of Figure 6.
-	Perfect bool
-	// NormTime is execution time relative to the baseline (Fig. 6 top).
-	NormTime float64
-	// NormLinkED2P is the link energy-delay^2 ratio (Fig. 6 bottom).
-	NormLinkED2P float64
-	// NormChipED2P is the full-CMP energy-delay^2 ratio (Fig. 7).
-	NormChipED2P float64
-	// Coverage is the achieved compression coverage.
-	Coverage float64
-}
-
-// ICShare is the interconnect share of baseline chip energy used by the
-// full-CMP model (the Raw measurement the paper cites [22]).
-const ICShare = 0.36
-
-// sweepSpecs returns the bar configurations plus the perfect lines.
-func sweepSpecs() (bars, lines []compress.Spec) {
-	return compress.Figure6Specs(), compress.PerfectSpecs()
-}
-
 // Figure67 runs the whole Figure 6 + Figure 7 sweep: per application,
 // one baseline run plus every bar and line configuration, submitted as
-// a single batch so the grid parallelizes across applications too.
-func Figure67(runner *sweep.Runner, scale Scale) ([]Figure67Result, error) {
-	runner = defaulted(runner)
-	bars, lines := sweepSpecs()
-	specs := make([]compress.Spec, 0, len(bars)+len(lines))
-	specs = append(specs, bars...)
-	specs = append(specs, lines...)
-	apps := Apps()
-	stride := 1 + len(specs) // baseline + variants per application
-	jobs := make([]cmp.RunConfig, 0, len(apps)*stride)
-	for _, app := range apps {
-		jobs = append(jobs, scale.job(app, compress.Spec{Kind: "none"}))
-		for _, spec := range specs {
+// a single batch so the grid parallelizes across applications too. A
+// line's label carries the " [line]" suffix of its table column.
+func Figure67(runner *sweep.Runner, scale Scale) ([]Cell, error) {
+	var groups []group
+	for _, app := range Apps() {
+		g := group{name: app}
+		g.add(none.Label(), scale.job(app, none))
+		for _, spec := range append(compress.Figure6Specs(), compress.PerfectSpecs()...) {
 			cfg := scale.job(app, spec)
 			cfg.Heterogeneous = true
-			jobs = append(jobs, cfg)
-		}
-	}
-	jrs := runner.Run(jobs)
-	if err := sweep.Err(jrs); err != nil {
-		return nil, fmt.Errorf("figure 6/7: %w", err)
-	}
-
-	var out []Figure67Result
-	for ai, app := range apps {
-		base := jrs[ai*stride].Result
-		// Full-CMP model calibrated on this application's baseline.
-		model := energy.Calibrate(base.InterconnectJ, base.ExecCycles, ICShare, 16)
-		baseChipJ, err := model.ChipJ(base.InterconnectJ, base.ExecCycles, "", 0)
-		if err != nil {
-			return nil, err
-		}
-		baseChipED2P := energy.ED2P(baseChipJ, base.ExecCycles)
-		baseLinkED2P := base.LinkED2P()
-
-		res := Figure67Result{App: app}
-		for si, spec := range specs {
-			r := jrs[ai*stride+1+si].Result
-			chipJ, err := model.ChipJ(r.InterconnectJ, r.ExecCycles, r.Table1Scheme, r.ComprEvents)
-			if err != nil {
-				return nil, err
+			label := spec.Label()
+			if spec.Kind == "perfect" {
+				label += " [line]"
 			}
-			res.Rows = append(res.Rows, Figure67Row{
-				Config:       spec.Label(),
-				Perfect:      si >= len(bars),
-				NormTime:     float64(r.ExecCycles) / float64(base.ExecCycles),
-				NormLinkED2P: r.LinkED2P() / baseLinkED2P,
-				NormChipED2P: energy.ED2P(chipJ, r.ExecCycles) / baseChipED2P,
-				Coverage:     r.Coverage,
-			})
+			g.add(label, cfg)
 		}
-		out = append(out, res)
+		groups = append(groups, g)
 	}
-	return out, nil
+	return run(runner, "figure 6/7", groups)
 }
 
-// metric selects a column of Figure67Row.
-type metric func(Figure67Row) float64
+// Metric selects one normalized metric of a cell.
+type Metric func(Cell) float64
 
 // tableOf renders one metric of a sweep as application rows x
-// configuration columns, appending a cross-application average row.
-func tableOf(results []Figure67Result, pick metric, format string) *stats.Table {
-	if len(results) == 0 {
+// configuration columns, leaving out each group's baseline and
+// appending a cross-application average row.
+func tableOf(cells []Cell, pick Metric) *stats.Table {
+	groups := byGroup(cells)
+	if len(groups) == 0 {
 		return stats.NewTable("Application")
 	}
 	cols := []string{"Application"}
-	for _, row := range results[0].Rows {
-		label := row.Config
-		if row.Perfect {
-			label += " [line]"
-		}
-		cols = append(cols, label)
+	for _, c := range groups[0][1:] {
+		cols = append(cols, c.Label)
 	}
 	t := stats.NewTable(cols...)
-	sums := make([]float64, len(results[0].Rows))
-	for _, res := range results {
-		row := []string{res.App}
-		for i, r := range res.Rows {
-			row = append(row, fmt.Sprintf(format, pick(r)))
-			sums[i] += pick(r)
+	sums := make([]float64, len(cols)-1)
+	for _, g := range groups {
+		row := []string{g[0].Group}
+		for i, c := range g[1:] {
+			row = append(row, fmt.Sprintf("%.3f", pick(c)))
+			sums[i] += pick(c)
 		}
 		t.AddRow(row...)
 	}
 	avg := []string{"AVERAGE"}
 	for _, s := range sums {
-		avg = append(avg, fmt.Sprintf(format, s/float64(len(results))))
+		avg = append(avg, fmt.Sprintf("%.3f", s/float64(len(groups))))
 	}
 	t.AddRow(avg...)
 	return t
 }
 
 // Figure6TopTable renders normalized execution time.
-func Figure6TopTable(results []Figure67Result) *stats.Table {
-	return tableOf(results, func(r Figure67Row) float64 { return r.NormTime }, "%.3f")
-}
+func Figure6TopTable(cells []Cell) *stats.Table { return tableOf(cells, NormTime) }
 
 // Figure6BottomTable renders normalized link ED^2P.
-func Figure6BottomTable(results []Figure67Result) *stats.Table {
-	return tableOf(results, func(r Figure67Row) float64 { return r.NormLinkED2P }, "%.3f")
-}
+func Figure6BottomTable(cells []Cell) *stats.Table { return tableOf(cells, NormLinkED2P) }
 
 // Figure7Table renders normalized full-CMP ED^2P.
-func Figure7Table(results []Figure67Result) *stats.Table {
-	return tableOf(results, func(r Figure67Row) float64 { return r.NormChipED2P }, "%.3f")
-}
+func Figure7Table(cells []Cell) *stats.Table { return tableOf(cells, NormChipED2P) }
 
-// Average returns the cross-application mean of a metric for the given
-// configuration label.
-func Average(results []Figure67Result, config string, pick metric) float64 {
+// Average returns the mean of a metric over the cells labeled config:
+// over Figure67's cells, the cross-application mean.
+func Average(cells []Cell, config string, pick Metric) float64 {
 	var sum float64
 	var n int
-	for _, res := range results {
-		for _, r := range res.Rows {
-			if r.Config == config {
-				sum += pick(r)
-				n++
-			}
+	for _, c := range cells {
+		if c.Label == config {
+			sum += pick(c)
+			n++
 		}
 	}
 	return stats.Ratio(sum, float64(n))
 }
 
 // NormTime is the execution-time metric selector for Average.
-func NormTime(r Figure67Row) float64 { return r.NormTime }
+func NormTime(c Cell) float64 { return c.NormTime }
 
 // NormLinkED2P is the link-ED^2P metric selector for Average.
-func NormLinkED2P(r Figure67Row) float64 { return r.NormLinkED2P }
+func NormLinkED2P(c Cell) float64 { return c.NormLinkED2P }
 
 // NormChipED2P is the full-CMP-ED^2P metric selector for Average.
-func NormChipED2P(r Figure67Row) float64 { return r.NormChipED2P }
+func NormChipED2P(c Cell) float64 { return c.NormChipED2P }

@@ -9,10 +9,12 @@
 //	Figure 6 - normalized execution time (top) and link ED^2P (bottom)
 //	Figure 7 - normalized full-CMP ED^2P
 //
-// Every function returns a stats.Table whose rows mirror the series the
-// paper reports, plus the raw series for programmatic checks. Scale
-// selects run length: paper-shape results want Full; smoke tests and
-// benchmarks use Quick.
+// Every study has one shape: it builds groups of runs, a baseline
+// configuration first and then the configurations normalized against
+// it, and returns one Cell per run and the stats.Tables whose rows
+// mirror the series the paper reports. Scale selects run length:
+// paper-shape results want Default; smoke tests and benchmarks use
+// Quick.
 //
 // Every simulation-driven function takes a *sweep.Runner as its first
 // argument and submits its whole grid as one batch, so the runs fan out
@@ -28,6 +30,8 @@ import (
 	"tilesim/internal/cacti"
 	"tilesim/internal/cmp"
 	"tilesim/internal/compress"
+	"tilesim/internal/energy"
+	"tilesim/internal/mesh"
 	"tilesim/internal/noc"
 	"tilesim/internal/stats"
 	"tilesim/internal/sweep"
@@ -47,29 +51,21 @@ type Scale struct {
 	SeriesInterval int
 }
 
-// apply stamps the scale's run-length and sampling knobs onto a
-// hand-built configuration. Every figure routes its configs through
-// here (directly or via job), so a scale knob added once reaches every
-// cell.
-func (s Scale) apply(cfg cmp.RunConfig) cmp.RunConfig {
-	cfg.RefsPerCore, cfg.WarmupRefs, cfg.Seed = s.RefsPerCore, s.WarmupRefs, s.Seed
-	cfg.SeriesInterval = s.SeriesInterval
-	return cfg
-}
-
-// job binds an (application, scheme) pair to this scale on the
-// baseline wiring; callers flip wiring knobs on the returned config.
+// job binds an (application, scheme) pair to this scale's run-length
+// and sampling knobs on the baseline wiring; callers flip wiring knobs
+// on the returned config. Every figure builds its configs here, so a
+// scale knob added once reaches every cell.
 func (s Scale) job(app string, spec compress.Spec) cmp.RunConfig {
-	return s.apply(cmp.RunConfig{App: app, Compression: spec})
+	return cmp.RunConfig{App: app, Compression: spec, RefsPerCore: s.RefsPerCore,
+		WarmupRefs: s.WarmupRefs, Seed: s.Seed, SeriesInterval: s.SeriesInterval}
 }
 
-// defaulted maps a nil runner to the default engine.
-func defaulted(r *sweep.Runner) *sweep.Runner {
-	if r == nil {
-		return &sweep.Runner{}
-	}
-	return r
-}
+// The two schemes the studies share: no compression, and the paper's
+// practical point, a 4-entry DBRC with 2 low-order bytes.
+var (
+	none  = compress.Spec{Kind: "none"}
+	dbrc4 = compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 2}
+)
 
 // Quick is the smoke-test scale (~seconds per figure).
 func Quick() Scale { return Scale{RefsPerCore: 2500, WarmupRefs: 1000, Seed: 1} }
@@ -79,6 +75,107 @@ func Default() Scale { return Scale{RefsPerCore: 16000, WarmupRefs: 8000, Seed: 
 
 // Apps returns the application list (Table 4 order).
 func Apps() []string { return workload.AppNames() }
+
+// ICShare is the interconnect share of baseline chip energy used by the
+// full-CMP model (the Raw measurement the paper cites [22]).
+const ICShare = 0.36
+
+// Cell is one run of a study and its metrics normalized against the
+// first run of its group, the group's baseline, whose own ratios are 1.
+type Cell struct {
+	// Group names the cell's group: its application, its scale-study
+	// topology and tile count, or its sensitivity point.
+	Group string
+	// Label is the run's configuration as its table shows it.
+	Label string
+	cmp.Result
+	// NormTime is execution time relative to the baseline (Fig. 6 top).
+	NormTime float64
+	// NormLinkED2P is the link energy-delay^2 ratio (Fig. 6 bottom).
+	NormLinkED2P float64
+	// NormICEnergy is the interconnect (links + routers) energy ratio.
+	NormICEnergy float64
+	// NormChipED2P is the full-CMP energy-delay^2 ratio (Fig. 7): the
+	// energy model is calibrated on the baseline (ICShare of its chip
+	// energy), with compression hardware replicated per tile.
+	NormChipED2P float64
+}
+
+// group is a baseline configuration and then the configurations
+// normalized against it, each under its table label.
+type group struct {
+	name   string
+	labels []string
+	cfgs   []cmp.RunConfig
+}
+
+// add appends a labeled configuration to g.
+func (g *group) add(label string, cfg cmp.RunConfig) {
+	g.labels = append(g.labels, label)
+	g.cfgs = append(g.cfgs, cfg)
+}
+
+// run submits every group's configurations as one batch, in group
+// order, and returns one cell per run in the same order. what names the
+// study in errors. A nil runner selects the default engine.
+func run(r *sweep.Runner, what string, groups []group) ([]Cell, error) {
+	if r == nil {
+		r = &sweep.Runner{}
+	}
+	var jobs []cmp.RunConfig
+	for _, g := range groups {
+		jobs = append(jobs, g.cfgs...)
+	}
+	jrs := r.Run(jobs)
+	if err := sweep.Err(jrs); err != nil {
+		return nil, fmt.Errorf("%s: %w", what, err)
+	}
+	cells := make([]Cell, 0, len(jobs))
+	for _, g := range groups {
+		runs := jrs[len(cells) : len(cells)+len(g.cfgs)]
+		base := runs[0].Result
+		tiles := g.cfgs[0].Tiles
+		if tiles == 0 {
+			tiles = 16 // the paper's machine, which a RunConfig without Tiles builds
+		}
+		model := energy.Calibrate(base.InterconnectJ, base.ExecCycles, ICShare, tiles)
+		var baseChipED2P float64
+		for i, jr := range runs {
+			res := jr.Result
+			chipJ, err := model.ChipJ(res.InterconnectJ, res.ExecCycles, res.Table1Scheme, res.ComprEvents)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", what, err)
+			}
+			chipED2P := energy.ED2P(chipJ, res.ExecCycles)
+			if i == 0 {
+				baseChipED2P = chipED2P
+			}
+			cells = append(cells, Cell{
+				Group:        g.name,
+				Label:        g.labels[i],
+				Result:       res,
+				NormTime:     float64(res.ExecCycles) / float64(base.ExecCycles),
+				NormLinkED2P: res.LinkED2P() / base.LinkED2P(),
+				NormICEnergy: float64(res.InterconnectJ) / float64(base.InterconnectJ),
+				NormChipED2P: chipED2P / baseChipED2P,
+			})
+		}
+	}
+	return cells, nil
+}
+
+// byGroup splits cells, which run returns in group order, into their
+// groups; each group's first cell is its baseline.
+func byGroup(cells []Cell) [][]Cell {
+	var out [][]Cell
+	for i, c := range cells {
+		if i == 0 || c.Group != cells[i-1].Group {
+			out = append(out, nil)
+		}
+		out[len(out)-1] = append(out[len(out)-1], c)
+	}
+	return out
+}
 
 // Table1 renders the compression-hardware cost table.
 func Table1() *stats.Table {
@@ -123,121 +220,90 @@ func wireTable(kinds []wire.Kind) *stats.Table {
 	return t
 }
 
-// CoverageResult is one Figure 2 cell.
-type CoverageResult struct {
-	App      string
-	Scheme   string
-	Coverage float64
-}
-
 // Figure2 measures address-compression coverage for every application
 // under every Figure 2 configuration. The runs use the baseline
 // interconnect (coverage is a property of the address streams, not the
-// wires), matching the paper's standalone coverage study.
-func Figure2(r *sweep.Runner, scale Scale) ([]CoverageResult, *stats.Table, error) {
-	r = defaulted(r)
+// wires), matching the paper's standalone coverage study. Figure 2 has
+// no baseline run: each application's group is normalized against its
+// first configuration.
+func Figure2(r *sweep.Runner, scale Scale) ([]Cell, *stats.Table, error) {
 	specs := compress.Figure2Specs()
-	apps := Apps()
 	// Heterogeneous wiring is irrelevant for coverage, but the
 	// compressed sizes must be legal for the VL width, so run on the
 	// baseline link and compress only logically.
-	jobs := make([]cmp.RunConfig, 0, len(apps)*len(specs))
-	for _, app := range apps {
+	var groups []group
+	for _, app := range Apps() {
+		g := group{name: app}
 		for _, spec := range specs {
-			jobs = append(jobs, scale.job(app, spec))
+			g.add(spec.Label(), scale.job(app, spec))
 		}
+		groups = append(groups, g)
 	}
-	jrs := r.Run(jobs)
-	if err := sweep.Err(jrs); err != nil {
-		return nil, nil, fmt.Errorf("figure 2: %w", err)
+	cells, err := run(r, "figure 2", groups)
+	if err != nil {
+		return nil, nil, err
 	}
-	var results []CoverageResult
-	t := makeAppTable(labelsOf(specs))
-	i := 0
-	for _, app := range apps {
-		row := []string{app}
-		for _, spec := range specs {
-			cov := jrs[i].Result.Coverage
-			i++
-			results = append(results, CoverageResult{App: app, Scheme: spec.Label(), Coverage: cov})
-			row = append(row, fmt.Sprintf("%.2f", cov))
+	t := stats.NewTable(append([]string{"Application"}, groups[0].labels...)...)
+	for _, g := range byGroup(cells) {
+		row := []string{g[0].Group}
+		for _, c := range g {
+			row = append(row, fmt.Sprintf("%.2f", c.Coverage))
 		}
 		t.AddRow(row...)
 	}
-	return results, t, nil
-}
-
-// MixResult is one Figure 5 bar.
-type MixResult struct {
-	App      string
-	Fraction [noc.NumClasses]float64
-	// ShortWithAddr is the fraction of messages that are short and carry
-	// a block address (the compressible targets the text calls out).
-	ShortWithAddr float64
+	return cells, t, nil
 }
 
 // Figure5 measures the message-class breakdown on the baseline
-// interconnect.
-func Figure5(runner *sweep.Runner, scale Scale) ([]MixResult, *stats.Table, error) {
-	runner = defaulted(runner)
-	apps := Apps()
-	jobs := make([]cmp.RunConfig, 0, len(apps))
-	for _, app := range apps {
-		jobs = append(jobs, scale.job(app, compress.Spec{Kind: "none"}))
+// interconnect: one baseline run per application.
+func Figure5(runner *sweep.Runner, scale Scale) ([]Cell, *stats.Table, error) {
+	var groups []group
+	for _, app := range Apps() {
+		g := group{name: app}
+		g.add(none.Label(), scale.job(app, none))
+		groups = append(groups, g)
 	}
-	jrs := runner.Run(jobs)
-	if err := sweep.Err(jrs); err != nil {
-		return nil, nil, fmt.Errorf("figure 5: %w", err)
+	cells, err := run(runner, "figure 5", groups)
+	if err != nil {
+		return nil, nil, err
 	}
 	t := stats.NewTable("Application", "Requests", "Responses", "Coherence cmds",
 		"Coherence replies", "Replacements", "Short w/ address")
-	var out []MixResult
-	for i, app := range apps {
-		r := jrs[i].Result
-		total := float64(r.Net.TotalMessages())
-		m := MixResult{App: app}
-		for c := 0; c < int(noc.NumClasses); c++ {
-			m.Fraction[c] = stats.Ratio(float64(r.Net.Messages[c]), total)
-		}
-		// Short-with-address = requests + coherence commands (11 B) plus
-		// the no-data responses; data responses are long, coherence
-		// replies carry no address. Approximate the response split from
-		// bytes: responses averaging under 30 B are dominated by acks.
-		shortAddr := m.Fraction[noc.ClassRequest] + m.Fraction[noc.ClassCoherenceCommand]
-		respMsgs := float64(r.Net.Messages[noc.ClassResponse])
-		if respMsgs > 0 {
-			avg := float64(r.Net.Bytes[noc.ClassResponse]) / respMsgs
-			// avg = f*11 + (1-f)*67 => f = (67-avg)/56 of responses are
-			// short-with-address.
-			f := (67 - avg) / 56
-			if f < 0 {
-				f = 0
-			}
-			shortAddr += f * m.Fraction[noc.ClassResponse]
-		}
-		m.ShortWithAddr = shortAddr
-		out = append(out, m)
-		t.AddRow(app,
-			fmt.Sprintf("%.2f", m.Fraction[noc.ClassRequest]),
-			fmt.Sprintf("%.2f", m.Fraction[noc.ClassResponse]),
-			fmt.Sprintf("%.2f", m.Fraction[noc.ClassCoherenceCommand]),
-			fmt.Sprintf("%.2f", m.Fraction[noc.ClassCoherenceReply]),
-			fmt.Sprintf("%.2f", m.Fraction[noc.ClassReplacement]),
-			fmt.Sprintf("%.2f", m.ShortWithAddr))
+	for _, c := range cells {
+		f, shortAddr := messageMix(c.Net)
+		t.AddRow(c.Group,
+			fmt.Sprintf("%.2f", f[noc.ClassRequest]),
+			fmt.Sprintf("%.2f", f[noc.ClassResponse]),
+			fmt.Sprintf("%.2f", f[noc.ClassCoherenceCommand]),
+			fmt.Sprintf("%.2f", f[noc.ClassCoherenceReply]),
+			fmt.Sprintf("%.2f", f[noc.ClassReplacement]),
+			fmt.Sprintf("%.2f", shortAddr))
 	}
-	return out, t, nil
+	return cells, t, nil
 }
 
-// labelsOf renders spec labels.
-func labelsOf(specs []compress.Spec) []string {
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.Label()
+// messageMix returns each message class's share of a run's interconnect
+// messages, and the share that is short and carries a block address
+// (the compressible targets the text calls out).
+func messageMix(net mesh.Summary) (frac [noc.NumClasses]float64, shortAddr float64) {
+	total := float64(net.TotalMessages())
+	for c := range frac {
+		frac[c] = stats.Ratio(float64(net.Messages[c]), total)
 	}
-	return out
-}
-
-func makeAppTable(cols []string) *stats.Table {
-	header := append([]string{"Application"}, cols...)
-	return stats.NewTable(header...)
+	// Short-with-address = requests + coherence commands (11 B) plus
+	// the no-data responses; data responses are long, coherence
+	// replies carry no address. Approximate the response split from
+	// bytes: responses averaging under 30 B are dominated by acks.
+	shortAddr = frac[noc.ClassRequest] + frac[noc.ClassCoherenceCommand]
+	if respMsgs := float64(net.Messages[noc.ClassResponse]); respMsgs > 0 {
+		avg := float64(net.Bytes[noc.ClassResponse]) / respMsgs
+		// avg = f*11 + (1-f)*67 => f = (67-avg)/56 of responses are
+		// short-with-address.
+		f := (67 - avg) / 56
+		if f < 0 {
+			f = 0
+		}
+		shortAddr += f * frac[noc.ClassResponse]
+	}
+	return frac, shortAddr
 }

@@ -3,8 +3,6 @@ package figures
 import (
 	"strings"
 	"testing"
-
-	"tilesim/internal/noc"
 )
 
 func TestTablesRender(t *testing.T) {
@@ -32,20 +30,20 @@ func TestFigure2Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	results, table, err := Figure2(nil, Quick())
+	cells, table, err := Figure2(nil, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 13*8 {
-		t.Fatalf("%d cells, want 13 apps x 8 configs", len(results))
+	if len(cells) != 13*8 {
+		t.Fatalf("%d cells, want 13 apps x 8 configs", len(cells))
 	}
 	if !strings.Contains(table.String(), "Barnes-Hut") {
 		t.Error("table missing applications")
 	}
 	// Structural expectations that hold even at quick scale:
 	byKey := map[string]float64{}
-	for _, r := range results {
-		byKey[r.App+"|"+r.Scheme] = r.Coverage
+	for _, c := range cells {
+		byKey[c.Group+"|"+c.Label] = c.Coverage
 	}
 	// 2B low-order dominates 1B for the same DBRC size.
 	for _, app := range []string{"FFT", "MP3D", "Water-nsq"} {
@@ -70,26 +68,27 @@ func TestFigure5Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	results, table, err := Figure5(nil, Quick())
+	cells, table, err := Figure5(nil, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 13 {
-		t.Fatalf("%d apps", len(results))
+	if len(cells) != 13 {
+		t.Fatalf("%d apps", len(cells))
 	}
 	if !strings.Contains(table.String(), "Requests") {
 		t.Error("table header missing")
 	}
-	for _, m := range results {
+	for _, c := range cells {
+		frac, shortAddr := messageMix(c.Net)
 		var sum float64
-		for c := 0; c < int(noc.NumClasses); c++ {
-			sum += m.Fraction[c]
+		for _, f := range frac {
+			sum += f
 		}
 		if sum < 0.999 || sum > 1.001 {
-			t.Errorf("%s: class fractions sum to %.3f", m.App, sum)
+			t.Errorf("%s: class fractions sum to %.3f", c.Group, sum)
 		}
-		if m.ShortWithAddr <= 0 || m.ShortWithAddr >= 1 {
-			t.Errorf("%s: short-with-address fraction %.2f", m.App, m.ShortWithAddr)
+		if shortAddr <= 0 || shortAddr >= 1 {
+			t.Errorf("%s: short-with-address fraction %.2f", c.Group, shortAddr)
 		}
 	}
 }
@@ -98,47 +97,45 @@ func TestFigure67Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	// One app keeps the quick test fast while exercising the whole
-	// pipeline (the full sweep runs in cmd/figures and the benchmarks).
-	scale := Quick()
-	results, err := Figure67(nil, scale)
+	cells, err := Figure67(nil, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 13 {
-		t.Fatalf("%d apps", len(results))
+	groups := byGroup(cells)
+	if len(groups) != 13 {
+		t.Fatalf("%d apps", len(groups))
 	}
-	for _, res := range results {
-		if len(res.Rows) != 8 { // 6 bars + 2 perfect lines
-			t.Fatalf("%s: %d rows, want 8", res.App, len(res.Rows))
+	for _, g := range groups {
+		if len(g) != 9 { // baseline + 6 bars + 2 perfect lines
+			t.Fatalf("%s: %d cells, want 9", g[0].Group, len(g))
 		}
-		for _, r := range res.Rows {
-			if r.NormTime <= 0 || r.NormTime > 1.2 {
-				t.Errorf("%s/%s: norm time %.3f out of range", res.App, r.Config, r.NormTime)
+		for _, c := range g[1:] {
+			if c.NormTime <= 0 || c.NormTime > 1.2 {
+				t.Errorf("%s/%s: norm time %.3f out of range", c.Group, c.Label, c.NormTime)
 			}
-			if r.NormLinkED2P <= 0 || r.NormLinkED2P > 1.2 {
-				t.Errorf("%s/%s: link ED2P %.3f out of range", res.App, r.Config, r.NormLinkED2P)
+			if c.NormLinkED2P <= 0 || c.NormLinkED2P > 1.2 {
+				t.Errorf("%s/%s: link ED2P %.3f out of range", c.Group, c.Label, c.NormLinkED2P)
 			}
-			if r.NormChipED2P <= 0 || r.NormChipED2P > 1.2 {
-				t.Errorf("%s/%s: chip ED2P %.3f out of range", res.App, r.Config, r.NormChipED2P)
+			if c.NormChipED2P <= 0 || c.NormChipED2P > 1.2 {
+				t.Errorf("%s/%s: chip ED2P %.3f out of range", c.Group, c.Label, c.NormChipED2P)
 			}
 		}
 	}
 	// Rendering works and includes the averages row.
 	for _, tb := range []string{
-		Figure6TopTable(results).String(),
-		Figure6BottomTable(results).String(),
-		Figure7Table(results).String(),
+		Figure6TopTable(cells).String(),
+		Figure6BottomTable(cells).String(),
+		Figure7Table(cells).String(),
 	} {
 		if !strings.Contains(tb, "AVERAGE") || !strings.Contains(tb, "[line]") {
 			t.Error("rendered table missing AVERAGE row or perfect lines")
 		}
 	}
 	// The headline direction: the proposal helps on average.
-	if avg := Average(results, "4-entry DBRC (2B LO)", NormTime); avg >= 1.0 {
+	if avg := Average(cells, "4-entry DBRC (2B LO)", NormTime); avg >= 1.0 {
 		t.Errorf("average normalized time %.3f, expected < 1", avg)
 	}
-	if avg := Average(results, "4-entry DBRC (2B LO)", NormLinkED2P); avg >= 1.0 {
+	if avg := Average(cells, "4-entry DBRC (2B LO)", NormLinkED2P); avg >= 1.0 {
 		t.Errorf("average link ED2P %.3f, expected < 1", avg)
 	}
 }

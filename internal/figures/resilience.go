@@ -3,8 +3,6 @@ package figures
 import (
 	"fmt"
 
-	"tilesim/internal/cmp"
-	"tilesim/internal/compress"
 	"tilesim/internal/fault"
 	"tilesim/internal/stats"
 	"tilesim/internal/sweep"
@@ -22,65 +20,38 @@ func ResilienceBERs() []float64 {
 // failure cliff (the retry-budget error path has its own tests).
 const resilienceRetryLimit = 64
 
-// ResiliencePoint is one BER point of the sweep.
-type ResiliencePoint struct {
-	BER float64
-	// NormTime and NormLinkED2P are relative to the fault-free run of
-	// the same configuration.
-	NormTime     float64
-	NormLinkED2P float64
-	// CRCErrors and Retries count the injected-and-corrected link
-	// errors; RetryFlits the flits burned re-sending them.
-	CRCErrors  uint64
-	Retries    uint64
-	RetryFlits uint64
-}
-
 // Resilience sweeps execution time and link ED^2P against link BER on
 // the paper's proposal configuration (DBRC-4/2B compression over VL+B
-// wires) for one application. Every injected error is corrected by the
-// link-level retry protocol — the sweep quantifies what that
-// correction costs as the error rate climbs.
-func Resilience(runner *sweep.Runner, scale Scale, app string) ([]ResiliencePoint, *stats.Table, error) {
-	runner = defaulted(runner)
-	bers := ResilienceBERs()
-	jobs := make([]cmp.RunConfig, 0, len(bers))
-	for _, ber := range bers {
-		cfg := scale.job(app, compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 2})
+// wires) for one application: one group, normalized against its
+// fault-free run, each cell labeled with its BER. Every injected error
+// is corrected by the link-level retry protocol — the sweep quantifies
+// what that correction costs as the error rate climbs.
+func Resilience(runner *sweep.Runner, scale Scale, app string) ([]Cell, *stats.Table, error) {
+	g := group{name: app}
+	for _, ber := range ResilienceBERs() {
+		cfg := scale.job(app, dbrc4)
 		cfg.Heterogeneous = true
 		if ber > 0 {
 			cfg.Faults = fault.Config{BER: ber, RetryLimit: resilienceRetryLimit}
 		}
-		jobs = append(jobs, cfg)
+		g.add(fmt.Sprintf("%g", ber), cfg)
 	}
-	jrs := runner.Run(jobs)
-	if err := sweep.Err(jrs); err != nil {
-		return nil, nil, fmt.Errorf("resilience: %w", err)
+	cells, err := run(runner, "resilience", []group{g})
+	if err != nil {
+		return nil, nil, err
 	}
-	base := jrs[0].Result
 	t := stats.NewTable("BER", "Norm Time", "Norm Link ED^2P", "CRC Errors", "Retries", "Retry Flits")
-	out := make([]ResiliencePoint, 0, len(bers))
-	for i, ber := range bers {
-		r := jrs[i].Result
-		if r.Net.Dropped != 0 {
-			return nil, nil, fmt.Errorf("resilience: %d drops at BER %g despite the %d-retry budget",
-				r.Net.Dropped, ber, resilienceRetryLimit)
+	for _, c := range cells {
+		if c.Net.Dropped != 0 {
+			return nil, nil, fmt.Errorf("resilience: %d drops at BER %s despite the %d-retry budget",
+				c.Net.Dropped, c.Label, resilienceRetryLimit)
 		}
-		p := ResiliencePoint{
-			BER:          ber,
-			NormTime:     float64(r.ExecCycles) / float64(base.ExecCycles),
-			NormLinkED2P: r.LinkED2P() / base.LinkED2P(),
-			CRCErrors:    r.Net.CRCErrors,
-			Retries:      r.Net.Retries,
-			RetryFlits:   r.Net.RetryFlits,
-		}
-		out = append(out, p)
-		t.AddRow(fmt.Sprintf("%g", ber),
-			fmt.Sprintf("%.3f", p.NormTime),
-			fmt.Sprintf("%.3f", p.NormLinkED2P),
-			fmt.Sprintf("%d", p.CRCErrors),
-			fmt.Sprintf("%d", p.Retries),
-			fmt.Sprintf("%d", p.RetryFlits))
+		t.AddRow(c.Label,
+			fmt.Sprintf("%.3f", c.NormTime),
+			fmt.Sprintf("%.3f", c.NormLinkED2P),
+			fmt.Sprintf("%d", c.Net.CRCErrors),
+			fmt.Sprintf("%d", c.Net.Retries),
+			fmt.Sprintf("%d", c.Net.RetryFlits))
 	}
-	return out, t, nil
+	return cells, t, nil
 }

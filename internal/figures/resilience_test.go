@@ -9,33 +9,36 @@ func TestResilienceQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	points, table, err := Resilience(nil, Quick(), "FFT")
+	cells, table, err := Resilience(nil, Quick(), "FFT")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != len(ResilienceBERs()) {
-		t.Fatalf("%d points, want %d", len(points), len(ResilienceBERs()))
+	if len(cells) != len(ResilienceBERs()) {
+		t.Fatalf("%d cells, want %d", len(cells), len(ResilienceBERs()))
 	}
 	if !strings.Contains(table.String(), "Norm Link ED^2P") {
 		t.Error("table header missing")
 	}
-	base := points[0]
-	if base.BER != 0 || base.NormTime != 1 || base.NormLinkED2P != 1 {
-		t.Fatalf("fault-free point not the normalization base: %+v", base)
+	base := cells[0]
+	if base.Label != "0" || base.NormTime != 1 || base.NormLinkED2P != 1 {
+		t.Fatalf("fault-free run not the normalization base: BER %s, time %v, link ED2P %v",
+			base.Label, base.NormTime, base.NormLinkED2P)
 	}
-	if base.CRCErrors != 0 {
-		t.Fatalf("CRC errors without injection: %+v", base)
+	if base.Net.CRCErrors != 0 {
+		t.Fatalf("%d CRC errors without injection", base.Net.CRCErrors)
 	}
-	last := points[len(points)-1]
-	if last.CRCErrors == 0 || last.Retries != last.CRCErrors {
-		t.Fatalf("BER 1e-4 point did not exercise corrected retries: %+v", last)
+	last := cells[len(cells)-1]
+	if last.Net.CRCErrors == 0 || last.Net.Retries != last.Net.CRCErrors {
+		t.Fatalf("BER %s did not exercise corrected retries: %d CRC errors, %d retries",
+			last.Label, last.Net.CRCErrors, last.Net.Retries)
 	}
 	if last.NormTime <= 1 {
-		t.Errorf("BER 1e-4 run not slower than fault-free: %+v", last)
+		t.Errorf("BER %s run not slower than fault-free: %.3f", last.Label, last.NormTime)
 	}
 	// Degradation is monotone-ish in BER; assert only the strong signal
 	// between the extremes to keep the quick scale stable.
-	if last.NormLinkED2P <= points[1].NormLinkED2P {
-		t.Errorf("link ED^2P did not grow from BER 1e-8 (%+v) to 1e-4 (%+v)", points[1], last)
+	if last.NormLinkED2P <= cells[1].NormLinkED2P {
+		t.Errorf("link ED^2P did not grow from BER %s (%.3f) to %s (%.3f)",
+			cells[1].Label, cells[1].NormLinkED2P, last.Label, last.NormLinkED2P)
 	}
 }

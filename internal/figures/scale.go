@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"tilesim/internal/cmp"
-	"tilesim/internal/compress"
-	"tilesim/internal/energy"
 	"tilesim/internal/mesh"
 	"tilesim/internal/stats"
 	"tilesim/internal/sweep"
@@ -23,7 +21,7 @@ import (
 // grows (refs-per-core shrinks proportionally, floored at
 // minScaleRefs), so a 1024-tile point costs roughly what a 16-tile
 // point does and the study stays tractable. Within one (topology,
-// tiles) cell every configuration is normalized against that cell's
+// tiles) point every configuration is normalized against that point's
 // own baseline, so rows compare interconnect designs at equal scale,
 // never workloads across scales.
 
@@ -39,57 +37,6 @@ var ScaleTopos = []string{"mesh", "torus"}
 // tile count, so the largest machines still exercise the caches past
 // their cold-start transient.
 const minScaleRefs = 500
-
-// ScaleRow is one (topology, tiles, configuration) point of the scale
-// study. Normalized metrics are relative to the same topology and
-// tile count's baseline run.
-type ScaleRow struct {
-	Topology string
-	Tiles    int
-	// AvgHops is the topology's uniform-traffic average hop count
-	// (mesh.AvgHops) - the x-axis the study plots the win against.
-	AvgHops float64
-	Config  string
-	// ExecCycles is the absolute execution time of this run.
-	ExecCycles uint64
-	// NormTime is execution time relative to the cell baseline.
-	NormTime float64
-	// NormICEnergy is interconnect (links + routers) energy relative to
-	// the cell baseline.
-	NormICEnergy float64
-	// NormChipED2P is full-CMP ED^2P relative to the cell baseline,
-	// with the energy model calibrated per cell (ICShare of the cell's
-	// own baseline, compression hardware replicated per tile).
-	NormChipED2P float64
-	// Coverage is the achieved compression coverage (zero for the
-	// layouts that do not compress).
-	Coverage float64
-}
-
-// scaleConfigs returns the per-cell configuration list: the paper's
-// practical compression point over VL+B, the Cheng-style wire-plane
-// alternative, and the combined layout - the same ablations
-// AblationWiring runs at 16 tiles.
-func scaleConfigs() []struct {
-	name string
-	cfg  func(app string) cmp.RunConfig
-} {
-	dbrc := compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 2}
-	return []struct {
-		name string
-		cfg  func(app string) cmp.RunConfig
-	}{
-		{"DBRC-4/2B VL+B", func(app string) cmp.RunConfig {
-			return cmp.RunConfig{App: app, Compression: dbrc, Wiring: "vlb"}
-		}},
-		{"L+PW +RP", func(app string) cmp.RunConfig {
-			return cmp.RunConfig{App: app, Compression: compress.Spec{Kind: "none"}, Wiring: "lpw"}
-		}},
-		{"DBRC-4/2B VL+B+PW +RP", func(app string) cmp.RunConfig {
-			return cmp.RunConfig{App: app, Compression: dbrc, Wiring: "vlbpw"}
-		}},
-	}
-}
 
 // scaleRefs maps the nominal (16-tile) scale to one tile count,
 // holding total work constant: refs*16/tiles, floored at
@@ -108,30 +55,23 @@ func scaleRefs(s Scale, tiles int) Scale {
 	return scaled
 }
 
-// ScaleStudy runs the compression and wire-plane ablations at every
-// (topology, tile count) cell and reports execution time, interconnect
-// energy and full-CMP ED^2P against the topology's average hop count.
-// The whole grid submits as one batch, so cells parallelize across the
+// ScaleStudy runs the wiring ablation's layouts at every (topology,
+// tile count) point and reports execution time, interconnect energy and
+// full-CMP ED^2P against the topology's average hop count. Each point
+// is a group named "<topology>/<tiles>", whose full-CMP model
+// replicates the compression hardware over its own tile count. The
+// whole grid submits as one batch, so its runs parallelize across the
 // runner's workers. Nil tiles/topos select the ScaleTiles/ScaleTopos
 // defaults.
-func ScaleStudy(runner *sweep.Runner, scale Scale, app string, tiles []int, topos []string) ([]ScaleRow, *stats.Table, error) {
-	runner = defaulted(runner)
+func ScaleStudy(runner *sweep.Runner, scale Scale, app string, tiles []int, topos []string) ([]Cell, *stats.Table, error) {
 	if len(tiles) == 0 {
 		tiles = ScaleTiles
 	}
 	if len(topos) == 0 {
 		topos = ScaleTopos
 	}
-	configs := scaleConfigs()
-	stride := 1 + len(configs) // baseline + ablations per cell
-
-	type cell struct {
-		topo    string
-		tiles   int
-		avgHops float64
-	}
-	var cells []cell
-	var jobs []cmp.RunConfig
+	var groups []group
+	var hops []float64 // per group: mesh.AvgHops, the x-axis the study plots the win against
 	for _, topo := range topos {
 		for _, n := range tiles {
 			probe := cmp.RunConfig{Topology: topo, Tiles: n}
@@ -139,69 +79,33 @@ func ScaleStudy(runner *sweep.Runner, scale Scale, app string, tiles []int, topo
 			if err != nil {
 				return nil, nil, fmt.Errorf("scale study: %s/%d: %w", topo, n, err)
 			}
-			cells = append(cells, cell{topo: topo, tiles: n, avgHops: mesh.AvgHops(t)})
+			hops = append(hops, mesh.AvgHops(t))
 			s := scaleRefs(scale, n)
-			mk := func(cfg cmp.RunConfig) cmp.RunConfig {
-				cfg = s.apply(cfg)
-				cfg.Topology, cfg.Tiles = topo, n
-				return cfg
+			g := group{name: fmt.Sprintf("%s/%d", topo, n)}
+			for _, l := range layouts {
+				cfg := s.job(app, l.spec)
+				cfg.Wiring, cfg.Topology, cfg.Tiles = l.wiring, topo, n
+				g.add(l.scaleLabel, cfg)
 			}
-			jobs = append(jobs, mk(cmp.RunConfig{App: app, Compression: compress.Spec{Kind: "none"}}))
-			for _, c := range configs {
-				jobs = append(jobs, mk(c.cfg(app)))
-			}
+			groups = append(groups, g)
 		}
 	}
-	jrs := runner.Run(jobs)
-	if err := sweep.Err(jrs); err != nil {
-		return nil, nil, fmt.Errorf("scale study: %w", err)
+	cells, err := run(runner, "scale study", groups)
+	if err != nil {
+		return nil, nil, err
 	}
-
 	t := stats.NewTable("Topology", "Tiles", "Avg hops", "Configuration",
 		"Exec cycles", "Norm time", "Norm IC energy", "Norm chip ED2P", "Coverage")
-	var rows []ScaleRow
-	for ci, c := range cells {
-		base := jrs[ci*stride].Result
-		model := energy.Calibrate(base.InterconnectJ, base.ExecCycles, ICShare, c.tiles)
-		baseChipJ, err := model.ChipJ(base.InterconnectJ, base.ExecCycles, "", 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		baseChipED2P := energy.ED2P(baseChipJ, base.ExecCycles)
-		add := func(config string, r cmp.Result) error {
-			chipJ, err := model.ChipJ(r.InterconnectJ, r.ExecCycles, r.Table1Scheme, r.ComprEvents)
-			if err != nil {
-				return err
-			}
-			row := ScaleRow{
-				Topology:     c.topo,
-				Tiles:        c.tiles,
-				AvgHops:      c.avgHops,
-				Config:       config,
-				ExecCycles:   r.ExecCycles,
-				NormTime:     float64(r.ExecCycles) / float64(base.ExecCycles),
-				NormICEnergy: float64(r.InterconnectJ) / float64(base.InterconnectJ),
-				NormChipED2P: energy.ED2P(chipJ, r.ExecCycles) / baseChipED2P,
-				Coverage:     r.Coverage,
-			}
-			rows = append(rows, row)
-			t.AddRow(row.Topology, fmt.Sprintf("%d", row.Tiles), fmt.Sprintf("%.2f", row.AvgHops),
-				row.Config,
-				fmt.Sprintf("%d", row.ExecCycles),
-				fmt.Sprintf("%.3f", row.NormTime),
-				fmt.Sprintf("%.3f", row.NormICEnergy),
-				fmt.Sprintf("%.3f", row.NormChipED2P),
-				fmt.Sprintf("%.2f", row.Coverage))
-			return nil
-		}
-		if err := add("baseline", base); err != nil {
-			return nil, nil, err
-		}
-		for i, cfg := range configs {
-			if err := add(cfg.name, jrs[ci*stride+1+i].Result); err != nil {
-				return nil, nil, err
-			}
-		}
+	for i, c := range cells {
+		gi := i / len(layouts)
+		cfg := groups[gi].cfgs[0]
+		t.AddRow(cfg.Topology, fmt.Sprintf("%d", cfg.Tiles), fmt.Sprintf("%.2f", hops[gi]),
+			c.Label,
+			fmt.Sprintf("%d", c.ExecCycles),
+			fmt.Sprintf("%.3f", c.NormTime),
+			fmt.Sprintf("%.3f", c.NormICEnergy),
+			fmt.Sprintf("%.3f", c.NormChipED2P),
+			fmt.Sprintf("%.2f", c.Coverage))
 	}
-	return rows, t, nil
+	return cells, t, nil
 }

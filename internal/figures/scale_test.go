@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -13,13 +12,15 @@ func TestScaleStudyQuick(t *testing.T) {
 	// Two topologies at two small tile counts keeps the test in the
 	// seconds range. Only figures -scale runs the 256- and 1024-tile
 	// cells; the root package's TestScaleAllocGate runs the 1024-tile
-	// torus at DBRC-4/2B on VL+B.
-	rows, table, err := ScaleStudy(nil, Quick(), "FFT", []int{16, 64}, []string{"mesh", "torus"})
+	// torus at DBRC-4/2B on VL+B. The Avg hops column is pinned by the
+	// figures-scale row of testdata/golden/results.json, and
+	// mesh.TestTorusWrapHalvesDiameter checks the torus against the mesh.
+	cells, table, err := ScaleStudy(nil, Quick(), "FFT", []int{16, 64}, []string{"mesh", "torus"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 16 {
-		t.Fatalf("%d rows, want 2 topos x 2 tile counts x 4 configs", len(rows))
+	if len(cells) != 16 {
+		t.Fatalf("%d cells, want 2 topos x 2 tile counts x 4 configs", len(cells))
 	}
 	out := table.String()
 	for _, want := range []string{"baseline", "DBRC-4/2B VL+B", "L+PW +RP", "Avg hops"} {
@@ -27,27 +28,18 @@ func TestScaleStudyQuick(t *testing.T) {
 			t.Errorf("table missing %q", want)
 		}
 	}
-	hops := map[string]float64{}
-	for _, r := range rows {
-		if r.ExecCycles == 0 {
-			t.Errorf("%s/%d/%s: empty run", r.Topology, r.Tiles, r.Config)
+	for _, c := range cells {
+		if c.ExecCycles == 0 {
+			t.Errorf("%s/%s: empty run", c.Group, c.Label)
 		}
-		if r.Config == "baseline" {
-			if r.NormTime != 1 || r.NormICEnergy != 1 || r.NormChipED2P != 1 {
-				t.Errorf("%s/%d baseline not self-normalized: %+v", r.Topology, r.Tiles, r)
+		if c.Label == "baseline" {
+			if c.NormTime != 1 || c.NormICEnergy != 1 || c.NormChipED2P != 1 {
+				t.Errorf("%s baseline not self-normalized: time %v, IC energy %v, chip ED2P %v",
+					c.Group, c.NormTime, c.NormICEnergy, c.NormChipED2P)
 			}
-		} else if r.NormTime <= 0 || r.NormTime > 1.5 {
-			t.Errorf("%s/%d/%s: norm time %.3f out of range", r.Topology, r.Tiles, r.Config, r.NormTime)
+		} else if c.NormTime <= 0 || c.NormTime > 1.5 {
+			t.Errorf("%s/%s: norm time %.3f out of range", c.Group, c.Label, c.NormTime)
 		}
-		hops[fmt.Sprintf("%s/%d", r.Topology, r.Tiles)] = r.AvgHops
-	}
-	// The torus wraparound must beat the mesh diameter at equal radix.
-	if hops["torus/64"] >= hops["mesh/64"] {
-		t.Errorf("torus avg hops %.2f not below mesh %.2f at 64 tiles", hops["torus/64"], hops["mesh/64"])
-	}
-	// Hop count must grow with the machine.
-	if hops["mesh/64"] <= hops["mesh/16"] {
-		t.Errorf("mesh avg hops %.2f at 64 tiles not above %.2f at 16", hops["mesh/64"], hops["mesh/16"])
 	}
 }
 

@@ -203,8 +203,9 @@ func pinnedConfigs() []pinnedConfig {
 		pinnedConfig{name: "trace-torus64-ber", cfg: torus64ber, write: writeTrace},
 	)
 
-	// figures -quick -csv, -quick -ablation -csv, and -scale -quick
-	// -scale-tiles 16,64 -scale-topos mesh,torus -csv.
+	// figures -quick -csv, -quick -ablation -csv, -scale -quick
+	// -scale-tiles 16,64 -scale-topos mesh,torus -csv, and -resilience
+	// -quick -csv.
 	rows = append(rows,
 		pinnedConfig{name: "figures-quick", write: figureCSV(func(r *sweep.Runner, s figures.Scale) ([]*stats.Table, error) {
 			_, fig2, err := figures.Figure2(r, s)
@@ -239,6 +240,17 @@ func pinnedConfigs() []pinnedConfig {
 		pinnedConfig{name: "figures-scale", write: figureCSV(func(r *sweep.Runner, s figures.Scale) ([]*stats.Table, error) {
 			_, t, err := figures.ScaleStudy(r, s, "FFT", []int{16, 64}, []string{"mesh", "torus"})
 			return []*stats.Table{t}, err
+		})},
+		pinnedConfig{name: "figures-resilience", write: figureCSV(func(r *sweep.Runner, s figures.Scale) ([]*stats.Table, error) {
+			var ts []*stats.Table
+			for _, app := range []string{"FFT", "MP3D"} {
+				_, t, err := figures.Resilience(r, s, app)
+				if err != nil {
+					return nil, err
+				}
+				ts = append(ts, t)
+			}
+			return ts, nil
 		})},
 	)
 
