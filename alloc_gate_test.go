@@ -22,10 +22,13 @@ package tilesim
 //
 //	go test -count=1 -run '^TestAllocGate$' -v .
 //
-// the scale gate with `go test -run '^$' -bench 'ScaleAllocGate$'
-// -benchtime 5x -benchmem .` and the slope with `go test -run
-// '^TestAllocSlope$' -v .`, then update the measured_* fields. A
-// ceiling rises only with the measured result that justifies it.
+// the scale gate on the same path with
+//
+//	go test -count=1 -run '^TestScaleAllocGate$' -v .
+//
+// and the slope with `go test -run '^TestAllocSlope$' -v .`, then
+// update the measured_* fields. A ceiling rises only with the measured
+// result that justifies it.
 
 import (
 	"encoding/json"
@@ -129,10 +132,10 @@ func runAllocGateOnce(t testing.TB) {
 	}
 }
 
-// BenchmarkAllocGate is the measurement the CI alloc-gate job compares
-// against ALLOC_BUDGET.json. It is the throughput benchmark's workload
-// with allocation reporting; the ceiling is also reported as a metric
-// so a bench log is self-describing.
+// BenchmarkAllocGate is TestAllocGate's workload as a benchmark, run at
+// GOMAXPROCS, with allocation reporting; the ceiling is also reported
+// as a metric so a bench log is self-describing. TestAllocGate is the
+// gate.
 func BenchmarkAllocGate(b *testing.B) {
 	budget := readAllocBudget(b)
 	b.ReportAllocs()
@@ -172,10 +175,11 @@ func runScaleGateOnce(t testing.TB) {
 	}
 }
 
-// BenchmarkScaleAllocGate is the measurement the CI alloc-gate job
-// compares against the per-tile ceilings
+// BenchmarkScaleAllocGate is TestScaleAllocGate's workload as a
+// benchmark, run at GOMAXPROCS, reported beside the per-tile ceilings
 // (allocs/op <= tiles * scale_allocs_per_tile_ceiling, and B/op <=
-// tiles * scale_bytes_per_tile_ceiling).
+// tiles * scale_bytes_per_tile_ceiling). TestScaleAllocGate is the
+// gate.
 func BenchmarkScaleAllocGate(b *testing.B) {
 	budget := readAllocBudget(b)
 	b.ReportAllocs()

@@ -11,7 +11,7 @@
 // Observability (internal/obs, DESIGN.md §10):
 //
 //	tilesim -app FFT -metrics-out metrics.json
-//	tilesim -app FFT -het -trace-out trace.json -trace-sample 8
+//	tilesim -app FFT -het -scheme dbrc -trace-out trace.json -trace-sample 8
 //
 // -metrics-out writes the full metrics snapshot (per-link utilization,
 // latency breakdowns, MSHR residency, compression pipeline) as
@@ -238,11 +238,11 @@ func main() {
 func report(w io.Writer, cfg cmp.RunConfig, sys *cmp.System, r cmp.Result) {
 	fmt.Fprintf(w, "application         %s\n", r.App)
 	fmt.Fprintf(w, "configuration       %s", r.Config)
-	if cfg.Heterogeneous {
-		vl, _ := cfg.VLWidthBytes()
-		fmt.Fprintf(w, "  (heterogeneous: %dB VL + 34B B wires)", vl)
+	het := sys.Net.HasPlane(mesh.PlaneVL)
+	if het {
+		fmt.Fprintf(w, "  (heterogeneous: %dB VL + %dB B wires)", sys.Net.PlaneWidth(mesh.PlaneVL), sys.Net.PlaneWidth(mesh.PlaneB))
 	} else {
-		fmt.Fprintf(w, "  (baseline: 75B B wires)")
+		fmt.Fprintf(w, "  (baseline: %dB B wires)", sys.Net.PlaneWidth(mesh.PlaneB))
 	}
 	fmt.Fprintln(w)
 	if t := sys.Net.Topology(); t.Name() != "mesh" || t.Tiles() != 16 {
@@ -266,7 +266,7 @@ func report(w io.Writer, cfg cmp.RunConfig, sys *cmp.System, r cmp.Result) {
 	if cfg.Compression.Kind != "none" {
 		fmt.Fprintf(w, "compression         coverage %.1f%%, %d hardware events\n", 100*r.Coverage, r.ComprEvents)
 	}
-	if cfg.Heterogeneous {
+	if het {
 		fmt.Fprintf(w, "VL-wire traffic     %.1f%% of remote messages\n", 100*r.VLFraction)
 	}
 	if cfg.Faults.Enabled() {

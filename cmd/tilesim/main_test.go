@@ -13,10 +13,11 @@ import (
 
 // TestReportGolden runs the configurations of the stdout goldens in
 // testdata/golden and requires report to print them byte for byte: the
-// 4x4 mesh fault-free and at BER 1e-5, and the 64-tile torus with
-// router stalls and a VL-plane outage, the goldens with the topology
-// line, once with the outage inside warmup and once after it, the one
-// golden with the plane failover line. Each configuration is what the
+// 4x4 mesh on baseline wires, the one golden without a VL plane, and
+// with the proposal fault-free and at BER 1e-5, and the 64-tile torus
+// with router stalls and a VL-plane outage, the goldens with the
+// topology line, once with the outage inside warmup and once after it,
+// the one golden with the plane failover line. Each configuration is what the
 // README's capture command gives tilesim.
 func TestReportGolden(t *testing.T) {
 	// tilesim -app FFT -het -scheme dbrc -refs 2000 -warmup 500
@@ -25,6 +26,9 @@ func TestReportGolden(t *testing.T) {
 		Compression:   compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 2},
 		Heterogeneous: true,
 	}
+	// tilesim -app FFT -refs 2000 -warmup 500
+	baseline := mesh
+	baseline.Compression, baseline.Heterogeneous = compress.Spec{Kind: "none", Entries: 4, LowOrderBytes: 2}, false
 	ber := mesh
 	ber.Faults = fault.Config{BER: 1e-5, VLBERScale: 4}
 	torus := mesh
@@ -33,6 +37,7 @@ func TestReportGolden(t *testing.T) {
 	failover := torus
 	failover.Faults.OutageStart = 100000
 	for name, cfg := range map[string]cmp.RunConfig{
+		"mesh4x4-baseline":       baseline,
 		"mesh4x4-faultfree":      mesh,
 		"mesh4x4-ber1e5":         ber,
 		"torus-stall-outage64":   torus,

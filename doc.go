@@ -22,9 +22,9 @@
 //	internal/cacti      SRAM cost models (Table 1)            DESIGN.md §5
 //	internal/compress   DBRC / Stride / Perfect codecs        DESIGN.md §5
 //	internal/noc        message model and classification      DESIGN.md §5
-//	internal/mesh       Topology value (mesh, cmesh, torus,   DESIGN.md §5, §14
-//	                    slim), wormhole network, per-plane
-//	                    links
+//	internal/mesh       link layouts, Topology value (mesh,   DESIGN.md §5, §7, §14
+//	                    cmesh, torus, slim), wormhole
+//	                    network, per-plane links
 //	internal/cache      L1/L2 arrays and MSHRs                DESIGN.md §3
 //	internal/coherence  directory MESI protocol               DESIGN.md §5
 //	internal/cmp        system assembly and run harness       DESIGN.md §3

@@ -1,6 +1,10 @@
 package cmp
 
-import "fmt"
+import (
+	"fmt"
+
+	"tilesim/internal/mesh"
+)
 
 // SimVersion identifies the observable behavior of the simulator: two
 // builds with the same SimVersion must produce bit-identical Results
@@ -42,7 +46,7 @@ func (c RunConfig) Canonical() (string, error) {
 	enc := fmt.Sprintf("app=%s refs=%d warmup=%d seed=%d compress=%s/%d/%d wiring=%s rp=%t router=%d linkscale=%g",
 		c.App, c.RefsPerCore, c.WarmupRefs, c.Seed,
 		c.Compression.Kind, c.Compression.Entries, c.Compression.LowOrderBytes,
-		c.wiring(), c.replyPartitioning(), c.RouterLatency, c.LinkCyclesScale)
+		c.wiring(), mesh.ReplyPartitioning(c.wiring()), c.RouterLatency, c.LinkCyclesScale)
 	// Topology fields append only away from the paper's default 4x4
 	// mesh, so every pre-topology-refactor configuration keeps its cache
 	// key (equivalent spellings normalize: Topology="" and "mesh" encode

@@ -56,7 +56,9 @@ type RunConfig struct {
 	//   "lpw"      - 11-byte L-Wires + 62-byte PW-Wires (Cheng-style)
 	//   "vlbpw"    - VL + 20-byte B + 30-byte PW (the combined design
 	//                the paper sketches as future work)
-	// The two PW layouts run Reply Partitioning (replyPartitioning).
+	// mesh.Layout builds each, its VL-Wires as wide as the scheme's
+	// compressed messages, and the layouts with a PW plane run Reply
+	// Partitioning (mesh.ReplyPartitioning).
 	Wiring string
 	// RouterLatency overrides the router pipeline depth (0 keeps the
 	// layout default of 2); LinkCyclesScale scales wire traversal
@@ -94,16 +96,6 @@ func (c RunConfig) wiring() string {
 	return "baseline"
 }
 
-// replyPartitioning reports whether the layout runs the Flores et al.
-// [9] extension: data replies split into a critical-word partial plus
-// a relaxed full line that rides the PW-Wires. The L+PW layout has no
-// fast path for critical long messages, so it needs it; the combined
-// VL+B+PW layout is designed around it.
-func (c RunConfig) replyPartitioning() bool {
-	w := c.wiring()
-	return w == "lpw" || w == "vlbpw"
-}
-
 // Label names the configuration the way the paper's figures do.
 func (c RunConfig) Label() string {
 	switch c.wiring() {
@@ -115,31 +107,6 @@ func (c RunConfig) Label() string {
 		return c.Compression.Label() + " +RP (VL+B+PW)"
 	}
 	return c.Compression.Label()
-}
-
-// VLWidthBytes returns the low-latency channel width the configuration
-// implies: 3 control bytes plus the compressed payload for VL layouts
-// (paper Section 4.3), 11 bytes for the L-Wire layout, 0 for baseline.
-// It reads the payload size off the Spec and builds no codec.
-func (c RunConfig) VLWidthBytes() (int, error) {
-	switch c.wiring() {
-	case "baseline":
-		return 0, nil
-	case "lpw":
-		return noc.ShortMax, nil
-	case "vlb", "vlbpw":
-		payload, err := c.Compression.CompressedPayloadBytes()
-		if err != nil {
-			return 0, err
-		}
-		w := noc.ControlBytes + payload
-		if w < 3 || w > 5 {
-			return 0, fmt.Errorf("cmp: %s wiring needs a compressing scheme (VL channels exist at 3-5 bytes, %q implies %d)",
-				c.wiring(), c.Compression.Label(), w)
-		}
-		return w, nil
-	}
-	return 0, fmt.Errorf("cmp: unknown wiring %q", c.Wiring)
 }
 
 // Result captures everything the experiment harnesses report.
@@ -317,32 +284,19 @@ func NewSystem(cfg RunConfig) (*System, error) {
 		prefetch = workload.NewPrefetch(app)
 		gen = prefetch
 	}
+	// The layout is checked before the codec is built: a DBRC's state
+	// grows with the square of the tile count.
+	payload, err := cfg.Compression.CompressedPayloadBytes()
+	if err != nil {
+		return nil, err
+	}
+	netCfg, err := mesh.Layout(cfg.wiring(), payload)
+	if err != nil {
+		return nil, fmt.Errorf("cmp: scheme %s: %w", cfg.Compression.Kind, err)
+	}
 	codec, err := buildCodec(cfg.Compression, tiles)
 	if err != nil {
 		return nil, err
-	}
-	vlWidth, err := cfg.VLWidthBytes()
-	if err != nil {
-		return nil, err
-	}
-	var netCfg mesh.Config
-	switch cfg.wiring() {
-	case "baseline":
-		netCfg = mesh.DefaultBaseline()
-	case "vlb":
-		netCfg, err = mesh.Heterogeneous(vlWidth)
-		if err != nil {
-			return nil, err
-		}
-	case "lpw":
-		netCfg = mesh.LayoutLPW()
-	case "vlbpw":
-		netCfg, err = mesh.LayoutVLBPW(vlWidth)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("cmp: unknown wiring %q", cfg.Wiring)
 	}
 	// Zero keeps the layout's value; anything else, a negative router
 	// latency or a non-finite scale included, goes to the network's
@@ -380,7 +334,7 @@ func NewSystem(cfg RunConfig) (*System, error) {
 	// into the protocol.
 	cohCfg := coherence.DefaultConfig()
 	cohCfg.Tiles = tiles
-	cohCfg.ReplyPartitioning = cfg.replyPartitioning()
+	cohCfg.ReplyPartitioning = mesh.ReplyPartitioning(cfg.wiring())
 	sys.Proto = coherence.New(k, cohCfg, func(m noc.Message) { sys.Mgr.Send(&m) })
 	sys.Mgr = core.New(k, net, codec, meter, func(m *noc.Message) { sys.Proto.Deliver(m) })
 

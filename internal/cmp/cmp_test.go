@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tilesim/internal/compress"
+	"tilesim/internal/mesh"
 	"tilesim/internal/noc"
 )
 
@@ -51,30 +52,29 @@ func TestBaselineRunCompletes(t *testing.T) {
 	}
 }
 
+// TestVLWidthDerivation checks the VL plane NewSystem builds: 3
+// control bytes plus the scheme's compressed address, and none on the
+// baseline.
 func TestVLWidthDerivation(t *testing.T) {
 	cases := []struct {
-		spec compress.Spec
+		cfg  RunConfig
 		want int
 	}{
-		{compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 1}, 4},
-		{compress.Spec{Kind: "dbrc", Entries: 16, LowOrderBytes: 2}, 5},
-		{compress.Spec{Kind: "stride", LowOrderBytes: 2}, 5},
-		{compress.Spec{Kind: "perfect", LowOrderBytes: 1}, 4},
+		{hetCfg("FFT", 10, compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 1}), 4},
+		{hetCfg("FFT", 10, compress.Spec{Kind: "dbrc", Entries: 16, LowOrderBytes: 2}), 5},
+		{hetCfg("FFT", 10, compress.Spec{Kind: "stride", LowOrderBytes: 2}), 5},
+		{hetCfg("FFT", 10, compress.Spec{Kind: "perfect", LowOrderBytes: 1}), 4},
+		{baselineCfg("FFT", 10), 0},
 	}
 	for _, c := range cases {
-		cfg := hetCfg("FFT", 10, c.spec)
-		got, err := cfg.VLWidthBytes()
+		sys, err := NewSystem(c.cfg)
 		if err != nil {
-			t.Errorf("%s: %v", c.spec.Label(), err)
+			t.Errorf("%s: %v", c.cfg.Label(), err)
 			continue
 		}
-		if got != c.want {
-			t.Errorf("%s: VL width %d, want %d", c.spec.Label(), got, c.want)
+		if got := sys.Net.PlaneWidth(mesh.PlaneVL); got != c.want {
+			t.Errorf("%s: VL width %d, want %d", c.cfg.Label(), got, c.want)
 		}
-	}
-	// Baseline has no VL plane.
-	if w, _ := baselineCfg("FFT", 10).VLWidthBytes(); w != 0 {
-		t.Errorf("baseline VL width %d", w)
 	}
 }
 

@@ -19,9 +19,10 @@ const fuzzMaxTiles = 64
 // user input from tilesim's flags or a sweep spec, validated where it
 // is decoded (DESIGN.md §14.1). The checked-in corpus
 // (testdata/fuzz/FuzzNewSystem) holds the paper's headline
-// configuration, the out-of-range codec parameters that used to panic
-// and the router latencies and wire-latency scales that used to run on
-// other timings. Run the fuzzer with
+// configuration, the out-of-range codec parameters that used to panic,
+// the router latencies and wire-latency scales that used to run on
+// other timings, and an unknown layout and VL layouts with an
+// uncompressed scheme, which mesh.Layout refuses. Run the fuzzer with
 //
 //	go test -run '^$' -fuzz '^FuzzNewSystem$' -fuzztime 30s ./internal/cmp
 func FuzzNewSystem(f *testing.F) {

@@ -67,8 +67,8 @@ func TestScaleSetupAllocations(t *testing.T) {
 }
 
 // TestNewSystemBuildsCodecOnce checks that sizing the VL channel does
-// not build a second codec: a DBRC's state grows with the square of the
-// tile count.
+// not build a second codec, and that a layout NewSystem rejects builds
+// none: a DBRC's state grows with the square of the tile count.
 func TestNewSystemBuildsCodecOnce(t *testing.T) {
 	builds := 0
 	orig := buildCodec
@@ -85,20 +85,15 @@ func TestNewSystemBuildsCodecOnce(t *testing.T) {
 	if builds != 1 {
 		t.Fatalf("NewSystem built the codec %d times, want 1", builds)
 	}
-	// Sizing the channel alone builds nothing.
-	if _, err := cfg.VLWidthBytes(); err != nil {
-		t.Fatal(err)
+	// A non-compressing scheme on VL wires is an error that names the
+	// scheme and the layout.
+	cfg.Compression = compress.Spec{Kind: "none"}
+	_, err := NewSystem(cfg)
+	if err == nil || !strings.Contains(err.Error(), "scheme none") || !strings.Contains(err.Error(), "layout vlb") {
+		t.Errorf("NewSystem with VL wiring and an uncompressed scheme: %v", err)
 	}
 	if builds != 1 {
-		t.Fatalf("VLWidthBytes built a codec")
-	}
-	// A non-compressing scheme on VL wires is still an error.
-	cfg.Compression = compress.Spec{Kind: "none"}
-	if _, err := cfg.VLWidthBytes(); err == nil {
-		t.Error("VL wiring accepted an uncompressed scheme")
-	}
-	if _, err := NewSystem(cfg); err == nil {
-		t.Error("NewSystem accepted VL wiring with an uncompressed scheme")
+		t.Fatalf("NewSystem built a codec for a layout it rejects")
 	}
 }
 

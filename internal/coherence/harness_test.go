@@ -23,12 +23,13 @@ import (
 
 // rig describes one test system: the protocol's configuration and its
 // transport. The loopback delivers each message after its delay rule's
-// cycles. The interconnect is wired the way cmp.NewSystem wires it: a
-// topology, a link layout, a fault injector and core.Manager with a
-// DBRC-4/2B codec (none on L+PW).
+// cycles. The interconnect is a topology, a mesh.Layout link layout, a
+// fault injector and core.Manager with a DBRC-4/2B codec (none on
+// L+PW), and the layout decides Reply Partitioning, as in
+// cmp.NewSystem.
 type rig struct {
-	tiles, mshrs int // 0 keeps DefaultConfig's
-	rp           bool
+	tiles, mshrs int  // 0 keeps DefaultConfig's
+	rp           bool // the loopback's Reply Partitioning
 	// delay is the loopback's delay rule; nil means one cycle.
 	delay func(*noc.Message) sim.Time
 	// topo names the interconnect's topology; "" selects the loopback.
@@ -109,6 +110,7 @@ func newTestSystem(t testing.TB, r rig) *testSystem {
 	if r.topo == "" {
 		carry = ts.loopback(r.delay)
 	} else {
+		cfg.ReplyPartitioning = mesh.ReplyPartitioning(r.wiring)
 		carry = ts.interconnect(r, cfg.Tiles)
 	}
 	ts.p = New(ts.k, cfg, func(m noc.Message) {
@@ -145,18 +147,11 @@ func (ts *testSystem) interconnect(r rig, tiles int) func(noc.Message) {
 	side := int(math.Sqrt(float64(tiles / conc)))
 	topo, errT := mesh.NewTopology(r.topo, side, side, conc)
 	spec := compress.Spec{Kind: "dbrc", Entries: 4, LowOrderBytes: 2}
-	vl := noc.ControlBytes + spec.LowOrderBytes
-	var cfg mesh.Config
-	var errL error
-	switch r.wiring {
-	case "vlb":
-		cfg, errL = mesh.Heterogeneous(vl)
-	case "vlbpw":
-		cfg, errL = mesh.LayoutVLBPW(vl)
-	case "lpw":
-		cfg, spec = mesh.LayoutLPW(), compress.Spec{Kind: "none"}
+	if r.wiring == "lpw" {
+		spec = compress.Spec{Kind: "none"}
 	}
 	codec, errC := spec.Build(tiles)
+	cfg, errL := mesh.Layout(r.wiring, codec.CompressedPayloadBytes())
 	inj, errF := fault.NewInjector(r.faults, r.seed)
 	if err := errors.Join(errT, errL, errC, errF); err != nil {
 		ts.t.Fatal(err)
@@ -753,20 +748,19 @@ func sharerWordsRow() stressRow {
 }
 
 // netRow runs 64 tiles on topo with the given layout and bit-error
-// rate (four times that on the VL-Wires), Reply Partitioning on the PW
-// layouts. The tiles share four hot pages and six blocks that
-// overflow one L2 set at home 5 (a 4 MB stride keeps a 64-tile home
-// and its set). It must see retries under faults, partial replies
-// under Reply Partitioning, and recalls.
+// rate (four times that on the VL-Wires). The tiles share four hot
+// pages and six blocks that overflow one L2 set at home 5 (a 4 MB
+// stride keeps a 64-tile home and its set). It must see retries under
+// faults, partial replies where the layout runs Reply Partitioning,
+// and recalls.
 func netRow(topo, wiring string, ber float64) stressRow {
 	name := topo + "-" + wiring
 	if ber > 0 {
 		name += "-ber1e-5"
 	}
-	rp := wiring != "vlb"
 	return stressRow{
 		name: name,
-		rig:  rig{tiles: 64, rp: rp, topo: topo, wiring: wiring, faults: fault.Config{BER: ber, VLBERScale: 4}, seed: 1},
+		rig:  rig{tiles: 64, topo: topo, wiring: wiring, faults: fault.Config{BER: ber, VLBERScale: 4}, seed: 1},
 		stress: stress{seed: 1, ops: 16, writes: 3, addr: func(rng *rand.Rand, i int) uint64 {
 			if rng.Intn(4) == 0 {
 				return 5<<HomePageShift + 0x40 + uint64(rng.Intn(6))<<22
@@ -776,7 +770,7 @@ func netRow(topo, wiring string, ber float64) stressRow {
 		guard: func(t *testing.T, ts *testSystem) {
 			retries, recalls := ts.net.Summary().Retries, ts.p.homes[5].Recalls.Value()
 			t.Logf("%d retries, %d partial replies, %d recalls", retries, ts.sent[noc.PartialReply], recalls)
-			if ber > 0 && retries == 0 || rp && ts.sent[noc.PartialReply] == 0 || recalls == 0 {
+			if ber > 0 && retries == 0 || ts.p.cfg.ReplyPartitioning && ts.sent[noc.PartialReply] == 0 || recalls == 0 {
 				t.Fatalf("the workload left a path untried: %d retries, %d partial replies, %d recalls",
 					retries, ts.sent[noc.PartialReply], recalls)
 			}

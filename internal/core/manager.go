@@ -183,17 +183,3 @@ func (m *Manager) compress(msg *noc.Message) {
 		msg.Compressed = true
 	}
 }
-
-// VLFraction returns the fraction of remote messages that rode the
-// low-latency wires.
-func (m *Manager) VLFraction() float64 {
-	total := m.VLMessages.Value() + m.BMessages.Value() + m.PWMessages.Value()
-	return stats.Ratio(float64(m.VLMessages.Value()), float64(total))
-}
-
-// PWFraction returns the fraction of remote messages that rode the
-// power-optimized wires.
-func (m *Manager) PWFraction() float64 {
-	total := m.VLMessages.Value() + m.BMessages.Value() + m.PWMessages.Value()
-	return stats.Ratio(float64(m.PWMessages.Value()), float64(total))
-}

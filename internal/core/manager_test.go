@@ -10,9 +10,10 @@ import (
 	"tilesim/internal/sim"
 )
 
-// harness builds a manager over a heterogeneous or baseline mesh with a
-// recording deliver function. A delivered message is valid only during
-// the delivery, so the harness records copies.
+// harness builds a manager over a mesh.Layout network with a recording
+// deliver function: the baseline for compress.None, the proposal's
+// VL+B layout sized for any other codec. A delivered message is valid
+// only during the delivery, so the harness records copies.
 type harness struct {
 	k         *sim.Kernel
 	net       *mesh.Network
@@ -20,18 +21,16 @@ type harness struct {
 	delivered []noc.Message
 }
 
-func newHarness(t *testing.T, codec compress.Codec, vlWidth int) *harness {
+func newHarness(t *testing.T, codec compress.Codec) *harness {
 	t.Helper()
 	h := &harness{k: sim.NewKernel()}
-	var cfg mesh.Config
-	if vlWidth > 0 {
-		var err error
-		cfg, err = mesh.Heterogeneous(vlWidth)
-		if err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		cfg = mesh.DefaultBaseline()
+	layout := "vlb"
+	if _, none := codec.(*compress.None); none {
+		layout = "baseline"
+	}
+	cfg, err := mesh.Layout(layout, codec.CompressedPayloadBytes())
+	if err != nil {
+		t.Fatal(err)
 	}
 	h.net = mesh.New(h.k, cfg, nil)
 	h.mgr = New(h.k, h.net, codec, nil, func(m *noc.Message) { h.delivered = append(h.delivered, *m) })
@@ -53,7 +52,7 @@ func (h *harness) send(t *testing.T, m *noc.Message) noc.Message {
 }
 
 func TestBaselineSizesAndPlane(t *testing.T) {
-	h := newHarness(t, compress.NewNone(), 0)
+	h := newHarness(t, compress.NewNone())
 	m := h.send(t, &noc.Message{Type: noc.GetS, Src: 0, Dst: 5, Addr: 0x1000})
 	if m.SizeBytes != 11 || m.Compressed || m.VL {
 		t.Fatalf("baseline request: %+v", m)
@@ -75,7 +74,7 @@ func (h *harness) coverage() float64 {
 
 func TestCompressedRequestRidesVL(t *testing.T) {
 	codec := compress.NewDBRC(4, 2, 16)
-	h := newHarness(t, codec, 5)
+	h := newHarness(t, codec)
 	// First request to a region: miss, uncompressed, B plane.
 	m1 := h.send(t, &noc.Message{Type: noc.GetS, Src: 0, Dst: 5, Addr: 0x1_0000})
 	if m1.Compressed || m1.SizeBytes != 11 || m1.VL {
@@ -95,7 +94,7 @@ func TestCompressedRequestRidesVL(t *testing.T) {
 }
 
 func TestCoherenceRepliesRideVLUncompressed(t *testing.T) {
-	h := newHarness(t, compress.NewDBRC(4, 2, 16), 5)
+	h := newHarness(t, compress.NewDBRC(4, 2, 16))
 	m := h.send(t, &noc.Message{Type: noc.InvAck, Src: 1, Dst: 2, Addr: 0x2000})
 	if !m.VL || m.SizeBytes != 3 || m.Compressed {
 		t.Fatalf("InvAck should ride VL at 3B uncompressed: %+v", m)
@@ -103,7 +102,7 @@ func TestCoherenceRepliesRideVLUncompressed(t *testing.T) {
 }
 
 func TestNonCriticalNeverRidesVL(t *testing.T) {
-	h := newHarness(t, compress.NewDBRC(4, 2, 16), 5)
+	h := newHarness(t, compress.NewDBRC(4, 2, 16))
 	// Replacement hint is 3 bytes (fits VL) but non-critical.
 	m := h.send(t, &noc.Message{Type: noc.ReplacementHint, Src: 1, Dst: 2, Addr: 0x2000})
 	if m.VL {
@@ -119,7 +118,7 @@ func TestNonCriticalNeverRidesVL(t *testing.T) {
 func TestUncompressedRequestFallsToB(t *testing.T) {
 	// 1B-LO codec on a 4B VL channel: a miss (11B) must use B wires.
 	codec := compress.NewDBRC(4, 1, 16)
-	h := newHarness(t, codec, 4)
+	h := newHarness(t, codec)
 	m1 := h.send(t, &noc.Message{Type: noc.GetX, Src: 3, Dst: 9, Addr: 0x5_0000})
 	if m1.VL || m1.SizeBytes != 11 {
 		t.Fatalf("missed request must be 11B on B: %+v", m1)
@@ -131,7 +130,7 @@ func TestUncompressedRequestFallsToB(t *testing.T) {
 }
 
 func TestLocalMessagesSkipNetwork(t *testing.T) {
-	h := newHarness(t, compress.NewDBRC(4, 2, 16), 5)
+	h := newHarness(t, compress.NewDBRC(4, 2, 16))
 	sent := noc.Message{Type: noc.GetS, Src: 3, Dst: 3, Addr: 0x7000}
 	var got []noc.Message
 	var at sim.Time
@@ -157,7 +156,7 @@ func TestLocalMessagesSkipNetwork(t *testing.T) {
 
 func TestCommandStreamSeparateFromRequests(t *testing.T) {
 	codec := compress.NewDBRC(4, 2, 16)
-	h := newHarness(t, codec, 5)
+	h := newHarness(t, codec)
 	h.send(t, &noc.Message{Type: noc.GetS, Src: 0, Dst: 5, Addr: 0x9_0000})
 	// An Inv on the same pair/region uses the command stream: cold miss.
 	m := h.send(t, &noc.Message{Type: noc.Inv, Src: 0, Dst: 5, Addr: 0x9_0040})
@@ -171,7 +170,7 @@ func TestCommandStreamSeparateFromRequests(t *testing.T) {
 }
 
 func TestPerfectCodecAlwaysVL(t *testing.T) {
-	h := newHarness(t, compress.NewPerfect(2), 5)
+	h := newHarness(t, compress.NewPerfect(2))
 	for i := 0; i < 5; i++ {
 		m := h.send(t, &noc.Message{Type: noc.GetS, Src: 0, Dst: 5, Addr: uint64(0x10000 + i*64)})
 		if !m.Compressed || !m.VL || m.SizeBytes != 5 {
@@ -184,17 +183,21 @@ func TestPerfectCodecAlwaysVL(t *testing.T) {
 }
 
 func TestVLFraction(t *testing.T) {
-	h := newHarness(t, compress.NewPerfect(2), 5)
+	h := newHarness(t, compress.NewPerfect(2))
 	h.send(t, &noc.Message{Type: noc.GetS, Src: 0, Dst: 5, Addr: 0x10000})
 	h.send(t, &noc.Message{Type: noc.Data, Src: 5, Dst: 0, Addr: 0x10000, DataBytes: 64})
-	if f := h.mgr.VLFraction(); f != 0.5 {
-		t.Fatalf("VL fraction %v, want 0.5", f)
+	if vl, b := h.mgr.VLMessages.Value(), h.mgr.BMessages.Value(); vl != 1 || b != 1 {
+		t.Fatalf("%d messages on VL wires and %d on B wires, want 1 and 1", vl, b)
 	}
 }
 
 func TestManagerConfigValidation(t *testing.T) {
 	k := sim.NewKernel()
-	net := mesh.New(k, mesh.DefaultBaseline(), nil)
+	baseline, err := mesh.Layout("baseline", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := mesh.New(k, baseline, nil)
 	deliver := func(*noc.Message) {}
 	// Nil codec.
 	func() {
@@ -206,7 +209,10 @@ func TestManagerConfigValidation(t *testing.T) {
 		New(k, net, nil, nil, deliver)
 	}()
 	// VL channel too narrow for the codec's compressed size.
-	hetCfg, _ := mesh.Heterogeneous(4)
+	hetCfg, err := mesh.Layout("vlb", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	hetNet := mesh.New(k, hetCfg, nil)
 	func() {
 		defer func() {

@@ -1,6 +1,9 @@
 package core
 
-import "tilesim/internal/obs"
+import (
+	"tilesim/internal/obs"
+	"tilesim/internal/stats"
+)
 
 // RegisterMetrics declares the message manager's quantities in a
 // registry under the "mgr." prefix (DESIGN.md §10 naming): the
@@ -25,6 +28,11 @@ func (m *Manager) RegisterMetrics(r *obs.Registry) {
 	// Coverage: the fraction of compressible messages that were
 	// compressed (Figure 2's metric).
 	s.Ratio("mgr.coverage", m.Compressed.Value, m.Compressible.Value)
-	r.Gauge("mgr.vl_fraction", m.VLFraction)
-	r.Gauge("mgr.pw_fraction", m.PWFraction)
+	r.Gauge("mgr.vl_fraction", func() float64 { return m.remoteShare(m.VLMessages.Value()) })
+	r.Gauge("mgr.pw_fraction", func() float64 { return m.remoteShare(m.PWMessages.Value()) })
+}
+
+// remoteShare returns n messages as a fraction of the remote messages.
+func (m *Manager) remoteShare(n uint64) float64 {
+	return stats.Ratio(float64(n), float64(m.VLMessages.Value()+m.BMessages.Value()+m.PWMessages.Value()))
 }

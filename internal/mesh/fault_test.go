@@ -49,10 +49,7 @@ func TestScaledCycles(t *testing.T) {
 func faultNet(t *testing.T, cfg fault.Config, seed int64) (*sim.Kernel, *Network, *[]sim.Time) {
 	t.Helper()
 	k := sim.NewKernel()
-	mcfg, err := Heterogeneous(5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mcfg := mustLayout("vlb")
 	n := New(k, mcfg, nil)
 	in, err := fault.NewInjector(cfg, seed)
 	if err != nil {

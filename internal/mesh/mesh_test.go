@@ -68,7 +68,7 @@ func TestDegenerateTopologyPanics(t *testing.T) {
 			t.Fatal("network built on a refused 1x1 topology")
 		}
 	}()
-	cfg := DefaultBaseline()
+	cfg := mustLayout("baseline")
 	cfg.Topo = topo
 	New(sim.NewKernel(), cfg, nil)
 }
@@ -100,7 +100,7 @@ func TestBaselineSingleHopLatency(t *testing.T) {
 	// Tile 0 -> tile 1: one hop. Router(2) + link(8) + final router(2)
 	// + 0 extra serialization (11B message = 1 flit on 75B link) = 12.
 	m := &noc.Message{Type: noc.GetS, Src: 0, Dst: 1, SizeBytes: 11}
-	if got := deliverOne(t, DefaultBaseline(), m); got != 12 {
+	if got := deliverOne(t, mustLayout("baseline"), m); got != 12 {
 		t.Fatalf("1-hop latency %d, want 12", got)
 	}
 }
@@ -108,16 +108,13 @@ func TestBaselineSingleHopLatency(t *testing.T) {
 func TestBaselineMultiHopLatency(t *testing.T) {
 	// Tile 0 -> tile 15: 6 hops. 6*(2+8) + 2 = 62, one flit.
 	m := &noc.Message{Type: noc.GetS, Src: 0, Dst: 15, SizeBytes: 11}
-	if got := deliverOne(t, DefaultBaseline(), m); got != 62 {
+	if got := deliverOne(t, mustLayout("baseline"), m); got != 62 {
 		t.Fatalf("6-hop latency %d, want 62", got)
 	}
 }
 
 func TestHeterogeneousVLFasterThanB(t *testing.T) {
-	cfg, err := Heterogeneous(5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := mustLayout("vlb")
 	// Compressed 5-byte request on VL wires: 6 hops, 6*(2+3)+2 = 32.
 	mVL := &noc.Message{Type: noc.GetS, Src: 0, Dst: 15, SizeBytes: 5, Compressed: true, VL: true}
 	gotVL := deliverOne(t, cfg, mVL)
@@ -134,9 +131,9 @@ func TestHeterogeneousVLFasterThanB(t *testing.T) {
 func TestDataReplySerializationOnNarrowBPlane(t *testing.T) {
 	// 67-byte reply: baseline 75B link = 1 flit; heterogeneous 34B B
 	// plane = 2 flits -> +1 cycle tail serialization.
-	base := deliverOne(t, DefaultBaseline(),
+	base := deliverOne(t, mustLayout("baseline"),
 		&noc.Message{Type: noc.Data, Src: 0, Dst: 3, DataBytes: 64, SizeBytes: 67})
-	cfg, _ := Heterogeneous(5)
+	cfg := mustLayout("vlb")
 	het := deliverOne(t, cfg,
 		&noc.Message{Type: noc.Data, Src: 0, Dst: 3, DataBytes: 64, SizeBytes: 67})
 	if het != base+1 {
@@ -148,7 +145,7 @@ func TestChannelContentionSerializesHeads(t *testing.T) {
 	// Two 67-byte messages injected the same cycle on the same route:
 	// the second head must wait for the first tail to enter the link.
 	k := sim.NewKernel()
-	cfg := DefaultBaseline()
+	cfg := mustLayout("baseline")
 	cfg.Channels[PlaneB].WidthBytes = 34 // 2 flits per message
 	n := New(k, cfg, nil)
 	var times []sim.Time
@@ -175,7 +172,7 @@ func TestChannelContentionSerializesHeads(t *testing.T) {
 func TestPlanesDoNotContend(t *testing.T) {
 	// A VL message and a B message on the same physical link are on
 	// different wire planes: no mutual delay.
-	cfg, _ := Heterogeneous(5)
+	cfg := mustLayout("vlb")
 	k := sim.NewKernel()
 	n := New(k, cfg, nil)
 	var vlTime sim.Time
@@ -199,7 +196,7 @@ func TestPlanesDoNotContend(t *testing.T) {
 
 func TestSendValidates(t *testing.T) {
 	k := sim.NewKernel()
-	n := New(k, DefaultBaseline(), nil)
+	n := New(k, mustLayout("baseline"), nil)
 	cases := []*noc.Message{
 		{Type: noc.GetS, Src: 0, Dst: 0, SizeBytes: 11},          // self
 		{Type: noc.GetS, Src: 0, Dst: 1},                         // no size
@@ -219,7 +216,10 @@ func TestSendValidates(t *testing.T) {
 
 func TestSummaryCounts(t *testing.T) {
 	k := sim.NewKernel()
-	cfg, _ := Heterogeneous(4)
+	cfg, err := Layout("vlb", 1) // 4-byte VL-Wires
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := New(k, cfg, nil)
 	for i := 0; i < 16; i++ {
 		n.SetHandler(i, func(*sim.Kernel, *noc.Message) {})
@@ -248,7 +248,7 @@ func TestSummaryCounts(t *testing.T) {
 
 func TestStaticWires(t *testing.T) {
 	k := sim.NewKernel()
-	cfg, _ := Heterogeneous(5)
+	cfg := mustLayout("vlb")
 	n := New(k, cfg, nil)
 	// 4x4 mesh: 2 * (3*4 + 3*4) = 48 directed links.
 	if n.Links() != 48 {
@@ -288,7 +288,7 @@ func (o *countingObserver) RouterHop(b int, f noc.FlitCount) { o.routers++ }
 func TestObserverSeesEveryHop(t *testing.T) {
 	k := sim.NewKernel()
 	obs := &countingObserver{}
-	n := New(k, DefaultBaseline(), obs)
+	n := New(k, mustLayout("baseline"), obs)
 	for i := 0; i < 16; i++ {
 		n.SetHandler(i, func(*sim.Kernel, *noc.Message) {})
 	}
@@ -306,7 +306,7 @@ func TestObserverSeesEveryHop(t *testing.T) {
 // Property: end-to-end latency on an idle network equals
 // hops*(router+link) + router + flits - 1 for any pair.
 func TestIdleLatencyFormulaProperty(t *testing.T) {
-	cfg := DefaultBaseline()
+	cfg := mustLayout("baseline")
 	f := func(srcRaw, dstRaw, sizeRaw uint8) bool {
 		src, dst := int(srcRaw%16), int(dstRaw%16)
 		if src == dst {
@@ -335,7 +335,7 @@ func TestIdleLatencyFormulaProperty(t *testing.T) {
 
 func TestLatencyPercentiles(t *testing.T) {
 	k := sim.NewKernel()
-	n := New(k, DefaultBaseline(), nil)
+	n := New(k, mustLayout("baseline"), nil)
 	for i := 0; i < 16; i++ {
 		n.SetHandler(i, func(*sim.Kernel, *noc.Message) {})
 	}
@@ -359,21 +359,33 @@ func TestLatencyPercentiles(t *testing.T) {
 	}
 }
 
+// TestLayoutAreaBudgets checks every layout and VL width Layout builds
+// against the baseline link's 600 tracks of metal, within the rounding
+// tolerance of the paper's own VL+B layout (608 tracks with 3-byte
+// VL-Wires): all eight cases, and vlbpw's 3-byte VL-Wires, which would
+// take 616 tracks, refused.
 func TestLayoutAreaBudgets(t *testing.T) {
-	// Every layout must fit the 75-byte B-Wire metal budget (600 track
-	// units), within the same rounding tolerance as the paper's own
-	// VL+B layout.
 	budget := wire.AreaUnits(wire.B8X, 75*8)
-	layouts := map[string]Config{
-		"lpw": LayoutLPW(),
-	}
-	if c, err := LayoutVLBPW(4); err == nil {
-		layouts["vlbpw4"] = c
-	}
-	if c, err := LayoutVLBPW(5); err == nil {
-		layouts["vlbpw5"] = c
-	}
-	for name, cfg := range layouts {
+	for _, c := range []struct {
+		name    string
+		payload int // compressed address bytes: a VL plane of 3 + payload
+		refused bool
+	}{
+		{name: "baseline"}, {name: "lpw"},
+		{name: "vlb", payload: 0}, {name: "vlb", payload: 1}, {name: "vlb", payload: 2},
+		{name: "vlbpw", payload: 0, refused: true}, {name: "vlbpw", payload: 1}, {name: "vlbpw", payload: 2},
+	} {
+		cfg, err := Layout(c.name, c.payload)
+		if c.refused {
+			if err == nil {
+				t.Errorf("%s with %d-byte VL-Wires built", c.name, noc.ControlBytes+c.payload)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s, %d-byte address: %v", c.name, c.payload, err)
+			continue
+		}
 		var area float64
 		for _, ch := range cfg.Channels {
 			if ch.WidthBytes > 0 {
@@ -381,17 +393,17 @@ func TestLayoutAreaBudgets(t *testing.T) {
 			}
 		}
 		if area > budget*1.015 {
-			t.Errorf("%s: %.0f track units exceeds budget %.0f", name, area, budget)
+			t.Errorf("%s, %d-byte address: %.0f track units exceeds budget %.0f", c.name, c.payload, area, budget)
 		}
 		if area < budget*0.55 {
-			t.Errorf("%s: %.0f track units wastes the budget %.0f", name, area, budget)
+			t.Errorf("%s, %d-byte address: %.0f track units wastes the budget %.0f", c.name, c.payload, area, budget)
 		}
 	}
 }
 
 func TestPWPlaneMessages(t *testing.T) {
 	k := sim.NewKernel()
-	n := New(k, LayoutLPW(), nil)
+	n := New(k, mustLayout("lpw"), nil)
 	for i := 0; i < 16; i++ {
 		n.SetHandler(i, func(*sim.Kernel, *noc.Message) {})
 	}
@@ -411,7 +423,7 @@ func TestPWPlaneMessages(t *testing.T) {
 
 func TestBothPlanesRequestedPanics(t *testing.T) {
 	k := sim.NewKernel()
-	n := New(k, LayoutLPW(), nil)
+	n := New(k, mustLayout("lpw"), nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("VL+PW message accepted")
@@ -467,7 +479,7 @@ func TestLinkRoutesMatchTopology(t *testing.T) {
 	sampled := []Topology{mustTopology("torus", 32, 32, 1), mustTopology("slim", 32, 32, 1)}
 	rng := rand.New(rand.NewSource(1))
 	for _, topo := range append(full, sampled...) {
-		cfg := DefaultBaseline()
+		cfg := mustLayout("baseline")
 		cfg.Topo = topo
 		n := New(sim.NewKernel(), cfg, nil)
 		links := topo.Links()
@@ -513,7 +525,7 @@ func TestEveryLinkHasAPort(t *testing.T) {
 	topos := slices.Concat(topologies16(), topologies64(), topologies1024(),
 		[]Topology{mustTopology("mesh", 1, 4, 1), mustTopology("mesh", 4, 1, 1)})
 	for _, topo := range topos {
-		cfg := DefaultBaseline()
+		cfg := mustLayout("baseline")
 		cfg.Topo = topo
 		n := New(sim.NewKernel(), cfg, nil)
 		row, col := axisDegrees(topo)
@@ -557,7 +569,7 @@ func TestEveryLinkHasAPort(t *testing.T) {
 // allocates nothing.
 func TestRouteWalkDoesNotAllocate(t *testing.T) {
 	for _, topo := range []Topology{mustTopology("torus", 32, 32, 1), mustTopology("slim", 32, 32, 1)} {
-		cfg := DefaultBaseline()
+		cfg := mustLayout("baseline")
 		cfg.Topo = topo
 		n := New(sim.NewKernel(), cfg, nil)
 		hops := 0

@@ -100,78 +100,86 @@ func (c Config) Validate() error {
 // paperMesh is the paper's network: a 4x4 mesh, one tile per router.
 var paperMesh = Topology{name: "mesh", w: 4, h: 4, conc: 1}
 
-// DefaultBaseline returns the paper's baseline network: 4x4 mesh,
-// 75-byte B-Wire (8X) unidirectional links, 5 mm (wire.LinkLengthM),
-// 2-stage routers (the speculative two-stage pipeline typical of the
-// paper's era).
-func DefaultBaseline() Config {
-	return Config{
-		Topo:          paperMesh,
-		RouterLatency: 2,
-		Channels: [numPlanes]ChannelConfig{
-			PlaneB: {Kind: wire.B8X, WidthBytes: 75},
-		},
-	}
+// layouts is every link layout Layout builds. Each spends the metal of
+// the paper's baseline link, 75 bytes of 8X B-Wires at one track per
+// wire (600 tracks), on its planes: w bytes of kind k take
+// wire.AreaUnits(k, 8w) tracks. A layout with minVL > 0 has VL-Wires
+// on its VL plane, as wide as a compressed short message: 3 control
+// bytes plus the compressed address, minVL to 5 bytes (Table 3).
+var layouts = [...]struct {
+	name  string
+	minVL int
+	ch    [numPlanes]ChannelConfig
+}{
+	// The paper's baseline: 75 B x 8 x 1.0 = 600.
+	{name: "baseline", ch: [numPlanes]ChannelConfig{
+		PlaneB: {Kind: wire.B8X, WidthBytes: 75},
+	}},
+	// The proposal (Section 4.3): 3 B x 8 x 14 (VL3B) = 336,
+	// 4 B x 8 x 10 (VL4B) = 320 or 5 B x 8 x 8 (VL5B) = 320, plus
+	// 34 B x 8 x 1.0 (B) = 272: 608 or 592, the paper's rounding.
+	{name: "vlb", minVL: 3, ch: [numPlanes]ChannelConfig{
+		PlaneB: {Kind: wire.B8X, WidthBytes: 34},
+	}},
+	// Cheng et al. / Reply Partitioning: 11 B of L-Wires carry whole
+	// short critical messages uncompressed, and the PW-Wires double as
+	// the bulk plane: 11 B x 8 x 4.0 (L) = 352 plus 62 B x 8 x 0.5 (PW)
+	// = 248: 600.
+	{name: "lpw", ch: [numPlanes]ChannelConfig{
+		PlaneVL: {Kind: wire.L8X, WidthBytes: 11},
+		PlanePW: {Kind: wire.PW4X, WidthBytes: 62},
+	}},
+	// The combined design the paper sketches as future work: VL-Wires
+	// for compressed critical shorts, a small B plane for uncompressed
+	// shorts and partial replies, PW-Wires for the non-critical bulk:
+	// 320 (VL4B or VL5B) + 20 B x 8 x 1.0 (B) = 160 + 30 B x 8 x 0.5
+	// (PW) = 120: 600. VL3B's 336 would make 616, past the budget.
+	{name: "vlbpw", minVL: 4, ch: [numPlanes]ChannelConfig{
+		PlaneB:  {Kind: wire.B8X, WidthBytes: 20},
+		PlanePW: {Kind: wire.PW4X, WidthBytes: 30},
+	}},
 }
 
-// Heterogeneous returns the proposal's network: each link split into a
-// vlBytes-wide VL-Wire channel (3, 4 or 5 bytes) plus a 34-byte B-Wire
-// channel (Section 4.3).
-func Heterogeneous(vlBytes int) (Config, error) {
-	kind, err := wire.VLForWidth(vlBytes)
-	if err != nil {
-		return Config{}, err
+// Layout returns the named link layout ("baseline", "vlb", "lpw" or
+// "vlbpw", the layouts table) on the paper's 4x4 mesh, 5 mm links
+// (wire.LinkLengthM) and 2-stage routers (the speculative two-stage
+// pipeline typical of the paper's era). payloadBytes is the compressed
+// address a VL-Wire plane carries beside the control bytes; the
+// layouts without VL-Wires ignore it. Its messages carry no package
+// prefix, like Validate's.
+func Layout(name string, payloadBytes int) (Config, error) {
+	for _, l := range layouts {
+		if l.name != name {
+			continue
+		}
+		c := Config{Topo: paperMesh, RouterLatency: 2, Channels: l.ch}
+		if l.minVL > 0 {
+			w := noc.ControlBytes + payloadBytes
+			kind, err := wire.VLForWidth(w)
+			if err != nil || w < l.minVL {
+				return Config{}, fmt.Errorf("layout %s carries %d control bytes and a compressed address on %d-5 byte VL-Wires (Table 3): the scheme does not compress addresses to %d-%d bytes (it sends %d)",
+					name, noc.ControlBytes, l.minVL, l.minVL-noc.ControlBytes, 5-noc.ControlBytes, payloadBytes)
+			}
+			c.Channels[PlaneVL] = ChannelConfig{Kind: kind, WidthBytes: w}
+		}
+		return c, nil
 	}
-	return Config{
-		Topo:          paperMesh,
-		RouterLatency: 2,
-		Channels: [numPlanes]ChannelConfig{
-			PlaneB:  {Kind: wire.B8X, WidthBytes: 34},
-			PlaneVL: {Kind: kind, WidthBytes: vlBytes},
-		},
-	}, nil
+	return Config{}, fmt.Errorf("unknown link layout %q (have baseline, vlb, lpw, vlbpw)", name)
 }
 
-// LayoutLPW returns the Cheng et al. / Reply Partitioning layout: an
-// 11-byte L-Wire channel carries whole short critical messages with no
-// compression needed, and the remaining metal budget becomes a 62-byte
-// PW-Wire channel for non-critical traffic (no separate B plane: the PW
-// channel doubles as the bulk plane).
-//
-// Area check against the 75-byte B-Wire budget (600 tracks):
-// 11 B x 8 x 4.0 (L) = 352; 62 B x 8 x 0.5 (PW) = 248; total 600.
-func LayoutLPW() Config {
-	return Config{
-		Topo:          paperMesh,
-		RouterLatency: 2,
-		Channels: [numPlanes]ChannelConfig{
-			PlaneVL: {Kind: wire.L8X, WidthBytes: 11},
-			PlanePW: {Kind: wire.PW4X, WidthBytes: 62},
-		},
+// ReplyPartitioning reports whether the named layout runs the Flores et
+// al. [9] extension, data replies split into a critical-word partial
+// and a relaxed full line: the layouts with a PW plane do, whose
+// PW-Wires carry the relaxed lines. The L+PW layout has no fast path
+// for critical long messages, so it needs it; the combined VL+B+PW
+// layout is designed around it.
+func ReplyPartitioning(layout string) bool {
+	for _, l := range layouts {
+		if l.name == layout {
+			return l.ch[PlanePW].WidthBytes > 0
+		}
 	}
-}
-
-// LayoutVLBPW returns the combined design the paper sketches as future
-// work: compression + VL-Wires for critical shorts, a small B channel
-// for uncompressed shorts and partial replies, and a PW channel for the
-// non-critical bulk.
-//
-// Area check: 4 B x 8 x 10 (VL4B) = 320 or 5 B x 8 x 8 (VL5B) = 320;
-// 20 B x 8 x 1 (B) = 160; 30 B x 8 x 0.5 (PW) = 120; total 600.
-func LayoutVLBPW(vlBytes int) (Config, error) {
-	kind, err := wire.VLForWidth(vlBytes)
-	if err != nil {
-		return Config{}, err
-	}
-	return Config{
-		Topo:          paperMesh,
-		RouterLatency: 2,
-		Channels: [numPlanes]ChannelConfig{
-			PlaneB:  {Kind: wire.B8X, WidthBytes: 20},
-			PlaneVL: {Kind: kind, WidthBytes: vlBytes},
-			PlanePW: {Kind: wire.PW4X, WidthBytes: 30},
-		},
-	}, nil
+	return false
 }
 
 // Observer receives physical activity for energy accounting. Implemented

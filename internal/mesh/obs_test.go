@@ -40,7 +40,7 @@ func burst(k *sim.Kernel, n *Network) int {
 
 func TestBreakdownSumsExactly(t *testing.T) {
 	k := sim.NewKernel()
-	n := New(k, DefaultBaseline(), nil)
+	n := New(k, mustLayout("baseline"), nil)
 	sink(n)
 	sent := burst(k, n)
 	k.Run(nil)
@@ -85,7 +85,7 @@ func TestBreakdownSumsExactly(t *testing.T) {
 
 func TestNetworkTracerEmitsLifecycle(t *testing.T) {
 	k := sim.NewKernel()
-	n := New(k, DefaultBaseline(), nil)
+	n := New(k, mustLayout("baseline"), nil)
 	sink(n)
 	var buf bytes.Buffer
 	tr := obs.NewTracer(&buf, 1)
@@ -143,7 +143,7 @@ func TestNetworkTracerEmitsLifecycle(t *testing.T) {
 func TestTracerDoesNotChangeTiming(t *testing.T) {
 	run := func(trace bool) (Summary, [noc.NumClasses]LatencyBreakdown, sim.Time) {
 		k := sim.NewKernel()
-		n := New(k, DefaultBaseline(), nil)
+		n := New(k, mustLayout("baseline"), nil)
 		sink(n)
 		if trace {
 			n.SetTracer(obs.NewTracer(&bytes.Buffer{}, 2))
@@ -171,7 +171,7 @@ func TestTracerDoesNotChangeTiming(t *testing.T) {
 
 func TestRegisterMetricsNames(t *testing.T) {
 	k := sim.NewKernel()
-	n := New(k, DefaultBaseline(), nil)
+	n := New(k, mustLayout("baseline"), nil)
 	sink(n)
 	r := obs.NewRegistry()
 	n.RegisterMetrics(r)
@@ -250,10 +250,7 @@ func TestLinkLabelMatchesSprintf(t *testing.T) {
 // a 1024-tile torus with VL+B wires, whose per-link family holds 4,096
 // links x 2 planes x 2 = 16,384 metrics.
 func BenchmarkLinkMetrics(b *testing.B) {
-	cfg, err := Heterogeneous(5)
-	if err != nil {
-		b.Fatal(err)
-	}
+	cfg := mustLayout("vlb")
 	cfg.Topo = mustTopology("torus", 32, 32, 1)
 	n := New(sim.NewKernel(), cfg, nil)
 	b.Run("register", func(b *testing.B) {

@@ -47,7 +47,7 @@ func TestPanicPaths(t *testing.T) {
 			name: "no topology",
 			want: "no topology",
 			fn: func() {
-				cfg := DefaultBaseline()
+				cfg := mustLayout("baseline")
 				cfg.Topo = Topology{}
 				newNet(cfg)
 			},
@@ -63,7 +63,7 @@ func TestPanicPaths(t *testing.T) {
 			name: "zero router latency",
 			want: "router latency",
 			fn: func() {
-				cfg := DefaultBaseline()
+				cfg := mustLayout("baseline")
 				cfg.RouterLatency = 0
 				newNet(cfg)
 			},
@@ -72,7 +72,7 @@ func TestPanicPaths(t *testing.T) {
 			name: "NaN wire-latency scale",
 			want: "wire-latency scale must be finite",
 			fn: func() {
-				cfg := DefaultBaseline()
+				cfg := mustLayout("baseline")
 				cfg.LinkCyclesScale = math.NaN()
 				newNet(cfg)
 			},
@@ -81,7 +81,7 @@ func TestPanicPaths(t *testing.T) {
 			name: "wire latency past 2^62 cycles",
 			want: "above 2^62 cycles",
 			fn: func() {
-				cfg := DefaultBaseline()
+				cfg := mustLayout("baseline")
 				cfg.LinkCyclesScale = 1e20
 				newNet(cfg)
 			},
@@ -100,7 +100,7 @@ func TestPanicPaths(t *testing.T) {
 			name: "malformed message",
 			want: "malformed",
 			fn: func() {
-				n := newNet(DefaultBaseline())
+				n := newNet(mustLayout("baseline"))
 				n.Send(&noc.Message{Type: noc.GetS, Src: 0, Dst: 0, SizeBytes: 11})
 			},
 		},
@@ -108,7 +108,7 @@ func TestPanicPaths(t *testing.T) {
 			name: "both VL and PW requested",
 			want: "both VL and PW",
 			fn: func() {
-				n := newNet(DefaultBaseline())
+				n := newNet(mustLayout("baseline"))
 				n.Send(&noc.Message{Type: noc.GetS, Src: 0, Dst: 1, SizeBytes: 11, VL: true, PW: true})
 			},
 		},
@@ -116,7 +116,7 @@ func TestPanicPaths(t *testing.T) {
 			name: "absent VL plane",
 			want: "absent plane",
 			fn: func() {
-				n := newNet(DefaultBaseline()) // baseline has no VL channel
+				n := newNet(mustLayout("baseline")) // baseline has no VL channel
 				n.Send(&noc.Message{Type: noc.GetS, Src: 0, Dst: 1, SizeBytes: 11, VL: true})
 			},
 		},
@@ -124,7 +124,7 @@ func TestPanicPaths(t *testing.T) {
 			name: "zero-length route",
 			want: "zero-length route",
 			fn: func() {
-				n := newNet(DefaultBaseline())
+				n := newNet(mustLayout("baseline"))
 				// A self-message is rejected by Validate before routing;
 				// the route guard is the backstop should the two ever
 				// disagree. Exercise it directly.
@@ -136,7 +136,7 @@ func TestPanicPaths(t *testing.T) {
 			name: "transit recycled twice",
 			want: "transit recycled twice",
 			fn: func() {
-				n := newNet(DefaultBaseline())
+				n := newNet(mustLayout("baseline"))
 				m := noc.Message{Type: noc.GetS, Src: 0, Dst: 1, SizeBytes: 11}
 				tr := n.newTransit(&m, n.posOf(1), 0, 1, PlaneB, 0)
 				n.recycle(tr)
@@ -148,7 +148,7 @@ func TestPanicPaths(t *testing.T) {
 			want: "no handler",
 			fn: func() {
 				k := sim.NewKernel()
-				n := New(k, DefaultBaseline(), nil)
+				n := New(k, mustLayout("baseline"), nil)
 				// No SetHandler calls: delivery must panic, not drop.
 				n.Send(&noc.Message{Type: noc.GetS, Src: 0, Dst: 1, SizeBytes: 11})
 				k.Run(nil)

@@ -16,6 +16,16 @@ func mustTopology(name string, w, h, conc int) Topology {
 	return t
 }
 
+// mustLayout builds a named layout for a 2-byte compressed address (a
+// 5-byte VL plane where the layout has VL-Wires).
+func mustLayout(name string) Config {
+	c, err := Layout(name, 2)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // topologies64 returns one 64-tile instance of every topology, the
 // scale study's smallest point and the size of the root package's
 // 64-tile determinism test and pinned results.

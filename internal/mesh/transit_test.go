@@ -24,10 +24,7 @@ import (
 // still held).
 func TestTransitReuseDeliversSentValues(t *testing.T) {
 	k := sim.NewKernel()
-	cfg, err := Heterogeneous(5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := mustLayout("vlb")
 	n := New(k, cfg, nil)
 	in, err := fault.NewInjector(fault.Config{BER: 1e-3, RetryLimit: 64}, 5)
 	if err != nil {
